@@ -6,9 +6,9 @@ UTIL-BP.  Comparing the engine columns of the printed matrix shows
 where each backend pays off (``meso-counts`` everywhere over ``meso``,
 increasingly so on larger grids; ``meso-events`` pulls further ahead
 the lighter the load, since its calendar skips idle slots entirely;
-``meso-vec`` runs here as a batch of
-one through its single-replication adapter, so this matrix exposes its
-per-replication overhead — its win, batching many seeds per step, is
+``meso-vec`` runs here as a batch of one under the batched UTIL-BP
+kernel — the loop ``run_scenario`` runs for it — so this matrix shows
+its single-seed cost; its win, batching many seeds per step, is
 measured by ``bench_batch_scaling.py``) and doubles as a drift alarm:
 if an engine change erodes a ratio, this benchmark shows *which*
 workload shape lost it, while ``scripts/bench_ci.py`` gates the
@@ -23,10 +23,16 @@ Run with::
         --benchmark-only --benchmark-group-by=param:name -q
 """
 
+import numpy as np
 import pytest
 
 from repro.control.factory import make_network_controller
-from repro.experiments.runner import build_engine
+from repro.core.engine import (
+    build_batch_controller,
+    build_batch_engine,
+    build_engine,
+    has_batch_engine,
+)
 from repro.scenarios import build_named_scenario, scenario_names
 
 #: Mini-slots simulated before measuring, so queues are populated and
@@ -34,6 +40,29 @@ from repro.scenarios import build_named_scenario, scenario_names
 WARMUP_STEPS = 90
 
 ENGINES = ("meso", "meso-counts", "meso-events", "meso-vec")
+
+
+def _closed_loop(scenario, engine):
+    """A util-bp closed loop: ``(one_mini_slot, sim)``.
+
+    Batch engines run a batch of one under the batched kernel, serial
+    engines the per-intersection controllers on their observations.
+    """
+    if has_batch_engine(engine):
+        sim = build_batch_engine([scenario], engine)
+        kernel = build_batch_controller("util-bp", scenario.network, 1)
+
+        def one_mini_slot():
+            sim.step(1.0, kernel.decide_batch(sim.controller_arrays()))
+
+    else:
+        sim = build_engine(scenario, engine)
+        controller = make_network_controller("util-bp", scenario.network)
+
+        def one_mini_slot():
+            sim.step(1.0, controller.decide(sim.observations()))
+
+    return one_mini_slot, sim
 
 
 @pytest.fixture(
@@ -47,20 +76,14 @@ ENGINES = ("meso", "meso-counts", "meso-events", "meso-vec")
 )
 def warm_cell(request):
     name, engine = request.param
-    scenario = build_named_scenario(name, seed=1)
-    sim = build_engine(scenario, engine)
-    controller = make_network_controller("util-bp", scenario.network)
+    one_mini_slot, _ = _closed_loop(build_named_scenario(name, seed=1), engine)
     for _ in range(WARMUP_STEPS):
-        sim.step(1.0, controller.decide(sim.observations()))
-    return name, engine, sim, controller
+        one_mini_slot()
+    return name, engine, one_mini_slot
 
 
 def test_engine_matrix_step_rate(benchmark, warm_cell):
-    name, engine, sim, controller = warm_cell
-
-    def one_mini_slot():
-        sim.step(1.0, controller.decide(sim.observations()))
-
+    name, engine, one_mini_slot = warm_cell
     benchmark(one_mini_slot)
     if benchmark.stats is not None:  # absent under --benchmark-disable
         steps_per_second = 1.0 / benchmark.stats.stats.mean
@@ -74,11 +97,13 @@ def test_matrix_cells_agree_on_dynamics():
     runs = {}
     for engine in ENGINES:
         scenario = build_named_scenario("steady-3x3", seed=1)
-        sim = build_engine(scenario, engine)
-        controller = make_network_controller("util-bp", scenario.network)
+        one_mini_slot, sim = _closed_loop(scenario, engine)
         for _ in range(WARMUP_STEPS):
-            sim.step(1.0, controller.decide(sim.observations()))
-        runs[engine] = (sim.vehicles_in_network(), sim.backlog_size())
+            one_mini_slot()
+        runs[engine] = (
+            int(np.sum(sim.vehicles_in_network())),
+            int(np.sum(sim.backlog_size())),
+        )
     assert (
         runs["meso"]
         == runs["meso-counts"]

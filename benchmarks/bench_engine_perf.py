@@ -9,7 +9,7 @@ import pytest
 
 from repro.control.factory import make_network_controller
 from repro.core.util_bp import UtilBpController
-from repro.experiments.runner import build_engine
+from repro.core.engine import build_engine
 from repro.scenarios.core import build_scenario
 
 

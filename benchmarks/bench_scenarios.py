@@ -11,7 +11,7 @@ accidentally quadratic shows up immediately.
 import pytest
 
 from repro.control.factory import make_network_controller
-from repro.experiments.runner import build_engine
+from repro.core.engine import build_engine
 from repro.scenarios import build_named_scenario, scenario_names
 
 #: Mini-slots simulated before measuring, so queues are populated and

@@ -3,7 +3,8 @@
 Measures two kinds of steps/second on a small, fixed workload set:
 
 * **closed-loop** — engine + util-bp controller, the end-to-end cost a
-  sweep cell pays (keys like ``meso/steady-3x3``);
+  sweep cell pays (keys like ``meso/steady-3x3``; ``meso-vec`` runs a
+  batch of one under the batched util-bp kernel);
 * **engine-stepping** — ``observations() + step()`` under a fixed
   phase plan, isolating the simulation backend from the controller
   (keys like ``engine/meso/steady-8x8``);
@@ -99,8 +100,12 @@ from typing import Dict
 import numpy as np
 
 from repro.control.factory import make_network_controller
-from repro.core.engine import build_batch_controller, build_batch_engine
-from repro.experiments.runner import build_engine
+from repro.core.engine import (
+    build_batch_controller,
+    build_batch_engine,
+    build_engine,
+    has_batch_engine,
+)
 from repro.scenarios import build_named_scenario
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -209,7 +214,15 @@ def calibration_score(repeats: int = 3) -> float:
 def measure_steps_per_second(
     engine: str, scenario_name: str, steps: int, repeats: int
 ) -> float:
-    """Best-of-``repeats`` closed-loop step rate for one workload."""
+    """Best-of-``repeats`` closed-loop step rate for one workload.
+
+    A batch engine runs a batch of one under the batched util-bp
+    kernel, the loop ``run_scenario`` runs for it.
+    """
+    if has_batch_engine(engine):
+        return measure_batch_closed_loop(
+            scenario_name, {}, 1, steps, repeats, warmup=WARMUP_STEPS
+        )
     best = 0.0
     for attempt in range(repeats):
         scenario = build_named_scenario(scenario_name, seed=1 + attempt)
@@ -336,7 +349,7 @@ def measure_serial_closed_loop(
 
 
 def measure_batch_closed_loop(
-    scenario_name, params, width, steps, repeats
+    scenario_name, params, width, steps, repeats, warmup=STEPPING_WARMUP
 ) -> float:
     """Best-of-``repeats`` batched closed-loop rate in replication-steps/s.
 
@@ -358,7 +371,7 @@ def measure_batch_closed_loop(
         controller = build_batch_controller(
             "util-bp", scenarios[0].network, width
         )
-        for _ in range(STEPPING_WARMUP):
+        for _ in range(warmup):
             sim.step(1.0, controller.decide_batch(sim.controller_arrays()))
         start = time.perf_counter()
         for _ in range(steps):

@@ -134,17 +134,9 @@ echo "== batched meso-vec sweep (seed fan-out through the pool) =="
 # Two seeds of one scenario on the batch engine run as ONE batched
 # simulation; the store must still end up with one row per seed (cache
 # keys are per spec, so batch execution stays resumable cell by cell).
-# The closed loop must run on the batched util-bp kernel: a
-# "falling back" notice on stderr means the vectorized fast path
-# silently de-vectorized (layout drift, renamed controller, ...).
-VEC_ERR="$CACHE_DIR/vec-sweep.stderr"
 "$PYTHON" -m repro sweep \
     --scenario steady-4x4 --engine meso-vec \
-    --seeds 1 2 --duration 300 --store "$STORE" \
-    2> "$VEC_ERR" || { cat "$VEC_ERR" >&2; exit 1; }
-cat "$VEC_ERR" >&2
-grep -q "falling back" "$VEC_ERR" \
-    && { echo "smoke FAILED: batched sweep fell back to per-replication controllers"; exit 1; }
+    --seeds 1 2 --duration 300 --store "$STORE"
 
 VEC_ROWS=$("$PYTHON" - "$STORE" <<'EOF'
 import sys

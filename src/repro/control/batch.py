@@ -17,19 +17,21 @@ the same name and parameters.  ``tests/test_control_batch.py`` asserts
 decision-for-decision lockstep against the serial controllers, and the
 engine parity suite pins the whole closed loop.
 
-Three controllers batch (registered in :mod:`repro.core.engine` by their
-factory names):
+Every controller of :data:`repro.control.factory.CONTROLLER_NAMES` has
+a batched kernel (registered in :mod:`repro.core.engine` by its factory
+name):
 
 * ``util-bp`` — :class:`BatchUtilBpController`, Algorithm 1's three
   cases on ``(B, N)`` state arrays;
 * ``cap-bp`` — :class:`BatchCapBpController`, the fixed-slot driver plus
   capacity-normalized weights;
 * ``original-bp`` — :class:`BatchOriginalBpController`, fixed slots with
-  Eq. 5 gains on total incoming queues.
+  Eq. 5 gains on total incoming queues;
+* ``fixed-time`` — :class:`BatchFixedTimeController`, fixed slots cycling
+  through each intersection's phases.
 
-``fixed-time`` is open-loop (its decisions ignore the observation), so a
-batched run of it already amortizes through the engine's shared-phase
-compression; it keeps the per-replication path.
+A batch engine is driven only through these kernels: the runner has no
+per-replication ``QueueObservation`` path for it.
 """
 
 from __future__ import annotations
@@ -56,6 +58,7 @@ __all__ = [
     "BatchUtilBpController",
     "BatchCapBpController",
     "BatchOriginalBpController",
+    "BatchFixedTimeController",
 ]
 
 #: Sentinel above any real phase index, for masked index minima.
@@ -163,6 +166,9 @@ class _NetworkLayout:
         self.slot_of = np.full((N, max_index + 1), -1, dtype=np.int64)
         self.first_phase = np.array(
             [inter.phases[0].index for inter in intersections], dtype=np.int64
+        )
+        self.n_phases = np.array(
+            [len(inter.phases) for inter in intersections], dtype=np.int64
         )
         for n, inter in enumerate(intersections):
             for p, phase in enumerate(inter.phases):
@@ -375,13 +381,15 @@ class _BatchFixedSlotController(_BatchControllerBase):
         self._check(arrays)
         now = arrays.time
         previous = self._current
-        selection = self._select(arrays, previous)
 
         has_pending = self._pending >= 0
         amber_wait = has_pending & (now < self._transition_until)
         promote = has_pending & ~amber_wait
         expired = ~has_pending & (now >= self._slot_end)
         hold = ~has_pending & ~expired
+        # Only cells whose slot ended read the selection, so most
+        # mini-slots skip the scoring altogether.
+        selection = self._select(arrays, previous) if expired.any() else previous
         unchanged = selection == previous
         first = (previous == 0) & np.isneginf(self._slot_end)
         start = expired & (unchanged | first)
@@ -478,6 +486,25 @@ class BatchOriginalBpController(_BatchFixedSlotController):
         return np.where(best == 0.0, keep, selected)
 
 
+class BatchFixedTimeController(_BatchFixedSlotController):
+    """Fixed-time (round-robin) control on whole replication batches.
+
+    The exact vectorization of
+    :class:`~repro.control.fixed_time.FixedTimeController`: each slot
+    selects the phase declared after the running one (wrapping around),
+    and a cell that has not started its first slot yet (amber) selects
+    the first phase.  The running phase is the cycle position, so no
+    cursor state is kept.
+    """
+
+    def _select(
+        self, arrays: BatchControlArrays, previous: np.ndarray
+    ) -> np.ndarray:
+        lay = self._layout
+        following = (lay.current_slot(previous) + 1) % lay.n_phases
+        return lay.phase_index[lay._node_cols, following]
+
+
 # -- factory registration -----------------------------------------------------
 
 
@@ -516,4 +543,7 @@ register_batch_controller("util-bp", _build_util_bp)
 register_batch_controller("cap-bp", _build_fixed_slot(BatchCapBpController))
 register_batch_controller(
     "original-bp", _build_fixed_slot(BatchOriginalBpController)
+)
+register_batch_controller(
+    "fixed-time", _build_fixed_slot(BatchFixedTimeController)
 )

@@ -1,10 +1,11 @@
-"""The formal simulation-engine contract and the engine registry.
+"""The formal simulation-engine contracts and the engine registry.
 
 Every plant the control loop can drive — the mesoscopic
-store-and-forward simulator (``meso``), its counts-based fast variant
-(``meso-counts``), the microscopic Krauss simulator (``micro``), and
-any future backend (a real SUMO bridge, a hardware-in-the-loop rig) —
-implements the :class:`SimulationEngine` protocol:
+store-and-forward simulator (``meso``), its counts-based fast variants
+(``meso-counts``, ``meso-events``), the microscopic Krauss simulator
+(``micro``), and any future backend (a real SUMO bridge, a
+hardware-in-the-loop rig) — implements the :class:`SimulationEngine`
+protocol:
 
 * ``time`` — the current simulation clock (s);
 * ``collector`` — the per-vehicle :class:`MetricsCollector`;
@@ -17,16 +18,20 @@ implements the :class:`SimulationEngine` protocol:
 * ``vehicles_in_network()`` / ``backlog_size()`` — occupancy
   introspection used by the stability study.
 
-Engines are registered by name so experiments, the orchestration pool
-and the CLI can select them with a string.  The built-in engines are
-imported lazily: meso-only users never pay the microscopic import.
+A *batch* engine (``meso-vec``) steps B seed-replications of one
+scenario at once and implements :class:`BatchEngine` instead.  Each
+engine kind has exactly one control loop: a serial engine is driven
+through ``observations()`` and a
+:class:`~repro.control.base.NetworkController`; a batch engine only
+through ``controller_arrays()`` (the array-shaped ``Q(k)``,
+:class:`BatchControlArrays`) and a
+:class:`~repro.control.batch.BatchNetworkController` kernel, which
+registers here too.  A single run on a batch engine is a batch of one.
 
-Batched *controllers* register here too, alongside the batch engines:
-a :class:`~repro.control.batch.BatchNetworkController` computes the
-phase decisions of all B replications at once on the engine's internal
-arrays (no per-replication ``QueueObservation`` round-trip), and
-:class:`BatchControlArrays` is the array-shaped ``Q(k)`` contract a
-batch engine hands it each mini-slot.
+Engines are registered by name so experiments, the orchestration pool
+and the CLI can select them with a string; :func:`engine_names` covers
+both kinds.  The built-in engines are imported lazily: meso-only users
+never pay the microscopic import.
 """
 
 from __future__ import annotations
@@ -41,6 +46,7 @@ from typing import (
     Optional,
     Protocol,
     Sequence,
+    Tuple,
     TYPE_CHECKING,
     runtime_checkable,
 )
@@ -75,7 +81,6 @@ __all__ = [
     "build_batch_engine",
     "register_batch_controller",
     "batch_controller_names",
-    "has_batch_controller",
     "build_batch_controller",
 ]
 
@@ -154,23 +159,24 @@ class BatchEngine(Protocol):
     a batch back into the same per-seed result rows a serial sweep
     would have produced.
 
-    Per-replication surfaces take or return batch-ordered sequences:
-    ``observations()[b]`` is replication ``b``'s ``Q(k)``, ``step``
-    takes one phase mapping per replication, and the introspection
-    methods return one value per replication.
+    The control loop sees the whole batch as arrays:
+    ``controller_arrays()`` is every replication's ``Q(k)`` with
+    movement columns in ``movement_layout`` order, ``step`` takes the
+    ``(batch_size, n_nodes)`` phase decisions of a batch kernel, and
+    the introspection methods return one value per replication.
     """
 
     time: float
     batch_size: int
     seeds: tuple
+    #: ``(node_ids, movement_keys)`` — the column order of the arrays.
+    movement_layout: Tuple[Tuple[str, ...], Tuple[Tuple[str, str], ...]]
 
-    def observations(self) -> List[Dict[str, QueueObservation]]:
-        """Per-replication ``Q(k)`` maps at the current time."""
+    def controller_arrays(self) -> BatchControlArrays:
+        """The batched ``Q(k)`` at the current time."""
         ...
 
-    def step(
-        self, dt: float, phases: Sequence[Mapping[str, int]]
-    ) -> None:
+    def step(self, dt: float, phases: np.ndarray) -> None:
         """Advance every replication by ``dt`` under its own phases."""
         ...
 
@@ -265,22 +271,21 @@ class Registry:
         return builder(*args, **kwargs)
 
 
-#: Engine constructors by name (``builder(scenario) -> SimulationEngine``).
+#: Serial engine constructors (``builder(scenario) -> SimulationEngine``).
 ENGINES = Registry(
     "engine",
     {
         "meso": "repro.meso.simulator",
         "meso-counts": "repro.meso.counts",
         "meso-events": "repro.meso.events",
-        "meso-vec": "repro.meso.vectorized",
         "micro": "repro.micro.simulator",
     },
 )
 
 #: Batch-engine constructors (``builder(scenarios) -> BatchEngine``).
-#: A name listed here also appears in :data:`ENGINES`: every batch
-#: engine doubles as a single-run engine (batch of one) so plain specs
-#: and the CLI can select it like any other backend.
+#: Single runs on these names go through the batch loop with B=1, so
+#: they are selectable everywhere an engine name is (see
+#: :func:`engine_names`).
 BATCH_ENGINES = Registry(
     "batch engine",
     {
@@ -289,33 +294,23 @@ BATCH_ENGINES = Registry(
 )
 
 #: Batch-controller constructors
-#: (``builder(network, batch_size, **params) -> BatchNetworkController``).
-#: Mirrors the batch-engine registry: controllers that can decide for a
-#: whole replication batch at once (on BatchControlArrays) register a
-#: builder by the same short name the serial factory uses, and the
-#: closed-loop batch runner picks the batched kernel whenever both the
-#: engine and the controller support it.
+#: (``builder(network, batch_size, **params) -> BatchNetworkController``),
+#: registered by the same short names the serial factory uses: every
+#: controller a batch engine can run needs a kernel here.
 BATCH_CONTROLLERS = Registry(
     "batch controller",
     {
         "util-bp": "repro.control.batch",
         "cap-bp": "repro.control.batch",
         "original-bp": "repro.control.batch",
+        "fixed-time": "repro.control.batch",
     },
 )
 
-# Legacy aliases for the registries' internals: tests and downstream
-# code reach into these mappings (e.g. to pop a test registration), so
-# they stay bound to the live dicts.
-_ENGINE_BUILDERS = ENGINES.builders
-_BUILTIN_MODULES = ENGINES.builtin_modules
-_BATCH_ENGINE_BUILDERS = BATCH_ENGINES.builders
-_BUILTIN_BATCH_MODULES = BATCH_ENGINES.builtin_modules
-_BATCH_CONTROLLER_BUILDERS = BATCH_CONTROLLERS.builders
-_BUILTIN_BATCH_CONTROLLER_MODULES = BATCH_CONTROLLERS.builtin_modules
-
 #: The engine names the CLI offers (built-ins; plugins add more).
-ENGINE_NAMES = tuple(sorted(ENGINES.builtin_modules))
+ENGINE_NAMES = tuple(
+    sorted(set(ENGINES.builtin_modules) | set(BATCH_ENGINES.builtin_modules))
+)
 
 
 # -- engines (thin delegates onto the registry) -------------------------------
@@ -329,8 +324,8 @@ def register_engine(
 
 
 def engine_names() -> tuple:
-    """All currently selectable engine names (built-in + registered)."""
-    return ENGINES.names()
+    """All currently selectable engine names, serial and batch."""
+    return tuple(sorted(set(ENGINES.names()) | set(BATCH_ENGINES.names())))
 
 
 def provider_module(name: str) -> Optional[str]:
@@ -339,14 +334,22 @@ def provider_module(name: str) -> Optional[str]:
     Worker processes under the ``spawn`` start method begin with a
     fresh registry; importing this module there re-establishes the
     registration (engines register at import time, like the
-    built-ins).  Returns ``None`` for unregistered names or builders
-    defined in ``__main__`` (not importable elsewhere).
+    built-ins).  Batch-engine names resolve too.  Returns ``None`` for
+    unregistered names or builders defined in ``__main__`` (not
+    importable elsewhere).
     """
-    return ENGINES.provider_module(name)
+    if ENGINES.has(name):
+        return ENGINES.provider_module(name)
+    return BATCH_ENGINES.provider_module(name)
 
 
 def build_engine(scenario: "Scenario", engine: str = "meso") -> SimulationEngine:
-    """Instantiate a simulation engine for a scenario by name."""
+    """Instantiate a serial simulation engine for a scenario by name."""
+    if not ENGINES.has(engine) and BATCH_ENGINES.has(engine):
+        raise ValueError(
+            f"{engine!r} is a batch engine: use build_batch_engine([scenario]) "
+            f"or run_scenario"
+        )
     return ENGINES.build(engine, scenario)
 
 
@@ -359,9 +362,8 @@ def register_batch_engine(
     """Register a batch-engine constructor (``builder(scenarios) -> engine``).
 
     ``scenarios`` is one :class:`Scenario` per replication — same
-    workload shape, one seed each.  A batch engine should also register
-    a plain single-run builder under the same name (batch of one), so
-    specs naming the engine work outside the batching pool path too.
+    workload shape, one seed each.  The name is then valid wherever an
+    engine name is: single runs execute as a batch of one.
     """
     BATCH_ENGINES.register(name, builder)
 
@@ -409,11 +411,6 @@ def register_batch_controller(
 def batch_controller_names() -> tuple:
     """All controller names with a batched implementation."""
     return BATCH_CONTROLLERS.names()
-
-
-def has_batch_controller(name: str) -> bool:
-    """Whether controller ``name`` can decide whole batches at once."""
-    return BATCH_CONTROLLERS.has(name)
 
 
 def build_batch_controller(

@@ -37,8 +37,6 @@ from repro.experiments.patterns import (
 from repro.experiments.runner import (
     RunConfig,
     RunResult,
-    build_engine,
-    register_engine,
     run_scenario,
     run_scenario_batch,
 )
@@ -59,6 +57,4 @@ __all__ = [
     "RunResult",
     "run_scenario",
     "run_scenario_batch",
-    "build_engine",
-    "register_engine",
 ]

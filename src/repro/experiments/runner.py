@@ -2,14 +2,16 @@
 
 This is the only place where the cyber part (controllers) and the
 physical part (simulators) touch: every mini-slot the runner reads the
-queue observations, asks each intersection's controller for a phase,
-and applies the decisions to the engine.
+queue state, asks the controller for a phase per intersection, and
+applies the decisions to the engine.  There is one loop per engine
+kind: :func:`run_scenario` drives a serial engine through
+``observations()`` and a :class:`~repro.control.base.NetworkController`;
+:func:`run_scenario_batch` drives a batch engine through
+``controller_arrays()`` and a batch kernel, and a single run on a batch
+engine is a batch of one.
 
-The engine contract itself (``observations / step / finalize / time /
-collector / utilization``) and the name-based engine registry live in
-:mod:`repro.core.engine`; :func:`build_engine` and
-:func:`register_engine` are re-exported here for backwards
-compatibility.
+The engine contracts and the name-based registries live in
+:mod:`repro.core.engine`.
 """
 
 from __future__ import annotations
@@ -17,16 +19,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 from typing import Any, Dict, Optional, Sequence, Tuple
 
-# Re-exported for backwards compatibility: the registry moved to the
-# core layer so engines can register without importing experiments.
 from repro.core.engine import (
     BatchEngine,
     SimulationEngine,
     build_batch_controller,
     build_batch_engine,
     build_engine,
-    has_batch_controller,
-    register_engine,
+    has_batch_engine,
 )
 from repro.control.factory import make_network_controller
 from repro.scenarios.core import Scenario
@@ -34,7 +33,6 @@ from repro.metrics.collector import Summary
 from repro.metrics.traces import PhaseTrace, QueueTrace, next_grid_sample
 from repro.metrics.utilization import UtilizationTracker
 from repro.model.phases import TRANSITION_PHASE_INDEX
-from repro.util.logging import get_logger
 from repro.util.validation import check_positive
 
 __all__ = [
@@ -42,8 +40,6 @@ __all__ = [
     "RunResult",
     "run_scenario",
     "run_scenario_batch",
-    "build_engine",
-    "register_engine",
 ]
 
 
@@ -216,7 +212,8 @@ def run_scenario(scenario: Scenario, **knobs: Any) -> RunResult:
         Simulation horizon in seconds; defaults to the scenario's.
     engine:
         An engine name from :func:`repro.core.engine.engine_names`
-        (default ``"meso"``).
+        (default ``"meso"``).  A batch engine runs the scenario as a
+        batch of one through :func:`run_scenario_batch`.
     mini_slot:
         The control mini-slot ``Delta_t`` (s); controllers are invoked
         once per mini-slot.
@@ -228,6 +225,8 @@ def run_scenario(scenario: Scenario, **knobs: Any) -> RunResult:
         be sampled every ``queue_sample_interval`` seconds (Fig. 5).
     """
     config = RunConfig.resolve("meso", knobs)
+    if has_batch_engine(config.engine):
+        return run_scenario_batch([scenario], config=config)[0]
     horizon = config.horizon(scenario)
     check_positive("duration", horizon)
 
@@ -295,17 +294,14 @@ def run_scenario_batch(scenarios: Sequence[Scenario], **knobs: Any) -> list:
     and — by the batch engines' parity contract — each result equals
     the single-run result for that scenario and engine.
 
-    When both the controller and the engine support it, the closed loop
-    runs *batched*: one
-    :class:`~repro.control.batch.BatchNetworkController` computes every
-    replication's decisions on the engine's internal arrays (the
-    ``controller_arrays`` façade), skipping the per-replication
-    ``QueueObservation`` construction and Python controller loop.  The
-    batched kernel is decision-for-decision identical to the serial
-    controllers, so results do not depend on which path ran.  Anything
-    else — an unknown controller, an engine without the array façade —
-    falls back to per-replication controllers with a one-line notice on
-    stderr, so a silently de-vectorized sweep is visible in its logs.
+    The closed loop runs *batched*: one
+    :class:`~repro.control.batch.BatchNetworkController` kernel computes
+    every replication's decisions on the engine's internal arrays (the
+    ``controller_arrays`` façade).  The kernels are
+    decision-for-decision identical to the serial controllers.  An
+    engine without that façade, or whose ``movement_layout`` disagrees
+    with the kernel's, is rejected with ``ValueError`` before the first
+    step.
     """
     config = RunConfig.resolve("meso-vec", knobs)
     if not scenarios:
@@ -320,51 +316,26 @@ def run_scenario_batch(scenarios: Sequence[Scenario], **knobs: Any) -> list:
     record_queues = config.record_queues
     queue_sample_interval = config.queue_sample_interval
 
-    # Validate the controller spec (name + parameters) before paying
-    # for the batch engine: the probe controller is discarded, but its
-    # construction runs the same factory checks the real ones will.
-    make_network_controller(controller, first.network, **(controller_params or {}))
-
-    sim: BatchEngine = build_batch_engine(scenarios, config.engine)
-    batch_controller = None
-    if has_batch_controller(controller) and hasattr(sim, "controller_arrays"):
-        candidate = build_batch_controller(
-            controller,
-            first.network,
-            len(scenarios),
-            **(controller_params or {}),
-        )
-        layout = getattr(sim, "movement_layout", None)
-        if layout == (candidate.node_ids, candidate.movement_keys):
-            batch_controller = candidate
-    controllers = []
-    if batch_controller is None:
-        if controller != "fixed-time":
-            # fixed-time is open-loop; its per-replication instances
-            # produce one shared phase pattern the engine compresses,
-            # so only closed-loop fallbacks are worth flagging.
-            get_logger("runner").warning(
-                "batch_controller_fallback",
-                message=(
-                    f"closed-loop batch of {len(scenarios)} replications "
-                    f"falling back to per-replication {controller!r} "
-                    f"controllers (no batched implementation)"
-                ),
-                controller=controller,
-                engine=config.engine,
-                replications=len(scenarios),
-            )
-        controllers = [
-            make_network_controller(
-                controller, first.network, **(controller_params or {})
-            )
-            for _ in scenarios
-        ]
-    node_column = (
-        {node_id: i for i, node_id in enumerate(batch_controller.node_ids)}
-        if batch_controller is not None and record_phases
-        else {}
+    # Controller first: its builder validates the name and parameters,
+    # so a bad controller spec fails before the batch engine is built.
+    batch_controller = build_batch_controller(
+        controller, first.network, len(scenarios), **(controller_params or {})
     )
+    sim: BatchEngine = build_batch_engine(scenarios, config.engine)
+    layout = getattr(sim, "movement_layout", None)
+    if layout is None or not hasattr(sim, "controller_arrays"):
+        raise ValueError(
+            f"batch engine {config.engine!r} lacks the controller_arrays() / "
+            f"movement_layout façade a batch controller needs"
+        )
+    if layout != (batch_controller.node_ids, batch_controller.movement_keys):
+        raise ValueError(
+            f"batch engine {config.engine!r} movement layout does not match "
+            f"the {controller!r} batch controller's"
+        )
+    node_column = {
+        node_id: i for i, node_id in enumerate(batch_controller.node_ids)
+    }
     phase_traces = [
         {node_id: PhaseTrace(node_id) for node_id in record_phases}
         for _ in scenarios
@@ -381,33 +352,17 @@ def run_scenario_batch(scenarios: Sequence[Scenario], **knobs: Any) -> list:
     steps = int(round(horizon / mini_slot))
     for _ in range(steps):
         now = sim.time
-        if batch_controller is not None:
-            decision_array = batch_controller.decide_batch(
-                sim.controller_arrays()
-            )
-            if record_phases:
-                for b, traces in enumerate(phase_traces):
-                    for node_id, trace in traces.items():
-                        column = node_column.get(node_id)
-                        trace.record(
-                            now,
-                            TRANSITION_PHASE_INDEX
-                            if column is None
-                            else int(decision_array[b, column]),
-                        )
-            decisions = decision_array
-        else:
-            observations = sim.observations()
-            decisions = [
-                network_controller.decide(obs)
-                for network_controller, obs in zip(controllers, observations)
-            ]
-            for rep_decisions, traces in zip(decisions, phase_traces):
-                for node_id, trace in traces.items():
-                    trace.record(
-                        now,
-                        rep_decisions.get(node_id, TRANSITION_PHASE_INDEX),
-                    )
+        decisions = batch_controller.decide_batch(sim.controller_arrays())
+        for b, traces in enumerate(phase_traces):
+            for node_id, trace in traces.items():
+                # Nodes outside the network show amber, as in run_scenario.
+                column = node_column.get(node_id)
+                trace.record(
+                    now,
+                    TRANSITION_PHASE_INDEX
+                    if column is None
+                    else int(decisions[b, column]),
+                )
         if record_queues and now >= next_queue_sample:
             road_totals = {
                 road: sim.incoming_queue_total(road)

@@ -59,6 +59,12 @@ per-vehicle).  The batch steps on a *constant* mini-slot: ``dt`` is
 fixed by the first ``step`` call (the pulled-ahead arrival windows are
 drawn for that grid; a varying ``dt`` would consume draws a serial run
 would not have made).
+
+**Control.**  The runner drives the batch only through
+:meth:`~BatchCountsSimulator.controller_arrays` and a batch controller
+kernel; a single ``run_scenario`` on ``meso-vec`` is a batch of one.
+:meth:`~BatchCountsSimulator.observations` is the per-replication
+``QueueObservation`` view the parity suites compare against.
 """
 
 from __future__ import annotations
@@ -68,11 +74,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.core.engine import (
-    BatchControlArrays,
-    register_batch_engine,
-    register_engine,
-)
+from repro.core.engine import BatchControlArrays, register_batch_engine
 from repro.metrics.aggregate import BatchAggregateMetricsCollector
 from repro.metrics.collector import Summary
 from repro.metrics.utilization import UtilizationTracker
@@ -84,7 +86,7 @@ from repro.model.routing import RouteSampler, TurningProbabilities
 from repro.util.rng import RngStreams
 from repro.util.validation import check_non_negative, check_positive
 
-__all__ = ["BatchCountsSimulator", "SingleReplicationEngine"]
+__all__ = ["BatchCountsSimulator"]
 
 #: Mini-slots of arrival counts pulled ahead per refill (a multiple of
 #: the PoissonArrivals pre-draw batch, so a refill is mostly slicing).
@@ -1187,92 +1189,6 @@ class BatchCountsSimulator:
         return self._backlog_len.sum(axis=1)
 
 
-class _CollectorView:
-    """Single-replication facade over the batch collector."""
-
-    def __init__(self, collector: BatchAggregateMetricsCollector, b: int):
-        self._collector = collector
-        self._b = b
-
-    @property
-    def vehicles_entered(self) -> int:
-        """Vehicles that entered this replication so far."""
-        return int(self._collector.vehicles_entered[self._b])
-
-    @property
-    def vehicles_left(self) -> int:
-        """Vehicles that left this replication so far."""
-        return int(self._collector.vehicles_left[self._b])
-
-    @property
-    def total_queuing_time(self) -> float:
-        """Accumulated queuing time of this replication."""
-        return float(self._collector.total_queuing_time[self._b])
-
-    @property
-    def now(self) -> float:
-        """Current simulation time of the batch."""
-        return self._collector.now
-
-    def summary(self, duration: Optional[float] = None) -> Summary:
-        """Summary of this replication (engine-parity shape)."""
-        return self._collector.summary_of(self._b, duration)
-
-
-class SingleReplicationEngine:
-    """:class:`SimulationEngine` adapter over a batch of one.
-
-    Registered as the plain engine ``"meso-vec"`` so single specs, the
-    CLI and the conformance suite drive the vectorized backend through
-    the standard contract; the orchestration pool swaps in real batches
-    behind the same name.
-    """
-
-    def __init__(self, batch: BatchCountsSimulator):
-        if batch.batch_size != 1:
-            raise ValueError(
-                f"adapter wraps exactly one replication, got batch of "
-                f"{batch.batch_size}"
-            )
-        self._batch = batch
-        self.network = batch.network
-        self.collector = _CollectorView(batch.collector, 0)
-
-    @property
-    def time(self) -> float:
-        """Current simulation time."""
-        return self._batch.time
-
-    @property
-    def utilization(self) -> Dict[str, UtilizationTracker]:
-        """Per-node utilization of the selected replication."""
-        return self._batch.utilization_of(0)
-
-    def observations(self) -> Dict[str, QueueObservation]:
-        """Queue observations of the selected replication."""
-        return self._batch.observations()[0]
-
-    def step(self, dt: float, phases: Mapping[str, int]) -> None:
-        """Step the underlying batch one mini-slot forward."""
-        self._batch.step(dt, (phases,))
-
-    def finalize(self) -> None:
-        """Flush remaining bookkeeping at the end of the horizon."""
-        self._batch.finalize()
-
-    def incoming_queue_total(self, road_id: str) -> int:
-        """Queued count on one road of the selected replication."""
-        return int(self._batch.incoming_queue_total(road_id)[0])
-
-    def vehicles_in_network(self) -> int:
-        """Vehicles currently inside the selected replication."""
-        return int(self._batch.vehicles_in_network()[0])
-
-    def backlog_size(self) -> int:
-        """Blocked-entry backlog of the selected replication."""
-        return int(self._batch.backlog_size()[0])
-
-
 def _batch_from_scenarios(scenarios) -> BatchCountsSimulator:
     # ``scenarios`` are repro.scenarios.core.Scenario values of one
     # workload shape (same pattern and build parameters, one seed per
@@ -1302,9 +1218,4 @@ def _batch_from_scenarios(scenarios) -> BatchCountsSimulator:
     )
 
 
-def _build_vectorized_single(scenario) -> SingleReplicationEngine:
-    return SingleReplicationEngine(_batch_from_scenarios([scenario]))
-
-
-register_engine("meso-vec", _build_vectorized_single)
 register_batch_engine("meso-vec", _batch_from_scenarios)

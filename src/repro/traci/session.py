@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Mapping, Tuple
 
-from repro.experiments.runner import build_engine
+from repro.core.engine import build_engine
 from repro.scenarios.core import Scenario
 from repro.metrics.collector import Summary
 from repro.model.phases import TRANSITION_PHASE_INDEX
@@ -38,7 +38,8 @@ class TraciSession:
     scenario:
         The scenario to simulate.
     engine:
-        ``"meso"`` or ``"micro"``.
+        A serial engine name (``"meso"``, ``"micro"``, ...); batch
+        engines such as ``"meso-vec"`` are rejected with ``ValueError``.
     step_length:
         Seconds advanced by each :meth:`simulationStep` call (TraCI's
         step length); also the observation cadence.

@@ -1,7 +1,7 @@
 """Structured JSON-lines logging: the observability layer.
 
 Every long-running surface of the package (the HTTP service, the
-worker pool, the batch-runner fallback path) emits its diagnostics
+worker pool, the fleet runner) emits its diagnostics
 through this module instead of ad-hoc ``print(..., file=sys.stderr)``:
 one JSON object per line, machine-parseable, with a stable field
 layout::
@@ -18,7 +18,7 @@ Fields
     One of ``debug``/``info``/``warning``/``error``.
 ``component``
     The subsystem that emitted the line (``service``, ``jobs``,
-    ``runner``, ...).
+    ``fleet``, ...).
 ``event``
     A stable machine-readable event name (snake_case); free-form prose
     goes in an optional ``message`` field so grepping for either works.

@@ -1,4 +1,5 @@
-"""Shared fixtures: a single-intersection network and observation builders."""
+"""Shared fixtures: a single-intersection network, observation builders
+and the mixed-phase-plan scenario variant of the parity suites."""
 
 from __future__ import annotations
 
@@ -7,7 +8,12 @@ from typing import Dict, Optional, Tuple
 import pytest
 
 from repro.model.grid import build_grid_network
+from repro.model.phases import Phase
 from repro.model.queues import QueueObservation
+from repro.scenarios import build_named_scenario
+
+#: Suffix selecting :func:`build_parity_scenario`'s mixed-phase variant.
+MIXED_PHASES = "+mixed-phases"
 
 
 @pytest.fixture
@@ -67,3 +73,28 @@ def make_observation(
 def observe():
     """The :func:`make_observation` helper as a fixture."""
     return make_observation
+
+
+def build_parity_scenario(name: str, seed: int):
+    """A catalog scenario, or its mixed-phase-plan variant.
+
+    ``"<entry>+mixed-phases"`` builds ``<entry>`` and then gives its
+    intersections three different phase plans, cycling in node order:
+    the standard four phases; three phases declared out of index order
+    (``c3``, ``c1``, then both right-turn phases merged into ``c2``);
+    and two phases (``c1``, ``c3`` — right turns never get green).
+    Batched controllers must handle ragged phase tables and phase
+    indices that are not declaration positions.
+    """
+    base, variant, _ = name.partition(MIXED_PHASES)
+    scenario = build_named_scenario(base, seed=seed)
+    if not variant:
+        return scenario
+    for n, intersection in enumerate(scenario.network.intersections.values()):
+        c1, c2, c3, c4 = intersection.phases
+        if n % 3 == 1:
+            rights = Phase(index=2, movements=c2.movements + c4.movements)
+            intersection.phases = [c3, c1, rights]
+        elif n % 3 == 2:
+            intersection.phases = [c1, c3]
+    return scenario

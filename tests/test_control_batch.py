@@ -9,45 +9,49 @@ controller layer:
 * lockstep parity — a B=1 meso-vec engine is stepped for hundreds of
   mini-slots while a serial controller (fed ``QueueObservation`` maps)
   and the batched controller (fed the engine's arrays) must emit the
-  same phase for every node at every step, for all three batched
-  algorithms;
+  same phase for every node at every step, for every controller name,
+  including on a network whose intersections have different phase
+  counts;
 * batch-width independence of the *decisions* themselves (not just of
   the end-of-run books, which the engine parity suite covers);
 * the registry, the protocol, ``reset``, and the constructor/shape
   validation;
-* the runner's fallback path: an un-batchable controller must still
-  produce results identical to the single runs, and must say so once
-  on stderr.
+* the runner's wiring: an engine whose array layout disagrees with the
+  kernel's is rejected before the first step.
 """
 
 import pytest
 
 from repro.control.batch import (
     BatchCapBpController,
+    BatchFixedTimeController,
     BatchNetworkController,
     BatchOriginalBpController,
     BatchUtilBpController,
 )
-from repro.control.factory import make_network_controller
+from repro.control.factory import CONTROLLER_NAMES, make_network_controller
 from repro.core.engine import (
     batch_controller_names,
     build_batch_controller,
     build_batch_engine,
-    has_batch_controller,
 )
+from repro.meso.vectorized import BatchCountsSimulator
 from repro.model.grid import build_grid_network
 from repro.scenarios import build_named_scenario
+from tests.conftest import MIXED_PHASES, build_parity_scenario
 
-#: (controller name, parameters) triples with batched implementations.
+#: (controller name, parameters) pairs: every controller name.
 CONTROLLERS = (
     ("util-bp", {}),
     ("cap-bp", {"period": 16.0}),
     ("original-bp", {"period": 16.0}),
+    ("fixed-time", {"period": 16.0}),
 )
 
 #: Congested and direction-skewed shapes: the beta (spillback) and
-#: alpha (empty movement) branches both fire within the horizon.
-SCENARIOS = ("surge-4x4", "asymmetric-3x3")
+#: alpha (empty movement) branches both fire within the horizon.  The
+#: mixed-phase variant has 4-, 3- and 2-phase intersections.
+SCENARIOS = ("surge-4x4", "asymmetric-3x3", "surge-4x4" + MIXED_PHASES)
 
 STEPS = 250
 
@@ -65,7 +69,7 @@ class TestLockstepParity:
         self, scenario_name, controller, params
     ):
         """One engine, two controllers: identical decisions, every slot."""
-        scenario = build_named_scenario(scenario_name, seed=7)
+        scenario = build_parity_scenario(scenario_name, seed=7)
         sim = build_batch_engine([scenario], "meso-vec")
         serial = make_network_controller(
             controller, scenario.network, **params
@@ -89,11 +93,14 @@ class TestDecisionBatchIndependence:
     @pytest.mark.parametrize(
         "controller,params", CONTROLLERS, ids=[c for c, _ in CONTROLLERS]
     )
-    def test_first_column_matches_b1(self, controller, params):
+    @pytest.mark.parametrize(
+        "scenario_name", ("surge-4x4", "surge-4x4" + MIXED_PHASES)
+    )
+    def test_first_column_matches_b1(self, scenario_name, controller, params):
         """Replication 0 decides identically whether B is 1 or 4."""
         seeds = (7, 8, 9, 10)
         scenarios = [
-            build_named_scenario("surge-4x4", seed=s) for s in seeds
+            build_parity_scenario(scenario_name, seed=s) for s in seeds
         ]
         wide = build_batch_engine(scenarios, "meso-vec")
         narrow = build_batch_engine(scenarios[:1], "meso-vec")
@@ -111,15 +118,8 @@ class TestDecisionBatchIndependence:
 
 
 class TestControllerPlumbing:
-    def test_registry_names(self):
-        assert set(batch_controller_names()) >= {
-            "util-bp",
-            "cap-bp",
-            "original-bp",
-        }
-        assert has_batch_controller("util-bp")
-        # fixed-time is open-loop: deliberately not batched.
-        assert not has_batch_controller("fixed-time")
+    def test_every_controller_name_has_a_kernel(self):
+        assert set(batch_controller_names()) >= set(CONTROLLER_NAMES)
 
     def test_unknown_name_rejected(self):
         network = build_grid_network(1, 1)
@@ -132,6 +132,7 @@ class TestControllerPlumbing:
             (BatchUtilBpController, {}),
             (BatchCapBpController, {"period": 16.0}),
             (BatchOriginalBpController, {"period": 16.0}),
+            (BatchFixedTimeController, {"period": 16.0}),
         ):
             controller = cls(network, 3, **kwargs)
             assert isinstance(controller, BatchNetworkController)
@@ -184,33 +185,22 @@ class TestControllerPlumbing:
 
 
 class TestRunnerIntegration:
-    def test_batched_path_emits_no_fallback_notice(self, capsys):
+    def test_layout_mismatch_rejected_before_stepping(self, monkeypatch):
+        """Misaligned engine arrays must fail loudly, not decide wrongly."""
         from repro.experiments.runner import run_scenario_batch
 
-        scenarios = [
-            build_named_scenario("steady-3x3", seed=s) for s in (5, 6)
-        ]
-        run_scenario_batch(scenarios, controller="util-bp", duration=60.0)
-        assert "falling back" not in capsys.readouterr().err
+        def never_step(self, dt, phases):
+            raise AssertionError("stepped despite a layout mismatch")
 
-    def test_fallback_matches_batched_results_and_warns(
-        self, capsys, monkeypatch
-    ):
-        """An un-batchable controller still gets correct (serial) results."""
-        import repro.experiments.runner as runner
-
-        scenarios = [
-            build_named_scenario("steady-3x3", seed=s) for s in (5, 6)
-        ]
-        batched = runner.run_scenario_batch(
-            scenarios, controller="util-bp", duration=120.0
+        monkeypatch.setattr(
+            BatchCountsSimulator,
+            "movement_layout",
+            property(lambda self: ((), ())),
         )
-        monkeypatch.setattr(runner, "has_batch_controller", lambda name: False)
-        fallback = runner.run_scenario_batch(
-            [build_named_scenario("steady-3x3", seed=s) for s in (5, 6)],
-            controller="util-bp",
-            duration=120.0,
-        )
-        err = capsys.readouterr().err
-        assert "falling back to per-replication 'util-bp'" in err
-        assert fallback == batched
+        monkeypatch.setattr(BatchCountsSimulator, "step", never_step)
+        with pytest.raises(ValueError, match="layout does not match"):
+            run_scenario_batch(
+                [build_named_scenario("steady-3x3", seed=5)],
+                controller="util-bp",
+                duration=60.0,
+            )

@@ -1,16 +1,22 @@
 """Engine-contract conformance suite (repro.core.engine).
 
-One parametrized set of checks run against every registered backend:
-the protocol surface, observation shape, determinism under a fixed
-seed, and finalize idempotence.  A new engine passes this suite or it
-is not an engine.
+One parametrized set of checks run against every registered serial
+backend (the protocol surface, observation shape, finalize idempotence)
+and the same book-keeping checks against a batch engine at B=1 (plus
+the alignment of its controller arrays).  Determinism under a fixed
+seed is checked for every engine name through ``run_scenario``.  A new
+engine passes this suite or it is not an engine.
 """
 
+import numpy as np
 import pytest
 
 from repro.core.engine import (
     ENGINE_NAMES,
+    ENGINES as ENGINE_REGISTRY,
+    BatchEngine,
     SimulationEngine,
+    build_batch_engine,
     build_engine,
     engine_names,
     provider_module,
@@ -19,8 +25,13 @@ from repro.core.engine import (
 from repro.experiments.runner import run_scenario
 from repro.scenarios.core import build_scenario
 from repro.model.phases import TRANSITION_PHASE_INDEX
+from repro.traci import TraciSession
 
-ENGINES = ("meso", "meso-counts", "meso-events", "meso-vec", "micro")
+#: Serial engines: driven through observations() and step(dt, mapping).
+ENGINES = ("meso", "meso-counts", "meso-events", "micro")
+
+#: Batch engines: driven through controller_arrays() and a kernel.
+BATCH = ("meso-vec",)
 
 #: Short horizons keep the micro engine affordable in CI.
 HORIZON = {
@@ -73,9 +84,7 @@ class TestRegistry:
         try:
             assert provider_module("test-provider") == builder.__module__
         finally:
-            from repro.core.engine import _ENGINE_BUILDERS
-
-            _ENGINE_BUILDERS.pop("test-provider", None)
+            ENGINE_REGISTRY.builders.pop("test-provider", None)
 
     def test_custom_registration(self):
         calls = []
@@ -90,9 +99,7 @@ class TestRegistry:
             assert calls and isinstance(sim, SimulationEngine)
             assert "test-custom" in engine_names()
         finally:
-            from repro.core.engine import _ENGINE_BUILDERS
-
-            _ENGINE_BUILDERS.pop("test-custom", None)
+            ENGINE_REGISTRY.builders.pop("test-custom", None)
 
 
 class TestBatchRegistry:
@@ -127,6 +134,37 @@ class TestBatchRegistry:
         with pytest.raises(ValueError, match="at least one"):
             build_batch_engine([], "meso-vec")
 
+    @pytest.mark.parametrize("engine", BATCH)
+    def test_batch_engine_is_not_a_serial_engine(self, engine):
+        """One line pointing at the batch entry points, not a traceback."""
+        scenario = build_scenario("I", seed=7)
+        with pytest.raises(ValueError, match="is a batch engine") as build:
+            build_engine(scenario, engine)
+        with pytest.raises(ValueError, match="is a batch engine") as traci:
+            TraciSession(scenario, engine=engine)
+        assert "\n" not in str(build.value)
+        assert str(traci.value) == str(build.value)
+
+
+@pytest.mark.parametrize("engine", ENGINES + BATCH)
+def test_determinism_under_fixed_seed(engine):
+    results = [
+        run_scenario(
+            build_scenario("I", seed=11),
+            controller="util-bp",
+            duration=HORIZON[engine],
+            engine=engine,
+            record_phases=("J00",),
+            record_queues=(("J00", "IN:N@J00"),),
+        )
+        for _ in range(2)
+    ]
+    assert results[0].summary == results[1].summary
+    assert results[0].phase_traces == results[1].phase_traces
+    assert results[0].queue_traces == results[1].queue_traces
+    assert results[0].utilization == results[1].utilization
+    assert results[0].vehicles_in_network == results[1].vehicles_in_network
+
 
 @pytest.mark.parametrize("engine", ENGINES)
 class TestEngineContract:
@@ -155,26 +193,6 @@ class TestEngineContract:
             )
             assert all(q >= 0 for q in observation.movement_queues.values())
 
-    def test_determinism_under_fixed_seed(self, engine):
-        results = [
-            run_scenario(
-                build_scenario("I", seed=11),
-                controller="util-bp",
-                duration=HORIZON[engine],
-                engine=engine,
-                record_phases=("J00",),
-                record_queues=(("J00", "IN:N@J00"),),
-            )
-            for _ in range(2)
-        ]
-        assert results[0].summary == results[1].summary
-        assert results[0].phase_traces == results[1].phase_traces
-        assert results[0].queue_traces == results[1].queue_traces
-        assert results[0].utilization == results[1].utilization
-        assert (
-            results[0].vehicles_in_network == results[1].vehicles_in_network
-        )
-
     def test_finalize_idempotent(self, engine):
         sim = _make(engine)
         _drive(sim, int(HORIZON[engine]))
@@ -201,4 +219,62 @@ class TestEngineContract:
         assert sim.collector.vehicles_left == 0
         assert all(
             tracker.green_time == 0.0 for tracker in sim.utilization.values()
+        )
+
+
+def _make_batch(engine: str):
+    return build_batch_engine([build_scenario("I", seed=7)], engine)
+
+
+def _drive_batch(sim, steps: int, phase: int = 1) -> None:
+    decisions = np.full((1, len(sim.movement_layout[0])), phase)
+    for _ in range(steps):
+        sim.step(1.0, decisions)
+
+
+@pytest.mark.parametrize("engine", BATCH)
+class TestBatchEngineContract:
+    """The serial contract's book-keeping checks on a batch of one."""
+
+    def test_satisfies_protocol(self, engine):
+        sim = _make_batch(engine)
+        assert isinstance(sim, BatchEngine)
+        assert sim.batch_size == 1
+        assert sim.time == 0.0
+        assert list(sim.vehicles_in_network()) == [0]
+        assert list(sim.backlog_size()) == [0]
+
+    def test_controller_arrays_match_movement_layout(self, engine):
+        sim = _make_batch(engine)
+        _drive_batch(sim, 5)
+        node_ids, movement_keys = sim.movement_layout
+        assert node_ids == tuple(build_scenario("I").network.intersections)
+        arrays = sim.controller_arrays()
+        assert arrays.time == sim.time
+        assert arrays.queues.shape == (1, len(movement_keys))
+        assert arrays.out_queues.shape == (1, len(movement_keys))
+        assert (arrays.queues >= 0).all()
+
+    def test_finalize_idempotent(self, engine):
+        sim = _make_batch(engine)
+        _drive_batch(sim, int(HORIZON[engine]))
+        sim.finalize()
+        first = sim.summaries(HORIZON[engine])
+        sim.finalize()  # must be a no-op
+        assert sim.summaries(HORIZON[engine]) == first
+
+    def test_step_after_finalize_rejected(self, engine):
+        sim = _make_batch(engine)
+        _drive_batch(sim, 3)
+        sim.finalize()
+        with pytest.raises(RuntimeError, match="finalized"):
+            _drive_batch(sim, 1)
+
+    def test_amber_serves_nothing(self, engine):
+        sim = _make_batch(engine)
+        _drive_batch(sim, 20, phase=TRANSITION_PHASE_INDEX)
+        assert sim.summaries()[0].vehicles_left == 0
+        assert all(
+            tracker.green_time == 0.0
+            for tracker in sim.utilization_of(0).values()
         )

@@ -32,9 +32,12 @@ identical closed- and open-loop lockstep matrices.
 
 The ``meso-vec`` batch engine extends the chain: at ``B=1`` it must be
 *exactly* equal to ``meso-counts`` under the same seed (same lockstep
-checks), and every replication's results must be independent of the
-batch size — together those two pin each replication of any batch to
-the serial trajectory of its seed.
+checks, on the batch's per-replication ``observations()`` view), and
+every replication's results must be independent of the batch size —
+together those two pin each replication of any batch to the serial
+trajectory of its seed.  The batched controller kernels are pinned the
+same way, and so is the runner: ``run_scenario`` on ``meso-vec`` is a
+batch of one and must equal the ``meso-counts`` run.
 """
 
 import pytest
@@ -46,12 +49,46 @@ from repro.core.engine import (
     build_engine,
 )
 from repro.scenarios import build_named_scenario
+from tests.conftest import MIXED_PHASES, build_parity_scenario
 
 #: The catalog entries the parity claim is asserted on (the demand
 #: shapes differ: constant, piecewise tidal swap, load spike).
 SCENARIOS = ("steady-3x3", "tidal-3x3", "surge-4x4")
 
 STEPS = 300
+
+
+class _FirstReplication:
+    """A B=1 meso-vec batch seen through the serial calls of the lockstep."""
+
+    def __init__(self, scenario):
+        self.batch = build_batch_engine([scenario], "meso-vec")
+        self.network = scenario.network
+
+    def observations(self):
+        return self.batch.observations()[0]
+
+    def vehicles_in_network(self):
+        return int(self.batch.vehicles_in_network()[0])
+
+    def backlog_size(self):
+        return int(self.batch.backlog_size()[0])
+
+    def incoming_queue_total(self, road_id):
+        return int(self.batch.incoming_queue_total(road_id)[0])
+
+    def step(self, dt, phases):
+        self.batch.step(dt, [phases])
+
+    def finalize(self):
+        self.batch.finalize()
+
+
+def _build(name, engine):
+    scenario = build_named_scenario(name, seed=11)
+    if engine == "meso-vec":
+        return _FirstReplication(scenario)
+    return build_engine(scenario, engine)
 
 
 def _lockstep(
@@ -62,8 +99,8 @@ def _lockstep(
     engines=("meso", "meso-counts"),
 ):
     """Drive two engines in lockstep; assert per-step equivalence."""
-    reference = build_engine(build_named_scenario(name, seed=11), engines[0])
-    counts = build_engine(build_named_scenario(name, seed=11), engines[1])
+    reference = _build(name, engines[0])
+    counts = _build(name, engines[1])
     roads = list(reference.network.roads)
     for step in range(steps):
         obs_ref = reference.observations()
@@ -196,13 +233,14 @@ class TestVectorizedTrajectoryParity:
 
     def _assert_aggregate_books_match(self, counts, vectorized):
         horizon = float(STEPS)
+        batch = vectorized.batch
         cnt_util = {n: t.to_dict() for n, t in counts.utilization.items()}
-        vec_util = {n: t.to_dict() for n, t in vectorized.utilization.items()}
+        vec_util = {n: t.to_dict() for n, t in batch.utilization_of(0).items()}
         assert cnt_util == vec_util
         # Both report aggregate books, so the whole summary — travel
         # time estimate included — must be bit-for-bit equal.
         cnt = counts.collector.summary(horizon)
-        vec = vectorized.collector.summary(horizon)
+        vec = batch.collector.summary_of(0, horizon)
         assert cnt.delay_mode == vec.delay_mode == "aggregate"
         assert cnt == vec
 
@@ -294,33 +332,44 @@ class TestBatchedControllerParity:
     """The batched closed loop against the serial one: exact parity.
 
     The serial side is a meso-counts engine fed to a per-replication
-    ``util-bp`` controller through ``QueueObservation`` dicts; the
-    batched side is a meso-vec engine whose internal arrays feed the
-    vectorized util-bp kernel (``decide_batch``).  Beyond the steady
-    family the loop is pinned on the incident (capacity drop mid-run)
-    and asymmetric (direction-skewed demand) families — the shapes
-    where spillback/beta and empty-movement/alpha branches actually
-    fire.
+    controller through ``QueueObservation`` dicts; the batched side is a
+    meso-vec engine whose internal arrays feed the batch kernel of the
+    same name (``decide_batch``).  Beyond the steady family the loop is
+    pinned on the incident (capacity drop mid-run) and asymmetric
+    (direction-skewed demand) families — the shapes where
+    spillback/beta and empty-movement/alpha branches actually fire —
+    and on a network mixing 4-, 3- and 2-phase intersections.
     """
 
-    SCENARIOS = ("steady-3x3", "incident-3x3", "asymmetric-3x3")
+    SCENARIOS = (
+        "steady-3x3",
+        "incident-3x3",
+        "asymmetric-3x3",
+        "asymmetric-3x3" + MIXED_PHASES,
+    )
+    CONTROLLERS = (("util-bp", {}), ("fixed-time", {"period": 12.0}))
     STEPS = 250
 
+    @pytest.mark.parametrize(
+        "controller,params", CONTROLLERS, ids=[c for c, _ in CONTROLLERS]
+    )
     @pytest.mark.parametrize("name", SCENARIOS)
-    def test_b1_lockstep_equals_serial(self, name):
+    def test_b1_lockstep_equals_serial(self, name, controller, params):
         """Decision-for-decision identity at B=1, every mini-slot."""
-        scenario = build_named_scenario(name, seed=11)
-        serial = build_engine(
-            build_named_scenario(name, seed=11), "meso-counts"
+        scenario = build_parity_scenario(name, seed=11)
+        serial = build_engine(build_parity_scenario(name, seed=11), "meso-counts")
+        serial_controller = make_network_controller(
+            controller, scenario.network, **params
         )
-        controller = make_network_controller("util-bp", scenario.network)
         batch = build_batch_engine(
-            [build_named_scenario(name, seed=11)], "meso-vec"
+            [build_parity_scenario(name, seed=11)], "meso-vec"
         )
-        batched = build_batch_controller("util-bp", scenario.network, 1)
+        batched = build_batch_controller(
+            controller, scenario.network, 1, **params
+        )
         node_ids = batched.node_ids
         for step in range(self.STEPS):
-            serial_decisions = controller.decide(serial.observations())
+            serial_decisions = serial_controller.decide(serial.observations())
             array = batched.decide_batch(batch.controller_arrays())
             batched_decisions = {
                 node: int(array[0, i]) for i, node in enumerate(node_ids)
@@ -339,16 +388,14 @@ class TestBatchedControllerParity:
             n: t.to_dict() for n, t in batch.utilization_of(0).items()
         } == {n: t.to_dict() for n, t in serial.utilization.items()}
 
-    def _run_batched(self, name, seeds):
-        scenarios = [build_named_scenario(name, seed=s) for s in seeds]
+    def _run_batched(self, name, controller, params, seeds):
+        scenarios = [build_parity_scenario(name, seed=s) for s in seeds]
         sim = build_batch_engine(scenarios, "meso-vec")
-        controller = build_batch_controller(
-            "util-bp", scenarios[0].network, len(seeds)
+        kernel = build_batch_controller(
+            controller, scenarios[0].network, len(seeds), **params
         )
         for _ in range(self.STEPS):
-            sim.step(
-                1.0, controller.decide_batch(sim.controller_arrays())
-            )
+            sim.step(1.0, kernel.decide_batch(sim.controller_arrays()))
         sim.finalize()
         return {
             seed: (
@@ -358,13 +405,21 @@ class TestBatchedControllerParity:
             for b, seed in enumerate(seeds)
         }
 
-    @pytest.mark.parametrize("name", ("incident-3x3", "asymmetric-3x3"))
-    def test_batched_controller_is_batch_width_independent(self, name):
+    @pytest.mark.parametrize(
+        "controller,params", CONTROLLERS, ids=[c for c, _ in CONTROLLERS]
+    )
+    @pytest.mark.parametrize(
+        "name",
+        ("incident-3x3", "asymmetric-3x3", "asymmetric-3x3" + MIXED_PHASES),
+    )
+    def test_batched_controller_is_batch_width_independent(
+        self, name, controller, params
+    ):
         """B in {1, 4, 16}: each seed's results never depend on B."""
         seeds = tuple(range(41, 57))
-        b16 = self._run_batched(name, seeds)
-        b4 = self._run_batched(name, seeds[:4])
-        b1 = self._run_batched(name, seeds[:1])
+        b16 = self._run_batched(name, controller, params, seeds)
+        b4 = self._run_batched(name, controller, params, seeds[:4])
+        b1 = self._run_batched(name, controller, params, seeds[:1])
         for seed in seeds[:4]:
             assert b16[seed] == b4[seed], (name, seed)
         assert b16[seeds[0]] == b1[seeds[0]], name
@@ -393,6 +448,35 @@ class TestBatchRunner:
                 **record,
             )
             assert result == single
+
+    @pytest.mark.parametrize(
+        "controller,params",
+        (("util-bp", {}), ("fixed-time", {"period": 12.0})),
+        ids=("util-bp", "fixed-time"),
+    )
+    def test_single_meso_vec_run_is_a_batch_of_one(self, controller, params):
+        """run_scenario on meso-vec == the B=1 batch == meso-counts."""
+        from repro.experiments.runner import run_scenario, run_scenario_batch
+
+        knobs = dict(
+            controller=controller,
+            controller_params=params,
+            duration=200.0,
+            record_phases=("J00", "J11", "J99"),
+            record_queues=(("J00", "IN:N@J00"), ("J11", "J01->J11")),
+        )
+
+        def scenario():
+            return build_named_scenario("surge-4x4", seed=4)
+
+        single = run_scenario(scenario(), engine="meso-vec", **knobs)
+        batch = run_scenario_batch([scenario()], engine="meso-vec", **knobs)
+        counts = run_scenario(scenario(), engine="meso-counts", **knobs)
+        assert single == batch[0] == counts
+        # The traces were really recorded (J99 is not in the grid: amber).
+        assert single.phase_traces["J11"].switch_count() > 1
+        assert single.phase_traces["J99"].phases == [0]
+        assert len(single.queue_traces[("J11", "J01->J11")]) == 40
 
     def test_mixed_lane_policy_rejected(self):
         from repro.meso.vectorized import BatchCountsSimulator

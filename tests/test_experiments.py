@@ -10,7 +10,8 @@ from repro.experiments.patterns import (
     interarrival_times,
     pattern_description,
 )
-from repro.experiments.runner import build_engine, run_scenario
+from repro.core.engine import build_engine
+from repro.experiments.runner import run_scenario
 from repro.scenarios.core import DEFAULT_DURATIONS, build_scenario
 from repro.model.geometry import Direction
 from repro.model.phases import TRANSITION_PHASE_INDEX
