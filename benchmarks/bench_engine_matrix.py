@@ -6,10 +6,13 @@ UTIL-BP.  Comparing the engine columns of the printed matrix shows
 where each backend pays off (``meso-counts`` everywhere over ``meso``,
 increasingly so on larger grids; ``meso-events`` pulls further ahead
 the lighter the load, since its calendar skips idle slots entirely;
-``meso-vec`` runs here as a batch of one under the batched UTIL-BP
-kernel — the loop ``run_scenario`` runs for it — so this matrix shows
-its single-seed cost; its win, batching many seeds per step, is
-measured by ``bench_batch_scaling.py``) and doubles as a drift alarm:
+each engine runs the loop ``run_scenario`` runs for it: ``meso`` and
+``meso-counts`` the per-intersection controllers on their
+observations, ``meso-events`` the B=1 batched UTIL-BP kernel on its
+array façade, and ``meso-vec`` a batch of one under the same kernel,
+so this matrix shows its single-seed cost; its win, batching many seeds
+per step, is measured by ``bench_batch_scaling.py``) and doubles as a
+drift alarm:
 if an engine change erodes a ratio, this benchmark shows *which*
 workload shape lost it, while ``scripts/bench_ci.py`` gates the
 headline numbers in CI.
@@ -32,6 +35,7 @@ from repro.core.engine import (
     build_batch_engine,
     build_engine,
     has_batch_engine,
+    has_controller_arrays,
 )
 from repro.scenarios import build_named_scenario, scenario_names
 
@@ -46,7 +50,8 @@ def _closed_loop(scenario, engine):
     """A util-bp closed loop: ``(one_mini_slot, sim)``.
 
     Batch engines run a batch of one under the batched kernel, serial
-    engines the per-intersection controllers on their observations.
+    engines with the array façade the same kernel at B=1, the others
+    the per-intersection controllers on their observations.
     """
     if has_batch_engine(engine):
         sim = build_batch_engine([scenario], engine)
@@ -54,6 +59,14 @@ def _closed_loop(scenario, engine):
 
         def one_mini_slot():
             sim.step(1.0, kernel.decide_batch(sim.controller_arrays()))
+
+    elif has_controller_arrays(engine):
+        sim = build_engine(scenario, engine)
+        kernel = build_batch_controller("util-bp", scenario.network, 1)
+
+        def one_mini_slot():
+            row = kernel.decide_batch(sim.controller_arrays())[0]
+            sim.step(1.0, dict(zip(kernel.node_ids, row.tolist())))
 
     else:
         sim = build_engine(scenario, engine)

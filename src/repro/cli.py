@@ -35,7 +35,7 @@ import argparse
 import sys
 from typing import Any, Dict, List, Optional
 
-from repro.control.factory import CONTROLLER_NAMES
+from repro.control.factory import CONTROLLER_NAMES, FIXED_SLOT_CONTROLLERS
 from repro.core.engine import ENGINE_NAMES
 
 __all__ = ["build_parser", "main"]
@@ -191,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="run one scenario/controller")
-    run.add_argument("--pattern", default="I")
+    run.add_argument("--pattern", type=_parse_pattern_token, default="I")
     run.add_argument("--controller", choices=CONTROLLER_NAMES, default="util-bp")
     run.add_argument("--period", type=float, default=None,
                      help="control period for fixed-slot controllers")
@@ -1049,10 +1049,14 @@ def _run_jobs(args: argparse.Namespace) -> int:
 
 def main(argv: Optional[List[str]] = None) -> int:
     """Entry point; returns a process exit code."""
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
 
     if args.command == "run":
         from repro.experiments import RunConfig, build_scenario, run_scenario
+
+        if args.controller in FIXED_SLOT_CONTROLLERS and args.period is None:
+            parser.error(f"--controller {args.controller} needs --period")
 
         params = {}
         if args.period is not None:

@@ -31,7 +31,9 @@ name):
   through each intersection's phases.
 
 A batch engine is driven only through these kernels: the runner has no
-per-replication ``QueueObservation`` path for it.
+per-replication ``QueueObservation`` path for it.  ``meso-events``
+offers the same array façade at B=1, so single runs on it are decided
+by these kernels too.
 """
 
 from __future__ import annotations
@@ -102,9 +104,14 @@ class _NetworkLayout:
     ``p`` of node ``n`` is ``intersections[n].phases[p]``, movement slot
     ``j`` of a phase is its j-th declared movement, and boolean masks
     cover the ragged padding.
+
+    The index grids addressing every ``(b, n)`` cell and ``(b, n, p)``
+    phase slot of a ``batch_size`` batch are built here once: the
+    per-cell gathers of every mini-slot index with them instead of
+    rebuilding them per call (as ``np.take_along_axis`` does).
     """
 
-    def __init__(self, network: Network):
+    def __init__(self, network: Network, batch_size: int):
         node_ids = list(network.intersections)
         intersections = [network.intersections[n] for n in node_ids]
         self.node_ids: Tuple[str, ...] = tuple(node_ids)
@@ -180,16 +187,22 @@ class _NetworkLayout:
                     self.member_valid[n, p, j] = True
                     self.member_rate[n, p, j] = movement.service_rate
         self._node_cols = np.arange(N)[None, :]
+        #: ``(b, n)`` cell grid and ``(b, n, p)`` phase-slot grid.
+        self.cells = (np.arange(batch_size)[:, None], self._node_cols)
+        self.phase_cells = (
+            np.arange(batch_size)[:, None, None],
+            np.arange(N)[None, :, None],
+            np.arange(P)[None, None, :],
+        )
 
     def current_slot(self, current: np.ndarray) -> np.ndarray:
         """Dense phase slot of each ``(b, n)`` running phase (-1: amber).
 
-        ``current`` holds paper phase indices; 0 (amber) and indices a
-        node does not define map to -1 — callers mask those cells.
+        ``current`` holds the kernel's own decisions: 0 (amber) or a
+        phase index of the node.  Amber maps to -1 (``slot_of[:, 0]``,
+        as phase indices start at 1) — callers mask those cells.
         """
-        safe = np.clip(current, 0, self.max_index)
-        slot = self.slot_of[self._node_cols, safe]
-        return np.where(current == 0, -1, slot)
+        return self.slot_of[self._node_cols, current]
 
     def incoming_totals(self, queues: np.ndarray) -> np.ndarray:
         """Eq. 1 per movement: its incoming road's total queue, batched."""
@@ -206,8 +219,7 @@ class _NetworkLayout:
         ``table`` is ``(B, N, P)``, ``slot`` is ``(B, N)`` (negative
         slots read slot 0 — callers mask those cells afterwards).
         """
-        safe = np.maximum(slot, 0)
-        return np.take_along_axis(table, safe[..., None], axis=2)[..., 0]
+        return table[self.cells + (np.maximum(slot, 0),)]
 
 
 class _BatchControllerBase:
@@ -219,7 +231,7 @@ class _BatchControllerBase:
         if not network.intersections:
             raise ValueError("network has no intersections to control")
         self.batch_size = int(batch_size)
-        self._layout = _NetworkLayout(network)
+        self._layout = _NetworkLayout(network, self.batch_size)
         self.node_ids = self._layout.node_ids
         self.movement_keys = self._layout.movement_keys
         self._shape = (self.batch_size, len(self.node_ids))
@@ -289,12 +301,10 @@ class BatchUtilBpController(_BatchControllerBase):
             cfg.beta,
         )
         # Per-phase reductions (B, N, P): Eq. 11 max + arg, Eq. 10 sum.
-        g_max, arg = max_link_gain_array(gains, lay.members, lay.member_valid)
-        mu_of_arg = lay.member_rate[
-            np.arange(len(lay.node_ids))[:, None],
-            np.arange(lay.member_rate.shape[1])[None, :],
-            arg,
-        ]
+        g_max, arg = max_link_gain_array(
+            gains, lay.members, lay.member_valid, cells=lay.phase_cells
+        )
+        mu_of_arg = lay.member_rate[lay.phase_cells[1:] + (arg,)]
         g_max = np.where(lay.phase_valid, g_max, -np.inf)
 
         # Case 1: transition running, timer not expired.
@@ -383,9 +393,12 @@ class _BatchFixedSlotController(_BatchControllerBase):
         previous = self._current
 
         has_pending = self._pending >= 0
+        expired = ~has_pending & (now >= self._slot_end)
+        if not (has_pending.any() or expired.any()):
+            # Every cell holds its running phase: nothing to update.
+            return previous
         amber_wait = has_pending & (now < self._transition_until)
         promote = has_pending & ~amber_wait
-        expired = ~has_pending & (now >= self._slot_end)
         hold = ~has_pending & ~expired
         # Only cells whose slot ended read the selection, so most
         # mini-slots skip the scoring altogether.
@@ -480,7 +493,7 @@ class BatchOriginalBpController(_BatchFixedSlotController):
         scores = phase_gain_array(gains, lay.members, lay.member_valid)
         scores = np.where(lay.phase_valid, scores, -np.inf)
         arg = scores.argmax(axis=2)
-        best = np.take_along_axis(scores, arg[..., None], axis=2)[..., 0]
+        best = scores[lay.cells + (arg,)]
         selected = lay.phase_index[lay._node_cols, arg]
         keep = np.where(previous != 0, previous, lay.first_phase)
         return np.where(best == 0.0, keep, selected)

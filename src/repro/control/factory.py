@@ -18,7 +18,12 @@ from repro.control.original_bp import OriginalBpController
 from repro.model.intersection import Intersection
 from repro.model.network import Network
 
-__all__ = ["CONTROLLER_NAMES", "make_controller", "make_network_controller"]
+__all__ = [
+    "CONTROLLER_NAMES",
+    "FIXED_SLOT_CONTROLLERS",
+    "make_controller",
+    "make_network_controller",
+]
 
 
 def _make_util_bp(intersection: Intersection, **kwargs: Any) -> IntersectionController:
@@ -55,15 +60,22 @@ def _make_fixed_slot(
     return build
 
 
+_FIXED_SLOT: Dict[str, Callable[..., IntersectionController]] = {
+    "cap-bp": CapBpController,
+    "original-bp": OriginalBpController,
+    "fixed-time": FixedTimeController,
+}
+
 _BUILDERS: Dict[str, Callable[..., IntersectionController]] = {
     "util-bp": _make_util_bp,
-    "cap-bp": _make_fixed_slot(CapBpController),
-    "original-bp": _make_fixed_slot(OriginalBpController),
-    "fixed-time": _make_fixed_slot(FixedTimeController),
+    **{name: _make_fixed_slot(cls) for name, cls in _FIXED_SLOT.items()},
 }
 
 #: The controller names accepted by :func:`make_controller`.
 CONTROLLER_NAMES = tuple(sorted(_BUILDERS))
+
+#: The fixed-length-slot controllers: they require a ``period``.
+FIXED_SLOT_CONTROLLERS = tuple(sorted(_FIXED_SLOT))
 
 
 def make_controller(

@@ -20,13 +20,16 @@ protocol:
 
 A *batch* engine (``meso-vec``) steps B seed-replications of one
 scenario at once and implements :class:`BatchEngine` instead.  Each
-engine kind has exactly one control loop: a serial engine is driven
-through ``observations()`` and a
-:class:`~repro.control.base.NetworkController`; a batch engine only
-through ``controller_arrays()`` (the array-shaped ``Q(k)``,
-:class:`BatchControlArrays`) and a
+engine has exactly one control loop, known from its name before it is
+built.  A batch engine is driven only through ``controller_arrays()``
+(the array-shaped ``Q(k)``, :class:`BatchControlArrays`) and a
 :class:`~repro.control.batch.BatchNetworkController` kernel, which
-registers here too.  A single run on a batch engine is a batch of one.
+registers here too; a single run on it is a batch of one.  A serial
+engine registered with ``controller_arrays=True`` (``meso-events``)
+offers the same façade at B=1 and is driven the same way; every other
+serial engine through ``observations()`` and a
+:class:`~repro.control.base.NetworkController` (:func:`has_controller_arrays`
+tells the two apart).
 
 Engines are registered by name so experiments, the orchestration pool
 and the CLI can select them with a string; :func:`engine_names` covers
@@ -73,6 +76,7 @@ __all__ = [
     "register_engine",
     "engine_names",
     "provider_module",
+    "has_controller_arrays",
     "build_engine",
     "register_batch_engine",
     "batch_engine_names",
@@ -255,13 +259,17 @@ class Registry:
             return None if module == "__main__" else module
         return self.builtin_modules.get(name)
 
-    def build(self, name: str, *args: Any, **kwargs: Any) -> Any:
-        """Construct ``name``, importing its built-in provider if needed."""
+    def load(self, name: str) -> None:
+        """Import the built-in provider of ``name`` if it is not live yet."""
         if name not in self.builders and name in self.builtin_modules:
             # Importing the module registers the builder.
             import importlib
 
             importlib.import_module(self.builtin_modules[name])
+
+    def build(self, name: str, *args: Any, **kwargs: Any) -> Any:
+        """Construct ``name``, importing its built-in provider if needed."""
+        self.load(name)
         try:
             builder = self.builders[name]
         except KeyError:
@@ -281,6 +289,11 @@ ENGINES = Registry(
         "micro": "repro.micro.simulator",
     },
 )
+
+#: Serial engines that also offer the B=1 ``controller_arrays()`` /
+#: ``movement_layout`` façade (declared at registration):
+#: ``run_scenario`` drives them through a batch controller kernel.
+_ARRAY_ENGINES: set = set()
 
 #: Batch-engine constructors (``builder(scenarios) -> BatchEngine``).
 #: Single runs on these names go through the batch loop with B=1, so
@@ -317,10 +330,24 @@ ENGINE_NAMES = tuple(
 
 
 def register_engine(
-    name: str, builder: Callable[["Scenario"], SimulationEngine]
+    name: str,
+    builder: Callable[["Scenario"], SimulationEngine],
+    *,
+    controller_arrays: bool = False,
 ) -> None:
-    """Register an engine constructor (``builder(scenario) -> engine``)."""
+    """Register an engine constructor (``builder(scenario) -> engine``).
+
+    ``controller_arrays=True`` declares that the engine also offers the
+    B=1 ``controller_arrays()`` / ``movement_layout`` façade of
+    :class:`BatchEngine`, so the runner decides it with a batch
+    controller kernel instead of ``observations()`` and a
+    :class:`~repro.control.base.NetworkController`.
+    """
     ENGINES.register(name, builder)
+    if controller_arrays:
+        _ARRAY_ENGINES.add(name)
+    else:
+        _ARRAY_ENGINES.discard(name)
 
 
 def engine_names() -> tuple:
@@ -341,6 +368,17 @@ def provider_module(name: str) -> Optional[str]:
     if ENGINES.has(name):
         return ENGINES.provider_module(name)
     return BATCH_ENGINES.provider_module(name)
+
+
+def has_controller_arrays(name: str) -> bool:
+    """Whether serial engine ``name`` is decided through a batch kernel.
+
+    Answered from the registration alone (importing a built-in
+    provider if needed), so the runner picks its loop — and builds
+    only the controller that loop needs — before any engine exists.
+    """
+    ENGINES.load(name)
+    return name in _ARRAY_ENGINES
 
 
 def build_engine(scenario: "Scenario", engine: str = "meso") -> SimulationEngine:

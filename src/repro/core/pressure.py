@@ -221,18 +221,26 @@ def phase_gain_array(
 
 
 def max_link_gain_array(
-    gains: np.ndarray, members: np.ndarray, valid: np.ndarray
+    gains: np.ndarray,
+    members: np.ndarray,
+    valid: np.ndarray,
+    *,
+    cells: Optional[Tuple[np.ndarray, ...]] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Eq. 11 as a masked argmax over phase memberships.
 
     Returns ``(g_max, argmax_position)`` where the position indexes the
     membership axis (the phase's declaration order).  ``np.argmax``
     takes the first maximal entry, matching the scalar tie-break.
+    ``cells`` are the open index grids over the result's axes (as
+    ``np.ix_`` builds them); a caller deciding every mini-slot passes
+    them precomputed, otherwise they are built per call.
     """
     gathered = np.where(valid, gains[..., members], -np.inf)
     arg = gathered.argmax(axis=-1)
-    g_max = np.take_along_axis(gathered, arg[..., None], axis=-1)[..., 0]
-    return g_max, arg
+    if cells is None:
+        cells = np.ix_(*(range(n) for n in arg.shape))
+    return gathered[(*cells, arg)], arg
 
 
 def keep_threshold_array(

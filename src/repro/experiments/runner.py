@@ -3,12 +3,19 @@
 This is the only place where the cyber part (controllers) and the
 physical part (simulators) touch: every mini-slot the runner reads the
 queue state, asks the controller for a phase per intersection, and
-applies the decisions to the engine.  There is one loop per engine
-kind: :func:`run_scenario` drives a serial engine through
-``observations()`` and a :class:`~repro.control.base.NetworkController`;
-:func:`run_scenario_batch` drives a batch engine through
-``controller_arrays()`` and a batch kernel, and a single run on a batch
-engine is a batch of one.
+applies the decisions to the engine.  Each engine has one loop, chosen
+from its name before anything is built:
+
+* :func:`run_scenario_batch` drives a batch engine through
+  ``controller_arrays()`` and a batch kernel; a single run on a batch
+  engine is a batch of one;
+* :func:`run_scenario` drives a serial engine registered with the
+  ``controller_arrays`` façade (meso-events) through a B=1 batch kernel,
+  handing ``step`` the usual node -> phase map;
+* :func:`run_scenario` drives every other serial engine through
+  ``observations()`` and a :class:`~repro.control.base.NetworkController`.
+  meso-counts stays on this loop on purpose: it is the readable
+  reference the parity suites check the kernels against.
 
 The engine contracts and the name-based registries live in
 :mod:`repro.core.engine`.
@@ -26,6 +33,7 @@ from repro.core.engine import (
     build_batch_engine,
     build_engine,
     has_batch_engine,
+    has_controller_arrays,
 )
 from repro.control.factory import make_network_controller
 from repro.scenarios.core import Scenario
@@ -192,6 +200,25 @@ class RunResult:
         )
 
 
+def _check_layout(sim: Any, kernel: Any, engine: str) -> None:
+    """Reject an engine whose arrays do not align with the kernel's.
+
+    Runs once, before the first step: a misaligned column would decide
+    wrongly without failing.
+    """
+    layout = getattr(sim, "movement_layout", None)
+    if layout is None or not hasattr(sim, "controller_arrays"):
+        raise ValueError(
+            f"engine {engine!r} lacks the controller_arrays() / "
+            f"movement_layout façade a batch controller needs"
+        )
+    if layout != (kernel.node_ids, kernel.movement_keys):
+        raise ValueError(
+            f"engine {engine!r} movement layout does not match the batch "
+            f"controller's"
+        )
+
+
 def run_scenario(scenario: Scenario, **knobs: Any) -> RunResult:
     """Run a scenario under a controller and collect the results.
 
@@ -213,7 +240,9 @@ def run_scenario(scenario: Scenario, **knobs: Any) -> RunResult:
     engine:
         An engine name from :func:`repro.core.engine.engine_names`
         (default ``"meso"``).  A batch engine runs the scenario as a
-        batch of one through :func:`run_scenario_batch`.
+        batch of one through :func:`run_scenario_batch`; a serial
+        engine with the ``controller_arrays`` façade is decided by a
+        B=1 batch kernel (see the module docstring).
     mini_slot:
         The control mini-slot ``Delta_t`` (s); controllers are invoked
         once per mini-slot.
@@ -230,12 +259,33 @@ def run_scenario(scenario: Scenario, **knobs: Any) -> RunResult:
     horizon = config.horizon(scenario)
     check_positive("duration", horizon)
 
-    # Controller first: its factory validates the name and parameters,
-    # so a bad controller spec fails before the engine is built.
-    network_controller = make_network_controller(
-        config.controller, scenario.network, **(config.controller_params or {})
-    )
-    sim: SimulationEngine = build_engine(scenario, config.engine)
+    # The loop is chosen from the engine name, so only the controller it
+    # needs is built — and built first: its factory validates the name
+    # and parameters, so a bad controller spec fails before the engine
+    # is built.
+    params = config.controller_params or {}
+    if has_controller_arrays(config.engine):
+        kernel = build_batch_controller(
+            config.controller, scenario.network, 1, **params
+        )
+        sim: SimulationEngine = build_engine(scenario, config.engine)
+        _check_layout(sim, kernel, config.engine)
+        node_ids = kernel.node_ids
+
+        def decide() -> Dict[str, int]:
+            """The B=1 kernel's decisions as a node -> phase map."""
+            row = kernel.decide_batch(sim.controller_arrays())[0]
+            return dict(zip(node_ids, row.tolist()))
+
+    else:
+        network_controller = make_network_controller(
+            config.controller, scenario.network, **params
+        )
+        sim = build_engine(scenario, config.engine)
+
+        def decide() -> Dict[str, int]:
+            """The serial controllers' decisions on ``Q(k)``."""
+            return network_controller.decide(sim.observations())
 
     mini_slot = config.mini_slot
     queue_sample_interval = config.queue_sample_interval
@@ -251,8 +301,7 @@ def run_scenario(scenario: Scenario, **knobs: Any) -> RunResult:
     steps = int(round(horizon / mini_slot))
     for _ in range(steps):
         now = sim.time
-        observations = sim.observations()
-        decisions = network_controller.decide(observations)
+        decisions = decide()
         for node_id, trace in phase_traces.items():
             # The simulator treats intersections missing from the
             # decision map as showing amber; record the same.
@@ -322,17 +371,7 @@ def run_scenario_batch(scenarios: Sequence[Scenario], **knobs: Any) -> list:
         controller, first.network, len(scenarios), **(controller_params or {})
     )
     sim: BatchEngine = build_batch_engine(scenarios, config.engine)
-    layout = getattr(sim, "movement_layout", None)
-    if layout is None or not hasattr(sim, "controller_arrays"):
-        raise ValueError(
-            f"batch engine {config.engine!r} lacks the controller_arrays() / "
-            f"movement_layout façade a batch controller needs"
-        )
-    if layout != (batch_controller.node_ids, batch_controller.movement_keys):
-        raise ValueError(
-            f"batch engine {config.engine!r} movement layout does not match "
-            f"the {controller!r} batch controller's"
-        )
+    _check_layout(sim, batch_controller, config.engine)
     node_column = {
         node_id: i for i, node_id in enumerate(batch_controller.node_ids)
     }

@@ -75,14 +75,26 @@ The parity suite in ``tests/test_engine_parity.py`` asserts closed-
 and open-loop equality with ``meso``/``meso-counts`` under shared
 seeds; ``tests/test_meso_events.py`` covers the calendar ordering and
 the lazy-flush bookkeeping.
+
+**Control.**  Skipping idle slots leaves the controller as the bulk of
+a closed-loop slot, so the runner decides this engine with a B=1 batch
+kernel (:mod:`repro.control.batch`) instead of per-intersection Python
+controllers.  :meth:`EventCountsSimulator.controller_arrays` is the
+``(1, n_movements)`` view of exactly what :meth:`~repro.meso.counts.
+CountsSimulator.observations` reports, read from the live counts
+through column tables built at construction; ``observations()`` stays
+for the parity suites.
 """
 
 from __future__ import annotations
 
 from heapq import heappop, heappush
+from itertools import chain
 from typing import Dict, List, Mapping, Optional
 
-from repro.core.engine import register_engine
+import numpy as np
+
+from repro.core.engine import BatchControlArrays, register_engine
 from repro.meso.counts import CountsSimulator
 from repro.model.phases import TRANSITION_PHASE_INDEX
 from repro.util.validation import check_positive
@@ -222,6 +234,102 @@ class EventCountsSimulator(CountsSimulator):
         self._mspan_slots = 0
         self._mspan_waiting = 0
         self._mspan_in_network = 0
+
+        # -- controller-array façade tables --------------------------------
+        movement_keys = tuple(self._movement_index)
+        self._movement_layout = (
+            tuple(self.network.intersections),
+            movement_keys,
+        )
+        #: Live count dicts in layout order (node-major, each in
+        #: movement declaration order), flattened into the queue row.
+        self._count_dicts = [entry[6] for entry in self._serve_plan]
+        #: Per promotable road: its transit FIFO and the movement
+        #: column of each next road, for the sensing-horizon scan.
+        self._sensing_columns = [
+            (
+                self._transit[road_id],
+                {
+                    out_road: self._movement_index[(road_id, out_road)]
+                    for out_road in lanes
+                },
+            )
+            for road_id, lanes in self._lanes.items()
+        ]
+        #: Movement columns reading each non-exit road's spillback
+        #: sensor (exit roads always read 0).
+        columns_of: Dict[str, List[int]] = {}
+        for column, (_, out_road) in enumerate(movement_keys):
+            if not self._is_exit[out_road]:
+                columns_of.setdefault(out_road, []).append(column)
+        self._spillback_columns = {
+            road: np.array(columns, dtype=np.int64)
+            for road, columns in columns_of.items()
+        }
+        self._no_out_queues = np.zeros((1, len(movement_keys)), np.int64)
+        self._no_out_queues.flags.writeable = False
+
+    # -- controller-array façade ------------------------------------------
+
+    @property
+    def movement_layout(self):
+        """``(node_ids, movement_keys)`` — the column order of the arrays.
+
+        The canonical layout a :class:`~repro.control.batch.
+        BatchNetworkController` derives from the same network; the
+        runner compares the two tuples once before the first step.
+        """
+        return self._movement_layout
+
+    def controller_arrays(self) -> BatchControlArrays:
+        """``Q(k)`` as ``(1, n_movements)`` arrays for a B=1 kernel.
+
+        Exactly what :meth:`observations` reports, read from the live
+        count dicts and the precomputed column tables instead of
+        per-node ``QueueObservation`` maps: stop-line queues plus units
+        in transit within the sensing horizon, and the out-queue of
+        each movement's outgoing road under the engine's sensing mode.
+        """
+        now = self.time
+        deadline = now + self._sensing_horizon
+        row = list(chain.from_iterable(map(dict.values, self._count_dicts)))
+        sensing = self._sensing_columns
+        sensed = [
+            slot
+            for slot, ready in enumerate(self._head_ready)
+            if ready <= deadline
+        ]
+        for slot in sensed:
+            transit, column_of = sensing[slot]
+            for ready, route, leg in transit:
+                if ready > deadline:
+                    break
+                row[column_of[route[leg + 1]]] += 1
+        if self._out_queue_mode != "spillback":
+            out_queues = np.array(
+                [[
+                    self._sensed_out_queue(out_road)
+                    for _, out_road in self._movement_layout[1]
+                ]],
+                dtype=np.int64,
+            )
+        elif self._full_roads:
+            # Only roads at capacity read non-zero, and every such road
+            # is in the full-roads set.
+            out_queues = np.zeros_like(self._no_out_queues)
+            occupancy = self._occupancy
+            for road_id in self._full_roads:
+                columns = self._spillback_columns.get(road_id)
+                occ = occupancy[road_id]
+                if columns is not None and occ >= self._capacity[road_id]:
+                    out_queues[0, columns] = occ
+        else:
+            out_queues = self._no_out_queues
+        return BatchControlArrays(
+            time=now,
+            queues=np.array(row, dtype=np.int64)[None, :],
+            out_queues=out_queues,
+        )
 
     # -- arrival windows ---------------------------------------------------
 
@@ -750,4 +858,4 @@ def _build_events(scenario) -> EventCountsSimulator:
     )
 
 
-register_engine("meso-events", _build_events)
+register_engine("meso-events", _build_events, controller_arrays=True)

@@ -75,7 +75,7 @@ def observe():
     return make_observation
 
 
-def build_parity_scenario(name: str, seed: int):
+def build_parity_scenario(name: str, seed: int, **overrides):
     """A catalog scenario, or its mixed-phase-plan variant.
 
     ``"<entry>+mixed-phases"`` builds ``<entry>`` and then gives its
@@ -84,10 +84,11 @@ def build_parity_scenario(name: str, seed: int):
     (``c3``, ``c1``, then both right-turn phases merged into ``c2``);
     and two phases (``c1``, ``c3`` — right turns never get green).
     Batched controllers must handle ragged phase tables and phase
-    indices that are not declaration positions.
+    indices that are not declaration positions.  ``overrides`` go to
+    the catalog entry's builder (e.g. ``capacity=12``).
     """
     base, variant, _ = name.partition(MIXED_PHASES)
-    scenario = build_named_scenario(base, seed=seed)
+    scenario = build_named_scenario(base, seed=seed, **overrides)
     if not variant:
         return scenario
     for n, intersection in enumerate(scenario.network.intersections.values()):

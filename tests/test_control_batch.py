@@ -17,9 +17,13 @@ controller layer:
 * the registry, the protocol, ``reset``, and the constructor/shape
   validation;
 * the runner's wiring: an engine whose array layout disagrees with the
-  kernel's is rejected before the first step.
+  kernel's is rejected before the first step;
+* the meso-events façade: its B=1 ``controller_arrays()`` equal the
+  arrays assembled from its own ``observations()`` at every slot,
+  under every out-queue sensing mode.
 """
 
+import numpy as np
 import pytest
 
 from repro.control.batch import (
@@ -35,6 +39,7 @@ from repro.core.engine import (
     build_batch_controller,
     build_batch_engine,
 )
+from repro.meso.events import EventCountsSimulator
 from repro.meso.vectorized import BatchCountsSimulator
 from repro.model.grid import build_grid_network
 from repro.scenarios import build_named_scenario
@@ -204,3 +209,76 @@ class TestRunnerIntegration:
                 controller="util-bp",
                 duration=60.0,
             )
+
+
+def _arrays_from_observations(observations, movement_keys):
+    """The ``(1, n_movements)`` arrays a B=1 kernel reads, from ``Q(k)``."""
+    node_of = {
+        key: node_id
+        for node_id, obs in observations.items()
+        for key in obs.movement_queues
+    }
+    queues = [
+        observations[node_of[key]].movement_queues[key]
+        for key in movement_keys
+    ]
+    out_queues = [
+        observations[node_of[key]].out_queues[key[1]]
+        for key in movement_keys
+    ]
+    return np.array([queues]), np.array([out_queues])
+
+
+class TestEventsControllerArrays:
+    """meso-events' array façade reports exactly its own ``Q(k)``."""
+
+    @pytest.mark.parametrize(
+        "out_queue_mode", EventCountsSimulator.OUT_QUEUE_MODES
+    )
+    @pytest.mark.parametrize(
+        "controller,params",
+        (("util-bp", {}), ("fixed-time", {"period": 16.0})),
+        ids=("util-bp", "fixed-time"),
+    )
+    @pytest.mark.parametrize(
+        "scenario_name", ("surge-4x4", "surge-4x4" + MIXED_PHASES)
+    )
+    def test_arrays_equal_observations_every_slot(
+        self, scenario_name, controller, params, out_queue_mode
+    ):
+        # Short roads: spillback, halting and occupancy all read
+        # non-zero out-queues within the horizon.
+        scenario = build_parity_scenario(scenario_name, seed=7, capacity=12)
+        sim = EventCountsSimulator(
+            network=scenario.network,
+            demand=scenario.demand,
+            turning=scenario.turning,
+            seed=scenario.seed,
+            out_queue_mode=out_queue_mode,
+        )
+        kernel = build_batch_controller(
+            controller, scenario.network, 1, **params
+        )
+        assert sim.movement_layout == (kernel.node_ids, kernel.movement_keys)
+        movement_keys = kernel.movement_keys
+        sensed = congested = 0
+        for step in range(STEPS):
+            arrays = sim.controller_arrays()
+            queues, out_queues = _arrays_from_observations(
+                sim.observations(), movement_keys
+            )
+            assert arrays.time == sim.time
+            assert arrays.queues.shape == arrays.out_queues.shape == (
+                1,
+                len(movement_keys),
+            )
+            assert (arrays.queues == queues).all(), step
+            assert (arrays.out_queues == out_queues).all(), step
+            sensed += int(arrays.queues.sum() > sum(
+                sim.movement_queue(*key) for key in movement_keys
+            ))
+            congested += int(arrays.out_queues.any())
+            row = kernel.decide_batch(arrays)[0]
+            sim.step(1.0, dict(zip(kernel.node_ids, row.tolist())))
+        # Both the sensing horizon and the out-queue sensor were exercised.
+        assert sensed and congested

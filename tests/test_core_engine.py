@@ -19,6 +19,7 @@ from repro.core.engine import (
     build_batch_engine,
     build_engine,
     engine_names,
+    has_controller_arrays,
     provider_module,
     register_engine,
 )
@@ -85,6 +86,24 @@ class TestRegistry:
             assert provider_module("test-provider") == builder.__module__
         finally:
             ENGINE_REGISTRY.builders.pop("test-provider", None)
+
+    def test_controller_arrays_declared_at_registration(self):
+        """Only meso-events is decided through a kernel among serial engines."""
+        assert [e for e in ENGINES if has_controller_arrays(e)] == [
+            "meso-events"
+        ]
+        assert not has_controller_arrays("warp-drive")
+
+        def builder(scenario):
+            return build_engine(scenario, "meso-events")
+
+        register_engine("test-arrays", builder, controller_arrays=True)
+        try:
+            assert has_controller_arrays("test-arrays")
+            register_engine("test-arrays", builder)  # override drops it
+            assert not has_controller_arrays("test-arrays")
+        finally:
+            ENGINE_REGISTRY.builders.pop("test-arrays", None)
 
     def test_custom_registration(self):
         calls = []

@@ -37,7 +37,10 @@ every replication's results must be independent of the batch size —
 together those two pin each replication of any batch to the serial
 trajectory of its seed.  The batched controller kernels are pinned the
 same way, and so is the runner: ``run_scenario`` on ``meso-vec`` is a
-batch of one and must equal the ``meso-counts`` run.
+batch of one and must equal the ``meso-counts`` run.  ``run_scenario``
+on ``meso-events`` runs a B=1 kernel on the engine's own array façade
+and must equal the ``meso-counts`` run too, which stays on the serial
+``observations()`` / ``NetworkController`` loop.
 """
 
 import pytest
@@ -504,6 +507,123 @@ class TestBatchRunner:
         sim.step(1.0, [{}, {}])
         with pytest.raises(ValueError, match="constant mini-slot"):
             sim.step(0.5, [{}, {}])
+
+
+class TestEventsRunner:
+    """``run_scenario`` on meso-events: B=1 kernel loop == serial loop."""
+
+    CONTROLLERS = (
+        ("util-bp", {}),
+        ("cap-bp", {"period": 16.0}),
+        ("original-bp", {"period": 16.0}),
+        ("fixed-time", {"period": 16.0}),
+    )
+
+    @pytest.mark.parametrize(
+        "controller,params", CONTROLLERS, ids=[c for c, _ in CONTROLLERS]
+    )
+    @pytest.mark.parametrize("name", ("surge-4x4", "surge-4x4" + MIXED_PHASES))
+    def test_events_run_equals_counts_run(self, name, controller, params):
+        from repro.experiments.runner import run_scenario
+
+        knobs = dict(
+            controller=controller,
+            controller_params=params,
+            duration=200.0,
+            record_phases=("J00", "J11", "J99"),
+            record_queues=(("J00", "IN:N@J00"), ("J11", "J01->J11")),
+        )
+        events = run_scenario(
+            build_parity_scenario(name, seed=4), engine="meso-events", **knobs
+        )
+        counts = run_scenario(
+            build_parity_scenario(name, seed=4), engine="meso-counts", **knobs
+        )
+        assert events.to_dict() == counts.to_dict()
+        assert events.phase_traces["J11"].switch_count() > 1
+        assert len(events.queue_traces[("J11", "J01->J11")]) == 40
+
+    def test_layout_mismatch_rejected_before_stepping(self, monkeypatch):
+        from repro.experiments.runner import run_scenario
+        from repro.meso.events import EventCountsSimulator
+
+        def never_step(self, dt, phases):
+            raise AssertionError("stepped despite a layout mismatch")
+
+        monkeypatch.setattr(
+            EventCountsSimulator,
+            "movement_layout",
+            property(lambda self: ((), ())),
+        )
+        monkeypatch.setattr(EventCountsSimulator, "step", never_step)
+        with pytest.raises(ValueError, match="layout does not match"):
+            run_scenario(
+                build_named_scenario("steady-3x3", seed=5),
+                engine="meso-events",
+                duration=60.0,
+            )
+
+    @staticmethod
+    def _count_calls(monkeypatch, owner, attribute, calls):
+        real = getattr(owner, attribute)
+
+        def counted(*args, **kwargs):
+            calls[attribute] = calls.get(attribute, 0) + 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attribute, counted)
+
+    @staticmethod
+    def _forbid(monkeypatch, owner, attribute):
+        def forbidden(*args, **kwargs):
+            raise AssertionError(f"{attribute} called on this loop")
+
+        monkeypatch.setattr(owner, attribute, forbidden)
+
+    def test_counts_run_stays_on_the_serial_loop(self, monkeypatch):
+        """meso-counts: observations() and decide() every slot, no kernel."""
+        import repro.experiments.runner as runner
+        from repro.control.base import NetworkController
+        from repro.meso.counts import CountsSimulator
+
+        calls = {}
+        self._count_calls(monkeypatch, CountsSimulator, "observations", calls)
+        self._count_calls(monkeypatch, NetworkController, "decide", calls)
+        self._forbid(monkeypatch, runner, "build_batch_controller")
+        runner.run_scenario(
+            build_named_scenario("steady-3x3", seed=5),
+            engine="meso-counts",
+            duration=60.0,
+        )
+        assert calls == {"observations": 60, "decide": 60}
+
+    def test_events_run_builds_only_the_kernel(self, monkeypatch):
+        """meso-events: no serial controller, no observations()."""
+        import repro.experiments.runner as runner
+        from repro.meso.counts import CountsSimulator
+
+        self._forbid(monkeypatch, runner, "make_network_controller")
+        self._forbid(monkeypatch, CountsSimulator, "observations")
+        result = runner.run_scenario(
+            build_named_scenario("steady-3x3", seed=5),
+            engine="meso-events",
+            duration=60.0,
+        )
+        assert result.summary.vehicles_entered > 0
+
+    @pytest.mark.parametrize("engine", ("meso-counts", "meso-events"))
+    def test_bad_controller_spec_fails_before_engine_build(
+        self, monkeypatch, engine
+    ):
+        import repro.experiments.runner as runner
+
+        self._forbid(monkeypatch, runner, "build_engine")
+        with pytest.raises(TypeError, match="period"):
+            runner.run_scenario(
+                build_named_scenario("steady-3x3", seed=5),
+                engine=engine,
+                controller="cap-bp",
+            )
 
 
 class TestAggregateSummary:

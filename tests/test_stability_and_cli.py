@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.control.factory import FIXED_SLOT_CONTROLLERS
 from repro.experiments.stability import (
     StabilityPoint,
     max_stable_scale,
@@ -103,6 +104,27 @@ class TestCli:
     def test_unknown_controller_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "--controller", "magic"])
+
+    @staticmethod
+    def _usage_error(capsys, argv):
+        """Run the CLI expecting exit 2 with one ``error:`` line."""
+        with pytest.raises(SystemExit) as exited:
+            main(argv)
+        assert exited.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1
+        return errors[0]
+
+    def test_run_unknown_pattern_is_a_usage_error(self, capsys):
+        line = self._usage_error(capsys, ["run", "--pattern", "XYZ"])
+        assert "unknown pattern 'XYZ'" in line
+
+    @pytest.mark.parametrize("controller", FIXED_SLOT_CONTROLLERS)
+    def test_run_fixed_slot_controller_needs_period(self, capsys, controller):
+        line = self._usage_error(capsys, ["run", "--controller", controller])
+        assert f"--controller {controller} needs --period" in line
 
     def test_fig2_flags_parse(self):
         args = build_parser().parse_args(
