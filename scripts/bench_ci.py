@@ -211,100 +211,89 @@ def calibration_score(repeats: int = 3) -> float:
     return 1.0 / best
 
 
-def measure_steps_per_second(
-    engine: str, scenario_name: str, steps: int, repeats: int
-) -> float:
-    """Best-of-``repeats`` closed-loop step rate for one workload.
+def _phase(k: int) -> int:
+    """Phase of every node at mini-slot ``k`` of the fixed phase plan."""
+    return 1 + (k // PHASE_DWELL) % 4
 
-    A batch engine runs a batch of one under the batched util-bp
-    kernel, the loop ``run_scenario`` runs for it.
+
+def best_rate(setup, steps: int, repeats: int, warmup: int, width: int = 1) -> float:
+    """Best-of-``repeats`` rate of one engine workload, in steps/s x ``width``.
+
+    ``setup(attempt, slots)`` builds a fresh workload for one repeat and
+    returns ``advance(k)``, which simulates mini-slot ``k``; ``warmup``
+    untimed slots run before ``steps`` timed ones.  A batch advances
+    ``width`` replications per slot, so its rate is reported in
+    replication-steps/s, directly comparable to a serial engine's.
     """
-    if has_batch_engine(engine):
-        return measure_batch_closed_loop(
-            scenario_name, {}, 1, steps, repeats, warmup=WARMUP_STEPS
-        )
     best = 0.0
     for attempt in range(repeats):
-        scenario = build_named_scenario(scenario_name, seed=1 + attempt)
+        advance = setup(attempt, warmup + steps)
+        for k in range(warmup):
+            advance(k)
+        start = time.perf_counter()
+        for k in range(warmup, warmup + steps):
+            advance(k)
+        elapsed = time.perf_counter() - start
+        best = max(best, steps / elapsed * width)
+    return best
+
+
+def serial_closed_loop(engine: str, scenario_name: str, params: Dict):
+    """Setup for one serial engine under util-bp deciding every slot."""
+
+    def setup(attempt, slots):
+        scenario = build_named_scenario(
+            scenario_name, seed=1 + attempt, **params
+        )
         sim = build_engine(scenario, engine)
         controller = make_network_controller("util-bp", scenario.network)
-        for _ in range(WARMUP_STEPS):
-            sim.step(1.0, controller.decide(sim.observations()))
-        start = time.perf_counter()
-        for _ in range(steps):
-            sim.step(1.0, controller.decide(sim.observations()))
-        elapsed = time.perf_counter() - start
-        best = max(best, steps / elapsed)
-    return best
+        return lambda k: sim.step(1.0, controller.decide(sim.observations()))
+
+    return setup
 
 
-def measure_engine_steps_per_second(
-    engine: str, scenario_name: str, steps: int, repeats: int
-) -> float:
-    """Best-of-``repeats`` engine-only step rate (fixed phase plan).
+def serial_fixed_plan(
+    engine: str, scenario_name: str, params: Dict, observe: bool
+):
+    """Setup for one serial engine on the precomputed fixed phase plan.
 
-    Each step still builds the observations — that is part of an
-    engine's per-mini-slot duty in the closed loop — but the phase
-    decisions come from a precomputed cycle so no controller cost
-    dilutes the engine comparison.
+    With ``observe`` each slot still builds the observations — part of
+    an engine's per-slot duty in the closed loop — but no controller
+    cost dilutes the engine comparison; without it only ``step()`` is
+    timed.
     """
-    best = 0.0
-    for attempt in range(repeats):
-        scenario = build_named_scenario(scenario_name, seed=1 + attempt)
-        sim = build_engine(scenario, engine)
-        nodes = list(scenario.network.intersections)
-        plan = [
-            {node: 1 + (k // PHASE_DWELL) % 4 for node in nodes}
-            for k in range(WARMUP_STEPS + steps)
-        ]
-        for k in range(WARMUP_STEPS):
-            sim.observations()
-            sim.step(1.0, plan[k])
-        start = time.perf_counter()
-        for k in range(WARMUP_STEPS, WARMUP_STEPS + steps):
-            sim.observations()
-            sim.step(1.0, plan[k])
-        elapsed = time.perf_counter() - start
-        best = max(best, steps / elapsed)
-    return best
 
-
-def measure_serial_stepping(
-    engine, scenario_name, params, steps, repeats
-) -> float:
-    """Best-of-``repeats`` pure ``step()`` rate of one serial engine."""
-    best = 0.0
-    for attempt in range(repeats):
+    def setup(attempt, slots):
         scenario = build_named_scenario(
             scenario_name, seed=1 + attempt, **params
         )
         sim = build_engine(scenario, engine)
         nodes = list(scenario.network.intersections)
-        plan = [
-            {node: 1 + (k // PHASE_DWELL) % 4 for node in nodes}
-            for k in range(STEPPING_WARMUP + steps)
-        ]
-        for k in range(STEPPING_WARMUP):
+        plan = [{node: _phase(k) for node in nodes} for k in range(slots)]
+        if not observe:
+            return lambda k: sim.step(1.0, plan[k])
+
+        def advance(k):
+            sim.observations()
             sim.step(1.0, plan[k])
-        start = time.perf_counter()
-        for k in range(STEPPING_WARMUP, STEPPING_WARMUP + steps):
-            sim.step(1.0, plan[k])
-        elapsed = time.perf_counter() - start
-        best = max(best, steps / elapsed)
-    return best
+
+        return advance
+
+    return setup
 
 
-def measure_batch_stepping(
-    scenario_name, params, width, steps, repeats
-) -> float:
-    """Best-of-``repeats`` batch ``step()`` rate in replication-steps/s.
+def meso_vec_batch(
+    scenario_name: str, params: Dict, width: int, closed_loop: bool
+):
+    """Setup for one ``meso-vec`` batch of ``width`` replications.
 
-    One batch mini-slot advances ``width`` replications, so the
-    reported rate is ``batch steps/s x width`` — directly comparable to
-    a serial engine's steps/s on the same workload.
+    Closed loop, the batched util-bp kernel decides all replications
+    on the engine's internal arrays (``controller_arrays``) every slot
+    — the exact loop :func:`repro.experiments.runner.run_scenario_batch`
+    runs for a sweep cell.  Otherwise the batch steps the fixed plan.
     """
-    best = 0.0
-    for attempt in range(repeats):
+
+    def setup(attempt, slots):
         scenarios = [
             build_named_scenario(
                 scenario_name, seed=1 + attempt * width + b, **params
@@ -312,91 +301,29 @@ def measure_batch_stepping(
             for b in range(width)
         ]
         sim = build_batch_engine(scenarios, "meso-vec")
-        n_nodes = len(scenarios[0].network.intersections)
-        plan = [
-            np.full(n_nodes, 1 + (k // PHASE_DWELL) % 4, dtype=np.int64)
-            for k in range(STEPPING_WARMUP + steps)
-        ]
-        for k in range(STEPPING_WARMUP):
-            sim.step(1.0, plan[k])
-        start = time.perf_counter()
-        for k in range(STEPPING_WARMUP, STEPPING_WARMUP + steps):
-            sim.step(1.0, plan[k])
-        elapsed = time.perf_counter() - start
-        best = max(best, steps / elapsed * width)
-    return best
-
-
-def measure_serial_closed_loop(
-    engine, scenario_name, params, steps, repeats
-) -> float:
-    """Best-of-``repeats`` serial closed-loop rate (util-bp each slot)."""
-    best = 0.0
-    for attempt in range(repeats):
-        scenario = build_named_scenario(
-            scenario_name, seed=1 + attempt, **params
-        )
-        sim = build_engine(scenario, engine)
-        controller = make_network_controller("util-bp", scenario.network)
-        for _ in range(STEPPING_WARMUP):
-            sim.step(1.0, controller.decide(sim.observations()))
-        start = time.perf_counter()
-        for _ in range(steps):
-            sim.step(1.0, controller.decide(sim.observations()))
-        elapsed = time.perf_counter() - start
-        best = max(best, steps / elapsed)
-    return best
-
-
-def measure_batch_closed_loop(
-    scenario_name, params, width, steps, repeats, warmup=STEPPING_WARMUP
-) -> float:
-    """Best-of-``repeats`` batched closed-loop rate in replication-steps/s.
-
-    Every mini-slot the batched util-bp kernel decides all ``width``
-    replications on the engine's internal arrays
-    (``controller_arrays``), then the batch engine steps them — the
-    exact loop :func:`repro.experiments.runner.run_scenario_batch`
-    runs for a sweep cell.
-    """
-    best = 0.0
-    for attempt in range(repeats):
-        scenarios = [
-            build_named_scenario(
-                scenario_name, seed=1 + attempt * width + b, **params
+        network = scenarios[0].network
+        if closed_loop:
+            controller = build_batch_controller("util-bp", network, width)
+            return lambda k: sim.step(
+                1.0, controller.decide_batch(sim.controller_arrays())
             )
-            for b in range(width)
+        n_nodes = len(network.intersections)
+        plan = [
+            np.full(n_nodes, _phase(k), dtype=np.int64) for k in range(slots)
         ]
-        sim = build_batch_engine(scenarios, "meso-vec")
-        controller = build_batch_controller(
-            "util-bp", scenarios[0].network, width
-        )
-        for _ in range(warmup):
-            sim.step(1.0, controller.decide_batch(sim.controller_arrays()))
-        start = time.perf_counter()
-        for _ in range(steps):
-            sim.step(1.0, controller.decide_batch(sim.controller_arrays()))
-        elapsed = time.perf_counter() - start
-        best = max(best, steps / elapsed * width)
-    return best
+        return lambda k: sim.step(1.0, plan[k])
+
+    return setup
 
 
-#: Cells written/read/queried by the store-overhead workload.
-STORE_CELLS = 150
-
-
-def measure_store_ops_per_second(repeats: int, cells: int = STORE_CELLS) -> float:
-    """Best-of-``repeats`` ResultStore put+get+query operations/s.
-
-    Uses a real file-backed store (the sweep configuration) with a
-    synthetic but schema-complete payload, so the number reflects the
-    JSON encode + SQLite commit + decode cost a sweep cell actually
-    pays — not simulation time.
-    """
-    from repro.orchestration import RunSpec
-    from repro.results.store import ResultStore
-
-    summary = {
+#: Synthetic but schema-complete ``RunResult`` payload written by the
+#: store and merge workloads: they time JSON encode + SQLite commit +
+#: decode, not simulation.
+BENCH_PAYLOAD = {
+    "scenario_name": "bench-cells",
+    "controller_name": "util-bp",
+    "duration": 600.0,
+    "summary": {
         "duration": 600.0,
         "vehicles_entered": 1000,
         "vehicles_left": 950,
@@ -406,15 +333,27 @@ def measure_store_ops_per_second(repeats: int, cells: int = STORE_CELLS) -> floa
         "max_queuing_time": 300.0,
         "throughput_per_hour": 5700.0,
         "delay_mode": "per-vehicle",
-    }
-    payload = {
-        "scenario_name": "bench-store",
-        "controller_name": "util-bp",
-        "duration": 600.0,
-        "summary": summary,
-        "vehicles_in_network": 50,
-        "backlog": 0,
-    }
+    },
+    "vehicles_in_network": 50,
+    "backlog": 0,
+}
+
+
+#: Cells written/read/queried by the store-overhead workload.
+STORE_CELLS = 150
+
+
+def measure_store_ops_per_second(repeats: int, cells: int = STORE_CELLS) -> float:
+    """Best-of-``repeats`` ResultStore put+get+query operations/s.
+
+    Uses a real file-backed store (the sweep configuration) with
+    :data:`BENCH_PAYLOAD`, so the number reflects the JSON encode +
+    SQLite commit + decode cost a sweep cell actually pays — not
+    simulation time.
+    """
+    from repro.orchestration import RunSpec
+    from repro.results.store import ResultStore
+
     specs = [
         RunSpec(pattern="I", seed=seed, duration=600.0)
         for seed in range(cells)
@@ -425,7 +364,7 @@ def measure_store_ops_per_second(repeats: int, cells: int = STORE_CELLS) -> floa
             store = ResultStore(Path(tmp) / "bench.sqlite")
             start = time.perf_counter()
             for spec in specs:
-                store.put(spec, payload)
+                store.put(spec, BENCH_PAYLOAD)
             for spec in specs:
                 store.get(spec)
             for seed in range(0, cells, 10):
@@ -491,31 +430,14 @@ def measure_merge_rows_per_second(repeats: int, rows: int = MERGE_ROWS) -> float
     from repro.orchestration import RunSpec
     from repro.results.store import ResultStore
 
-    payload = {
-        "scenario_name": "bench-merge",
-        "controller_name": "util-bp",
-        "duration": 600.0,
-        "summary": {
-            "duration": 600.0,
-            "vehicles_entered": 1000,
-            "vehicles_left": 950,
-            "average_queuing_time": 42.0,
-            "average_travel_time": 120.0,
-            "total_queuing_time": 42000.0,
-            "max_queuing_time": 300.0,
-            "throughput_per_hour": 5700.0,
-            "delay_mode": "per-vehicle",
-        },
-        "vehicles_in_network": 50,
-        "backlog": 0,
-    }
     best = 0.0
     with tempfile.TemporaryDirectory() as tmp:
         source_path = Path(tmp) / "shard.sqlite"
         with ResultStore(source_path) as source:
             for seed in range(rows):
                 source.put(
-                    RunSpec(pattern="I", seed=seed, duration=600.0), payload
+                    RunSpec(pattern="I", seed=seed, duration=600.0),
+                    BENCH_PAYLOAD,
                 )
         for attempt in range(repeats):
             destination_path = Path(tmp) / f"merged-{attempt}.sqlite"
@@ -590,62 +512,45 @@ def run_benchmarks(
         )
 
     for key, engine, scenario_name, steps in WORKLOADS:
-        record(
-            key,
-            measure_steps_per_second(engine, scenario_name, steps, repeats),
-        )
+        # A batch engine runs a batch of one under the batched util-bp
+        # kernel, the loop ``run_scenario`` runs for it.
+        if has_batch_engine(engine):
+            setup = meso_vec_batch(scenario_name, {}, 1, closed_loop=True)
+        else:
+            setup = serial_closed_loop(engine, scenario_name, {})
+        record(key, best_rate(setup, steps, repeats, WARMUP_STEPS))
     # The speedup gates compare two same-run numbers, so their noise
     # adds up: every workload feeding a ratio gets its own (usually
     # higher) repeat count instead of a loosened threshold.
     for key, engine, scenario_name, steps in ENGINE_WORKLOADS:
-        record(
-            key,
-            measure_engine_steps_per_second(
-                engine, scenario_name, steps, speedup_repeats
-            ),
-        )
-    for key, engine, steps in STEPPING_WORKLOADS:
-        if engine == "meso-vec":
-            rate = measure_batch_stepping(
-                BATCH_SCENARIO,
-                BATCH_SCENARIO_PARAMS,
-                BATCH_WIDTH,
-                steps,
-                speedup_repeats,
+        setup = serial_fixed_plan(engine, scenario_name, {}, observe=True)
+        record(key, best_rate(setup, steps, speedup_repeats, WARMUP_STEPS))
+    for workloads, closed_loop in (
+        (STEPPING_WORKLOADS, False),
+        (CLOSED_BATCH_WORKLOADS, True),
+    ):
+        for key, engine, steps in workloads:
+            if engine == "meso-vec":
+                setup = meso_vec_batch(
+                    BATCH_SCENARIO, BATCH_SCENARIO_PARAMS, BATCH_WIDTH,
+                    closed_loop,
+                )
+                width, unit = BATCH_WIDTH, "rep-steps/s"
+            elif closed_loop:
+                setup = serial_closed_loop(
+                    engine, BATCH_SCENARIO, BATCH_SCENARIO_PARAMS
+                )
+                width, unit = 1, "steps/s"
+            else:
+                setup = serial_fixed_plan(
+                    engine, BATCH_SCENARIO, BATCH_SCENARIO_PARAMS,
+                    observe=False,
+                )
+                width, unit = 1, "steps/s"
+            rate = best_rate(
+                setup, steps, speedup_repeats, STEPPING_WARMUP, width
             )
-            record(key, rate, unit="rep-steps/s")
-        else:
-            record(
-                key,
-                measure_serial_stepping(
-                    engine,
-                    BATCH_SCENARIO,
-                    BATCH_SCENARIO_PARAMS,
-                    steps,
-                    speedup_repeats,
-                ),
-            )
-    for key, engine, steps in CLOSED_BATCH_WORKLOADS:
-        if engine == "meso-vec":
-            rate = measure_batch_closed_loop(
-                BATCH_SCENARIO,
-                BATCH_SCENARIO_PARAMS,
-                BATCH_WIDTH,
-                steps,
-                speedup_repeats,
-            )
-            record(key, rate, unit="rep-steps/s")
-        else:
-            record(
-                key,
-                measure_serial_closed_loop(
-                    engine,
-                    BATCH_SCENARIO,
-                    BATCH_SCENARIO_PARAMS,
-                    steps,
-                    speedup_repeats,
-                ),
-            )
+            record(key, rate, unit=unit)
     record(
         "store/put-get-query",
         measure_store_ops_per_second(repeats),

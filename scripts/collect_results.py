@@ -11,10 +11,10 @@ Runs every table/figure driver and prints a consolidated report:
 Every driver is an :class:`repro.results.ExperimentDefinition` whose
 cells go through one shared :class:`repro.orchestration.ExperimentPool`
 — so ``--workers N`` runs the independent cells N-wide, and
-``--store FILE`` (``--cache-dir DIR`` is a deprecated alias) backs the pool with one
-shared :class:`repro.results.ResultStore`: an interrupted collection
-resumes by computing only the missing cells, and cells common to
-several drivers are simulated exactly once.
+``--store FILE`` backs the pool with one shared
+:class:`repro.results.ResultStore`: an interrupted collection resumes
+by computing only the missing cells, and cells common to several
+drivers are simulated exactly once.
 
 Usage: python scripts/collect_results.py [--workers N] [--store FILE]
 """
@@ -48,31 +48,11 @@ def main() -> None:
         "--store", default=None, metavar="FILE",
         help=(
             "SQLite result store shared by every driver; completed "
-            "cells are never re-simulated (wins over --cache-dir)"
-        ),
-    )
-    parser.add_argument(
-        "--cache-dir", default=None,
-        help=(
-            "DEPRECATED alias for --store: opens DIR/results.sqlite "
-            "(importing legacy per-spec JSON entries once) and emits "
-            "a DeprecationWarning"
+            "cells are never re-simulated"
         ),
     )
     args = parser.parse_args()
-    store = args.store
-    if args.cache_dir is not None and store is None:
-        import warnings
-
-        from repro.results import ResultStore
-
-        warnings.warn(
-            "--cache-dir is deprecated; pass --store FILE instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        store = ResultStore.at_directory(args.cache_dir)
-    pool = ExperimentPool(workers=args.workers, store=store)
+    pool = ExperimentPool(workers=args.workers, store=args.store)
 
     start = time.time()
 

@@ -17,6 +17,13 @@ The simulation service embeds ``API_VERSION`` as ``api_version`` in
 every HTTP response envelope, so remote clients can detect drift the
 same way importers do.
 
+API 2.0 removed the deprecated second way of naming a result store:
+the cache directory keyword of :class:`ExperimentPool`, and the legacy
+JSON import keyword, the directory constructor and the ``imported``
+counter of :class:`ResultStore` are gone, and with them the one-time
+import of legacy per-spec JSON cache directories.  Pass ``store=`` a
+:class:`ResultStore` or the path of its SQLite file instead.
+
 Layout of the surface:
 
 * scenarios — :class:`Scenario`, :func:`build_scenario`,
@@ -98,7 +105,7 @@ from repro.util.logging import get_logger, log_context
 
 #: The public API schema version (``major.minor``); embedded in every
 #: service response envelope as ``api_version``.
-API_VERSION = "1.2"
+API_VERSION = "2.0"
 
 
 def package_version() -> str:

@@ -21,12 +21,13 @@ ablations  run a named ablation study
 stability  demand-scale stability sweep
 
 Every sweep-shaped command accepts ``--workers N`` (process-parallel
-execution) and ``--store FILE``, the canonical persistence option
-naming the SQLite result store; completed cells are committed
-incrementally and a re-invoked sweep resumes by computing only the
-missing cells.  ``--cache-dir DIR`` is a **deprecated** alias that
-opens ``DIR/results.sqlite`` (importing any legacy per-spec JSON cache
-entries found there, once) and emits a ``DeprecationWarning``.
+execution) and ``--store FILE``, the SQLite result store; completed
+cells are committed incrementally and a re-invoked sweep resumes by
+computing only the missing cells.
+
+Bad option values (an unknown pattern, a non-positive ``--period``,
+``--duration``, ``--workers``, ``--batch-size`` or ``--fleet``) are
+usage errors: one ``error:`` line on stderr and exit code 2.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from typing import Any, Dict, List, Optional
 
 from repro.control.factory import CONTROLLER_NAMES, FIXED_SLOT_CONTROLLERS
 from repro.core.engine import ENGINE_NAMES
+from repro.util.validation import check_positive
 
 __all__ = ["build_parser", "main"]
 
@@ -63,30 +65,39 @@ class _VersionAction(argparse.Action):
         parser.exit(0)
 
 
+def _positive(kind: type):
+    """An argparse ``type=`` parsing ``kind`` and requiring a finite > 0.
+
+    A bad value becomes argparse's usage error (one ``error:`` line,
+    exit 2) instead of a traceback from deep inside the run.
+    """
+
+    def parse(text: str):
+        value = kind(text)  # ValueError -> "invalid <kind> value"
+        try:
+            return check_positive("value", value)
+        except ValueError as error:
+            raise argparse.ArgumentTypeError(str(error))
+
+    parse.__name__ = kind.__name__
+    return parse
+
+
 def _add_pool_options(parser: argparse.ArgumentParser) -> None:
     """Worker-pool options shared by every sweep-shaped command."""
     parser.add_argument(
-        "--workers", type=int, default=1,
+        "--workers", type=_positive(int), default=1,
         help="worker processes (1 = serial in-process)",
     )
     parser.add_argument(
         "--store", default=None, metavar="FILE",
         help=(
-            "SQLite result store (the canonical persistence option); "
-            "completed cells are committed incrementally and never "
-            "re-simulated (wins over --cache-dir)"
+            "SQLite result store; completed cells are committed "
+            "incrementally and never re-simulated"
         ),
     )
     parser.add_argument(
-        "--cache-dir", default=None,
-        help=(
-            "DEPRECATED alias for --store: opens DIR/results.sqlite "
-            "(importing legacy per-spec JSON cache entries once) and "
-            "emits a DeprecationWarning; use --store FILE instead"
-        ),
-    )
-    parser.add_argument(
-        "--batch-size", type=int, default=16,
+        "--batch-size", type=_positive(int), default=16,
         help=(
             "maximum seed-batch width: same-cell/different-seed specs on "
             "a batch-capable engine (meso-vec) are stepped as one batched "
@@ -96,28 +107,10 @@ def _add_pool_options(parser: argparse.ArgumentParser) -> None:
 
 
 def _make_pool(args: argparse.Namespace):
-    import warnings
-
     from repro.orchestration import ExperimentPool
 
-    store = getattr(args, "store", None)
-    cache_dir = getattr(args, "cache_dir", None)
-    if cache_dir is not None and store is None:
-        # Convert here (not via the pool's own deprecated keyword) so
-        # the warning names the CLI flag the user actually typed.
-        warnings.warn(
-            "--cache-dir is deprecated; pass --store FILE instead "
-            "(legacy JSON entries in the directory are imported once)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from repro.results import ResultStore
-
-        store = ResultStore.at_directory(cache_dir)
     return ExperimentPool(
-        workers=args.workers,
-        store=store,
-        batch_size=getattr(args, "batch_size", 16),
+        workers=args.workers, store=args.store, batch_size=args.batch_size
     )
 
 
@@ -193,10 +186,10 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run one scenario/controller")
     run.add_argument("--pattern", type=_parse_pattern_token, default="I")
     run.add_argument("--controller", choices=CONTROLLER_NAMES, default="util-bp")
-    run.add_argument("--period", type=float, default=None,
+    run.add_argument("--period", type=_positive(float), default=None,
                      help="control period for fixed-slot controllers")
     run.add_argument("--engine", choices=ENGINE_NAMES, default="meso")
-    run.add_argument("--duration", type=float, default=1800.0)
+    run.add_argument("--duration", type=_positive(float), default=1800.0)
     run.add_argument("--seed", type=int, default=1)
 
     sweep = sub.add_parser(
@@ -233,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
             f"workload on each of them (known: {', '.join(ENGINE_NAMES)})"
         ),
     )
-    sweep.add_argument("--duration", type=float, default=1800.0)
+    sweep.add_argument("--duration", type=_positive(float), default=1800.0)
     sweep.add_argument(
         "--record-entry-queues", type=int, default=0, metavar="N",
         help=(
@@ -254,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     scale_out.add_argument(
-        "--fleet", type=int, default=None, metavar="N",
+        "--fleet", type=_positive(int), default=None, metavar="N",
         help=(
             "local fleet execution: split the grid into N shards, run "
             "each in its own subprocess against its own store file "
@@ -359,11 +352,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="listening port (0 = pick an ephemeral port)",
     )
     serve.add_argument(
-        "--workers", type=int, default=1,
+        "--workers", type=_positive(int), default=1,
         help="worker processes per job (1 = serial in-process)",
     )
     serve.add_argument(
-        "--batch-size", type=int, default=16,
+        "--batch-size", type=_positive(int), default=16,
         help="seed-batch width forwarded to the job pool",
     )
 
@@ -402,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--engine", "--engines", dest="engine", nargs="+",
         choices=ENGINE_NAMES, default=["meso"], metavar="ENGINE",
     )
-    submit.add_argument("--duration", type=float, default=1800.0)
+    submit.add_argument("--duration", type=_positive(float), default=1800.0)
     submit.add_argument(
         "--shard", type=_parse_shard_token, default=None, metavar="I/N",
         help=(
@@ -443,24 +436,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     fig34 = sub.add_parser("fig34", help="reproduce Figs. 3-4")
     fig34.add_argument("--engine", choices=ENGINE_NAMES, default="micro")
-    fig34.add_argument("--duration", type=float, default=2000.0)
+    fig34.add_argument("--duration", type=_positive(float), default=2000.0)
     fig34.add_argument("--seed", type=int, default=1)
     _add_pool_options(fig34)
 
     fig5 = sub.add_parser("fig5", help="reproduce Fig. 5")
     fig5.add_argument("--engine", choices=ENGINE_NAMES, default="micro")
-    fig5.add_argument("--duration", type=float, default=2000.0)
+    fig5.add_argument("--duration", type=_positive(float), default=2000.0)
     fig5.add_argument("--seed", type=int, default=1)
     _add_pool_options(fig5)
 
     ablations = sub.add_parser("ablations", help="run an ablation study")
     ablations.add_argument("study", nargs="?", default=None,
                            help="study name (default: all)")
-    ablations.add_argument("--duration", type=float, default=1800.0)
+    ablations.add_argument("--duration", type=_positive(float), default=1800.0)
     _add_pool_options(ablations)
 
     stability = sub.add_parser("stability", help="demand-scale sweep")
-    stability.add_argument("--duration", type=float, default=1200.0)
+    stability.add_argument("--duration", type=_positive(float), default=1200.0)
     _add_pool_options(stability)
 
     analyze = sub.add_parser(
@@ -567,12 +560,6 @@ def _run_sweep(args: argparse.Namespace) -> int:
 
     fleet_report = None
     if args.fleet is not None:
-        if args.fleet < 1:
-            print(
-                f"repro sweep: --fleet must be >= 1, got {args.fleet}",
-                file=sys.stderr,
-            )
-            return 2
         if args.store is None:
             print(
                 "repro sweep: --fleet needs --store FILE (the canonical "
@@ -692,7 +679,7 @@ def _open_store(path: str):
     if not Path(path).exists():
         print(
             f"repro results: no store at {path!r} (run a sweep with "
-            f"--store/--cache-dir first, or pass --store)",
+            f"--store first, or pass --store)",
             file=sys.stderr,
         )
         return None

@@ -9,6 +9,9 @@ the outside world (:data:`~repro.model.network.BOUNDARY`).
 Naming scheme
 -------------
 * Intersections: ``"J{row}{col}"`` with row 0 at the *north* edge.
+  The digits are not delimited, so past 10 rows or columns two
+  positions can share an id (``J111`` is both (1, 11) and (11, 1));
+  :func:`build_grid_network` raises ``ValueError`` for such a grid.
 * Internal roads: ``"J00->J01"`` (origin -> destination).
 * Boundary roads: ``"IN:N@J01"`` (entry from the north into J01) and
   ``"OUT:N@J01"`` (exit towards the north from J01).
@@ -97,6 +100,17 @@ def build_grid_network(
     """
     if rows < 1 or cols < 1:
         raise ValueError(f"grid must be at least 1x1, got {rows}x{cols}")
+    position_of: Dict[str, Tuple[int, int]] = {}
+    for row in range(rows):
+        for col in range(cols):
+            node_id = grid_node_id(row, col)
+            if node_id in position_of:
+                raise ValueError(
+                    f"grid positions {position_of[node_id]} and "
+                    f"{(row, col)} both get intersection id {node_id!r}; "
+                    f"a {rows}x{cols} grid is too large for J{{row}}{{col}} ids"
+                )
+            position_of[node_id] = (row, col)
     if boundary_capacity is None:
         boundary_capacity = capacity
     capacity_overrides = dict(capacity_overrides or {})

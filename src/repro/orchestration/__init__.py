@@ -8,7 +8,7 @@ The layer between the closed-loop runner and the experiment drivers:
   :meth:`SweepGrid.shard`);
 * :mod:`repro.orchestration.pool` — :class:`ExperimentPool`, the
   process-parallel executor; give it a
-  :class:`~repro.results.store.ResultStore` (or ``cache_dir``) and
+  :class:`~repro.results.store.ResultStore` (or a path to one) and
   every completed cell is committed incrementally, making sweeps
   resumable and shareable across drivers;
 * :mod:`repro.orchestration.fleet` — :func:`run_fleet`, the local

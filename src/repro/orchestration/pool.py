@@ -17,13 +17,8 @@ so results cannot depend on which worker runs a cell or in what order.
   it mid-flight, re-run it against the same store, and only the
   missing cells execute.
 
-``store`` is the one canonical persistence keyword: it accepts a live
-:class:`ResultStore` or a path to its SQLite file.  ``cache_dir`` (the
-older directory-shaped option) is a **deprecated** alias that opens
-``<dir>/results.sqlite`` and imports any legacy per-spec JSON cache
-entries found in the directory exactly once; it emits a
-``DeprecationWarning`` and will be removed — open the store with
-:meth:`ResultStore.at_directory` and pass it as ``store`` instead.
+``store`` is the one persistence keyword: it accepts a live
+:class:`ResultStore` or a path to its SQLite file.
 
 Long-running callers (the HTTP service's job worker) drive the pool
 incrementally: ``run(specs, on_cell=...)`` invokes the callback the
@@ -40,8 +35,6 @@ return identical objects.
 from __future__ import annotations
 
 import dataclasses
-import os
-import warnings
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 from typing import (
@@ -125,20 +118,12 @@ class ExperimentPool:
     workers:
         Worker processes; ``1`` (default) runs everything serially
         in-process.
-    cache_dir:
-        **Deprecated** alias for ``store`` (emits a
-        ``DeprecationWarning``): opens (creating if needed)
-        ``<cache_dir>/results.sqlite`` as the pool's store and imports
-        any legacy per-spec JSON cache entries found in the directory,
-        once.  Ignored when ``store`` is given; migrate to
-        ``store=ResultStore.at_directory(cache_dir)``.
     store:
-        The canonical persistence option: a
+        The persistence option: a
         :class:`~repro.results.store.ResultStore`, or a path to its
-        SQLite file; ``None`` (with no ``cache_dir``) disables
-        persistence.  Completed cells are committed incrementally, so
-        a warm store makes re-running a completed sweep free and an
-        interrupted sweep resumable.
+        SQLite file; ``None`` disables persistence.  Completed cells
+        are committed incrementally, so a warm store makes re-running
+        a completed sweep free and an interrupted sweep resumable.
     batch_size:
         Maximum seed-batch width.  Cells that differ only in their seed
         and name a batch-capable engine (``meso-vec``) are grouped and
@@ -151,7 +136,6 @@ class ExperimentPool:
     def __init__(
         self,
         workers: int = 1,
-        cache_dir: Optional[Union[str, os.PathLike]] = None,
         store: Optional[Any] = None,
         batch_size: int = 16,
     ):
@@ -161,19 +145,7 @@ class ExperimentPool:
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         self.batch_size = int(batch_size)
-        if cache_dir is not None:
-            warnings.warn(
-                "ExperimentPool(cache_dir=...) is deprecated; pass "
-                "store=ResultStore.at_directory(cache_dir) (or a store "
-                "file path) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        if store is None and cache_dir is not None:
-            from repro.results.store import ResultStore
-
-            store = ResultStore.at_directory(cache_dir)
-        elif store is not None and not hasattr(store, "get"):
+        if store is not None and not hasattr(store, "get"):
             from repro.results.store import ResultStore
 
             store = ResultStore(store)

@@ -7,8 +7,7 @@ Map of the package
   hash, with indexed spec-axis columns (pattern / controller / engine /
   seed / duration) and JSON payload columns using the existing
   ``to_dict`` round-trips.  ``put`` / ``get`` / ``contains`` /
-  ``query``, crash-safe per-entry commits, and a one-time import of
-  legacy per-spec JSON cache directories.  The
+  ``query`` and crash-safe per-entry commits.  The
   :class:`~repro.orchestration.pool.ExperimentPool` consults a store
   before executing, which is what makes every sweep resumable: kill it
   mid-flight, re-run it, and only the missing cells compute.
@@ -29,7 +28,7 @@ Map of the package
   :func:`run_experiment` executes any of them against a shared pool and
   store, so cells common to several drivers are computed exactly once.
 
-Command-line surface: ``repro sweep --store/--cache-dir`` fills a
+Command-line surface: ``repro sweep --store`` fills a
 store, ``repro results {list,show,export}`` inspects one, and
 ``scripts/collect_results.py --store`` runs every driver against the
 same file.
@@ -53,7 +52,6 @@ from repro.results.experiment import (
     run_experiment,
 )
 from repro.results.store import (
-    STORE_FILENAME,
     MergeError,
     MergeStats,
     ResultStore,
@@ -65,7 +63,6 @@ __all__ = [
     "StoredRecord",
     "MergeError",
     "MergeStats",
-    "STORE_FILENAME",
     "aggregate",
     "tidy_table",
     "MetricStats",

@@ -21,10 +21,7 @@ Properties the sweep machinery relies on:
 * **schema-versioned entries** — rows written under an older
   ``SPEC_SCHEMA_VERSION`` are never served (and ``get`` re-checks the
   stored spec JSON against the querying spec, so even a hash collision
-  cannot alias two cells);
-* **one-time JSON import** — opening a store with ``import_json_dir``
-  ingests a legacy per-spec JSON cache directory once, records the fact
-  in the store's meta table, and never consults the directory again.
+  cannot alias two cells).
 
 Only the parent (pool) process touches the store; worker processes
 return payloads over the executor, so there is no cross-process SQLite
@@ -68,11 +65,7 @@ __all__ = [
     "MergeStats",
     "ResultStore",
     "StoredRecord",
-    "STORE_FILENAME",
 ]
-
-#: Default store file name inside a cache directory.
-STORE_FILENAME = "results.sqlite"
 
 #: Layout version of the SQLite schema itself (tables/columns), kept in
 #: the meta table; independent of ``SPEC_SCHEMA_VERSION``, which
@@ -165,11 +158,6 @@ class ResultStore:
     path:
         The SQLite file (created on first open); ``":memory:"`` builds
         an in-process store for tests and benchmarks.
-    import_json_dir:
-        Optional legacy per-spec JSON cache directory.  Its entries are
-        imported into the store the first time this store opens with
-        the directory, and never read again afterwards (the import is
-        recorded in the meta table).
     read_only:
         Open the SQLite file with ``mode=ro`` + ``PRAGMA query_only``:
         the connection physically cannot write, :meth:`put` raises, and
@@ -180,7 +168,6 @@ class ResultStore:
     def __init__(
         self,
         path: Union[str, os.PathLike],
-        import_json_dir: Optional[Union[str, os.PathLike]] = None,
         read_only: bool = False,
     ):
         self.path = path if str(path) == ":memory:" else Path(path)
@@ -188,10 +175,6 @@ class ResultStore:
         if self.read_only:
             if not isinstance(self.path, Path):
                 raise ValueError("an in-memory store cannot be read-only")
-            if import_json_dir is not None:
-                raise ValueError(
-                    "a read-only store cannot import a JSON cache dir"
-                )
             self._conn = sqlite3.connect(
                 f"file:{self.path}?mode=ro", uri=True
             )
@@ -220,17 +203,6 @@ class ResultStore:
                 f"store {self.path} uses layout version {layout}, newer "
                 f"than this code understands ({STORE_LAYOUT_VERSION})"
             )
-        #: Entries ingested from ``import_json_dir`` on this open.
-        self.imported = 0
-        if import_json_dir is not None:
-            self.imported = self._maybe_import_json_dir(Path(import_json_dir))
-
-    @classmethod
-    def at_directory(cls, directory: Union[str, os.PathLike]) -> "ResultStore":
-        """Open ``<directory>/results.sqlite``, importing any legacy
-        per-spec JSON cache entries found in the directory (once)."""
-        directory = Path(directory)
-        return cls(directory / STORE_FILENAME, import_json_dir=directory)
 
     @classmethod
     def reader(cls, path: Union[str, os.PathLike]) -> "ResultStore":
@@ -619,7 +591,7 @@ class ResultStore:
             out.append(row)
         return out
 
-    # -- meta / migration ---------------------------------------------------
+    # -- meta ---------------------------------------------------------------
 
     def _get_meta(self, key: str) -> Optional[str]:
         row = self._conn.execute(
@@ -633,48 +605,6 @@ class ResultStore:
                 "INSERT OR REPLACE INTO store_meta VALUES (?, ?)",
                 (key, value),
             )
-
-    def _maybe_import_json_dir(self, directory: Path) -> int:
-        """Ingest a legacy per-spec JSON cache directory, exactly once.
-
-        Returns the number of entries imported on this call (0 when
-        the directory was already imported, does not exist, or holds
-        nothing usable).  The directory is never read again after the
-        first import — resuming sweeps consult only the store.
-        """
-        key = f"imported-json:{directory.resolve()}"
-        if self._get_meta(key) is not None:
-            return 0
-        count = 0
-        candidates = (
-            sorted(directory.glob("*.json")) if directory.is_dir() else []
-        )
-        for path in candidates:
-            try:
-                entry = json.loads(path.read_text(encoding="utf-8"))
-            except (OSError, ValueError):
-                continue  # unreadable legacy entries are skipped
-            if (
-                not isinstance(entry, dict)
-                or entry.get("version") != SPEC_SCHEMA_VERSION
-                or "spec" not in entry
-                or "result" not in entry
-            ):
-                continue
-            try:
-                spec = RunSpec.from_dict(entry["spec"])
-            except (KeyError, TypeError, ValueError):
-                continue
-            if not self.contains(spec):
-                self.put(spec, entry["result"])
-                count += 1
-        if candidates:
-            # Mark done only once legacy files were actually seen: a
-            # store opened over a still-empty directory must import a
-            # cache that gets copied in later, while a dir scanned
-            # with entries is one-shot — never consulted again.
-            self._set_meta(key, str(count))
-        return count
 
     # -- lifecycle ----------------------------------------------------------
 

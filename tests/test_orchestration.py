@@ -523,34 +523,3 @@ class TestSweepGridWireFormat:
     def test_invalid_axis_values_still_validated(self):
         with pytest.raises(ValueError, match="unknown engine"):
             SweepGrid.from_dict({"engines": ["warp-drive"]})
-
-
-class TestCacheDirDeprecation:
-    """``cache_dir`` is a deprecated alias of the canonical ``store``."""
-
-    def test_pool_warns_but_still_works(self, tmp_path):
-        spec = RunSpec(**QUICK)
-        with pytest.warns(DeprecationWarning, match="cache_dir"):
-            pool = ExperimentPool(cache_dir=tmp_path)
-        pool.run_one(spec)
-        assert (tmp_path / "results.sqlite").is_file()
-        warm = ExperimentPool(store=tmp_path / "results.sqlite")
-        warm.run_one(spec)
-        assert warm.stats.cache_hits == 1  # same store file either way
-
-    def test_store_keyword_does_not_warn(self, tmp_path):
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            ExperimentPool(store=tmp_path / "s.sqlite")
-
-    def test_store_wins_over_cache_dir(self, tmp_path):
-        with pytest.warns(DeprecationWarning):
-            pool = ExperimentPool(
-                cache_dir=tmp_path / "legacy",
-                store=tmp_path / "canonical.sqlite",
-            )
-        pool.run_one(RunSpec(**QUICK))
-        assert (tmp_path / "canonical.sqlite").is_file()
-        assert not (tmp_path / "legacy").exists()

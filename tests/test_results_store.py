@@ -1,4 +1,4 @@
-"""The SQLite result store: round trips, resume, migration, isolation."""
+"""The SQLite result store: round trips, resume, isolation."""
 
 import json
 import sqlite3
@@ -8,8 +8,7 @@ import pytest
 from repro.experiments.runner import RunResult, run_scenario
 from repro.scenarios.core import build_scenario
 from repro.orchestration import ExperimentPool, RunSpec, SweepGrid
-from repro.orchestration.spec import SPEC_SCHEMA_VERSION
-from repro.results import STORE_FILENAME, ResultStore
+from repro.results import ResultStore
 
 #: A cheap cell reused across tests (90 s meso run).
 QUICK = dict(pattern="I", controller="util-bp", engine="meso", duration=90.0)
@@ -257,99 +256,3 @@ class TestResume:
         assert warm.run_one(counts_spec).summary.delay_mode == "aggregate"
         assert warm.stats.cache_hits == 2
         assert warm.stats.executed == 0
-
-
-def write_legacy_entry(directory, spec, result) -> None:
-    """One per-spec JSON blob exactly as the old pool cache wrote it."""
-    entry = {
-        "version": SPEC_SCHEMA_VERSION,
-        "spec": spec.to_dict(),
-        "result": result.to_dict(),
-    }
-    (directory / f"{spec.spec_hash()}.json").write_text(
-        json.dumps(entry), encoding="utf-8"
-    )
-
-
-class TestJsonMigration:
-    def test_legacy_dir_imported_on_first_open(self, tmp_path):
-        spec = RunSpec(**QUICK)
-        result = quick_result()
-        write_legacy_entry(tmp_path, spec, result)
-
-        store = ResultStore.at_directory(tmp_path)
-        assert store.imported == 1
-        assert store.get(spec) == result
-
-    def test_pool_cache_dir_serves_imported_entries(self, tmp_path):
-        """``cache_dir`` still works during its deprecation window."""
-        spec = RunSpec(**QUICK)
-        write_legacy_entry(tmp_path, spec, quick_result())
-        with pytest.warns(DeprecationWarning, match="cache_dir"):
-            pool = ExperimentPool(cache_dir=tmp_path)
-        pool.run_one(spec)
-        assert pool.stats.cache_hits == 1
-        assert pool.stats.executed == 0
-
-    def test_import_happens_once_and_dir_never_consulted_again(self, tmp_path):
-        spec = RunSpec(**QUICK)
-        result = quick_result()
-        write_legacy_entry(tmp_path, spec, result)
-        first = ResultStore.at_directory(tmp_path)
-        assert first.imported == 1
-        first.close()
-
-        # Corrupt the legacy file AND drop a brand-new legacy entry:
-        # neither may matter — the directory is never read again.
-        for path in tmp_path.glob("*.json"):
-            path.write_text("{corrupt", encoding="utf-8")
-        other_spec = RunSpec(**{**QUICK, "seed": 7})
-        write_legacy_entry(tmp_path, other_spec, quick_result(seed=7))
-
-        second = ResultStore.at_directory(tmp_path)
-        assert second.imported == 0
-        assert second.get(spec) == result  # from the store, not the file
-        assert not second.contains(other_spec)  # file ignored post-import
-
-    def test_legacy_cache_copied_in_after_first_open_still_imports(
-        self, tmp_path
-    ):
-        """Opening a store over a still-empty directory must not burn
-        the one-time import: a legacy cache moved in afterwards (set
-        up the store location first, migrate the files second) is
-        imported on the next open."""
-        fresh = ResultStore.at_directory(tmp_path)
-        assert fresh.imported == 0
-        fresh.close()
-        spec = RunSpec(**QUICK)
-        result = quick_result()
-        write_legacy_entry(tmp_path, spec, result)
-        later = ResultStore.at_directory(tmp_path)
-        assert later.imported == 1
-        assert later.get(spec) == result
-
-    def test_store_entry_wins_over_legacy_file(self, tmp_path):
-        spec = RunSpec(**QUICK)
-        stored = quick_result(seed=1)
-        store = ResultStore.at_directory(tmp_path)
-        store.put(spec, stored)
-        store.close()
-        write_legacy_entry(tmp_path, spec, quick_result(seed=2))
-        again = ResultStore.at_directory(tmp_path)
-        assert again.get(spec) == stored
-
-    def test_unreadable_legacy_entries_skipped(self, tmp_path):
-        (tmp_path / "garbage.json").write_text("{not json", encoding="utf-8")
-        (tmp_path / "wrong-schema.json").write_text(
-            json.dumps({"version": -1, "spec": {}, "result": {}}),
-            encoding="utf-8",
-        )
-        store = ResultStore.at_directory(tmp_path)
-        assert store.imported == 0
-        assert len(store) == 0
-
-    def test_store_file_named_results_sqlite(self, tmp_path):
-        with pytest.warns(DeprecationWarning, match="cache_dir"):
-            pool = ExperimentPool(cache_dir=tmp_path)
-        pool.run_one(RunSpec(**QUICK))
-        assert (tmp_path / STORE_FILENAME).is_file()

@@ -117,3 +117,21 @@ class TestGridOverrides:
     def test_unknown_service_rate_override_rejected(self):
         with pytest.raises(ValueError, match="unknown intersections"):
             build_grid_network(2, 2, node_service_rates={"J77": 0.5})
+
+
+class TestGridIds:
+    """``J{row}{col}`` ids must never alias two grid positions."""
+
+    def test_colliding_ids_raise(self):
+        with pytest.raises(ValueError, match="both get intersection id 'J1"):
+            build_grid_network(12, 12)
+
+    def test_named_12x12_scenario_raises(self):
+        with pytest.raises(ValueError, match="both get intersection id 'J1"):
+            build_named_scenario("steady-12x12")
+
+    @pytest.mark.parametrize("rows, cols", [(10, 10), (3, 11), (11, 3)])
+    def test_unambiguous_grids_build_every_position(self, rows, cols):
+        network = build_grid_network(rows, cols)
+        assert len(network.intersections) == rows * cols
+        assert grid_node_id(rows - 1, cols - 1) in network.intersections

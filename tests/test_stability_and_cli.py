@@ -126,6 +126,25 @@ class TestCli:
         line = self._usage_error(capsys, ["run", "--controller", controller])
         assert f"--controller {controller} needs --period" in line
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["run", "--period", "-5"], "--period"),
+            (["run", "--duration", "-5"], "--duration"),
+            (["sweep", "--duration", "-5"], "--duration"),
+            (["sweep", "--duration", "nan"], "--duration"),
+            (["sweep", "--workers", "0"], "--workers"),
+            (["sweep", "--batch-size", "0"], "--batch-size"),
+            (["sweep", "--fleet", "0"], "--fleet"),
+            (["table3", "--workers", "-1"], "--workers"),
+            (["serve", "--batch-size", "0"], "--batch-size"),
+            (["run", "--period", "soon"], "--period"),
+        ],
+    )
+    def test_non_positive_numbers_are_usage_errors(self, capsys, argv, flag):
+        line = self._usage_error(capsys, argv)
+        assert f"argument {flag}:" in line
+
     def test_fig2_flags_parse(self):
         args = build_parser().parse_args(
             ["fig2", "--engine", "meso", "--segment", "100"]
@@ -228,7 +247,7 @@ class TestScenariosCli:
 
 
 class TestCliStoreOptions:
-    """--store is canonical; --cache-dir is a deprecated alias."""
+    """--store names the result store; shard and fleet flags."""
 
     def _sweep(self, *extra):
         return [
@@ -246,22 +265,6 @@ class TestCliStoreOptions:
         assert store.is_file()
         capsys.readouterr()
         assert main(self._sweep("--store", str(store))) == 0
-        assert "cache hits 1" in capsys.readouterr().out
-
-    def test_cache_dir_warns_and_still_works(self, tmp_path, capsys):
-        import warnings
-
-        with pytest.warns(DeprecationWarning, match="--cache-dir"):
-            assert main(self._sweep("--cache-dir", str(tmp_path))) == 0
-        assert (tmp_path / "results.sqlite").is_file()
-        capsys.readouterr()
-        # The alias resolves to the same store file as --store.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            code = main(
-                self._sweep("--store", str(tmp_path / "results.sqlite"))
-            )
-        assert code == 0
         assert "cache hits 1" in capsys.readouterr().out
 
     def test_shard_and_fleet_flags_parse(self):
