@@ -105,13 +105,18 @@ class _NetworkLayout:
     ``j`` of a phase is its j-th declared movement, and boolean masks
     cover the ragged padding.
 
-    The index grids addressing every ``(b, n)`` cell and ``(b, n, p)``
-    phase slot of a ``batch_size`` batch are built here once: the
-    per-cell gathers of every mini-slot index with them instead of
-    rebuilding them per call (as ``np.take_along_axis`` does).
+    Nothing here depends on the batch size, so :meth:`of` builds the
+    layout once per network and every batch controller on that network
+    shares it, read-only.  The batch-sized index grids come from
+    :meth:`index_grids`.
     """
 
-    def __init__(self, network: Network, batch_size: int):
+    @classmethod
+    def of(cls, network: Network) -> "_NetworkLayout":
+        """The shared layout of ``network``."""
+        return network.derived(cls, lambda: cls(network))
+
+    def __init__(self, network: Network):
         node_ids = list(network.intersections)
         intersections = [network.intersections[n] for n in node_ids]
         self.node_ids: Tuple[str, ...] = tuple(node_ids)
@@ -187,13 +192,25 @@ class _NetworkLayout:
                     self.member_valid[n, p, j] = True
                     self.member_rate[n, p, j] = movement.service_rate
         self._node_cols = np.arange(N)[None, :]
-        #: ``(b, n)`` cell grid and ``(b, n, p)`` phase-slot grid.
-        self.cells = (np.arange(batch_size)[:, None], self._node_cols)
-        self.phase_cells = (
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+
+    def index_grids(self, batch_size: int) -> Tuple[tuple, tuple]:
+        """The ``(b, n)`` cell grid and ``(b, n, p)`` phase-slot grid.
+
+        A controller builds them once: the per-cell gathers of every
+        mini-slot index with them instead of rebuilding them per call
+        (as ``np.take_along_axis`` does).
+        """
+        N, P = self.phase_valid.shape
+        cells = (np.arange(batch_size)[:, None], self._node_cols)
+        phase_cells = (
             np.arange(batch_size)[:, None, None],
             np.arange(N)[None, :, None],
             np.arange(P)[None, None, :],
         )
+        return cells, phase_cells
 
     def current_slot(self, current: np.ndarray) -> np.ndarray:
         """Dense phase slot of each ``(b, n)`` running phase (-1: amber).
@@ -211,16 +228,6 @@ class _NetworkLayout:
         np.add.at(sums, (slice(None), self._in_code), flat)
         return sums[:, self._in_code].reshape(queues.shape)
 
-    def take_per_slot(
-        self, table: np.ndarray, slot: np.ndarray
-    ) -> np.ndarray:
-        """Gather ``table[..., slot]`` along the phase axis, per cell.
-
-        ``table`` is ``(B, N, P)``, ``slot`` is ``(B, N)`` (negative
-        slots read slot 0 — callers mask those cells afterwards).
-        """
-        return table[self.cells + (np.maximum(slot, 0),)]
-
 
 class _BatchControllerBase:
     """Shared construction and state plumbing of the batched controllers."""
@@ -231,7 +238,10 @@ class _BatchControllerBase:
         if not network.intersections:
             raise ValueError("network has no intersections to control")
         self.batch_size = int(batch_size)
-        self._layout = _NetworkLayout(network, self.batch_size)
+        self._layout = _NetworkLayout.of(network)
+        self._cells, self._phase_cells = self._layout.index_grids(
+            self.batch_size
+        )
         self.node_ids = self._layout.node_ids
         self.movement_keys = self._layout.movement_keys
         self._shape = (self.batch_size, len(self.node_ids))
@@ -241,6 +251,14 @@ class _BatchControllerBase:
         #: c(k-1) per (replication, node); 0 is the transition phase.
         """Reset every replication to the transition phase."""
         self._current = np.zeros(self._shape, dtype=np.int64)
+
+    def _take_per_slot(self, table: np.ndarray, slot: np.ndarray) -> np.ndarray:
+        """Gather ``table[..., slot]`` along the phase axis, per cell.
+
+        ``table`` is ``(B, N, P)``, ``slot`` is ``(B, N)`` (negative
+        slots read slot 0 — callers mask those cells afterwards).
+        """
+        return table[self._cells + (np.maximum(slot, 0),)]
 
     def _check(self, arrays: BatchControlArrays) -> None:
         expected = (self.batch_size, self._layout.n_movements)
@@ -302,9 +320,9 @@ class BatchUtilBpController(_BatchControllerBase):
         )
         # Per-phase reductions (B, N, P): Eq. 11 max + arg, Eq. 10 sum.
         g_max, arg = max_link_gain_array(
-            gains, lay.members, lay.member_valid, cells=lay.phase_cells
+            gains, lay.members, lay.member_valid, cells=self._phase_cells
         )
-        mu_of_arg = lay.member_rate[lay.phase_cells[1:] + (arg,)]
+        mu_of_arg = lay.member_rate[self._phase_cells[1:] + (arg,)]
         g_max = np.where(lay.phase_valid, g_max, -np.inf)
 
         # Case 1: transition running, timer not expired.
@@ -312,8 +330,8 @@ class BatchUtilBpController(_BatchControllerBase):
 
         # Case 2: current control phase still above the keep threshold.
         slot = lay.current_slot(previous)
-        g_cur = lay.take_per_slot(g_max, slot)
-        mu_cur = lay.take_per_slot(mu_of_arg, slot)
+        g_cur = self._take_per_slot(g_max, slot)
+        mu_cur = self._take_per_slot(mu_of_arg, slot)
         threshold = keep_threshold_array(lay.node_w_star, mu_cur)
         threshold = threshold - cfg.keep_margin * mu_cur
         case2 = (previous != 0) & (g_cur > threshold)
@@ -329,7 +347,7 @@ class BatchUtilBpController(_BatchControllerBase):
         best_score = scores.max(axis=2)
         is_best = (scores == best_score[..., None]) & lay.phase_valid
         current_is_best = (
-            lay.take_per_slot(is_best, slot) & (slot >= 0)
+            self._take_per_slot(is_best, slot) & (slot >= 0)
         )
         lowest_best = np.where(is_best, lay.phase_index, _NO_PHASE).min(axis=2)
         selected = np.where(current_is_best, previous, lowest_best)
@@ -465,7 +483,7 @@ class BatchCapBpController(_BatchFixedSlotController):
         is_best = candidates & (masked == best_score[..., None])
         lowest_best = np.where(is_best, lay.phase_index, _NO_PHASE).min(axis=2)
         slot = lay.current_slot(previous)
-        current_is_best = lay.take_per_slot(is_best, slot) & (slot >= 0)
+        current_is_best = self._take_per_slot(is_best, slot) & (slot >= 0)
         return np.where(
             (best_score == 0.0) & current_is_best, previous, lowest_best
         )
@@ -493,7 +511,7 @@ class BatchOriginalBpController(_BatchFixedSlotController):
         scores = phase_gain_array(gains, lay.members, lay.member_valid)
         scores = np.where(lay.phase_valid, scores, -np.inf)
         arg = scores.argmax(axis=2)
-        best = scores[lay.cells + (arg,)]
+        best = scores[self._cells + (arg,)]
         selected = lay.phase_index[lay._node_cols, arg]
         keep = np.where(previous != 0, previous, lay.first_phase)
         return np.where(best == 0.0, keep, selected)

@@ -96,6 +96,7 @@ import numpy as np
 
 from repro.core.engine import BatchControlArrays, register_engine
 from repro.meso.counts import CountsSimulator
+from repro.model.network import BOUNDARY, Network
 from repro.model.phases import TRANSITION_PHASE_INDEX
 from repro.util.validation import check_positive
 
@@ -167,6 +168,49 @@ def _is_dyadic(value: float) -> bool:
     return (value * 1048576.0).is_integer()
 
 
+class _FacadeTables:
+    """The static controller-array tables of one network.
+
+    Column indices depend on the network alone, so they are built once
+    per network (:meth:`~repro.model.network.Network.derived`) and
+    shared, read-only, by every :class:`EventCountsSimulator` on it;
+    each engine pairs them with its own transit FIFOs.
+    """
+
+    def __init__(self, network: Network):
+        movement_keys = tuple(
+            key
+            for intersection in network.intersections.values()
+            for key in intersection.movements
+        )
+        #: ``(node_ids, movement_keys)`` — the arrays' column order.
+        self.movement_layout = (tuple(network.intersections), movement_keys)
+        #: Per promotable road: movement column of each next road.
+        self.columns_of_road: Dict[str, Dict[str, int]] = {}
+        #: Per promotable road: serve position of the node it feeds.
+        self.pos_of_road: Dict[str, int] = {}
+        column = 0
+        for pos, intersection in enumerate(network.intersections.values()):
+            for in_road, out_road in intersection.movements:
+                self.columns_of_road.setdefault(in_road, {})[out_road] = column
+                self.pos_of_road[in_road] = pos
+                column += 1
+        #: Movement columns reading each non-exit road's spillback
+        #: sensor (exit roads always read 0).
+        columns_of: Dict[str, List[int]] = {}
+        for column, (_, out_road) in enumerate(movement_keys):
+            if network.road_destination[out_road] != BOUNDARY:
+                columns_of.setdefault(out_road, []).append(column)
+        self.spillback_columns = {
+            road: np.array(columns, dtype=np.int64)
+            for road, columns in columns_of.items()
+        }
+        for columns in self.spillback_columns.values():
+            columns.flags.writeable = False
+        self.no_out_queues = np.zeros((1, len(movement_keys)), np.int64)
+        self.no_out_queues.flags.writeable = False
+
+
 class EventCountsSimulator(CountsSimulator):
     """Event-driven counts simulator (see module docstring).
 
@@ -211,14 +255,13 @@ class EventCountsSimulator(CountsSimulator):
         self._started_slot: List[int] = [0] * n_nodes
         self._active_set: set = set()
 
+        tables = self.network.derived(
+            _FacadeTables, lambda: _FacadeTables(self.network)
+        )
         #: Serve position of the intersection each promotable road
         #: feeds (a road ends at exactly one intersection).
-        pos_of_in_road: Dict[str, int] = {}
-        for entry in self._serve_plan:
-            for key in entry[2].movements:
-                pos_of_in_road[key[0]] = entry[1]
         self._slot_to_pos: List[int] = [
-            pos_of_in_road[road_id] for road_id in self._lanes
+            tables.pos_of_road[road_id] for road_id in self._lanes
         ]
 
         #: Demand roads with a non-empty backlog (admission must be
@@ -236,38 +279,18 @@ class EventCountsSimulator(CountsSimulator):
         self._mspan_in_network = 0
 
         # -- controller-array façade tables --------------------------------
-        movement_keys = tuple(self._movement_index)
-        self._movement_layout = (
-            tuple(self.network.intersections),
-            movement_keys,
-        )
+        self._movement_layout = tables.movement_layout
         #: Live count dicts in layout order (node-major, each in
         #: movement declaration order), flattened into the queue row.
         self._count_dicts = [entry[6] for entry in self._serve_plan]
         #: Per promotable road: its transit FIFO and the movement
         #: column of each next road, for the sensing-horizon scan.
         self._sensing_columns = [
-            (
-                self._transit[road_id],
-                {
-                    out_road: self._movement_index[(road_id, out_road)]
-                    for out_road in lanes
-                },
-            )
-            for road_id, lanes in self._lanes.items()
+            (self._transit[road_id], tables.columns_of_road[road_id])
+            for road_id in self._lanes
         ]
-        #: Movement columns reading each non-exit road's spillback
-        #: sensor (exit roads always read 0).
-        columns_of: Dict[str, List[int]] = {}
-        for column, (_, out_road) in enumerate(movement_keys):
-            if not self._is_exit[out_road]:
-                columns_of.setdefault(out_road, []).append(column)
-        self._spillback_columns = {
-            road: np.array(columns, dtype=np.int64)
-            for road, columns in columns_of.items()
-        }
-        self._no_out_queues = np.zeros((1, len(movement_keys)), np.int64)
-        self._no_out_queues.flags.writeable = False
+        self._spillback_columns = tables.spillback_columns
+        self._no_out_queues = tables.no_out_queues
 
     # -- controller-array façade ------------------------------------------
 

@@ -93,6 +93,223 @@ __all__ = ["BatchCountsSimulator"]
 ARRIVAL_WINDOW = 128
 
 
+def _frozen(array: np.ndarray) -> np.ndarray:
+    """``array`` made read-only: shared tables must never be written."""
+    array.flags.writeable = False
+    return array
+
+
+class _ColumnTables:
+    """The static column tables of one network, in the batch layout.
+
+    Everything here depends on the network alone — no seed, batch size
+    or plant parameter — so it is built once per network
+    (:meth:`~repro.model.network.Network.derived`) and shared,
+    read-only, by every :class:`BatchCountsSimulator` on it: road and
+    movement indexing, the phase tables, the hazard stages and the
+    promote / observation plans.  Building raises ``ValueError`` for a
+    phase layout meso-vec cannot batch.
+    """
+
+    def __init__(self, network: Network):
+        # -- road tables ------------------------------------------------------
+        road_ids = list(network.roads)
+        self.road_ids = road_ids
+        road_index = {road: i for i, road in enumerate(road_ids)}
+        self.road_index = road_index
+        self.caps = _frozen(
+            np.array([network.roads[r].capacity for r in road_ids], dtype=np.int64)
+        )
+        is_exit_road = np.array(
+            [network.road_destination[r] == BOUNDARY for r in road_ids]
+        )
+        self.free_flow_time = _frozen(
+            np.array(
+                [network.roads[r].free_flow_time for r in road_ids],
+                dtype=np.float64,
+            )
+        )
+
+        # -- movement indexing (node-major, reference dict order) -----------
+        node_ids = list(network.intersections)
+        self.node_ids = node_ids
+        intersections = [network.intersections[n] for n in node_ids]
+        self.intersections = intersections
+        N = len(node_ids)
+        movement_keys: List[Tuple[str, str]] = []
+        node_of: List[int] = []
+        node_starts: List[int] = [0]
+        gid_of: Dict[Tuple[int, Tuple[str, str]], int] = {}
+        for n, inter in enumerate(intersections):
+            for key in inter.movements:
+                gid_of[(n, key)] = len(movement_keys)
+                movement_keys.append(key)
+                node_of.append(n)
+            node_starts.append(len(movement_keys))
+        M = len(movement_keys)
+        self.movement_keys = movement_keys
+        self.node_of = _frozen(np.array(node_of, dtype=np.int64))
+        self.node_starts = _frozen(np.array(node_starts[:-1], dtype=np.int64))
+        in_idx = np.empty(M, dtype=np.int64)
+        out_idx = np.empty(M, dtype=np.int64)
+        service_rate = np.empty(M, dtype=np.float64)
+        for n, inter in enumerate(intersections):
+            for key, movement in inter.movements.items():
+                gid = gid_of[(n, key)]
+                in_idx[gid] = road_index[movement.in_road]
+                out_idx[gid] = road_index[movement.out_road]
+                service_rate[gid] = movement.service_rate
+        self.in_idx = _frozen(in_idx)
+        self.out_idx = _frozen(out_idx)
+        self.service_rate = _frozen(service_rate)
+        self.m_is_exit = _frozen(is_exit_road[out_idx])
+        self.m_nonexit = _frozen(~is_exit_road[out_idx])
+        self.m_out_cap = _frozen(self.caps[out_idx])
+
+        # -- phase tables ----------------------------------------------------
+        max_phase = np.empty(N, dtype=np.int64)
+        offsets = np.empty(N, dtype=np.int64)
+        total = 0
+        for n, inter in enumerate(intersections):
+            offsets[n] = total
+            max_phase[n] = max(p.index for p in inter.phases)
+            total += int(max_phase[n]) + 1
+        self.phase_offsets = _frozen(offsets)
+        self.max_phase = _frozen(max_phase)
+        rate_sum = np.zeros(total, dtype=np.float64)
+        valid = np.zeros(total, dtype=bool)
+        valid[offsets] = True  # the transition phase is always applicable
+        phase_pos = np.zeros(M, dtype=np.int64)
+        phases_of: List[set] = [set() for _ in range(M)]
+        for n, inter in enumerate(intersections):
+            for phase in inter.phases:
+                g = int(offsets[n]) + phase.index
+                valid[g] = True
+                rate_sum[g] = sum(m.service_rate for m in phase.movements)
+                seen_out = set()
+                for pos, movement in enumerate(phase.movements):
+                    if movement.out_road in seen_out:
+                        raise ValueError(
+                            f"meso-vec: phase c{phase.index} at "
+                            f"{inter.node_id} activates two movements onto "
+                            f"{movement.out_road!r}; the push order of a "
+                            f"shared outgoing road is not batchable"
+                        )
+                    seen_out.add(movement.out_road)
+                    gid = gid_of[(n, movement.key)]
+                    if phases_of[gid]:
+                        # The stage analysis orders same-node co-active
+                        # movements by their position in the one phase
+                        # containing them; two memberships would make
+                        # that position ambiguous.
+                        raise ValueError(
+                            f"meso-vec: movement {movement.key} at "
+                            f"{inter.node_id} appears in more than one "
+                            f"phase; use the 'meso-counts' engine for this "
+                            f"network"
+                        )
+                    phase_pos[gid] = pos
+                    phases_of[gid].add(phase.index)
+        self.rate_sum = _frozen(rate_sum)
+        self.valid_phase = _frozen(valid)
+        #: The one phase containing each movement (-1: never activated);
+        #: activity is then one equality against the node's applied phase.
+        self.m_phase = _frozen(
+            np.array([next(iter(p)) if p else -1 for p in phases_of], dtype=np.int64)
+        )
+
+        # -- hazard staging (see the module docstring) ----------------------
+        self.stages = [_frozen(ids) for ids in self._build_stages(phases_of, phase_pos)]
+
+        # -- promote / observation plans ------------------------------------
+        lanes_of_road: Dict[int, List[int]] = {}
+        gid_by_out: Dict[int, Dict[str, int]] = {}
+        key_by_out: Dict[int, Dict[str, Tuple[str, str]]] = {}
+        node_of_in_road: Dict[int, int] = {}
+        for gid, (in_road, out_road) in enumerate(movement_keys):
+            ri = int(in_idx[gid])
+            lanes_of_road.setdefault(ri, []).append(gid)
+            gid_by_out.setdefault(ri, {})[out_road] = gid
+            key_by_out.setdefault(ri, {})[out_road] = movement_keys[gid]
+            node_of_in_road[ri] = node_of[gid]
+        self.gid_by_out = gid_by_out
+        self.key_by_out = key_by_out
+        self.node_of_in_road = node_of_in_road
+        self.gids_of_road = {
+            ri: _frozen(np.array(gids, dtype=np.int64))
+            for ri, gids in lanes_of_road.items()
+        }
+        # Per node: keys tuple, movement slice, shared zero/capacity
+        # out-road dicts and the out-road static rows.
+        self.obs_plan = []
+        for n, inter in enumerate(intersections):
+            out_static = [
+                (r, road_index[r], int(self.caps[road_index[r]]),
+                 bool(is_exit_road[road_index[r]]))
+                for r in inter.out_roads
+            ]
+            self.obs_plan.append(
+                (
+                    node_ids[n],
+                    tuple(inter.movements),
+                    node_starts[n],
+                    node_starts[n + 1],
+                    {r: 0 for r, _, _, _ in out_static},
+                    {r: c for r, _, c, _ in out_static},
+                    out_static,
+                )
+            )
+
+    def _build_stages(
+        self, phases_of: List[set], phase_pos: np.ndarray
+    ) -> List[np.ndarray]:
+        """Partition movements into exact-parity vectorization stages."""
+        node_of = self.node_of
+        in_idx = self.in_idx
+        out_idx = self.out_idx
+        is_exit = self.m_is_exit
+        M = len(phases_of)
+        # Who writes a road's occupancy when served: every movement
+        # decrements its in-road; non-exit movements increment their
+        # out-road.  Movements in no phase never serve, never write.
+        writers: Dict[int, List[int]] = {}
+        for gid in range(M):
+            if not phases_of[gid]:
+                continue
+            writers.setdefault(int(in_idx[gid]), []).append(gid)
+            if not is_exit[gid]:
+                writers.setdefault(int(out_idx[gid]), []).append(gid)
+        stage = [0] * M
+        order = sorted(
+            range(M), key=lambda g: (int(node_of[g]), int(phase_pos[g]), g)
+        )
+        for gid in order:
+            if is_exit[gid] or not phases_of[gid]:
+                continue  # reads no occupancy / never active: stage 0
+            level = 0
+            for writer in writers.get(int(out_idx[gid]), ()):
+                if writer == gid:
+                    continue
+                if node_of[writer] == node_of[gid]:
+                    # Same node: co-active only within one phase, and
+                    # then ordered by position in that phase.
+                    if not (phases_of[writer] & phases_of[gid]):
+                        continue
+                    if phase_pos[writer] >= phase_pos[gid]:
+                        continue
+                elif node_of[writer] > node_of[gid]:
+                    continue  # served later: its writes are not yet seen
+                if stage[writer] >= level:
+                    level = stage[writer] + 1
+            stage[gid] = level
+        depth = max(stage) + 1 if M else 1
+        stages = [
+            np.array([g for g in range(M) if stage[g] == s], dtype=np.int64)
+            for s in range(depth)
+        ]
+        return [ids for ids in stages if len(ids)]
+
+
 class BatchCountsSimulator:
     """``B`` independent counts-based replications stepped as arrays.
 
@@ -166,174 +383,49 @@ class BatchCountsSimulator:
                     for road in self._entry_ids
                 ]
             )
-        # Routes are static per network and sampling happens before the
-        # cache lookup, so replications can share one route cache: the
-        # cached walks are deterministic and draw nothing.
-        shared_routes = self._routers[0]._route_cache
-        for router in self._routers[1:]:
-            router._route_cache = shared_routes
 
-        # -- static road tables ---------------------------------------------
-        road_ids = list(network.roads)
-        self._road_ids = road_ids
-        road_index = {road: i for i, road in enumerate(road_ids)}
-        R = len(road_ids)
-        self._caps = np.array(
-            [network.roads[r].capacity for r in road_ids], dtype=np.int64
-        )
-        is_exit_road = np.array(
-            [network.road_destination[r] == BOUNDARY for r in road_ids]
-        )
-        self._is_exit_road = is_exit_road
-        self._transit_time = np.array(
-            [
-                travel_time
-                if travel_time is not None
-                else network.roads[r].free_flow_time
-                for r in road_ids
-            ],
-            dtype=np.float64,
-        )
+        # -- static column tables, shared by every engine on the network ----
+        tables = network.derived(_ColumnTables, lambda: _ColumnTables(network))
+        self._road_ids = tables.road_ids
+        self._caps = tables.caps
+        self._node_ids = tables.node_ids
+        self._intersections = tables.intersections
+        self._movement_keys = tables.movement_keys
+        self._node_of = tables.node_of
+        self._node_starts = tables.node_starts
+        self._in_idx = tables.in_idx
+        self._out_idx = tables.out_idx
+        self._m_is_exit = tables.m_is_exit
+        self._m_nonexit = tables.m_nonexit
+        self._m_out_cap = tables.m_out_cap
+        self._phase_offsets = tables.phase_offsets
+        self._max_phase = tables.max_phase
+        self._rate_sum = tables.rate_sum
+        self._valid_phase = tables.valid_phase
+        self._m_phase = tables.m_phase
+        self._stages = tables.stages
+        self._gid_by_out = tables.gid_by_out
+        self._key_by_out = tables.key_by_out
+        self._node_of_in_road = tables.node_of_in_road
+        self._gids_of_road = tables.gids_of_road
+        self._obs_plan = tables.obs_plan
+        R, N, M = len(self._road_ids), len(self._node_ids), len(self._movement_keys)
+        out_idx = self._out_idx
 
-        # -- movement indexing (node-major, reference dict order) -----------
-        node_ids = list(network.intersections)
-        self._node_ids = node_ids
-        self._intersections = [network.intersections[n] for n in node_ids]
-        N = len(node_ids)
-        movement_keys: List[Tuple[str, str]] = []
-        node_of: List[int] = []
-        node_starts: List[int] = [0]
-        gid_of: Dict[Tuple[int, Tuple[str, str]], int] = {}
-        for n, inter in enumerate(self._intersections):
-            for key in inter.movements:
-                gid_of[(n, key)] = len(movement_keys)
-                movement_keys.append(key)
-                node_of.append(n)
-            node_starts.append(len(movement_keys))
-        M = len(movement_keys)
-        self._movement_keys = movement_keys
-        self._node_of = np.array(node_of, dtype=np.int64)
-        self._node_starts = np.array(node_starts[:-1], dtype=np.int64)
-        saturation_rate = (
-            None if saturation_headway is None else 1.0 / saturation_headway
+        # -- per-engine plant parameters --------------------------------------
+        self._transit_time = (
+            tables.free_flow_time
+            if travel_time is None
+            else np.full(R, float(travel_time))
         )
-        in_idx = np.empty(M, dtype=np.int64)
-        out_idx = np.empty(M, dtype=np.int64)
-        rate = np.empty(M, dtype=np.float64)
-        for n, inter in enumerate(self._intersections):
-            for key, movement in inter.movements.items():
-                gid = gid_of[(n, key)]
-                in_idx[gid] = road_index[movement.in_road]
-                out_idx[gid] = road_index[movement.out_road]
-                rate[gid] = (
-                    movement.service_rate
-                    if saturation_rate is None
-                    else saturation_rate
-                )
-        self._in_idx = in_idx
-        self._out_idx = out_idx
-        self._rate = rate
-        self._m_is_exit = is_exit_road[out_idx]
-        self._exit_cols = np.nonzero(self._m_is_exit)[0]
-        self._m_out_cap = self._caps[out_idx]
+        self._rate = (
+            tables.service_rate
+            if saturation_headway is None
+            else np.full(M, 1.0 / saturation_headway)
+        )
         self._m_out_ttime = self._transit_time[out_idx]
-
-        # -- phase tables ----------------------------------------------------
-        max_phase = np.empty(N, dtype=np.int64)
-        offsets = np.empty(N, dtype=np.int64)
-        total = 0
-        for n, inter in enumerate(self._intersections):
-            offsets[n] = total
-            max_phase[n] = max(p.index for p in inter.phases)
-            total += int(max_phase[n]) + 1
-        self._phase_offsets = offsets
-        self._max_phase = max_phase
-        rate_sum = np.zeros(total, dtype=np.float64)
-        valid = np.zeros(total, dtype=bool)
-        valid[offsets] = True  # the transition phase is always applicable
-        phase_pos = np.zeros(M, dtype=np.int64)
-        phases_of: List[set] = [set() for _ in range(M)]
-        for n, inter in enumerate(self._intersections):
-            for phase in inter.phases:
-                g = int(offsets[n]) + phase.index
-                valid[g] = True
-                rate_sum[g] = sum(m.service_rate for m in phase.movements)
-                seen_out = set()
-                for pos, movement in enumerate(phase.movements):
-                    if movement.out_road in seen_out:
-                        raise ValueError(
-                            f"meso-vec: phase c{phase.index} at "
-                            f"{inter.node_id} activates two movements onto "
-                            f"{movement.out_road!r}; the push order of a "
-                            f"shared outgoing road is not batchable"
-                        )
-                    seen_out.add(movement.out_road)
-                    gid = gid_of[(n, movement.key)]
-                    if phases_of[gid]:
-                        # The stage analysis orders same-node co-active
-                        # movements by their position in the one phase
-                        # containing them; two memberships would make
-                        # that position ambiguous.
-                        raise ValueError(
-                            f"meso-vec: movement {movement.key} at "
-                            f"{inter.node_id} appears in more than one "
-                            f"phase; use the 'meso-counts' engine for this "
-                            f"network"
-                        )
-                    phase_pos[gid] = pos
-                    phases_of[gid].add(phase.index)
-        self._rate_sum = rate_sum
-        self._valid_phase = valid
-        #: The one phase containing each movement (-1: never activated);
-        #: activity is then one equality against the node's applied phase.
-        self._m_phase = np.array(
-            [next(iter(p)) if p else -1 for p in phases_of], dtype=np.int64
-        )
-        self._m_nonexit = ~self._m_is_exit
-
-        # -- hazard staging (see the module docstring) ----------------------
-        self._stages = self._build_stages(phases_of, phase_pos)
-
-        # -- promote / observation plans ------------------------------------
-        lanes_of_road: Dict[int, List[int]] = {}
-        gid_by_out: Dict[int, Dict[str, int]] = {}
-        key_by_out: Dict[int, Dict[str, Tuple[str, str]]] = {}
-        node_of_in_road: Dict[int, int] = {}
-        for gid, (in_road, out_road) in enumerate(movement_keys):
-            ri = int(in_idx[gid])
-            lanes_of_road.setdefault(ri, []).append(gid)
-            gid_by_out.setdefault(ri, {})[out_road] = gid
-            key_by_out.setdefault(ri, {})[out_road] = movement_keys[gid]
-            node_of_in_road[ri] = int(self._node_of[gid])
-        self._gid_by_out = gid_by_out
-        self._key_by_out = key_by_out
-        self._node_of_in_road = node_of_in_road
-        self._gids_of_road = {
-            ri: np.array(gids, dtype=np.int64)
-            for ri, gids in lanes_of_road.items()
-        }
-        # Per node: keys tuple, movement slice, shared zero/capacity
-        # out-road dicts and the out-road static rows.
-        self._obs_plan = []
-        for n, inter in enumerate(self._intersections):
-            out_static = [
-                (r, road_index[r], int(self._caps[road_index[r]]),
-                 bool(is_exit_road[road_index[r]]))
-                for r in inter.out_roads
-            ]
-            self._obs_plan.append(
-                (
-                    node_ids[n],
-                    tuple(inter.movements),
-                    int(node_starts[n]),
-                    int(node_starts[n + 1]),
-                    {r: 0 for r, _, _, _ in out_static},
-                    {r: c for r, _, c, _ in out_static},
-                    out_static,
-                )
-            )
         self._entry_idx = np.array(
-            [road_index[r] for r in self._entry_ids], dtype=np.int64
+            [tables.road_index[r] for r in self._entry_ids], dtype=np.int64
         )
 
         # -- dynamic state ---------------------------------------------------
@@ -378,8 +470,8 @@ class BatchCountsSimulator:
                 (
                     self._transit[b][ri],
                     self._lanes[b],
-                    gid_by_out.get(ri),
-                    road_ids[ri],
+                    self._gid_by_out.get(ri),
+                    self._road_ids[ri],
                 )
                 for ri in range(R)
             ]
@@ -421,57 +513,6 @@ class BatchCountsSimulator:
         self._bank: Optional[np.ndarray] = None
         self._window: Optional[np.ndarray] = None
         self._window_pos = 0
-
-    # -- static hazard staging ----------------------------------------------
-
-    def _build_stages(
-        self, phases_of: List[set], phase_pos: np.ndarray
-    ) -> List[np.ndarray]:
-        """Partition movements into exact-parity vectorization stages."""
-        node_of = self._node_of
-        in_idx = self._in_idx
-        out_idx = self._out_idx
-        is_exit = self._m_is_exit
-        M = len(phases_of)
-        # Who writes a road's occupancy when served: every movement
-        # decrements its in-road; non-exit movements increment their
-        # out-road.  Movements in no phase never serve, never write.
-        writers: Dict[int, List[int]] = {}
-        for gid in range(M):
-            if not phases_of[gid]:
-                continue
-            writers.setdefault(int(in_idx[gid]), []).append(gid)
-            if not is_exit[gid]:
-                writers.setdefault(int(out_idx[gid]), []).append(gid)
-        stage = [0] * M
-        order = sorted(
-            range(M), key=lambda g: (int(node_of[g]), int(phase_pos[g]), g)
-        )
-        for gid in order:
-            if is_exit[gid] or not phases_of[gid]:
-                continue  # reads no occupancy / never active: stage 0
-            level = 0
-            for writer in writers.get(int(out_idx[gid]), ()):
-                if writer == gid:
-                    continue
-                if node_of[writer] == node_of[gid]:
-                    # Same node: co-active only within one phase, and
-                    # then ordered by position in that phase.
-                    if not (phases_of[writer] & phases_of[gid]):
-                        continue
-                    if phase_pos[writer] >= phase_pos[gid]:
-                        continue
-                elif node_of[writer] > node_of[gid]:
-                    continue  # served later: its writes are not yet seen
-                if stage[writer] >= level:
-                    level = stage[writer] + 1
-            stage[gid] = level
-        depth = max(stage) + 1 if M else 1
-        stages = [
-            np.array([g for g in range(M) if stage[g] == s], dtype=np.int64)
-            for s in range(depth)
-        ]
-        return [ids for ids in stages if len(ids)]
 
     # -- observation ---------------------------------------------------------
 
@@ -1198,12 +1239,17 @@ def _batch_from_scenarios(scenarios) -> BatchCountsSimulator:
     for scenario in scenarios[1:]:
         # A batch shares one plant: replications whose network, demand
         # or turning model differed would silently run on the first
-        # scenario's dynamics under their own labels.
+        # scenario's dynamics under their own labels.  Grids come from
+        # a per-process cache, so equal networks are usually one object
+        # and the structural comparison is the rare path.
         if (
             scenario.name != first.name
             or scenario.demand != first.demand
             or scenario.turning != first.turning
-            or list(scenario.network.roads) != list(first.network.roads)
+            or (
+                scenario.network is not first.network
+                and scenario.network != first.network
+            )
         ):
             raise ValueError(
                 f"batch replications must share one scenario shape: "

@@ -9,16 +9,25 @@ the outside world (:data:`~repro.model.network.BOUNDARY`).
 Naming scheme
 -------------
 * Intersections: ``"J{row}{col}"`` with row 0 at the *north* edge.
-  The digits are not delimited, so past 10 rows or columns two
-  positions can share an id (``J111`` is both (1, 11) and (11, 1));
-  :func:`build_grid_network` raises ``ValueError`` for such a grid.
+  From 12 rows and 11 columns on that concatenation aliases positions
+  (``J110`` is both (1, 10) and (11, 0)), so such a grid delimits its
+  ids: ``"J{row}_{col}"``.  Every smaller grid keeps the plain ids.
 * Internal roads: ``"J00->J01"`` (origin -> destination).
 * Boundary roads: ``"IN:N@J01"`` (entry from the north into J01) and
   ``"OUT:N@J01"`` (exit towards the north from J01).
+
+Caching
+-------
+A grid depends only on the builder's arguments, never on a seed, and a
+built :class:`~repro.model.network.Network` is read-only, so
+:func:`build_grid_network` builds each distinct grid once per process
+and hands every later caller the same instance.  The cache keeps the
+:data:`GRID_CACHE_SIZE` most recently used grids.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Dict, Mapping, Optional, Tuple
 
 from repro.model.geometry import Direction
@@ -32,7 +41,11 @@ __all__ = [
     "exit_road_id",
     "internal_road_id",
     "build_grid_network",
+    "GRID_CACHE_SIZE",
 ]
+
+#: Distinct grids :func:`build_grid_network` keeps per process.
+GRID_CACHE_SIZE = 16
 
 _OFFSETS: Dict[Direction, Tuple[int, int]] = {
     Direction.N: (-1, 0),
@@ -42,10 +55,20 @@ _OFFSETS: Dict[Direction, Tuple[int, int]] = {
 }
 
 
-def grid_node_id(row: int, col: int) -> str:
-    """Canonical intersection id for grid position ``(row, col)``."""
+def grid_node_id(
+    row: int, col: int, shape: Optional[Tuple[int, int]] = None
+) -> str:
+    """Canonical intersection id for grid position ``(row, col)``.
+
+    ``shape`` is the grid's ``(rows, cols)``.  A grid of at least 12
+    rows and 11 columns gets ``J{row}_{col}`` ids — exactly the grids
+    where ``J{row}{col}`` would alias two positions.  Without ``shape``
+    the position is taken to be on a smaller grid.
+    """
     if row < 0 or col < 0:
         raise ValueError(f"grid position must be non-negative, got ({row}, {col})")
+    if shape is not None and shape[0] >= 12 and shape[1] >= 11:
+        return f"J{row}_{col}"
     return f"J{row}{col}"
 
 
@@ -97,24 +120,43 @@ def build_grid_network(
     node_service_rates:
         Per-intersection default ``µ`` overrides (e.g. a blocked
         junction serving slower), keyed by node id.
+
+    Returns the cached instance when an earlier call passed the same
+    arguments (see the module docstring).
     """
+    return _build_grid(
+        rows,
+        cols,
+        capacity,
+        road_length,
+        speed_limit,
+        service_rate,
+        boundary_capacity,
+        tuple(sorted((capacity_overrides or {}).items())),
+        tuple(sorted((node_service_rates or {}).items())),
+    )
+
+
+@lru_cache(maxsize=GRID_CACHE_SIZE, typed=True)
+def _build_grid(
+    rows: int,
+    cols: int,
+    capacity: int,
+    road_length: float,
+    speed_limit: float,
+    service_rate: float,
+    boundary_capacity: Optional[int],
+    capacity_overrides: Tuple[Tuple[str, int], ...],
+    node_service_rates: Tuple[Tuple[str, float], ...],
+) -> Network:
+    """Build one grid; the mapping arguments come as sorted item tuples."""
     if rows < 1 or cols < 1:
         raise ValueError(f"grid must be at least 1x1, got {rows}x{cols}")
-    position_of: Dict[str, Tuple[int, int]] = {}
-    for row in range(rows):
-        for col in range(cols):
-            node_id = grid_node_id(row, col)
-            if node_id in position_of:
-                raise ValueError(
-                    f"grid positions {position_of[node_id]} and "
-                    f"{(row, col)} both get intersection id {node_id!r}; "
-                    f"a {rows}x{cols} grid is too large for J{{row}}{{col}} ids"
-                )
-            position_of[node_id] = (row, col)
+    shape = (rows, cols)
     if boundary_capacity is None:
         boundary_capacity = capacity
-    capacity_overrides = dict(capacity_overrides or {})
-    node_service_rates = dict(node_service_rates or {})
+    capacity_overrides = dict(capacity_overrides)
+    node_service_rates = dict(node_service_rates)
 
     roads: Dict[str, Road] = {}
     road_origin: Dict[str, str] = {}
@@ -141,13 +183,13 @@ def build_grid_network(
         d_row, d_col = _OFFSETS[side]
         n_row, n_col = row + d_row, col + d_col
         if 0 <= n_row < rows and 0 <= n_col < cols:
-            return grid_node_id(n_row, n_col)
+            return grid_node_id(n_row, n_col, shape)
         return None
 
     intersections: Dict[str, Intersection] = {}
     for row in range(rows):
         for col in range(cols):
-            node_id = grid_node_id(row, col)
+            node_id = grid_node_id(row, col, shape)
             in_roads: Dict[Direction, Road] = {}
             out_roads: Dict[Direction, Road] = {}
             for side in Direction:

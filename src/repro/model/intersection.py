@@ -19,6 +19,7 @@ phase    activated links (paper notation -> compass)
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.model.conflicts import validate_phase
@@ -30,9 +31,14 @@ from repro.model.roads import Road
 __all__ = ["Intersection", "build_standard_intersection"]
 
 
-@dataclass
+@dataclass(frozen=True)
 class Intersection:
     """A signalized intersection of the queuing-network model.
+
+    Read-only once built, like :class:`~repro.model.network.Network`:
+    the mappings are read-only views of private copies and ``phases``
+    is a tuple.  A variant (say, a different phase plan) is a new
+    ``Intersection``.
 
     Attributes
     ----------
@@ -48,14 +54,19 @@ class Intersection:
     """
 
     node_id: str
-    in_roads: Dict[str, Road]
-    out_roads: Dict[str, Road]
-    movements: Dict[Tuple[str, str], Movement]
-    phases: List[Phase]
-    approach_of: Dict[Direction, str] = field(default_factory=dict)
-    exit_of: Dict[Direction, str] = field(default_factory=dict)
+    in_roads: Mapping[str, Road]
+    out_roads: Mapping[str, Road]
+    movements: Mapping[Tuple[str, str], Movement]
+    phases: Tuple[Phase, ...]
+    approach_of: Mapping[Direction, str] = field(default_factory=dict)
+    exit_of: Mapping[Direction, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        for name in ("in_roads", "out_roads", "movements", "approach_of", "exit_of"):
+            object.__setattr__(
+                self, name, MappingProxyType(dict(getattr(self, name)))
+            )
+        object.__setattr__(self, "phases", tuple(self.phases))
         if not self.node_id:
             raise ValueError("node_id must be non-empty")
         overlap = set(self.in_roads) & set(self.out_roads)
@@ -87,6 +98,21 @@ class Intersection:
                         f"phase {phase.name} at {self.node_id} activates unknown "
                         f"movement {movement.key}"
                     )
+
+    def __reduce__(self):
+        # Read-only views do not pickle; rebuild from plain copies.
+        return (
+            Intersection,
+            (
+                self.node_id,
+                dict(self.in_roads),
+                dict(self.out_roads),
+                dict(self.movements),
+                self.phases,
+                dict(self.approach_of),
+                dict(self.exit_of),
+            ),
+        )
 
     # -- lookups ---------------------------------------------------------
 
@@ -171,7 +197,7 @@ def build_standard_intersection(
             by_label[(approach, turn)] = make(approach, turn)
 
     # The four control phases of Fig. 1.
-    phases = [
+    phases = (
         Phase(
             index=1,
             movements=(
@@ -204,7 +230,7 @@ def build_standard_intersection(
                 by_label[(Direction.W, TurnType.RIGHT)],
             ),
         ),
-    ]
+    )
 
     intersection = Intersection(
         node_id=node_id,

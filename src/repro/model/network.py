@@ -13,8 +13,9 @@ the system).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional
+from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import Any, Callable, Dict, Hashable, List, Mapping, Optional, TypeVar
 
 from repro.model.intersection import Intersection
 from repro.model.movements import Movement
@@ -25,10 +26,19 @@ __all__ = ["BOUNDARY", "Network"]
 #: Sentinel node id for the outside world.
 BOUNDARY = "__boundary__"
 
+T = TypeVar("T")
 
-@dataclass
+
+@dataclass(frozen=True)
 class Network:
     """A road network of signalized intersections.
+
+    A network is read-only once built: its fields cannot be reassigned
+    and its mappings are read-only views of private copies, so one
+    instance can be shared by every scenario, engine and controller
+    that runs on the same topology (see :func:`~repro.model.grid.
+    build_grid_network`'s per-process cache).  Tables derived from the
+    network alone are built once through :meth:`derived`.
 
     Attributes
     ----------
@@ -41,13 +51,49 @@ class Network:
         at.
     """
 
-    intersections: Dict[str, Intersection]
-    roads: Dict[str, Road]
-    road_origin: Dict[str, str]
-    road_destination: Dict[str, str]
+    intersections: Mapping[str, Intersection]
+    roads: Mapping[str, Road]
+    road_origin: Mapping[str, str]
+    road_destination: Mapping[str, str]
+    _derived: Dict[Hashable, Any] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
+        for name in ("intersections", "roads", "road_origin", "road_destination"):
+            object.__setattr__(
+                self, name, MappingProxyType(dict(getattr(self, name)))
+            )
         self._validate()
+
+    def __reduce__(self):
+        # Read-only views do not pickle; rebuild from plain copies (the
+        # derived tables are rebuilt on demand).
+        return (
+            Network,
+            (
+                dict(self.intersections),
+                dict(self.roads),
+                dict(self.road_origin),
+                dict(self.road_destination),
+            ),
+        )
+
+    def derived(self, key: Hashable, build: Callable[[], T]) -> T:
+        """``build()``, computed once per network and ``key``.
+
+        The network cannot change, so a table computed from it alone —
+        route corridors, engine column tables, controller layouts — is
+        valid for as long as the network lives, and every engine or
+        controller on the same network can share it.  ``key`` must
+        name everything besides the network the table depends on.
+        Shared tables must be treated as read-only by their users.
+        """
+        try:
+            return self._derived[key]
+        except KeyError:
+            value = self._derived[key] = build()
+            return value
 
     def _validate(self) -> None:
         for road_id in self.roads:

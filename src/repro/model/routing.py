@@ -74,53 +74,39 @@ class TurningProbabilities:
         )
 
 
-class RouteSampler:
-    """Samples full road-level routes for entering vehicles."""
+class _NetworkRoutes:
+    """The seed- and turning-independent routing tables of one network.
 
-    def __init__(
-        self,
-        network: Network,
-        turning: TurningProbabilities,
-        rng: np.random.Generator,
-    ):
+    Straight corridors, entry sides, turn candidates and every walked
+    route depend on the network alone, so they are built once per
+    network (:meth:`~repro.model.network.Network.derived`) and shared
+    by every :class:`RouteSampler` on it.  The route cache fills
+    lazily; a cached walk is deterministic and draws nothing.
+    """
+
+    def __init__(self, network: Network):
         self.network = network
-        self.turning = turning
-        self._rng = rng
-        # Straight corridors are static per entry road; precompute them.
-        self._corridors: Dict[str, List[str]] = {
-            entry: self._straight_walk(entry) for entry in network.entry_roads()
+        entries = network.entry_roads()
+        self.corridors: Dict[str, List[str]] = {
+            entry: self._straight_walk(entry) for entry in entries
         }
-        self._entry_side: Dict[str, Direction] = {}
-        for entry in network.entry_roads():
+        self.entry_side: Dict[str, Direction] = {}
+        for entry in entries:
             movements = network.movements_of(entry)
             if not movements:
                 raise ValueError(f"entry road {entry!r} has no movements")
-            self._entry_side[entry] = movements[0].approach
-        # Routes are fully determined by (entry, turn road, turn type);
-        # networks are static, so each distinct route is walked and
-        # validated once and replayed from this cache afterwards.  The
-        # cache changes no RNG draw — sampling happens before lookup.
-        self._route_cache: Dict[Tuple[str, str, TurnType], List[str]] = {}
-        # Per-entry turn thresholds (right, right + left): lets the hot
-        # path draw the manoeuvre with one uniform sample and two plain
-        # float compares — the same draw ``sample_turn`` makes, without
-        # the enum-keyed mapping lookups.
-        self._turn_thresholds: Dict[str, Tuple[float, float]] = {
-            entry: (
-                turning.right[side],
-                turning.right[side] + turning.left[side],
-            )
-            for entry, side in self._entry_side.items()
-        }
+            self.entry_side[entry] = movements[0].approach
         #: Per entry road: the corridor roads a vehicle can turn at.
-        self._turn_candidates: Dict[str, List[str]] = {
+        self.turn_candidates: Dict[str, List[str]] = {
             entry: [
                 road
                 for road in corridor
                 if network.road_destination[road] != BOUNDARY
             ]
-            for entry, corridor in self._corridors.items()
+            for entry, corridor in self.corridors.items()
         }
+        #: Routes are fully determined by (entry, turn road, turn type).
+        self.routes: Dict[Tuple[str, str, TurnType], List[str]] = {}
 
     def _movement_with_turn(self, road_id: str, turn: TurnType) -> str:
         """The out-road reached by taking ``turn`` at the end of ``road_id``."""
@@ -147,10 +133,59 @@ class RouteSampler:
             path.append(current)
         return path
 
+    def turning_route(
+        self, entry_road: str, turn_road: str, turn: TurnType
+    ) -> List[str]:
+        """The route turning ``turn`` at the end of ``turn_road``."""
+        key = (entry_road, turn_road, turn)
+        route = self.routes.get(key)
+        if route is None:
+            corridor = self.corridors[entry_road]
+            prefix = corridor[: corridor.index(turn_road) + 1]
+            tail = self._straight_walk(self._movement_with_turn(turn_road, turn))
+            route = prefix + tail
+            self.network.validate_route(route)
+            self.routes[key] = route
+        return route
+
+
+class RouteSampler:
+    """Samples full road-level routes for entering vehicles.
+
+    The sampler owns only its RNG and turn thresholds; corridors and
+    walked routes come from the network's shared :class:`_NetworkRoutes`.
+    """
+
+    def __init__(
+        self,
+        network: Network,
+        turning: TurningProbabilities,
+        rng: np.random.Generator,
+    ):
+        self.network = network
+        self.turning = turning
+        self._rng = rng
+        routes = network.derived(_NetworkRoutes, lambda: _NetworkRoutes(network))
+        self._routes = routes
+        self._corridors = routes.corridors
+        self._turn_candidates = routes.turn_candidates
+        self._route_cache = routes.routes
+        # Per-entry turn thresholds (right, right + left): lets the hot
+        # path draw the manoeuvre with one uniform sample and two plain
+        # float compares — the same draw ``sample_turn`` makes, without
+        # the enum-keyed mapping lookups.
+        self._turn_thresholds: Dict[str, Tuple[float, float]] = {
+            entry: (
+                turning.right[side],
+                turning.right[side] + turning.left[side],
+            )
+            for entry, side in routes.entry_side.items()
+        }
+
     def entry_side(self, entry_road: str) -> Direction:
         """The network side a given entry road comes from."""
         try:
-            return self._entry_side[entry_road]
+            return self._routes.entry_side[entry_road]
         except KeyError:
             raise KeyError(f"{entry_road!r} is not an entry road")
 
@@ -162,10 +197,11 @@ class RouteSampler:
         """Sample a complete route starting on ``entry_road``.
 
         Returns the ordered list of road ids, from the entry road to an
-        exit road inclusive.  The list is shared between vehicles with
-        the same route (routes are static per network) — callers must
-        treat it as read-only, which every engine does: vehicles track
-        their position with a leg index and never edit the route.
+        exit road inclusive.  The list is shared between vehicles, and
+        between samplers on the same network, with the same route
+        (routes are static per network) — callers must treat it as
+        read-only, which every engine does: vehicles track their
+        position with a leg index and never edit the route.
         """
         corridor = self._corridors.get(entry_road)
         if corridor is None:
@@ -187,13 +223,7 @@ class RouteSampler:
             return corridor
         pick = int(self._rng.integers(0, len(turn_candidates)))
         turn_road = turn_candidates[pick]
-        cache_key = (entry_road, turn_road, turn)
-        route = self._route_cache.get(cache_key)
+        route = self._route_cache.get((entry_road, turn_road, turn))
         if route is None:
-            prefix = corridor[: corridor.index(turn_road) + 1]
-            after_turn = self._movement_with_turn(turn_road, turn)
-            tail = self._straight_walk(after_turn)
-            route = prefix + tail
-            self.network.validate_route(route)
-            self._route_cache[cache_key] = route
+            route = self._routes.turning_route(entry_road, turn_road, turn)
         return route

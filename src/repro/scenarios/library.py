@@ -149,12 +149,13 @@ def incident_road(rows: int, cols: int) -> str:
     single-column grids fall back to the north neighbour, and a 1x1
     grid to the western entry road.
     """
+    shape = (rows, cols)
     mid_row, mid_col = rows // 2, cols // 2
-    center = grid_node_id(mid_row, mid_col)
+    center = grid_node_id(mid_row, mid_col, shape)
     if mid_col >= 1:
-        return internal_road_id(grid_node_id(mid_row, mid_col - 1), center)
+        return internal_road_id(grid_node_id(mid_row, mid_col - 1, shape), center)
     if mid_row >= 1:
-        return internal_road_id(grid_node_id(mid_row - 1, mid_col), center)
+        return internal_road_id(grid_node_id(mid_row - 1, mid_col, shape), center)
     return entry_road_id(Direction.W, center)
 
 
@@ -182,7 +183,9 @@ def _build_incident(
         degraded: max(1, int(capacity * capacity_factor))
     }
     node_rates = {
-        grid_node_id(rows // 2, cols // 2): service_rate * service_factor
+        grid_node_id(rows // 2, cols // 2, (rows, cols)): (
+            service_rate * service_factor
+        )
     }
     return _grid_scenario(
         name,

@@ -3,6 +3,7 @@ and the mixed-phase-plan scenario variant of the parity suites."""
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Dict, Optional, Tuple
 
 import pytest
@@ -86,16 +87,25 @@ def build_parity_scenario(name: str, seed: int, **overrides):
     Batched controllers must handle ragged phase tables and phase
     indices that are not declaration positions.  ``overrides`` go to
     the catalog entry's builder (e.g. ``capacity=12``).
+
+    Networks are read-only and shared, so the variant is a new network
+    of new intersections; the catalog's network is left untouched.
     """
     base, variant, _ = name.partition(MIXED_PHASES)
     scenario = build_named_scenario(base, seed=seed, **overrides)
     if not variant:
         return scenario
-    for n, intersection in enumerate(scenario.network.intersections.values()):
+    intersections = {}
+    for n, (node_id, intersection) in enumerate(
+        scenario.network.intersections.items()
+    ):
         c1, c2, c3, c4 = intersection.phases
+        phases = intersection.phases
         if n % 3 == 1:
             rights = Phase(index=2, movements=c2.movements + c4.movements)
-            intersection.phases = [c3, c1, rights]
+            phases = (c3, c1, rights)
         elif n % 3 == 2:
-            intersection.phases = [c1, c3]
-    return scenario
+            phases = (c1, c3)
+        intersections[node_id] = dataclasses.replace(intersection, phases=phases)
+    network = dataclasses.replace(scenario.network, intersections=intersections)
+    return dataclasses.replace(scenario, network=network)

@@ -481,6 +481,37 @@ class TestBatchRunner:
         assert single.phase_traces["J99"].phases == [0]
         assert len(single.queue_traces[("J11", "J01->J11")]) == 40
 
+    @pytest.mark.parametrize(
+        "override",
+        ({"capacity": 12}, {"service_rate": 0.5}),
+        ids=("capacity", "service-rate"),
+    )
+    def test_batch_rejects_a_different_network(self, override):
+        """Same name, demand and road ids, other plant: refuse the batch."""
+        from repro.experiments.runner import run_scenario_batch
+
+        same_shape = build_named_scenario("steady-3x3", seed=1)
+        other_plant = build_named_scenario("steady-3x3", seed=2, **override)
+        assert list(other_plant.network.roads) == list(same_shape.network.roads)
+        with pytest.raises(ValueError, match="one scenario shape"):
+            run_scenario_batch(
+                [same_shape, other_plant], controller="util-bp", duration=10.0
+            )
+
+    def test_batch_accepts_an_equal_network_built_apart(self):
+        """Networks are compared by value when they are not one object."""
+        from repro.experiments.runner import run_scenario, run_scenario_batch
+        from repro.model.grid import _build_grid
+
+        first = build_named_scenario("steady-3x3", seed=1)
+        _build_grid.cache_clear()
+        second = build_named_scenario("steady-3x3", seed=2)
+        assert second.network is not first.network
+        assert second.network == first.network
+        knobs = dict(controller="util-bp", duration=60.0)
+        batch = run_scenario_batch([first, second], **knobs)
+        assert batch[1] == run_scenario(second, engine="meso-vec", **knobs)
+
     def test_mixed_lane_policy_rejected(self):
         from repro.meso.vectorized import BatchCountsSimulator
 

@@ -4,7 +4,7 @@ override plumbing behind the scenario library."""
 import pytest
 
 from repro.model.geometry import Direction
-from repro.model.grid import build_grid_network, grid_node_id
+from repro.model.grid import build_grid_network, grid_node_id, internal_road_id
 from repro.scenarios import build_named_scenario
 from repro.scenarios.library import incident_road
 from repro.scenarios.profiles import (
@@ -120,18 +120,40 @@ class TestGridOverrides:
 
 
 class TestGridIds:
-    """``J{row}{col}`` ids must never alias two grid positions."""
+    """Grid ids never alias two positions; every grid smaller than 12x11
+    keeps its ``J{row}{col}`` ids."""
 
-    def test_colliding_ids_raise(self):
-        with pytest.raises(ValueError, match="both get intersection id 'J1"):
-            build_grid_network(12, 12)
-
-    def test_named_12x12_scenario_raises(self):
-        with pytest.raises(ValueError, match="both get intersection id 'J1"):
-            build_named_scenario("steady-12x12")
-
-    @pytest.mark.parametrize("rows, cols", [(10, 10), (3, 11), (11, 3)])
-    def test_unambiguous_grids_build_every_position(self, rows, cols):
+    @pytest.mark.parametrize(
+        "rows, cols", [(10, 10), (3, 11), (11, 3), (11, 11), (11, 12), (12, 10)]
+    )
+    def test_plain_ids_below_twelve_by_eleven(self, rows, cols):
         network = build_grid_network(rows, cols)
         assert len(network.intersections) == rows * cols
-        assert grid_node_id(rows - 1, cols - 1) in network.intersections
+        assert f"J{rows - 1}{cols - 1}" in network.intersections
+        assert grid_node_id(rows - 1, cols - 1, (rows, cols)) == (
+            f"J{rows - 1}{cols - 1}"
+        )
+        assert not any("_" in node for node in network.intersections)
+
+    @pytest.mark.parametrize("rows, cols", [(12, 11), (12, 12)])
+    def test_delimited_from_twelve_by_eleven(self, rows, cols):
+        network = build_grid_network(rows, cols)
+        assert len(network.intersections) == rows * cols
+        # Both would be J110 undelimited.
+        assert {"J1_10", "J11_0"} <= set(network.intersections)
+        assert internal_road_id("J1_9", "J1_10") in network.roads
+        assert grid_node_id(11, 0, (rows, cols)) == "J11_0"
+
+    def test_named_12x12_scenario_builds_every_position(self):
+        scenario = build_named_scenario("steady-12x12")
+        assert len(scenario.network.intersections) == 144
+        assert len(scenario.demand) == 4 * 12
+
+    def test_incident_on_a_delimited_grid(self):
+        scenario = build_named_scenario("incident-12x12")
+        degraded = internal_road_id("J6_5", "J6_6")
+        assert incident_road(12, 12) == degraded
+        assert scenario.network.roads[degraded].capacity == 48
+        assert scenario.network.intersections["J6_6"].movements[
+            (degraded, internal_road_id("J6_6", "J6_7"))
+        ].service_rate == 0.5
