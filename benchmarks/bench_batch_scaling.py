@@ -31,12 +31,11 @@ Run with::
 import numpy as np
 import pytest
 
-from repro.control.factory import make_network_controller
-from repro.core.engine import (
+from repro.control.factory import (
     build_batch_controller,
-    build_batch_engine,
-    build_engine,
+    make_network_controller,
 )
+from repro.core.engine import build_batch_engine, build_engine
 from repro.scenarios import build_named_scenario
 
 #: Mini-slots simulated before timing starts (populate the network).

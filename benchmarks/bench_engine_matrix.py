@@ -17,8 +17,8 @@ if an engine change erodes a ratio, this benchmark shows *which*
 workload shape lost it, while ``scripts/bench_ci.py`` gates the
 headline numbers in CI.
 
-The micro engine is deliberately excluded — it is 1-2 orders slower
-and has its own benchmark (``bench_engine_perf.py``).
+The micro engine is deliberately excluded — it is 1-2 orders slower;
+``scripts/bench_ci.py`` measures it in its ``micro/steady-3x3`` row.
 
 Run with::
 
@@ -29,14 +29,11 @@ Run with::
 import numpy as np
 import pytest
 
-from repro.control.factory import make_network_controller
-from repro.core.engine import (
+from repro.control.factory import (
     build_batch_controller,
-    build_batch_engine,
-    build_engine,
-    has_batch_engine,
-    has_controller_arrays,
+    make_network_controller,
 )
+from repro.core.engine import build_batch_engine, build_engine, has_batch_engine
 from repro.scenarios import build_named_scenario, scenario_names
 
 #: Mini-slots simulated before measuring, so queues are populated and
@@ -49,9 +46,10 @@ ENGINES = ("meso", "meso-counts", "meso-events", "meso-vec")
 def _closed_loop(scenario, engine):
     """A util-bp closed loop: ``(one_mini_slot, sim)``.
 
-    Batch engines run a batch of one under the batched kernel, serial
-    engines with the array façade the same kernel at B=1, the others
-    the per-intersection controllers on their observations.
+    Batch engines run a batch of one under the batched kernel.  A built
+    serial engine picks its loop the way the runner does: with the
+    array façade, the same kernel at B=1; otherwise the
+    per-intersection controllers on its observations.
     """
     if has_batch_engine(engine):
         sim = build_batch_engine([scenario], engine)
@@ -60,8 +58,10 @@ def _closed_loop(scenario, engine):
         def one_mini_slot():
             sim.step(1.0, kernel.decide_batch(sim.controller_arrays()))
 
-    elif has_controller_arrays(engine):
-        sim = build_engine(scenario, engine)
+        return one_mini_slot, sim
+
+    sim = build_engine(scenario, engine)
+    if hasattr(sim, "controller_arrays") and hasattr(sim, "movement_layout"):
         kernel = build_batch_controller("util-bp", scenario.network, 1)
 
         def one_mini_slot():
@@ -69,7 +69,6 @@ def _closed_loop(scenario, engine):
             sim.step(1.0, dict(zip(kernel.node_ids, row.tolist())))
 
     else:
-        sim = build_engine(scenario, engine)
         controller = make_network_controller("util-bp", scenario.network)
 
         def one_mini_slot():

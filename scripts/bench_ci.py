@@ -99,13 +99,11 @@ from typing import Dict
 
 import numpy as np
 
-from repro.control.factory import make_network_controller
-from repro.core.engine import (
+from repro.control.factory import (
     build_batch_controller,
-    build_batch_engine,
-    build_engine,
-    has_batch_engine,
+    make_network_controller,
 )
+from repro.core.engine import build_batch_engine, build_engine, has_batch_engine
 from repro.scenarios import build_named_scenario
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -387,7 +385,7 @@ def _shard_bench_grid():
 
     return SweepGrid(
         scenarios=("steady-3x3", "surge-4x4", "incident-3x3"),
-        controllers=(("util-bp", ()), ("cap-bp", ())),
+        controllers=(("util-bp", ()), ("cap-bp", (("period", 18.0),))),
         engines=("meso", "meso-counts"),
         seeds=tuple(range(1, SHARD_GRID_SEEDS + 1)),
     )

@@ -36,7 +36,11 @@ import argparse
 import sys
 from typing import Any, Dict, List, Optional
 
-from repro.control.factory import CONTROLLER_NAMES, FIXED_SLOT_CONTROLLERS
+from repro.control.factory import (
+    CONTROLLER_NAMES,
+    FIXED_SLOT_CONTROLLERS,
+    check_controller,
+)
 from repro.core.engine import ENGINE_NAMES
 from repro.util.validation import check_positive
 
@@ -149,12 +153,12 @@ def _parse_shard_token(token: str) -> str:
 
 
 def _parse_controller_token(token: str) -> tuple:
-    """Parse ``name`` or ``name:key=val,key=val`` into ``(name, params)``."""
+    """Parse ``name`` or ``name:key=val,key=val`` into ``(name, params)``.
+
+    The spec is checked here, so a controller no run could build is a
+    usage error, not a traceback from a worker.
+    """
     name, _, params_text = token.partition(":")
-    if name not in CONTROLLER_NAMES:
-        raise argparse.ArgumentTypeError(
-            f"unknown controller {name!r}; known: {list(CONTROLLER_NAMES)}"
-        )
     params: Dict[str, Any] = {}
     if params_text:
         for item in params_text.split(","):
@@ -168,6 +172,10 @@ def _parse_controller_token(token: str) -> tuple:
                 params[key] = float(value)
             except ValueError:
                 params[key] = value
+    try:
+        check_controller(name, params)
+    except (TypeError, ValueError) as error:
+        raise argparse.ArgumentTypeError(str(error))
     return name, params
 
 
@@ -1048,6 +1056,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         params = {}
         if args.period is not None:
             params["period"] = args.period
+        try:
+            check_controller(args.controller, params)
+        except (TypeError, ValueError) as error:
+            parser.error(str(error))
         result = run_scenario(
             build_scenario(args.pattern, seed=args.seed),
             config=RunConfig(

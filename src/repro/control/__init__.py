@@ -9,13 +9,15 @@
 * :mod:`repro.control.cap_bp` — the capacity-aware back-pressure
   policy of Gregoire et al. [4], the paper's main comparator
   (CAP-BP).
-* :mod:`repro.control.factory` — name-based construction of any
-  controller, including UTIL-BP, for experiment configs.
+* :mod:`repro.control.factory` — the one controller table: each name
+  (UTIL-BP included) maps to its serial class, its batch kernel and
+  one parameter check; :func:`~repro.control.factory.check_controller`
+  validates a spec without a network.
 * :mod:`repro.control.batch` — batched twins of the closed-loop
   controllers: whole ``(B, n_nodes)`` decision arrays computed on the
   batch engines' ``(B, n_movements)`` queue arrays, decision-for-
   decision identical to the serial controllers (built by name via
-  :func:`repro.core.engine.build_batch_controller`).
+  :func:`repro.control.factory.build_batch_controller`).
 
 The paper's own controller lives in :mod:`repro.core.util_bp`.
 """

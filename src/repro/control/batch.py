@@ -18,8 +18,9 @@ decision-for-decision lockstep against the serial controllers, and the
 engine parity suite pins the whole closed loop.
 
 Every controller of :data:`repro.control.factory.CONTROLLER_NAMES` has
-a batched kernel (registered in :mod:`repro.core.engine` by its factory
-name):
+a batched kernel, listed next to its serial class in the factory's one
+controller table (:func:`repro.control.factory.build_batch_controller`
+builds it by name):
 
 * ``util-bp`` — :class:`BatchUtilBpController`, Algorithm 1's three
   cases on ``(B, N)`` state arrays;
@@ -31,20 +32,20 @@ name):
   through each intersection's phases.
 
 A batch engine is driven only through these kernels: the runner has no
-per-replication ``QueueObservation`` path for it.  ``meso-events``
-offers the same array façade at B=1, so single runs on it are decided
-by these kernels too.
+per-replication ``QueueObservation`` path for it.  A serial engine that
+offers the same array façade at B=1 (``meso-events``) is decided by
+these kernels too.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any, Protocol, Tuple, runtime_checkable
+from typing import Protocol, Tuple, runtime_checkable
 
 import numpy as np
 
 from repro.core.config import UtilBpConfig
-from repro.core.engine import BatchControlArrays, register_batch_controller
+from repro.core.engine import BatchControlArrays
 from repro.core.pressure import (
     keep_threshold_array,
     link_gain_array,
@@ -535,46 +536,3 @@ class BatchFixedTimeController(_BatchFixedSlotController):
         following = (lay.current_slot(previous) + 1) % lay.n_phases
         return lay.phase_index[lay._node_cols, following]
 
-
-# -- factory registration -----------------------------------------------------
-
-
-def _build_util_bp(
-    network: Network, batch_size: int, **kwargs: Any
-) -> BatchUtilBpController:
-    config_kwargs = {
-        key: kwargs.pop(key)
-        for key in (
-            "transition_duration",
-            "alpha",
-            "beta",
-            "mini_slot",
-            "keep_margin",
-        )
-        if key in kwargs
-    }
-    if kwargs:
-        raise TypeError(f"unknown util-bp parameters: {sorted(kwargs)}")
-    return BatchUtilBpController(
-        network, batch_size, UtilBpConfig(**config_kwargs)
-    )
-
-
-def _build_fixed_slot(cls):
-    def build(network: Network, batch_size: int, **kwargs: Any):
-        """Construct the controller, requiring an explicit period."""
-        if "period" not in kwargs:
-            raise TypeError(f"{cls.__name__} requires a 'period' parameter")
-        return cls(network, batch_size, **kwargs)
-
-    return build
-
-
-register_batch_controller("util-bp", _build_util_bp)
-register_batch_controller("cap-bp", _build_fixed_slot(BatchCapBpController))
-register_batch_controller(
-    "original-bp", _build_fixed_slot(BatchOriginalBpController)
-)
-register_batch_controller(
-    "fixed-time", _build_fixed_slot(BatchFixedTimeController)
-)

@@ -19,22 +19,22 @@ protocol:
   introspection used by the stability study.
 
 A *batch* engine (``meso-vec``) steps B seed-replications of one
-scenario at once and implements :class:`BatchEngine` instead.  Each
-engine has exactly one control loop, known from its name before it is
-built.  A batch engine is driven only through ``controller_arrays()``
-(the array-shaped ``Q(k)``, :class:`BatchControlArrays`) and a
-:class:`~repro.control.batch.BatchNetworkController` kernel, which
-registers here too; a single run on it is a batch of one.  A serial
-engine registered with ``controller_arrays=True`` (``meso-events``)
-offers the same façade at B=1 and is driven the same way; every other
-serial engine through ``observations()`` and a
-:class:`~repro.control.base.NetworkController` (:func:`has_controller_arrays`
-tells the two apart).
+scenario at once and implements :class:`BatchEngine` instead.  It is
+driven only through ``controller_arrays()`` (the array-shaped ``Q(k)``,
+:class:`BatchControlArrays`) and a
+:class:`~repro.control.batch.BatchNetworkController` kernel; a single
+run on it is a batch of one.  A built serial engine says how it is
+driven: one that also offers ``controller_arrays()`` and
+``movement_layout`` (``meso-events``) is decided by a B=1 kernel, every
+other one through ``observations()`` and a
+:class:`~repro.control.base.NetworkController`.  Controllers are not
+registered here: :mod:`repro.control.factory` holds the one controller
+table.
 
 Engines are registered by name so experiments, the orchestration pool
-and the CLI can select them with a string; :func:`engine_names` covers
-both kinds.  The built-in engines are imported lazily: meso-only users
-never pay the microscopic import.
+and the CLI can select them with a string; :func:`engine_names` and
+:func:`provider_module` cover both kinds.  The built-in engines are
+imported lazily: meso-only users never pay the microscopic import.
 """
 
 from __future__ import annotations
@@ -62,7 +62,6 @@ from repro.model.queues import QueueObservation
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.scenarios.core import Scenario
-    from repro.model.network import Network
 
 __all__ = [
     "SimulationEngine",
@@ -71,21 +70,14 @@ __all__ = [
     "Registry",
     "ENGINES",
     "BATCH_ENGINES",
-    "BATCH_CONTROLLERS",
     "ENGINE_NAMES",
     "register_engine",
     "engine_names",
     "provider_module",
-    "has_controller_arrays",
     "build_engine",
     "register_batch_engine",
-    "batch_engine_names",
     "has_batch_engine",
-    "batch_provider_module",
     "build_batch_engine",
-    "register_batch_controller",
-    "batch_controller_names",
-    "build_batch_controller",
 ]
 
 
@@ -215,8 +207,7 @@ class BatchEngine(Protocol):
 class Registry:
     """A lazily-importing name -> builder registry.
 
-    One primitive behind the engine, batch-engine and batch-controller
-    registries (they were three copy-pasted implementations before):
+    One primitive behind the engine and batch-engine registries:
 
     * ``register(name, builder)`` — add or override a constructor;
     * ``has(name)`` / ``names()`` — membership and the sorted union of
@@ -290,11 +281,6 @@ ENGINES = Registry(
     },
 )
 
-#: Serial engines that also offer the B=1 ``controller_arrays()`` /
-#: ``movement_layout`` façade (declared at registration):
-#: ``run_scenario`` drives them through a batch controller kernel.
-_ARRAY_ENGINES: set = set()
-
 #: Batch-engine constructors (``builder(scenarios) -> BatchEngine``).
 #: Single runs on these names go through the batch loop with B=1, so
 #: they are selectable everywhere an engine name is (see
@@ -303,20 +289,6 @@ BATCH_ENGINES = Registry(
     "batch engine",
     {
         "meso-vec": "repro.meso.vectorized",
-    },
-)
-
-#: Batch-controller constructors
-#: (``builder(network, batch_size, **params) -> BatchNetworkController``),
-#: registered by the same short names the serial factory uses: every
-#: controller a batch engine can run needs a kernel here.
-BATCH_CONTROLLERS = Registry(
-    "batch controller",
-    {
-        "util-bp": "repro.control.batch",
-        "cap-bp": "repro.control.batch",
-        "original-bp": "repro.control.batch",
-        "fixed-time": "repro.control.batch",
     },
 )
 
@@ -330,24 +302,15 @@ ENGINE_NAMES = tuple(
 
 
 def register_engine(
-    name: str,
-    builder: Callable[["Scenario"], SimulationEngine],
-    *,
-    controller_arrays: bool = False,
+    name: str, builder: Callable[["Scenario"], SimulationEngine]
 ) -> None:
     """Register an engine constructor (``builder(scenario) -> engine``).
 
-    ``controller_arrays=True`` declares that the engine also offers the
-    B=1 ``controller_arrays()`` / ``movement_layout`` façade of
-    :class:`BatchEngine`, so the runner decides it with a batch
-    controller kernel instead of ``observations()`` and a
-    :class:`~repro.control.base.NetworkController`.
+    An engine whose instances also offer the B=1 ``controller_arrays()``
+    / ``movement_layout`` façade of :class:`BatchEngine` is decided by
+    a batch controller kernel; the runner sees that on the built engine.
     """
     ENGINES.register(name, builder)
-    if controller_arrays:
-        _ARRAY_ENGINES.add(name)
-    else:
-        _ARRAY_ENGINES.discard(name)
 
 
 def engine_names() -> tuple:
@@ -368,17 +331,6 @@ def provider_module(name: str) -> Optional[str]:
     if ENGINES.has(name):
         return ENGINES.provider_module(name)
     return BATCH_ENGINES.provider_module(name)
-
-
-def has_controller_arrays(name: str) -> bool:
-    """Whether serial engine ``name`` is decided through a batch kernel.
-
-    Answered from the registration alone (importing a built-in
-    provider if needed), so the runner picks its loop — and builds
-    only the controller that loop needs — before any engine exists.
-    """
-    ENGINES.load(name)
-    return name in _ARRAY_ENGINES
 
 
 def build_engine(scenario: "Scenario", engine: str = "meso") -> SimulationEngine:
@@ -406,19 +358,9 @@ def register_batch_engine(
     BATCH_ENGINES.register(name, builder)
 
 
-def batch_engine_names() -> tuple:
-    """All currently selectable batch-engine names."""
-    return BATCH_ENGINES.names()
-
-
 def has_batch_engine(name: str) -> bool:
     """Whether ``name`` can step whole seed-batches in one engine."""
     return BATCH_ENGINES.has(name)
-
-
-def batch_provider_module(name: str) -> Optional[str]:
-    """The module whose import registers batch engine ``name`` (if known)."""
-    return BATCH_ENGINES.provider_module(name)
 
 
 def build_batch_engine(
@@ -429,30 +371,3 @@ def build_batch_engine(
         raise ValueError("a batch needs at least one scenario")
     return BATCH_ENGINES.build(engine, scenarios)
 
-
-# -- batch controllers --------------------------------------------------------
-
-
-def register_batch_controller(
-    name: str, builder: Callable[..., Any]
-) -> None:
-    """Register a batch-controller constructor by controller name.
-
-    ``builder(network, batch_size, **params)`` must return a
-    :class:`~repro.control.batch.BatchNetworkController` whose
-    decisions are, per replication, identical to those of the serial
-    controller of the same name and parameters.
-    """
-    BATCH_CONTROLLERS.register(name, builder)
-
-
-def batch_controller_names() -> tuple:
-    """All controller names with a batched implementation."""
-    return BATCH_CONTROLLERS.names()
-
-
-def build_batch_controller(
-    name: str, network: "Network", batch_size: int, **params: Any
-) -> Any:
-    """Instantiate a batched network controller by controller name."""
-    return BATCH_CONTROLLERS.build(name, network, batch_size, **params)

@@ -3,22 +3,23 @@
 This is the only place where the cyber part (controllers) and the
 physical part (simulators) touch: every mini-slot the runner reads the
 queue state, asks the controller for a phase per intersection, and
-applies the decisions to the engine.  Each engine has one loop, chosen
-from its name before anything is built:
+applies the decisions to the engine.  The engine says how it is
+driven:
 
 * :func:`run_scenario_batch` drives a batch engine through
   ``controller_arrays()`` and a batch kernel; a single run on a batch
   engine is a batch of one;
-* :func:`run_scenario` drives a serial engine registered with the
-  ``controller_arrays`` façade (meso-events) through a B=1 batch kernel,
-  handing ``step`` the usual node -> phase map;
+* :func:`run_scenario` drives a built serial engine that offers
+  ``controller_arrays()`` and ``movement_layout`` (meso-events) through
+  a B=1 batch kernel, handing ``step`` the usual node -> phase map;
 * :func:`run_scenario` drives every other serial engine through
   ``observations()`` and a :class:`~repro.control.base.NetworkController`.
   meso-counts stays on this loop on purpose: it is the readable
   reference the parity suites check the kernels against.
 
-The engine contracts and the name-based registries live in
-:mod:`repro.core.engine`.
+A controller spec is checked before any engine is built.  The engine
+contracts and registries live in :mod:`repro.core.engine`, the one
+controller table in :mod:`repro.control.factory`.
 """
 
 from __future__ import annotations
@@ -29,13 +30,15 @@ from typing import Any, Dict, Optional, Sequence, Tuple
 from repro.core.engine import (
     BatchEngine,
     SimulationEngine,
-    build_batch_controller,
     build_batch_engine,
     build_engine,
     has_batch_engine,
-    has_controller_arrays,
 )
-from repro.control.factory import make_network_controller
+from repro.control.factory import (
+    build_batch_controller,
+    check_controller,
+    make_network_controller,
+)
 from repro.scenarios.core import Scenario
 from repro.metrics.collector import Summary
 from repro.metrics.traces import PhaseTrace, QueueTrace, next_grid_sample
@@ -241,8 +244,8 @@ def run_scenario(scenario: Scenario, **knobs: Any) -> RunResult:
         An engine name from :func:`repro.core.engine.engine_names`
         (default ``"meso"``).  A batch engine runs the scenario as a
         batch of one through :func:`run_scenario_batch`; a serial
-        engine with the ``controller_arrays`` façade is decided by a
-        B=1 batch kernel (see the module docstring).
+        engine offering the ``controller_arrays()`` façade is decided
+        by a B=1 batch kernel (see the module docstring).
     mini_slot:
         The control mini-slot ``Delta_t`` (s); controllers are invoked
         once per mini-slot.
@@ -259,16 +262,16 @@ def run_scenario(scenario: Scenario, **knobs: Any) -> RunResult:
     horizon = config.horizon(scenario)
     check_positive("duration", horizon)
 
-    # The loop is chosen from the engine name, so only the controller it
-    # needs is built — and built first: its factory validates the name
-    # and parameters, so a bad controller spec fails before the engine
-    # is built.
+    # A bad controller spec fails before the engine is built; the built
+    # engine then says which loop drives it, and only the controller
+    # that loop needs is built.
     params = config.controller_params or {}
-    if has_controller_arrays(config.engine):
+    check_controller(config.controller, params)
+    sim: SimulationEngine = build_engine(scenario, config.engine)
+    if hasattr(sim, "controller_arrays") and hasattr(sim, "movement_layout"):
         kernel = build_batch_controller(
             config.controller, scenario.network, 1, **params
         )
-        sim: SimulationEngine = build_engine(scenario, config.engine)
         _check_layout(sim, kernel, config.engine)
         node_ids = kernel.node_ids
 
@@ -281,7 +284,6 @@ def run_scenario(scenario: Scenario, **knobs: Any) -> RunResult:
         network_controller = make_network_controller(
             config.controller, scenario.network, **params
         )
-        sim = build_engine(scenario, config.engine)
 
         def decide() -> Dict[str, int]:
             """The serial controllers' decisions on ``Q(k)``."""

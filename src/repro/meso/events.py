@@ -881,4 +881,4 @@ def _build_events(scenario) -> EventCountsSimulator:
     )
 
 
-register_engine("meso-events", _build_events, controller_arrays=True)
+register_engine("meso-events", _build_events)

@@ -28,7 +28,6 @@ from repro.orchestration.spec import (
     BatchRunSpec,
     RunSpec,
     SweepGrid,
-    execute_spec,
     parse_shard,
     shard_index_of,
 )
@@ -42,7 +41,6 @@ __all__ = [
     "FleetReport",
     "ShardOutcome",
     "run_fleet",
-    "execute_spec",
     "parse_shard",
     "shard_index_of",
     "SPEC_SCHEMA_VERSION",

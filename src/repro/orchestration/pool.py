@@ -49,7 +49,7 @@ from typing import (
     Union,
 )
 
-from repro.core.engine import batch_provider_module, has_batch_engine, provider_module
+from repro.core.engine import has_batch_engine, provider_module
 from repro.experiments.runner import RunResult
 from repro.orchestration.spec import BatchRunSpec, RunSpec
 
@@ -303,7 +303,7 @@ class ExperimentPool:
                     future = executor.submit(
                         _execute_batch_payload,
                         unit,
-                        batch_provider_module(unit.template.engine),
+                        provider_module(unit.template.engine),
                     )
                 else:
                     future = executor.submit(

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Any, Dict, Mapping, Optional, Sequence, Tuple, Union
 
+from repro.control.factory import check_controller
 from repro.core.engine import engine_names, has_batch_engine
 from repro.experiments.runner import (
     RunConfig,
@@ -44,7 +45,6 @@ __all__ = [
     "RunSpec",
     "BatchRunSpec",
     "SweepGrid",
-    "execute_spec",
     "parse_shard",
     "shard_index_of",
     "SPEC_SCHEMA_VERSION",
@@ -122,6 +122,9 @@ class RunSpec:
         object.__setattr__(
             self, "controller_params", _freeze_params(self.controller_params)
         )
+        # Like the engine: a controller spec no run could build (unknown
+        # name, missing period, bad value) fails here, not in a worker.
+        check_controller(self.controller, dict(self.controller_params))
         object.__setattr__(
             self, "scenario_params", _freeze_params(self.scenario_params)
         )
@@ -248,11 +251,6 @@ class RunSpec:
     def execute(self) -> RunResult:
         """Run the cell (in whatever process this is called from)."""
         return run_scenario(self.make_scenario(), config=self.run_config())
-
-
-def execute_spec(spec: RunSpec) -> RunResult:
-    """Module-level alias of :meth:`RunSpec.execute` (picklable target)."""
-    return spec.execute()
 
 
 def shard_index_of(spec: RunSpec, count: int) -> int:
@@ -424,6 +422,8 @@ class SweepGrid:
             else:
                 name, params = entry
                 controllers.append((name, _freeze_params(params)))
+        for name, params in controllers:
+            check_controller(name, dict(params))
         object.__setattr__(self, "controllers", tuple(controllers))
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
         engines = tuple(self.engines)

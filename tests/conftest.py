@@ -1,13 +1,16 @@
-"""Shared fixtures: a single-intersection network, observation builders
-and the mixed-phase-plan scenario variant of the parity suites."""
+"""Shared fixtures: a single-intersection network, observation builders,
+the mixed-phase-plan scenario variant of the parity suites and an
+engine whose build always fails."""
 
 from __future__ import annotations
 
 import dataclasses
+import multiprocessing
 from typing import Dict, Optional, Tuple
 
 import pytest
 
+from repro.core.engine import ENGINES, register_engine
 from repro.model.grid import build_grid_network
 from repro.model.phases import Phase
 from repro.model.queues import QueueObservation
@@ -15,6 +18,33 @@ from repro.scenarios import build_named_scenario
 
 #: Suffix selecting :func:`build_parity_scenario`'s mixed-phase variant.
 MIXED_PHASES = "+mixed-phases"
+
+
+#: The engine name :func:`failing_engine` registers.
+FAILING_ENGINE = "test-failing-build"
+
+
+def _build_failing_engine(scenario):
+    """An engine builder that always raises: a fault only a run can hit."""
+    raise RuntimeError(f"{FAILING_ENGINE}: engine build fails on purpose")
+
+
+if multiprocessing.parent_process() is not None:
+    # A spawn worker starts with a fresh registry and imports this module
+    # (the builder's provider_module) to get the engine back.
+    register_engine(FAILING_ENGINE, _build_failing_engine)
+
+
+@pytest.fixture
+def failing_engine():
+    """Register :data:`FAILING_ENGINE` for one test, then unregister it.
+
+    Specs on it pass every construction-time check; each cell fails
+    inside the run, in whichever process executes it.
+    """
+    register_engine(FAILING_ENGINE, _build_failing_engine)
+    yield FAILING_ENGINE
+    ENGINES.builders.pop(FAILING_ENGINE, None)
 
 
 @pytest.fixture

@@ -14,8 +14,8 @@ controller layer:
   counts;
 * batch-width independence of the *decisions* themselves (not just of
   the end-of-run books, which the engine parity suite covers);
-* the registry, the protocol, ``reset``, and the constructor/shape
-  validation;
+* one kernel per controller name, the protocol, ``reset``, and the
+  constructor/shape validation;
 * the runner's wiring: an engine whose array layout disagrees with the
   kernel's is rejected before the first step;
 * the meso-events façade: its B=1 ``controller_arrays()`` equal the
@@ -33,12 +33,12 @@ from repro.control.batch import (
     BatchOriginalBpController,
     BatchUtilBpController,
 )
-from repro.control.factory import CONTROLLER_NAMES, make_network_controller
-from repro.core.engine import (
-    batch_controller_names,
+from repro.control.factory import (
+    CONTROLLER_NAMES,
     build_batch_controller,
-    build_batch_engine,
+    make_network_controller,
 )
+from repro.core.engine import build_batch_engine
 from repro.meso.events import EventCountsSimulator
 from repro.meso.vectorized import BatchCountsSimulator
 from repro.model.grid import build_grid_network
@@ -124,11 +124,16 @@ class TestDecisionBatchIndependence:
 
 class TestControllerPlumbing:
     def test_every_controller_name_has_a_kernel(self):
-        assert set(batch_controller_names()) >= set(CONTROLLER_NAMES)
+        network = build_grid_network(2, 2)
+        params = dict(CONTROLLERS)
+        for name in CONTROLLER_NAMES:
+            kernel = build_batch_controller(name, network, 2, **params[name])
+            assert isinstance(kernel, BatchNetworkController), name
+            assert kernel.batch_size == 2
 
     def test_unknown_name_rejected(self):
         network = build_grid_network(1, 1)
-        with pytest.raises(ValueError, match="unknown batch controller"):
+        with pytest.raises(ValueError, match="unknown controller"):
             build_batch_controller("no-such-controller", network, 1)
 
     def test_protocol_conformance(self):

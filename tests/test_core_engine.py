@@ -19,7 +19,6 @@ from repro.core.engine import (
     build_batch_engine,
     build_engine,
     engine_names,
-    has_controller_arrays,
     provider_module,
     register_engine,
 )
@@ -87,23 +86,34 @@ class TestRegistry:
         finally:
             ENGINE_REGISTRY.builders.pop("test-provider", None)
 
-    def test_controller_arrays_declared_at_registration(self):
-        """Only meso-events is decided through a kernel among serial engines."""
-        assert [e for e in ENGINES if has_controller_arrays(e)] == [
+    def test_engine_with_controller_arrays_is_kernel_driven(
+        self, monkeypatch
+    ):
+        """The built engine, not its registration, picks the loop."""
+        import repro.experiments.runner as runner
+
+        assert [e for e in ENGINES if hasattr(_make(e), "controller_arrays")] == [
             "meso-events"
         ]
-        assert not has_controller_arrays("warp-drive")
 
         def builder(scenario):
             return build_engine(scenario, "meso-events")
 
-        register_engine("test-arrays", builder, controller_arrays=True)
+        def forbidden(*args, **kwargs):
+            raise AssertionError("serial controllers built for an array engine")
+
+        expected = run_scenario(
+            build_scenario("I", seed=7), engine="meso-events", duration=60.0
+        )
+        register_engine("test-arrays", builder)
+        monkeypatch.setattr(runner, "make_network_controller", forbidden)
         try:
-            assert has_controller_arrays("test-arrays")
-            register_engine("test-arrays", builder)  # override drops it
-            assert not has_controller_arrays("test-arrays")
+            result = run_scenario(
+                build_scenario("I", seed=7), engine="test-arrays", duration=60.0
+            )
         finally:
             ENGINE_REGISTRY.builders.pop("test-arrays", None)
+        assert result.summary == expected.summary
 
     def test_custom_registration(self):
         calls = []
@@ -125,16 +135,14 @@ class TestBatchRegistry:
     def test_batch_engine_registered(self):
         from repro.core.engine import (
             BatchEngine,
-            batch_engine_names,
-            batch_provider_module,
             build_batch_engine,
             has_batch_engine,
         )
 
         assert has_batch_engine("meso-vec")
         assert not has_batch_engine("meso")
-        assert "meso-vec" in batch_engine_names()
-        assert batch_provider_module("meso-vec") == "repro.meso.vectorized"
+        assert "meso-vec" in engine_names()
+        assert provider_module("meso-vec") == "repro.meso.vectorized"
         scenarios = [build_scenario("I", seed=s) for s in (1, 2, 3)]
         sim = build_batch_engine(scenarios, "meso-vec")
         assert isinstance(sim, BatchEngine)

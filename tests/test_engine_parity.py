@@ -45,12 +45,11 @@ and must equal the ``meso-counts`` run too, which stays on the serial
 
 import pytest
 
-from repro.control.factory import make_network_controller
-from repro.core.engine import (
+from repro.control.factory import (
     build_batch_controller,
-    build_batch_engine,
-    build_engine,
+    make_network_controller,
 )
+from repro.core.engine import build_batch_engine, build_engine
 from repro.scenarios import build_named_scenario
 from tests.conftest import MIXED_PHASES, build_parity_scenario
 

@@ -11,8 +11,8 @@ from repro.orchestration import (
     ExperimentPool,
     RunSpec,
     SweepGrid,
-    execute_spec,
 )
+from repro.orchestration.spec import _freeze_params, _params_to_json
 
 #: A cheap cell reused across tests (90 s meso run).
 QUICK = dict(pattern="I", controller="util-bp", engine="meso", duration=90.0)
@@ -61,24 +61,52 @@ class TestRunSpec:
         loaded JSON against ``to_dict()``; a tuple that json turns
         into a list would defeat every lookup for such specs.
         """
-        # Tuple values freeze/thaw through the same _freeze_params
-        # mechanism for both param slots; scenario_params must also
-        # pass the eager builder-signature validation, so the tuple
-        # case rides on controller_params here.
+        # Both param slots freeze/thaw through _freeze_params and
+        # _params_to_json.  No controller or scenario builder accepts a
+        # tuple value, so a spec cannot carry one past its checks: the
+        # tuple case is pinned on the two helpers directly.
         spec = RunSpec(
-            controller_params={"weights": (1.0, 2.0)},
+            controller_params={"alpha": -3.0},
             scenario_params={"rows": 4, "cols": 3},
+            record_queues=(("J00", "IN:N@J00"),),
         )
         payload = spec.to_dict()
         assert payload == json.loads(json.dumps(payload))
         rebuilt = RunSpec.from_dict(payload)
         assert rebuilt == spec
         assert rebuilt.spec_hash() == spec.spec_hash()
+        frozen = _freeze_params({"weights": [1.0, 2.0]})
+        assert frozen == (("weights", (1.0, 2.0)),)
+        as_json = _params_to_json(frozen)
+        assert as_json == json.loads(json.dumps(as_json))
+        assert _freeze_params(as_json) == frozen
 
-    def test_unknown_engine_rejected_at_construction(self):
-        """Engine typos must fail when the spec is built, not mid-sweep."""
-        with pytest.raises(ValueError, match="unknown engine"):
-            RunSpec(**{**QUICK, "engine": "warp-drive"})
+    @pytest.mark.parametrize(
+        "overrides, error, match",
+        [
+            ({"engine": "warp-drive"}, ValueError, "unknown engine"),
+            ({"controller": "nope"}, ValueError, "unknown controller"),
+            ({"controller": "cap-bp"}, TypeError, "requires a 'period'"),
+            (
+                {"controller_params": {"period": 3}},
+                TypeError,
+                "unknown util-bp parameters",
+            ),
+            (
+                {"controller": "cap-bp", "controller_params": {"period": -1}},
+                ValueError,
+                "period must be > 0",
+            ),
+        ],
+        ids=["engine", "controller", "no-period", "util-bp-period", "bad-period"],
+    )
+    def test_unbuildable_spec_rejected_at_construction(
+        self, overrides, error, match
+    ):
+        """Engine and controller typos must fail when the spec is built,
+        not mid-sweep in a worker."""
+        with pytest.raises(error, match=match):
+            RunSpec(**{**QUICK, **overrides})
 
     def test_engine_axis_hashes_distinctly(self):
         meso = RunSpec(**QUICK)
@@ -92,7 +120,7 @@ class TestRunSpec:
             duration=90.0,
             engine="meso",
         )
-        assert execute_spec(RunSpec(**QUICK)).summary == direct.summary
+        assert RunSpec(**QUICK).execute().summary == direct.summary
 
 
 class TestRunResultSerialization:
@@ -176,9 +204,17 @@ class TestSweepGrid:
         assert len(specs) == 2
         assert {spec.engine for spec in specs} == {"meso", "meso-counts"}
 
-    def test_unknown_engine_in_axis_rejected(self):
-        with pytest.raises(ValueError, match="unknown engine"):
-            SweepGrid(engines=("meso", "warp-drive"))
+    @pytest.mark.parametrize(
+        "axis, match",
+        [
+            ({"engines": ("meso", "warp-drive")}, "unknown engine"),
+            ({"controllers": ["nope"]}, "unknown controller"),
+        ],
+        ids=["engines", "controllers"],
+    )
+    def test_unknown_axis_entry_rejected(self, axis, match):
+        with pytest.raises(ValueError, match=match):
+            SweepGrid(**axis)
 
     def test_pattern_only_param_on_scenario_rejected_at_construction(self):
         """A pattern-only kwarg shared with a catalog scenario must fail
@@ -283,12 +319,14 @@ class TestExperimentPool:
         assert warm.stats.cache_hits == len(specs)
         assert second == first
 
-    def test_partial_failure_keeps_completed_cells_cached(self, tmp_path):
+    def test_partial_failure_keeps_completed_cells_cached(
+        self, tmp_path, failing_engine
+    ):
         """An interrupted parallel sweep must resume from finished cells."""
         good = [RunSpec(**QUICK), RunSpec(**{**QUICK, "seed": 9})]
-        bad = RunSpec(**{**QUICK, "controller": "cap-bp"})  # missing period
+        bad = RunSpec(**{**QUICK, "engine": failing_engine})
         pool = ExperimentPool(workers=2, store=tmp_path / "results.sqlite")
-        with pytest.raises(TypeError, match="period"):
+        with pytest.raises(RuntimeError, match="fails on purpose"):
             pool.run([good[0], bad, good[1]])
 
         resumed = ExperimentPool(workers=2, store=tmp_path / "results.sqlite")

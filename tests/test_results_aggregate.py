@@ -18,6 +18,7 @@ from repro.results import (
 def make_cell(
     pattern="I",
     controller="util-bp",
+    controller_params=(),
     engine="meso",
     seed=1,
     avg_queuing=10.0,
@@ -28,6 +29,7 @@ def make_cell(
     spec = RunSpec(
         pattern=pattern,
         controller=controller,
+        controller_params=controller_params,
         engine=engine,
         seed=seed,
         duration=90.0,
@@ -74,7 +76,12 @@ class TestAggregate:
         cells = [
             make_cell(seed=1, avg_queuing=10.0),
             make_cell(seed=2, avg_queuing=14.0),
-            make_cell(controller="cap-bp", seed=1, avg_queuing=20.0),
+            make_cell(
+                controller="cap-bp",
+                controller_params={"period": 18.0},
+                seed=1,
+                avg_queuing=20.0,
+            ),
         ]
         rows = aggregate(cells, by=("pattern", "controller"))
         assert len(rows) == 2

@@ -217,12 +217,14 @@ class TestResume:
         assert warm.stats.executed == 0
         assert warm.stats.cache_hits == len(specs)
 
-    def test_parallel_failure_keeps_completed_cells(self, tmp_path):
+    def test_parallel_failure_keeps_completed_cells(
+        self, tmp_path, failing_engine
+    ):
         """An erroring parallel sweep still commits finished cells."""
         good = [RunSpec(**QUICK), RunSpec(**{**QUICK, "seed": 9})]
-        bad = RunSpec(**{**QUICK, "controller": "cap-bp"})  # missing period
+        bad = RunSpec(**{**QUICK, "engine": failing_engine})
         pool = ExperimentPool(workers=2, store=tmp_path / "s.sqlite")
-        with pytest.raises(TypeError, match="period"):
+        with pytest.raises(RuntimeError, match="fails on purpose"):
             pool.run([good[0], bad, good[1]])
 
         resumed = ExperimentPool(workers=2, store=tmp_path / "s.sqlite")

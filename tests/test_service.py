@@ -136,11 +136,13 @@ class TestJobManager:
             manager.submit([])
         manager.stop()
 
-    def test_failed_cells_fail_the_job_and_are_retryable(self, tmp_path):
+    def test_failed_cells_fail_the_job_and_are_retryable(
+        self, tmp_path, failing_engine
+    ):
         manager = JobManager(str(tmp_path / "s.sqlite"))
         manager.start()
-        # cap-bp without a period raises inside the engine run.
-        bad = RunSpec.from_dict(spec_dict(controller="cap-bp"))
+        # The engine's builder raises inside the run.
+        bad = RunSpec.from_dict(spec_dict(engine=failing_engine))
         job_id = manager.submit([bad])
         assert manager.wait(job_id, timeout=60)
         view = manager.describe(job_id)
@@ -209,6 +211,13 @@ class TestServiceEndpoints:
             service.client.submit_spec(spec_dict(pattern="no-such"))
         assert error.value.status == 400
         assert "no-such" in error.value.message
+
+    def test_unbuildable_controller_spec_is_400(self, service):
+        """A controller spec no run could build never becomes a job."""
+        with pytest.raises(ServiceError) as error:
+            service.client.submit_spec(spec_dict(controller="cap-bp"))
+        assert error.value.status == 400
+        assert "requires a 'period' parameter" in error.value.message
 
     def test_submit_poll_results_roundtrip(self, service):
         job = service.client.submit_spec(SPEC)["job"]

@@ -16,7 +16,7 @@ from repro.orchestration.spec import parse_shard, shard_index_of
 def make_grid(**overrides) -> SweepGrid:
     base = dict(
         scenarios=("steady-3x3", "surge-4x4"),
-        controllers=(("util-bp", ()), ("cap-bp", ())),
+        controllers=(("util-bp", ()), ("cap-bp", (("period", 18.0),))),
         engines=("meso", "meso-counts"),
         seeds=(1, 2, 3),
     )
@@ -61,7 +61,7 @@ class TestShardPartition:
         grid = make_grid()
         permuted = make_grid(
             scenarios=("surge-4x4", "steady-3x3"),
-            controllers=(("cap-bp", ()), ("util-bp", ())),
+            controllers=(("cap-bp", (("period", 18.0),)), ("util-bp", ())),
             engines=("meso-counts", "meso"),
             seeds=(3, 1, 2),
         )

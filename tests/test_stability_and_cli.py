@@ -145,6 +145,36 @@ class TestCli:
         line = self._usage_error(capsys, argv)
         assert f"argument {flag}:" in line
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ["sweep", "--patterns", "I", "--controllers", "cap-bp",
+                 "--duration", "5"],
+                "cap-bp requires a 'period' parameter",
+            ),
+            (
+                ["sweep", "--controllers", "cap-bp:period=-3"],
+                "period must be > 0",
+            ),
+            (
+                ["sweep", "--controllers", "util-bp:alpha=0.5"],
+                "alpha must be negative",
+            ),
+            (
+                ["run", "--controller", "util-bp", "--period", "10"],
+                "unknown util-bp parameters: ['period']",
+            ),
+        ],
+        ids=["sweep-no-period", "sweep-bad-period", "sweep-bad-alpha",
+             "run-util-bp-period"],
+    )
+    def test_unbuildable_controller_is_a_usage_error(
+        self, capsys, argv, message
+    ):
+        line = self._usage_error(capsys, argv)
+        assert message in line
+
     def test_fig2_flags_parse(self):
         args = build_parser().parse_args(
             ["fig2", "--engine", "meso", "--segment", "100"]
