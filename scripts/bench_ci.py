@@ -22,6 +22,11 @@ Measures two kinds of steps/second on a small, fixed workload set:
   runs (keys like ``step/meso-vec-b16-utilbp/steady-10x10-l10``).
   This is the paper's main regime — the gate that the vectorized
   controller kernel must keep paying for itself;
+* **end-to-end open loop** — whole ``run_scenario`` calls (engine
+  build included, 240 s, fixed-time with period 20) on the gated
+  light-demand 10x10 grid, in simulated mini-slots/s (keys like
+  ``run/meso-events-fixed-time/steady-10x10-l10``): what a user running
+  one cell gets, not ``step()`` alone;
 * **store overhead** — ``ResultStore`` put/get/query operations per
   second on a file-backed SQLite store (key ``store/put-get-query``):
   the per-cell bookkeeping every sweep pays on top of simulating, so a
@@ -42,7 +47,7 @@ Measures two kinds of steps/second on a small, fixed workload set:
   changepoints`` pays for every stored cell, so detection stays cheap
   relative to simulating the runs it analyzes.
 
-Five gates, all enforced in CI:
+Six gates, all enforced in CI:
 
 1. **Regression gate** — writes the numbers to ``BENCH_ci.json`` and
    fails (exit 1) if any workload's calibration-normalized throughput
@@ -73,6 +78,12 @@ Five gates, all enforced in CI:
    meso-counts closed-loop runs.  This is the gate the vectorized
    controller kernel answers to: losing it means sweeps are better off
    serial again.
+6. **End-to-end event-engine speedup gate** — fails (exit 1) if a whole
+   open-loop ``run_scenario`` on ``meso-events`` is not at least
+   ``MIN_EVENTS_RUN_SPEEDUP`` (3x) faster than the same run on
+   ``meso-counts``.  Gate 4 times ``step()`` alone; this one times
+   what users run, engine build and controller included, so a cost
+   moved out of ``step()`` cannot hide from it.
 
 Raw steps/second is machine-dependent, so every run also times a fixed
 pure-Python/numpy *calibration* workload and gates the baseline
@@ -104,6 +115,7 @@ from repro.control.factory import (
     make_network_controller,
 )
 from repro.core.engine import build_batch_engine, build_engine, has_batch_engine
+from repro.experiments.runner import run_scenario
 from repro.scenarios import build_named_scenario
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -151,9 +163,24 @@ CLOSED_BATCH_WORKLOADS = (
     ("step/meso-vec-b16-utilbp/steady-10x10-l10", "meso-vec", 400),
 )
 
-#: Same-run speedup gates: (fast key, reference key, argparse attribute
-#: holding the minimum ratio).  The stepping pair compares one B=16
-#: batch against 16 serial runs: replication-steps/s on both sides.
+#: End-to-end open-loop workloads: (key, engine).  Each is one whole
+#: ``run_scenario`` on the batch-gate grid, engine build included.
+RUN_WORKLOADS = (
+    ("run/meso-counts-fixed-time/steady-10x10-l10", "meso-counts"),
+    ("run/meso-events-fixed-time/steady-10x10-l10", "meso-events"),
+)
+
+#: Horizon (s, one mini-slot per second) and controller of those runs.
+RUN_DURATION = 240.0
+RUN_CONTROLLER = ("fixed-time", {"period": 20.0})
+
+#: Minimum meso-events over meso-counts ratio of the end-to-end runs.
+MIN_EVENTS_RUN_SPEEDUP = 3.0
+
+#: Same-run speedup gates: (fast key, reference key, minimum ratio —
+#: either the argparse attribute holding it or the ratio itself).  The
+#: stepping pair compares one B=16 batch against 16 serial runs:
+#: replication-steps/s on both sides.
 SPEEDUP_GATES = (
     (
         "engine/meso-counts/steady-10x10",
@@ -174,6 +201,11 @@ SPEEDUP_GATES = (
         "step/meso-vec-b16-utilbp/steady-10x10-l10",
         "step/meso-counts-utilbp/steady-10x10-l10",
         "min_vec_closed_speedup",
+    ),
+    (
+        "run/meso-events-fixed-time/steady-10x10-l10",
+        "run/meso-counts-fixed-time/steady-10x10-l10",
+        MIN_EVENTS_RUN_SPEEDUP,
     ),
 )
 
@@ -312,6 +344,31 @@ def meso_vec_batch(
         return lambda k: sim.step(1.0, plan[k])
 
     return setup
+
+
+def run_rate(engine: str, repeats: int) -> float:
+    """Best-of-``repeats`` mini-slots/s of one whole open-loop run.
+
+    Times ``run_scenario`` end to end — engine build, the fixed-time
+    kernel and every ``step()`` — on the batch-gate grid and seed.
+    """
+    scenario = build_named_scenario(
+        BATCH_SCENARIO, seed=1, **BATCH_SCENARIO_PARAMS
+    )
+    controller, params = RUN_CONTROLLER
+    best = 0.0
+    for _ in range(repeats):
+        start = time.perf_counter()
+        run_scenario(
+            scenario,
+            engine=engine,
+            controller=controller,
+            controller_params=params,
+            duration=RUN_DURATION,
+        )
+        elapsed = time.perf_counter() - start
+        best = max(best, RUN_DURATION / elapsed)
+    return best
 
 
 #: Synthetic but schema-complete ``RunResult`` payload written by the
@@ -549,6 +606,8 @@ def run_benchmarks(
                 setup, steps, speedup_repeats, STEPPING_WARMUP, width
             )
             record(key, rate, unit=unit)
+    for key, engine in RUN_WORKLOADS:
+        record(key, run_rate(engine, speedup_repeats), unit="slots/s")
     record(
         "store/put-get-query",
         measure_store_ops_per_second(repeats),
@@ -570,7 +629,9 @@ def run_benchmarks(
         unit="series/s",
     )
     speedups = []
-    for fast_key, reference_key, minimum_name in SPEEDUP_GATES:
+    for fast_key, reference_key, minimum in SPEEDUP_GATES:
+        if isinstance(minimum, str):
+            minimum = minimums[minimum]
         ratio = (
             results[fast_key]["steps_per_second"]
             / results[reference_key]["steps_per_second"]
@@ -580,7 +641,7 @@ def run_benchmarks(
                 "fast": fast_key,
                 "reference": reference_key,
                 "ratio": round(ratio, 3),
-                "minimum": minimums[minimum_name],
+                "minimum": minimum,
             }
         )
     return {

@@ -35,6 +35,13 @@ A batch engine is driven only through these kernels: the runner has no
 per-replication ``QueueObservation`` path for it.  A serial engine that
 offers the same array façade at B=1 (``meso-events``) is decided by
 these kernels too.
+
+The façade senses its arrays on first read, so what a kernel reads is
+what the engine pays for: util-bp reads ``queues`` and ``out_queues``
+on every call; cap-bp and original-bp read them only in ``_select``,
+which runs only on mini-slots where some cell's slot expired;
+fixed-time never reads them.  Every kernel checks ``arrays.shape``,
+which costs no sensing.
 """
 
 from __future__ import annotations
@@ -263,9 +270,9 @@ class _BatchControllerBase:
 
     def _check(self, arrays: BatchControlArrays) -> None:
         expected = (self.batch_size, self._layout.n_movements)
-        if arrays.queues.shape != expected:
+        if arrays.shape != expected:
             raise ValueError(
-                f"batch observation shape {arrays.queues.shape} does not "
+                f"batch observation shape {arrays.shape} does not "
                 f"match the controller layout {expected}"
             )
 

@@ -21,7 +21,7 @@ protocol:
 A *batch* engine (``meso-vec``) steps B seed-replications of one
 scenario at once and implements :class:`BatchEngine` instead.  It is
 driven only through ``controller_arrays()`` (the array-shaped ``Q(k)``,
-:class:`BatchControlArrays`) and a
+:class:`BatchControlArrays`, sensed on first read) and a
 :class:`~repro.control.batch.BatchNetworkController` kernel; a single
 run on it is a batch of one.  A built serial engine says how it is
 driven: one that also offers ``controller_arrays()`` and
@@ -39,7 +39,6 @@ imported lazily: meso-only users never pay the microscopic import.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import (
     Any,
     Callable,
@@ -81,7 +80,6 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class BatchControlArrays:
     """The batched ``Q(k)``: one mini-slot's sensor view for all B reps.
 
@@ -92,10 +90,20 @@ class BatchControlArrays:
     the network, so the two sides agree by construction (and verify it
     once via ``movement_keys``).
 
+    ``time`` and ``shape`` are known at once; the arrays are sensed on
+    first read.  Reading ``queues`` or ``out_queues`` calls the
+    engine's ``sense_arrays()`` once and caches the pair, so a kernel
+    that never reads them (fixed-time, or a fixed-slot kernel on a slot
+    where no slot ended) costs the engine no sensing at all.  The view
+    is valid until the engine's next ``step()``: a read after that
+    raises :class:`RuntimeError` instead of returning later state.
+
     Attributes
     ----------
     time:
         The observation time ``t_k`` (shared by every replication).
+    shape:
+        ``(B, n_movements)`` — the shape of both arrays.
     queues:
         ``q_i^{i'}(k)`` — ``(B, n_movements)`` sensed movement queues
         (including units inside the engine's sensing horizon, exactly
@@ -105,9 +113,35 @@ class BatchControlArrays:
         by each movement, under the engine's out-queue sensing mode.
     """
 
-    time: float
-    queues: np.ndarray
-    out_queues: np.ndarray
+    __slots__ = ("time", "shape", "_engine", "_sensed")
+
+    def __init__(self, engine: Any, shape: Tuple[int, int]):
+        self.time: float = engine.time
+        self.shape = shape
+        self._engine = engine
+        self._sensed: Optional[Tuple[np.ndarray, np.ndarray]] = None
+
+    def _read(self) -> Tuple[np.ndarray, np.ndarray]:
+        if self._engine.time != self.time:
+            raise RuntimeError(
+                f"controller arrays sensed for t={self.time} read after "
+                f"the engine stepped to t={self._engine.time}; read them "
+                f"before step()"
+            )
+        sensed = self._sensed
+        if sensed is None:
+            sensed = self._sensed = self._engine.sense_arrays()
+        return sensed
+
+    @property
+    def queues(self) -> np.ndarray:
+        """Sensed movement queues, ``(B, n_movements)``."""
+        return self._read()[0]
+
+    @property
+    def out_queues(self) -> np.ndarray:
+        """Sensed outgoing-road queue of each movement, ``(B, n_movements)``."""
+        return self._read()[1]
 
 
 @runtime_checkable
@@ -157,7 +191,9 @@ class BatchEngine(Protocol):
 
     The control loop sees the whole batch as arrays:
     ``controller_arrays()`` is every replication's ``Q(k)`` with
-    movement columns in ``movement_layout`` order, ``step`` takes the
+    movement columns in ``movement_layout`` order — a
+    :class:`BatchControlArrays` whose arrays ``sense_arrays()`` computes
+    only when a kernel reads them — ``step`` takes the
     ``(batch_size, n_nodes)`` phase decisions of a batch kernel, and
     the introspection methods return one value per replication.
     """
@@ -169,7 +205,11 @@ class BatchEngine(Protocol):
     movement_layout: Tuple[Tuple[str, ...], Tuple[Tuple[str, str], ...]]
 
     def controller_arrays(self) -> BatchControlArrays:
-        """The batched ``Q(k)`` at the current time."""
+        """The batched ``Q(k)`` at the current time, sensed on first read."""
+        ...
+
+    def sense_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(queues, out_queues)`` now: what the façade reads, once."""
         ...
 
     def step(self, dt: float, phases: np.ndarray) -> None:

@@ -81,16 +81,19 @@ a closed-loop slot, so the runner decides this engine with a B=1 batch
 kernel (:mod:`repro.control.batch`) instead of per-intersection Python
 controllers.  :meth:`EventCountsSimulator.controller_arrays` is the
 ``(1, n_movements)`` view of exactly what :meth:`~repro.meso.counts.
-CountsSimulator.observations` reports, read from the live counts
-through column tables built at construction; ``observations()`` stays
-for the parity suites.
+CountsSimulator.observations` reports, sensed only when a kernel reads
+it.  Sensing keeps the same kind of economy as stepping: a persistent
+stop-line row is rewritten only over the column spans of the nodes
+whose counts a step changed (promotion targets and served nodes; the
+per-slot fallback marks every node), and the in-transit units inside
+the sensing horizon are added to a copy of it.  ``observations()``
+stays for the parity suites.
 """
 
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from itertools import chain
-from typing import Dict, List, Mapping, Optional
+from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -189,12 +192,17 @@ class _FacadeTables:
         self.columns_of_road: Dict[str, Dict[str, int]] = {}
         #: Per promotable road: serve position of the node it feeds.
         self.pos_of_road: Dict[str, int] = {}
+        #: Per serve position: the node's ``(first, end)`` column span
+        #: (contiguous, as the layout is node-major).
+        self.node_spans: List[Tuple[int, int]] = []
         column = 0
         for pos, intersection in enumerate(network.intersections.values()):
+            first = column
             for in_road, out_road in intersection.movements:
                 self.columns_of_road.setdefault(in_road, {})[out_road] = column
                 self.pos_of_road[in_road] = pos
                 column += 1
+            self.node_spans.append((first, column))
         #: Movement columns reading each non-exit road's spillback
         #: sensor (exit roads always read 0).
         columns_of: Dict[str, List[int]] = {}
@@ -281,8 +289,19 @@ class EventCountsSimulator(CountsSimulator):
         # -- controller-array façade tables --------------------------------
         self._movement_layout = tables.movement_layout
         #: Live count dicts in layout order (node-major, each in
-        #: movement declaration order), flattened into the queue row.
+        #: movement declaration order), copied into the stop-line row.
         self._count_dicts = [entry[6] for entry in self._serve_plan]
+        self._node_spans = tables.node_spans
+        #: The count dicts as of the last sensing, node-major; only the
+        #: spans of the nodes in ``_dirty_nodes`` are stale.
+        self._stop_line_row = np.zeros(len(tables.movement_layout[1]), np.int64)
+        #: Serve positions whose count dicts a step changed since the
+        #: last sensing: promotion targets and served nodes.
+        self._dirty_nodes: set = set()
+        #: The parent's head-ready cache as a float64 array (same
+        #: values, same write sites), so sensing finds the roads with a
+        #: unit inside the horizon in one comparison.
+        self._head_ready = np.array(self._head_ready, dtype=np.float64)
         #: Per promotable road: its transit FIFO and the movement
         #: column of each next road, for the sensing-horizon scan.
         self._sensing_columns = [
@@ -305,29 +324,45 @@ class EventCountsSimulator(CountsSimulator):
         return self._movement_layout
 
     def controller_arrays(self) -> BatchControlArrays:
-        """``Q(k)`` as ``(1, n_movements)`` arrays for a B=1 kernel.
+        """``Q(k)`` as a ``(1, n_movements)`` façade for a B=1 kernel.
 
-        Exactly what :meth:`observations` reports, read from the live
-        count dicts and the precomputed column tables instead of
-        per-node ``QueueObservation`` maps: stop-line queues plus units
-        in transit within the sensing horizon, and the out-queue of
-        each movement's outgoing road under the engine's sensing mode.
+        Sensed on first read (:meth:`sense_arrays`), valid until the
+        next :meth:`step`.
         """
-        now = self.time
-        deadline = now + self._sensing_horizon
-        row = list(chain.from_iterable(map(dict.values, self._count_dicts)))
+        return BatchControlArrays(self, (1, len(self._stop_line_row)))
+
+    def sense_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(queues, out_queues)`` as ``(1, n_movements)`` arrays.
+
+        Exactly what :meth:`observations` reports: stop-line queues plus
+        units in transit within the sensing horizon, and the out-queue
+        of each movement's outgoing road under the engine's sensing
+        mode.  The stop-line row persists between reads; only the
+        column spans of nodes whose counts changed since the last read
+        are rewritten, and the sensed in-transit units are added to a
+        copy of it.
+        """
+        row = self._stop_line_row
+        dirty = self._dirty_nodes
+        if dirty:
+            spans = self._node_spans
+            count_dicts = self._count_dicts
+            for position in dirty:
+                first, end = spans[position]
+                row[first:end] = list(count_dicts[position].values())
+            dirty.clear()
+        deadline = self.time + self._sensing_horizon
         sensing = self._sensing_columns
-        sensed = [
-            slot
-            for slot, ready in enumerate(self._head_ready)
-            if ready <= deadline
-        ]
-        for slot in sensed:
+        sensed_columns = []
+        for slot in np.flatnonzero(self._head_ready <= deadline).tolist():
             transit, column_of = sensing[slot]
             for ready, route, leg in transit:
                 if ready > deadline:
                     break
-                row[column_of[route[leg + 1]]] += 1
+                sensed_columns.append(column_of[route[leg + 1]])
+        queues = row.copy()
+        if sensed_columns:
+            queues += np.bincount(sensed_columns, minlength=len(row))
         if self._out_queue_mode != "spillback":
             out_queues = np.array(
                 [[
@@ -348,11 +383,7 @@ class EventCountsSimulator(CountsSimulator):
                     out_queues[0, columns] = occ
         else:
             out_queues = self._no_out_queues
-        return BatchControlArrays(
-            time=now,
-            queues=np.array(row, dtype=np.int64)[None, :],
-            out_queues=out_queues,
-        )
+        return queues[None, :], out_queues
 
     # -- arrival windows ---------------------------------------------------
 
@@ -586,6 +617,7 @@ class EventCountsSimulator(CountsSimulator):
             )
         if self._per_slot_fallback:
             super().step(dt, phases)
+            self._dirty_nodes.update(range(len(self._node_spans)))
             return
 
         now = self.time
@@ -633,8 +665,10 @@ class EventCountsSimulator(CountsSimulator):
             self._queued_total += promoted
             mode = self._mode
             slot_to_pos = self._slot_to_pos
+            mark_dirty = self._dirty_nodes.add
             for road_slot in due_promotes:
                 position = slot_to_pos[road_slot]
+                mark_dirty(position)
                 if mode[position] == _MODE_IDLE:
                     self._activate_if_queued(position)
 
@@ -778,7 +812,9 @@ class EventCountsSimulator(CountsSimulator):
                 still_queued += queued - limit
                 credit[index] = value if value < bank else bank
             tracker.vehicles_served += served_total
-            if served_total == 0 and not had_servable:
+            if served_total:
+                self._dirty_nodes.add(position)
+            elif not had_servable:
                 tracker.wasted_green_slots += 1
             if not still_queued:
                 # Drained: go lazy from the next slot (credits and

@@ -603,18 +603,27 @@ class BatchCountsSimulator:
     def controller_arrays(self) -> BatchControlArrays:
         """The batched ``Q(k)`` for in-engine controller kernels.
 
-        Movement-aligned array views of exactly what
-        :meth:`observations` reports — the same sensed in-transit
-        augmentation of the stop-line queues and the same out-queue
-        sensing mode — without materializing B per-node dict networks.
-        When nothing is inside the sensing horizon the queue array is a
-        read-only zero-copy view of the engine's internal state.
+        Sensed on first read (:meth:`sense_arrays`), valid until the
+        next :meth:`step`.
+        """
+        return BatchControlArrays(
+            self, (self.batch_size, len(self._movement_keys))
+        )
+
+    def sense_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(queues, out_queues)`` at the current time.
+
+        Movement-aligned arrays of exactly what :meth:`observations`
+        reports — the same sensed in-transit augmentation of the
+        stop-line queues and the same out-queue sensing mode — without
+        materializing B per-node dict networks.  Both are copies: no
+        later step changes them.
         """
         now = self.time
         deadline = now + self._sensing_horizon
         sensed = self._head_ready <= deadline
+        queues = self._queue_len.copy()
         if sensed.any():
-            queues = self._queue_len.copy()
             road_ids = self._road_ids
             gid_by_out = self._gid_by_out
             for b, ri in np.argwhere(sensed).tolist():
@@ -626,9 +635,6 @@ class BatchCountsSimulator:
                         break
                     for unit in units:
                         row[gids[unit[road_id]]] += 1
-        else:
-            queues = self._queue_len.view()
-            queues.flags.writeable = False
         if self._out_queue_mode == "spillback":
             road_out = np.where(
                 self._occ >= self._caps[None, :], self._occ, 0
@@ -642,11 +648,7 @@ class BatchCountsSimulator:
             np.add.at(
                 road_out, (slice(None), self._in_idx), self._queue_len
             )
-        return BatchControlArrays(
-            time=now,
-            queues=queues,
-            out_queues=road_out[:, self._out_idx],
-        )
+        return queues, road_out[:, self._out_idx]
 
     # -- stepping ------------------------------------------------------------
 

@@ -20,7 +20,10 @@ controller layer:
   kernel's is rejected before the first step;
 * the meso-events façade: its B=1 ``controller_arrays()`` equal the
   arrays assembled from its own ``observations()`` at every slot,
-  under every out-queue sensing mode.
+  under every out-queue sensing mode, and on every slot read after
+  several unread ones (the stop-line row is refreshed only for the
+  nodes the steps touched), on the event loop and on the per-slot
+  fallback alike.
 """
 
 import numpy as np
@@ -237,6 +240,23 @@ def _arrays_from_observations(observations, movement_keys):
 class TestEventsControllerArrays:
     """meso-events' array façade reports exactly its own ``Q(k)``."""
 
+    @staticmethod
+    def _build(scenario_name, out_queue_mode, controller, params):
+        # Short roads: spillback, halting and occupancy all read
+        # non-zero out-queues within the horizon.
+        scenario = build_parity_scenario(scenario_name, seed=7, capacity=12)
+        sim = EventCountsSimulator(
+            network=scenario.network,
+            demand=scenario.demand,
+            turning=scenario.turning,
+            seed=scenario.seed,
+            out_queue_mode=out_queue_mode,
+        )
+        kernel = build_batch_controller(
+            controller, scenario.network, 1, **params
+        )
+        return sim, kernel
+
     @pytest.mark.parametrize(
         "out_queue_mode", EventCountsSimulator.OUT_QUEUE_MODES
     )
@@ -251,18 +271,8 @@ class TestEventsControllerArrays:
     def test_arrays_equal_observations_every_slot(
         self, scenario_name, controller, params, out_queue_mode
     ):
-        # Short roads: spillback, halting and occupancy all read
-        # non-zero out-queues within the horizon.
-        scenario = build_parity_scenario(scenario_name, seed=7, capacity=12)
-        sim = EventCountsSimulator(
-            network=scenario.network,
-            demand=scenario.demand,
-            turning=scenario.turning,
-            seed=scenario.seed,
-            out_queue_mode=out_queue_mode,
-        )
-        kernel = build_batch_controller(
-            controller, scenario.network, 1, **params
+        sim, kernel = self._build(
+            scenario_name, out_queue_mode, controller, params
         )
         assert sim.movement_layout == (kernel.node_ids, kernel.movement_keys)
         movement_keys = kernel.movement_keys
@@ -287,3 +297,40 @@ class TestEventsControllerArrays:
             sim.step(1.0, dict(zip(kernel.node_ids, row.tolist())))
         # Both the sensing horizon and the out-queue sensor were exercised.
         assert sensed and congested
+
+    @pytest.mark.parametrize(
+        "mini_slot,read_every",
+        ((1.0, 7), (0.3, 1), (0.3, 7)),
+        ids=("event-loop-every-7", "fallback-every-1", "fallback-every-7"),
+    )
+    @pytest.mark.parametrize(
+        "scenario_name", ("surge-4x4", "surge-4x4" + MIXED_PHASES)
+    )
+    def test_reads_after_unread_steps_equal_observations(
+        self, scenario_name, mini_slot, read_every
+    ):
+        """The incremental stop-line row catches up over unread steps.
+
+        Fixed-time never reads the façade, so the steps between two
+        reads accumulate promotions and service the next read must
+        fold in.  A non-dyadic mini-slot (0.3 s) runs the per-slot
+        fallback, which may touch every node.
+        """
+        sim, kernel = self._build(
+            scenario_name, "spillback", "fixed-time", {"period": 16.0}
+        )
+        movement_keys = kernel.movement_keys
+        reads = 0
+        for step in range(STEPS):
+            if step % read_every == 0:
+                arrays = sim.controller_arrays()
+                queues, out_queues = _arrays_from_observations(
+                    sim.observations(), movement_keys
+                )
+                assert (arrays.queues == queues).all(), step
+                assert (arrays.out_queues == out_queues).all(), step
+                reads += int(queues.any())
+            row = kernel.decide_batch(sim.controller_arrays())[0]
+            sim.step(mini_slot, dict(zip(kernel.node_ids, row.tolist())))
+        assert sim._per_slot_fallback == (mini_slot == 0.3)
+        assert reads

@@ -1,0 +1,175 @@
+"""The controller-array façade contract: sensed on first read, once.
+
+:class:`~repro.core.engine.BatchControlArrays` knows its ``time`` and
+``shape`` at once; ``queues`` and ``out_queues`` are sensed by the
+engine's ``sense_arrays()`` on first read, cached, and valid until the
+engine's next ``step()``.  This suite pins:
+
+* how often each kernel makes the engines sense over a whole run,
+  through the runner's own loops (meso-events, meso-vec at B=1 and
+  B=4): util-bp once per slot, fixed-time never, cap-bp and
+  original-bp exactly on the slots where some cell's slot expired;
+* one sensing per façade, however often it is read;
+* the stale-read guard: a façade read after the engine stepped raises
+  ``RuntimeError``, and arrays read before the step never change.
+"""
+
+import numpy as np
+import pytest
+
+from repro.control.batch import _BatchFixedSlotController
+from repro.control.factory import build_batch_controller
+from repro.core.engine import build_batch_engine, build_engine
+from repro.experiments.runner import run_scenario, run_scenario_batch
+from repro.meso.events import EventCountsSimulator
+from repro.meso.vectorized import BatchCountsSimulator
+from repro.scenarios import build_named_scenario
+
+SLOTS = 240
+
+#: (label, sensing engine class, batch width or None for run_scenario).
+LOOPS = (
+    ("meso-events", EventCountsSimulator, None),
+    ("meso-vec-b1", BatchCountsSimulator, 1),
+    ("meso-vec-b4", BatchCountsSimulator, 4),
+)
+
+FIXED_SLOT = (("cap-bp", {"period": 16.0}), ("original-bp", {"period": 16.0}))
+
+
+def _run(width, controller, params):
+    """One 240-slot run on surge-4x4 through the runner's own loop."""
+    knobs = dict(
+        controller=controller, controller_params=params, duration=SLOTS
+    )
+    if width is None:
+        scenario = build_named_scenario("surge-4x4", seed=3)
+        run_scenario(scenario, engine="meso-events", **knobs)
+    else:
+        scenarios = [
+            build_named_scenario("surge-4x4", seed=3 + b) for b in range(width)
+        ]
+        run_scenario_batch(scenarios, engine="meso-vec", **knobs)
+
+
+def _count_sensing(monkeypatch, owner):
+    """Record the engine time of every ``sense_arrays`` call."""
+    times = []
+    real = owner.sense_arrays
+
+    def counted(self):
+        times.append(self.time)
+        return real(self)
+
+    monkeypatch.setattr(owner, "sense_arrays", counted)
+    return times
+
+
+def _record_expiries(monkeypatch):
+    """Record the slots on which some cell's fixed slot expired.
+
+    Read from the kernel's own state before each decision: a cell with
+    no parked selection whose slot end has passed re-selects.
+    """
+    times = []
+    real = _BatchFixedSlotController.decide_batch
+
+    def recorded(self, arrays):
+        expired = (self._pending < 0) & (arrays.time >= self._slot_end)
+        if expired.any():
+            times.append(arrays.time)
+        return real(self, arrays)
+
+    monkeypatch.setattr(_BatchFixedSlotController, "decide_batch", recorded)
+    return times
+
+
+@pytest.mark.parametrize(
+    "owner,width", [loop[1:] for loop in LOOPS], ids=[loop[0] for loop in LOOPS]
+)
+class TestSensingCounts:
+    def test_util_bp_senses_once_per_slot(self, monkeypatch, owner, width):
+        reads = _count_sensing(monkeypatch, owner)
+        _run(width, "util-bp", None)
+        assert reads == [float(k) for k in range(SLOTS)]
+
+    def test_fixed_time_never_senses(self, monkeypatch, owner, width):
+        reads = _count_sensing(monkeypatch, owner)
+        _run(width, "fixed-time", {"period": 16.0})
+        assert reads == []
+
+    @pytest.mark.parametrize(
+        "controller,params", FIXED_SLOT, ids=[c for c, _ in FIXED_SLOT]
+    )
+    def test_fixed_slot_senses_only_when_a_slot_expired(
+        self, monkeypatch, owner, width, controller, params
+    ):
+        reads = _count_sensing(monkeypatch, owner)
+        expiries = _record_expiries(monkeypatch)
+        _run(width, controller, params)
+        assert reads == expiries
+        assert 0 < len(reads) < SLOTS
+
+
+@pytest.fixture(params=("meso-events", "meso-vec"))
+def sim(request):
+    """A fresh meso-events engine or a fresh B=1 meso-vec batch."""
+    scenario = build_named_scenario("surge-4x4", seed=3)
+    if request.param == "meso-events":
+        return build_engine(scenario, "meso-events")
+    return build_batch_engine([scenario], "meso-vec")
+
+
+def _advance(sim, kernel):
+    """Decide on the façade and step one mini-slot."""
+    decisions = kernel.decide_batch(sim.controller_arrays())
+    if isinstance(sim, EventCountsSimulator):
+        decisions = dict(zip(kernel.node_ids, decisions[0].tolist()))
+    sim.step(1.0, decisions)
+
+
+class TestFacade:
+    def test_time_and_shape_without_sensing(self, monkeypatch, sim):
+        def never(self):
+            raise AssertionError("sensed without a read")
+
+        monkeypatch.setattr(type(sim), "sense_arrays", never)
+        arrays = sim.controller_arrays()
+        assert arrays.time == sim.time
+        assert arrays.shape == (1, len(sim.movement_layout[1]))
+        kernel = build_batch_controller(
+            "fixed-time", sim.network, 1, period=16.0
+        )
+        for _ in range(30):
+            _advance(sim, kernel)
+
+    def test_one_sensing_per_facade(self, monkeypatch, sim):
+        reads = _count_sensing(monkeypatch, type(sim))
+        kernel = build_batch_controller("util-bp", sim.network, 1)
+        for _ in range(40):
+            _advance(sim, kernel)
+        arrays = sim.controller_arrays()
+        first = arrays.queues
+        assert arrays.queues is first
+        assert arrays.out_queues is arrays.out_queues
+        assert first.shape == arrays.shape
+        assert len(reads) == 41
+
+    def test_read_after_step_raises(self, sim):
+        kernel = build_batch_controller("util-bp", sim.network, 1)
+        for _ in range(40):
+            _advance(sim, kernel)
+        unread = sim.controller_arrays()
+        read = sim.controller_arrays()
+        queues = read.queues
+        before = queues.copy()
+        _advance(sim, kernel)
+        for arrays in (unread, read):
+            with pytest.raises(RuntimeError, match="stepped"):
+                arrays.queues
+            with pytest.raises(RuntimeError, match="stepped"):
+                arrays.out_queues
+        # Arrays handed out before the step are the engine's no more.
+        for _ in range(40):
+            _advance(sim, kernel)
+        assert np.array_equal(queues, before)

@@ -540,7 +540,10 @@ class TestBatchRunner:
 
 
 class TestEventsRunner:
-    """``run_scenario`` on meso-events: B=1 kernel loop == serial loop."""
+    """``run_scenario`` on meso-events: B=1 kernel loop == serial loop.
+
+    The same holds for meso-vec, whose single runs are batches of one.
+    """
 
     CONTROLLERS = (
         ("util-bp", {}),
@@ -553,7 +556,8 @@ class TestEventsRunner:
         "controller,params", CONTROLLERS, ids=[c for c, _ in CONTROLLERS]
     )
     @pytest.mark.parametrize("name", ("surge-4x4", "surge-4x4" + MIXED_PHASES))
-    def test_events_run_equals_counts_run(self, name, controller, params):
+    @pytest.mark.parametrize("engine", ("meso-events", "meso-vec"))
+    def test_events_run_equals_counts_run(self, engine, name, controller, params):
         from repro.experiments.runner import run_scenario
 
         knobs = dict(
@@ -563,15 +567,15 @@ class TestEventsRunner:
             record_phases=("J00", "J11", "J99"),
             record_queues=(("J00", "IN:N@J00"), ("J11", "J01->J11")),
         )
-        events = run_scenario(
-            build_parity_scenario(name, seed=4), engine="meso-events", **knobs
+        kernel_run = run_scenario(
+            build_parity_scenario(name, seed=4), engine=engine, **knobs
         )
         counts = run_scenario(
             build_parity_scenario(name, seed=4), engine="meso-counts", **knobs
         )
-        assert events.to_dict() == counts.to_dict()
-        assert events.phase_traces["J11"].switch_count() > 1
-        assert len(events.queue_traces[("J11", "J01->J11")]) == 40
+        assert kernel_run.to_dict() == counts.to_dict()
+        assert kernel_run.phase_traces["J11"].switch_count() > 1
+        assert len(kernel_run.queue_traces[("J11", "J01->J11")]) == 40
 
     def test_layout_mismatch_rejected_before_stepping(self, monkeypatch):
         from repro.experiments.runner import run_scenario
