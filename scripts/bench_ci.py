@@ -26,7 +26,9 @@ Measures two kinds of steps/second on a small, fixed workload set:
   build included, 240 s, fixed-time with period 20) on the gated
   light-demand 10x10 grid, in simulated mini-slots/s (keys like
   ``run/meso-events-fixed-time/steady-10x10-l10``): what a user running
-  one cell gets, not ``step()`` alone;
+  one cell gets, not ``step()`` alone; the B=16 meso-vec entry times
+  one whole ``run_scenario_batch`` of 16 seeds and reports replication
+  mini-slots/s;
 * **store overhead** — ``ResultStore`` put/get/query operations per
   second on a file-backed SQLite store (key ``store/put-get-query``):
   the per-cell bookkeeping every sweep pays on top of simulating, so a
@@ -47,7 +49,7 @@ Measures two kinds of steps/second on a small, fixed workload set:
   changepoints`` pays for every stored cell, so detection stays cheap
   relative to simulating the runs it analyzes.
 
-Six gates, all enforced in CI:
+Seven gates, all enforced in CI:
 
 1. **Regression gate** — writes the numbers to ``BENCH_ci.json`` and
    fails (exit 1) if any workload's calibration-normalized throughput
@@ -84,6 +86,12 @@ Six gates, all enforced in CI:
    ``meso-counts``.  Gate 4 times ``step()`` alone; this one times
    what users run, engine build and controller included, so a cost
    moved out of ``step()`` cannot hide from it.
+7. **End-to-end batch speedup gate** — fails (exit 1) if one whole
+   open-loop ``run_scenario_batch`` of 16 seeds on ``meso-vec`` does
+   not run at least ``MIN_VEC_RUN_SPEEDUP`` (6x) more replication
+   mini-slots/s than the same single run on ``meso-counts``.  Gate 3
+   times the batch's ``step()`` alone; this one includes building the
+   batch's per-seed state, which a sweep pays once per seed group.
 
 Raw steps/second is machine-dependent, so every run also times a fixed
 pure-Python/numpy *calibration* workload and gates the baseline
@@ -115,7 +123,7 @@ from repro.control.factory import (
     make_network_controller,
 )
 from repro.core.engine import build_batch_engine, build_engine, has_batch_engine
-from repro.experiments.runner import run_scenario
+from repro.experiments.runner import run_scenario, run_scenario_batch
 from repro.scenarios import build_named_scenario
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -163,11 +171,13 @@ CLOSED_BATCH_WORKLOADS = (
     ("step/meso-vec-b16-utilbp/steady-10x10-l10", "meso-vec", 400),
 )
 
-#: End-to-end open-loop workloads: (key, engine).  Each is one whole
-#: ``run_scenario`` on the batch-gate grid, engine build included.
+#: End-to-end open-loop workloads: (key, engine, replications).  Each
+#: is one whole ``run_scenario`` (one replication) or
+#: ``run_scenario_batch`` on the batch-gate grid, engine build included.
 RUN_WORKLOADS = (
-    ("run/meso-counts-fixed-time/steady-10x10-l10", "meso-counts"),
-    ("run/meso-events-fixed-time/steady-10x10-l10", "meso-events"),
+    ("run/meso-counts-fixed-time/steady-10x10-l10", "meso-counts", 1),
+    ("run/meso-events-fixed-time/steady-10x10-l10", "meso-events", 1),
+    ("run/meso-vec-b16-fixed-time/steady-10x10-l10", "meso-vec", BATCH_WIDTH),
 )
 
 #: Horizon (s, one mini-slot per second) and controller of those runs.
@@ -176,6 +186,10 @@ RUN_CONTROLLER = ("fixed-time", {"period": 20.0})
 
 #: Minimum meso-events over meso-counts ratio of the end-to-end runs.
 MIN_EVENTS_RUN_SPEEDUP = 3.0
+
+#: Minimum B=16 meso-vec batch over meso-counts ratio of the end-to-end
+#: runs, in replication mini-slots/s.
+MIN_VEC_RUN_SPEEDUP = 6.0
 
 #: Same-run speedup gates: (fast key, reference key, minimum ratio —
 #: either the argparse attribute holding it or the ratio itself).  The
@@ -206,6 +220,11 @@ SPEEDUP_GATES = (
         "run/meso-events-fixed-time/steady-10x10-l10",
         "run/meso-counts-fixed-time/steady-10x10-l10",
         MIN_EVENTS_RUN_SPEEDUP,
+    ),
+    (
+        "run/meso-vec-b16-fixed-time/steady-10x10-l10",
+        "run/meso-counts-fixed-time/steady-10x10-l10",
+        MIN_VEC_RUN_SPEEDUP,
     ),
 )
 
@@ -346,28 +365,33 @@ def meso_vec_batch(
     return setup
 
 
-def run_rate(engine: str, repeats: int) -> float:
-    """Best-of-``repeats`` mini-slots/s of one whole open-loop run.
+def run_rate(engine: str, repeats: int, width: int = 1) -> float:
+    """Best-of-``repeats`` replication mini-slots/s of one open-loop run.
 
-    Times ``run_scenario`` end to end — engine build, the fixed-time
-    kernel and every ``step()`` — on the batch-gate grid and seed.
+    Times ``run_scenario`` (``width`` 1) or one ``run_scenario_batch``
+    of seeds ``1..width`` end to end — engine build, the fixed-time
+    kernel and every ``step()`` — on the batch-gate grid.
     """
-    scenario = build_named_scenario(
-        BATCH_SCENARIO, seed=1, **BATCH_SCENARIO_PARAMS
-    )
+    scenarios = [
+        build_named_scenario(BATCH_SCENARIO, seed=1 + b, **BATCH_SCENARIO_PARAMS)
+        for b in range(width)
+    ]
     controller, params = RUN_CONTROLLER
+    knobs = dict(
+        engine=engine,
+        controller=controller,
+        controller_params=params,
+        duration=RUN_DURATION,
+    )
     best = 0.0
     for _ in range(repeats):
         start = time.perf_counter()
-        run_scenario(
-            scenario,
-            engine=engine,
-            controller=controller,
-            controller_params=params,
-            duration=RUN_DURATION,
-        )
+        if width == 1:
+            run_scenario(scenarios[0], **knobs)
+        else:
+            run_scenario_batch(scenarios, **knobs)
         elapsed = time.perf_counter() - start
-        best = max(best, RUN_DURATION / elapsed)
+        best = max(best, width * RUN_DURATION / elapsed)
     return best
 
 
@@ -606,8 +630,9 @@ def run_benchmarks(
                 setup, steps, speedup_repeats, STEPPING_WARMUP, width
             )
             record(key, rate, unit=unit)
-    for key, engine in RUN_WORKLOADS:
-        record(key, run_rate(engine, speedup_repeats), unit="slots/s")
+    for key, engine, width in RUN_WORKLOADS:
+        unit = "slots/s" if width == 1 else "rep-slots/s"
+        record(key, run_rate(engine, speedup_repeats, width), unit=unit)
     record(
         "store/put-get-query",
         measure_store_ops_per_second(repeats),

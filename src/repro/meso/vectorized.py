@@ -106,9 +106,10 @@ class _ColumnTables:
     or plant parameter — so it is built once per network
     (:meth:`~repro.model.network.Network.derived`) and shared,
     read-only, by every :class:`BatchCountsSimulator` on it: road and
-    movement indexing, the phase tables, the hazard stages and the
-    promote / observation plans.  Building raises ``ValueError`` for a
-    phase layout meso-vec cannot batch.
+    movement indexing, the phase tables, the hazard stages, the
+    observation plan and the per-column transfer / promote plans.
+    Building raises ``ValueError`` for a phase layout meso-vec cannot
+    batch.
     """
 
     def __init__(self, network: Network):
@@ -221,7 +222,7 @@ class _ColumnTables:
         # -- hazard staging (see the module docstring) ----------------------
         self.stages = [_frozen(ids) for ids in self._build_stages(phases_of, phase_pos)]
 
-        # -- promote / observation plans ------------------------------------
+        # -- transfer / promote / observation plans ---------------------------
         lanes_of_road: Dict[int, List[int]] = {}
         gid_by_out: Dict[int, Dict[str, int]] = {}
         key_by_out: Dict[int, Dict[str, Tuple[str, str]]] = {}
@@ -234,6 +235,18 @@ class _ColumnTables:
             node_of_in_road[ri] = node_of[gid]
         self.gid_by_out = gid_by_out
         self.key_by_out = key_by_out
+        #: The static halves of the per-unit FIFO plans, one entry per
+        #: column (the FIFOs themselves are per seed, keyed by flat
+        #: index — see :class:`BatchCountsSimulator`).  Per movement:
+        #: the out-road index the serve transfer pushes onto, or
+        #: ``None`` for an exit.  Per road: ``(out-road -> movement gid,
+        #: road id)`` for promote, which reads a unit's next hop.
+        self.transfer_plan = [
+            None if is_exit_road[ri] else ri for ri in out_idx.tolist()
+        ]
+        self.promote_plan = [
+            (gid_by_out.get(ri), road_id) for ri, road_id in enumerate(road_ids)
+        ]
         self.node_of_in_road = node_of_in_road
         self.gids_of_road = {
             ri: _frozen(np.array(gids, dtype=np.int64))
@@ -404,8 +417,11 @@ class BatchCountsSimulator:
         self._valid_phase = tables.valid_phase
         self._m_phase = tables.m_phase
         self._stages = tables.stages
+        self._road_index = tables.road_index
         self._gid_by_out = tables.gid_by_out
         self._key_by_out = tables.key_by_out
+        self._transfer_plan = tables.transfer_plan
+        self._promote_plan = tables.promote_plan
         self._node_of_in_road = tables.node_of_in_road
         self._gids_of_road = tables.gids_of_road
         self._obs_plan = tables.obs_plan
@@ -452,57 +468,21 @@ class BatchCountsSimulator:
         # exactly the reference FIFO content grouped by slot, in the
         # reference push order.
         self._route_nexts: Dict[int, Dict[str, str]] = {}
-        self._lanes: List[List[deque]] = [
-            [deque() for _ in range(M)] for _ in range(B)
-        ]
-        self._transit: List[List[deque]] = [
-            [deque() for _ in range(R)] for _ in range(B)
-        ]
-        self._backlogs: List[List[deque]] = [
-            [deque() for _ in self._entry_ids] for _ in range(B)
-        ]
+        # FIFOs, one store per kind, keyed by the flat index of their
+        # batched counter: lane ``b * n_movements + gid``
+        # (``_queue_len``), transit ``b * n_roads + ri``
+        # (``_head_ready``).  A FIFO is created by its first push
+        # (promote, serve transfer, inject admission), so a build
+        # allocates none.  Readers index the plain dict: a finite head
+        # time or a non-zero queue says the FIFO exists, and a broken
+        # invariant raises ``KeyError`` instead of reading as empty.
+        self._lanes: Dict[int, deque] = {}
+        self._transit: Dict[int, deque] = {}
         self._backlog_len = np.zeros((B, len(self._entry_ids)), dtype=np.int64)
-        #: (transit FIFO, lane list, out-road -> movement gid, road id)
-        #: per (replication, road): promote unpacks one precomputed
-        #: tuple per due road instead of chasing nested lookups.
-        self._promote_plan = [
-            [
-                (
-                    self._transit[b][ri],
-                    self._lanes[b],
-                    self._gid_by_out.get(ri),
-                    self._road_ids[ri],
-                )
-                for ri in range(R)
-            ]
-            for b in range(B)
-        ]
-        #: (backlog FIFO, transit FIFO, router) per (replication, entry).
+        #: (backlog FIFO, entry transit key, router) per (replication,
+        #: entry).
         self._inject_plan = [
-            [
-                (
-                    self._backlogs[b][e],
-                    self._transit[b][int(self._entry_idx[e])],
-                    self._routers[b],
-                )
-                for e in range(len(self._entry_ids))
-            ]
-            for b in range(B)
-        ]
-        #: (lane FIFO, out transit FIFO | None for exits, out road index)
-        #: per (replication, movement) — the serve transfer loop unpacks
-        #: one tuple per served movement.
-        self._transfer_plan = [
-            [
-                (
-                    self._lanes[b][m],
-                    None
-                    if self._m_is_exit[m]
-                    else self._transit[b][int(out_idx[m])],
-                    int(out_idx[m]),
-                )
-                for m in range(M)
-            ]
+            [(deque(), b * R + int(ri), self._routers[b]) for ri in self._entry_idx]
             for b in range(B)
         ]
         self.collector = BatchAggregateMetricsCollector(B)
@@ -537,11 +517,13 @@ class BatchCountsSimulator:
             node_of_in_road = self._node_of_in_road
             key_by_out = self._key_by_out
             road_ids = self._road_ids
+            transits = self._transit
+            R = len(road_ids)
             for b, ri in np.argwhere(sensed).tolist():
                 queues = movement_dicts[b][node_of_in_road[ri]]
                 keys = key_by_out[ri]
                 road_id = road_ids[ri]
-                for ready, units in self._transit[b][ri]:
+                for ready, units in transits[b * R + ri]:
                     if ready > deadline:
                         break
                     for unit in units:
@@ -626,11 +608,13 @@ class BatchCountsSimulator:
         if sensed.any():
             road_ids = self._road_ids
             gid_by_out = self._gid_by_out
+            transits = self._transit
+            R = len(road_ids)
             for b, ri in np.argwhere(sensed).tolist():
                 gids = gid_by_out[ri]
                 road_id = road_ids[ri]
                 row = queues[b]
-                for ready, units in self._transit[b][ri]:
+                for ready, units in transits[b * R + ri]:
                     if ready > deadline:
                         break
                     for unit in units:
@@ -742,19 +726,26 @@ class BatchCountsSimulator:
         head_v: List[float] = []
         inf = np.inf
         M = len(self._movement_keys)
+        R = len(self._road_ids)
         plans = self._promote_plan
+        transits = self._transit
+        lanes = self._lanes
         dbs, drs = np.nonzero(due)
         for b, ri in zip(dbs.tolist(), drs.tolist()):
-            transit, lanes, gids, road_id = plans[b][ri]
+            gids, road_id = plans[ri]
+            transit = transits[b * R + ri]
             base = b * M
             promoted = 0
             while transit and transit[0][0] <= now:
                 units = transit.popleft()[1]
                 promoted += len(units)
                 for unit in units:
-                    gid = gids[unit[road_id]]
-                    lanes[gid].append(unit)
-                    inc_append(base + gid)
+                    key = base + gids[unit[road_id]]
+                    lane = lanes.get(key)
+                    if lane is None:
+                        lane = lanes[key] = deque()
+                    lane.append(unit)
+                    inc_append(key)
             if promoted:
                 pair_b.append(b)
                 pair_n.append(promoted)
@@ -1052,16 +1043,24 @@ class BatchCountsSimulator:
         head_b: List[int] = []
         head_r: List[int] = []
         head_v: List[float] = []
-        plans = self._transfer_plan
+        M = len(self._movement_keys)
+        R = len(self._road_ids)
+        out_roads = self._transfer_plan
+        lanes = self._lanes
+        transits = self._transit
         for i, (b, m) in enumerate(zip(bs.tolist(), ms.tolist())):
             limit = limits[i]
-            lane, transit, ri = plans[b][m]
-            pop = lane.popleft
-            if transit is None:  # exit movement: vehicles leave
+            pop = lanes[b * M + m].popleft
+            ri = out_roads[m]
+            if ri is None:  # exit movement: vehicles leave
                 for _ in range(limit):
                     pop()
                 continue
+            key = b * R + ri
+            transit = transits.get(key)
             if not transit:
+                if transit is None:
+                    transit = transits[key] = deque()
                 # (b, ri) pairs are unique here — a shared out-road
                 # within one phase is rejected at construction.
                 head_b.append(b)
@@ -1122,8 +1121,9 @@ class BatchCountsSimulator:
         delta_backlog: List[int] = []
         delta_admitted: List[int] = []
         route_nexts = self._route_nexts
+        transits = self._transit
         for i, (b, e) in enumerate(zip(pb.tolist(), pe.tolist())):
-            backlog, transit, router = plans[b][e]
+            backlog, transit_key, router = plans[b][e]
             count = count_list[i]
             admitted = 0
             if count:
@@ -1146,7 +1146,10 @@ class BatchCountsSimulator:
             if backlog:
                 space = spaces[i]
                 if space > 0:
+                    transit = transits.get(transit_key)
                     if not transit:
+                        if transit is None:
+                            transit = transits[transit_key] = deque()
                         head_b.append(b)
                         head_r.append(road_list[i])
                         head_v.append(readies[i])
@@ -1210,15 +1213,17 @@ class BatchCountsSimulator:
 
     def road_occupancy(self, road_id: str) -> np.ndarray:
         """Vehicles currently on a road, per replication."""
-        return self._occ[:, self._road_ids.index(road_id)].copy()
+        ri = self._road_index.get(road_id)
+        if ri is None:
+            raise ValueError(f"unknown road {road_id!r}")
+        return self._occ[:, ri].copy()
 
     def incoming_queue_total(self, road_id: str) -> np.ndarray:
-        """Total queued vehicles at one stop line, per replication."""
-        try:
-            ri = self._road_ids.index(road_id)
-        except ValueError:
-            return np.zeros(self.batch_size, dtype=np.int64)
-        gids = self._gids_of_road.get(ri)
+        """Total queued vehicles at one stop line, per replication.
+
+        Zeros for a road with no stop line here, unknown roads included.
+        """
+        gids = self._gids_of_road.get(self._road_index.get(road_id))
         if gids is None:
             return np.zeros(self.batch_size, dtype=np.int64)
         return self._queue_len[:, gids].sum(axis=1)

@@ -279,7 +279,9 @@ class TestBatchIndependence:
     """Replication results must not depend on the batch size."""
 
     STEPS = 200
-    NAME = "surge-4x4"  # congested: exercises the staged serve path
+    # Load spike; at default road capacities no downstream space binds,
+    # so the staged serve path is pinned by TestEveryBatchMember instead.
+    NAME = "surge-4x4"
 
     def _run(self, seeds):
         scenarios = [build_named_scenario(self.NAME, seed=s) for s in seeds]
@@ -328,6 +330,79 @@ class TestBatchIndependence:
         summary, util = batch[22]
         assert summary == sim.collector.summary(float(self.STEPS))
         assert util == {n: t.to_dict() for n, t in sim.utilization.items()}
+
+
+class TestEveryBatchMember:
+    """Every member of a B=16 batch equals the serial run of its seed.
+
+    The batch keeps one FIFO store per kind keyed by flat (replication,
+    column) index, so a wrong key stride would let replications read or
+    write each other's vehicles; comparing all sixteen members, not a
+    prefix, is what catches it.  Each case asserts the serve path it is
+    there for: util-bp on a surge grid with short roads spills back and
+    takes the staged path, light fixed-time takes the shared-pattern
+    path.
+    """
+
+    SEEDS = tuple(range(61, 77))
+    CASES = (
+        ("surge-4x4", {"capacity": 10}, "util-bp", {}, 200, "_serve_staged"),
+        (
+            "steady-5x5",
+            {"load": 0.2},
+            "fixed-time",
+            {"period": 20.0},
+            240,
+            "_serve_shared",
+        ),
+    )
+
+    @pytest.mark.parametrize(
+        "name,overrides,controller,params,steps,path",
+        CASES,
+        ids=[f"{case[0]}-{case[2]}" for case in CASES],
+    )
+    def test_every_member_equals_serial_counts_run(
+        self, monkeypatch, name, overrides, controller, params, steps, path
+    ):
+        from repro.meso.vectorized import BatchCountsSimulator
+
+        calls = []
+        serve = getattr(BatchCountsSimulator, path)
+
+        def counted(sim, *args):
+            calls.append(None)
+            return serve(sim, *args)
+
+        monkeypatch.setattr(BatchCountsSimulator, path, counted)
+        scenarios = [
+            build_named_scenario(name, seed=s, **overrides) for s in self.SEEDS
+        ]
+        batch = build_batch_engine(scenarios, "meso-vec")
+        kernel = build_batch_controller(
+            controller, scenarios[0].network, len(self.SEEDS), **params
+        )
+        for _ in range(steps):
+            batch.step(1.0, kernel.decide_batch(batch.controller_arrays()))
+        batch.finalize()
+        assert calls, path
+        horizon = float(steps)
+        for b, scenario in enumerate(scenarios):
+            serial = build_engine(scenario, "meso-counts")
+            serial_controller = make_network_controller(
+                controller, scenario.network, **params
+            )
+            for _ in range(steps):
+                serial.step(1.0, serial_controller.decide(serial.observations()))
+            serial.finalize()
+            assert batch.collector.summary_of(b, horizon) == (
+                serial.collector.summary(horizon)
+            ), scenario.seed
+            assert {
+                n: t.to_dict() for n, t in batch.utilization_of(b).items()
+            } == {
+                n: t.to_dict() for n, t in serial.utilization.items()
+            }, scenario.seed
 
 
 class TestBatchedControllerParity:
@@ -523,6 +598,70 @@ class TestBatchRunner:
                 seeds=(1,),
                 lane_policy="mixed",
             )
+
+    def test_fifos_are_created_on_first_push(self):
+        from repro.meso.vectorized import BatchCountsSimulator
+
+        scenario = build_named_scenario("surge-4x4", seed=1)
+        sim = BatchCountsSimulator(
+            network=scenario.network,
+            demand=scenario.demand,
+            turning=scenario.turning,
+            seeds=(1, 2, 3),
+        )
+        assert sim._lanes == {} and sim._transit == {}
+        for _ in range(60):
+            sim.step(1.0, [{}, {}, {}])
+        n_roads = len(sim._road_ids)
+        n_movements = len(sim._movement_keys)
+        assert 0 < len(sim._transit) < 3 * n_roads
+        assert all(0 <= key < 3 * n_roads for key in sim._transit)
+        assert all(0 <= key < 3 * n_movements for key in sim._lanes)
+        # Every finite head time names a non-empty transit FIFO.
+        for b, row in enumerate(sim._head_ready.tolist()):
+            for ri, ready in enumerate(row):
+                if ready != float("inf"):
+                    assert sim._transit[b * n_roads + ri]
+
+    def test_broken_fifo_invariant_raises(self):
+        """A head time with no FIFO behind it is a KeyError, not empty."""
+        from repro.meso.vectorized import BatchCountsSimulator
+
+        scenario = build_named_scenario("steady-3x3", seed=1)
+        sim = BatchCountsSimulator(
+            network=scenario.network,
+            demand=scenario.demand,
+            turning=scenario.turning,
+            seeds=(1, 2),
+        )
+        sim._head_ready[1, 0] = 0.0
+        with pytest.raises(KeyError):
+            sim.step(1.0, [{}, {}])
+
+    def test_road_lookups(self):
+        """Per-road introspection: known roads match the serial engine;
+        an unknown road is zeros for queues and ``ValueError`` for
+        occupancy."""
+        scenario = build_named_scenario("surge-4x4", seed=4)
+        serial = build_engine(build_named_scenario("surge-4x4", seed=4), "meso-counts")
+        batch = build_batch_engine([scenario, scenario], "meso-vec")
+        controller = make_network_controller("util-bp", scenario.network)
+        for _ in range(80):
+            phases = controller.decide(serial.observations())
+            serial.step(1.0, phases)
+            batch.step(1.0, [phases, phases])
+        busy = 0
+        for road in scenario.network.roads:
+            occupancy = serial.road_occupancy(road)
+            queued = serial.incoming_queue_total(road)
+            assert batch.road_occupancy(road).tolist() == [occupancy] * 2
+            assert batch.incoming_queue_total(road).tolist() == [queued] * 2
+            busy += occupancy > 0
+        assert busy
+        missing = batch.incoming_queue_total("no-such-road")
+        assert missing.tolist() == [0, 0]
+        with pytest.raises(ValueError, match="no-such-road"):
+            batch.road_occupancy("no-such-road")
 
     def test_constant_mini_slot_contract(self):
         from repro.meso.vectorized import BatchCountsSimulator
