@@ -22,13 +22,14 @@ Measures two kinds of steps/second on a small, fixed workload set:
   runs (keys like ``step/meso-vec-b16-utilbp/steady-10x10-l10``).
   This is the paper's main regime — the gate that the vectorized
   controller kernel must keep paying for itself;
-* **end-to-end open loop** — whole ``run_scenario`` calls (engine
-  build included, 240 s, fixed-time with period 20) on the gated
-  light-demand 10x10 grid, in simulated mini-slots/s (keys like
-  ``run/meso-events-fixed-time/steady-10x10-l10``): what a user running
-  one cell gets, not ``step()`` alone; the B=16 meso-vec entry times
-  one whole ``run_scenario_batch`` of 16 seeds and reports replication
-  mini-slots/s;
+* **end-to-end runs** — whole ``run_scenario`` calls (engine build
+  included, 240 s) on the gated light-demand 10x10 grid, in simulated
+  mini-slots/s, once open loop (fixed-time with period 20, keys like
+  ``run/meso-events-fixed-time/steady-10x10-l10``) and once closed
+  loop (util-bp, keys like ``run/meso-events-util-bp/steady-10x10-l10``):
+  what a user running one cell gets, not ``step()`` alone; the B=16
+  meso-vec entries time one whole ``run_scenario_batch`` of 16 seeds
+  and report replication mini-slots/s;
 * **store overhead** — ``ResultStore`` put/get/query operations per
   second on a file-backed SQLite store (key ``store/put-get-query``):
   the per-cell bookkeeping every sweep pays on top of simulating, so a
@@ -49,7 +50,7 @@ Measures two kinds of steps/second on a small, fixed workload set:
   changepoints`` pays for every stored cell, so detection stays cheap
   relative to simulating the runs it analyzes.
 
-Seven gates, all enforced in CI:
+Nine gates, all enforced in CI:
 
 1. **Regression gate** — writes the numbers to ``BENCH_ci.json`` and
    fails (exit 1) if any workload's calibration-normalized throughput
@@ -92,6 +93,16 @@ Seven gates, all enforced in CI:
    mini-slots/s than the same single run on ``meso-counts``.  Gate 3
    times the batch's ``step()`` alone; this one includes building the
    batch's per-seed state, which a sweep pays once per seed group.
+8. **End-to-end closed-loop event-engine gate** — fails (exit 1) if a
+   whole util-bp ``run_scenario`` on ``meso-events`` (the B=1 batched
+   kernel) is not at least ``MIN_EVENTS_CLOSED_RUN_SPEEDUP`` (2x)
+   faster than the same run on ``meso-counts`` (the serial
+   controller): the closed-loop counterpart of gate 6.
+9. **End-to-end closed-loop batch gate** — fails (exit 1) if one whole
+   util-bp ``run_scenario_batch`` of 16 seeds on ``meso-vec`` does not
+   run at least ``MIN_VEC_CLOSED_RUN_SPEEDUP`` (4x) more replication
+   mini-slots/s than the same single run on ``meso-counts``: the
+   closed-loop counterpart of gate 7, and the whole-run view of gate 5.
 
 Raw steps/second is machine-dependent, so every run also times a fixed
 pure-Python/numpy *calibration* workload and gates the baseline
@@ -171,18 +182,29 @@ CLOSED_BATCH_WORKLOADS = (
     ("step/meso-vec-b16-utilbp/steady-10x10-l10", "meso-vec", 400),
 )
 
-#: End-to-end open-loop workloads: (key, engine, replications).  Each
+#: Controllers of the end-to-end runs: open loop and closed loop.
+RUN_FIXED_TIME = ("fixed-time", {"period": 20.0})
+RUN_UTIL_BP = ("util-bp", {})
+
+#: End-to-end workloads: (key, engine, replications, controller).  Each
 #: is one whole ``run_scenario`` (one replication) or
 #: ``run_scenario_batch`` on the batch-gate grid, engine build included.
 RUN_WORKLOADS = (
-    ("run/meso-counts-fixed-time/steady-10x10-l10", "meso-counts", 1),
-    ("run/meso-events-fixed-time/steady-10x10-l10", "meso-events", 1),
-    ("run/meso-vec-b16-fixed-time/steady-10x10-l10", "meso-vec", BATCH_WIDTH),
+    ("run/meso-counts-fixed-time/steady-10x10-l10", "meso-counts", 1, RUN_FIXED_TIME),
+    ("run/meso-events-fixed-time/steady-10x10-l10", "meso-events", 1, RUN_FIXED_TIME),
+    (
+        "run/meso-vec-b16-fixed-time/steady-10x10-l10",
+        "meso-vec",
+        BATCH_WIDTH,
+        RUN_FIXED_TIME,
+    ),
+    ("run/meso-counts-util-bp/steady-10x10-l10", "meso-counts", 1, RUN_UTIL_BP),
+    ("run/meso-events-util-bp/steady-10x10-l10", "meso-events", 1, RUN_UTIL_BP),
+    ("run/meso-vec-b16-util-bp/steady-10x10-l10", "meso-vec", BATCH_WIDTH, RUN_UTIL_BP),
 )
 
-#: Horizon (s, one mini-slot per second) and controller of those runs.
+#: Horizon of those runs (s, one mini-slot per second).
 RUN_DURATION = 240.0
-RUN_CONTROLLER = ("fixed-time", {"period": 20.0})
 
 #: Minimum meso-events over meso-counts ratio of the end-to-end runs.
 MIN_EVENTS_RUN_SPEEDUP = 3.0
@@ -190,6 +212,14 @@ MIN_EVENTS_RUN_SPEEDUP = 3.0
 #: Minimum B=16 meso-vec batch over meso-counts ratio of the end-to-end
 #: runs, in replication mini-slots/s.
 MIN_VEC_RUN_SPEEDUP = 6.0
+
+#: Minimum meso-events over meso-counts ratio of the closed-loop
+#: (util-bp) end-to-end runs.
+MIN_EVENTS_CLOSED_RUN_SPEEDUP = 2.0
+
+#: Minimum B=16 meso-vec batch over meso-counts ratio of the closed-loop
+#: end-to-end runs, in replication mini-slots/s.
+MIN_VEC_CLOSED_RUN_SPEEDUP = 4.0
 
 #: Same-run speedup gates: (fast key, reference key, minimum ratio —
 #: either the argparse attribute holding it or the ratio itself).  The
@@ -225,6 +255,16 @@ SPEEDUP_GATES = (
         "run/meso-vec-b16-fixed-time/steady-10x10-l10",
         "run/meso-counts-fixed-time/steady-10x10-l10",
         MIN_VEC_RUN_SPEEDUP,
+    ),
+    (
+        "run/meso-events-util-bp/steady-10x10-l10",
+        "run/meso-counts-util-bp/steady-10x10-l10",
+        MIN_EVENTS_CLOSED_RUN_SPEEDUP,
+    ),
+    (
+        "run/meso-vec-b16-util-bp/steady-10x10-l10",
+        "run/meso-counts-util-bp/steady-10x10-l10",
+        MIN_VEC_CLOSED_RUN_SPEEDUP,
     ),
 )
 
@@ -365,18 +405,19 @@ def meso_vec_batch(
     return setup
 
 
-def run_rate(engine: str, repeats: int, width: int = 1) -> float:
-    """Best-of-``repeats`` replication mini-slots/s of one open-loop run.
+def run_rate(engine: str, repeats: int, width: int, controller_spec) -> float:
+    """Best-of-``repeats`` replication mini-slots/s of one whole run.
 
     Times ``run_scenario`` (``width`` 1) or one ``run_scenario_batch``
-    of seeds ``1..width`` end to end — engine build, the fixed-time
-    kernel and every ``step()`` — on the batch-gate grid.
+    of seeds ``1..width`` end to end — engine build, the controller
+    ``controller_spec`` names and every ``step()`` — on the batch-gate
+    grid.
     """
     scenarios = [
         build_named_scenario(BATCH_SCENARIO, seed=1 + b, **BATCH_SCENARIO_PARAMS)
         for b in range(width)
     ]
-    controller, params = RUN_CONTROLLER
+    controller, params = controller_spec
     knobs = dict(
         engine=engine,
         controller=controller,
@@ -630,9 +671,10 @@ def run_benchmarks(
                 setup, steps, speedup_repeats, STEPPING_WARMUP, width
             )
             record(key, rate, unit=unit)
-    for key, engine, width in RUN_WORKLOADS:
+    for key, engine, width, controller_spec in RUN_WORKLOADS:
         unit = "slots/s" if width == 1 else "rep-slots/s"
-        record(key, run_rate(engine, speedup_repeats, width), unit=unit)
+        rate = run_rate(engine, speedup_repeats, width, controller_spec)
+        record(key, rate, unit=unit)
     record(
         "store/put-get-query",
         measure_store_ops_per_second(repeats),

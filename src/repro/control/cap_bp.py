@@ -66,10 +66,12 @@ class CapBpController(FixedSlotController):
         return self.intersection.in_roads[movement.in_road].capacity
 
     def _phase_score(self, phase: Phase, obs: QueueObservation) -> float:
-        return sum(
-            max(0.0, cap_link_weight(m, obs, self._in_capacity(m)))
-            for m in phase.movements
-        )
+        # Added left to right, as the batch kernel adds: ``sum()`` of
+        # floats is compensated from Python 3.12 on.
+        total = 0.0
+        for m in phase.movements:
+            total += max(0.0, cap_link_weight(m, obs, self._in_capacity(m)))
+        return total
 
     def _can_serve(self, phase: Phase, obs: QueueObservation) -> bool:
         """True if the phase would serve >= 1 vehicle in the next slot."""

@@ -32,7 +32,11 @@ class OriginalBpController(FixedSlotController):
         best_index = None
         best_gain = -1.0
         for phase in self.intersection.phases:
-            gain = sum(link_gain_original(m, obs) for m in phase.movements)
+            # Added left to right, as the batch kernel adds: ``sum()``
+            # of floats is compensated from Python 3.12 on.
+            gain = 0.0
+            for m in phase.movements:
+                gain += link_gain_original(m, obs)
             if gain > best_gain:
                 best_gain = gain
                 best_index = phase.index

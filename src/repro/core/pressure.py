@@ -115,8 +115,16 @@ def link_gain(
 def phase_gain(
     phase: Phase, obs: QueueObservation, alpha: float, beta: float
 ) -> float:
-    """Total gain of a phase, ``g(c_j, k)`` (Eq. 10)."""
-    return sum(link_gain(m, obs, alpha, beta) for m in phase.movements)
+    """Total gain of a phase, ``g(c_j, k)`` (Eq. 10).
+
+    The link gains are added left to right in declaration order,
+    starting from ``0.0``, on every Python: ``sum()`` of floats is
+    compensated from Python 3.12 on and can round differently.
+    """
+    total = 0.0
+    for movement in phase.movements:
+        total += link_gain(movement, obs, alpha, beta)
+    return total
 
 
 def max_link_gain(
@@ -210,8 +218,8 @@ def phase_gain_array(
 
     Sums ``gains[..., members[..., j]]`` over the membership axis.  The
     accumulation is an explicit left-to-right loop over the (short)
-    membership axis so the float addition order matches the scalar
-    ``sum(link_gain(m) for m in phase.movements)`` exactly.
+    membership axis, starting from ``0.0``, so the float addition order
+    matches the scalar :func:`phase_gain` exactly.
     """
     gathered = gains[..., members]
     total = np.zeros(gathered.shape[:-1], dtype=np.float64)

@@ -30,20 +30,94 @@ intersection, preserving back-pressure's decentralized character.
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Tuple
+from functools import reduce
+from itertools import compress
+from operator import add, ge, itemgetter
+from typing import Dict, List, Optional, Tuple
 
 from repro.control.base import IntersectionController, TRANSITION
 from repro.core.config import UtilBpConfig
-from repro.core.pressure import keep_threshold, max_link_gain, phase_gain
+from repro.core.pressure import pressure
 from repro.model.intersection import Intersection
-from repro.model.phases import Phase
 from repro.model.queues import QueueObservation
 
 __all__ = ["UtilBpController"]
 
 
+class _GainsPlan:
+    """An intersection's phase table indexed for one gains vector.
+
+    The links are the phases' movements in declaration order, each
+    once, and are the columns of the gains vector: ``columns_of`` maps
+    a movement key to its columns, ``link_road`` a column to its
+    outgoing road's position in ``out_roads`` and ``links_into`` a road
+    position to its columns.  Phases are kept in phase index order, so
+    the lowest-index tie-break is the first position, and
+    ``member_gains[p]`` reads phase ``p``'s link gains, in the phase's
+    declaration order, as one sequence.
+
+    Nothing here depends on the controller's parameters, so
+    :meth:`of` builds the plan once per intersection and every
+    controller of it shares the plan, read-only.
+    """
+
+    @classmethod
+    def of(cls, intersection: Intersection) -> "_GainsPlan":
+        """The shared plan of ``intersection``."""
+        return intersection.derived(cls, lambda: cls(intersection))
+
+    def __init__(self, intersection: Intersection):
+        links: Dict[Tuple, int] = {}
+        columns_of: Dict[Tuple[str, str], List[int]] = {}
+        roads: Dict[str, List[int]] = {}
+        members: Dict[int, Tuple[Tuple, ...]] = {}
+        for phase in intersection.phases:
+            phase_links = tuple(
+                (m.key, m.out_road, m.service_rate) for m in phase.movements
+            )
+            for link in phase_links:
+                if link not in links:
+                    column = links[link] = len(links)
+                    columns_of.setdefault(link[0], []).append(column)
+                    roads.setdefault(link[1], []).append(column)
+            members[phase.index] = phase_links
+        road_position = {road: r for r, road in enumerate(roads)}
+        self.n_links = len(links)
+        self.columns_of = {key: tuple(c) for key, c in columns_of.items()}
+        self.link_road = tuple(road_position[road] for _, road, _ in links)
+        self.link_rate = tuple(rate for _, _, rate in links)
+        self.out_roads = tuple(roads)
+        self.links_into = tuple(tuple(columns) for columns in roads.values())
+        self.phase_indices = tuple(sorted(members))
+        self.slot_of = {index: p for p, index in enumerate(self.phase_indices)}
+        getters = []
+        for index in self.phase_indices:
+            columns = [links[link] for link in members[index]]
+            # itemgetter of one item returns it bare; a slice keeps a
+            # one-member phase's gains a sequence.
+            getters.append(
+                itemgetter(*columns)
+                if len(columns) > 1
+                else itemgetter(slice(columns[0], columns[0] + 1))
+            )
+        self.member_gains = tuple(getters)
+        self.member_rates = tuple(
+            tuple(rate for _, _, rate in members[index])
+            for index in self.phase_indices
+        )
+
+
 class UtilBpController(IntersectionController):
     """Utilization-aware adaptive back-pressure (UTIL-BP), Algorithm 1.
+
+    Eq. 8 is evaluated once per link per decision into one gains
+    vector, and Eqs. 10-12 read that vector: per intersection, what
+    :class:`~repro.control.batch.BatchUtilBpController` computes per
+    array, in the same float evaluation order.  The scalar functions of
+    :mod:`repro.core.pressure` (``link_gain``, ``phase_gain``,
+    ``max_link_gain``, ``keep_threshold``) stay the readable reference;
+    ``tests/test_core_util_bp.py`` checks decision for decision that
+    this controller decides as their composition does.
 
     Parameters
     ----------
@@ -64,6 +138,7 @@ class UtilBpController(IntersectionController):
         #: Global variable ``t_{Delta k}`` of Algorithm 1 — the expiry
         #: time of the running transition phase.
         self._transition_until = -math.inf
+        self._plan = _GainsPlan.of(intersection)
 
     def reset(self) -> None:
         """Clear the per-intersection controller state."""
@@ -81,20 +156,24 @@ class UtilBpController(IntersectionController):
         if previous == TRANSITION and t_k < self._transition_until:
             return self._record(TRANSITION)
 
+        gains, w_star = self._link_gains(obs)
+
         # Case 2 (lines 3-4): keep the current control phase while its
-        # best link stays above the threshold g*(k).
+        # best link L_max (the first maximal one, Eq. 11) stays above
+        # the threshold g*(k) = W* mu (Eq. 12).
         if previous != TRANSITION:
-            current_phase = self.intersection.phase_by_index(previous)
-            g_max, l_max = max_link_gain(
-                current_phase, obs, self.config.alpha, self.config.beta
-            )
-            threshold = keep_threshold(obs, l_max)
-            threshold -= self.config.keep_margin * l_max.service_rate
+            plan = self._plan
+            slot = plan.slot_of[previous]
+            member_gains = plan.member_gains[slot](gains)
+            g_max = max(member_gains)
+            mu = plan.member_rates[slot][member_gains.index(g_max)]
+            threshold = w_star * mu
+            threshold -= self.config.keep_margin * mu
             if g_max > threshold:
                 return self._record(previous)
 
         # Case 3 (lines 5-17): select a new control phase.
-        selected = self._select_phase(obs)
+        selected = self._select_phase(gains)
         if selected == previous or previous == TRANSITION:
             # Lines 12-13: same phase, or an expired transition phase.
             return self._record(selected)
@@ -102,38 +181,65 @@ class UtilBpController(IntersectionController):
         self._transition_until = t_k + self.config.transition_duration
         return self._record(TRANSITION)
 
-    def _select_phase(self, obs: QueueObservation) -> int:
-        """Lines 6-11: pick ``c'`` by utilization-aware gain ranking."""
-        alpha, beta = self.config.alpha, self.config.beta
-        ranked: List[Tuple[Phase, float]] = []
-        best_overall = -math.inf
-        for phase in self.intersection.phases:
-            g_max, _ = max_link_gain(phase, obs, alpha, beta)
-            ranked.append((phase, g_max))
-            best_overall = max(best_overall, g_max)
+    def _link_gains(self, obs: QueueObservation) -> Tuple[List[float], float]:
+        """Eq. 8 for every link of the plan, and ``W*`` (Eq. 7).
 
-        if best_overall > alpha:
+        Each outgoing road's queue and full test are read once.  A
+        movement missing from ``obs`` reads 0; a missing outgoing road
+        or capacity raises ``KeyError`` naming the road.
+        """
+        alpha, beta = self.config.alpha, self.config.beta
+        if alpha >= 0 or beta >= 0:
+            raise ValueError(
+                f"alpha and beta must be negative, got alpha={alpha}, beta={beta}"
+            )
+        plan = self._plan
+        out_queues = obs.out_queues_of(plan.out_roads)
+        full = list(map(ge, out_queues, obs.capacities_of(plan.out_roads)))
+        w_star = float(obs.max_capacity())
+        # Start from the empty-lane case; full roads override it, and
+        # only the links with a queue can reach the general case.
+        gains = [alpha] * plan.n_links
+        for columns in compress(plan.links_into, full):
+            for column in columns:
+                gains[column] = beta
+        queues = obs.movement_queues
+        for key, queue in compress(queues.items(), queues.values()):
+            for column in plan.columns_of.get(key, ()):
+                road = plan.link_road[column]
+                q_move = int(queue)
+                if q_move and not full[road]:
+                    gains[column] = (
+                        pressure(q_move) - pressure(out_queues[road]) + w_star
+                    ) * plan.link_rate[column]
+        return gains, w_star
+
+    def _select_phase(self, gains: List[float]) -> int:
+        """Lines 6-11: pick ``c'`` by utilization-aware gain ranking."""
+        alpha = self.config.alpha
+        plan = self._plan
+        member_gains = [getter(gains) for getter in plan.member_gains]
+        g_maxes = list(map(max, member_gains))
+        if max(g_maxes) > alpha:
             # Lines 7-8: among phases guaranteeing some utilization,
-            # take the highest *total* gain (best effort for stability).
-            candidates = [phase for phase, g_max in ranked if g_max > alpha]
+            # take the highest *total* gain (Eq. 10, added left to
+            # right) — best effort for stability.
             scores = [
-                (phase_gain(phase, obs, alpha, beta), phase)
-                for phase in candidates
+                reduce(add, values, 0.0) if g_max > alpha else -math.inf
+                for values, g_max in zip(member_gains, g_maxes)
             ]
         else:
             # Line 10: utilization will be low regardless; fall back to
             # the best single link gain.
-            scores = [(g_max, phase) for phase, g_max in ranked]
+            scores = g_maxes
         # Deterministic tie-break: on equal scores prefer the running
         # phase (a pointless switch would only buy an amber), then the
-        # lowest phase index.
-        def rank(item: Tuple[float, Phase]) -> Tuple[float, int, int]:
-            """Score a candidate phase for the Eq.-11/12 arg-max."""
-            score, phase = item
-            return (-score, 0 if phase.index == self._current else 1, phase.index)
-
-        scores.sort(key=rank)
-        return scores[0][1].index
+        # lowest phase index (the first slot).
+        best = max(scores)
+        running = plan.slot_of.get(self._current)
+        if running is not None and scores[running] == best:
+            return self._current
+        return plan.phase_indices[scores.index(best)]
 
     # -- introspection helpers (used by tests and examples) ----------------
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, Hashable, List, Mapping, Optional, Tuple, TypeVar
 
 from repro.model.conflicts import validate_phase
 from repro.model.geometry import Direction, TurnType
@@ -30,6 +30,8 @@ from repro.model.roads import Road
 
 __all__ = ["Intersection", "build_standard_intersection"]
 
+T = TypeVar("T")
+
 
 @dataclass(frozen=True)
 class Intersection:
@@ -38,7 +40,8 @@ class Intersection:
     Read-only once built, like :class:`~repro.model.network.Network`:
     the mappings are read-only views of private copies and ``phases``
     is a tuple.  A variant (say, a different phase plan) is a new
-    ``Intersection``.
+    ``Intersection``.  Tables derived from the intersection alone are
+    built once through :meth:`derived`.
 
     Attributes
     ----------
@@ -60,6 +63,9 @@ class Intersection:
     phases: Tuple[Phase, ...]
     approach_of: Mapping[Direction, str] = field(default_factory=dict)
     exit_of: Mapping[Direction, str] = field(default_factory=dict)
+    _derived: Dict[Hashable, Any] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         for name in ("in_roads", "out_roads", "movements", "approach_of", "exit_of"):
@@ -100,7 +106,8 @@ class Intersection:
                     )
 
     def __reduce__(self):
-        # Read-only views do not pickle; rebuild from plain copies.
+        # Read-only views do not pickle; rebuild from plain copies (the
+        # derived tables are rebuilt on demand).
         return (
             Intersection,
             (
@@ -113,6 +120,20 @@ class Intersection:
                 dict(self.exit_of),
             ),
         )
+
+    def derived(self, key: Hashable, build: Callable[[], T]) -> T:
+        """``build()``, computed once per intersection and ``key``.
+
+        The counterpart of :meth:`~repro.model.network.Network.derived`:
+        a table computed from the intersection alone (a controller's
+        plan of its phase table) is shared, read-only, by every
+        controller of the intersection.
+        """
+        try:
+            return self._derived[key]
+        except KeyError:
+            value = self._derived[key] = build()
+            return value
 
     # -- lookups ---------------------------------------------------------
 

@@ -12,7 +12,7 @@ cyber/physical boundary of the paper's CPS framing explicit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Tuple
+from typing import List, Mapping, Sequence, Tuple
 
 __all__ = ["QueueObservation"]
 
@@ -99,6 +99,24 @@ class QueueObservation:
         except KeyError:
             raise KeyError(f"no capacity recorded for road {out_road!r}")
 
+    def out_queues_of(self, out_roads: Sequence[str]) -> List[int]:
+        """:meth:`out_queue` of each road of ``out_roads``, in order."""
+        try:
+            return list(map(int, map(self.out_queues.__getitem__, out_roads)))
+        except KeyError as missing:
+            raise KeyError(
+                f"no outgoing queue recorded for road {missing.args[0]!r}"
+            ) from None
+
+    def capacities_of(self, out_roads: Sequence[str]) -> List[int]:
+        """:meth:`capacity` of each road of ``out_roads``, in order."""
+        try:
+            return list(map(int, map(self.out_capacities.__getitem__, out_roads)))
+        except KeyError as missing:
+            raise KeyError(
+                f"no capacity recorded for road {missing.args[0]!r}"
+            ) from None
+
     def is_full(self, out_road: str) -> bool:
         """True iff the outgoing road has reached its capacity."""
         return self.out_queue(out_road) >= self.capacity(out_road)
@@ -107,7 +125,7 @@ class QueueObservation:
         """``W* = max_{i'} W_{i'}`` (Eq. 7)."""
         if not self.out_capacities:
             raise ValueError("observation has no outgoing capacities")
-        return max(int(c) for c in self.out_capacities.values())
+        return max(map(int, self.out_capacities.values()))
 
 
 def queue_dynamics_step(

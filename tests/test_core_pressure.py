@@ -16,6 +16,8 @@ from repro.core.pressure import (
     phase_gain_array,
     pressure,
 )
+from repro.model.grid import build_grid_network
+from repro.model.phases import Phase
 from tests.conftest import make_observation
 
 ALPHA, BETA = -1.0, -2.0
@@ -137,6 +139,25 @@ class TestPhaseGains:
         total = phase_gain(phase, obs, ALPHA, BETA)
         parts = sum(link_gain(m, obs, ALPHA, BETA) for m in phase.movements)
         assert total == parts == 4 * 125.0
+
+    def test_phase_gain_adds_left_to_right(self):
+        """Eq. 10 adds in declaration order on every Python.
+
+        From Python 3.12 on, ``sum()`` of floats is compensated and
+        gives 21.3 here; the batch kernel adds left to right, and the
+        serial sum must round the same way.
+        """
+        intersection = build_grid_network(1, 1, capacity=20, service_rate=0.3)
+        intersection = intersection.intersections["J00"]
+        movements = intersection.phase_by_index(1).movements[:3]
+        phase = Phase(index=1, movements=movements)
+        obs = make_observation(
+            intersection,
+            movement_queues={m.key: q for m, q in zip(movements, (1, 2, 8))},
+        )
+        gains = [link_gain(m, obs, ALPHA, BETA) for m in movements]
+        assert gains == [6.3, 6.6, 8.4]
+        assert phase_gain(phase, obs, ALPHA, BETA) == 21.299999999999997
 
     def test_max_link_gain_eq11(self, intersection):
         phase = intersection.phase_by_index(1)

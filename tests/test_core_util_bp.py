@@ -1,10 +1,22 @@
-"""Tests for repro.core.util_bp — Algorithm 1, case by case."""
+"""Tests for repro.core.util_bp — Algorithm 1, case by case, and
+decision for decision against Algorithm 1 composed from the scalar
+gain functions of :mod:`repro.core.pressure`."""
+
+import dataclasses
+import math
+import random
+from typing import List, Tuple
 
 import pytest
 
-from repro.control.base import TRANSITION
+from repro.control.base import TRANSITION, IntersectionController
 from repro.core.config import UtilBpConfig
+from repro.core.pressure import keep_threshold, max_link_gain, phase_gain
 from repro.core.util_bp import UtilBpController
+from repro.model.grid import build_grid_network
+from repro.model.intersection import Intersection
+from repro.model.phases import Phase
+from repro.model.queues import QueueObservation
 from tests.conftest import make_observation
 
 
@@ -221,3 +233,231 @@ class TestWorkConservation:
             assert decision != TRANSITION
             phase = intersection.phase_by_index(decision)
             assert phase.serves(servable.in_road, servable.out_road)
+
+
+# -- decision-for-decision reference ------------------------------------------
+
+
+class ReferenceUtilBp(IntersectionController):
+    """Algorithm 1 composed from :mod:`repro.core.pressure`'s scalars.
+
+    Recomputes Eq. 8 inside every Eq. 10/11/12 evaluation, the way the
+    paper states the equations; :class:`UtilBpController` must decide
+    exactly as this does.
+    """
+
+    def __init__(self, intersection: Intersection, config: UtilBpConfig):
+        super().__init__(intersection)
+        self.config = config
+        self._transition_until = -math.inf
+
+    def decide(self, obs: QueueObservation) -> int:
+        t_k = obs.time
+        previous = self._current
+        if previous == TRANSITION and t_k < self._transition_until:
+            return self._record(TRANSITION)
+        if previous != TRANSITION:
+            current_phase = self.intersection.phase_by_index(previous)
+            g_max, l_max = max_link_gain(
+                current_phase, obs, self.config.alpha, self.config.beta
+            )
+            threshold = keep_threshold(obs, l_max)
+            threshold -= self.config.keep_margin * l_max.service_rate
+            if g_max > threshold:
+                return self._record(previous)
+        selected = self._select_phase(obs)
+        if selected == previous or previous == TRANSITION:
+            return self._record(selected)
+        self._transition_until = t_k + self.config.transition_duration
+        return self._record(TRANSITION)
+
+    def _select_phase(self, obs: QueueObservation) -> int:
+        alpha, beta = self.config.alpha, self.config.beta
+        ranked: List[Tuple[Phase, float]] = []
+        best_overall = -math.inf
+        for phase in self.intersection.phases:
+            g_max, _ = max_link_gain(phase, obs, alpha, beta)
+            ranked.append((phase, g_max))
+            best_overall = max(best_overall, g_max)
+        if best_overall > alpha:
+            candidates = [phase for phase, g_max in ranked if g_max > alpha]
+            scores = [
+                (phase_gain(phase, obs, alpha, beta), phase)
+                for phase in candidates
+            ]
+        else:
+            scores = [(g_max, phase) for phase, g_max in ranked]
+
+        def rank(item: Tuple[float, Phase]) -> Tuple[float, int, int]:
+            score, phase = item
+            return (-score, 0 if phase.index == self._current else 1, phase.index)
+
+        scores.sort(key=rank)
+        return scores[0][1].index
+
+
+def _with_rates(phase: Phase, rates: Tuple[float, ...]) -> Phase:
+    """``phase`` with its movements' service rates replaced, in order."""
+    return Phase(
+        index=phase.index,
+        movements=tuple(
+            dataclasses.replace(m, service_rate=rate)
+            for m, rate in zip(phase.movements, rates)
+        ),
+    )
+
+
+def _phase_plans(base: Intersection):
+    """Phase tables exercising the plan: orders, sizes, shared links."""
+    c1, c2, c3, c4 = base.phases
+    yield "standard", base.phases
+    yield "out-of-order", (
+        c3,
+        c1,
+        Phase(index=2, movements=c2.movements + c4.movements),
+    )
+    # One-movement phases, and a movement shared by two phases.
+    yield "ragged-shared", (
+        Phase(index=4, movements=c1.movements[:1]),
+        Phase(index=1, movements=c1.movements[1:]),
+        Phase(index=3, movements=c3.movements),
+        Phase(index=2, movements=(c2.movements[0], c1.movements[0])),
+    )
+    # Links of one phase with different rates: equal gains (including
+    # alpha / beta ties) on links of different mu make the first
+    # maximal link matter to the Eq. 12 threshold.
+    yield "mixed-rates", (
+        _with_rates(c1, (0.5, 1.0, 0.3, 1.0)),
+        _with_rates(c2, (1.0, 0.5)),
+        _with_rates(c3, (0.3, 0.5, 1.0, 0.5)),
+        c4,
+    )
+
+
+def _intersections() -> List[Tuple[str, Intersection]]:
+    base = build_grid_network(1, 1, capacity=8, service_rate=0.3)
+    return [
+        (name, dataclasses.replace(base.intersections["J00"], phases=phases))
+        for name, phases in _phase_plans(base.intersections["J00"])
+    ]
+
+
+def _random_observation(
+    rng: random.Random, intersection: Intersection, time: float
+) -> QueueObservation:
+    """A ``Q(k)`` with many empty lanes, full roads, ties and gaps.
+
+    Capacities are redrawn per observation, so ``W*`` changes from one
+    decision to the next; about one movement in ten is absent from
+    ``movement_queues`` (and must read 0).
+    """
+    capacities = {road: rng.choice((4, 6, 8)) for road in intersection.out_roads}
+    movement_queues = {}
+    for key in intersection.movements:
+        draw = rng.random()
+        if draw < 0.1:
+            continue
+        movement_queues[key] = 0 if draw < 0.5 else rng.randint(1, 5)
+    out_queues = {
+        road: capacity if rng.random() < 0.2 else rng.randint(0, 3)
+        for road, capacity in capacities.items()
+    }
+    return QueueObservation(time, movement_queues, out_queues, capacities)
+
+
+CONFIGS = [
+    UtilBpConfig(),
+    UtilBpConfig(keep_margin=1.5),
+    # A margin above W* makes the threshold negative: alpha/beta keeps.
+    UtilBpConfig(keep_margin=10.0, transition_duration=2.0),
+    UtilBpConfig(alpha=-0.5, beta=-3.0, keep_margin=0.25),
+]
+
+
+@pytest.mark.parametrize("config", CONFIGS, ids=lambda c: f"margin={c.keep_margin}")
+@pytest.mark.parametrize(
+    "name,intersection",
+    [pytest.param(name, inter, id=name) for name, inter in _intersections()],
+)
+def test_decisions_match_scalar_reference(name, intersection, config):
+    """Identical decision sequences over a seeded random stream."""
+    rng = random.Random(f"{name}-{config.keep_margin}")
+    controller = UtilBpController(intersection, config)
+    reference = ReferenceUtilBp(intersection, config)
+    decisions = []
+    for k in range(1500):
+        obs = _random_observation(rng, intersection, float(k))
+        decision = controller.decide(obs)
+        assert decision == reference.decide(obs), (name, k)
+        decisions.append(decision)
+    # The stream exercises every case: amber, keeps and switches.
+    assert TRANSITION in decisions
+    assert len(set(decisions)) == len(intersection.phases) + 1
+
+
+def test_tie_prefers_running_phase_over_lower_index(intersection):
+    """Equal scores keep the running phase even if a lower index ties."""
+    controller = UtilBpController(intersection, UtilBpConfig())
+    m1 = phase_movements(intersection, 1)[0]
+    m3 = phase_movements(intersection, 3)[0]
+    controller.decide(make_observation(intersection, movement_queues={m3.key: 5}))
+    assert controller.current_phase == 3
+    # Both phases' single queued link now has a zero pressure
+    # difference: no keep, equal totals, and c3 is running.
+    obs = make_observation(
+        intersection,
+        time=1.0,
+        movement_queues={m1.key: 2, m3.key: 2},
+        out_queues={m1.out_road: 2, m3.out_road: 2},
+    )
+    assert controller.decide(obs) == 3
+
+
+def test_missing_out_road_raises_key_error(intersection):
+    movement = phase_movements(intersection, 1)[0]
+    obs = make_observation(intersection)
+    out_queues = dict(obs.out_queues)
+    del out_queues[movement.out_road]
+    broken = QueueObservation(
+        0.0, obs.movement_queues, out_queues, obs.out_capacities
+    )
+    for controller in (
+        UtilBpController(intersection),
+        ReferenceUtilBp(intersection, UtilBpConfig()),
+    ):
+        with pytest.raises(KeyError, match=movement.out_road):
+            controller.decide(broken)
+
+
+def test_missing_capacity_raises_key_error(intersection):
+    movement = phase_movements(intersection, 1)[0]
+    obs = make_observation(intersection)
+    capacities = dict(obs.out_capacities)
+    del capacities[movement.out_road]
+    # The validating constructor refuses a queue without a capacity.
+    broken = QueueObservation.trusted(
+        0.0, obs.movement_queues, obs.out_queues, capacities
+    )
+    with pytest.raises(KeyError, match=f"no capacity recorded for road '{movement.out_road}'"):
+        UtilBpController(intersection).decide(broken)
+
+
+def test_absent_movement_reads_zero(intersection):
+    """A movement missing from ``movement_queues`` is an empty lane."""
+    m3 = phase_movements(intersection, 3)[0]
+    obs = QueueObservation(
+        0.0,
+        {m3.key: 1},
+        {road: 0 for road in intersection.out_roads},
+        {road: r.capacity for road, r in intersection.out_roads.items()},
+    )
+    assert UtilBpController(intersection).decide(obs) == 3
+
+
+def test_plan_is_shared_per_intersection(intersection):
+    """Controllers of one intersection share one plan, built once."""
+    first = UtilBpController(intersection)
+    second = UtilBpController(intersection, UtilBpConfig(keep_margin=2.0))
+    assert first._plan is second._plan
+    variant = dataclasses.replace(intersection, phases=intersection.phases[:2])
+    assert UtilBpController(variant)._plan is not first._plan
