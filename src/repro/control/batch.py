@@ -23,7 +23,8 @@ controller table (:func:`repro.control.factory.build_batch_controller`
 builds it by name):
 
 * ``util-bp`` — :class:`BatchUtilBpController`, Algorithm 1's three
-  cases on ``(B, N)`` state arrays;
+  cases on ``(B, N)`` state arrays, re-deciding only the cells whose
+  inputs changed since the previous call (see the class);
 * ``cap-bp`` — :class:`BatchCapBpController`, the fixed-slot driver plus
   capacity-normalized weights;
 * ``original-bp`` — :class:`BatchOriginalBpController`, fixed slots with
@@ -54,10 +55,8 @@ import numpy as np
 from repro.core.config import UtilBpConfig
 from repro.core.engine import BatchControlArrays
 from repro.core.pressure import (
-    keep_threshold_array,
     link_gain_array,
     link_gain_original_array,
-    max_link_gain_array,
     phase_gain_array,
 )
 from repro.model.network import Network
@@ -115,8 +114,8 @@ class _NetworkLayout:
 
     Nothing here depends on the batch size, so :meth:`of` builds the
     layout once per network and every batch controller on that network
-    shares it, read-only.  The batch-sized index grids come from
-    :meth:`index_grids`.
+    shares it, read-only.  The batch-sized cell grid comes from
+    :meth:`cell_grid`.  A node without movements or phases is rejected.
     """
 
     @classmethod
@@ -138,7 +137,16 @@ class _NetworkLayout:
         gid_of = {}
         in_code = []
         code_of = {}
+        node_starts = []
         for n, inter in enumerate(intersections):
+            if not inter.movements or not inter.phases:
+                # The kernels reduce per node over movement columns and
+                # phases; an empty node would read its neighbour's.
+                raise ValueError(
+                    f"intersection {inter.node_id} has no movements or "
+                    f"no phases; batch controllers need both at every node"
+                )
+            node_starts.append(len(movement_keys))
             for key, movement in inter.movements.items():
                 gid_of[(n, key)] = len(movement_keys)
                 movement_keys.append(key)
@@ -155,6 +163,8 @@ class _NetworkLayout:
         self.m_rate = np.array(rate, dtype=np.float64)
         self._in_code = np.array(in_code, dtype=np.int64)
         self._n_in_roads = len(code_of)
+        #: First movement column of each node (node-wise ``reduceat``).
+        self.node_starts = np.array(node_starts, dtype=np.int64)
 
         # W* (Eq. 7) is per intersection: the largest outgoing capacity.
         w_star = np.array(
@@ -180,7 +190,6 @@ class _NetworkLayout:
         self.max_index = max_index
         self.members = np.zeros((N, P, L), dtype=np.int64)
         self.member_valid = np.zeros((N, P, L), dtype=bool)
-        self.member_rate = np.zeros((N, P, L), dtype=np.float64)
         self.phase_index = np.zeros((N, P), dtype=np.int64)
         self.phase_valid = np.zeros((N, P), dtype=bool)
         self.slot_of = np.full((N, max_index + 1), -1, dtype=np.int64)
@@ -198,27 +207,19 @@ class _NetworkLayout:
                 for j, movement in enumerate(phase.movements):
                     self.members[n, p, j] = gid_of[(n, movement.key)]
                     self.member_valid[n, p, j] = True
-                    self.member_rate[n, p, j] = movement.service_rate
         self._node_cols = np.arange(N)[None, :]
         for value in vars(self).values():
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False
 
-    def index_grids(self, batch_size: int) -> Tuple[tuple, tuple]:
-        """The ``(b, n)`` cell grid and ``(b, n, p)`` phase-slot grid.
+    def cell_grid(self, batch_size: int) -> tuple:
+        """The open ``(b, n)`` index grid over a batch's cells.
 
-        A controller builds them once: the per-cell gathers of every
-        mini-slot index with them instead of rebuilding them per call
-        (as ``np.take_along_axis`` does).
+        A controller builds it once: the per-cell gathers of every
+        mini-slot index with it instead of rebuilding it per call (as
+        ``np.take_along_axis`` does).
         """
-        N, P = self.phase_valid.shape
-        cells = (np.arange(batch_size)[:, None], self._node_cols)
-        phase_cells = (
-            np.arange(batch_size)[:, None, None],
-            np.arange(N)[None, :, None],
-            np.arange(P)[None, None, :],
-        )
-        return cells, phase_cells
+        return (np.arange(batch_size)[:, None], self._node_cols)
 
     def current_slot(self, current: np.ndarray) -> np.ndarray:
         """Dense phase slot of each ``(b, n)`` running phase (-1: amber).
@@ -247,9 +248,7 @@ class _BatchControllerBase:
             raise ValueError("network has no intersections to control")
         self.batch_size = int(batch_size)
         self._layout = _NetworkLayout.of(network)
-        self._cells, self._phase_cells = self._layout.index_grids(
-            self.batch_size
-        )
+        self._cells = self._layout.cell_grid(self.batch_size)
         self.node_ids = self._layout.node_ids
         self.movement_keys = self._layout.movement_keys
         self._shape = (self.batch_size, len(self.node_ids))
@@ -277,11 +276,73 @@ class _BatchControllerBase:
             )
 
 
+class _UtilBpPlan:
+    """UTIL-BP's gather table of one network, in phase-index order.
+
+    A re-decided cell reads one row, ``gather[n, r]`` for node ``n``
+    running phase ``r`` (0: amber): the columns of a ``(2, S, L)`` block
+    of link gains, ``S = max_index + 1`` phase slots of ``L`` member
+    links.  Slot ``i >= 1`` is the node's phase of index ``i``, so the
+    first best slot is the lowest best phase index, as in the serial
+    tie-break; slot 0 repeats the running phase, so the running phase's
+    own gains sit at a fixed place.  Half 0 feeds the maxima (Eq. 11):
+    a phase's padding repeats its first link (which changes neither the
+    maximum nor the first arg-max), and a missing phase — and slot 0
+    under amber — reads the ``-inf`` column.  Half 1 feeds the sums
+    (Eq. 10): padding reads the ``0.0`` column.  Column ``M`` is
+    ``-inf`` and ``M + 1`` is ``0.0`` in the kernel's gains rows.
+
+    ``w_mu[n, r, l]`` is ``W* mu`` (Eq. 12) of phase ``r``'s ``l``-th
+    link, ``rates`` its ``mu``; zero on padding.  Like the layout, the
+    plan is built once per network and shared read-only.
+    """
+
+    @classmethod
+    def of(cls, network: Network) -> "_UtilBpPlan":
+        """The shared plan of ``network``."""
+        return network.derived(cls, lambda: cls(network))
+
+    def __init__(self, network: Network):
+        lay = _NetworkLayout.of(network)
+        N, P, L = lay.members.shape
+        S = lay.max_index + 1
+        M = lay.n_movements
+        by_max = np.full((N, S, L), M, dtype=np.int64)
+        by_sum = np.full((N, S, L), M + 1, dtype=np.int64)
+        rates = np.zeros((N, S, L), dtype=np.float64)
+        node, p = np.nonzero(lay.phase_valid)
+        at = (node, lay.phase_index[node, p])
+        members = lay.members[node, p]
+        valid = lay.member_valid[node, p]
+        by_max[at] = np.where(valid, members, members[:, :1])
+        by_sum[at] = np.where(valid, members, M + 1)
+        rates[at] = np.where(valid, lay.m_rate[members], 0.0)
+        blocks = np.stack(
+            [np.repeat(by_max[:, None], S, axis=1),
+             np.repeat(by_sum[:, None], S, axis=1)],
+            axis=2,
+        )  # (N, running phase, half, slot, L)
+        blocks[:, :, 0, 0] = by_max
+        blocks[:, :, 1, 0] = by_sum
+        self.slots = S
+        self.links = L
+        self.gather = blocks.reshape(N, S, 2 * S * L)
+        self.rates = rates
+        self.w_mu = lay.node_w_star.astype(np.float64)[:, None, None] * rates
+        for value in (self.gather, self.rates, self.w_mu):
+            value.flags.writeable = False
+
+
+def _snapshot(array: np.ndarray) -> np.ndarray:
+    """``array`` itself if read-only (an engine's snapshot), else a copy."""
+    return array.copy() if array.flags.writeable else array
+
+
 class BatchUtilBpController(_BatchControllerBase):
     """UTIL-BP (Algorithm 1) on whole replication batches.
 
-    The three cases are evaluated as masks over ``(B, N)`` cells, each
-    the exact vectorization of :class:`~repro.core.util_bp.UtilBpController`:
+    Each cell — one (replication, node) pair — is decided exactly as
+    :class:`~repro.core.util_bp.UtilBpController` decides its node:
 
     1. a transition phase is running and its timer has not expired —
        keep it;
@@ -292,6 +353,28 @@ class BatchUtilBpController(_BatchControllerBase):
        phases by best link gain; equal scores prefer the running phase,
        then the lowest phase index.  A selection differing from the
        running control phase arms the transition timer and shows amber.
+
+    **Only cells whose inputs changed are re-decided.**  A call
+    re-decides a cell when it is the first call since construction or
+    :meth:`reset`, when a ``queues`` or ``out_queues`` column of the
+    node's movements differs from the previous call's, when the cell's
+    running phase differs from the one it ran at the previous call, or
+    when the cell is in amber (case 1 reads ``t_k``).  Every other cell
+    keeps its running phase and its timer.  This is exact: in a control
+    phase, Algorithm 1 reads only the cell's queues, out-queues, running
+    phase and static configuration, so with all of them unchanged the
+    previous decision repeats — and that decision was the running phase.
+
+    The kernel computes Eq. 8 once, dense over ``(B, M)``, gathers the
+    gain blocks of the ``K`` re-decided cells (:class:`_UtilBpPlan`),
+    runs Eqs. 10-12 and the tie-break on ``(S, K)`` phase-slot arrays
+    and scatters decisions and armed timers back.  It keeps
+    the previous call's arrays, so they must not change afterwards:
+    the engines hand out read-only snapshots, which are kept as they
+    are, and a writable array is copied.
+
+    ``cells_offered`` and ``cells_decided`` count the cells seen and
+    the cells re-decided since construction or :meth:`reset`.
     """
 
     def __init__(
@@ -302,74 +385,115 @@ class BatchUtilBpController(_BatchControllerBase):
     ):
         self.config = config or UtilBpConfig()
         super().__init__(network, batch_size)
+        plan = self._plan = _UtilBpPlan.of(network)
+        # Eq. 12 per link, rounded as the serial controller rounds it:
+        # g* = W* mu, then lowered by keep_margin mu.
+        self._threshold = plan.w_mu - self.config.keep_margin * plan.rates
+        B, N = self._shape
+        M = self._layout.n_movements
+        # One gains row per replication plus the padding columns M
+        # (-inf) and M + 1 (0.0) the gather table points at.
+        self._extended = np.empty((B, M + 2), dtype=np.float64)
+        self._extended[:, M] = -np.inf
+        self._extended[:, M + 1] = 0.0
+        self._gains = self._extended[:, :M]
+        self._all_cells = np.arange(B * N)
 
     def reset(self) -> None:
-        """Reset phases and per-cell transition timers."""
+        """Reset phases, transition timers, the memo and the counters."""
         super().reset()
         #: t_{Delta k} per (replication, node).
         self._transition_until = np.full(self._shape, -math.inf)
+        #: The previous call's (queues, out_queues, running phases).
+        self._memo: Tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self.cells_offered = 0
+        self.cells_decided = 0
 
     def decide_batch(self, arrays: BatchControlArrays) -> np.ndarray:
-        """Run Algorithm 1 on the whole ``(B, N)`` batch at once."""
+        """Run Algorithm 1 on the cells whose inputs changed."""
         self._check(arrays)
-        lay = self._layout
-        cfg = self.config
-        t_k = arrays.time
+        queues = arrays.queues
+        out_queues = arrays.out_queues
         previous = self._current
+        memo = self._memo
+        if memo is None:
+            cells = self._all_cells
+        else:
+            last_queues, last_out_queues, last_running = memo
+            changed = queues != last_queues
+            if out_queues is not last_out_queues:
+                changed |= out_queues != last_out_queues
+            redo = np.logical_or.reduceat(
+                changed, self._layout.node_starts, axis=1
+            )
+            redo |= previous != last_running
+            redo |= previous == 0
+            cells = np.flatnonzero(redo)
+        self._memo = (_snapshot(queues), _snapshot(out_queues), previous)
+        self.cells_offered += previous.size
+        self.cells_decided += len(cells)
+        if not len(cells):
+            return previous
 
-        gains = link_gain_array(
-            arrays.queues,
-            arrays.out_queues,
-            lay.m_out_cap,
-            lay.m_w_star,
-            lay.m_rate,
+        cfg = self.config
+        plan = self._plan
+        t_k = arrays.time
+        link_gain_array(
+            queues,
+            out_queues,
+            self._layout.m_out_cap,
+            self._layout.m_w_star,
+            self._layout.m_rate,
             cfg.alpha,
             cfg.beta,
+            out=self._gains,
         )
-        # Per-phase reductions (B, N, P): Eq. 11 max + arg, Eq. 10 sum.
-        g_max, arg = max_link_gain_array(
-            gains, lay.members, lay.member_valid, cells=self._phase_cells
-        )
-        mu_of_arg = lay.member_rate[self._phase_cells[1:] + (arg,)]
-        g_max = np.where(lay.phase_valid, g_max, -np.inf)
+        replication, node = np.divmod(cells, self._shape[1])
+        running = previous.take(cells)
+        S, L = plan.slots, plan.links
+        # (2, S, L, K): the K cells run along the last, contiguous axis,
+        # so the reductions over slots and links are elementwise.
+        block = self._extended[
+            replication, plan.gather[node, running].T
+        ].reshape(2, S, L, len(cells))
+        links, addends = block
+        # Eq. 11 per phase slot; Eq. 10 added left to right, as the
+        # serial controller adds.
+        g_max = links[:, 0]
+        g_sum = addends[:, 0]
+        for j in range(1, L):
+            g_max = np.maximum(g_max, links[:, j])
+            g_sum = g_sum + addends[:, j]
 
-        # Case 1: transition running, timer not expired.
-        case1 = (previous == 0) & (t_k < self._transition_until)
-
-        # Case 2: current control phase still above the keep threshold.
-        slot = lay.current_slot(previous)
-        g_cur = self._take_per_slot(g_max, slot)
-        mu_cur = self._take_per_slot(mu_of_arg, slot)
-        threshold = keep_threshold_array(lay.node_w_star, mu_cur)
-        threshold = threshold - cfg.keep_margin * mu_cur
-        case2 = (previous != 0) & (g_cur > threshold)
-
-        # Case 3: utilization-aware selection over all phases.
-        g_sum = phase_gain_array(gains, lay.members, lay.member_valid)
-        best_overall = g_max.max(axis=2)
+        # Case 3: utilization-aware selection.  Slot 0 is the running
+        # phase, so a best running phase wins the tie-break; otherwise
+        # the first best slot is the lowest best phase index.
+        usable = g_max > cfg.alpha
         scores = np.where(
-            (best_overall > cfg.alpha)[..., None],
-            np.where(g_max > cfg.alpha, g_sum, -np.inf),
-            g_max,
+            usable.any(axis=0), np.where(usable, g_sum, -np.inf), g_max
         )
-        best_score = scores.max(axis=2)
-        is_best = (scores == best_score[..., None]) & lay.phase_valid
-        current_is_best = (
-            self._take_per_slot(is_best, slot) & (slot >= 0)
-        )
-        lowest_best = np.where(is_best, lay.phase_index, _NO_PHASE).min(axis=2)
-        selected = np.where(current_is_best, previous, lowest_best)
+        is_best = scores == scores.max(axis=0)
+        selected = np.where(is_best[0], running, is_best.argmax(axis=0))
 
-        direct = (selected == previous) | (previous == 0)
-        arm = ~case1 & ~case2 & ~direct
-        decision = np.where(
-            case1,
-            0,
-            np.where(case2, previous, np.where(direct, selected, 0)),
+        # Cases 1 and 2: an amber whose timer runs, or a control phase
+        # whose best link (the first maximal one) beats its Eq.-12
+        # threshold, is kept.
+        amber = running == 0
+        first_best = links[0].argmax(axis=0)
+        keep = np.where(
+            amber,
+            t_k < self._transition_until.take(cells),
+            g_max[0] > self._threshold[node, running, first_best],
         )
-        self._transition_until = np.where(
-            arm, t_k + cfg.transition_duration, self._transition_until
-        )
+        direct = (selected == running) | amber
+        decided = np.where(keep, running, np.where(direct, selected, 0))
+        decision = previous.copy()
+        decision.put(cells, decided)
+        arm = ~(keep | direct)
+        if arm.any():
+            self._transition_until.put(
+                cells[arm], t_k + cfg.transition_duration
+            )
         self._current = decision
         return decision
 

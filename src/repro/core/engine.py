@@ -98,6 +98,11 @@ class BatchControlArrays:
     is valid until the engine's next ``step()``: a read after that
     raises :class:`RuntimeError` instead of returning later state.
 
+    The arrays themselves never change: ``sense_arrays()`` returns
+    read-only snapshots (writing to one raises) that no later step
+    changes.  The util-bp kernel relies on it: it keeps the previous
+    call's arrays to find the cells whose inputs changed.
+
     Attributes
     ----------
     time:
@@ -209,7 +214,7 @@ class BatchEngine(Protocol):
         ...
 
     def sense_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
-        """``(queues, out_queues)`` now: what the façade reads, once."""
+        """``(queues, out_queues)`` now, read-only: what the façade reads."""
         ...
 
     def step(self, dt: float, phases: np.ndarray) -> None:

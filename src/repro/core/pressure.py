@@ -15,9 +15,11 @@ The notions implemented here, with their equation numbers in the paper:
   ``g_max(c_j, k)`` (Eq. 11), together with the arg-max link
   ``L_max(c_j, k)`` needed by the keep-phase threshold of Eq. 12.
 
-Each scalar function has an ``*_array`` twin operating on whole
-``(B, n_movements)`` queue/occupancy arrays — the kernels behind the
-batched controllers (:mod:`repro.control.batch`).  The array variants
+``link_gain``, ``link_gain_original`` and ``phase_gain`` have
+``*_array`` twins operating on whole ``(B, n_movements)``
+queue/occupancy arrays, for the batched controllers
+(:mod:`repro.control.batch`; its util-bp kernel takes Eqs. 11-12 on
+the blocks it gathers itself).  The array variants
 are *bit-for-bit* equivalent to mapping the scalar function over every
 (replication, movement) cell: comparisons are the same, and the
 floating-point evaluation order of every sum and product is preserved
@@ -45,8 +47,6 @@ __all__ = [
     "link_gain_array",
     "link_gain_original_array",
     "phase_gain_array",
-    "max_link_gain_array",
-    "keep_threshold_array",
 ]
 
 
@@ -179,6 +179,8 @@ def link_gain_array(
     service_rates: np.ndarray,
     alpha: float,
     beta: float,
+    *,
+    out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Eq. 8 evaluated elementwise on movement-aligned arrays.
 
@@ -186,17 +188,20 @@ def link_gain_array(
     ``out_capacities``, ``w_star`` (the movement's intersection ``W*``)
     and ``service_rates`` are the static per-movement columns.  Exactly
     :func:`link_gain` per cell, including the check order (a full
-    outgoing road wins over an empty incoming movement).
+    outgoing road wins over an empty incoming movement).  ``out``, a
+    float64 array of the queues' shape, receives the gains in place of
+    a new array (a kernel deciding every mini-slot reuses one buffer).
     """
     if alpha >= 0 or beta >= 0:
         raise ValueError(
             f"alpha and beta must be negative, got alpha={alpha}, beta={beta}"
         )
-    general = (
-        queues.astype(np.float64) - out_queues + w_star
-    ) * service_rates
-    gains = np.where(queues == 0, alpha, general)
-    return np.where(out_queues >= out_capacities, beta, gains)
+    gains = np.subtract(queues, out_queues, out=out, dtype=np.float64)
+    gains += w_star
+    gains *= service_rates
+    np.copyto(gains, alpha, where=queues == 0)
+    np.copyto(gains, beta, where=out_queues >= out_capacities)
+    return gains
 
 
 def link_gain_original_array(
@@ -226,33 +231,3 @@ def phase_gain_array(
     for j in range(gathered.shape[-1]):
         total = total + np.where(valid[..., j], gathered[..., j], 0.0)
     return total
-
-
-def max_link_gain_array(
-    gains: np.ndarray,
-    members: np.ndarray,
-    valid: np.ndarray,
-    *,
-    cells: Optional[Tuple[np.ndarray, ...]] = None,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Eq. 11 as a masked argmax over phase memberships.
-
-    Returns ``(g_max, argmax_position)`` where the position indexes the
-    membership axis (the phase's declaration order).  ``np.argmax``
-    takes the first maximal entry, matching the scalar tie-break.
-    ``cells`` are the open index grids over the result's axes (as
-    ``np.ix_`` builds them); a caller deciding every mini-slot passes
-    them precomputed, otherwise they are built per call.
-    """
-    gathered = np.where(valid, gains[..., members], -np.inf)
-    arg = gathered.argmax(axis=-1)
-    if cells is None:
-        cells = np.ix_(*(range(n) for n in arg.shape))
-    return gathered[(*cells, arg)], arg
-
-
-def keep_threshold_array(
-    max_capacities: np.ndarray, service_rates: np.ndarray
-) -> np.ndarray:
-    """Eq. 12 on arrays: ``g* = W* mu`` with ``mu`` of the arg-max link."""
-    return max_capacities.astype(np.float64) * service_rates

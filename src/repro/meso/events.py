@@ -340,7 +340,8 @@ class EventCountsSimulator(CountsSimulator):
         mode.  The stop-line row persists between reads; only the
         column spans of nodes whose counts changed since the last read
         are rewritten, and the sensed in-transit units are added to a
-        copy of it.
+        copy of it.  Both arrays are read-only snapshots that no later
+        step changes.
         """
         row = self._stop_line_row
         dirty = self._dirty_nodes
@@ -383,7 +384,10 @@ class EventCountsSimulator(CountsSimulator):
                     out_queues[0, columns] = occ
         else:
             out_queues = self._no_out_queues
-        return queues[None, :], out_queues
+        queues = queues[None, :]
+        queues.flags.writeable = False
+        out_queues.flags.writeable = False
+        return queues, out_queues
 
     # -- arrival windows ---------------------------------------------------
 

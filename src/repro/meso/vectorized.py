@@ -69,6 +69,7 @@ kernel; a single ``run_scenario`` on ``meso-vec`` is a batch of one.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -233,7 +234,6 @@ class _ColumnTables:
             gid_by_out.setdefault(ri, {})[out_road] = gid
             key_by_out.setdefault(ri, {})[out_road] = movement_keys[gid]
             node_of_in_road[ri] = node_of[gid]
-        self.gid_by_out = gid_by_out
         self.key_by_out = key_by_out
         #: The static halves of the per-unit FIFO plans, one entry per
         #: column (the FIFOs themselves are per seed, keyed by flat
@@ -418,7 +418,6 @@ class BatchCountsSimulator:
         self._m_phase = tables.m_phase
         self._stages = tables.stages
         self._road_index = tables.road_index
-        self._gid_by_out = tables.gid_by_out
         self._key_by_out = tables.key_by_out
         self._transfer_plan = tables.transfer_plan
         self._promote_plan = tables.promote_plan
@@ -479,6 +478,15 @@ class BatchCountsSimulator:
         self._lanes: Dict[int, deque] = {}
         self._transit: Dict[int, deque] = {}
         self._backlog_len = np.zeros((B, len(self._entry_ids)), dtype=np.int64)
+        # Sensed in-transit units (see sense_arrays), kept from the first
+        # read on: per lane column, the units of every cohort whose
+        # ready time lies within the last read's deadline; and per
+        # transit FIFO, the ready time of its first cohort beyond it.
+        self._sensed: Optional[np.ndarray] = None
+        self._sensed_until = -math.inf
+        self._uncounted_ready: Optional[np.ndarray] = None
+        #: The spillback out-queues while no road is full, shared by reads.
+        self._no_out_queues = _frozen(np.zeros((B, M), dtype=np.int64))
         #: (backlog FIFO, entry transit key, router) per (replication,
         #: entry).
         self._inject_plan = [
@@ -598,31 +606,65 @@ class BatchCountsSimulator:
         Movement-aligned arrays of exactly what :meth:`observations`
         reports — the same sensed in-transit augmentation of the
         stop-line queues and the same out-queue sensing mode — without
-        materializing B per-node dict networks.  Both are copies: no
-        later step changes them.
+        materializing B per-node dict networks.  Both are read-only
+        snapshots that no later step changes (while no road is full,
+        the spillback out-queues are one shared zero array).
+
+        The in-transit augmentation is a count kept from the first read
+        on.  A cohort (the units pushed onto one road in one mini-slot,
+        sharing a ready time) counts from the first read whose deadline
+        reaches its ready time until :meth:`_promote` moves it into its
+        lane, or from its push if its ready time already lies within the
+        last read's deadline (a travel time within the sensing horizon).
+        A read therefore walks only the cohorts that entered the horizon
+        since the previous read, found through each FIFO's first
+        uncounted ready time; the first read counts every FIFO.
         """
-        now = self.time
-        deadline = now + self._sensing_horizon
-        sensed = self._head_ready <= deadline
-        queues = self._queue_len.copy()
-        if sensed.any():
-            road_ids = self._road_ids
-            gid_by_out = self._gid_by_out
+        deadline = self.time + self._sensing_horizon
+        sensed = self._sensed
+        if sensed is None:
+            sensed = self._sensed = np.zeros_like(self._queue_len)
+            uncounted = self._uncounted_ready = self._head_ready.copy()
+        else:
+            # A FIFO whose first uncounted cohort was promoted unread
+            # has no counted cohort left: its head is the first.
+            uncounted = self._uncounted_ready
+            np.maximum(uncounted, self._head_ready, out=uncounted)
+        entering = np.flatnonzero(uncounted <= deadline)
+        if len(entering):
+            counted_until = self._sensed_until
+            M = len(self._movement_keys)
+            R = len(self._road_ids)
+            plans = self._promote_plan
             transits = self._transit
-            R = len(road_ids)
-            for b, ri in np.argwhere(sensed).tolist():
-                gids = gid_by_out[ri]
-                road_id = road_ids[ri]
-                row = queues[b]
-                for ready, units in transits[b * R + ri]:
+            columns: List[int] = []
+            add = columns.append
+            following: List[float] = []
+            follow = following.append
+            for fifo in entering.tolist():
+                b, ri = divmod(fifo, R)
+                gids, road_id = plans[ri]
+                base = b * M
+                for ready, units in transits[fifo]:
                     if ready > deadline:
+                        follow(ready)
                         break
-                    for unit in units:
-                        row[gids[unit[road_id]]] += 1
+                    if ready > counted_until:
+                        for unit in units:
+                            add(base + gids[unit[road_id]])
+                else:
+                    follow(math.inf)
+            uncounted.put(entering, following)
+            if columns:
+                np.add.at(sensed.reshape(-1), columns, 1)
+        self._sensed_until = deadline
+        queues = self._queue_len + sensed
+        queues.flags.writeable = False
         if self._out_queue_mode == "spillback":
-            road_out = np.where(
-                self._occ >= self._caps[None, :], self._occ, 0
-            )
+            full = self._occ >= self._caps[None, :]
+            if not full.any():
+                return queues, self._no_out_queues
+            road_out = np.where(full, self._occ, 0)
         elif self._out_queue_mode == "occupancy":
             # Exit-road occupancy is structurally zero (exit movements
             # leave the network), matching the 0 the dict path reports.
@@ -632,7 +674,44 @@ class BatchCountsSimulator:
             np.add.at(
                 road_out, (slice(None), self._in_idx), self._queue_len
             )
-        return queues, road_out[:, self._out_idx]
+        out_queues = road_out[:, self._out_idx]
+        out_queues.flags.writeable = False
+        return queues, out_queues
+
+    def _track_push(
+        self,
+        b: int,
+        ri: int,
+        ready: float,
+        transit: deque,
+        units: list,
+        tracked: Tuple[List[Tuple[int, int, float]], List[int]],
+    ) -> None:
+        """Keep the sensed count exact over one push, before it lands.
+
+        A cohort whose ready time lies within the last read's deadline
+        counts at once (its lane columns go to ``tracked[1]``).  A later
+        one onto a FIFO with no uncounted cohort becomes that FIFO's
+        first uncounted cohort (``tracked[0]``).
+        """
+        until = self._sensed_until
+        if ready <= until:
+            gids, road_id = self._promote_plan[ri]
+            base = b * len(self._movement_keys)
+            tracked[1].extend(base + gids[unit[road_id]] for unit in units)
+        elif not transit or transit[-1][0] <= until:
+            tracked[0].append((b, ri, ready))
+
+    def _commit_tracked(
+        self, tracked: Tuple[List[Tuple[int, int, float]], List[int]]
+    ) -> None:
+        """Apply the bookkeeping :meth:`_track_push` collected."""
+        first, counted = tracked
+        if first:
+            b, ri, ready = zip(*first)
+            self._uncounted_ready[b, ri] = ready
+        if counted:
+            np.add.at(self._sensed.reshape(-1), counted, 1)
 
     # -- stepping ------------------------------------------------------------
 
@@ -730,6 +809,10 @@ class BatchCountsSimulator:
         plans = self._promote_plan
         transits = self._transit
         lanes = self._lanes
+        # Counted cohorts leave the sensed count as they reach the lane
+        # (before the first read nothing is counted).
+        counted_until = self._sensed_until
+        uncount: List[int] = []
         dbs, drs = np.nonzero(due)
         for b, ri in zip(dbs.tolist(), drs.tolist()):
             gids, road_id = plans[ri]
@@ -737,8 +820,9 @@ class BatchCountsSimulator:
             base = b * M
             promoted = 0
             while transit and transit[0][0] <= now:
-                units = transit.popleft()[1]
+                ready, units = transit.popleft()
                 promoted += len(units)
+                first = len(inc_flat)
                 for unit in units:
                     key = base + gids[unit[road_id]]
                     lane = lanes.get(key)
@@ -746,6 +830,8 @@ class BatchCountsSimulator:
                         lane = lanes[key] = deque()
                     lane.append(unit)
                     inc_append(key)
+                if ready <= counted_until:
+                    uncount.extend(inc_flat[first:])
             if promoted:
                 pair_b.append(b)
                 pair_n.append(promoted)
@@ -756,6 +842,8 @@ class BatchCountsSimulator:
         if inc_flat:
             np.add.at(self._queue_len.reshape(-1), inc_flat, 1)
             np.add.at(self._queued_total, pair_b, pair_n)
+        if uncount:
+            np.subtract.at(self._sensed.reshape(-1), uncount, 1)
 
     def _apply_phase_switch(
         self, dt: float, phases_arr: np.ndarray, now: float
@@ -1048,6 +1136,7 @@ class BatchCountsSimulator:
         out_roads = self._transfer_plan
         lanes = self._lanes
         transits = self._transit
+        tracked = ([], []) if self._sensed is not None else None
         for i, (b, m) in enumerate(zip(bs.tolist(), ms.tolist())):
             limit = limits[i]
             pop = lanes[b * M + m].popleft
@@ -1066,9 +1155,14 @@ class BatchCountsSimulator:
                 head_b.append(b)
                 head_r.append(ri)
                 head_v.append(readies[i])
-            transit.append((readies[i], [pop() for _ in range(limit)]))
+            cohort = [pop() for _ in range(limit)]
+            if tracked is not None:
+                self._track_push(b, ri, readies[i], transit, cohort, tracked)
+            transit.append((readies[i], cohort))
         if head_b:
             self._head_ready[head_b, head_r] = head_v
+        if tracked is not None:
+            self._commit_tracked(tracked)
 
     def _refill_window(self, dt: float, now: float) -> None:
         """Pull the next ``ARRIVAL_WINDOW`` mini-slots of arrival counts.
@@ -1122,6 +1216,7 @@ class BatchCountsSimulator:
         delta_admitted: List[int] = []
         route_nexts = self._route_nexts
         transits = self._transit
+        tracked = ([], []) if self._sensed is not None else None
         for i, (b, e) in enumerate(zip(pb.tolist(), pe.tolist())):
             backlog, transit_key, router = plans[b][e]
             count = count_list[i]
@@ -1158,6 +1253,11 @@ class BatchCountsSimulator:
                     while backlog and admitted < space:
                         cohort.append(pop())
                         admitted += 1
+                    if tracked is not None:
+                        self._track_push(
+                            b, road_list[i], readies[i], transit, cohort,
+                            tracked,
+                        )
                     transit.append((readies[i], cohort))
             if count or admitted:
                 delta_b.append(b)
@@ -1166,6 +1266,8 @@ class BatchCountsSimulator:
                 delta_admitted.append(admitted)
         if head_b:
             self._head_ready[head_b, head_r] = head_v
+        if tracked is not None:
+            self._commit_tracked(tracked)
         if delta_b:
             np.add.at(self._backlog_len, (delta_b, delta_e), delta_backlog)
             admitted_arr = np.array(delta_admitted, dtype=np.int64)

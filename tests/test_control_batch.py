@@ -18,6 +18,13 @@ controller layer:
   constructor/shape validation;
 * the runner's wiring: an engine whose array layout disagrees with the
   kernel's is rejected before the first step;
+* the util-bp kernel's re-decided cells: on synthetic streams where
+  random cells hold their inputs for several slots, decisions equal the
+  serial controllers' and ``cells_decided`` matches the rule (first
+  call, changed queues or out-queues, changed running phase, amber),
+  with amber timers expiring and phases starting while inputs hold,
+  ``reset()`` mid-stream, every parameter branch, in-place buffers and
+  B=4; a light-load run re-decides under 20 % of the cells;
 * the meso-events façade: its B=1 ``controller_arrays()`` equal the
   arrays assembled from its own ``observations()`` at every slot,
   under every out-queue sensing mode, and on every slot read after
@@ -25,6 +32,10 @@ controller layer:
   nodes the steps touched), on the event loop and on the per-slot
   fallback alike.
 """
+
+import dataclasses
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -45,6 +56,7 @@ from repro.core.engine import build_batch_engine
 from repro.meso.events import EventCountsSimulator
 from repro.meso.vectorized import BatchCountsSimulator
 from repro.model.grid import build_grid_network
+from repro.model.queues import QueueObservation
 from repro.scenarios import build_named_scenario
 from tests.conftest import MIXED_PHASES, build_parity_scenario
 
@@ -334,3 +346,273 @@ class TestEventsControllerArrays:
             sim.step(mini_slot, dict(zip(kernel.node_ids, row.tolist())))
         assert sim._per_slot_fallback == (mini_slot == 0.3)
         assert reads
+
+
+class _Frame:
+    """A plain controller-array view: what a kernel reads, nothing more."""
+
+    def __init__(self, time, queues, out_queues):
+        self.time = time
+        self.shape = queues.shape
+        self.queues = queues
+        self.out_queues = out_queues
+
+
+class _HeldStream:
+    """Synthetic ``Q(k)`` streams where random cells hold their inputs.
+
+    Per (replication, node) cell, a fresh draw of the node's movement
+    queues is held for 1-6 slots, and so, on its own clock, is a fresh
+    draw of its out-road queues: subsets of cells keep identical inputs
+    for several slots while others change (sometimes only their
+    out-queues), independently per replication.  Queues are often zero
+    (the alpha branch) and out-roads are sometimes full (the beta
+    branch).
+    """
+
+    def __init__(self, network, batch_size, seed):
+        self.rng = np.random.default_rng(seed)
+        self.batch_size = batch_size
+        self.intersections = list(network.intersections.values())
+        self.capacity = {r: road.capacity for r, road in network.roads.items()}
+        self.columns = []
+        self.out_roads = []
+        column = 0
+        for inter in self.intersections:
+            keys = list(inter.movements)
+            self.columns.append(range(column, column + len(keys)))
+            self.out_roads.append([out for _, out in keys])
+            column += len(keys)
+        self.n_movements = column
+        #: Slots left to hold, per cell: movement queues, out-roads.
+        self.hold = np.zeros((2, batch_size, len(self.intersections)), int)
+        self.queues = np.zeros((batch_size, column), np.int64)
+        self.out_queues = np.zeros((batch_size, column), np.int64)
+        self.road_queues = [dict() for _ in range(batch_size)]
+
+    def advance(self):
+        """Draw the next slot: redraw every cell whose hold ran out."""
+        rng = self.rng
+        held = self.hold > 0
+        self.hold -= 1
+        for b in range(self.batch_size):
+            for n, inter in enumerate(self.intersections):
+                if not held[0, b, n]:
+                    self.hold[0, b, n] = rng.integers(0, 6)
+                    for col in self.columns[n]:
+                        self.queues[b, col] = (
+                            0 if rng.random() < 0.4
+                            else int(rng.integers(1, 9))
+                        )
+                if not held[1, b, n]:
+                    self.hold[1, b, n] = rng.integers(0, 6)
+                    for road in inter.out_roads:
+                        cap = self.capacity[road]
+                        self.road_queues[b][road] = (
+                            cap if rng.random() < 0.15
+                            else int(rng.integers(0, cap // 2))
+                        )
+                    for col, out in zip(self.columns[n], self.out_roads[n]):
+                        self.out_queues[b, col] = self.road_queues[b][out]
+
+    def observations(self, b, time):
+        """Replication ``b``'s current inputs as serial ``Q(k)`` maps."""
+        out = {}
+        for n, inter in enumerate(self.intersections):
+            out[inter.node_id] = QueueObservation(
+                time,
+                {
+                    key: int(self.queues[b, col])
+                    for key, col in zip(inter.movements, self.columns[n])
+                },
+                {road: self.road_queues[b][road] for road in inter.out_roads},
+                {road: self.capacity[road] for road in inter.out_roads},
+            )
+        return out
+
+
+def _snapshot_frame(stream, time):
+    queues = stream.queues.copy()
+    out_queues = stream.out_queues.copy()
+    queues.flags.writeable = False
+    out_queues.flags.writeable = False
+    return _Frame(time, queues, out_queues)
+
+
+def _drive_held_stream(
+    batch_size, params, slots=160, seed=11, reset_at=None, in_place=False
+):
+    """Batch kernel vs serial controllers on one held-input stream.
+
+    Asserts identical decisions at every slot, and that the kernel
+    re-decided exactly the cells its rule names: after a first call
+    (all cells), those whose node inputs changed, whose running phase
+    differs from the previous call's, or which run amber.  Returns
+    event counts showing which situations the stream produced.
+
+    ``in_place`` feeds one pair of writable arrays, rewritten in place
+    every slot, instead of fresh read-only snapshots: the kernel must
+    not keep a view of what a later slot overwrites.
+    """
+    scenario = build_parity_scenario("surge-4x4" + MIXED_PHASES, seed=seed)
+    network = scenario.network
+    kernel = build_batch_controller("util-bp", network, batch_size, **params)
+    serial = [
+        make_network_controller("util-bp", network, **params)
+        for _ in range(batch_size)
+    ]
+    stream = _HeldStream(network, batch_size, seed)
+    node_ids = kernel.node_ids
+    shape = (batch_size, len(node_ids))
+    running = np.zeros(shape, int)  # the phase each cell runs now
+    last_running = None  # ... and ran at the previous call
+    buffers = (stream.queues.copy(), stream.out_queues.copy())
+    events = dict(
+        expired_while_held=0, switched_then_held=0, alpha=0, beta=0,
+        skipped=0,
+    )
+    for k in range(slots):
+        if k == reset_at:
+            kernel.reset()
+            for controller in serial:
+                controller.reset()
+            running = np.zeros(shape, int)
+            last_running = None
+        before = (stream.queues.copy(), stream.out_queues.copy())
+        stream.advance()
+        # A cell holds when its node's inputs equal the previous slot's
+        # (a redraw may repeat them).
+        held = np.array([
+            [
+                (before[0][b, cols] == stream.queues[b, cols]).all()
+                and (before[1][b, cols] == stream.out_queues[b, cols]).all()
+                for cols in stream.columns
+            ]
+            for b in range(batch_size)
+        ])
+        time = float(k)
+        if in_place:
+            np.copyto(buffers[0], stream.queues)
+            np.copyto(buffers[1], stream.out_queues)
+            frame = _Frame(time, *buffers)
+        else:
+            frame = _snapshot_frame(stream, time)
+        decided_before = kernel.cells_decided
+        decision = kernel.decide_batch(frame)
+        for b in range(batch_size):
+            expected = serial[b].decide(stream.observations(b, time))
+            assert _as_map(decision, node_ids, b) == expected, (k, b)
+        if last_running is None:
+            redo = np.ones(shape, bool)
+        else:
+            redo = ~held | (running != last_running) | (running == 0)
+        assert kernel.cells_decided - decided_before == redo.sum(), k
+        events["skipped"] += int((~redo).sum())
+        events["expired_while_held"] += int(
+            (held & (running == 0) & (decision != 0)).sum()
+        )
+        if last_running is not None:
+            events["switched_then_held"] += int(
+                (held & (last_running == 0) & (running != 0)).sum()
+            )
+        events["alpha"] += int((stream.queues == 0).sum())
+        events["beta"] += int(
+            (stream.out_queues >= _capacities(stream, kernel)).sum()
+        )
+        last_running, running = running, decision
+    return kernel, events
+
+
+def _capacities(stream, kernel):
+    return np.array(
+        [stream.capacity[out] for _, out in kernel.movement_keys]
+    )
+
+
+class TestReDecidedCells:
+    """The kernel re-decides only cells whose inputs changed, exactly.
+
+    Synthetic held-input streams drive the batch kernel and the serial
+    controllers side by side; every decision must agree, and the
+    kernel's ``cells_decided`` counter must match the re-decision rule.
+    """
+
+    @pytest.mark.parametrize("batch_size", (1, 4))
+    def test_held_inputs_decide_as_serial(self, batch_size):
+        _, events = _drive_held_stream(batch_size, {})
+        # The stream produced every situation the rule must handle.
+        assert events["expired_while_held"] > 0
+        assert events["switched_then_held"] > 0
+        assert events["skipped"] > 0
+        assert events["alpha"] > 0 and events["beta"] > 0
+
+    @pytest.mark.parametrize(
+        "params",
+        (
+            {"keep_margin": 2.0},
+            {"keep_margin": 0.5, "transition_duration": 2.0},
+            # The reverse of the paper's ordering: beta above alpha.
+            {"alpha": -3.0, "beta": -0.5},
+        ),
+        ids=("keep-margin", "short-amber", "beta-above-alpha"),
+    )
+    def test_parameters(self, params):
+        _drive_held_stream(4, params, slots=100)
+
+    def test_reset_mid_stream(self):
+        kernel, _ = _drive_held_stream(4, {}, reset_at=70)
+        assert kernel.cells_offered == 4 * len(kernel.node_ids) * (160 - 70)
+
+    def test_in_place_buffers(self):
+        """Writable inputs rewritten in place must not alias the memo."""
+        _drive_held_stream(4, {}, in_place=True)
+
+    def test_reset_releases_the_kept_arrays(self):
+        network = build_parity_scenario("surge-4x4", seed=3).network
+        kernel = build_batch_controller("util-bp", network, 2)
+        stream = _HeldStream(network, 2, seed=3)
+        stream.advance()
+        frame = _snapshot_frame(stream, 0.0)
+        kernel.decide_batch(frame)
+        kept = weakref.ref(frame.queues)
+        del frame
+        gc.collect()
+        assert kept() is not None  # the memo holds the last snapshot
+        kernel.reset()
+        gc.collect()
+        assert kept() is None
+        assert kernel.cells_offered == kernel.cells_decided == 0
+
+    def test_node_without_movements_rejected(self):
+        network = build_grid_network(2, 2)
+        node_id, inter = next(iter(network.intersections.items()))
+        bare = dataclasses.replace(inter, movements={}, phases=())
+        network = dataclasses.replace(
+            network, intersections={**network.intersections, node_id: bare}
+        )
+        with pytest.raises(ValueError, match="no movements"):
+            BatchUtilBpController(network, 1)
+
+
+class TestReDecidedCounters:
+    def test_steady_light_load_skips_most_cells(self):
+        """steady-10x10 at load 0.1, B=16: under 20 % re-decided.
+
+        The first call re-decides every cell; afterwards only cells
+        whose inputs or running phase changed, or which show amber.
+        A lost skip shows here, not only as a slower benchmark.
+        """
+        scenarios = [
+            build_named_scenario("steady-10x10", seed=1 + b, load=0.1)
+            for b in range(16)
+        ]
+        sim = build_batch_engine(scenarios, "meso-vec")
+        kernel = build_batch_controller("util-bp", scenarios[0].network, 16)
+        cells = 16 * len(kernel.node_ids)
+        decision = kernel.decide_batch(sim.controller_arrays())
+        assert kernel.cells_offered == kernel.cells_decided == cells
+        sim.step(1.0, decision)
+        for _ in range(239):
+            sim.step(1.0, kernel.decide_batch(sim.controller_arrays()))
+        assert kernel.cells_offered == 240 * cells
+        assert kernel.cells_decided < 0.2 * kernel.cells_offered

@@ -11,7 +11,12 @@ engine's next ``step()``.  This suite pins:
   original-bp exactly on the slots where some cell's slot expired;
 * one sensing per façade, however often it is read;
 * the stale-read guard: a façade read after the engine stepped raises
-  ``RuntimeError``, and arrays read before the step never change.
+  ``RuntimeError``, and arrays read before the step never change;
+* read-only snapshots: writing to a slot's arrays raises;
+* meso-vec's kept in-transit count equals a from-scratch walk at every
+  read: under util-bp and after unread slots, with a travel time within
+  the sensing horizon and with no horizon, in every out-queue mode, at
+  B=1 and B=4.
 """
 
 import numpy as np
@@ -161,8 +166,8 @@ class TestFacade:
             _advance(sim, kernel)
         unread = sim.controller_arrays()
         read = sim.controller_arrays()
-        queues = read.queues
-        before = queues.copy()
+        queues, out_queues = read.queues, read.out_queues
+        before = queues.copy(), out_queues.copy()
         _advance(sim, kernel)
         for arrays in (unread, read):
             with pytest.raises(RuntimeError, match="stepped"):
@@ -172,4 +177,127 @@ class TestFacade:
         # Arrays handed out before the step are the engine's no more.
         for _ in range(40):
             _advance(sim, kernel)
-        assert np.array_equal(queues, before)
+        assert np.array_equal(queues, before[0])
+        assert np.array_equal(out_queues, before[1])
+
+    def test_arrays_are_read_only_snapshots(self, sim):
+        """Writing to a slot's arrays raises; later steps leave them be.
+
+        The util-bp kernel keeps the previous call's arrays to find the
+        cells whose inputs changed, so they must never change.
+        """
+        kernel = build_batch_controller("util-bp", sim.network, 1)
+        kept = []
+        for _ in range(60):
+            arrays = sim.controller_arrays()
+            for array in (arrays.queues, arrays.out_queues):
+                assert not array.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0, 0] = 1
+            kept.append(
+                (arrays.queues, arrays.queues.copy(),
+                 arrays.out_queues, arrays.out_queues.copy())
+            )
+            _advance(sim, kernel)
+        for queues, queues_then, out_queues, out_queues_then in kept:
+            assert np.array_equal(queues, queues_then)
+            assert np.array_equal(out_queues, out_queues_then)
+
+
+def _reference_sense(sim):
+    """meso-vec's ``(queues, out_queues)`` from scratch.
+
+    The walk over every sensed transit FIFO that ``sense_arrays`` made
+    on each read before it kept a count: the oracle the incremental
+    count must equal.
+    """
+    deadline = sim.time + sim._sensing_horizon
+    queues = sim._queue_len.copy()
+    R = len(sim._road_ids)
+    for b, ri in np.argwhere(sim._head_ready <= deadline).tolist():
+        gids, road_id = sim._promote_plan[ri]
+        for ready, units in sim._transit[b * R + ri]:
+            if ready > deadline:
+                break
+            for unit in units:
+                queues[b, gids[unit[road_id]]] += 1
+    occ = sim._occ
+    if sim._out_queue_mode == "spillback":
+        road_out = np.where(occ >= sim._caps[None, :], occ, 0)
+    elif sim._out_queue_mode == "occupancy":
+        road_out = occ
+    else:
+        road_out = np.zeros_like(occ)
+        np.add.at(road_out, (slice(None), sim._in_idx), sim._queue_len)
+    return queues, road_out[:, sim._out_idx]
+
+
+#: Plant variants of the sensing oracle: the default horizon, a travel
+#: time within the horizon (cohorts count at their push) and no horizon.
+SENSING = (
+    ("default", {}),
+    ("travel-within-horizon", {"travel_time": 1.0, "sensing_horizon": 3.0}),
+    ("no-horizon", {"sensing_horizon": 0.0}),
+)
+
+
+def _sensing_batch(width, out_queue_mode, plant):
+    # Short roads: spillback, halting and occupancy all read non-zero
+    # out-queues within the run.
+    scenario = build_named_scenario("surge-4x4", seed=3, capacity=12)
+    return BatchCountsSimulator(
+        network=scenario.network,
+        demand=scenario.demand,
+        turning=scenario.turning,
+        seeds=tuple(3 + b for b in range(width)),
+        out_queue_mode=out_queue_mode,
+        **plant,
+    )
+
+
+class TestIncrementalSensing:
+    """meso-vec's kept in-transit count equals the from-scratch walk."""
+
+    @pytest.mark.parametrize(
+        "plant", [p for _, p in SENSING], ids=[name for name, _ in SENSING]
+    )
+    @pytest.mark.parametrize("out_queue_mode", BatchCountsSimulator.OUT_QUEUE_MODES)
+    @pytest.mark.parametrize("width", (1, 4))
+    def test_util_bp_run(self, width, out_queue_mode, plant):
+        sim = _sensing_batch(width, out_queue_mode, plant)
+        kernel = build_batch_controller("util-bp", sim.network, width)
+        in_transit = 0
+        for step in range(SLOTS):
+            arrays = sim.controller_arrays()
+            queues, out_queues = _reference_sense(sim)
+            assert np.array_equal(arrays.queues, queues), step
+            assert np.array_equal(arrays.out_queues, out_queues), step
+            in_transit += int((queues != sim._queue_len).any())
+            sim.step(1.0, kernel.decide_batch(arrays))
+        # The horizon augmented the stop-line queues on most slots.
+        assert in_transit > SLOTS // 2
+
+    @pytest.mark.parametrize(
+        "plant", [p for _, p in SENSING], ids=[name for name, _ in SENSING]
+    )
+    @pytest.mark.parametrize("read_every", (3, 7))
+    def test_reads_after_unread_slots(self, plant, read_every):
+        """Cohorts promoted between two reads never enter the count."""
+        sim = _sensing_batch(4, "spillback", plant)
+        kernel = build_batch_controller("fixed-time", sim.network, 4, period=16.0)
+        for step in range(SLOTS):
+            if step % read_every == 0:
+                arrays = sim.controller_arrays()
+                queues, out_queues = _reference_sense(sim)
+                assert np.array_equal(arrays.queues, queues), step
+                assert np.array_equal(arrays.out_queues, out_queues), step
+            sim.step(1.0, kernel.decide_batch(sim.controller_arrays()))
+
+    def test_nothing_kept_before_the_first_read(self):
+        sim = _sensing_batch(4, "spillback", {})
+        kernel = build_batch_controller("fixed-time", sim.network, 4, period=16.0)
+        for _ in range(50):
+            sim.step(1.0, kernel.decide_batch(sim.controller_arrays()))
+        assert sim._sensed is None
+        arrays = sim.controller_arrays()
+        assert np.array_equal(arrays.queues, _reference_sense(sim)[0])

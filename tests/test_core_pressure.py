@@ -5,13 +5,11 @@ import pytest
 
 from repro.core.pressure import (
     keep_threshold,
-    keep_threshold_array,
     link_gain,
     link_gain_array,
     link_gain_original,
     link_gain_original_array,
     max_link_gain,
-    max_link_gain_array,
     phase_gain,
     phase_gain_array,
     pressure,
@@ -310,9 +308,7 @@ class TestArrayKernels:
                 )
 
     @pytest.mark.parametrize("mode", sorted(SEEDS))
-    def test_phase_and_max_gain_match_scalar(
-        self, intersection, movements, mode
-    ):
+    def test_phase_gain_matches_scalar(self, intersection, movements, mode):
         batch = self._observations(intersection, movements, mode)
         queues, out_queues, capacities, rates, w_star, _ = self._arrays(
             movements, batch
@@ -330,8 +326,7 @@ class TestArrayKernels:
                 members[p, j] = column[m.key]
                 valid[p, j] = True
         totals = phase_gain_array(gains, members, valid)
-        g_max, arg = max_link_gain_array(gains, members, valid)
-        assert totals.shape == g_max.shape == (self.BATCH, len(phases))
+        assert totals.shape == (self.BATCH, len(phases))
         for b, obs in enumerate(batch):
             for p, phase in enumerate(phases):
                 assert totals[b, p] == phase_gain(phase, obs, ALPHA, BETA), (
@@ -339,23 +334,24 @@ class TestArrayKernels:
                     b,
                     phase.index,
                 )
-                scalar_gain, scalar_movement = max_link_gain(
-                    phase, obs, ALPHA, BETA
-                )
-                assert g_max[b, p] == scalar_gain, (mode, b, phase.index)
-                # argmax positions index the declaration order, so the
-                # scalar tie-break (first maximal movement) must match.
-                assert (
-                    phase.movements[arg[b, p]].key == scalar_movement.key
-                ), (mode, b, phase.index)
 
-    def test_keep_threshold_matches_scalar(self, intersection, movements):
+    def test_link_gain_into_a_buffer(self, intersection, movements):
         batch = self._observations(intersection, movements, "mixed")
-        rates = np.array([m.service_rate for m in movements])
-        w_star = np.full(len(movements), float(batch[0].max_capacity()))
-        thresholds = keep_threshold_array(w_star, rates)
-        for j, m in enumerate(movements):
-            assert thresholds[j] == keep_threshold(batch[0], m)
+        queues, out_queues, capacities, rates, w_star, _ = self._arrays(
+            movements, batch
+        )
+        expected = link_gain_array(
+            queues, out_queues, capacities, w_star, rates, ALPHA, BETA
+        )
+        rows = np.full((self.BATCH, len(movements) + 1), np.nan)
+        out = rows[:, 1:]
+        gains = link_gain_array(
+            queues, out_queues, capacities, w_star, rates, ALPHA, BETA,
+            out=out,
+        )
+        assert gains is out
+        assert np.array_equal(out, expected)
+        assert np.isnan(rows[:, 0]).all()
 
     def test_non_negative_alpha_beta_rejected(self, movements):
         shape = (1, len(movements))
