@@ -13,6 +13,10 @@ A change point is recorded before its commit exists, so its
 parent point measured on the same source names the commit.  A change
 with no such parent yet shows its source digest instead.
 
+A point recorded from several runs (``runs``, see
+``scripts/record_perfbench.py``) contributes its median over the runs;
+a single-run point its one value.
+
 The script only reads the file.
 
 Usage
@@ -75,6 +79,15 @@ def pairs(points: Sequence[Point]) -> List[Tuple[str, str, str, Point, Point]]:
     return out
 
 
+def metric_value(point: Point, metric: str) -> Optional[float]:
+    """The point's median over its runs if recorded, else its one value."""
+    summary = point.get("runs", {}).get("metrics", {}).get(metric)
+    if summary is not None:
+        return summary["median"]
+    value = point["result"]["metrics"].get(metric)
+    return None if value is None else value["value"]
+
+
 def trajectory(
     points: Sequence[Point],
     workload: Optional[str] = None,
@@ -89,13 +102,13 @@ def trajectory(
     for load, parent_name, change_name, parent, change in pairs(points):
         if workload is not None and load != workload:
             continue
-        before = parent["result"]["metrics"]
-        after = change["result"]["metrics"]
-        for metric in metrics or sorted(set(before) & set(after)):
-            if metric not in before or metric not in after:
-                continue
-            old, new = before[metric]["value"], after[metric]["value"]
-            if not old:
+        names = metrics or sorted(
+            set(parent["result"]["metrics"]) & set(change["result"]["metrics"])
+        )
+        for metric in names:
+            old = metric_value(parent, metric)
+            new = metric_value(change, metric)
+            if old is None or new is None or not old:
                 continue
             rows = table.setdefault((load, metric), [])
             chained = (rows[-1][5] if rows else 1.0) * (new / old)

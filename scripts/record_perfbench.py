@@ -8,6 +8,13 @@ perfbench printed them, to ``BENCH_perfbench.json`` at the repository
 root (a JSON list, oldest point first), so the trajectory lives in git
 instead of in CI artifacts.
 
+Given several outputs of one tree (the same workload, seed and
+``source_sha256``, e.g. the change side of alternating pairs), the
+point keeps the first output's two lines and adds ``runs``: each
+run's ``failed`` count and, per metric, the median, first and third
+quartile and count over the runs, with the raw values.  Outputs of
+different trees, workloads or seeds are refused (exit 2).
+
 perfbench reports the checkout's ``HEAD`` as its commit, also when the
 measured source has uncommitted changes on top of it.  The point's own
 ``commit`` is therefore this repository's ``HEAD`` only when the
@@ -18,6 +25,7 @@ Usage
 -----
     python3 perfbench/run.py --workload open-loop --seed 1 > run.txt
     python3 scripts/record_perfbench.py run.txt --label parent
+    python3 scripts/record_perfbench.py change-*.txt --label change
 """
 
 from __future__ import annotations
@@ -26,11 +34,12 @@ import argparse
 import hashlib
 import io
 import json
+import statistics
 import subprocess
 import sys
 import tarfile
 from pathlib import Path, PurePosixPath
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_FILE = REPO_ROOT / "BENCH_perfbench.json"
@@ -54,6 +63,53 @@ def parse_output(text: str) -> Tuple[Dict[str, Any], Dict[str, Any]]:
     if not isinstance(before, dict) or "perfbench" not in before:
         raise ValueError("no perfbench metadata line before the result")
     return before["perfbench"], result
+
+
+#: Metadata every output of one multi-run point must share.
+SHARED_KEYS = ("workload", "seed", "source_sha256")
+
+
+def summarize_runs(
+    outputs: Sequence[Tuple[Dict[str, Any], Dict[str, Any]]]
+) -> Dict[str, Any]:
+    """The ``runs`` entry of a point over several ``(metadata, result)``.
+
+    Raises ``ValueError`` unless every output shares :data:`SHARED_KEYS`
+    with the first.  A metric some run lacks is summarized over the
+    runs that report it.
+    """
+    first = outputs[0][0]
+    for meta, _ in outputs[1:]:
+        differ = [key for key in SHARED_KEYS if meta.get(key) != first.get(key)]
+        if differ:
+            raise ValueError(
+                f"outputs differ in {', '.join(differ)}: "
+                f"{[meta.get(key) for key in differ]} vs "
+                f"{[first.get(key) for key in differ]}"
+            )
+    values: Dict[str, List[float]] = {}
+    units: Dict[str, Any] = {}
+    for _, result in outputs:
+        for name, metric in result["metrics"].items():
+            values.setdefault(name, []).append(metric["value"])
+            units[name] = metric.get("unit")
+    metrics = {}
+    for name, samples in values.items():
+        ordered = sorted(samples)
+        median = statistics.median(ordered)
+        if len(ordered) >= 2:
+            q1, _, q3 = statistics.quantiles(ordered, n=4)
+        else:
+            q1 = q3 = median
+        metrics[name] = {
+            "median": median, "q1": q1, "q3": q3, "n": len(samples),
+            "unit": units[name], "values": samples,
+        }
+    return {
+        "n": len(outputs),
+        "failed": [result.get("failed") for _, result in outputs],
+        "metrics": metrics,
+    }
 
 
 def _git(root: Path, *args: str) -> bytes:
@@ -108,23 +164,30 @@ def append_point(path: Path, point: Dict[str, Any]) -> int:
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("output", help="file holding perfbench's standard output")
+    parser.add_argument(
+        "output", nargs="+",
+        help="file(s) holding perfbench's standard output, one run each",
+    )
     parser.add_argument(
         "--label", default=None,
         help="free-form note stored with the point (e.g. parent, change)",
     )
     args = parser.parse_args(argv)
     try:
-        meta, result = parse_output(Path(args.output).read_text())
+        outputs = [parse_output(Path(path).read_text()) for path in args.output]
+        runs = summarize_runs(outputs) if len(outputs) > 1 else None
     except ValueError as error:
         print(f"record_perfbench: {error}", file=sys.stderr)
         return 2
+    meta, result = outputs[0]
     point = {
         "commit": recorded_commit(meta.get("source_sha256")),
         "label": args.label,
         "perfbench": meta,
         "result": result,
     }
+    if runs is not None:
+        point["runs"] = runs
     count = append_point(DEFAULT_FILE, point)
     print(
         f"appended {meta.get('workload')} @ {point['commit']} "

@@ -27,6 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 from typing import Any, Dict, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.core.engine import (
     BatchEngine,
     SimulationEngine,
@@ -330,6 +332,34 @@ def run_scenario(scenario: Scenario, **knobs: Any) -> RunResult:
     )
 
 
+def _extend_queue_traces(
+    queue_traces: Sequence[Dict[Tuple[str, str], QueueTrace]],
+    roads: Sequence[str],
+    times: Sequence[float],
+    block: np.ndarray,
+) -> None:
+    """Append a batch run's queue samples to every replication's traces.
+
+    ``block`` holds one stop-line total per ``(sample time, road,
+    replication)``; the result equals sampling each trace at each time.
+    """
+    # The first negative in sampling order (time, replication, road).
+    negative = np.argwhere(block.transpose(0, 2, 1) < 0)
+    if len(negative):
+        t, b, r = negative[0]
+        raise ValueError(
+            f"queue length must be >= 0, got {int(block[t, r, b])}"
+        )
+    # values[road][replication] is that trace's series, as floats.
+    values = block.transpose(1, 2, 0).astype(np.float64).tolist()
+    column = {road: r for r, road in enumerate(roads)}
+    for b, traces in enumerate(queue_traces):
+        for (_, road), trace in traces.items():
+            series = trace.series
+            series.times.extend(times)
+            series.values.extend(values[column[road]][b])
+
+
 def run_scenario_batch(scenarios: Sequence[Scenario], **knobs: Any) -> list:
     """Run many replications of one scenario shape in a single batch engine.
 
@@ -388,6 +418,11 @@ def run_scenario_batch(scenarios: Sequence[Scenario], **knobs: Any) -> list:
         }
         for _ in scenarios
     ]
+    # Queue samples are kept as one (roads, B) block per sample time and
+    # written into the traces once, after the run.
+    sampled_roads = list(dict.fromkeys(road for _, road in record_queues))
+    sample_times = []
+    sample_blocks = []
     next_queue_sample = 0.0
 
     steps = int(round(horizon / mini_slot))
@@ -405,17 +440,18 @@ def run_scenario_batch(scenarios: Sequence[Scenario], **knobs: Any) -> list:
                     else int(decisions[b, column]),
                 )
         if record_queues and now >= next_queue_sample:
-            road_totals = {
-                road: sim.incoming_queue_total(road)
-                for road in {road for _, road in record_queues}
-            }
-            for b, traces in enumerate(queue_traces):
-                for (node_id, road), trace in traces.items():
-                    trace.sample(now, int(road_totals[road][b]))
+            sample_times.append(float(now))
+            sample_blocks.append(
+                [sim.incoming_queue_total(road) for road in sampled_roads]
+            )
             next_queue_sample = next_grid_sample(now, queue_sample_interval)
         sim.step(mini_slot, decisions)
 
     sim.finalize()
+    if sample_times:
+        _extend_queue_traces(
+            queue_traces, sampled_roads, sample_times, np.array(sample_blocks)
+        )
     summaries = sim.summaries(horizon)
     in_network = sim.vehicles_in_network()
     backlog = sim.backlog_size()

@@ -47,6 +47,17 @@ earlier same-stage movement writes, and the remaining writes commute —
 so the staged result equals the sequential result *exactly*, spillback
 included.
 
+**Work in proportion to the traffic.**  Under closed-loop control
+every replication runs its own phase pattern, so a step touches only
+the cells that need it.  The serve pass runs on the *live* cells —
+(replication, movement) pairs that are eligible to serve and either
+queue a vehicle or hold less credit than the bank — found with one
+mask and one ``nonzero``; the fast path serves them in one shot and
+the staged path above takes over when a downstream space binds.  A
+phase switch validates and re-arms only the switched (replication,
+node) cells.  ``fast_slots``, ``staged_slots`` and ``cells_served``
+count what the serve did.
+
 **Contract.**  ``meso-vec`` at ``B=1`` is step-for-step identical to
 ``meso-counts`` under the same seed (observations, occupancies,
 utilization books, entered/left and the waiting-time integral), and
@@ -152,6 +163,7 @@ class _ColumnTables:
         self.movement_keys = movement_keys
         self.node_of = _frozen(np.array(node_of, dtype=np.int64))
         self.node_starts = _frozen(np.array(node_starts[:-1], dtype=np.int64))
+        self.node_widths = _frozen(np.diff(np.array(node_starts, dtype=np.int64)))
         in_idx = np.empty(M, dtype=np.int64)
         out_idx = np.empty(M, dtype=np.int64)
         service_rate = np.empty(M, dtype=np.float64)
@@ -406,6 +418,7 @@ class BatchCountsSimulator:
         self._movement_keys = tables.movement_keys
         self._node_of = tables.node_of
         self._node_starts = tables.node_starts
+        self._node_widths = tables.node_widths
         self._in_idx = tables.in_idx
         self._out_idx = tables.out_idx
         self._m_is_exit = tables.m_is_exit
@@ -457,6 +470,21 @@ class BatchCountsSimulator:
         self._wasted_green_slots = np.zeros((B, N), dtype=np.int64)
         self._green_slots = np.zeros((B, N), dtype=np.int64)
         self._queued_total = np.zeros(B, dtype=np.int64)
+        # Serve cache, written per cell when that cell's phase switches
+        # (_apply_phase_switch) and replayed by every _serve until then.
+        self._c_green = np.zeros((B, N), dtype=bool)
+        self._c_amber_dt = np.zeros((B, N), dtype=np.float64)
+        self._c_green_dt = np.zeros((B, N), dtype=np.float64)
+        self._c_capacity_dt = np.zeros((B, N), dtype=np.float64)
+        self._c_active = np.zeros((B, M), dtype=bool)
+        self._startup_until = -math.inf
+        #: Serve counters (plain ints, no part of any result): slots
+        #: whose live cells were served on the fast path and on the
+        #: staged path (a slot with no live cell counts in neither),
+        #: and live cells (replication, movement) over all slots.
+        self.fast_slots = 0
+        self.staged_slots = 0
+        self.cells_served = 0
         # Unit representation: a queued/transiting unit is its route's
         # next-hop map (road -> following road, shared per cached
         # route) — grid routes never revisit a road, so the map alone
@@ -730,7 +758,8 @@ class BatchCountsSimulator:
         check_positive("dt", dt)
         if self._finalized:
             raise RuntimeError("simulator already finalized")
-        if self._dt is None:
+        first = self._dt is None
+        if first:
             self._dt = float(dt)
             self._accrual = self._rate * dt
             self._bank = np.maximum(self._accrual, 1.0)
@@ -743,8 +772,11 @@ class BatchCountsSimulator:
         phases_arr = self._encode_phases(phases)
         now = self.time
         self._promote(now)
-        if not np.array_equal(phases_arr, self._active_phase):
-            self._apply_phase_switch(dt, phases_arr, now)
+        switched = phases_arr != self._active_phase
+        if first:
+            switched[...] = True  # arm (and validate) every cell once
+        if switched.any():
+            self._apply_phase_switch(dt, phases_arr, switched, now)
         self._serve(dt, now)
         self._inject(dt, now)
         self.time = now + dt
@@ -764,6 +796,13 @@ class BatchCountsSimulator:
     ) -> np.ndarray:
         B, N = self.batch_size, len(self._node_ids)
         if isinstance(phases, np.ndarray):
+            if not np.issubdtype(phases.dtype, np.integer):
+                # A bool would read as phases 0/1 and a float fail deep
+                # inside as an index; neither is a phase index.
+                raise ValueError(
+                    f"phase array must have an integer dtype, got "
+                    f"{phases.dtype}"
+                )
             if phases.shape == (N,):
                 return np.broadcast_to(phases, (B, N))
             if phases.shape != (B, N):
@@ -793,15 +832,13 @@ class BatchCountsSimulator:
         scatter-add per array instead of per-unit scalar writes.
         """
         head_ready = self._head_ready
-        due = head_ready <= now
-        if not due.any():
+        due = (head_ready <= now).ravel().nonzero()[0]
+        if not len(due):
             return
         inc_flat: List[int] = []
         inc_append = inc_flat.append
         pair_b: List[int] = []
         pair_n: List[int] = []
-        head_b: List[int] = []
-        head_r: List[int] = []
         head_v: List[float] = []
         inf = np.inf
         M = len(self._movement_keys)
@@ -813,10 +850,10 @@ class BatchCountsSimulator:
         # (before the first read nothing is counted).
         counted_until = self._sensed_until
         uncount: List[int] = []
-        dbs, drs = np.nonzero(due)
-        for b, ri in zip(dbs.tolist(), drs.tolist()):
+        dbs, drs = np.divmod(due, R)
+        for fifo, b, ri in zip(due.tolist(), dbs.tolist(), drs.tolist()):
             gids, road_id = plans[ri]
-            transit = transits[b * R + ri]
+            transit = transits[fifo]
             base = b * M
             promoted = 0
             while transit and transit[0][0] <= now:
@@ -835,10 +872,8 @@ class BatchCountsSimulator:
             if promoted:
                 pair_b.append(b)
                 pair_n.append(promoted)
-            head_b.append(b)
-            head_r.append(ri)
             head_v.append(transit[0][0] if transit else inf)
-        head_ready[head_b, head_r] = head_v
+        head_ready.put(due, head_v)
         if inc_flat:
             np.add.at(self._queue_len.reshape(-1), inc_flat, 1)
             np.add.at(self._queued_total, pair_b, pair_n)
@@ -846,74 +881,74 @@ class BatchCountsSimulator:
             np.subtract.at(self._sensed.reshape(-1), uncount, 1)
 
     def _apply_phase_switch(
-        self, dt: float, phases_arr: np.ndarray, now: float
+        self, dt: float, phases_arr: np.ndarray, switched: np.ndarray, now: float
     ) -> None:
-        """Validate a changed phase pattern and rebuild the serve cache.
+        """Validate and re-arm the switched ``(replication, node)`` cells.
 
         Phases hold for many consecutive mini-slots (green dwells), so
-        everything derived from the pattern alone — amber/green masks,
-        per-slot tracker increments, the active/eligible movement masks
-        — is computed once per switch and replayed until the pattern
-        changes again.
+        everything derived from a cell's phase alone — its amber/green
+        flag, per-slot tracker increments and active movement columns —
+        is written once per switch of that cell and replayed until it
+        switches again.  Cells that did not switch keep theirs.  Cells
+        are addressed by flat index (``b * n_nodes + n``).
         """
-        node_of = self._node_of
+        N = len(self._node_ids)
+        M = len(self._movement_keys)
+        cells = switched.ravel().nonzero()[0]
+        sb, sn = np.divmod(cells, N)
+        new = phases_arr[sb, sn]
         # Phase validation: an unknown non-amber index raises the same
-        # KeyError the reference engine's phase lookup would.
-        in_range = (phases_arr >= 0) & (phases_arr <= self._max_phase[None, :])
-        gp = self._phase_offsets[None, :] + np.where(in_range, phases_arr, 0)
+        # KeyError the reference engine's phase lookup would.  A cell
+        # that did not switch holds a phase validated when it did.
+        in_range = (new >= 0) & (new <= self._max_phase[sn])
+        gp = self._phase_offsets[sn] + np.where(in_range, new, 0)
         valid = in_range & self._valid_phase[gp]
         if not valid.all():
-            b, n = np.argwhere(~valid)[0]
-            self._intersections[n].phase_by_index(int(phases_arr[b, n]))
+            i = int(np.flatnonzero(~valid)[0])
+            self._intersections[sn[i]].phase_by_index(int(new[i]))
             raise AssertionError("phase_by_index must raise for invalid phases")
-        switched = phases_arr != self._active_phase
-        self._active_phase = phases_arr.copy()
-        self._phase_started = np.where(switched, now, self._phase_started)
+        self._active_phase.put(cells, new)
+        self._phase_started.put(cells, now)
+        # Every switch starts at ``now``, the latest start so far: after
+        # this point no node is inside its start-up window any more.
+        self._startup_until = now + self._startup_lost
+        green = new != TRANSITION_PHASE_INDEX
+        self._c_green.put(cells, green)
+        self._c_amber_dt.put(cells, dt * ~green)
+        self._c_green_dt.put(cells, dt * green)
+        self._c_capacity_dt.put(cells, (self._rate_sum[gp] * dt) * green)
+        # The switched cells' movement columns, node-major as the
+        # layout: ``cell`` names the switched cell of each column.
+        widths = self._node_widths[sn]
+        ends = widths.cumsum()
+        cell = np.repeat(np.arange(len(cells)), widths)
+        cols = (self._node_starts[sn] - ends + widths)[cell] + np.arange(
+            len(cell)
+        )
+        flat = sb[cell] * M + cols
         # Phase switch: queue discharge restarts, unused service credit
         # must not carry over.
-        self._credit[switched[:, node_of]] = 0.0
-        green = phases_arr != TRANSITION_PHASE_INDEX
-        self._c_green = green
-        self._c_green_node_of = green[:, node_of]
-        self._c_amber_dt = dt * ~green
-        self._c_green_dt = dt * green
-        self._c_green_int = green.astype(np.int64)
-        self._c_capacity_dt = (self._rate_sum[gp] * dt) * green
-        self._c_active = (
-            phases_arr[:, node_of] == self._m_phase[None, :]
-        ) & self._c_green_node_of
-        # After this wall-clock point no node can still be inside its
-        # start-up window, so the eligibility mask equals the active
-        # mask until the next switch.
-        self._startup_until = float(
-            self._phase_started.max() + self._startup_lost
+        self._credit.put(flat, 0.0)
+        self._c_active.put(
+            flat, (new[cell] == self._m_phase[cols]) & green[cell]
         )
-        # Shared-pattern compression: when every replication shows the
-        # same (all-green) pattern — open-loop plans, fixed-time drives,
-        # the CI bench — the eligible set is one column subset shared
-        # by the whole batch, and serve can run on (B, n_active) slices
-        # instead of (B, n_movements) arrays.
-        self._c_cols = None
-        row0 = phases_arr[0]
-        if (row0 != TRANSITION_PHASE_INDEX).all() and (
-            phases_arr == row0[None, :]
-        ).all():
-            cols = np.nonzero(self._c_active[0])[0]
-            if len(cols):
-                self._c_cols = cols
-                self._cc_accrual = self._accrual[cols]
-                self._cc_bank = self._bank[cols]
-                self._cc_out_cap = self._m_out_cap[cols]
-                self._cc_out_idx = self._out_idx[cols]
-                self._cc_in_idx = self._in_idx[cols]
-                self._cc_nonexit = self._m_nonexit[cols]
-                self._cc_is_exit = self._m_is_exit[cols]
-                self._cc_node_of = node_of[cols]
 
     def _serve(self, dt: float, now: float) -> None:
-        """One vectorized serve pass (reference arithmetic, exact).
+        """One vectorized serve pass over the live cells (exact).
 
-        The fast path evaluates every movement against pre-step
+        A cell (replication, movement) is *eligible* when its node is
+        green, past start-up, and the movement belongs to the running
+        phase; it is *live* when it is eligible and either queues a
+        vehicle or holds less credit than the bank.  Skipping an
+        eligible cell that is not live is exact: its queue is empty, so
+        its bound is 0 (never servable, never binding, as occupancy
+        never exceeds capacity), and its credit write is
+        ``min(bank + accrual, bank) == bank``, the value it holds.
+        Cells are addressed by flat index (``b * n_movements + gid``),
+        their nodes by ``b * n_nodes + n`` and roads by
+        ``b * n_roads + ri``.
+
+        The fast path evaluates every live cell against pre-step
         occupancy in one shot.  That equals the sequential reference
         result whenever no movement's downstream ``space`` binds
         (``space >= min(credit value, queue)`` everywhere): within a
@@ -924,69 +959,80 @@ class BatchCountsSimulator:
         sequential order.  If any space binds anywhere, the staged
         exact path replays the reference order.
         """
-        B = self.batch_size
-        node_of = self._node_of
+        B, N = self._active_phase.shape
+        R = len(self._road_ids)
+        M = len(self._movement_keys)
         self._amber_time += self._c_amber_dt
         self._green_time += self._c_green_dt
-        self._green_slots += self._c_green_int
+        self._green_slots += self._c_green
         self._service_capacity += self._c_capacity_dt
-        green = self._c_green
-        if now >= self._startup_until:
-            if self._c_cols is not None and self._serve_shared(now):
-                return
-            serving = green
-            eligible = self._c_active
-        else:
-            in_startup = (now - self._phase_started) < self._startup_lost
-            serving = green & ~in_startup
-            self._wasted_green_slots += green & in_startup
-            eligible = self._c_active & ~in_startup[:, node_of]
-        value = self._credit + self._accrual
         queue_len = self._queue_len
+        credit = self._credit
+        live = queue_len > 0
+        live |= credit < self._bank
+        live &= self._c_active
+        cells = live.ravel().nonzero()[0]
+        lb, lm = np.divmod(cells, M)
+        nodes = lb * N + self._node_of[lm]
+        serving = self._c_green
+        if now < self._startup_until:
+            in_startup = (now - self._phase_started) < self._startup_lost
+            waiting = serving & in_startup
+            self._wasted_green_slots += waiting
+            serving = serving ^ waiting
+            keep = serving.ravel()[nodes]
+            cells, lb, lm, nodes = cells[keep], lb[keep], lm[keep], nodes[keep]
+        self.cells_served += len(cells)
+        if not len(cells):
+            # Nothing queued, every credit banked: every serving node
+            # wastes its slot (reference: served 0, nothing servable).
+            self._wasted_green_slots += serving
+            return
         occ = self._occ
-        bound_cq = np.minimum(value, queue_len)
-        space = self._m_out_cap[None, :] - occ[:, self._out_idx]
-        binding = eligible & self._m_nonexit[None, :] & (space < bound_cq)
-        if not binding.any():
+        occ_flat = occ.reshape(-1)
+        queued = queue_len.take(cells)
+        value = credit.take(cells) + self._accrual[lm]
+        bound = np.minimum(value, queued)
+        out = lb * R + self._out_idx[lm]
+        nonexit = self._m_nonexit[lm]
+        space = self._m_out_cap[lm] - occ_flat[out]
+        if (nonexit & (space < bound)).any():
+            self.staged_slots += 1
+            eligible = np.zeros(B * M, dtype=bool)
+            eligible[cells] = True
+            limit_total, servable_total = self._serve_staged(
+                eligible.reshape(B, M), credit + self._accrual, queue_len, occ
+            )
+            limit = limit_total.take(cells)
+            servable = servable_total.take(cells)
+            served = limit.nonzero()[0]
+        else:
             # Fast path: space never binds, so every limit is the
             # credit/queue bound and space > 0 wherever a queue waits.
-            limit_total = bound_cq.astype(np.int64)
-            limit_total *= eligible
-            servable = eligible & (queue_len > 0)
-            sb, sm = np.nonzero(limit_total)
-            vals = limit_total[sb, sm]
-            if len(sb):
-                np.add.at(occ, (sb, self._in_idx[sm]), -vals)
-                ne = self._m_nonexit[sm]
-                if ne.any():
-                    np.add.at(
-                        occ, (sb[ne], self._out_idx[sm[ne]]), vals[ne]
-                    )
-        else:
-            limit_total, servable = self._serve_staged(
-                eligible, value, queue_len, occ
-            )
-            sb, sm = np.nonzero(limit_total)
-            vals = limit_total[sb, sm]
+            self.fast_slots += 1
+            limit = bound.astype(np.int64)
+            servable = queued > 0
+            served = limit.nonzero()[0]
+            if len(served):
+                vals = limit[served]
+                np.add.at(
+                    occ_flat, lb[served] * R + self._in_idx[lm[served]], -vals
+                )
+                ne = served[nonexit[served]]
+                np.add.at(occ_flat, out[ne], limit[ne])
         # Bank at most one slot of unused service credit (reference
         # rule), for exactly the movements the reference loop touched.
-        np.copyto(
-            self._credit,
-            np.minimum(value - limit_total, self._bank),
-            where=eligible,
-        )
-        servable_node = np.add.reduceat(
-            servable.view(np.int8), self._node_starts, axis=1
-        )
-        served_node = np.zeros((B, len(self._node_ids)), dtype=np.int64)
-        if len(sb):
-            np.add.at(served_node, (sb, node_of[sm]), vals)
-        self._vehicles_served += served_node
-        self._wasted_green_slots += (
-            serving & (served_node == 0) & (servable_node == 0)
-        )
-        if len(sb):
-            np.subtract.at(queue_len, (sb, sm), vals)
+        credit.put(cells, np.minimum(value - limit, self._bank[lm]))
+        # A node that served a vehicle had a servable movement, so a
+        # serving node wastes its slot exactly when none was servable.
+        had_servable = np.zeros(B * N, dtype=bool)
+        had_servable[nodes[servable]] = True
+        self._wasted_green_slots += serving & ~had_servable.reshape(B, N)
+        if len(served):
+            sb, sm, vals = lb[served], lm[served], limit[served]
+            np.add.at(self._vehicles_served.reshape(-1), nodes[served], vals)
+            # Cells are unique: a plain fancy update, no ufunc.at.
+            queue_len.reshape(-1)[cells[served]] -= vals
             np.subtract.at(self._queued_total, sb, vals)
             exit_mask = self._m_is_exit[sm]
             if exit_mask.any():
@@ -996,80 +1042,6 @@ class BatchCountsSimulator:
                     vals[exit_mask],
                 )
             self._transfer_units(sb, sm, vals, now)
-
-    def _serve_shared(self, now: float) -> bool:
-        """Serve on compressed shared-pattern columns; False = fall back.
-
-        Only runs past every start-up window under one all-green
-        pattern shared by the batch, so the active columns *are* the
-        eligible set.  A second, per-step compression then drops the
-        active columns no replication can serve or accrue on — empty
-        queue everywhere and credit already saturated at the bank
-        (``min(bank + accrual, bank) == bank``: skipping is exact).
-        Returns ``False`` (having written nothing) when some downstream
-        space binds — the caller then takes the general exact path.
-        """
-        B = self.batch_size
-        N = len(self._node_ids)
-        cols = self._c_cols
-        occ = self._occ
-        queue_len = self._queue_len
-        queued = queue_len[:, cols]
-        credit_cols = self._credit[:, cols]
-        live = (queued > 0).any(axis=0) | (
-            credit_cols < self._cc_bank
-        ).any(axis=0)
-        if not live.any():
-            # Nothing queued, every credit saturated: every green node
-            # wastes its slot (reference: served 0, nothing servable).
-            self._wasted_green_slots += 1
-            return True
-        sub = np.nonzero(live)[0]
-        full_width = len(sub) == len(cols)
-        if not full_width:
-            queued = queued[:, sub]
-            credit_cols = credit_cols[:, sub]
-        cols2 = cols if full_width else cols[sub]
-        accrual = self._cc_accrual[sub]
-        nonexit = self._cc_nonexit[sub]
-        value = credit_cols + accrual
-        bound = np.minimum(value, queued)
-        space = self._cc_out_cap[sub][None, :] - occ[:, self._cc_out_idx[sub]]
-        if (nonexit[None, :] & (space < bound)).any():
-            return False
-        limit = bound.astype(np.int64)
-        sb, sl = np.nonzero(limit)
-        vals = limit[sb, sl]
-        in_idx2 = self._cc_in_idx[sub]
-        out_idx2 = self._cc_out_idx[sub]
-        if len(sb):
-            np.add.at(occ, (sb, in_idx2[sl]), -vals)
-            ne = nonexit[sl]
-            if ne.any():
-                np.add.at(occ, (sb[ne], out_idx2[sl[ne]]), vals[ne])
-        self._credit[:, cols2] = np.minimum(
-            value - limit, self._cc_bank[sub]
-        )
-        node_of_cols2 = self._cc_node_of[sub]
-        served_node = np.zeros((B, N), dtype=np.int64)
-        if len(sb):
-            np.add.at(served_node, (sb, node_of_cols2[sl]), vals)
-            self._vehicles_served += served_node
-        servable_node = np.zeros((B, N), dtype=bool)
-        qb, ql = np.nonzero(queued)
-        if len(qb):
-            servable_node[qb, node_of_cols2[ql]] = True
-        self._wasted_green_slots += (served_node == 0) & ~servable_node
-        if len(sb):
-            sm = cols2[sl]
-            np.subtract.at(queue_len, (sb, sm), vals)
-            np.subtract.at(self._queued_total, sb, vals)
-            exit_mask = self._cc_is_exit[sub][sl]
-            if exit_mask.any():
-                left_b = sb[exit_mask]
-                np.add.at(self.collector.vehicles_left, left_b, vals[exit_mask])
-            self._transfer_units(sb, sm, vals, now)
-        return True
 
     def _serve_staged(
         self,

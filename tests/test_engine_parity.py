@@ -43,6 +43,7 @@ and must equal the ``meso-counts`` run too, which stays on the serial
 ``observations()`` / ``NetworkController`` loop.
 """
 
+import numpy as np
 import pytest
 
 from repro.control.factory import (
@@ -333,68 +334,42 @@ class TestBatchIndependence:
 
 
 class TestEveryBatchMember:
-    """Every member of a B=16 batch equals the serial run of its seed.
+    """Every member of a batch equals the serial run of its seed.
 
     The batch keeps one FIFO store per kind keyed by flat (replication,
     column) index, so a wrong key stride would let replications read or
-    write each other's vehicles; comparing all sixteen members, not a
-    prefix, is what catches it.  Each case asserts the serve path it is
-    there for: util-bp on a surge grid with short roads spills back and
-    takes the staged path, light fixed-time takes the shared-pattern
-    path.
+    write each other's vehicles; comparing all members, not a prefix,
+    is what catches it.  The serve pass touches only live cells and a
+    phase switch re-arms only the switched cells, so the cases also
+    vary what those skips rely on: start-up windows, the credit bank,
+    switches into amber.  Each closed-loop case asserts the serve path
+    it is there for (the engine's serve counters): util-bp on a surge
+    grid with short roads spills back and takes the staged path, light
+    fixed-time and light util-bp serve on the fast path.
     """
 
     SEEDS = tuple(range(61, 77))
     CASES = (
-        ("surge-4x4", {"capacity": 10}, "util-bp", {}, 200, "_serve_staged"),
+        ("surge-4x4", {"capacity": 10}, "util-bp", {}, 200, "staged_slots"),
         (
             "steady-5x5",
             {"load": 0.2},
             "fixed-time",
             {"period": 20.0},
             240,
-            "_serve_shared",
+            "fast_slots",
         ),
+        # Many cells switch, each on its own slot, and sit in start-up
+        # windows while their neighbours serve.
+        ("steady-10x10", {"load": 0.1}, "util-bp", {}, 120, "fast_slots"),
     )
 
-    @pytest.mark.parametrize(
-        "name,overrides,controller,params,steps,path",
-        CASES,
-        ids=[f"{case[0]}-{case[2]}" for case in CASES],
-    )
-    def test_every_member_equals_serial_counts_run(
-        self, monkeypatch, name, overrides, controller, params, steps, path
-    ):
-        from repro.meso.vectorized import BatchCountsSimulator
-
-        calls = []
-        serve = getattr(BatchCountsSimulator, path)
-
-        def counted(sim, *args):
-            calls.append(None)
-            return serve(sim, *args)
-
-        monkeypatch.setattr(BatchCountsSimulator, path, counted)
-        scenarios = [
-            build_named_scenario(name, seed=s, **overrides) for s in self.SEEDS
-        ]
-        batch = build_batch_engine(scenarios, "meso-vec")
-        kernel = build_batch_controller(
-            controller, scenarios[0].network, len(self.SEEDS), **params
-        )
-        for _ in range(steps):
-            batch.step(1.0, kernel.decide_batch(batch.controller_arrays()))
-        batch.finalize()
-        assert calls, path
+    @staticmethod
+    def _assert_members_equal_serial(batch, scenarios, steps, serial_run):
+        """``serial_run(scenario)`` is the finalized serial engine."""
         horizon = float(steps)
         for b, scenario in enumerate(scenarios):
-            serial = build_engine(scenario, "meso-counts")
-            serial_controller = make_network_controller(
-                controller, scenario.network, **params
-            )
-            for _ in range(steps):
-                serial.step(1.0, serial_controller.decide(serial.observations()))
-            serial.finalize()
+            serial = serial_run(scenario)
             assert batch.collector.summary_of(b, horizon) == (
                 serial.collector.summary(horizon)
             ), scenario.seed
@@ -403,6 +378,245 @@ class TestEveryBatchMember:
             } == {
                 n: t.to_dict() for n, t in serial.utilization.items()
             }, scenario.seed
+
+    @staticmethod
+    def _closed_loop(batch, scenarios, steps, controller="util-bp", params=None,
+                     **plant):
+        """Step ``batch`` under a batch kernel; return the serial runner."""
+        from repro.meso.counts import CountsSimulator
+
+        params = params or {}
+        kernel = build_batch_controller(
+            controller, scenarios[0].network, len(scenarios), **params
+        )
+        for _ in range(steps):
+            batch.step(1.0, kernel.decide_batch(batch.controller_arrays()))
+        batch.finalize()
+
+        def serial_run(scenario):
+            serial = CountsSimulator(
+                network=scenario.network,
+                demand=scenario.demand,
+                turning=scenario.turning,
+                seed=scenario.seed,
+                **plant,
+            )
+            serial_controller = make_network_controller(
+                controller, scenario.network, **params
+            )
+            for _ in range(steps):
+                serial.step(1.0, serial_controller.decide(serial.observations()))
+            serial.finalize()
+            return serial
+
+        return serial_run
+
+    @pytest.mark.parametrize(
+        "name,overrides,controller,params,steps,counter",
+        CASES,
+        ids=[f"{case[0]}-{case[2]}" for case in CASES],
+    )
+    def test_every_member_equals_serial_counts_run(
+        self, name, overrides, controller, params, steps, counter
+    ):
+        scenarios = [
+            build_named_scenario(name, seed=s, **overrides) for s in self.SEEDS
+        ]
+        batch = build_batch_engine(scenarios, "meso-vec")
+        serial_run = self._closed_loop(
+            batch, scenarios, steps, controller, params
+        )
+        assert getattr(batch, counter) > 0, counter
+        self._assert_members_equal_serial(batch, scenarios, steps, serial_run)
+
+    @pytest.mark.parametrize(
+        "plant",
+        # No start-up window at all; and a saturation rate whose
+        # per-slot accrual (2 vehicles) exceeds 1, so the credit bank
+        # is the accrual, not 1.
+        ({"startup_lost": 0.0}, {"saturation_headway": 0.5}),
+        ids=("startup_lost=0", "bank=2"),
+    )
+    def test_plant_parameters(self, plant):
+        from repro.meso.vectorized import BatchCountsSimulator
+
+        scenarios = [
+            build_named_scenario("surge-4x4", seed=s) for s in self.SEEDS
+        ]
+        first = scenarios[0]
+        batch = BatchCountsSimulator(
+            network=first.network,
+            demand=first.demand,
+            turning=first.turning,
+            seeds=self.SEEDS,
+            **plant,
+        )
+        serial_run = self._closed_loop(batch, scenarios, 200, **plant)
+        assert batch.fast_slots > 0
+        self._assert_members_equal_serial(batch, scenarios, 200, serial_run)
+
+    def test_staggered_switches_into_amber(self):
+        """Open loop: every cell cycles green -> amber -> green on its own
+        clock, so each step switches a different subset of cells, some
+        into amber while their neighbours turn green.  The pattern then
+        freezes, so the cells left in amber sit past every start-up
+        window."""
+        scenarios = [
+            build_named_scenario("steady-4x4", seed=s, load=0.5)
+            for s in self.SEEDS
+        ]
+        network = scenarios[0].network
+        node_ids = list(network.intersections)
+        phase_lists = [
+            [p.index for p in network.intersections[n].phases] for n in node_ids
+        ]
+        steps = 160
+
+        def phase(b, n, step):
+            step = min(step, 100)
+            dwell = 3 + (b + 2 * n) % 5
+            k = (step + 7 * b + 3 * n) // dwell
+            if k % 3 == 2:
+                return 0  # amber
+            choices = phase_lists[n]
+            return choices[(k + b) % len(choices)]
+
+        batch = build_batch_engine(scenarios, "meso-vec")
+        for step in range(steps):
+            batch.step(
+                1.0,
+                np.array(
+                    [
+                        [phase(b, n, step) for n in range(len(node_ids))]
+                        for b in range(len(scenarios))
+                    ],
+                    dtype=np.int64,
+                ),
+            )
+        batch.finalize()
+        assert batch.fast_slots > 0
+
+        def serial_run(scenario):
+            b = self.SEEDS.index(scenario.seed)
+            serial = build_engine(scenario, "meso-counts")
+            for step in range(steps):
+                serial.step(
+                    1.0,
+                    {
+                        node_id: phase(b, n, step)
+                        for n, node_id in enumerate(node_ids)
+                    },
+                )
+            serial.finalize()
+            return serial
+
+        self._assert_members_equal_serial(batch, scenarios, steps, serial_run)
+
+    @pytest.mark.parametrize("first_step", (True, False), ids=("first", "later"))
+    def test_invalid_phase_on_a_switched_cell_raises_key_error(self, first_step):
+        """An unknown phase index fails as the serial engine fails: a
+        ``KeyError`` from the intersection's phase lookup, on the first
+        step (where even the engine's "no phase yet" -1 is checked) as
+        on a later switch."""
+        scenario = build_named_scenario("steady-3x3", seed=1)
+        node_ids = list(scenario.network.intersections)
+        serial = build_engine(scenario, "meso-counts")
+        batch = build_batch_engine([scenario, scenario], "meso-vec")
+        phases = np.ones((2, len(node_ids)), dtype=np.int64)
+        if not first_step:
+            batch.step(1.0, phases)
+            serial.step(1.0, dict.fromkeys(node_ids, 1))
+        bad = -1 if first_step else 99
+        phases = phases.copy()
+        phases[1, 4] = bad
+        with pytest.raises(KeyError, match=f"no phase c{bad} at {node_ids[4]}"):
+            batch.step(1.0, phases)
+        with pytest.raises(KeyError, match=f"no phase c{bad} at {node_ids[4]}"):
+            serial.step(1.0, {**dict.fromkeys(node_ids, 1), node_ids[4]: bad})
+
+
+class TestServeCounters:
+    """meso-vec's serve counters: plain ints that say which path ran.
+
+    They pin the live-cell skip itself, so losing it fails here rather
+    than only showing as a slower benchmark.
+    """
+
+    @staticmethod
+    def _run(name, overrides, seeds, steps):
+        scenarios = [
+            build_named_scenario(name, seed=s, **overrides) for s in seeds
+        ]
+        batch = build_batch_engine(scenarios, "meso-vec")
+        kernel = build_batch_controller(
+            "util-bp", scenarios[0].network, len(seeds)
+        )
+        for _ in range(steps):
+            batch.step(1.0, kernel.decide_batch(batch.controller_arrays()))
+        return batch
+
+    def test_light_load_serves_few_cells_on_the_fast_path(self):
+        steps = 240
+        batch = self._run("steady-10x10", {"load": 0.1}, range(1, 17), steps)
+        cell_slots = batch.batch_size * len(batch.movement_layout[1]) * steps
+        # About 1.4 % of the cell-slots hold a live cell.
+        assert 0 < batch.cells_served < 0.03 * cell_slots
+        assert batch.staged_slots == 0
+        assert 0 < batch.fast_slots <= steps
+        assert all(
+            type(count) is int
+            for count in (batch.fast_slots, batch.staged_slots, batch.cells_served)
+        )
+
+    def test_spillback_takes_the_staged_path(self):
+        steps = 200
+        batch = self._run("surge-4x4", {"capacity": 10}, range(1, 5), steps)
+        assert batch.staged_slots > 0
+        assert batch.fast_slots + batch.staged_slots <= steps
+
+
+class TestPhaseArrays:
+    """Malformed phase input fails loudly, before anything is stepped."""
+
+    @staticmethod
+    def _sim():
+        from repro.meso.vectorized import BatchCountsSimulator
+
+        scenario = build_named_scenario("steady-3x3", seed=1)
+        return BatchCountsSimulator(
+            network=scenario.network,
+            demand=scenario.demand,
+            turning=scenario.turning,
+            seeds=(1, 2),
+        )
+
+    @pytest.mark.parametrize(
+        "phases,error,match",
+        (
+            ("bool", ValueError, "integer dtype, got bool"),
+            ("float", ValueError, "integer dtype, got float64"),
+            ("shape", ValueError, r"phase array must have shape \(2, 9\)"),
+            ("range", KeyError, "no phase c7 at J00"),
+        ),
+        ids=("bool", "float", "shape", "out-of-range"),
+    )
+    def test_malformed_phase_array(self, phases, error, match):
+        sim = self._sim()
+        array = {
+            "bool": np.ones((2, 9), dtype=bool),
+            "float": np.ones((2, 9), dtype=np.float64),
+            "shape": np.ones((3, 9), dtype=np.int64),
+            "range": np.full((2, 9), 7, dtype=np.int64),
+        }[phases]
+        with pytest.raises(error, match=match):
+            sim.step(1.0, array)
+        assert sim.time == 0.0
+
+    def test_changed_dt(self):
+        sim = self._sim()
+        sim.step(1.0, np.ones(9, dtype=np.int64))
+        with pytest.raises(ValueError, match="constant mini-slot"):
+            sim.step(2.0, np.ones(9, dtype=np.int64))
 
 
 class TestBatchedControllerParity:
@@ -525,6 +739,62 @@ class TestBatchRunner:
                 **record,
             )
             assert result == single
+
+    #: A duplicated pair (one trace) and an exit road, which has no
+    #: stop line (all zeros).
+    RECORD_QUEUES = (
+        ("J00", "IN:N@J00"),
+        ("J11", "J01->J11"),
+        ("J00", "IN:N@J00"),
+        ("J00", "OUT:N@J00"),
+    )
+
+    def test_batch_queue_traces_equal_serial_runs(self):
+        """The batch records queue samples in bulk; every member's traces
+        equal its own serial run's, sample for sample."""
+        from repro.experiments.runner import run_scenario, run_scenario_batch
+
+        knobs = dict(
+            controller="util-bp",
+            duration=200.0,
+            record_queues=self.RECORD_QUEUES,
+            queue_sample_interval=3.0,
+        )
+        seeds = (3, 4, 5, 6)
+        batch = run_scenario_batch(
+            [build_named_scenario("surge-4x4", seed=s) for s in seeds], **knobs
+        )
+        for seed, result in zip(seeds, batch):
+            serial = run_scenario(
+                build_named_scenario("surge-4x4", seed=seed),
+                engine="meso-counts",
+                **knobs,
+            )
+            traces = result.to_dict()["queue_traces"]
+            assert traces == serial.to_dict()["queue_traces"], seed
+            assert len(traces) == 3
+        values = {
+            key: trace.series.values
+            for key, trace in batch[0].queue_traces.items()
+        }
+        assert len(values[("J00", "IN:N@J00")]) == 67
+        assert any(values[("J11", "J01->J11")])
+        assert not any(values[("J00", "OUT:N@J00")])
+
+    def test_negative_queue_sample_is_rejected(self, monkeypatch):
+        from repro.experiments.runner import run_scenario_batch
+        from repro.meso.vectorized import BatchCountsSimulator
+
+        def broken(sim, road_id):
+            return np.full(sim.batch_size, -1, dtype=np.int64)
+
+        monkeypatch.setattr(BatchCountsSimulator, "incoming_queue_total", broken)
+        with pytest.raises(ValueError, match="queue length must be >= 0, got -1"):
+            run_scenario_batch(
+                [build_named_scenario("steady-3x3", seed=1)],
+                duration=10.0,
+                record_queues=(("J00", "IN:N@J00"),),
+            )
 
     @pytest.mark.parametrize(
         "controller,params",

@@ -84,6 +84,24 @@ def test_cli_filters_and_reads_only(tmp_path, capsys):
     assert path.read_text() == text
 
 
+def test_multi_run_points_contribute_their_median():
+    module = _load()
+    parent = _point("parent", "c1", "a", "closed-loop", rate=100.0, setup=2.0)
+    parent["runs"] = {
+        "n": 3,
+        "failed": [0, 0, 0],
+        "metrics": {"rate": {"median": 80.0, "q1": 70.0, "q3": 90.0, "n": 3,
+                             "unit": "1/s", "values": [100.0, 80.0, 70.0]}},
+    }
+    change = _point("change", None, "b", "closed-loop", rate=150.0, setup=1.0)
+    table = module.trajectory([parent, change])
+    # The median where the point recorded one, else the single value.
+    assert [row[2:5] for row in table[("closed-loop", "rate")]] == [
+        (80.0, 150.0, 1.875)
+    ]
+    assert [row[4] for row in table[("closed-loop", "setup")]] == [0.5]
+
+
 def test_unreadable_file_exits_2(tmp_path, capsys):
     module = _load()
     assert module.main(["--file", str(tmp_path / "missing.json")]) == 2

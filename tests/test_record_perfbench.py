@@ -100,3 +100,70 @@ def test_commit_only_when_head_holds_the_measured_source(tmp_path, monkeypatch):
     assert record.recorded_commit(measured, root=tmp_path) == head
     (src / "pkg" / "core.py").write_text("# changed, not committed\n")
     assert record.recorded_commit(perfbench.source_digest(), root=tmp_path) is None
+
+
+def _output(meta=None, **values):
+    result = {
+        "correct": True, "attempted": 9, "failed": 0,
+        "metrics": {
+            name: {"value": value, "unit": "1/s"} for name, value in values.items()
+        },
+    }
+    return json.dumps({"perfbench": {**META, **(meta or {})}}) + "\n" + json.dumps(result)
+
+
+def test_several_runs_record_median_quartiles_and_raw_values(tmp_path, monkeypatch):
+    record = _load("record_perfbench", SCRIPT)
+    trajectory = tmp_path / "BENCH_perfbench.json"
+    monkeypatch.setattr(record, "DEFAULT_FILE", trajectory)
+    paths = []
+    for i, rate in enumerate((40.0, 10.0, 30.0, 20.0)):
+        path = tmp_path / f"run{i}.txt"
+        # The second run lacks "setup": summarized over the other three.
+        extra = {} if i == 1 else {"setup": float(i)}
+        path.write_text("report\n" + _output(rate=rate, **extra) + "\n")
+        paths.append(str(path))
+    assert record.main(paths + ["--label", "change"]) == 0
+    (point,) = json.loads(trajectory.read_text())
+    # The point keeps the first output's lines as perfbench printed them.
+    assert point["perfbench"] == META
+    assert point["result"]["metrics"]["rate"]["value"] == 40.0
+    runs = point["runs"]
+    assert runs["n"] == 4 and runs["failed"] == [0, 0, 0, 0]
+    rate = runs["metrics"]["rate"]
+    assert rate["values"] == [40.0, 10.0, 30.0, 20.0]
+    assert (rate["median"], rate["q1"], rate["q3"], rate["n"]) == (
+        25.0, 12.5, 37.5, 4
+    )
+    assert rate["unit"] == "1/s"
+    assert runs["metrics"]["setup"]["values"] == [0.0, 2.0, 3.0]
+    assert runs["metrics"]["setup"]["median"] == 2.0
+
+
+def test_single_run_point_has_no_run_summary(tmp_path, monkeypatch):
+    record = _load("record_perfbench", SCRIPT)
+    trajectory = tmp_path / "BENCH_perfbench.json"
+    monkeypatch.setattr(record, "DEFAULT_FILE", trajectory)
+    run = tmp_path / "run.txt"
+    run.write_text(OUTPUT)
+    assert record.main([str(run)]) == 0
+    (point,) = json.loads(trajectory.read_text())
+    assert set(point) == {"commit", "label", "perfbench", "result"}
+
+
+@pytest.mark.parametrize(
+    "differ",
+    ({"workload": "closed-loop"}, {"seed": 2}, {"source_sha256": "1e1e"}),
+    ids=("workload", "seed", "source"),
+)
+def test_runs_of_different_trees_are_refused(tmp_path, monkeypatch, capsys, differ):
+    record = _load("record_perfbench", SCRIPT)
+    trajectory = tmp_path / "BENCH_perfbench.json"
+    monkeypatch.setattr(record, "DEFAULT_FILE", trajectory)
+    same = tmp_path / "same.txt"
+    same.write_text(_output(rate=1.0))
+    other = tmp_path / "other.txt"
+    other.write_text(_output(differ, rate=2.0))
+    assert record.main([str(same), str(same), str(other)]) == 2
+    assert f"outputs differ in {next(iter(differ))}" in capsys.readouterr().err
+    assert not trajectory.exists()
