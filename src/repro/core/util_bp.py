@@ -119,6 +119,21 @@ class UtilBpController(IntersectionController):
     ``tests/test_core_util_bp.py`` checks decision for decision that
     this controller decides as their composition does.
 
+    **A call re-decides only if an input changed**, by the batch
+    kernel's rule: it re-decides on the first call since construction
+    or :meth:`reset`, under amber (case 1 reads ``t_k``), when the
+    movement queues, out-queues or out-capacities differ from those of
+    the last full evaluation, or when the running phase differs from
+    the one running then.  Otherwise it returns the running phase
+    without computing a gain.  This is exact: in a control phase,
+    Algorithm 1 reads nothing else, so the last evaluation's decision
+    repeats, and that decision was the running phase.  The inputs are
+    kept as copies, as a producer may rewrite its maps in place.
+
+    ``cells_offered`` and ``cells_decided`` count the calls and the
+    calls re-decided since construction or :meth:`reset`, as the
+    kernel's counters of the same names count cells.
+
     Parameters
     ----------
     intersection:
@@ -135,15 +150,20 @@ class UtilBpController(IntersectionController):
     ):
         super().__init__(intersection)
         self.config = config or UtilBpConfig()
+        self._plan = _GainsPlan.of(intersection)
+        self.reset()
+
+    def reset(self) -> None:
+        """Clear the controller state, the memo and the counters."""
+        super().reset()
         #: Global variable ``t_{Delta k}`` of Algorithm 1 — the expiry
         #: time of the running transition phase.
         self._transition_until = -math.inf
-        self._plan = _GainsPlan.of(intersection)
-
-    def reset(self) -> None:
-        """Clear the per-intersection controller state."""
-        super().reset()
-        self._transition_until = -math.inf
+        #: The last full evaluation's (running phase, movement queues,
+        #: out-queues, out-capacities), the maps copied.
+        self._memo: Optional[Tuple[int, dict, dict, dict]] = None
+        self.cells_offered = 0
+        self.cells_decided = 0
 
     # -- Algorithm 1 -------------------------------------------------------
 
@@ -151,12 +171,33 @@ class UtilBpController(IntersectionController):
         """Apply Algorithm 1: keep, hold through amber, or select anew."""
         t_k = obs.time
         previous = self._current  # c(k-1)
+        self.cells_offered += 1
 
-        # Case 1 (lines 1-2): transition phase still running.
-        if previous == TRANSITION and t_k < self._transition_until:
-            return self._record(TRANSITION)
+        if previous == TRANSITION:
+            # Case 1 (lines 1-2): transition phase still running.
+            if t_k < self._transition_until:
+                self.cells_decided += 1
+                return self._record(TRANSITION)
+        else:
+            memo = self._memo
+            if (
+                memo is not None
+                and memo[0] == previous
+                and memo[1] == obs.movement_queues
+                and memo[2] == obs.out_queues
+                and memo[3] == obs.out_capacities
+            ):
+                # Unchanged inputs: the last decision, the running phase.
+                return previous
 
+        self.cells_decided += 1
         gains, w_star = self._link_gains(obs)
+        self._memo = (
+            previous,
+            dict(obs.movement_queues),
+            dict(obs.out_queues),
+            dict(obs.out_capacities),
+        )
 
         # Case 2 (lines 3-4): keep the current control phase while its
         # best link L_max (the first maximal one, Eq. 11) stays above
@@ -189,10 +230,6 @@ class UtilBpController(IntersectionController):
         or capacity raises ``KeyError`` naming the road.
         """
         alpha, beta = self.config.alpha, self.config.beta
-        if alpha >= 0 or beta >= 0:
-            raise ValueError(
-                f"alpha and beta must be negative, got alpha={alpha}, beta={beta}"
-            )
         plan = self._plan
         out_queues = obs.out_queues_of(plan.out_roads)
         full = list(map(ge, out_queues, obs.capacities_of(plan.out_roads)))

@@ -1,17 +1,23 @@
 """Shared fixtures: a single-intersection network, observation builders,
-the mixed-phase-plan scenario variant of the parity suites and an
-engine whose build always fails."""
+the mixed-phase-plan scenario variant of the parity suites, an engine
+whose build always fails, and the scalar UTIL-BP reference that the
+serial controller and the batch kernel are both checked against."""
 
 from __future__ import annotations
 
 import dataclasses
+import math
 import multiprocessing
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import pytest
 
+from repro.control.base import TRANSITION, IntersectionController
+from repro.core.config import UtilBpConfig
 from repro.core.engine import ENGINES, register_engine
+from repro.core.pressure import keep_threshold, max_link_gain, phase_gain
 from repro.model.grid import build_grid_network
+from repro.model.intersection import Intersection
 from repro.model.phases import Phase
 from repro.model.queues import QueueObservation
 from repro.scenarios import build_named_scenario
@@ -139,3 +145,66 @@ def build_parity_scenario(name: str, seed: int, **overrides):
         intersections[node_id] = dataclasses.replace(intersection, phases=phases)
     network = dataclasses.replace(scenario.network, intersections=intersections)
     return dataclasses.replace(scenario, network=network)
+
+
+class ReferenceUtilBp(IntersectionController):
+    """Algorithm 1 composed from :mod:`repro.core.pressure`'s scalars.
+
+    Recomputes Eq. 8 inside every Eq. 10/11/12 evaluation, the way the
+    paper states the equations, and decides from scratch on every call;
+    :class:`~repro.core.util_bp.UtilBpController` must decide exactly as
+    this does.
+    """
+
+    def __init__(self, intersection: Intersection, config: UtilBpConfig):
+        super().__init__(intersection)
+        self.config = config
+        self._transition_until = -math.inf
+
+    def reset(self) -> None:
+        super().reset()
+        self._transition_until = -math.inf
+
+    def decide(self, obs: QueueObservation) -> int:
+        t_k = obs.time
+        previous = self._current
+        if previous == TRANSITION and t_k < self._transition_until:
+            return self._record(TRANSITION)
+        if previous != TRANSITION:
+            current_phase = self.intersection.phase_by_index(previous)
+            g_max, l_max = max_link_gain(
+                current_phase, obs, self.config.alpha, self.config.beta
+            )
+            threshold = keep_threshold(obs, l_max)
+            threshold -= self.config.keep_margin * l_max.service_rate
+            if g_max > threshold:
+                return self._record(previous)
+        selected = self._select_phase(obs)
+        if selected == previous or previous == TRANSITION:
+            return self._record(selected)
+        self._transition_until = t_k + self.config.transition_duration
+        return self._record(TRANSITION)
+
+    def _select_phase(self, obs: QueueObservation) -> int:
+        alpha, beta = self.config.alpha, self.config.beta
+        ranked: List[Tuple[Phase, float]] = []
+        best_overall = -math.inf
+        for phase in self.intersection.phases:
+            g_max, _ = max_link_gain(phase, obs, alpha, beta)
+            ranked.append((phase, g_max))
+            best_overall = max(best_overall, g_max)
+        if best_overall > alpha:
+            candidates = [phase for phase, g_max in ranked if g_max > alpha]
+            scores = [
+                (phase_gain(phase, obs, alpha, beta), phase)
+                for phase in candidates
+            ]
+        else:
+            scores = [(g_max, phase) for phase, g_max in ranked]
+
+        def rank(item: Tuple[float, Phase]) -> Tuple[float, int, int]:
+            score, phase = item
+            return (-score, 0 if phase.index == self._current else 1, phase.index)
+
+        scores.sort(key=rank)
+        return scores[0][1].index

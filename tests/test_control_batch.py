@@ -20,11 +20,14 @@ controller layer:
   kernel's is rejected before the first step;
 * the util-bp kernel's re-decided cells: on synthetic streams where
   random cells hold their inputs for several slots, decisions equal the
-  serial controllers' and ``cells_decided`` matches the rule (first
-  call, changed queues or out-queues, changed running phase, amber),
+  serial controllers' and the scalar reference's, ``cells_decided``
+  matches the rule (first call, changed queues or out-queues, changed
+  running phase, amber) and the serial controllers' summed count,
   with amber timers expiring and phases starting while inputs hold,
   ``reset()`` mid-stream, every parameter branch, in-place buffers and
-  B=4; a light-load run re-decides under 20 % of the cells;
+  B=4; a light-load run re-decides under 20 % of the cells, and one
+  whole run re-decides as many cells under meso-counts' serial
+  controllers as under meso-events' B=1 kernel;
 * the meso-events façade: its B=1 ``controller_arrays()`` equal the
   arrays assembled from its own ``observations()`` at every slot,
   under every out-queue sensing mode, and on every slot read after
@@ -52,13 +55,16 @@ from repro.control.factory import (
     build_batch_controller,
     make_network_controller,
 )
+from repro.core.config import UtilBpConfig
 from repro.core.engine import build_batch_engine
+from repro.experiments import runner
 from repro.meso.events import EventCountsSimulator
 from repro.meso.vectorized import BatchCountsSimulator
 from repro.model.grid import build_grid_network
 from repro.model.queues import QueueObservation
 from repro.scenarios import build_named_scenario
-from tests.conftest import MIXED_PHASES, build_parity_scenario
+from repro.scenarios.core import build_scenario
+from tests.conftest import MIXED_PHASES, ReferenceUtilBp, build_parity_scenario
 
 #: (controller name, parameters) pairs: every controller name.
 CONTROLLERS = (
@@ -447,8 +453,13 @@ def _drive_held_stream(
     Asserts identical decisions at every slot, and that the kernel
     re-decided exactly the cells its rule names: after a first call
     (all cells), those whose node inputs changed, whose running phase
-    differs from the previous call's, or which run amber.  Returns
-    event counts showing which situations the stream produced.
+    differs from the previous call's, or which run amber.  The serial
+    controllers skip by the same rule, so the oracle stays independent
+    of it: every serial decision is also checked against
+    ``ReferenceUtilBp``, which decides from scratch on every call, and
+    the serial controllers' summed ``cells_decided`` must equal the
+    kernel's after every call.  Returns event counts showing which
+    situations the stream produced.
 
     ``in_place`` feeds one pair of writable arrays, rewritten in place
     every slot, instead of fresh read-only snapshots: the kernel must
@@ -459,6 +470,14 @@ def _drive_held_stream(
     kernel = build_batch_controller("util-bp", network, batch_size, **params)
     serial = [
         make_network_controller("util-bp", network, **params)
+        for _ in range(batch_size)
+    ]
+    config = UtilBpConfig(**params)
+    references = [
+        {
+            node: ReferenceUtilBp(inter, config)
+            for node, inter in network.intersections.items()
+        }
         for _ in range(batch_size)
     ]
     stream = _HeldStream(network, batch_size, seed)
@@ -476,6 +495,9 @@ def _drive_held_stream(
             kernel.reset()
             for controller in serial:
                 controller.reset()
+            for reference in references:
+                for controller in reference.values():
+                    controller.reset()
             running = np.zeros(shape, int)
             last_running = None
         before = (stream.queues.copy(), stream.out_queues.copy())
@@ -500,8 +522,18 @@ def _drive_held_stream(
         decided_before = kernel.cells_decided
         decision = kernel.decide_batch(frame)
         for b in range(batch_size):
-            expected = serial[b].decide(stream.observations(b, time))
+            observations = stream.observations(b, time)
+            expected = serial[b].decide(observations)
             assert _as_map(decision, node_ids, b) == expected, (k, b)
+            assert expected == {
+                node: references[b][node].decide(obs)
+                for node, obs in observations.items()
+            }, (k, b)
+        assert kernel.cells_decided == sum(
+            controller.cells_decided
+            for network_controller in serial
+            for controller in network_controller.controllers.values()
+        ), k
         if last_running is None:
             redo = np.ones(shape, bool)
         else:
@@ -594,6 +626,23 @@ class TestReDecidedCells:
             BatchUtilBpController(network, 1)
 
 
+@pytest.fixture
+def built_controllers(monkeypatch):
+    """Every controller ``run_scenario`` builds, in build order."""
+    built = []
+
+    def capture(factory):
+        def build(*args, **kwargs):
+            built.append(factory(*args, **kwargs))
+            return built[-1]
+        return build
+
+    for name in ("make_network_controller", "build_batch_controller"):
+        monkeypatch.setattr(runner, name, capture(getattr(runner, name)))
+    return built
+
+
+
 class TestReDecidedCounters:
     def test_steady_light_load_skips_most_cells(self):
         """steady-10x10 at load 0.1, B=16: under 20 % re-decided.
@@ -616,3 +665,36 @@ class TestReDecidedCounters:
             sim.step(1.0, kernel.decide_batch(sim.controller_arrays()))
         assert kernel.cells_offered == 240 * cells
         assert kernel.cells_decided < 0.2 * kernel.cells_offered
+
+    @pytest.mark.parametrize(
+        "workload,duration",
+        [("steady-10x10@0.1", 240.0), ("steady-10x10@1.0", 240.0)]
+        + [(pattern, 1200.0) for pattern in ("I", "II", "III", "IV")],
+    )
+    def test_serial_and_kernel_redecide_the_same_cells(
+        self, built_controllers, workload, duration
+    ):
+        """One run: meso-counts' serial controllers and meso-events' B=1
+        kernel re-decide the same intersection-slots, in sum."""
+        name, _, load = workload.partition("@")
+        if load:
+            scenario = build_named_scenario(name, seed=1, load=float(load))
+        else:
+            scenario = build_scenario(name, seed=1)
+        results = [
+            runner.run_scenario(
+                scenario, controller="util-bp", engine=engine, duration=duration
+            ).to_dict()
+            for engine in ("meso-counts", "meso-events")
+        ]
+        assert results[0] == results[1]
+        serial, kernel = built_controllers
+        assert isinstance(kernel, BatchUtilBpController)
+        for counter in ("cells_offered", "cells_decided"):
+            assert getattr(kernel, counter) == sum(
+                getattr(controller, counter)
+                for controller in serial.controllers.values()
+            ), counter
+        offered = len(scenario.network.intersections) * int(duration)
+        assert kernel.cells_offered == offered
+        assert 0 < kernel.cells_decided < offered

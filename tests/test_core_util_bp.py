@@ -1,23 +1,23 @@
 """Tests for repro.core.util_bp — Algorithm 1, case by case, and
 decision for decision against Algorithm 1 composed from the scalar
-gain functions of :mod:`repro.core.pressure`."""
+gain functions of :mod:`repro.core.pressure` (``ReferenceUtilBp``),
+including on held-input streams where the controller skips the calls
+whose inputs did not change."""
 
 import dataclasses
-import math
 import random
 from typing import List, Tuple
 
 import pytest
 
-from repro.control.base import TRANSITION, IntersectionController
+from repro.control.base import TRANSITION
 from repro.core.config import UtilBpConfig
-from repro.core.pressure import keep_threshold, max_link_gain, phase_gain
 from repro.core.util_bp import UtilBpController
 from repro.model.grid import build_grid_network
 from repro.model.intersection import Intersection
 from repro.model.phases import Phase
 from repro.model.queues import QueueObservation
-from tests.conftest import make_observation
+from tests.conftest import ReferenceUtilBp, make_observation
 
 
 @pytest.fixture
@@ -238,64 +238,6 @@ class TestWorkConservation:
 # -- decision-for-decision reference ------------------------------------------
 
 
-class ReferenceUtilBp(IntersectionController):
-    """Algorithm 1 composed from :mod:`repro.core.pressure`'s scalars.
-
-    Recomputes Eq. 8 inside every Eq. 10/11/12 evaluation, the way the
-    paper states the equations; :class:`UtilBpController` must decide
-    exactly as this does.
-    """
-
-    def __init__(self, intersection: Intersection, config: UtilBpConfig):
-        super().__init__(intersection)
-        self.config = config
-        self._transition_until = -math.inf
-
-    def decide(self, obs: QueueObservation) -> int:
-        t_k = obs.time
-        previous = self._current
-        if previous == TRANSITION and t_k < self._transition_until:
-            return self._record(TRANSITION)
-        if previous != TRANSITION:
-            current_phase = self.intersection.phase_by_index(previous)
-            g_max, l_max = max_link_gain(
-                current_phase, obs, self.config.alpha, self.config.beta
-            )
-            threshold = keep_threshold(obs, l_max)
-            threshold -= self.config.keep_margin * l_max.service_rate
-            if g_max > threshold:
-                return self._record(previous)
-        selected = self._select_phase(obs)
-        if selected == previous or previous == TRANSITION:
-            return self._record(selected)
-        self._transition_until = t_k + self.config.transition_duration
-        return self._record(TRANSITION)
-
-    def _select_phase(self, obs: QueueObservation) -> int:
-        alpha, beta = self.config.alpha, self.config.beta
-        ranked: List[Tuple[Phase, float]] = []
-        best_overall = -math.inf
-        for phase in self.intersection.phases:
-            g_max, _ = max_link_gain(phase, obs, alpha, beta)
-            ranked.append((phase, g_max))
-            best_overall = max(best_overall, g_max)
-        if best_overall > alpha:
-            candidates = [phase for phase, g_max in ranked if g_max > alpha]
-            scores = [
-                (phase_gain(phase, obs, alpha, beta), phase)
-                for phase in candidates
-            ]
-        else:
-            scores = [(g_max, phase) for phase, g_max in ranked]
-
-        def rank(item: Tuple[float, Phase]) -> Tuple[float, int, int]:
-            score, phase = item
-            return (-score, 0 if phase.index == self._current else 1, phase.index)
-
-        scores.sort(key=rank)
-        return scores[0][1].index
-
-
 def _with_rates(phase: Phase, rates: Tuple[float, ...]) -> Phase:
     """``phase`` with its movements' service rates replaced, in order."""
     return Phase(
@@ -461,3 +403,168 @@ def test_plan_is_shared_per_intersection(intersection):
     assert first._plan is second._plan
     variant = dataclasses.replace(intersection, phases=intersection.phases[:2])
     assert UtilBpController(variant)._plan is not first._plan
+
+
+# -- re-decision on held inputs -----------------------------------------------
+
+
+class _HeldInputs:
+    """One intersection's ``Q(k)`` stream with inputs held for a while.
+
+    A fresh draw of the movement queues is held for 1-6 slots and, each
+    on its own clock, so are a fresh draw of the out-queues (1-6 slots)
+    and of the out-capacities (3-12 slots): inputs repeat for several
+    slots, and sometimes only one of the three maps changes.  Queues
+    are often zero, out-roads sometimes full, and a movement is now and
+    then absent from ``movement_queues`` (it reads 0, but the map
+    differs).
+    """
+
+    def __init__(self, intersection: Intersection, rng: random.Random):
+        self.intersection = intersection
+        self.rng = rng
+        self.hold = [0, 0, 0]
+        self.capacities = self.out_queues = self.movement_queues = None
+
+    def advance(self) -> None:
+        """Draw the next slot: redraw every map whose hold ran out."""
+        rng, inter = self.rng, self.intersection
+        redraw = [left <= 0 for left in self.hold]
+        self.hold = [left - 1 for left in self.hold]
+        if redraw[2]:
+            self.hold[2] = rng.randint(2, 11)
+            self.capacities = {road: rng.choice((4, 6, 8)) for road in inter.out_roads}
+        if redraw[1]:
+            self.hold[1] = rng.randint(0, 5)
+            self.out_queues = {
+                road: self.capacities[road] if rng.random() < 0.2 else rng.randint(0, 3)
+                for road in inter.out_roads
+            }
+        if redraw[0]:
+            self.hold[0] = rng.randint(0, 5)
+            self.movement_queues = {}
+            for key in inter.movements:
+                draw = rng.random()
+                if draw >= 0.05:
+                    self.movement_queues[key] = 0 if draw < 0.45 else rng.randint(1, 5)
+
+    def inputs(self):
+        return (self.movement_queues, self.out_queues, self.capacities)
+
+
+def _drive_held(config, slots=300, seed=5, reset_at=None, in_place=False):
+    """``UtilBpController`` vs ``ReferenceUtilBp`` on held-input streams.
+
+    Every intersection of :func:`_intersections` gets its own stream, its
+    own controller and its own reference.  Asserts equal decisions at
+    every call, and that ``cells_decided`` grew exactly on the calls the
+    re-decision rule names: the first call since construction or
+    ``reset()``, a call under amber, a call whose inputs differ from the
+    previous call's, or one whose running phase differs from the
+    previous call's.  Returns the controllers and event counts showing
+    which situations the streams produced.
+
+    ``in_place`` hands every call the same three maps per intersection,
+    rewritten in place, instead of fresh ones: the controller must not
+    keep a reference to what a later call overwrites.
+    """
+    rng = random.Random(seed)
+    cells = []
+    for _, inter in _intersections():
+        stream = _HeldInputs(inter, rng)
+        cells.append(
+            dict(
+                stream=stream,
+                controller=UtilBpController(inter, config),
+                reference=ReferenceUtilBp(inter, config),
+                maps=({}, {}, {}),
+                last=None,  # the previous call's (running phase, inputs)
+            )
+        )
+    events = dict(skipped=0, expired_while_held=0, switched_then_held=0, amber=0)
+    for k in range(slots):
+        time = float(k)
+        for cell in cells:
+            controller, reference = cell["controller"], cell["reference"]
+            if k == reset_at:
+                controller.reset()
+                reference.reset()
+                cell["last"] = None
+            stream = cell["stream"]
+            stream.advance()
+            if in_place:
+                for kept, drawn in zip(cell["maps"], stream.inputs()):
+                    kept.clear()
+                    kept.update(drawn)
+                maps = cell["maps"]
+            else:
+                maps = tuple(dict(drawn) for drawn in stream.inputs())
+            obs = QueueObservation(time, *maps)
+            running = controller.current_phase
+            inputs = tuple(dict(drawn) for drawn in stream.inputs())
+            last = cell["last"]
+            held = last is not None and last[1] == inputs
+            redo = not held or running == TRANSITION or running != last[0]
+
+            decided_before = controller.cells_decided
+            decision = controller.decide(obs)
+            assert decision == reference.decide(obs), (k, stream.intersection)
+            assert controller.cells_decided - decided_before == redo, k
+
+            events["skipped"] += not redo
+            events["amber"] += decision == TRANSITION
+            events["expired_while_held"] += (
+                held and running == TRANSITION and decision != TRANSITION
+            )
+            events["switched_then_held"] += (
+                held and last[0] == TRANSITION and running != TRANSITION
+            )
+            cell["last"] = (running, inputs)
+    return [cell["controller"] for cell in cells], events
+
+
+HELD_CONFIGS = {
+    "paper": UtilBpConfig(),
+    "keep-margin": UtilBpConfig(keep_margin=1.5),
+    "short-amber": UtilBpConfig(keep_margin=0.5, transition_duration=2.0),
+    # The reverse of the paper's ordering: beta above alpha.
+    "beta-above-alpha": UtilBpConfig(alpha=-3.0, beta=-0.5),
+}
+
+
+class TestReDecision:
+    """The controller re-decides only calls whose inputs changed, exactly."""
+
+    @pytest.mark.parametrize("config", HELD_CONFIGS.values(), ids=HELD_CONFIGS)
+    def test_held_inputs_decide_as_reference(self, config):
+        controllers, events = _drive_held(config)
+        # The streams produced every situation the rule must handle.
+        assert events["skipped"] > 0
+        assert events["amber"] > 0
+        assert events["expired_while_held"] > 0
+        assert events["switched_then_held"] > 0
+        for controller in controllers:
+            assert controller.cells_offered == 300
+            assert controller.cells_decided < 300
+
+    def test_maps_rewritten_in_place(self):
+        """Maps rewritten in place between calls must not alias the memo."""
+        _, events = _drive_held(UtilBpConfig(), in_place=True)
+        assert events["skipped"] > 0
+
+    def test_reset_mid_stream(self):
+        controllers, _ = _drive_held(UtilBpConfig(), reset_at=170)
+        for controller in controllers:
+            assert controller.cells_offered == 300 - 170
+
+    def test_reset_clears_the_memo_and_counters(self, intersection, controller):
+        obs = make_observation(intersection)
+        # The first call and the first one running phase 1 re-decide;
+        # the third call changes nothing.
+        assert [controller.decide(obs) for _ in range(3)] == [1, 1, 1]
+        assert (controller.cells_offered, controller.cells_decided) == (3, 2)
+        controller.reset()
+        assert (controller.cells_offered, controller.cells_decided) == (0, 0)
+        assert controller._memo is None
+        controller.decide(obs)
+        assert controller.cells_decided == 1
