@@ -75,8 +75,6 @@ class CountsSimulator:
     identical queue-count trajectory.
     """
 
-    OUT_QUEUE_MODES = ("spillback", "halting", "occupancy")
-
     def __init__(
         self,
         network: Network,
@@ -86,8 +84,7 @@ class CountsSimulator:
         travel_time: Optional[float] = None,
         startup_lost: float = 2.0,
         sensing_horizon: float = 2.0,
-        saturation_headway: Optional[float] = 1.3,
-        out_queue_mode: str = "spillback",
+        saturation_headway: float = 1.3,
     ):
         self.network = network
         self.time = 0.0
@@ -98,14 +95,7 @@ class CountsSimulator:
         self._startup_lost = startup_lost
         check_non_negative("sensing_horizon", sensing_horizon)
         self._sensing_horizon = sensing_horizon
-        if saturation_headway is not None:
-            check_positive("saturation_headway", saturation_headway)
-        if out_queue_mode not in self.OUT_QUEUE_MODES:
-            raise ValueError(
-                f"out_queue_mode must be one of {self.OUT_QUEUE_MODES}, "
-                f"got {out_queue_mode!r}"
-            )
-        self._out_queue_mode = out_queue_mode
+        check_positive("saturation_headway", saturation_headway)
 
         # Same stream layout and creation order as the reference engine,
         # so shared seeds yield identical draws.
@@ -225,9 +215,7 @@ class CountsSimulator:
         self._finalized = False
 
         # -- precomputed serve/observe plans -------------------------------
-        saturation_rate = (
-            None if saturation_headway is None else 1.0 / saturation_headway
-        )
+        saturation_rate = 1.0 / saturation_headway
         # Per intersection: (node_id, position, intersection, tracker,
         # movement credit indices, {phase_index: (service_rate_sum,
         # [movement plan, ...])}, live count dict).  A movement plan
@@ -253,11 +241,7 @@ class CountsSimulator:
                             out_is_exit,
                             m.out_road,
                             self._capacity[m.out_road],
-                            (
-                                m.service_rate
-                                if saturation_rate is None
-                                else saturation_rate
-                            ),
+                            saturation_rate,
                             self._transit_time[m.out_road],
                             self._transit[m.out_road],
                             -1 if out_is_exit else self._road_slot[m.out_road],
@@ -338,8 +322,7 @@ class CountsSimulator:
         deadline = now + self._sensing_horizon
         occupancy = self._occupancy
         head_ready = self._head_ready
-        spillback = self._out_queue_mode == "spillback"
-        nothing_full = spillback and not self._full_roads
+        nothing_full = not self._full_roads
         trusted = QueueObservation.trusted
         result: Dict[str, QueueObservation] = {}
         for node_id, counts, sensing, out_static, zeros, out_caps in (
@@ -354,35 +337,15 @@ class CountsSimulator:
                         movement_queues[key_by_out[route[leg + 1]]] += 1
             if nothing_full:
                 out_queues = zeros
-            elif spillback:
+            else:
                 out_queues = {}
                 for road_id, cap, is_exit in out_static:
                     occ = 0 if is_exit else occupancy[road_id]
                     out_queues[road_id] = occ if occ >= cap else 0
-            else:
-                out_queues = {
-                    road_id: self._sensed_out_queue(road_id)
-                    for road_id, _, _ in out_static
-                }
             result[node_id] = trusted(
                 now, movement_queues, out_queues, out_caps
             )
         return result
-
-    def _sensed_out_queue(self, road_id: str) -> int:
-        """``q_{i'}`` as reported by the outgoing road's sensor."""
-        if self._is_exit[road_id]:
-            return 0  # exit roads are drained by the outside world
-        if self._out_queue_mode == "occupancy":
-            return self._occupancy[road_id]
-        if self._out_queue_mode == "halting":
-            return self.incoming_queue_total(road_id)
-        # "spillback": the road reads empty from the junction mouth
-        # until congestion backs up to it.
-        occupancy = self._occupancy[road_id]
-        if occupancy >= self._capacity[road_id]:
-            return occupancy
-        return 0
 
     # -- stepping ----------------------------------------------------------
 

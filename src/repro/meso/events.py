@@ -336,12 +336,11 @@ class EventCountsSimulator(CountsSimulator):
 
         Exactly what :meth:`observations` reports: stop-line queues plus
         units in transit within the sensing horizon, and the out-queue
-        of each movement's outgoing road under the engine's sensing
-        mode.  The stop-line row persists between reads; only the
-        column spans of nodes whose counts changed since the last read
-        are rewritten, and the sensed in-transit units are added to a
-        copy of it.  Both arrays are read-only snapshots that no later
-        step changes.
+        of each movement's outgoing road from the spillback sensor.  The
+        stop-line row persists between reads; only the column spans of
+        nodes whose counts changed since the last read are rewritten,
+        and the sensed in-transit units are added to a copy of it.  Both
+        arrays are read-only snapshots that no later step changes.
         """
         row = self._stop_line_row
         dirty = self._dirty_nodes
@@ -364,15 +363,7 @@ class EventCountsSimulator(CountsSimulator):
         queues = row.copy()
         if sensed_columns:
             queues += np.bincount(sensed_columns, minlength=len(row))
-        if self._out_queue_mode != "spillback":
-            out_queues = np.array(
-                [[
-                    self._sensed_out_queue(out_road)
-                    for _, out_road in self._movement_layout[1]
-                ]],
-                dtype=np.int64,
-            )
-        elif self._full_roads:
+        if self._full_roads:
             # Only roads at capacity read non-zero, and every such road
             # is in the full-roads set.
             out_queues = np.zeros_like(self._no_out_queues)

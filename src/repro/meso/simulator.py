@@ -42,6 +42,10 @@ __all__ = ["MesoSimulator"]
 class MesoSimulator:
     """Store-and-forward simulation of a signalized network.
 
+    The out-queue ``q_{i'}`` of Eq. 3 is read by a spillback sensor, the
+    same as ``micro``'s: an outgoing road reads 0 while it still absorbs
+    traffic and its occupancy once congestion backs up to the junction.
+
     Parameters
     ----------
     network:
@@ -75,21 +79,7 @@ class MesoSimulator:
         flow, ~1800 veh/h/lane for 2.0 s).  This is deliberately
         *independent* of the movements' ``µ`` — the paper sets
         ``µ = 1`` as the controller-side gain constant while the SUMO
-        plant discharges at its own physical rate.  ``None`` uses the
-        movements' ``µ`` directly (the idealized Sec. II-C plant).
-    out_queue_mode:
-        What the sensor on an *outgoing* road reports as ``q_{i'}``:
-
-        * ``"spillback"`` (default) — vehicles visible from the
-          junction mouth, i.e. the road reads 0 while it still absorbs
-          traffic and its occupancy once congestion backs up to the
-          junction.  This matches what the upstream signal head can
-          physically see and reproduces the paper's behaviour.
-        * ``"halting"`` — vehicles halted at the road's downstream
-          stop line (a TraCI edge halting-number sensor).
-        * ``"occupancy"`` — every vehicle on the road (the idealized
-          queuing model, where service puts vehicles directly into the
-          downstream queue).
+        plant discharges at its own physical rate.
     lane_policy:
         ``"dedicated"`` (default) gives every movement its own turning
         lane (the paper's assumption, no head-of-line blocking);
@@ -98,7 +88,6 @@ class MesoSimulator:
         everyone behind it — the Sec. IV-Q4 future-work scenario.
     """
 
-    OUT_QUEUE_MODES = ("spillback", "halting", "occupancy")
     LANE_POLICIES = ("dedicated", "mixed")
 
     def __init__(
@@ -110,8 +99,7 @@ class MesoSimulator:
         travel_time: Optional[float] = None,
         startup_lost: float = 2.0,
         sensing_horizon: float = 2.0,
-        saturation_headway: Optional[float] = 1.3,
-        out_queue_mode: str = "spillback",
+        saturation_headway: float = 1.3,
         lane_policy: str = "dedicated",
     ):
         self.network = network
@@ -124,15 +112,8 @@ class MesoSimulator:
         self._startup_lost = startup_lost
         check_non_negative("sensing_horizon", sensing_horizon)
         self._sensing_horizon = sensing_horizon
-        if saturation_headway is not None:
-            check_positive("saturation_headway", saturation_headway)
-        self._saturation_headway = saturation_headway
-        if out_queue_mode not in self.OUT_QUEUE_MODES:
-            raise ValueError(
-                f"out_queue_mode must be one of {self.OUT_QUEUE_MODES}, "
-                f"got {out_queue_mode!r}"
-            )
-        self._out_queue_mode = out_queue_mode
+        check_positive("saturation_headway", saturation_headway)
+        self._discharge_rate = 1.0 / saturation_headway
         if lane_policy not in self.LANE_POLICIES:
             raise ValueError(
                 f"lane_policy must be one of {self.LANE_POLICIES}, "
@@ -220,15 +201,9 @@ class MesoSimulator:
         return result
 
     def _sensed_out_queue(self, road_id: str) -> int:
-        """``q_{i'}`` as reported by the outgoing road's sensor."""
+        """Spillback sensor: 0 until congestion reaches the junction."""
         if self.network.road_destination[road_id] == BOUNDARY:
             return 0  # exit roads are drained by the outside world
-        if self._out_queue_mode == "occupancy":
-            return self._roads[road_id].occupancy
-        if self._out_queue_mode == "halting":
-            return self.incoming_queue_total(road_id)
-        # "spillback": the road reads empty from the junction mouth
-        # until congestion backs up to it.
         occupancy = self._roads[road_id].occupancy
         if occupancy >= self.network.roads[road_id].capacity:
             return occupancy
@@ -295,7 +270,7 @@ class MesoSimulator:
                 green_keys = frozenset(m.key for m in phase.movements)
                 for in_road in sorted({m.in_road for m in phase.movements}):
                     served, servable = self._serve_mixed_road(
-                        intersection, in_road, green_keys, dt
+                        in_road, green_keys, dt
                     )
                     served_total += served
                     had_servable = had_servable or servable
@@ -319,7 +294,7 @@ class MesoSimulator:
         servable = queued > 0 and space > 0
 
         key = movement.key
-        credit = self._credit.get(key, 0.0) + self._discharge_rate(movement) * dt
+        credit = self._credit.get(key, 0.0) + self._discharge_rate * dt
         limit = int(min(credit, queued, space if space != math.inf else credit))
         for _ in range(limit):
             vehicle = in_state.pop_served(movement.out_road)
@@ -337,11 +312,11 @@ class MesoSimulator:
         credit -= limit
         # Do not bank more than one slot of unused service: an idle or
         # blocked movement must not burst beyond one slot's worth later.
-        self._credit[key] = min(credit, max(1.0, self._discharge_rate(movement) * dt))
+        self._credit[key] = min(credit, max(1.0, self._discharge_rate * dt))
         return limit, servable
 
     def _serve_mixed_road(
-        self, intersection, in_road: str, green_keys: frozenset, dt: float
+        self, in_road: str, green_keys: frozenset, dt: float
     ) -> Tuple[int, bool]:
         """Serve a shared-FIFO road: only the head vehicle can move.
 
@@ -352,12 +327,7 @@ class MesoSimulator:
         state = self._roads[in_road]
         queue = state.mixed_queue
         credit_key = ("__mixed__", in_road)
-        head = queue[0] if queue else None
-        rate = self._discharge_rate(
-            intersection.movements[(in_road, head.next_road)]
-            if head is not None and (in_road, head.next_road) in intersection.movements
-            else next(iter(intersection.movements.values()))
-        )
+        rate = self._discharge_rate
         credit = self._credit.get(credit_key, 0.0) + rate * dt
         served = 0
         servable = False
@@ -389,12 +359,6 @@ class MesoSimulator:
                 )
         self._credit[credit_key] = min(credit, max(1.0, rate * dt))
         return served, servable
-
-    def _discharge_rate(self, movement) -> float:
-        """Vehicles per second the plant can discharge on one movement."""
-        if self._saturation_headway is None:
-            return movement.service_rate
-        return 1.0 / self._saturation_headway
 
     def _transit_time(self, road_id: str) -> float:
         if self._travel_time is not None:

@@ -63,13 +63,12 @@ count what the serve did.
 utilization books, entered/left and the waiting-time integral), and
 replication results are independent of ``B`` — the parity suite in
 ``tests/test_engine_parity.py`` asserts both.  Like ``meso-counts`` it
-reports ``delay_mode="aggregate"`` and supports only the paper's
-default ``dedicated`` lane policy (``lane_policy="mixed"`` is
-rejected: shared-lane head-of-line blocking is inherently
-per-vehicle).  The batch steps on a *constant* mini-slot: ``dt`` is
-fixed by the first ``step`` call (the pulled-ahead arrival windows are
-drawn for that grid; a varying ``dt`` would consume draws a serial run
-would not have made).
+reports ``delay_mode="aggregate"`` and has only the paper's dedicated
+lanes (shared-lane head-of-line blocking is inherently per-vehicle;
+``meso`` models it).  The batch steps on a *constant* mini-slot:
+``dt`` is fixed by the first ``step`` call (the pulled-ahead arrival
+windows are drawn for that grid; a varying ``dt`` would consume draws
+a serial run would not have made).
 
 **Control.**  The runner drives the batch only through
 :meth:`~BatchCountsSimulator.controller_arrays` and a batch controller
@@ -166,16 +165,13 @@ class _ColumnTables:
         self.node_widths = _frozen(np.diff(np.array(node_starts, dtype=np.int64)))
         in_idx = np.empty(M, dtype=np.int64)
         out_idx = np.empty(M, dtype=np.int64)
-        service_rate = np.empty(M, dtype=np.float64)
         for n, inter in enumerate(intersections):
             for key, movement in inter.movements.items():
                 gid = gid_of[(n, key)]
                 in_idx[gid] = road_index[movement.in_road]
                 out_idx[gid] = road_index[movement.out_road]
-                service_rate[gid] = movement.service_rate
         self.in_idx = _frozen(in_idx)
         self.out_idx = _frozen(out_idx)
-        self.service_rate = _frozen(service_rate)
         self.m_is_exit = _frozen(is_exit_road[out_idx])
         self.m_nonexit = _frozen(~is_exit_road[out_idx])
         self.m_out_cap = _frozen(self.caps[out_idx])
@@ -344,8 +340,6 @@ class BatchCountsSimulator:
     parity contract.
     """
 
-    OUT_QUEUE_MODES = ("spillback", "halting", "occupancy")
-
     def __init__(
         self,
         network: Network,
@@ -355,9 +349,7 @@ class BatchCountsSimulator:
         travel_time: Optional[float] = None,
         startup_lost: float = 2.0,
         sensing_horizon: float = 2.0,
-        saturation_headway: Optional[float] = 1.3,
-        out_queue_mode: str = "spillback",
-        lane_policy: str = "dedicated",
+        saturation_headway: float = 1.3,
     ):
         self.network = network
         self.time = 0.0
@@ -372,20 +364,7 @@ class BatchCountsSimulator:
         self._startup_lost = startup_lost
         check_non_negative("sensing_horizon", sensing_horizon)
         self._sensing_horizon = sensing_horizon
-        if saturation_headway is not None:
-            check_positive("saturation_headway", saturation_headway)
-        if out_queue_mode not in self.OUT_QUEUE_MODES:
-            raise ValueError(
-                f"out_queue_mode must be one of {self.OUT_QUEUE_MODES}, "
-                f"got {out_queue_mode!r}"
-            )
-        self._out_queue_mode = out_queue_mode
-        if lane_policy != "dedicated":
-            raise ValueError(
-                f"meso-vec supports only lane_policy='dedicated', got "
-                f"{lane_policy!r} (the mixed shared-FIFO lane is inherently "
-                f"per-vehicle; use the 'meso' engine)"
-            )
+        check_positive("saturation_headway", saturation_headway)
 
         # -- per-replication RNG stacks (serial stream layout & order) ------
         entry_set = set(network.entry_roads())
@@ -446,11 +425,7 @@ class BatchCountsSimulator:
             if travel_time is None
             else np.full(R, float(travel_time))
         )
-        self._rate = (
-            tables.service_rate
-            if saturation_headway is None
-            else np.full(M, 1.0 / saturation_headway)
-        )
+        self._rate = np.full(M, 1.0 / saturation_headway)
         self._m_out_ttime = self._transit_time[out_idx]
         self._entry_idx = np.array(
             [tables.road_index[r] for r in self._entry_ids], dtype=np.int64
@@ -537,10 +512,7 @@ class BatchCountsSimulator:
         now = self.time
         deadline = now + self._sensing_horizon
         trusted = QueueObservation.trusted
-        spillback = self._out_queue_mode == "spillback"
-        if spillback:
-            full = self._occ >= self._caps[None, :]
-            rep_any_full = full.any(axis=1)
+        rep_any_full = (self._occ >= self._caps[None, :]).any(axis=1)
         movement_dicts: List[List[Dict[Tuple[str, str], int]]] = []
         for b in range(self.batch_size):
             row = self._queue_len[b].tolist()
@@ -568,42 +540,23 @@ class BatchCountsSimulator:
         for b in range(self.batch_size):
             per_node: Dict[str, QueueObservation] = {}
             rep_dicts = movement_dicts[b]
-            congested = spillback and bool(rep_any_full[b])
+            congested = bool(rep_any_full[b])
             occ_row = self._occ[b].tolist() if congested else None
             for n, (node_id, _, _, _, zeros, out_caps, out_static) in (
                 enumerate(self._obs_plan)
             ):
-                if spillback and not congested:
+                if not congested:
                     out_queues: Dict[str, int] = zeros
-                elif spillback:
+                else:
                     out_queues = {}
                     for road_id, ri, cap, road_is_exit in out_static:
                         occ = 0 if road_is_exit else occ_row[ri]
                         out_queues[road_id] = occ if occ >= cap else 0
-                else:
-                    out_queues = {
-                        road_id: self._sensed_out_queue(b, ri, road_is_exit)
-                        for road_id, ri, _, road_is_exit in out_static
-                    }
                 per_node[node_id] = trusted(
                     now, rep_dicts[n], out_queues, out_caps
                 )
             results.append(per_node)
         return results
-
-    def _sensed_out_queue(self, b: int, ri: int, road_is_exit: bool) -> int:
-        """``q_{i'}`` under the non-default out-queue sensing modes."""
-        if road_is_exit:
-            return 0
-        if self._out_queue_mode == "occupancy":
-            return int(self._occ[b, ri])
-        if self._out_queue_mode == "halting":
-            gids = self._gids_of_road.get(ri)
-            if gids is None:
-                return 0
-            return int(self._queue_len[b, gids].sum())
-        occupancy = int(self._occ[b, ri])
-        return occupancy if occupancy >= int(self._caps[ri]) else 0
 
     # -- batched controller façade -------------------------------------------
 
@@ -633,7 +586,7 @@ class BatchCountsSimulator:
 
         Movement-aligned arrays of exactly what :meth:`observations`
         reports — the same sensed in-transit augmentation of the
-        stop-line queues and the same out-queue sensing mode — without
+        stop-line queues and the same spillback out-queues — without
         materializing B per-node dict networks.  Both are read-only
         snapshots that no later step changes (while no road is full,
         the spillback out-queues are one shared zero array).
@@ -688,20 +641,10 @@ class BatchCountsSimulator:
         self._sensed_until = deadline
         queues = self._queue_len + sensed
         queues.flags.writeable = False
-        if self._out_queue_mode == "spillback":
-            full = self._occ >= self._caps[None, :]
-            if not full.any():
-                return queues, self._no_out_queues
-            road_out = np.where(full, self._occ, 0)
-        elif self._out_queue_mode == "occupancy":
-            # Exit-road occupancy is structurally zero (exit movements
-            # leave the network), matching the 0 the dict path reports.
-            road_out = self._occ
-        else:  # halting: queued vehicles at the road's own stop line
-            road_out = np.zeros_like(self._occ)
-            np.add.at(
-                road_out, (slice(None), self._in_idx), self._queue_len
-            )
+        full = self._occ >= self._caps[None, :]
+        if not full.any():
+            return queues, self._no_out_queues
+        road_out = np.where(full, self._occ, 0)
         out_queues = road_out[:, self._out_idx]
         out_queues.flags.writeable = False
         return queues, out_queues

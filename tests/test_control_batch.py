@@ -259,25 +259,21 @@ class TestEventsControllerArrays:
     """meso-events' array façade reports exactly its own ``Q(k)``."""
 
     @staticmethod
-    def _build(scenario_name, out_queue_mode, controller, params):
-        # Short roads: spillback, halting and occupancy all read
-        # non-zero out-queues within the horizon.
+    def _build(scenario_name, controller, params):
+        # Short roads: the spillback sensor reads non-zero out-queues
+        # within the horizon.
         scenario = build_parity_scenario(scenario_name, seed=7, capacity=12)
         sim = EventCountsSimulator(
             network=scenario.network,
             demand=scenario.demand,
             turning=scenario.turning,
             seed=scenario.seed,
-            out_queue_mode=out_queue_mode,
         )
         kernel = build_batch_controller(
             controller, scenario.network, 1, **params
         )
         return sim, kernel
 
-    @pytest.mark.parametrize(
-        "out_queue_mode", EventCountsSimulator.OUT_QUEUE_MODES
-    )
     @pytest.mark.parametrize(
         "controller,params",
         (("util-bp", {}), ("fixed-time", {"period": 16.0})),
@@ -287,11 +283,9 @@ class TestEventsControllerArrays:
         "scenario_name", ("surge-4x4", "surge-4x4" + MIXED_PHASES)
     )
     def test_arrays_equal_observations_every_slot(
-        self, scenario_name, controller, params, out_queue_mode
+        self, scenario_name, controller, params
     ):
-        sim, kernel = self._build(
-            scenario_name, out_queue_mode, controller, params
-        )
+        sim, kernel = self._build(scenario_name, controller, params)
         assert sim.movement_layout == (kernel.node_ids, kernel.movement_keys)
         movement_keys = kernel.movement_keys
         sensed = congested = 0
@@ -335,7 +329,7 @@ class TestEventsControllerArrays:
         fallback, which may touch every node.
         """
         sim, kernel = self._build(
-            scenario_name, "spillback", "fixed-time", {"period": 16.0}
+            scenario_name, "fixed-time", {"period": 16.0}
         )
         movement_keys = kernel.movement_keys
         reads = 0

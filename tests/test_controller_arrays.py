@@ -15,8 +15,7 @@ engine's next ``step()``.  This suite pins:
 * read-only snapshots: writing to a slot's arrays raises;
 * meso-vec's kept in-transit count equals a from-scratch walk at every
   read: under util-bp and after unread slots, with a travel time within
-  the sensing horizon and with no horizon, in every out-queue mode, at
-  B=1 and B=4.
+  the sensing horizon and with no horizon, at B=1 and B=4.
 """
 
 import numpy as np
@@ -222,13 +221,7 @@ def _reference_sense(sim):
             for unit in units:
                 queues[b, gids[unit[road_id]]] += 1
     occ = sim._occ
-    if sim._out_queue_mode == "spillback":
-        road_out = np.where(occ >= sim._caps[None, :], occ, 0)
-    elif sim._out_queue_mode == "occupancy":
-        road_out = occ
-    else:
-        road_out = np.zeros_like(occ)
-        np.add.at(road_out, (slice(None), sim._in_idx), sim._queue_len)
+    road_out = np.where(occ >= sim._caps[None, :], occ, 0)
     return queues, road_out[:, sim._out_idx]
 
 
@@ -241,16 +234,15 @@ SENSING = (
 )
 
 
-def _sensing_batch(width, out_queue_mode, plant):
-    # Short roads: spillback, halting and occupancy all read non-zero
-    # out-queues within the run.
+def _sensing_batch(width, plant):
+    # Short roads: the spillback sensor reads non-zero out-queues
+    # within the run.
     scenario = build_named_scenario("surge-4x4", seed=3, capacity=12)
     return BatchCountsSimulator(
         network=scenario.network,
         demand=scenario.demand,
         turning=scenario.turning,
         seeds=tuple(3 + b for b in range(width)),
-        out_queue_mode=out_queue_mode,
         **plant,
     )
 
@@ -261,21 +253,23 @@ class TestIncrementalSensing:
     @pytest.mark.parametrize(
         "plant", [p for _, p in SENSING], ids=[name for name, _ in SENSING]
     )
-    @pytest.mark.parametrize("out_queue_mode", BatchCountsSimulator.OUT_QUEUE_MODES)
     @pytest.mark.parametrize("width", (1, 4))
-    def test_util_bp_run(self, width, out_queue_mode, plant):
-        sim = _sensing_batch(width, out_queue_mode, plant)
+    def test_util_bp_run(self, width, plant):
+        sim = _sensing_batch(width, plant)
         kernel = build_batch_controller("util-bp", sim.network, width)
-        in_transit = 0
+        in_transit = spilled = 0
         for step in range(SLOTS):
             arrays = sim.controller_arrays()
             queues, out_queues = _reference_sense(sim)
             assert np.array_equal(arrays.queues, queues), step
             assert np.array_equal(arrays.out_queues, out_queues), step
             in_transit += int((queues != sim._queue_len).any())
+            spilled += int(out_queues.any())
             sim.step(1.0, kernel.decide_batch(arrays))
-        # The horizon augmented the stop-line queues on most slots.
+        # The horizon augmented the stop-line queues on most slots, and
+        # the spillback sensor fired.
         assert in_transit > SLOTS // 2
+        assert spilled
 
     @pytest.mark.parametrize(
         "plant", [p for _, p in SENSING], ids=[name for name, _ in SENSING]
@@ -283,7 +277,7 @@ class TestIncrementalSensing:
     @pytest.mark.parametrize("read_every", (3, 7))
     def test_reads_after_unread_slots(self, plant, read_every):
         """Cohorts promoted between two reads never enter the count."""
-        sim = _sensing_batch(4, "spillback", plant)
+        sim = _sensing_batch(4, plant)
         kernel = build_batch_controller("fixed-time", sim.network, 4, period=16.0)
         for step in range(SLOTS):
             if step % read_every == 0:
@@ -294,7 +288,7 @@ class TestIncrementalSensing:
             sim.step(1.0, kernel.decide_batch(sim.controller_arrays()))
 
     def test_nothing_kept_before_the_first_read(self):
-        sim = _sensing_batch(4, "spillback", {})
+        sim = _sensing_batch(4, {})
         kernel = build_batch_controller("fixed-time", sim.network, 4, period=16.0)
         for _ in range(50):
             sim.step(1.0, kernel.decide_batch(sim.controller_arrays()))

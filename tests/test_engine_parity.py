@@ -60,6 +60,11 @@ SCENARIOS = ("steady-3x3", "tidal-3x3", "surge-4x4")
 
 STEPS = 300
 
+#: Short roads: under util-bp the catalog scenarios back up to junction
+#: mouths, so the spillback sensor reads non-zero out-queues (at the
+#: catalog capacity it reads 0 on every slot of the lockstep).
+CONGESTED = {"capacity": 12}
+
 
 class _FirstReplication:
     """A B=1 meso-vec batch seen through the serial calls of the lockstep."""
@@ -87,8 +92,8 @@ class _FirstReplication:
         self.batch.finalize()
 
 
-def _build(name, engine):
-    scenario = build_named_scenario(name, seed=11)
+def _build(name, engine, **overrides):
+    scenario = build_named_scenario(name, seed=11, **overrides)
     if engine == "meso-vec":
         return _FirstReplication(scenario)
     return build_engine(scenario, engine)
@@ -100,10 +105,11 @@ def _lockstep(
     decide_b,
     steps=STEPS,
     engines=("meso", "meso-counts"),
+    **overrides,
 ):
     """Drive two engines in lockstep; assert per-step equivalence."""
-    reference = _build(name, engines[0])
-    counts = _build(name, engines[1])
+    reference = _build(name, engines[0], **overrides)
+    counts = _build(name, engines[1], **overrides)
     roads = list(reference.network.roads)
     for step in range(steps):
         obs_ref = reference.observations()
@@ -131,6 +137,59 @@ def _lockstep(
     return reference, counts
 
 
+def _closed_loop_util_bp(name, engines, **overrides):
+    """Lockstep under util-bp, each engine fed its own observations.
+
+    Returns both engines and the number of slots on which some
+    out-queue read non-zero.
+    """
+    network = build_named_scenario(name, seed=11, **overrides).network
+    controllers = [
+        make_network_controller("util-bp", network) for _ in range(2)
+    ]
+    spilled = []
+
+    def decide_a(obs, step):
+        if any(any(o.out_queues.values()) for o in obs.values()):
+            spilled.append(step)
+        return controllers[0].decide(obs)
+
+    a, b = _lockstep(
+        name,
+        decide_a,
+        lambda obs, step: controllers[1].decide(obs),
+        engines=engines,
+        **overrides,
+    )
+    return a, b, len(spilled)
+
+
+def _open_loop_fixed_phases(name, engines, **overrides):
+    """Lockstep under one fixed phase schedule for every node.
+
+    Returns both engines and the number of slots on which some
+    out-queue read non-zero.
+    """
+    network = build_named_scenario(name, seed=11, **overrides).network
+    nodes = list(network.intersections)
+    spilled = []
+
+    def fixed(obs, step):
+        # 12 s green dwells cycling all four phases, with an amber
+        # step at every switch (phase 0), like a real signal plan.
+        slot, offset = divmod(step, 13)
+        phase = 0 if offset == 12 else 1 + slot % 4
+        return {node: phase for node in nodes}
+
+    def fixed_a(obs, step):
+        if any(any(o.out_queues.values()) for o in obs.values()):
+            spilled.append(step)
+        return fixed(obs, step)
+
+    a, b = _lockstep(name, fixed_a, fixed, engines=engines, **overrides)
+    return a, b, len(spilled)
+
+
 def _assert_books_match(reference, counts, horizon=float(STEPS)):
     ref_util = {n: t.to_dict() for n, t in reference.utilization.items()}
     cnt_util = {n: t.to_dict() for n, t in counts.utilization.items()}
@@ -150,31 +209,28 @@ def _assert_books_match(reference, counts, horizon=float(STEPS)):
 
 @pytest.mark.parametrize("name", SCENARIOS)
 class TestTrajectoryParity:
+    ENGINES = ("meso", "meso-counts")
+
     def test_closed_loop_util_bp(self, name):
-        scenario = build_named_scenario(name, seed=11)
-        controllers = [
-            make_network_controller("util-bp", scenario.network)
-            for _ in range(2)
-        ]
-        reference, counts = _lockstep(
-            name,
-            lambda obs, step: controllers[0].decide(obs),
-            lambda obs, step: controllers[1].decide(obs),
+        reference, counts, _ = _closed_loop_util_bp(name, self.ENGINES)
+        _assert_books_match(reference, counts)
+
+    def test_closed_loop_util_bp_congested(self, name):
+        reference, counts, spilled = _closed_loop_util_bp(
+            name, self.ENGINES, **CONGESTED
         )
+        assert spilled
         _assert_books_match(reference, counts)
 
     def test_open_loop_fixed_phases(self, name):
-        scenario = build_named_scenario(name, seed=11)
-        nodes = list(scenario.network.intersections)
+        reference, counts, _ = _open_loop_fixed_phases(name, self.ENGINES)
+        _assert_books_match(reference, counts)
 
-        def fixed(obs, step):
-            # 12 s green dwells cycling all four phases, with an amber
-            # step at every switch (phase 0), like a real signal plan.
-            slot, offset = divmod(step, 13)
-            phase = 0 if offset == 12 else 1 + slot % 4
-            return {node: phase for node in nodes}
-
-        reference, counts = _lockstep(name, fixed, fixed)
+    def test_open_loop_fixed_phases_congested(self, name):
+        reference, counts, spilled = _open_loop_fixed_phases(
+            name, self.ENGINES, **CONGESTED
+        )
+        assert spilled
         _assert_books_match(reference, counts)
 
 
@@ -202,29 +258,25 @@ class TestEventsTrajectoryParity:
         assert counts._credit == events._credit
 
     def test_closed_loop_util_bp(self, name):
-        scenario = build_named_scenario(name, seed=11)
-        controllers = [
-            make_network_controller("util-bp", scenario.network)
-            for _ in range(2)
-        ]
-        counts, events = _lockstep(
-            name,
-            lambda obs, step: controllers[0].decide(obs),
-            lambda obs, step: controllers[1].decide(obs),
-            engines=self.ENGINES,
+        counts, events, _ = _closed_loop_util_bp(name, self.ENGINES)
+        self._assert_aggregate_books_match(counts, events)
+
+    def test_closed_loop_util_bp_congested(self, name):
+        counts, events, spilled = _closed_loop_util_bp(
+            name, self.ENGINES, **CONGESTED
         )
+        assert spilled
         self._assert_aggregate_books_match(counts, events)
 
     def test_open_loop_fixed_phases(self, name):
-        scenario = build_named_scenario(name, seed=11)
-        nodes = list(scenario.network.intersections)
+        counts, events, _ = _open_loop_fixed_phases(name, self.ENGINES)
+        self._assert_aggregate_books_match(counts, events)
 
-        def fixed(obs, step):
-            slot, offset = divmod(step, 13)
-            phase = 0 if offset == 12 else 1 + slot % 4
-            return {node: phase for node in nodes}
-
-        counts, events = _lockstep(name, fixed, fixed, engines=self.ENGINES)
+    def test_open_loop_fixed_phases_congested(self, name):
+        counts, events, spilled = _open_loop_fixed_phases(
+            name, self.ENGINES, **CONGESTED
+        )
+        assert spilled
         self._assert_aggregate_books_match(counts, events)
 
 
@@ -248,31 +300,25 @@ class TestVectorizedTrajectoryParity:
         assert cnt == vec
 
     def test_closed_loop_util_bp(self, name):
-        scenario = build_named_scenario(name, seed=11)
-        controllers = [
-            make_network_controller("util-bp", scenario.network)
-            for _ in range(2)
-        ]
-        counts, vectorized = _lockstep(
-            name,
-            lambda obs, step: controllers[0].decide(obs),
-            lambda obs, step: controllers[1].decide(obs),
-            engines=self.ENGINES,
+        counts, vectorized, _ = _closed_loop_util_bp(name, self.ENGINES)
+        self._assert_aggregate_books_match(counts, vectorized)
+
+    def test_closed_loop_util_bp_congested(self, name):
+        counts, vectorized, spilled = _closed_loop_util_bp(
+            name, self.ENGINES, **CONGESTED
         )
+        assert spilled
         self._assert_aggregate_books_match(counts, vectorized)
 
     def test_open_loop_fixed_phases(self, name):
-        scenario = build_named_scenario(name, seed=11)
-        nodes = list(scenario.network.intersections)
+        counts, vectorized, _ = _open_loop_fixed_phases(name, self.ENGINES)
+        self._assert_aggregate_books_match(counts, vectorized)
 
-        def fixed(obs, step):
-            slot, offset = divmod(step, 13)
-            phase = 0 if offset == 12 else 1 + slot % 4
-            return {node: phase for node in nodes}
-
-        counts, vectorized = _lockstep(
-            name, fixed, fixed, engines=self.ENGINES
+    def test_open_loop_fixed_phases_congested(self, name):
+        counts, vectorized, spilled = _open_loop_fixed_phases(
+            name, self.ENGINES, **CONGESTED
         )
+        assert spilled
         self._assert_aggregate_books_match(counts, vectorized)
 
 
@@ -856,19 +902,6 @@ class TestBatchRunner:
         batch = run_scenario_batch([first, second], **knobs)
         assert batch[1] == run_scenario(second, engine="meso-vec", **knobs)
 
-    def test_mixed_lane_policy_rejected(self):
-        from repro.meso.vectorized import BatchCountsSimulator
-
-        scenario = build_named_scenario("steady-3x3", seed=1)
-        with pytest.raises(ValueError, match="mixed"):
-            BatchCountsSimulator(
-                network=scenario.network,
-                demand=scenario.demand,
-                turning=scenario.turning,
-                seeds=(1,),
-                lane_policy="mixed",
-            )
-
     def test_fifos_are_created_on_first_push(self):
         from repro.meso.vectorized import BatchCountsSimulator
 
@@ -1094,3 +1127,53 @@ class TestAggregateSummary:
         # flag warns the consumer.
         assert cnt.max_queuing_time == 0.0
         assert "Little's-law" in str(cnt)
+
+class TestPlantArguments:
+    """Every meso engine takes ``saturation_headway`` as a positive float.
+
+    There is no "discharge at the movements' µ" value any more: ``None``
+    and non-positive headways are refused at construction rather than
+    run at some other rate.
+    """
+
+    @staticmethod
+    def _construct(engine, **plant):
+        from repro.meso.counts import CountsSimulator
+        from repro.meso.events import EventCountsSimulator
+        from repro.meso.simulator import MesoSimulator
+        from repro.meso.vectorized import BatchCountsSimulator
+
+        scenario = build_named_scenario("steady-3x3", seed=1)
+        inputs = dict(
+            network=scenario.network,
+            demand=scenario.demand,
+            turning=scenario.turning,
+        )
+        if engine == "meso-vec":
+            return BatchCountsSimulator(seeds=(1,), **inputs, **plant)
+        cls = {
+            "meso": MesoSimulator,
+            "meso-counts": CountsSimulator,
+            "meso-events": EventCountsSimulator,
+        }[engine]
+        return cls(seed=1, **inputs, **plant)
+
+    @pytest.mark.parametrize(
+        "headway,error,match",
+        (
+            (0.0, ValueError, "saturation_headway"),
+            (-1.3, ValueError, "saturation_headway"),
+            (None, TypeError, None),
+        ),
+        ids=("zero", "negative", "none"),
+    )
+    @pytest.mark.parametrize(
+        "engine", ("meso", "meso-counts", "meso-events", "meso-vec")
+    )
+    def test_saturation_headway_must_be_positive(
+        self, engine, headway, error, match
+    ):
+        with pytest.raises(error, match=match):
+            self._construct(engine, saturation_headway=headway)
+        # The same construction with a positive headway is accepted.
+        self._construct(engine, saturation_headway=0.5)

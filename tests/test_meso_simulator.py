@@ -190,10 +190,6 @@ class TestMesoSimulator:
                 TURNING,
             )
 
-    def test_unknown_out_queue_mode_rejected(self):
-        with pytest.raises(ValueError):
-            make_sim(out_queue_mode="bogus")
-
     def test_step_after_finalize_rejected(self):
         sim = make_sim()
         sim.step(1.0, ALL_GREEN_1)
