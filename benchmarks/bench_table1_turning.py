@@ -8,7 +8,7 @@ probabilities.
 import numpy as np
 import pytest
 
-from repro.experiments.patterns import TURNING
+from repro.scenarios.patterns import TURNING
 from repro.model.geometry import Direction, TurnType
 from repro.model.grid import build_grid_network
 from repro.model.routing import RouteSampler

@@ -8,7 +8,7 @@ side with the paper's 3-9 s specification.
 import numpy as np
 import pytest
 
-from repro.experiments.patterns import arrival_schedule, interarrival_times
+from repro.scenarios.patterns import arrival_schedule, interarrival_times
 from repro.model.arrivals import PoissonArrivals
 from repro.model.geometry import Direction
 from repro.util.tables import render_table

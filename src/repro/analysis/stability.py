@@ -447,18 +447,6 @@ class RegimeMap:
     frontier: Tuple[Dict[str, Any], ...]
 
 
-def _entry_queue_pairs(
-    scenario: Any, record_roads: int
-) -> Tuple[Tuple[str, str], ...]:
-    """``(downstream node, road)`` pairs for a scenario's entry roads."""
-    entries = scenario.network.entry_roads()
-    if record_roads > 0:
-        entries = entries[:record_roads]
-    return tuple(
-        (scenario.network.road_destination[road], road) for road in entries
-    )
-
-
 def _build_regime_specs(
     loads: Sequence[float],
     controllers: Sequence,
@@ -468,7 +456,7 @@ def _build_regime_specs(
     engine: str,
     record_roads: int,
 ) -> List[Any]:
-    from repro.orchestration.spec import RunSpec
+    from repro.orchestration.spec import RunSpec, entry_queue_pairs
     from repro.scenarios import build_named_scenario
 
     if not loads:
@@ -476,7 +464,7 @@ def _build_regime_specs(
     # The network shape is load- and seed-independent, so one build
     # resolves the recorded entry roads for every cell.
     reference = build_named_scenario(pattern, seed=int(seeds[0]))
-    pairs = _entry_queue_pairs(reference, record_roads)
+    pairs = entry_queue_pairs(reference.network, record_roads)
     return [
         RunSpec(
             pattern=pattern,

@@ -120,7 +120,7 @@ def _make_pool(args: argparse.Namespace):
 
 def _parse_pattern_token(token: str) -> str:
     """Validate a --patterns entry eagerly (before any cell runs)."""
-    from repro.experiments.patterns import PATTERN_NAMES
+    from repro.scenarios.patterns import PATTERN_NAMES
 
     if token not in PATTERN_NAMES:
         raise argparse.ArgumentTypeError(

@@ -166,13 +166,8 @@ class _NetworkLayout:
         #: First movement column of each node (node-wise ``reduceat``).
         self.node_starts = np.array(node_starts, dtype=np.int64)
 
-        # W* (Eq. 7) is per intersection: the largest outgoing capacity.
         w_star = np.array(
-            [
-                max(road.capacity for road in inter.out_roads.values())
-                for inter in intersections
-            ],
-            dtype=np.int64,
+            [inter.w_star for inter in intersections], dtype=np.int64
         )
         self.node_w_star = w_star
         self.m_w_star = w_star.astype(np.float64)[np.array(node_of)]

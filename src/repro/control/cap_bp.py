@@ -42,16 +42,17 @@ def cap_link_weight(
     movement: Movement,
     obs: QueueObservation,
     in_capacity: int,
+    out_capacity: int,
 ) -> float:
     """Capacity-normalized back-pressure weight of one movement.
 
-    Zero when the downstream road is full — the capacity-awareness at
-    the heart of [4].
+    ``in_capacity`` and ``out_capacity`` are ``W_i`` and ``W_{i'}`` of
+    the movement's roads.  Zero when the downstream road is full — the
+    capacity-awareness at the heart of [4].
     """
     if in_capacity <= 0:
         raise ValueError(f"in_capacity must be > 0, got {in_capacity}")
     out_queue = obs.out_queue(movement.out_road)
-    out_capacity = obs.capacity(movement.out_road)
     if out_queue >= out_capacity:
         return 0.0
     rho_in = obs.movement_queue(movement.in_road, movement.out_road) / in_capacity
@@ -62,22 +63,22 @@ def cap_link_weight(
 class CapBpController(FixedSlotController):
     """Fixed-slot capacity-aware back-pressure (CAP-BP)."""
 
-    def _in_capacity(self, movement: Movement) -> int:
-        return self.intersection.in_roads[movement.in_road].capacity
-
     def _phase_score(self, phase: Phase, obs: QueueObservation) -> float:
         # Added left to right, as the batch kernel adds: ``sum()`` of
         # floats is compensated from Python 3.12 on.
+        capacity = self.intersection.capacity
         total = 0.0
         for m in phase.movements:
-            total += max(0.0, cap_link_weight(m, obs, self._in_capacity(m)))
+            weight = cap_link_weight(m, obs, capacity(m.in_road), capacity(m.out_road))
+            total += max(0.0, weight)
         return total
 
     def _can_serve(self, phase: Phase, obs: QueueObservation) -> bool:
         """True if the phase would serve >= 1 vehicle in the next slot."""
-        for movement in phase.movements:
-            queued = obs.movement_queue(movement.in_road, movement.out_road)
-            if queued > 0 and not obs.is_full(movement.out_road):
+        capacity = self.intersection.capacity
+        for m in phase.movements:
+            queued = obs.movement_queue(m.in_road, m.out_road)
+            if queued > 0 and obs.out_queue(m.out_road) < capacity(m.out_road):
                 return True
         return False
 

@@ -15,6 +15,9 @@ The notions implemented here, with their equation numbers in the paper:
   ``g_max(c_j, k)`` (Eq. 11), together with the arg-max link
   ``L_max(c_j, k)`` needed by the keep-phase threshold of Eq. 12.
 
+Eqs. 8-12 read queues from ``Q(k)`` and the capacities ``W_{i'}`` and
+``W*`` (Eq. 7) from the intersection, their first argument.
+
 ``link_gain``, ``link_gain_original`` and ``phase_gain`` have
 ``*_array`` twins operating on whole ``(B, n_movements)``
 queue/occupancy arrays, for the batched controllers
@@ -33,6 +36,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from repro.model.intersection import Intersection
 from repro.model.movements import Movement
 from repro.model.phases import Phase
 from repro.model.queues import QueueObservation
@@ -78,6 +82,7 @@ def link_gain_original(movement: Movement, obs: QueueObservation) -> float:
 
 
 def link_gain(
+    intersection: Intersection,
     movement: Movement,
     obs: QueueObservation,
     alpha: float,
@@ -91,7 +96,8 @@ def link_gain(
                 = alpha                             if q_{i'} < W_{i'} and q_i^{i'} = 0
                 = (b_i^{i'} - b_{i'} + W*) mu       otherwise
 
-    with ``W* = max W_{i'}`` (Eq. 7).  In the general case the gain is
+    with ``W_{i'}`` and ``W* = max W_{i'}`` (Eq. 7) those of
+    ``intersection``.  In the general case the gain is
     non-negative because ``b_i^{i'} >= 0`` and ``b_{i'} <= W*``, so any
     servable link outranks the two special cases (``alpha, beta < 0``).
     """
@@ -100,20 +106,19 @@ def link_gain(
             f"alpha and beta must be negative, got alpha={alpha}, beta={beta}"
         )
     q_out = obs.out_queue(movement.out_road)
-    capacity = obs.capacity(movement.out_road)
-    if q_out >= capacity:
+    if q_out >= intersection.out_roads[movement.out_road].capacity:
         return beta
     q_move = obs.movement_queue(movement.in_road, movement.out_road)
     if q_move == 0:
         return alpha
-    w_star = float(obs.max_capacity())
+    w_star = float(intersection.w_star)
     b_in = pressure(q_move)
     b_out = pressure(q_out)
     return (b_in - b_out + w_star) * movement.service_rate
 
 
 def phase_gain(
-    phase: Phase, obs: QueueObservation, alpha: float, beta: float
+    intersection: Intersection, phase: Phase, obs: QueueObservation, alpha: float, beta: float
 ) -> float:
     """Total gain of a phase, ``g(c_j, k)`` (Eq. 10).
 
@@ -123,12 +128,12 @@ def phase_gain(
     """
     total = 0.0
     for movement in phase.movements:
-        total += link_gain(movement, obs, alpha, beta)
+        total += link_gain(intersection, movement, obs, alpha, beta)
     return total
 
 
 def max_link_gain(
-    phase: Phase, obs: QueueObservation, alpha: float, beta: float
+    intersection: Intersection, phase: Phase, obs: QueueObservation, alpha: float, beta: float
 ) -> Tuple[float, Movement]:
     """``g_max(c_j, k)`` and its arg-max link ``L_max(c_j, k)`` (Eq. 11).
 
@@ -138,7 +143,7 @@ def max_link_gain(
     best_gain: Optional[float] = None
     best_movement: Optional[Movement] = None
     for movement in phase.movements:
-        gain = link_gain(movement, obs, alpha, beta)
+        gain = link_gain(intersection, movement, obs, alpha, beta)
         if best_gain is None or gain > best_gain:
             best_gain = gain
             best_movement = movement
@@ -146,7 +151,7 @@ def max_link_gain(
     return best_gain, best_movement
 
 
-def keep_threshold(obs: QueueObservation, movement: Movement) -> float:
+def keep_threshold(intersection: Intersection, movement: Movement) -> float:
     """The keep-phase threshold ``g*(k)`` of Eq. 12.
 
     With ``L_max(c(k-1), k) = L_i^{i'}``, the paper sets
@@ -155,7 +160,7 @@ def keep_threshold(obs: QueueObservation, movement: Movement) -> float:
     (``g > g*  <=>  b_i^{i'} - b_{i'} > 0`` in the general case of
     Eq. 8).
     """
-    return float(obs.max_capacity()) * movement.service_rate
+    return float(intersection.w_star) * movement.service_rate
 
 
 # -- batched array kernels ----------------------------------------------------
@@ -174,7 +179,7 @@ def keep_threshold(obs: QueueObservation, movement: Movement) -> float:
 def link_gain_array(
     queues: np.ndarray,
     out_queues: np.ndarray,
-    out_capacities: np.ndarray,
+    capacities: np.ndarray,
     w_star: np.ndarray,
     service_rates: np.ndarray,
     alpha: float,
@@ -185,8 +190,8 @@ def link_gain_array(
     """Eq. 8 evaluated elementwise on movement-aligned arrays.
 
     ``queues``/``out_queues`` hold ``q_i^{i'}``/``q_{i'}`` per movement;
-    ``out_capacities``, ``w_star`` (the movement's intersection ``W*``)
-    and ``service_rates`` are the static per-movement columns.  Exactly
+    ``capacities`` (``W_{i'}``), ``w_star`` (the movement's intersection
+    ``W*``) and ``service_rates`` are the static per-movement columns.  Exactly
     :func:`link_gain` per cell, including the check order (a full
     outgoing road wins over an empty incoming movement).  ``out``, a
     float64 array of the queues' shape, receives the gains in place of
@@ -200,7 +205,7 @@ def link_gain_array(
     gains += w_star
     gains *= service_rates
     np.copyto(gains, alpha, where=queues == 0)
-    np.copyto(gains, beta, where=out_queues >= out_capacities)
+    np.copyto(gains, beta, where=out_queues >= capacities)
     return gains
 
 

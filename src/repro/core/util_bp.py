@@ -25,6 +25,9 @@ between three cases:
 
 All inputs — ``Q(k)``, ``C``, ``c(k-1)``, ``t_k`` — are local to the
 intersection, preserving back-pressure's decentralized character.
+``Q(k)`` holds queues only: the capacities ``W_{i'}`` and ``W*`` (Eq. 7)
+are constants of the intersection, read once when the controller is
+built.
 """
 
 from __future__ import annotations
@@ -54,7 +57,9 @@ class _GainsPlan:
     position to its columns.  Phases are kept in phase index order, so
     the lowest-index tie-break is the first position, and
     ``member_gains[p]`` reads phase ``p``'s link gains, in the phase's
-    declaration order, as one sequence.
+    declaration order, as one sequence.  ``out_capacity[r]`` is road
+    ``r``'s capacity ``W_{i'}`` and ``w_star`` the intersection's ``W*``
+    (Eq. 7), both constants of the plant.
 
     Nothing here depends on the controller's parameters, so
     :meth:`of` builds the plan once per intersection and every
@@ -87,6 +92,10 @@ class _GainsPlan:
         self.link_road = tuple(road_position[road] for _, road, _ in links)
         self.link_rate = tuple(rate for _, _, rate in links)
         self.out_roads = tuple(roads)
+        self.out_capacity = tuple(
+            intersection.out_roads[road].capacity for road in roads
+        )
+        self.w_star = float(intersection.w_star)
         self.links_into = tuple(tuple(columns) for columns in roads.values())
         self.phase_indices = tuple(sorted(members))
         self.slot_of = {index: p for p, index in enumerate(self.phase_indices)}
@@ -122,9 +131,9 @@ class UtilBpController(IntersectionController):
     **A call re-decides only if an input changed**, by the batch
     kernel's rule: it re-decides on the first call since construction
     or :meth:`reset`, under amber (case 1 reads ``t_k``), when the
-    movement queues, out-queues or out-capacities differ from those of
-    the last full evaluation, or when the running phase differs from
-    the one running then.  Otherwise it returns the running phase
+    movement queues or out-queues differ from those of the last full
+    evaluation, or when the running phase differs from the one running
+    then.  Otherwise it returns the running phase
     without computing a gain.  This is exact: in a control phase,
     Algorithm 1 reads nothing else, so the last evaluation's decision
     repeats, and that decision was the running phase.  The inputs are
@@ -160,8 +169,8 @@ class UtilBpController(IntersectionController):
         #: time of the running transition phase.
         self._transition_until = -math.inf
         #: The last full evaluation's (running phase, movement queues,
-        #: out-queues, out-capacities), the maps copied.
-        self._memo: Optional[Tuple[int, dict, dict, dict]] = None
+        #: out-queues), the maps copied.
+        self._memo: Optional[Tuple[int, dict, dict]] = None
         self.cells_offered = 0
         self.cells_decided = 0
 
@@ -185,19 +194,13 @@ class UtilBpController(IntersectionController):
                 and memo[0] == previous
                 and memo[1] == obs.movement_queues
                 and memo[2] == obs.out_queues
-                and memo[3] == obs.out_capacities
             ):
                 # Unchanged inputs: the last decision, the running phase.
                 return previous
 
         self.cells_decided += 1
-        gains, w_star = self._link_gains(obs)
-        self._memo = (
-            previous,
-            dict(obs.movement_queues),
-            dict(obs.out_queues),
-            dict(obs.out_capacities),
-        )
+        gains = self._link_gains(obs)
+        self._memo = (previous, dict(obs.movement_queues), dict(obs.out_queues))
 
         # Case 2 (lines 3-4): keep the current control phase while its
         # best link L_max (the first maximal one, Eq. 11) stays above
@@ -208,7 +211,7 @@ class UtilBpController(IntersectionController):
             member_gains = plan.member_gains[slot](gains)
             g_max = max(member_gains)
             mu = plan.member_rates[slot][member_gains.index(g_max)]
-            threshold = w_star * mu
+            threshold = plan.w_star * mu
             threshold -= self.config.keep_margin * mu
             if g_max > threshold:
                 return self._record(previous)
@@ -222,18 +225,18 @@ class UtilBpController(IntersectionController):
         self._transition_until = t_k + self.config.transition_duration
         return self._record(TRANSITION)
 
-    def _link_gains(self, obs: QueueObservation) -> Tuple[List[float], float]:
-        """Eq. 8 for every link of the plan, and ``W*`` (Eq. 7).
+    def _link_gains(self, obs: QueueObservation) -> List[float]:
+        """Eq. 8 for every link of the plan.
 
         Each outgoing road's queue and full test are read once.  A
         movement missing from ``obs`` reads 0; a missing outgoing road
-        or capacity raises ``KeyError`` naming the road.
+        raises ``KeyError`` naming the road.
         """
         alpha, beta = self.config.alpha, self.config.beta
         plan = self._plan
         out_queues = obs.out_queues_of(plan.out_roads)
-        full = list(map(ge, out_queues, obs.capacities_of(plan.out_roads)))
-        w_star = float(obs.max_capacity())
+        full = list(map(ge, out_queues, plan.out_capacity))
+        w_star = plan.w_star
         # Start from the empty-lane case; full roads override it, and
         # only the links with a queue can reach the general case.
         gains = [alpha] * plan.n_links
@@ -249,7 +252,7 @@ class UtilBpController(IntersectionController):
                     gains[column] = (
                         pressure(q_move) - pressure(out_queues[road]) + w_star
                     ) * plan.link_rate[column]
-        return gains, w_star
+        return gains
 
     def _select_phase(self, gains: List[float]) -> int:
         """Lines 6-11: pick ``c'`` by utilization-aware gain ranking."""

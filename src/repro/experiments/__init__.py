@@ -1,8 +1,8 @@
 """Evaluation scenarios and the drivers that regenerate the paper's
 tables and figures.
 
-* :mod:`repro.experiments.patterns` — Tables I and II.
-* :mod:`repro.scenarios` — the scenario builder and workload catalog.
+* :mod:`repro.scenarios` — the scenario builder and workload catalog;
+  :mod:`repro.scenarios.patterns` holds Tables I and II.
 * :mod:`repro.experiments.runner` — the closed control loop.
 * :mod:`repro.experiments.table3` — Table III (CAP-BP best period vs
   UTIL-BP over all patterns).
@@ -25,7 +25,14 @@ executes through the shared pool + result store and gains resume and
 cross-driver cell sharing.
 """
 
-from repro.experiments.patterns import (
+from repro.experiments.runner import (
+    RunConfig,
+    RunResult,
+    run_scenario,
+    run_scenario_batch,
+)
+from repro.scenarios.core import DEFAULT_DURATIONS, Scenario, build_scenario
+from repro.scenarios.patterns import (
     MIXED_SEGMENT_DURATION,
     PATTERN_NAMES,
     PATTERNS,
@@ -34,13 +41,6 @@ from repro.experiments.patterns import (
     interarrival_times,
     pattern_description,
 )
-from repro.experiments.runner import (
-    RunConfig,
-    RunResult,
-    run_scenario,
-    run_scenario_batch,
-)
-from repro.scenarios.core import DEFAULT_DURATIONS, Scenario, build_scenario
 
 __all__ = [
     "TURNING",

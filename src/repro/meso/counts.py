@@ -266,7 +266,7 @@ class CountsSimulator:
         # Per intersection: (node_id, live count dict, [(transit FIFO,
         # out_road -> movement key), ...] for sensing, [(out road,
         # capacity, is exit), ...], all-zero out-queue map for the
-        # nothing-congested fast path, static capacity map).
+        # nothing-congested fast path).
         self._obs_plan = []
         for node_id, intersection in network.intersections.items():
             in_roads = dict.fromkeys(i for i, _ in intersection.movements)
@@ -289,7 +289,6 @@ class CountsSimulator:
                     sensing,
                     out_static,
                     {r: 0 for r, _, _ in out_static},
-                    {r: c for r, c, _ in out_static},
                 )
             )
         # Injection plan: (entry road, arrival process, backlog FIFO,
@@ -325,9 +324,7 @@ class CountsSimulator:
         nothing_full = not self._full_roads
         trusted = QueueObservation.trusted
         result: Dict[str, QueueObservation] = {}
-        for node_id, counts, sensing, out_static, zeros, out_caps in (
-            self._obs_plan
-        ):
+        for node_id, counts, sensing, out_static, zeros in self._obs_plan:
             movement_queues = counts.copy()
             for slot, transit, key_by_out in sensing:
                 if head_ready[slot] <= deadline:
@@ -342,9 +339,7 @@ class CountsSimulator:
                 for road_id, cap, is_exit in out_static:
                     occ = 0 if is_exit else occupancy[road_id]
                     out_queues[road_id] = occ if occ >= cap else 0
-            result[node_id] = trusted(
-                now, movement_queues, out_queues, out_caps
-            )
+            result[node_id] = trusted(now, movement_queues, out_queues)
         return result
 
     # -- stepping ----------------------------------------------------------

@@ -187,16 +187,14 @@ class MesoSimulator:
                 movement_queues[key] = queued + sensed_by_road[in_road].get(
                     out_road, 0
                 )
-            out_queues = {}
-            out_capacities = {}
-            for road_id in intersection.out_roads:
-                out_capacities[road_id] = self.network.roads[road_id].capacity
-                out_queues[road_id] = self._sensed_out_queue(road_id)
+            out_queues = {
+                road_id: self._sensed_out_queue(road_id)
+                for road_id in intersection.out_roads
+            }
             result[node_id] = QueueObservation(
                 time=self.time,
                 movement_queues=movement_queues,
                 out_queues=out_queues,
-                out_capacities=out_capacities,
             )
         return result
 

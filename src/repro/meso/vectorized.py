@@ -260,8 +260,8 @@ class _ColumnTables:
             ri: _frozen(np.array(gids, dtype=np.int64))
             for ri, gids in lanes_of_road.items()
         }
-        # Per node: keys tuple, movement slice, shared zero/capacity
-        # out-road dicts and the out-road static rows.
+        # Per node: keys tuple, movement slice, shared all-zero out-road
+        # dict and the out-road static rows.
         self.obs_plan = []
         for n, inter in enumerate(intersections):
             out_static = [
@@ -276,7 +276,6 @@ class _ColumnTables:
                     node_starts[n],
                     node_starts[n + 1],
                     {r: 0 for r, _, _, _ in out_static},
-                    {r: c for r, _, c, _ in out_static},
                     out_static,
                 )
             )
@@ -518,7 +517,7 @@ class BatchCountsSimulator:
             row = self._queue_len[b].tolist()
             movement_dicts.append(
                 [dict(zip(keys, row[lo:hi]))
-                 for _, keys, lo, hi, _, _, _ in self._obs_plan]
+                 for _, keys, lo, hi, _, _ in self._obs_plan]
             )
         sensed = self._head_ready <= deadline
         if sensed.any():
@@ -542,7 +541,7 @@ class BatchCountsSimulator:
             rep_dicts = movement_dicts[b]
             congested = bool(rep_any_full[b])
             occ_row = self._occ[b].tolist() if congested else None
-            for n, (node_id, _, _, _, zeros, out_caps, out_static) in (
+            for n, (node_id, _, _, _, zeros, out_static) in (
                 enumerate(self._obs_plan)
             ):
                 if not congested:
@@ -552,9 +551,7 @@ class BatchCountsSimulator:
                     for road_id, ri, cap, road_is_exit in out_static:
                         occ = 0 if road_is_exit else occ_row[ri]
                         out_queues[road_id] = occ if occ >= cap else 0
-                per_node[node_id] = trusted(
-                    now, rep_dicts[n], out_queues, out_caps
-                )
+                per_node[node_id] = trusted(now, rep_dicts[n], out_queues)
             results.append(per_node)
         return results
 

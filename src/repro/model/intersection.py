@@ -163,6 +163,11 @@ class Intersection:
             raise KeyError(f"road {road_id!r} not at intersection {self.node_id}")
         return road.capacity
 
+    @property
+    def w_star(self) -> int:
+        """``W* = max_{i'} W_{i'}`` (Eq. 7): the largest outgoing capacity."""
+        return max(road.capacity for road in self.out_roads.values())
+
     def validate_phases(self, mode: str = "paper") -> None:
         """Check every phase for internal movement conflicts."""
         for phase in self.phases:

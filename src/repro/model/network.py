@@ -121,6 +121,15 @@ class Network:
                         f"originate there (origin="
                         f"{self.road_origin.get(road_id)!r})"
                     )
+            # Engines read roads from the network, controllers from the
+            # intersection: both must read the same road.
+            roads = {**intersection.in_roads, **intersection.out_roads}
+            for road_id, road in roads.items():
+                if self.roads.get(road_id) != road:
+                    raise ValueError(
+                        f"road {road_id!r} at {node_id} differs from the "
+                        f"network's record {self.roads.get(road_id)}"
+                    )
 
     # -- topology queries --------------------------------------------------
 

@@ -3,10 +3,13 @@
 The back-pressure control law is state feedback on queue lengths:
 ``c(k) = phi(Q(k))`` with ``Q(k) = {q_{i'}} U {q_i^{i'}}`` (Eq. 3).  A
 :class:`QueueObservation` is exactly that ``Q(k)`` for one
-intersection: per-movement incoming queues, total outgoing queues, and
-the outgoing capacities.  Both simulation engines produce these
-snapshots; controllers consume nothing else, which keeps the
-cyber/physical boundary of the paper's CPS framing explicit.
+intersection: per-movement incoming queues and outgoing queues, and
+nothing else.  The road capacities ``W_{i'}`` and ``W*`` (Eq. 7) are
+constants of the plant: controllers read them from their
+:class:`~repro.model.intersection.Intersection` once, at build time.
+Every engine produces these snapshots; controllers sense nothing else,
+which keeps the cyber/physical boundary of the paper's CPS framing
+explicit.
 """
 
 from __future__ import annotations
@@ -30,14 +33,11 @@ class QueueObservation:
         movement, keyed by ``(in_road, out_road)``.
     out_queues:
         ``q_{i'}(k)`` — total vehicles on each outgoing road.
-    out_capacities:
-        ``W_{i'}`` — capacity of each outgoing road.
     """
 
     time: float
     movement_queues: Mapping[Tuple[str, str], int]
     out_queues: Mapping[str, int]
-    out_capacities: Mapping[str, int]
 
     def __post_init__(self) -> None:
         for key, queue in self.movement_queues.items():
@@ -46,8 +46,6 @@ class QueueObservation:
         for road, queue in self.out_queues.items():
             if queue < 0:
                 raise ValueError(f"negative queue {queue} on road {road!r}")
-            if road not in self.out_capacities:
-                raise ValueError(f"road {road!r} has a queue but no capacity")
 
     @classmethod
     def trusted(
@@ -55,7 +53,6 @@ class QueueObservation:
         time: float,
         movement_queues: Mapping[Tuple[str, str], int],
         out_queues: Mapping[str, int],
-        out_capacities: Mapping[str, int],
     ) -> "QueueObservation":
         """Construct without ``__post_init__`` validation.
 
@@ -70,7 +67,6 @@ class QueueObservation:
         fields["time"] = time
         fields["movement_queues"] = movement_queues
         fields["out_queues"] = out_queues
-        fields["out_capacities"] = out_capacities
         return obs
 
     def movement_queue(self, in_road: str, out_road: str) -> int:
@@ -92,13 +88,6 @@ class QueueObservation:
         except KeyError:
             raise KeyError(f"no outgoing queue recorded for road {out_road!r}")
 
-    def capacity(self, out_road: str) -> int:
-        """``W_{i'}`` for one outgoing road."""
-        try:
-            return int(self.out_capacities[out_road])
-        except KeyError:
-            raise KeyError(f"no capacity recorded for road {out_road!r}")
-
     def out_queues_of(self, out_roads: Sequence[str]) -> List[int]:
         """:meth:`out_queue` of each road of ``out_roads``, in order."""
         try:
@@ -107,25 +96,6 @@ class QueueObservation:
             raise KeyError(
                 f"no outgoing queue recorded for road {missing.args[0]!r}"
             ) from None
-
-    def capacities_of(self, out_roads: Sequence[str]) -> List[int]:
-        """:meth:`capacity` of each road of ``out_roads``, in order."""
-        try:
-            return list(map(int, map(self.out_capacities.__getitem__, out_roads)))
-        except KeyError as missing:
-            raise KeyError(
-                f"no capacity recorded for road {missing.args[0]!r}"
-            ) from None
-
-    def is_full(self, out_road: str) -> bool:
-        """True iff the outgoing road has reached its capacity."""
-        return self.out_queue(out_road) >= self.capacity(out_road)
-
-    def max_capacity(self) -> int:
-        """``W* = max_{i'} W_{i'}`` (Eq. 7)."""
-        if not self.out_capacities:
-            raise ValueError("observation has no outgoing capacities")
-        return max(map(int, self.out_capacities.values()))
 
 
 def queue_dynamics_step(

@@ -32,6 +32,7 @@ from repro.experiments.runner import (
     run_scenario,
     run_scenario_batch,
 )
+from repro.model.network import Network
 from repro.scenarios import (
     Scenario,
     build_named_scenario,
@@ -48,6 +49,7 @@ __all__ = [
     "parse_shard",
     "shard_index_of",
     "SPEC_SCHEMA_VERSION",
+    "entry_queue_pairs",
 ]
 
 #: Bump when the spec or result schema changes incompatibly; part of
@@ -57,6 +59,19 @@ SPEC_SCHEMA_VERSION = 1
 #: Parameter mappings are stored as sorted ``(key, value)`` tuples so
 #: specs stay hashable; this alias names that shape.
 FrozenParams = Tuple[Tuple[str, Any], ...]
+
+
+def entry_queue_pairs(network: Network, count: int) -> Tuple[Tuple[str, str], ...]:
+    """``(downstream node, road)`` pairs of ``network``'s entry roads.
+
+    The first ``count`` entry roads in sorted order (all of them if
+    ``count`` is not positive), in the shape
+    :attr:`RunSpec.record_queues` expects.
+    """
+    entries = network.entry_roads()
+    if count > 0:
+        entries = entries[:count]
+    return tuple((network.road_destination[road], road) for road in entries)
 
 
 def _freeze_params(params: Union[None, Mapping[str, Any], Sequence]) -> FrozenParams:
@@ -579,13 +594,7 @@ class SweepGrid:
             scenario = build_named_scenario(
                 name, seed=self.seeds[0], **params
             )
-        entries = scenario.network.entry_roads()
-        if self.record_entry_queues > 0:
-            entries = entries[: self.record_entry_queues]
-        return tuple(
-            (scenario.network.road_destination[road], road)
-            for road in entries
-        )
+        return entry_queue_pairs(scenario.network, self.record_entry_queues)
 
     def specs(self) -> Tuple[RunSpec, ...]:
         """Expand the grid into one spec per cell (deterministic order)."""

@@ -80,7 +80,7 @@ def make_observation(
     """Build a ``Q(k)`` for an intersection with sparse overrides.
 
     Unspecified movement queues default to 0; unspecified outgoing
-    queues default to 0; capacities come from the intersection's roads.
+    queues default to 0.
     """
     queues = {key: 0 for key in intersection.movements}
     if movement_queues:
@@ -94,16 +94,7 @@ def make_observation(
             if road_id not in outs:
                 raise KeyError(f"unknown outgoing road {road_id}")
             outs[road_id] = value
-    capacities = {
-        road_id: road.capacity
-        for road_id, road in intersection.out_roads.items()
-    }
-    return QueueObservation(
-        time=time,
-        movement_queues=queues,
-        out_queues=outs,
-        out_capacities=capacities,
-    )
+    return QueueObservation(time=time, movement_queues=queues, out_queues=outs)
 
 
 @pytest.fixture
@@ -173,9 +164,13 @@ class ReferenceUtilBp(IntersectionController):
         if previous != TRANSITION:
             current_phase = self.intersection.phase_by_index(previous)
             g_max, l_max = max_link_gain(
-                current_phase, obs, self.config.alpha, self.config.beta
+                self.intersection,
+                current_phase,
+                obs,
+                self.config.alpha,
+                self.config.beta,
             )
-            threshold = keep_threshold(obs, l_max)
+            threshold = keep_threshold(self.intersection, l_max)
             threshold -= self.config.keep_margin * l_max.service_rate
             if g_max > threshold:
                 return self._record(previous)
@@ -190,13 +185,13 @@ class ReferenceUtilBp(IntersectionController):
         ranked: List[Tuple[Phase, float]] = []
         best_overall = -math.inf
         for phase in self.intersection.phases:
-            g_max, _ = max_link_gain(phase, obs, alpha, beta)
+            g_max, _ = max_link_gain(self.intersection, phase, obs, alpha, beta)
             ranked.append((phase, g_max))
             best_overall = max(best_overall, g_max)
         if best_overall > alpha:
             candidates = [phase for phase, g_max in ranked if g_max > alpha]
             scores = [
-                (phase_gain(phase, obs, alpha, beta), phase)
+                (phase_gain(self.intersection, phase, obs, alpha, beta), phase)
                 for phase in candidates
             ]
         else:

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import ast
+import importlib
 import re
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -103,15 +107,53 @@ class TestFacadeSurface:
         app.manager.stop()
 
 
-class TestDeprecatedScenarioShim:
-    def test_warning_names_removal_release_and_date(self):
-        import importlib
-        import sys
+#: The deprecated shims and the module each one forwards to.
+SHIMS = {
+    "repro.experiments.scenario": "repro.scenarios.core",
+    "repro.experiments.patterns": "repro.scenarios.patterns",
+}
 
-        sys.modules.pop("repro.experiments.scenario", None)
+REPO = Path(__file__).resolve().parent.parent
+
+
+def _imported_modules(tree: ast.AST):
+    """Every module name an ``import`` statement of ``tree`` names."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            yield node.module
+            for alias in node.names:
+                yield f"{node.module}.{alias.name}"
+
+
+class TestDeprecatedShims:
+    @pytest.mark.parametrize("shim", sorted(SHIMS))
+    def test_warning_names_removal_release_and_date(self, shim):
+        sys.modules.pop(shim, None)
         with pytest.warns(DeprecationWarning) as caught:
-            importlib.import_module("repro.experiments.scenario")
+            importlib.import_module(shim)
         text = str(caught[0].message)
         assert "repro 1.2" in text
         assert "2026-12-01" in text
-        assert "repro.scenarios.core" in text
+        assert SHIMS[shim] in text
+
+    def test_nothing_imports_a_shim(self):
+        """Only the shims themselves may name a shim in an import."""
+        shim_files = {
+            REPO / "src" / Path(*name.split(".")).with_suffix(".py")
+            for name in SHIMS
+        }
+        offenders = []
+        for folder in ("src", "benchmarks", "scripts", "examples"):
+            for path in sorted((REPO / folder).rglob("*.py")):
+                if path in shim_files:
+                    continue
+                tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+                offenders += [
+                    f"{path.relative_to(REPO)}: {name}"
+                    for name in _imported_modules(tree)
+                    if name in SHIMS
+                ]
+        assert not offenders, offenders

@@ -71,7 +71,7 @@ class TestCapLinkWeight:
             movement_queues={m.key: 12},
             out_queues={m.out_road: 60},
         )
-        weight = cap_link_weight(m, obs, in_capacity=120)
+        weight = cap_link_weight(m, obs, in_capacity=120, out_capacity=120)
         assert weight == pytest.approx(12 / 120 - 60 / 120)
 
     def test_full_downstream_zero(self, intersection):
@@ -81,13 +81,13 @@ class TestCapLinkWeight:
             movement_queues={m.key: 50},
             out_queues={m.out_road: 120},
         )
-        assert cap_link_weight(m, obs, in_capacity=120) == 0.0
+        assert cap_link_weight(m, obs, in_capacity=120, out_capacity=120) == 0.0
 
     def test_bad_capacity_rejected(self, intersection):
         m = intersection.phase_by_index(1).movements[0]
         obs = make_observation(intersection)
         with pytest.raises(ValueError):
-            cap_link_weight(m, obs, in_capacity=0)
+            cap_link_weight(m, obs, in_capacity=0, out_capacity=120)
 
 
 class TestCapBp:

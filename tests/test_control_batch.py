@@ -426,7 +426,6 @@ class _HeldStream:
                     for key, col in zip(inter.movements, self.columns[n])
                 },
                 {road: self.road_queues[b][road] for road in inter.out_roads},
-                {road: self.capacity[road] for road in inter.out_roads},
             )
         return out
 

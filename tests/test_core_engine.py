@@ -215,9 +215,6 @@ class TestEngineContract:
                 intersection.movements
             )
             assert set(observation.out_queues) == set(intersection.out_roads)
-            assert set(observation.out_capacities) == set(
-                intersection.out_roads
-            )
             assert all(q >= 0 for q in observation.movement_queues.values())
 
     def test_finalize_idempotent(self, engine):

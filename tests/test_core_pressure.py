@@ -77,7 +77,7 @@ class TestModifiedGain:
             out_queues={m.out_road: 3},
         )
         # (b_move - b_out + W*) mu = (10 - 3 + 120) * 1.
-        assert link_gain(m, obs, ALPHA, BETA) == 127.0
+        assert link_gain(intersection, m, obs, ALPHA, BETA) == 127.0
 
     def test_negative_difference_allowed(self, intersection):
         m = movement_of(intersection)
@@ -86,12 +86,12 @@ class TestModifiedGain:
             movement_queues={m.key: 1},
             out_queues={m.out_road: 50},
         )
-        assert link_gain(m, obs, ALPHA, BETA) == 1 - 50 + 120
+        assert link_gain(intersection, m, obs, ALPHA, BETA) == 1 - 50 + 120
 
     def test_empty_movement_alpha(self, intersection):
         m = movement_of(intersection)
         obs = make_observation(intersection)
-        assert link_gain(m, obs, ALPHA, BETA) == ALPHA
+        assert link_gain(intersection, m, obs, ALPHA, BETA) == ALPHA
 
     def test_full_outgoing_beta(self, intersection):
         m = movement_of(intersection)
@@ -100,13 +100,13 @@ class TestModifiedGain:
             movement_queues={m.key: 10},
             out_queues={m.out_road: 120},
         )
-        assert link_gain(m, obs, ALPHA, BETA) == BETA
+        assert link_gain(intersection, m, obs, ALPHA, BETA) == BETA
 
     def test_full_beats_empty_check_order(self, intersection):
         # Full outgoing road dominates even when the incoming lane is empty.
         m = movement_of(intersection)
         obs = make_observation(intersection, out_queues={m.out_road: 120})
-        assert link_gain(m, obs, ALPHA, BETA) == BETA
+        assert link_gain(intersection, m, obs, ALPHA, BETA) == BETA
 
     def test_general_case_always_above_specials(self, intersection):
         # Servable link: gain >= 0 > alpha > beta (with paper parameters).
@@ -116,15 +116,15 @@ class TestModifiedGain:
             movement_queues={m.key: 1},
             out_queues={m.out_road: 119},
         )
-        assert link_gain(m, obs, ALPHA, BETA) >= 0 > ALPHA > BETA
+        assert link_gain(intersection, m, obs, ALPHA, BETA) >= 0 > ALPHA > BETA
 
     def test_non_negative_alpha_rejected(self, intersection):
         m = movement_of(intersection)
         obs = make_observation(intersection)
         with pytest.raises(ValueError):
-            link_gain(m, obs, 0.0, BETA)
+            link_gain(intersection, m, obs, 0.0, BETA)
         with pytest.raises(ValueError):
-            link_gain(m, obs, ALPHA, 0.5)
+            link_gain(intersection, m, obs, ALPHA, 0.5)
 
 
 class TestPhaseGains:
@@ -134,8 +134,8 @@ class TestPhaseGains:
             intersection,
             movement_queues={m.key: 5 for m in phase.movements},
         )
-        total = phase_gain(phase, obs, ALPHA, BETA)
-        parts = sum(link_gain(m, obs, ALPHA, BETA) for m in phase.movements)
+        total = phase_gain(intersection, phase, obs, ALPHA, BETA)
+        parts = sum(link_gain(intersection, m, obs, ALPHA, BETA) for m in phase.movements)
         assert total == parts == 4 * 125.0
 
     def test_phase_gain_adds_left_to_right(self):
@@ -153,22 +153,22 @@ class TestPhaseGains:
             intersection,
             movement_queues={m.key: q for m, q in zip(movements, (1, 2, 8))},
         )
-        gains = [link_gain(m, obs, ALPHA, BETA) for m in movements]
+        gains = [link_gain(intersection, m, obs, ALPHA, BETA) for m in movements]
         assert gains == [6.3, 6.6, 8.4]
-        assert phase_gain(phase, obs, ALPHA, BETA) == 21.299999999999997
+        assert phase_gain(intersection, phase, obs, ALPHA, BETA) == 21.299999999999997
 
     def test_max_link_gain_eq11(self, intersection):
         phase = intersection.phase_by_index(1)
         best = phase.movements[2]
         obs = make_observation(intersection, movement_queues={best.key: 9})
-        g_max, l_max = max_link_gain(phase, obs, ALPHA, BETA)
+        g_max, l_max = max_link_gain(intersection, phase, obs, ALPHA, BETA)
         assert l_max.key == best.key
         assert g_max == 129.0
 
     def test_max_link_gain_all_empty(self, intersection):
         phase = intersection.phase_by_index(1)
         obs = make_observation(intersection)
-        g_max, _ = max_link_gain(phase, obs, ALPHA, BETA)
+        g_max, _ = max_link_gain(intersection, phase, obs, ALPHA, BETA)
         assert g_max == ALPHA
 
     def test_tie_break_deterministic(self, intersection):
@@ -177,15 +177,14 @@ class TestPhaseGains:
             intersection,
             movement_queues={m.key: 5 for m in phase.movements},
         )
-        _, l_max = max_link_gain(phase, obs, ALPHA, BETA)
+        _, l_max = max_link_gain(intersection, phase, obs, ALPHA, BETA)
         assert l_max.key == phase.movements[0].key
 
 
 class TestKeepThreshold:
     def test_eq12(self, intersection):
         m = movement_of(intersection)
-        obs = make_observation(intersection)
-        assert keep_threshold(obs, m) == 120.0
+        assert keep_threshold(intersection, m) == 120.0
 
     def test_keep_iff_positive_pressure_difference(self, intersection):
         """g > g*  <=>  b_move - b_out > 0 in the general case."""
@@ -196,8 +195,8 @@ class TestKeepThreshold:
                 movement_queues={m.key: q_move},
                 out_queues={m.out_road: q_out},
             )
-            gain = link_gain(m, obs, ALPHA, BETA)
-            assert (gain > keep_threshold(obs, m)) == (q_move > q_out)
+            gain = link_gain(intersection, m, obs, ALPHA, BETA)
+            assert (gain > keep_threshold(intersection, m)) == (q_move > q_out)
 
 
 class TestArrayKernels:
@@ -253,7 +252,7 @@ class TestArrayKernels:
             )
         return batch
 
-    def _arrays(self, movements, batch):
+    def _arrays(self, intersection, movements, batch):
         queues = np.array(
             [
                 [obs.movement_queue(m.in_road, m.out_road) for m in movements]
@@ -264,10 +263,10 @@ class TestArrayKernels:
             [[obs.out_queue(m.out_road) for m in movements] for obs in batch]
         )
         capacities = np.array(
-            [float(batch[0].capacity(m.out_road)) for m in movements]
+            [float(intersection.out_roads[m.out_road].capacity) for m in movements]
         )
         rates = np.array([m.service_rate for m in movements])
-        w_star = np.full(len(movements), float(batch[0].max_capacity()))
+        w_star = np.full(len(movements), float(intersection.w_star))
         incoming = np.array(
             [
                 [obs.incoming_total(m.in_road) for m in movements]
@@ -280,7 +279,7 @@ class TestArrayKernels:
     def test_link_gain_matches_scalar(self, intersection, movements, mode):
         batch = self._observations(intersection, movements, mode)
         queues, out_queues, capacities, rates, w_star, _ = self._arrays(
-            movements, batch
+            intersection, movements, batch
         )
         gains = link_gain_array(
             queues, out_queues, capacities, w_star, rates, ALPHA, BETA
@@ -288,7 +287,7 @@ class TestArrayKernels:
         assert gains.shape == (self.BATCH, len(movements))
         for b, obs in enumerate(batch):
             for j, m in enumerate(movements):
-                assert gains[b, j] == link_gain(m, obs, ALPHA, BETA), (
+                assert gains[b, j] == link_gain(intersection, m, obs, ALPHA, BETA), (
                     mode,
                     b,
                     m.key,
@@ -297,7 +296,9 @@ class TestArrayKernels:
     @pytest.mark.parametrize("mode", sorted(SEEDS))
     def test_original_gain_matches_scalar(self, intersection, movements, mode):
         batch = self._observations(intersection, movements, mode)
-        _, out_queues, _, rates, _, incoming = self._arrays(movements, batch)
+        _, out_queues, _, rates, _, incoming = self._arrays(
+            intersection, movements, batch
+        )
         gains = link_gain_original_array(incoming, out_queues, rates)
         for b, obs in enumerate(batch):
             for j, m in enumerate(movements):
@@ -311,7 +312,7 @@ class TestArrayKernels:
     def test_phase_gain_matches_scalar(self, intersection, movements, mode):
         batch = self._observations(intersection, movements, mode)
         queues, out_queues, capacities, rates, w_star, _ = self._arrays(
-            movements, batch
+            intersection, movements, batch
         )
         gains = link_gain_array(
             queues, out_queues, capacities, w_star, rates, ALPHA, BETA
@@ -329,7 +330,7 @@ class TestArrayKernels:
         assert totals.shape == (self.BATCH, len(phases))
         for b, obs in enumerate(batch):
             for p, phase in enumerate(phases):
-                assert totals[b, p] == phase_gain(phase, obs, ALPHA, BETA), (
+                assert totals[b, p] == phase_gain(intersection, phase, obs, ALPHA, BETA), (
                     mode,
                     b,
                     phase.index,
@@ -338,7 +339,7 @@ class TestArrayKernels:
     def test_link_gain_into_a_buffer(self, intersection, movements):
         batch = self._observations(intersection, movements, "mixed")
         queues, out_queues, capacities, rates, w_star, _ = self._arrays(
-            movements, batch
+            intersection, movements, batch
         )
         expected = link_gain_array(
             queues, out_queues, capacities, w_star, rates, ALPHA, BETA

@@ -276,12 +276,49 @@ def _phase_plans(base: Intersection):
     )
 
 
+#: Out-road capacities (N, E, S, W) of each phase plan's intersection:
+#: mixed within an intersection, so ``W*`` exceeds some links' own
+#: ``W_{i'}``, and ``W*`` 8 or 7 from one intersection to the next.
+#: (With ``W*`` below 7, the ``keep_margin=10`` threshold
+#: ``(W* - 10) mu`` lies under ``alpha`` at ``mu = 0.3``: an empty lane
+#: would keep its phase for ever and the stream would never switch.)
+OUT_CAPACITIES = {
+    "standard": (4, 6, 8, 6),
+    "out-of-order": (6, 4, 7, 4),
+    "ragged-shared": (8, 8, 4, 6),
+    "mixed-rates": (4, 7, 4, 6),
+}
+
+
 def _intersections() -> List[Tuple[str, Intersection]]:
+    """One intersection per phase plan, each with its out-capacities."""
     base = build_grid_network(1, 1, capacity=8, service_rate=0.3)
-    return [
-        (name, dataclasses.replace(base.intersections["J00"], phases=phases))
-        for name, phases in _phase_plans(base.intersections["J00"])
-    ]
+    plans = _phase_plans(base.intersections["J00"])
+    intersections = []
+    for name, phases in plans:
+        network = build_grid_network(
+            1,
+            1,
+            capacity=8,
+            service_rate=0.3,
+            capacity_overrides={
+                f"OUT:{side}@J00": cap
+                for side, cap in zip("NESW", OUT_CAPACITIES[name])
+            },
+        )
+        intersection = network.intersections["J00"]
+        intersections.append(
+            (name, dataclasses.replace(intersection, phases=phases))
+        )
+    return intersections
+
+
+def _out_queue_draw(rng: random.Random, intersection: Intersection):
+    """Out-queues with about one road in five full (``q_{i'} = W_{i'}``)."""
+    return {
+        road_id: road.capacity if rng.random() < 0.2 else rng.randint(0, 3)
+        for road_id, road in intersection.out_roads.items()
+    }
 
 
 def _random_observation(
@@ -289,22 +326,17 @@ def _random_observation(
 ) -> QueueObservation:
     """A ``Q(k)`` with many empty lanes, full roads, ties and gaps.
 
-    Capacities are redrawn per observation, so ``W*`` changes from one
-    decision to the next; about one movement in ten is absent from
-    ``movement_queues`` (and must read 0).
+    About one movement in ten is absent from ``movement_queues`` (and
+    must read 0).
     """
-    capacities = {road: rng.choice((4, 6, 8)) for road in intersection.out_roads}
     movement_queues = {}
     for key in intersection.movements:
         draw = rng.random()
         if draw < 0.1:
             continue
         movement_queues[key] = 0 if draw < 0.5 else rng.randint(1, 5)
-    out_queues = {
-        road: capacity if rng.random() < 0.2 else rng.randint(0, 3)
-        for road, capacity in capacities.items()
-    }
-    return QueueObservation(time, movement_queues, out_queues, capacities)
+    out_queues = _out_queue_draw(rng, intersection)
+    return QueueObservation(time, movement_queues, out_queues)
 
 
 CONFIGS = [
@@ -360,9 +392,7 @@ def test_missing_out_road_raises_key_error(intersection):
     obs = make_observation(intersection)
     out_queues = dict(obs.out_queues)
     del out_queues[movement.out_road]
-    broken = QueueObservation(
-        0.0, obs.movement_queues, out_queues, obs.out_capacities
-    )
+    broken = QueueObservation(0.0, obs.movement_queues, out_queues)
     for controller in (
         UtilBpController(intersection),
         ReferenceUtilBp(intersection, UtilBpConfig()),
@@ -371,27 +401,11 @@ def test_missing_out_road_raises_key_error(intersection):
             controller.decide(broken)
 
 
-def test_missing_capacity_raises_key_error(intersection):
-    movement = phase_movements(intersection, 1)[0]
-    obs = make_observation(intersection)
-    capacities = dict(obs.out_capacities)
-    del capacities[movement.out_road]
-    # The validating constructor refuses a queue without a capacity.
-    broken = QueueObservation.trusted(
-        0.0, obs.movement_queues, obs.out_queues, capacities
-    )
-    with pytest.raises(KeyError, match=f"no capacity recorded for road '{movement.out_road}'"):
-        UtilBpController(intersection).decide(broken)
-
-
 def test_absent_movement_reads_zero(intersection):
     """A movement missing from ``movement_queues`` is an empty lane."""
     m3 = phase_movements(intersection, 3)[0]
     obs = QueueObservation(
-        0.0,
-        {m3.key: 1},
-        {road: 0 for road in intersection.out_roads},
-        {road: r.capacity for road, r in intersection.out_roads.items()},
+        0.0, {m3.key: 1}, {road: 0 for road in intersection.out_roads}
     )
     assert UtilBpController(intersection).decide(obs) == 3
 
@@ -411,35 +425,28 @@ def test_plan_is_shared_per_intersection(intersection):
 class _HeldInputs:
     """One intersection's ``Q(k)`` stream with inputs held for a while.
 
-    A fresh draw of the movement queues is held for 1-6 slots and, each
-    on its own clock, so are a fresh draw of the out-queues (1-6 slots)
-    and of the out-capacities (3-12 slots): inputs repeat for several
-    slots, and sometimes only one of the three maps changes.  Queues
-    are often zero, out-roads sometimes full, and a movement is now and
-    then absent from ``movement_queues`` (it reads 0, but the map
-    differs).
+    A fresh draw of the movement queues is held for 1-6 slots and, on
+    its own clock, so is a fresh draw of the out-queues (1-6 slots):
+    inputs repeat for several slots, and sometimes only one of the two
+    maps changes.  Queues are often zero, out-roads sometimes full, and
+    a movement is now and then absent from ``movement_queues`` (it reads
+    0, but the map differs).
     """
 
     def __init__(self, intersection: Intersection, rng: random.Random):
         self.intersection = intersection
         self.rng = rng
-        self.hold = [0, 0, 0]
-        self.capacities = self.out_queues = self.movement_queues = None
+        self.hold = [0, 0]
+        self.out_queues = self.movement_queues = None
 
     def advance(self) -> None:
         """Draw the next slot: redraw every map whose hold ran out."""
         rng, inter = self.rng, self.intersection
         redraw = [left <= 0 for left in self.hold]
         self.hold = [left - 1 for left in self.hold]
-        if redraw[2]:
-            self.hold[2] = rng.randint(2, 11)
-            self.capacities = {road: rng.choice((4, 6, 8)) for road in inter.out_roads}
         if redraw[1]:
             self.hold[1] = rng.randint(0, 5)
-            self.out_queues = {
-                road: self.capacities[road] if rng.random() < 0.2 else rng.randint(0, 3)
-                for road in inter.out_roads
-            }
+            self.out_queues = _out_queue_draw(rng, inter)
         if redraw[0]:
             self.hold[0] = rng.randint(0, 5)
             self.movement_queues = {}
@@ -449,7 +456,7 @@ class _HeldInputs:
                     self.movement_queues[key] = 0 if draw < 0.45 else rng.randint(1, 5)
 
     def inputs(self):
-        return (self.movement_queues, self.out_queues, self.capacities)
+        return (self.movement_queues, self.out_queues)
 
 
 def _drive_held(config, slots=300, seed=5, reset_at=None, in_place=False):
@@ -464,7 +471,7 @@ def _drive_held(config, slots=300, seed=5, reset_at=None, in_place=False):
     previous call's.  Returns the controllers and event counts showing
     which situations the streams produced.
 
-    ``in_place`` hands every call the same three maps per intersection,
+    ``in_place`` hands every call the same two maps per intersection,
     rewritten in place, instead of fresh ones: the controller must not
     keep a reference to what a later call overwrites.
     """
@@ -477,7 +484,7 @@ def _drive_held(config, slots=300, seed=5, reset_at=None, in_place=False):
                 stream=stream,
                 controller=UtilBpController(inter, config),
                 reference=ReferenceUtilBp(inter, config),
-                maps=({}, {}, {}),
+                maps=({}, {}),
                 last=None,  # the previous call's (running phase, inputs)
             )
         )

@@ -119,7 +119,6 @@ def _lockstep(
             a, b = obs_ref[node_id], obs_cnt[node_id]
             assert a.movement_queues == b.movement_queues, (name, step, node_id)
             assert a.out_queues == b.out_queues, (name, step, node_id)
-            assert a.out_capacities == b.out_capacities, (name, step, node_id)
         assert reference.vehicles_in_network() == counts.vehicles_in_network()
         assert reference.backlog_size() == counts.backlog_size()
         if step % 25 == 0:  # spot-check the per-road introspection

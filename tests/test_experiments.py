@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.experiments.patterns import (
+from repro.scenarios.patterns import (
     MIXED_SEGMENT_DURATION,
     PATTERN_NAMES,
     TURNING,

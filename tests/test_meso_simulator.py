@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.experiments.patterns import TURNING
+from repro.scenarios.patterns import TURNING
 from repro.meso.road_state import RoadState
 from repro.meso.simulator import MesoSimulator
 from repro.meso.vehicle import MesoVehicle
@@ -139,7 +139,6 @@ class TestMesoSimulator:
         assert set(obs.out_queues) == set(
             sim.network.intersections["J00"].out_roads
         )
-        assert obs.max_capacity() == 120
 
     def test_exit_roads_read_zero(self):
         sim = make_sim(rate=1.0, seed=7)

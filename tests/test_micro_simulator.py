@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.experiments.patterns import TURNING
+from repro.scenarios.patterns import TURNING
 from repro.micro.params import KraussParams, MicroParams
 from repro.micro.simulator import MicroSimulator
 from repro.model.arrivals import ArrivalSchedule
@@ -70,7 +70,9 @@ class TestMicroSimulator:
         sim = make_sim()
         obs = sim.observations()["J00"]
         assert len(obs.movement_queues) == 12
-        assert obs.max_capacity() == 120
+        assert set(obs.out_queues) == set(
+            sim.network.intersections["J00"].out_roads
+        )
 
     def test_queue_detector_sees_stopped_vehicles(self):
         sim = make_sim(rate=1.0, seed=5)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.control.factory import make_network_controller
-from repro.experiments.patterns import TURNING
+from repro.scenarios.patterns import TURNING
 from repro.meso.road_state import RoadState
 from repro.meso.simulator import MesoSimulator
 from repro.meso.vehicle import MesoVehicle

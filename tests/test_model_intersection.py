@@ -82,6 +82,16 @@ class TestStandardIntersection:
         with pytest.raises(KeyError):
             inter.capacity("nope")
 
+    def test_w_star_is_largest_out_capacity_eq7(self):
+        in_roads, out_roads = make_roads()
+        out_roads = {
+            d: Road(road.road_id, capacity=cap)
+            for (d, road), cap in zip(out_roads.items(), (40, 90, 60, 90))
+        }
+        in_roads[Direction.N] = Road("in_N", capacity=500)
+        inter = build_standard_intersection("X", in_roads, out_roads)
+        assert inter.w_star == 90
+
     def test_movement_lookup(self):
         in_roads, out_roads = make_roads()
         inter = build_standard_intersection("X", in_roads, out_roads)

@@ -1,5 +1,8 @@
 """Tests for repro.model.network and repro.model.grid."""
 
+import dataclasses
+import re
+
 import pytest
 
 from repro.model.geometry import Direction
@@ -107,3 +110,22 @@ class TestNetworkQueries:
     def test_total_capacity(self):
         network = build_grid_network(1, 1, capacity=10, boundary_capacity=10)
         assert network.total_capacity() == 8 * 10
+
+
+class TestNetworkValidation:
+    @pytest.mark.parametrize("side", ["in_roads", "out_roads"])
+    def test_intersection_road_must_match_network_road(self, single_network, side):
+        """An intersection and its network must record the same road."""
+        inter = single_network.intersections["J00"]
+        road_id, road = next(iter(getattr(inter, side).items()))
+        changed = dataclasses.replace(road, capacity=road.capacity + 1)
+        variant = dataclasses.replace(
+            inter, **{side: {**getattr(inter, side), road_id: changed}}
+        )
+        with pytest.raises(ValueError, match=f"{re.escape(repr(road_id))} at J00"):
+            dataclasses.replace(single_network, intersections={"J00": variant})
+        # The same road on both sides builds.
+        roads = {**single_network.roads, road_id: changed}
+        dataclasses.replace(
+            single_network, intersections={"J00": variant}, roads=roads
+        )

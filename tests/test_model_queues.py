@@ -18,26 +18,10 @@ class TestQueueObservation:
         obs = make_observation(intersection)
         assert obs.movement_queue("ghost", "road") == 0
 
-    def test_is_full(self, intersection):
-        out_road = next(iter(intersection.out_roads))
-        obs = make_observation(intersection, out_queues={out_road: 120})
-        assert obs.is_full(out_road)
-
-    def test_not_full(self, intersection):
-        out_road = next(iter(intersection.out_roads))
-        obs = make_observation(intersection, out_queues={out_road: 119})
-        assert not obs.is_full(out_road)
-
-    def test_max_capacity_eq7(self, intersection):
-        obs = make_observation(intersection)
-        assert obs.max_capacity() == 120
-
     def test_unknown_out_road_raises(self, intersection):
         obs = make_observation(intersection)
         with pytest.raises(KeyError):
             obs.out_queue("ghost")
-        with pytest.raises(KeyError):
-            obs.capacity("ghost")
 
     def test_negative_queue_rejected(self):
         with pytest.raises(ValueError):
@@ -45,22 +29,11 @@ class TestQueueObservation:
                 time=0.0,
                 movement_queues={("a", "b"): -1},
                 out_queues={},
-                out_capacities={},
             )
 
-    def test_queue_without_capacity_rejected(self):
-        with pytest.raises(ValueError):
-            QueueObservation(
-                time=0.0,
-                movement_queues={},
-                out_queues={"r": 3},
-                out_capacities={},
-            )
-
-    def test_empty_capacities_max_capacity_raises(self):
-        obs = QueueObservation(0.0, {}, {}, {})
-        with pytest.raises(ValueError):
-            obs.max_capacity()
+    def test_negative_out_queue_rejected(self):
+        with pytest.raises(ValueError, match="on road 'r'"):
+            QueueObservation(time=0.0, movement_queues={}, out_queues={"r": -1})
 
 
 class TestQueueDynamics:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.experiments.patterns import TURNING
+from repro.scenarios.patterns import TURNING
 from repro.model.geometry import Direction, TurnType
 from repro.model.routing import RouteSampler, TurningProbabilities
 

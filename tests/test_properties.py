@@ -62,7 +62,7 @@ class TestGainProperties:
             movement_queues={m.key: q_move},
             out_queues={m.out_road: q_out},
         )
-        gain = link_gain(m, obs, -1.0, -2.0)
+        gain = link_gain(intersection, m, obs, -1.0, -2.0)
         if q_out >= 120:
             assert gain == -2.0
         elif q_move == 0:
