@@ -3,8 +3,10 @@
 Measures two kinds of steps/second on a small, fixed workload set:
 
 * **closed-loop** — engine + util-bp controller, the end-to-end cost a
-  sweep cell pays (keys like ``meso/steady-3x3``; ``meso-vec`` runs a
-  batch of one under the batched util-bp kernel);
+  sweep cell pays (keys like ``meso/steady-3x3``), each engine on the
+  loop ``run_scenario`` runs for it: ``meso``, ``micro`` and
+  ``meso-vec`` (a batch of one) under the B=1 util-bp kernel on their
+  array façades, ``meso-counts`` under the serial controllers;
 * **engine-stepping** — ``observations() + step()`` under a fixed
   phase plan, isolating the simulation backend from the controller
   (keys like ``engine/meso/steady-8x8``);
@@ -328,13 +330,27 @@ def best_rate(setup, steps: int, repeats: int, warmup: int, width: int = 1) -> f
 
 
 def serial_closed_loop(engine: str, scenario_name: str, params: Dict):
-    """Setup for one serial engine under util-bp deciding every slot."""
+    """Setup for one serial engine under util-bp deciding every slot.
+
+    The loop is the one ``run_scenario`` runs for the built engine: a
+    B=1 kernel on its array façade if it offers one, else
+    ``observations()`` and the serial controllers.
+    """
 
     def setup(attempt, slots):
         scenario = build_named_scenario(
             scenario_name, seed=1 + attempt, **params
         )
         sim = build_engine(scenario, engine)
+        if hasattr(sim, "controller_arrays") and hasattr(sim, "movement_layout"):
+            kernel = build_batch_controller("util-bp", scenario.network, 1)
+            node_ids = kernel.node_ids
+
+            def advance(k):
+                row = kernel.decide_batch(sim.controller_arrays())[0]
+                sim.step(1.0, dict(zip(node_ids, row.tolist())))
+
+            return advance
         controller = make_network_controller("util-bp", scenario.network)
         return lambda k: sim.step(1.0, controller.decide(sim.observations()))
 

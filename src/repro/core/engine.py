@@ -25,9 +25,10 @@ driven only through ``controller_arrays()`` (the array-shaped ``Q(k)``,
 :class:`~repro.control.batch.BatchNetworkController` kernel; a single
 run on it is a batch of one.  A built serial engine says how it is
 driven: one that also offers ``controller_arrays()`` and
-``movement_layout`` (``meso-events``) is decided by a B=1 kernel, every
-other one through ``observations()`` and a
-:class:`~repro.control.base.NetworkController`.  Controllers are not
+``movement_layout`` (``meso``, ``meso-events`` and ``micro``, which
+share their static columns through :class:`FacadeTables`) is decided
+by a B=1 kernel, every other one (``meso-counts``) through
+``observations()`` and a :class:`~repro.control.base.NetworkController`.  Controllers are not
 registered here: :mod:`repro.control.factory` holds the one controller
 table.
 
@@ -57,6 +58,7 @@ import numpy as np
 
 from repro.metrics.collector import MetricsCollector, Summary
 from repro.metrics.utilization import UtilizationTracker
+from repro.model.network import BOUNDARY, Network
 from repro.model.queues import QueueObservation
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
@@ -66,6 +68,7 @@ __all__ = [
     "SimulationEngine",
     "BatchEngine",
     "BatchControlArrays",
+    "FacadeTables",
     "Registry",
     "ENGINES",
     "BATCH_ENGINES",
@@ -147,6 +150,63 @@ class BatchControlArrays:
     def out_queues(self) -> np.ndarray:
         """Sensed outgoing-road queue of each movement, ``(B, n_movements)``."""
         return self._read()[1]
+
+
+class FacadeTables:
+    """The static controller-array columns of one network.
+
+    Column indices depend on the network alone, so they are built once
+    per network (:meth:`~repro.model.network.Network.derived`) and
+    shared, read-only, by every serial engine on it that offers the
+    B=1 façade (``meso``, ``meso-events``, ``micro``); each engine
+    pairs them with its own per-road state.
+    """
+
+    @classmethod
+    def of(cls, network: Network) -> "FacadeTables":
+        """The shared tables of ``network``."""
+        return network.derived(cls, lambda: cls(network))
+
+    def __init__(self, network: Network):
+        movement_keys = tuple(
+            key
+            for intersection in network.intersections.values()
+            for key in intersection.movements
+        )
+        #: ``(node_ids, movement_keys)`` — the arrays' column order.
+        self.movement_layout = (tuple(network.intersections), movement_keys)
+        #: Per road feeding an intersection: movement column of each
+        #: next road.
+        self.columns_of_road: Dict[str, Dict[str, int]] = {}
+        #: Per road feeding an intersection: position of that
+        #: intersection in ``network.intersections``.
+        self.pos_of_road: Dict[str, int] = {}
+        #: Per intersection position: the node's ``(first, end)`` column
+        #: span (contiguous, as the layout is node-major).
+        self.node_spans: List[Tuple[int, int]] = []
+        column = 0
+        for pos, intersection in enumerate(network.intersections.values()):
+            first = column
+            for in_road, out_road in intersection.movements:
+                self.columns_of_road.setdefault(in_road, {})[out_road] = column
+                self.pos_of_road[in_road] = pos
+                column += 1
+            self.node_spans.append((first, column))
+        #: Movement columns reading each non-exit road's spillback
+        #: sensor (exit roads always read 0).
+        columns_of: Dict[str, List[int]] = {}
+        for column, (_, out_road) in enumerate(movement_keys):
+            if network.road_destination[out_road] != BOUNDARY:
+                columns_of.setdefault(out_road, []).append(column)
+        self.spillback_columns = {
+            road: np.array(columns, dtype=np.int64)
+            for road, columns in columns_of.items()
+        }
+        for columns in self.spillback_columns.values():
+            columns.flags.writeable = False
+        #: The ``out_queues`` of a slot on which no out-road is full.
+        self.no_out_queues = np.zeros((1, len(movement_keys)), np.int64)
+        self.no_out_queues.flags.writeable = False
 
 
 @runtime_checkable

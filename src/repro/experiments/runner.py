@@ -10,8 +10,9 @@ driven:
   ``controller_arrays()`` and a batch kernel; a single run on a batch
   engine is a batch of one;
 * :func:`run_scenario` drives a built serial engine that offers
-  ``controller_arrays()`` and ``movement_layout`` (meso-events) through
-  a B=1 batch kernel, handing ``step`` the usual node -> phase map;
+  ``controller_arrays()`` and ``movement_layout`` (meso, meso-events
+  and micro) through a B=1 batch kernel, handing ``step`` the usual
+  node -> phase map;
 * :func:`run_scenario` drives every other serial engine through
   ``observations()`` and a :class:`~repro.control.base.NetworkController`.
   meso-counts stays on this loop on purpose: it is the readable

@@ -97,9 +97,8 @@ from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from repro.core.engine import BatchControlArrays, register_engine
+from repro.core.engine import BatchControlArrays, FacadeTables, register_engine
 from repro.meso.counts import CountsSimulator
-from repro.model.network import BOUNDARY, Network
 from repro.model.phases import TRANSITION_PHASE_INDEX
 from repro.util.validation import check_positive
 
@@ -171,54 +170,6 @@ def _is_dyadic(value: float) -> bool:
     return (value * 1048576.0).is_integer()
 
 
-class _FacadeTables:
-    """The static controller-array tables of one network.
-
-    Column indices depend on the network alone, so they are built once
-    per network (:meth:`~repro.model.network.Network.derived`) and
-    shared, read-only, by every :class:`EventCountsSimulator` on it;
-    each engine pairs them with its own transit FIFOs.
-    """
-
-    def __init__(self, network: Network):
-        movement_keys = tuple(
-            key
-            for intersection in network.intersections.values()
-            for key in intersection.movements
-        )
-        #: ``(node_ids, movement_keys)`` — the arrays' column order.
-        self.movement_layout = (tuple(network.intersections), movement_keys)
-        #: Per promotable road: movement column of each next road.
-        self.columns_of_road: Dict[str, Dict[str, int]] = {}
-        #: Per promotable road: serve position of the node it feeds.
-        self.pos_of_road: Dict[str, int] = {}
-        #: Per serve position: the node's ``(first, end)`` column span
-        #: (contiguous, as the layout is node-major).
-        self.node_spans: List[Tuple[int, int]] = []
-        column = 0
-        for pos, intersection in enumerate(network.intersections.values()):
-            first = column
-            for in_road, out_road in intersection.movements:
-                self.columns_of_road.setdefault(in_road, {})[out_road] = column
-                self.pos_of_road[in_road] = pos
-                column += 1
-            self.node_spans.append((first, column))
-        #: Movement columns reading each non-exit road's spillback
-        #: sensor (exit roads always read 0).
-        columns_of: Dict[str, List[int]] = {}
-        for column, (_, out_road) in enumerate(movement_keys):
-            if network.road_destination[out_road] != BOUNDARY:
-                columns_of.setdefault(out_road, []).append(column)
-        self.spillback_columns = {
-            road: np.array(columns, dtype=np.int64)
-            for road, columns in columns_of.items()
-        }
-        for columns in self.spillback_columns.values():
-            columns.flags.writeable = False
-        self.no_out_queues = np.zeros((1, len(movement_keys)), np.int64)
-        self.no_out_queues.flags.writeable = False
-
-
 class EventCountsSimulator(CountsSimulator):
     """Event-driven counts simulator (see module docstring).
 
@@ -263,9 +214,7 @@ class EventCountsSimulator(CountsSimulator):
         self._started_slot: List[int] = [0] * n_nodes
         self._active_set: set = set()
 
-        tables = self.network.derived(
-            _FacadeTables, lambda: _FacadeTables(self.network)
-        )
+        tables = FacadeTables.of(self.network)
         #: Serve position of the intersection each promotable road
         #: feeds (a road ends at exactly one intersection).
         self._slot_to_pos: List[int] = [

@@ -15,6 +15,13 @@ Implements the Sec.-II dynamics literally:
 The simulator is *passive* with respect to control: every step takes
 the phase decision per intersection as input.  Use
 :class:`repro.experiments.runner` to close the loop with a controller.
+
+**Control.**  :meth:`MesoSimulator.controller_arrays` is the
+``(1, n_movements)`` view of exactly what :meth:`MesoSimulator.
+observations` reports, sensed from the per-road state only when a
+controller kernel reads it; the runner decides this engine with a B=1
+batch kernel (:mod:`repro.control.batch`).  ``observations()`` stays
+for the parity suites and the TraCI-style session.
 """
 
 from __future__ import annotations
@@ -23,7 +30,9 @@ import math
 from collections import deque
 from typing import Deque, Dict, Mapping, Optional, Tuple
 
-from repro.core.engine import register_engine
+import numpy as np
+
+from repro.core.engine import BatchControlArrays, FacadeTables, register_engine
 from repro.meso.road_state import RoadState
 from repro.meso.vehicle import MesoVehicle
 from repro.metrics.collector import MetricsCollector
@@ -162,6 +171,32 @@ class MesoSimulator:
         }
         self._finalized = False
 
+        # -- controller-array façade tables --------------------------------
+        tables = FacadeTables.of(network)
+        self._movement_layout = tables.movement_layout
+        #: Dedicated stop-line lanes in column order (``None`` when mixed).
+        self._stop_lines = (
+            None
+            if lane_policy == "mixed"
+            else [
+                self._roads[in_road].queues[out_road]
+                for in_road, out_road in tables.movement_layout[1]
+            ]
+        )
+        #: Per road feeding an intersection: its state and the movement
+        #: column of each next road.
+        self._sensed_roads = [
+            (self._roads[road_id], columns)
+            for road_id, columns in tables.columns_of_road.items()
+        ]
+        #: Per non-exit out-road: its state, capacity and the movement
+        #: columns reading its spillback sensor.
+        self._spill_roads = [
+            (self._roads[road_id], network.roads[road_id].capacity, columns)
+            for road_id, columns in tables.spillback_columns.items()
+        ]
+        self._no_out_queues = tables.no_out_queues
+
     # -- observation -------------------------------------------------------
 
     def observations(self) -> Dict[str, QueueObservation]:
@@ -206,6 +241,59 @@ class MesoSimulator:
         if occupancy >= self.network.roads[road_id].capacity:
             return occupancy
         return 0
+
+    # -- controller-array façade ------------------------------------------
+
+    @property
+    def movement_layout(self):
+        """``(node_ids, movement_keys)`` — the column order of the arrays."""
+        return self._movement_layout
+
+    def controller_arrays(self) -> BatchControlArrays:
+        """``Q(k)`` as a ``(1, n_movements)`` façade for a B=1 kernel.
+
+        Sensed on first read (:meth:`sense_arrays`), valid until the
+        next :meth:`step`.
+        """
+        return BatchControlArrays(self, (1, len(self._movement_layout[1])))
+
+    def sense_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(queues, out_queues)`` as ``(1, n_movements)`` arrays.
+
+        Exactly what :meth:`observations` reports: stop-line lane
+        lengths (or the shared lane's per-movement counts) plus transit
+        vehicles within the sensing horizon, and each movement's
+        out-queue from the spillback sensor.  Both arrays are read-only;
+        while no out-road is full, ``out_queues`` is one shared zero
+        array.
+        """
+        if self._stop_lines is None:  # mixed: counted per road below
+            queues = [0] * len(self._movement_layout[1])
+        else:
+            queues = list(map(len, self._stop_lines))
+        deadline = self.time + self._sensing_horizon
+        for state, column_of in self._sensed_roads:
+            if state.mixed:
+                for out_road, count in state.mixed_counts().items():
+                    queues[column_of[out_road]] = count
+            transit = state.transit
+            if transit and transit[0][0] <= deadline:
+                for ready, _, vehicle in transit:
+                    if ready <= deadline:
+                        next_road = vehicle.next_road
+                        if next_road is not None:
+                            queues[column_of[next_road]] += 1
+        out_queues = self._no_out_queues
+        for state, capacity, columns in self._spill_roads:
+            occupancy = state.occupancy
+            if occupancy >= capacity:
+                if out_queues is self._no_out_queues:
+                    out_queues = np.zeros_like(out_queues)
+                out_queues[0, columns] = occupancy
+        queues = np.array([queues], dtype=np.int64)
+        queues.flags.writeable = False
+        out_queues.flags.writeable = False
+        return queues, out_queues
 
     # -- stepping ----------------------------------------------------------
 

@@ -8,7 +8,11 @@ that produce the controllers' queue observations.
 The engine implements the same protocol as
 :class:`repro.meso.simulator.MesoSimulator` (``observations`` /
 ``step`` / ``finalize`` / ``collector`` / ``utilization``), and
-registers itself with the experiment runner as ``"micro"``.
+registers itself with the experiment runner as ``"micro"``.  Like
+``meso``, it also offers the B=1 controller-array façade
+(``controller_arrays()`` / ``sense_arrays()``), read from the same
+detectors only when a controller kernel reads it; the runner decides
+it with a B=1 batch kernel.
 """
 
 from __future__ import annotations
@@ -16,7 +20,9 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, Dict, List, Mapping, Optional, Tuple
 
-from repro.core.engine import register_engine
+import numpy as np
+
+from repro.core.engine import BatchControlArrays, FacadeTables, register_engine
 from repro.scenarios.core import Scenario
 from repro.metrics.collector import MetricsCollector
 from repro.metrics.utilization import UtilizationTracker
@@ -122,6 +128,19 @@ class MicroSimulator:
         self._next_vehicle_id = 0
         self._finalized = False
 
+        # -- controller-array façade tables --------------------------------
+        tables = FacadeTables.of(network)
+        self._movement_layout = tables.movement_layout
+        #: Turning lanes in column order.
+        self._detector_lanes = [
+            self._lanes[in_road][out_road]
+            for in_road, out_road in tables.movement_layout[1]
+        ]
+        #: Per non-exit out-road: the movement columns reading its
+        #: spillback sensor.
+        self._spill_roads = list(tables.spillback_columns.items())
+        self._no_out_queues = tables.no_out_queues
+
     # -- sensing ------------------------------------------------------------
 
     def observations(self) -> Dict[str, QueueObservation]:
@@ -151,14 +170,56 @@ class MicroSimulator:
         if self.network.road_destination[road_id] == BOUNDARY:
             return 0
         p = self.params
-        lanes = self._lanes[road_id]
-        spilled = any(
-            lane.spillback_halted(p.spill_window, p.halting_speed)
-            for lane in lanes.values()
+        for lane in self._lanes[road_id].values():
+            if lane.vehicles and lane.spillback_halted(
+                p.spill_window, p.halting_speed
+            ):
+                return self.road_occupancy(road_id)
+        return 0
+
+    @property
+    def movement_layout(self):
+        """``(node_ids, movement_keys)`` — the column order of the arrays."""
+        return self._movement_layout
+
+    def controller_arrays(self) -> BatchControlArrays:
+        """``Q(k)`` as a ``(1, n_movements)`` façade for a B=1 kernel.
+
+        Sensed on first read (:meth:`sense_arrays`), valid until the
+        next :meth:`step`.
+        """
+        return BatchControlArrays(self, (1, len(self._movement_layout[1])))
+
+    def sense_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(queues, out_queues)`` as ``(1, n_movements)`` arrays.
+
+        Exactly what :meth:`observations` reports: each turning lane's
+        detector count and each movement's out-queue from the spillback
+        sensor.  Both arrays are read-only; while no out-road has
+        spilled back, ``out_queues`` is one shared zero array.
+        """
+        p = self.params
+        queues = np.array(
+            [
+                [
+                    lane.detector_count(p.detector_range, p.halting_speed)
+                    if lane.vehicles
+                    else 0
+                    for lane in self._detector_lanes
+                ]
+            ],
+            dtype=np.int64,
         )
-        if not spilled:
-            return 0
-        return self.road_occupancy(road_id)
+        out_queues = self._no_out_queues
+        for road_id, columns in self._spill_roads:
+            sensed = self._sensed_out_queue(road_id)
+            if sensed:
+                if out_queues is self._no_out_queues:
+                    out_queues = np.zeros_like(out_queues)
+                out_queues[0, columns] = sensed
+        queues.flags.writeable = False
+        out_queues.flags.writeable = False
+        return queues, out_queues
 
     def road_occupancy(self, road_id: str) -> int:
         """Vehicles currently on a road (all its lanes)."""

@@ -33,7 +33,11 @@ controller layer:
   under every out-queue sensing mode, and on every slot read after
   several unread ones (the stop-line row is refreshed only for the
   nodes the steps touched), on the event loop and on the per-slot
-  fallback alike.
+  fallback alike;
+* the meso (both lane policies) and micro façades: their arrays equal
+  the engines' own ``observations()`` at every slot and after runs of
+  unread slots, on patterns I-IV and on short roads, with a full
+  out-road and an approaching vehicle sensed on some slot.
 """
 
 import dataclasses
@@ -59,11 +63,14 @@ from repro.core.config import UtilBpConfig
 from repro.core.engine import build_batch_engine
 from repro.experiments import runner
 from repro.meso.events import EventCountsSimulator
+from repro.meso.simulator import MesoSimulator
 from repro.meso.vectorized import BatchCountsSimulator
+from repro.micro.simulator import MicroSimulator
 from repro.model.grid import build_grid_network
 from repro.model.queues import QueueObservation
 from repro.scenarios import build_named_scenario
 from repro.scenarios.core import build_scenario
+from repro.scenarios.patterns import PATTERN_NAMES
 from tests.conftest import MIXED_PHASES, ReferenceUtilBp, build_parity_scenario
 
 #: (controller name, parameters) pairs: every controller name.
@@ -346,6 +353,115 @@ class TestEventsControllerArrays:
             sim.step(mini_slot, dict(zip(kernel.node_ids, row.tolist())))
         assert sim._per_slot_fallback == (mini_slot == 0.3)
         assert reads
+
+
+def _meso(lane_policy):
+    def build(scenario):
+        return MesoSimulator(
+            network=scenario.network,
+            demand=scenario.demand,
+            turning=scenario.turning,
+            seed=scenario.seed,
+            lane_policy=lane_policy,
+        )
+
+    return build
+
+
+def _micro(scenario):
+    return MicroSimulator(
+        network=scenario.network,
+        demand=scenario.demand,
+        turning=scenario.turning,
+        seed=scenario.seed,
+    )
+
+
+#: The per-vehicle engines with an array façade, by lane policy.
+PER_VEHICLE_ENGINES = {
+    "meso": _meso("dedicated"),
+    "meso-mixed-lanes": _meso("mixed"),
+    "micro": _micro,
+}
+
+#: The paper's patterns, then steady-3x3 with room for 12 vehicles per
+#: road (meso's out-roads fill up and its spillback sensor reads them)
+#: and the same on 60 m roads (micro ignores the capacity, its lanes
+#: hold what their length holds, so only short roads back up to the
+#: junction mouth within the run).
+PER_VEHICLE_PLANTS = (
+    ("I", {}),
+    ("II", {}),
+    ("III", {}),
+    ("IV", {}),
+    ("steady-3x3", {"capacity": 12}),
+    ("steady-3x3", {"capacity": 12, "road_length": 60.0}),
+)
+
+PER_VEHICLE_STEPS = 200
+
+
+def _per_vehicle_plant(name, overrides):
+    if name in PATTERN_NAMES:
+        return build_scenario(name, seed=7, **overrides)
+    return build_named_scenario(name, seed=7, **overrides)
+
+
+class TestPerVehicleControllerArrays:
+    """meso's and micro's array façades report exactly their own ``Q(k)``."""
+
+    @pytest.mark.parametrize(
+        "controller,params,read_every",
+        (("util-bp", {}, 1), ("fixed-time", {"period": 16.0}, 7)),
+        ids=("util-bp-every-slot", "fixed-time-every-7"),
+    )
+    @pytest.mark.parametrize("engine", sorted(PER_VEHICLE_ENGINES))
+    def test_arrays_equal_observations(
+        self, engine, controller, params, read_every
+    ):
+        """Every read equals ``observations()`` packed into the layout.
+
+        Fixed-time never reads the façade, so the reads every 7th slot
+        follow runs of unread steps.  Over the drawn slots some read
+        must see a full out-road and some a vehicle that is not yet
+        standing in a stop-line queue (meso: in transit within the
+        sensing horizon; micro: moving inside the detector area).
+        """
+        full = approaching = 0
+        for name, overrides in PER_VEHICLE_PLANTS:
+            scenario = _per_vehicle_plant(name, overrides)
+            sim = PER_VEHICLE_ENGINES[engine](scenario)
+            kernel = build_batch_controller(
+                controller, scenario.network, 1, **params
+            )
+            assert sim.movement_layout == (
+                kernel.node_ids,
+                kernel.movement_keys,
+            )
+            movement_keys = kernel.movement_keys
+            in_roads = {in_road for in_road, _ in movement_keys}
+            for step in range(PER_VEHICLE_STEPS):
+                arrays = sim.controller_arrays()
+                if step % read_every == 0:
+                    queues, out_queues = _arrays_from_observations(
+                        sim.observations(), movement_keys
+                    )
+                    assert arrays.time == sim.time
+                    assert (arrays.queues == queues).all(), (name, step)
+                    assert (arrays.out_queues == out_queues).all(), (
+                        name,
+                        step,
+                    )
+                    assert not arrays.queues.flags.writeable
+                    assert not arrays.out_queues.flags.writeable
+                    full += int(arrays.out_queues.any())
+                    approaching += int(
+                        arrays.queues.sum()
+                        > sum(sim.incoming_queue_total(r) for r in in_roads)
+                    )
+                row = kernel.decide_batch(arrays)[0]
+                sim.step(1.0, dict(zip(kernel.node_ids, row.tolist())))
+        assert full and approaching
 
 
 class _Frame:

@@ -93,7 +93,9 @@ class TestRegistry:
         import repro.experiments.runner as runner
 
         assert [e for e in ENGINES if hasattr(_make(e), "controller_arrays")] == [
-            "meso-events"
+            "meso",
+            "meso-events",
+            "micro",
         ]
 
         def builder(scenario):

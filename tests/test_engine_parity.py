@@ -40,7 +40,9 @@ same way, and so is the runner: ``run_scenario`` on ``meso-vec`` is a
 batch of one and must equal the ``meso-counts`` run.  ``run_scenario``
 on ``meso-events`` runs a B=1 kernel on the engine's own array façade
 and must equal the ``meso-counts`` run too, which stays on the serial
-``observations()`` / ``NetworkController`` loop.
+``observations()`` / ``NetworkController`` loop.  ``run_scenario`` on
+``meso`` and ``micro`` runs the B=1 kernel on their façades as well and
+must equal the same engine driven by hand through the serial loop.
 """
 
 import numpy as np
@@ -1099,6 +1101,123 @@ class TestEventsRunner:
                 engine=engine,
                 controller="cap-bp",
             )
+
+
+def _serial_loop_run(scenario, engine, controller, params, duration, **record):
+    """``run_scenario``'s serial loop by hand: ``observations()`` and the
+    per-intersection controllers every slot.
+
+    Returns the run's result and how many slots saw an out-road full.
+    """
+    from repro.experiments.runner import RunResult
+    from repro.metrics.traces import PhaseTrace, QueueTrace, next_grid_sample
+
+    sim = build_engine(scenario, engine)
+    network_controller = make_network_controller(
+        controller, scenario.network, **params
+    )
+    phase_traces = {node: PhaseTrace(node) for node in record["record_phases"]}
+    queue_traces = {
+        (node, road): QueueTrace(road_id=road)
+        for node, road in record["record_queues"]
+    }
+    next_sample = 0.0
+    spilled = 0
+    for _ in range(int(duration)):
+        now = sim.time
+        observations = sim.observations()
+        spilled += any(
+            any(obs.out_queues.values()) for obs in observations.values()
+        )
+        decisions = network_controller.decide(observations)
+        for node, trace in phase_traces.items():
+            trace.record(now, decisions[node])
+        if now >= next_sample:
+            for (_, road), trace in queue_traces.items():
+                trace.sample(now, sim.incoming_queue_total(road))
+            next_sample = next_grid_sample(now, 5.0)
+        sim.step(1.0, decisions)
+    sim.finalize()
+    result = RunResult(
+        scenario_name=scenario.name,
+        controller_name=controller,
+        duration=duration,
+        summary=sim.collector.summary(duration),
+        phase_traces=phase_traces,
+        queue_traces=queue_traces,
+        utilization=dict(sim.utilization),
+        vehicles_in_network=sim.vehicles_in_network(),
+        backlog=sim.backlog_size(),
+    )
+    return result, spilled
+
+
+class TestPerVehicleRunner:
+    """``run_scenario`` on meso and micro: B=1 kernel loop == serial loop.
+
+    Both engines offer the array façade, so ``run_scenario`` decides
+    them with a B=1 kernel; the result must equal the serial
+    ``observations()`` / ``NetworkController`` loop's, traces included.
+    The short-road plant reaches spillback on both engines.
+    """
+
+    CONTROLLERS = TestEventsRunner.CONTROLLERS
+
+    #: id -> (pattern or catalog entry, overrides, meso / micro horizon).
+    PLANTS = {
+        "II": ("II", {}, 300.0, 100.0),
+        "IV": ("IV", {}, 300.0, 100.0),
+        "short-roads": (
+            "steady-3x3",
+            {"capacity": 8, "road_length": 60.0},
+            300.0,
+            200.0,
+        ),
+    }
+
+    @pytest.mark.parametrize(
+        "controller,params", CONTROLLERS, ids=[c for c, _ in CONTROLLERS]
+    )
+    @pytest.mark.parametrize("plant", sorted(PLANTS))
+    @pytest.mark.parametrize("engine", ("meso", "micro"))
+    def test_kernel_run_equals_serial_loop(
+        self, monkeypatch, engine, plant, controller, params
+    ):
+        import repro.experiments.runner as runner
+        from repro.scenarios.core import build_scenario
+        from repro.scenarios.patterns import PATTERN_NAMES
+
+        name, overrides, meso_duration, micro_duration = self.PLANTS[plant]
+        duration = meso_duration if engine == "meso" else micro_duration
+
+        def build():
+            if name in PATTERN_NAMES:
+                return build_scenario(name, seed=3, **overrides)
+            return build_named_scenario(name, seed=3, **overrides)
+
+        record = dict(
+            record_phases=("J00", "J11"),
+            record_queues=(("J00", "IN:N@J00"), ("J11", "J01->J11")),
+        )
+        serial, spilled = _serial_loop_run(
+            build(), engine, controller, params, duration, **record
+        )
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("serial controllers built for an array engine")
+
+        monkeypatch.setattr(runner, "make_network_controller", forbidden)
+        kernel_run = runner.run_scenario(
+            build(),
+            engine=engine,
+            controller=controller,
+            controller_params=params,
+            duration=duration,
+            **record,
+        )
+        assert kernel_run.to_dict() == serial.to_dict()
+        if plant == "short-roads":
+            assert spilled
 
 
 class TestAggregateSummary:

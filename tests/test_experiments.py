@@ -185,10 +185,13 @@ class TestRunner:
         monkeypatch.setattr(
             runner_module, "make_network_controller", partial
         )
+        # meso-counts is the serial engine that has no array façade, so
+        # run_scenario asks make_network_controller for its controllers.
         result = run_scenario(
             build_scenario("II", seed=1, rows=1, cols=1),
             controller="util-bp",
             duration=30,
+            engine="meso-counts",
             record_phases=("J00",),
         )
         assert set(result.phase_traces["J00"].phases) == {
