@@ -137,7 +137,6 @@ class _NetworkLayout:
         gid_of = {}
         in_code = []
         code_of = {}
-        node_starts = []
         for n, inter in enumerate(intersections):
             if not inter.movements or not inter.phases:
                 # The kernels reduce per node over movement columns and
@@ -146,7 +145,6 @@ class _NetworkLayout:
                     f"intersection {inter.node_id} has no movements or "
                     f"no phases; batch controllers need both at every node"
                 )
-            node_starts.append(len(movement_keys))
             for key, movement in inter.movements.items():
                 gid_of[(n, key)] = len(movement_keys)
                 movement_keys.append(key)
@@ -163,14 +161,14 @@ class _NetworkLayout:
         self.m_rate = np.array(rate, dtype=np.float64)
         self._in_code = np.array(in_code, dtype=np.int64)
         self._n_in_roads = len(code_of)
-        #: First movement column of each node (node-wise ``reduceat``).
-        self.node_starts = np.array(node_starts, dtype=np.int64)
+        #: Node column of each movement column.
+        self.m_node = np.array(node_of, dtype=np.int64)
 
         w_star = np.array(
             [inter.w_star for inter in intersections], dtype=np.int64
         )
         self.node_w_star = w_star
-        self.m_w_star = w_star.astype(np.float64)[np.array(node_of)]
+        self.m_w_star = w_star.astype(np.float64)[self.m_node]
 
         # Dense phase tables (N, P) / (N, P, L) with validity masks.
         P = max(len(inter.phases) for inter in intersections)
@@ -274,18 +272,22 @@ class _BatchControllerBase:
 class _UtilBpPlan:
     """UTIL-BP's gather table of one network, in phase-index order.
 
-    A re-decided cell reads one row, ``gather[n, r]`` for node ``n``
-    running phase ``r`` (0: amber): the columns of a ``(2, S, L)`` block
-    of link gains, ``S = max_index + 1`` phase slots of ``L`` member
-    links.  Slot ``i >= 1`` is the node's phase of index ``i``, so the
-    first best slot is the lowest best phase index, as in the serial
-    tie-break; slot 0 repeats the running phase, so the running phase's
-    own gains sit at a fixed place.  Half 0 feeds the maxima (Eq. 11):
-    a phase's padding repeats its first link (which changes neither the
-    maximum nor the first arg-max), and a missing phase — and slot 0
-    under amber — reads the ``-inf`` column.  Half 1 feeds the sums
-    (Eq. 10): padding reads the ``0.0`` column.  Column ``M`` is
-    ``-inf`` and ``M + 1`` is ``0.0`` in the kernel's gains rows.
+    A re-decided cell reads one column, ``gather[:, n * S + r]`` for
+    node ``n`` running phase ``r`` (0: amber): the gains-row columns of
+    a ``(2, S, L)`` block of link gains, ``S = max_index + 1`` phase
+    slots of ``L`` member links.  Slot ``i >= 1`` is the node's phase
+    of index ``i``, so the first best slot is the lowest best phase
+    index, as in the serial tie-break; slot 0 repeats the running
+    phase, so the running phase's own gains sit at a fixed place.
+    Half 0 feeds the maxima (Eq. 11): a phase's padding repeats its
+    first link (which changes neither the maximum nor the first
+    arg-max), and a missing phase — and slot 0 under amber — reads the
+    ``-inf`` column.  Half 1 feeds the sums (Eq. 10): padding reads the
+    ``0.0`` column.  Column ``M`` is ``-inf`` and ``M + 1`` is ``0.0``
+    in the kernel's gains rows.  The table is stored block-major,
+    ``(2 S L, N S)``, so a gather of K cells is a C-contiguous
+    ``(2 S L, K)`` array whose reductions over slots and links run
+    elementwise along the cells.
 
     ``w_mu[n, r, l]`` is ``W* mu`` (Eq. 12) of phase ``r``'s ``l``-th
     link, ``rates`` its ``mu``; zero on padding.  Like the layout, the
@@ -321,7 +323,7 @@ class _UtilBpPlan:
         blocks[:, :, 1, 0] = by_sum
         self.slots = S
         self.links = L
-        self.gather = blocks.reshape(N, S, 2 * S * L)
+        self.gather = np.ascontiguousarray(blocks.reshape(N * S, -1).T)
         self.rates = rates
         self.w_mu = lay.node_w_star.astype(np.float64)[:, None, None] * rates
         for value in (self.gather, self.rates, self.w_mu):
@@ -360,16 +362,30 @@ class BatchUtilBpController(_BatchControllerBase):
     phase and static configuration, so with all of them unchanged the
     previous decision repeats — and that decision was the running phase.
 
-    The kernel computes Eq. 8 once, dense over ``(B, M)``, gathers the
-    gain blocks of the ``K`` re-decided cells (:class:`_UtilBpPlan`),
-    runs Eqs. 10-12 and the tie-break on ``(S, K)`` phase-slot arrays
-    and scatters decisions and armed timers back.  It keeps
-    the previous call's arrays, so they must not change afterwards:
-    the engines hand out read-only snapshots, which are kept as they
-    are, and a writable array is copied.
+    **Eq. 8 is kept, not recomputed.**  The kernel keeps one gains row
+    per replication across calls and re-evaluates Eq. 8 only for the
+    flat ``(b, m)`` columns whose ``queues`` or ``out_queues`` entry
+    differs from the previous call's; the first call since construction
+    or :meth:`reset` evaluates every column.  The changed columns also
+    name the changed cells, and a stale mask carried from the previous
+    call names the cells it left in amber or switched.  The kernel then
+    gathers the gain blocks of the ``K`` re-decided cells
+    (:class:`_UtilBpPlan`) from the kept row, runs Eqs. 10-12 and the
+    tie-break on ``(S, K)`` phase-slot arrays and scatters decisions and
+    armed timers back.  The row therefore always equals a fresh dense
+    evaluation of the last inputs, bit for bit: each column is computed
+    by the same elementwise :func:`~repro.core.pressure.link_gain_array`.
+    (This is not a column gather per re-decided cell, which re-read every
+    member column of every re-decided cell on each call and was slower
+    than the dense Eq. 8; here a column is recomputed only when its own
+    inputs change.)  The kernel keeps the previous call's arrays, so
+    they must not change afterwards: the engines hand out read-only
+    snapshots, which are kept as they are, and a writable array is
+    copied.
 
     ``cells_offered`` and ``cells_decided`` count the cells seen and
-    the cells re-decided since construction or :meth:`reset`.
+    the cells re-decided, and ``columns_updated`` the Eq. 8 columns
+    evaluated, since construction or :meth:`reset`.
     """
 
     def __init__(
@@ -381,11 +397,12 @@ class BatchUtilBpController(_BatchControllerBase):
         self.config = config or UtilBpConfig()
         super().__init__(network, batch_size)
         plan = self._plan = _UtilBpPlan.of(network)
+        lay = self._layout
         # Eq. 12 per link, rounded as the serial controller rounds it:
         # g* = W* mu, then lowered by keep_margin mu.
         self._threshold = plan.w_mu - self.config.keep_margin * plan.rates
         B, N = self._shape
-        M = self._layout.n_movements
+        M = lay.n_movements
         # One gains row per replication plus the padding columns M
         # (-inf) and M + 1 (0.0) the gather table points at.
         self._extended = np.empty((B, M + 2), dtype=np.float64)
@@ -393,16 +410,74 @@ class BatchUtilBpController(_BatchControllerBase):
         self._extended[:, M + 1] = 0.0
         self._gains = self._extended[:, :M]
         self._all_cells = np.arange(B * N)
+        # Per flat input column b * M + m: its place in the flat gains
+        # rows, its cell b * N + n, and Eq. 8's static columns.
+        replication, movement = np.divmod(np.arange(B * M), M)
+        self._gain_at = np.arange(B * M) + 2 * replication
+        self._cell_of = replication * N + lay.m_node[movement]
+        self._columns = (
+            lay.m_out_cap[movement],
+            lay.m_w_star[movement],
+            lay.m_rate[movement],
+        )
 
     def reset(self) -> None:
         """Reset phases, transition timers, the memo and the counters."""
         super().reset()
         #: t_{Delta k} per (replication, node).
         self._transition_until = np.full(self._shape, -math.inf)
-        #: The previous call's (queues, out_queues, running phases).
-        self._memo: Tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        #: The previous call's (queues, out_queues).
+        self._memo: Tuple[np.ndarray, np.ndarray] | None = None
+        #: Flat cells the previous call left in amber or switched.
+        self._stale = np.zeros(self._current.size, dtype=bool)
         self.cells_offered = 0
         self.cells_decided = 0
+        self.columns_updated = 0
+
+    def _update_gains(
+        self, queues: np.ndarray, out_queues: np.ndarray
+    ) -> np.ndarray | None:
+        """Re-evaluate Eq. 8 where the inputs changed; return their cells.
+
+        The cells come one per changed column, so a cell can repeat.
+        ``None`` means every cell: the first call since construction or
+        :meth:`reset` evaluates every column.
+        """
+        cfg = self.config
+        memo = self._memo
+        if memo is None:
+            lay = self._layout
+            link_gain_array(
+                queues,
+                out_queues,
+                lay.m_out_cap,
+                lay.m_w_star,
+                lay.m_rate,
+                cfg.alpha,
+                cfg.beta,
+                out=self._gains,
+            )
+            self.columns_updated += queues.size
+            return None
+        last_queues, last_out_queues = memo
+        changed = queues != last_queues
+        if out_queues is not last_out_queues:
+            changed |= out_queues != last_out_queues
+        columns = np.flatnonzero(changed)
+        if len(columns):
+            out_cap, w_star, rate = self._columns
+            gains = link_gain_array(
+                queues.reshape(-1).take(columns),
+                out_queues.reshape(-1).take(columns),
+                out_cap.take(columns),
+                w_star.take(columns),
+                rate.take(columns),
+                cfg.alpha,
+                cfg.beta,
+            )
+            self._extended.reshape(-1)[self._gain_at.take(columns)] = gains
+            self.columns_updated += len(columns)
+        return self._cell_of.take(columns)
 
     def decide_batch(self, arrays: BatchControlArrays) -> np.ndarray:
         """Run Algorithm 1 on the cells whose inputs changed."""
@@ -410,21 +485,15 @@ class BatchUtilBpController(_BatchControllerBase):
         queues = arrays.queues
         out_queues = arrays.out_queues
         previous = self._current
-        memo = self._memo
-        if memo is None:
+        changed_cells = self._update_gains(queues, out_queues)
+        self._memo = (_snapshot(queues), _snapshot(out_queues))
+        if changed_cells is None:
             cells = self._all_cells
         else:
-            last_queues, last_out_queues, last_running = memo
-            changed = queues != last_queues
-            if out_queues is not last_out_queues:
-                changed |= out_queues != last_out_queues
-            redo = np.logical_or.reduceat(
-                changed, self._layout.node_starts, axis=1
-            )
-            redo |= previous != last_running
-            redo |= previous == 0
+            redo = self._stale
+            redo[changed_cells] = True
             cells = np.flatnonzero(redo)
-        self._memo = (_snapshot(queues), _snapshot(out_queues), previous)
+            redo[cells] = False
         self.cells_offered += previous.size
         self.cells_decided += len(cells)
         if not len(cells):
@@ -433,32 +502,18 @@ class BatchUtilBpController(_BatchControllerBase):
         cfg = self.config
         plan = self._plan
         t_k = arrays.time
-        link_gain_array(
-            queues,
-            out_queues,
-            self._layout.m_out_cap,
-            self._layout.m_w_star,
-            self._layout.m_rate,
-            cfg.alpha,
-            cfg.beta,
-            out=self._gains,
-        )
         replication, node = np.divmod(cells, self._shape[1])
         running = previous.take(cells)
         S, L = plan.slots, plan.links
         # (2, S, L, K): the K cells run along the last, contiguous axis,
-        # so the reductions over slots and links are elementwise.
-        block = self._extended[
-            replication, plan.gather[node, running].T
-        ].reshape(2, S, L, len(cells))
+        # so the reductions over links are elementwise and add the links
+        # left to right, as the serial controller adds.
+        at = plan.gather.take(node * S + running, axis=1)
+        at += replication * self._extended.shape[1]
+        block = self._extended.reshape(-1).take(at).reshape(2, S, L, -1)
         links, addends = block
-        # Eq. 11 per phase slot; Eq. 10 added left to right, as the
-        # serial controller adds.
-        g_max = links[:, 0]
-        g_sum = addends[:, 0]
-        for j in range(1, L):
-            g_max = np.maximum(g_max, links[:, j])
-            g_sum = g_sum + addends[:, j]
+        g_max = links.max(axis=1)  # Eq. 11 per phase slot
+        g_sum = addends.sum(axis=1)  # Eq. 10 per phase slot
 
         # Case 3: utilization-aware selection.  Slot 0 is the running
         # phase, so a best running phase wins the tie-break; otherwise
@@ -489,6 +544,9 @@ class BatchUtilBpController(_BatchControllerBase):
             self._transition_until.put(
                 cells[arm], t_k + cfg.transition_duration
             )
+        # A cell left in amber or switched (from amber, or to amber by
+        # arming) is re-decided on the next call whatever its inputs.
+        self._stale[cells[amber | arm]] = True
         self._current = decision
         return decision
 

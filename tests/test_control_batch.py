@@ -25,9 +25,17 @@ controller layer:
   running phase, amber) and the serial controllers' summed count,
   with amber timers expiring and phases starting while inputs hold,
   ``reset()`` mid-stream, every parameter branch, in-place buffers and
-  B=4; a light-load run re-decides under 20 % of the cells, and one
-  whole run re-decides as many cells under meso-counts' serial
-  controllers as under meso-events' B=1 kernel;
+  B=4 and 16; a light-load run re-decides under 20 % of the cells and
+  recomputes Eq. 8 for under 2 % of the column-slots, and one whole run
+  re-decides as many cells under meso-counts' serial controllers as
+  under meso-events' B=1 kernel;
+* the util-bp kernel's kept Eq. 8 row: after every call it equals a
+  fresh dense ``link_gain_array`` of that call's inputs, bit for bit, on
+  the held-input streams and on a congested meso-vec run whose
+  out-queues move between the shared zero array and fresh arrays;
+* B>1 lockstep on congested plants: B=3 and B=16 kernels on meso-vec
+  decide every replication like a B=1 kernel fed that replication's
+  rows, on every slot of the short-road steady-3x3 and surge-4x4;
 * the meso-events façade: its B=1 ``controller_arrays()`` equal the
   arrays assembled from its own ``observations()`` at every slot,
   under every out-queue sensing mode, and on every slot read after
@@ -61,6 +69,7 @@ from repro.control.factory import (
 )
 from repro.core.config import UtilBpConfig
 from repro.core.engine import build_batch_engine
+from repro.core.pressure import link_gain_array
 from repro.experiments import runner
 from repro.meso.events import EventCountsSimulator
 from repro.meso.simulator import MesoSimulator
@@ -120,6 +129,46 @@ class TestLockstepParity:
                 step,
             )
             sim.step(1.0, array)
+
+
+class TestCongestedBatchLockstep:
+    """Every replication of a wide kernel decides as a B=1 kernel does.
+
+    Short roads (``capacity=12``) keep the spillback sensor and amber
+    busy.  Each B=1 kernel reads its replication's rows of the wide
+    engine's arrays, so both see the same inputs on every slot.
+    """
+
+    @pytest.mark.parametrize("batch_size", (3, 16))
+    @pytest.mark.parametrize("scenario_name", ("steady-3x3", "surge-4x4"))
+    def test_every_replication_decides_as_b1(self, scenario_name, batch_size):
+        scenarios = [
+            build_parity_scenario(scenario_name, seed=s, capacity=12)
+            for s in range(1, batch_size + 1)
+        ]
+        sim = build_batch_engine(scenarios, "meso-vec")
+        network = scenarios[0].network
+        wide = build_batch_controller("util-bp", network, batch_size)
+        narrow = [
+            build_batch_controller("util-bp", network, 1)
+            for _ in range(batch_size)
+        ]
+        full = 0
+        for step in range(300):
+            arrays = sim.controller_arrays()
+            decision = wide.decide_batch(arrays)
+            queues, out_queues = arrays.queues, arrays.out_queues
+            for b, kernel in enumerate(narrow):
+                row = kernel.decide_batch(
+                    _Frame(
+                        arrays.time, queues[b:b + 1], out_queues[b:b + 1]
+                    )
+                )
+                assert (row[0] == decision[b]).all(), (scenario_name, b, step)
+            full += int(out_queues.any())
+            sim.step(1.0, decision)
+        assert full > 0
+        assert wide.cells_decided == sum(k.cells_decided for k in narrow)
 
 
 class TestDecisionBatchIndependence:
@@ -546,6 +595,29 @@ class _HeldStream:
         return out
 
 
+def _assert_gains_row_fresh(kernel, frame):
+    """The kernel's kept Eq. 8 row is a dense evaluation of ``frame``.
+
+    Compared bit for bit: a column the kernel failed to recompute, or
+    recomputed in another float order, shows here even where the
+    decision happens to come out the same.
+    """
+    layout = kernel._layout
+    fresh = link_gain_array(
+        frame.queues,
+        frame.out_queues,
+        layout.m_out_cap,
+        layout.m_w_star,
+        layout.m_rate,
+        kernel.config.alpha,
+        kernel.config.beta,
+    )
+    # Compared as bit patterns, so -0.0 / 0.0 or a NaN would differ too.
+    np.testing.assert_array_equal(
+        kernel._gains.view(np.int64), fresh.view(np.int64)
+    )
+
+
 def _snapshot_frame(stream, time):
     queues = stream.queues.copy()
     out_queues = stream.out_queues.copy()
@@ -562,9 +634,10 @@ def _drive_held_stream(
     Asserts identical decisions at every slot, and that the kernel
     re-decided exactly the cells its rule names: after a first call
     (all cells), those whose node inputs changed, whose running phase
-    differs from the previous call's, or which run amber.  The serial
-    controllers skip by the same rule, so the oracle stays independent
-    of it: every serial decision is also checked against
+    differs from the previous call's, or which run amber; and that its
+    kept Eq. 8 row equals a fresh dense evaluation after every call.
+    The serial controllers skip by the same rule, so the oracle stays
+    independent of it: every serial decision is also checked against
     ``ReferenceUtilBp``, which decides from scratch on every call, and
     the serial controllers' summed ``cells_decided`` must equal the
     kernel's after every call.  Returns event counts showing which
@@ -630,6 +703,7 @@ def _drive_held_stream(
             frame = _snapshot_frame(stream, time)
         decided_before = kernel.cells_decided
         decision = kernel.decide_batch(frame)
+        _assert_gains_row_fresh(kernel, frame)
         for b in range(batch_size):
             observations = stream.observations(b, time)
             expected = serial[b].decide(observations)
@@ -678,7 +752,7 @@ class TestReDecidedCells:
     kernel's ``cells_decided`` counter must match the re-decision rule.
     """
 
-    @pytest.mark.parametrize("batch_size", (1, 4))
+    @pytest.mark.parametrize("batch_size", (1, 4, 16))
     def test_held_inputs_decide_as_serial(self, batch_size):
         _, events = _drive_held_stream(batch_size, {})
         # The stream produced every situation the rule must handle.
@@ -723,6 +797,38 @@ class TestReDecidedCells:
         gc.collect()
         assert kept() is None
         assert kernel.cells_offered == kernel.cells_decided == 0
+
+    def test_gains_row_on_a_congested_batch(self):
+        """meso-vec B=3 on short roads: the kept row stays a fresh Eq. 8.
+
+        While no road is full the engine hands out one shared zero
+        ``out_queues`` array, call after call (the kernel skips the
+        comparison), and a fresh array once a road is full: the kernel
+        must recompute the out-queue columns on every such change.
+        """
+        scenarios = [
+            build_parity_scenario("steady-3x3", seed=s, capacity=12)
+            for s in (1, 2, 3)
+        ]
+        sim = build_batch_engine(scenarios, "meso-vec")
+        kernel = build_batch_controller("util-bp", scenarios[0].network, 3)
+        kinds = []
+        last = None
+        for _ in range(300):
+            arrays = sim.controller_arrays()
+            decision = kernel.decide_batch(arrays)
+            _assert_gains_row_fresh(kernel, arrays)
+            out_queues = arrays.out_queues
+            if out_queues is last:
+                kinds.append("same")
+            else:
+                kinds.append("full" if out_queues.any() else "zero")
+            last = out_queues
+            sim.step(1.0, decision)
+        # The spillback sensor fired, the out-queues went back to zero
+        # afterwards, and the shared zero array repeated across calls.
+        assert "same" in kinds
+        assert ("full", "zero") in set(zip(kinds, kinds[1:]))
 
     def test_node_without_movements_rejected(self):
         network = build_grid_network(2, 2)
@@ -774,6 +880,11 @@ class TestReDecidedCounters:
             sim.step(1.0, kernel.decide_batch(sim.controller_arrays()))
         assert kernel.cells_offered == 240 * cells
         assert kernel.cells_decided < 0.2 * kernel.cells_offered
+        # Eq. 8 is recomputed only for the columns whose inputs changed.
+        columns = 16 * len(kernel.movement_keys)
+        assert columns <= kernel.columns_updated < 0.02 * 240 * columns
+        kernel.reset()
+        assert kernel.columns_updated == 0
 
     @pytest.mark.parametrize(
         "workload,duration",
