@@ -34,8 +34,11 @@ builds it by name):
 
 A batch engine is driven only through these kernels: the runner has no
 per-replication ``QueueObservation`` path for it.  A serial engine that
-offers the same array façade at B=1 (``meso-events``) is decided by
-these kernels too.
+offers the same array façade at B=1 (``meso``, ``meso-events``,
+``micro``) is decided by these kernels too.  Kernels and engines read
+one movement axis per network,
+:class:`~repro.core.engine.FacadeTables`; :class:`_NetworkLayout` adds
+only the kernels' own tables to it.
 
 The façade senses its arrays on first read, so what a kernel reads is
 what the engine pays for: util-bp reads ``queues`` and ``out_queues``
@@ -53,7 +56,7 @@ from typing import Protocol, Tuple, runtime_checkable
 import numpy as np
 
 from repro.core.config import UtilBpConfig
-from repro.core.engine import BatchControlArrays
+from repro.core.engine import BatchControlArrays, FacadeTables
 from repro.core.pressure import (
     link_gain_array,
     link_gain_original_array,
@@ -99,18 +102,19 @@ class BatchNetworkController(Protocol):
 
 
 class _NetworkLayout:
-    """Static array tables of one network, in the canonical batch layout.
+    """The kernels' static tables of one network, on its movement axis.
 
-    The movement axis is node-major over ``network.intersections``
-    order with each intersection's movements in declaration order —
-    the same layout ``BatchCountsSimulator`` builds, so engine arrays
-    and controller tables align column-for-column (checked once via
-    ``movement_keys`` when the runner wires the two together).
-
-    Phase structure is densified for the segment reductions: phase slot
-    ``p`` of node ``n`` is ``intersections[n].phases[p]``, movement slot
-    ``j`` of a phase is its j-th declared movement, and boolean masks
-    cover the ragged padding.
+    The movement axis itself — node ids, movement keys, each column's
+    node and its plant constants — is the network's
+    :class:`~repro.core.engine.FacadeTables`, the same tuples and
+    arrays every engine's controller arrays follow; the runner still
+    compares ``movement_keys`` once, for engines that build their own.
+    On top of it this adds what only the kernels read: each node's
+    ``W*``, the in-road sums of Eq. 1, and the densified
+    phase structure of the segment reductions: phase slot ``p`` of
+    node ``n`` is ``intersections[n].phases[p]``, movement slot ``j``
+    of a phase is its j-th declared movement, and boolean masks cover
+    the ragged padding.
 
     Nothing here depends on the batch size, so :meth:`of` builds the
     layout once per network and every batch controller on that network
@@ -124,20 +128,9 @@ class _NetworkLayout:
         return network.derived(cls, lambda: cls(network))
 
     def __init__(self, network: Network):
-        node_ids = list(network.intersections)
-        intersections = [network.intersections[n] for n in node_ids]
-        self.node_ids: Tuple[str, ...] = tuple(node_ids)
-        N = len(node_ids)
-
-        movement_keys = []
-        node_of = []
-        out_cap = []
-        in_cap = []
-        rate = []
-        gid_of = {}
-        in_code = []
-        code_of = {}
-        for n, inter in enumerate(intersections):
+        axis = FacadeTables.of(network)
+        intersections = list(network.intersections.values())
+        for inter in intersections:
             if not inter.movements or not inter.phases:
                 # The kernels reduce per node over movement columns and
                 # phases; an empty node would read its neighbour's.
@@ -145,24 +138,17 @@ class _NetworkLayout:
                     f"intersection {inter.node_id} has no movements or "
                     f"no phases; batch controllers need both at every node"
                 )
-            for key, movement in inter.movements.items():
-                gid_of[(n, key)] = len(movement_keys)
-                movement_keys.append(key)
-                node_of.append(n)
-                out_cap.append(inter.out_roads[movement.out_road].capacity)
-                in_cap.append(inter.in_roads[movement.in_road].capacity)
-                rate.append(movement.service_rate)
-                road = (n, movement.in_road)
-                in_code.append(code_of.setdefault(road, len(code_of)))
-        self.movement_keys: Tuple[Tuple[str, str], ...] = tuple(movement_keys)
-        self.n_movements = len(movement_keys)
-        self.m_out_cap = np.array(out_cap, dtype=np.int64)
-        self.m_in_cap = np.array(in_cap, dtype=np.int64)
-        self.m_rate = np.array(rate, dtype=np.float64)
-        self._in_code = np.array(in_code, dtype=np.int64)
-        self._n_in_roads = len(code_of)
-        #: Node column of each movement column.
-        self.m_node = np.array(node_of, dtype=np.int64)
+        self.node_ids = axis.node_ids
+        self.movement_keys = axis.movement_keys
+        self.n_movements = axis.n_movements
+        self.m_node = axis.m_node
+        self.m_out_cap = axis.m_out_cap
+        self.m_in_cap = axis.m_in_cap
+        self.m_rate = axis.m_rate
+        N = len(intersections)
+        # Eq. 1 sums each in-road's movements, by road position.
+        self._in_code = axis.m_in_road
+        self._n_in_roads = len(network.roads)
 
         w_star = np.array(
             [inter.w_star for inter in intersections], dtype=np.int64
@@ -192,13 +178,16 @@ class _NetworkLayout:
         self.n_phases = np.array(
             [len(inter.phases) for inter in intersections], dtype=np.int64
         )
+        columns_of_road = axis.columns_of_road
         for n, inter in enumerate(intersections):
             for p, phase in enumerate(inter.phases):
                 self.phase_index[n, p] = phase.index
                 self.phase_valid[n, p] = True
                 self.slot_of[n, phase.index] = p
                 for j, movement in enumerate(phase.movements):
-                    self.members[n, p, j] = gid_of[(n, movement.key)]
+                    self.members[n, p, j] = (
+                        columns_of_road[movement.in_road][movement.out_road]
+                    )
                     self.member_valid[n, p, j] = True
         self._node_cols = np.arange(N)[None, :]
         for value in vars(self).values():

@@ -31,9 +31,6 @@ class UtilBpConfig:
         first case).  The paper orders ``beta < alpha < 0`` (Eq. 9) but
         notes the reverse is admissible; we enforce only negativity and
         expose :meth:`paper_ordering` for callers who want the check.
-    mini_slot:
-        The monitoring interval ``Delta_t = t_{k+1} - t_k`` in seconds.
-        Used by drivers to schedule controller invocations.
     keep_margin:
         Relaxation of the keep-phase threshold: the phase is kept while
         ``g_max > (W* - keep_margin) µ``, i.e. while the best link's
@@ -46,12 +43,10 @@ class UtilBpConfig:
     transition_duration: float = 4.0
     alpha: float = -1.0
     beta: float = -2.0
-    mini_slot: float = 1.0
     keep_margin: float = 0.0
 
     def __post_init__(self) -> None:
         check_positive("transition_duration", self.transition_duration)
-        check_positive("mini_slot", self.mini_slot)
         if self.keep_margin < 0:
             raise ValueError(
                 f"keep_margin must be >= 0, got {self.keep_margin}"

@@ -25,12 +25,13 @@ driven only through ``controller_arrays()`` (the array-shaped ``Q(k)``,
 :class:`~repro.control.batch.BatchNetworkController` kernel; a single
 run on it is a batch of one.  A built serial engine says how it is
 driven: one that also offers ``controller_arrays()`` and
-``movement_layout`` (``meso``, ``meso-events`` and ``micro``, which
-share their static columns through :class:`FacadeTables`) is decided
-by a B=1 kernel, every other one (``meso-counts``) through
-``observations()`` and a :class:`~repro.control.base.NetworkController`.  Controllers are not
-registered here: :mod:`repro.control.factory` holds the one controller
-table.
+``movement_layout`` (``meso``, ``meso-events`` and ``micro``) is
+decided by a B=1 kernel, every other one (``meso-counts``) through
+``observations()`` and a :class:`~repro.control.base.NetworkController`.
+Every array's columns are one network's :class:`FacadeTables` axis,
+which the kernels read too; the built-in engines share the façade
+itself through :class:`ArrayFacade`.  Controllers are not registered
+here: :mod:`repro.control.factory` holds the one controller table.
 
 Engines are registered by name so experiments, the orchestration pool
 and the CLI can select them with a string; :func:`engine_names` and
@@ -44,6 +45,7 @@ from typing import (
     Any,
     Callable,
     Dict,
+    Iterable,
     List,
     Mapping,
     Optional,
@@ -69,6 +71,7 @@ __all__ = [
     "BatchEngine",
     "BatchControlArrays",
     "FacadeTables",
+    "ArrayFacade",
     "Registry",
     "ENGINES",
     "BATCH_ENGINES",
@@ -153,13 +156,19 @@ class BatchControlArrays:
 
 
 class FacadeTables:
-    """The static controller-array columns of one network.
+    """The movement axis of one network: every controller array's columns.
 
-    Column indices depend on the network alone, so they are built once
-    per network (:meth:`~repro.model.network.Network.derived`) and
-    shared, read-only, by every serial engine on it that offers the
-    B=1 façade (``meso``, ``meso-events``, ``micro``); each engine
-    pairs them with its own per-road state.
+    Column ``m`` is a movement, node-major over ``network.intersections``
+    order with each intersection's movements in declaration order.  This
+    is the one place the axis is enumerated: the batch controller
+    kernels, ``meso-vec``, the B=1 façades of ``meso``, ``meso-events``
+    and ``micro`` and ``meso-counts``' credit index all read it from
+    here, so their arrays align column for column by construction.
+
+    The axis depends on the network alone, so it is built once per
+    network (:meth:`~repro.model.network.Network.derived`) and shared;
+    every array is C-contiguous and read-only.  Roads are numbered in
+    ``network.roads`` order.
     """
 
     @classmethod
@@ -168,13 +177,10 @@ class FacadeTables:
         return network.derived(cls, lambda: cls(network))
 
     def __init__(self, network: Network):
-        movement_keys = tuple(
-            key
-            for intersection in network.intersections.values()
-            for key in intersection.movements
-        )
-        #: ``(node_ids, movement_keys)`` — the arrays' column order.
-        self.movement_layout = (tuple(network.intersections), movement_keys)
+        road_pos = {road_id: i for i, road_id in enumerate(network.roads)}
+        capacity = [road.capacity for road in network.roads.values()]
+        keys: List[Tuple[str, str]] = []
+        node, in_road, out_road, rate = [], [], [], []
         #: Per road feeding an intersection: movement column of each
         #: next road.
         self.columns_of_road: Dict[str, Dict[str, int]] = {}
@@ -184,29 +190,108 @@ class FacadeTables:
         #: Per intersection position: the node's ``(first, end)`` column
         #: span (contiguous, as the layout is node-major).
         self.node_spans: List[Tuple[int, int]] = []
-        column = 0
         for pos, intersection in enumerate(network.intersections.values()):
-            first = column
-            for in_road, out_road in intersection.movements:
-                self.columns_of_road.setdefault(in_road, {})[out_road] = column
-                self.pos_of_road[in_road] = pos
-                column += 1
-            self.node_spans.append((first, column))
+            first = len(keys)
+            for key, movement in intersection.movements.items():
+                columns = self.columns_of_road.setdefault(movement.in_road, {})
+                columns[movement.out_road] = len(keys)
+                self.pos_of_road[movement.in_road] = pos
+                keys.append(key)
+                node.append(pos)
+                in_road.append(road_pos[movement.in_road])
+                out_road.append(road_pos[movement.out_road])
+                rate.append(movement.service_rate)
+            self.node_spans.append((first, len(keys)))
+        self.node_ids: Tuple[str, ...] = tuple(network.intersections)
+        self.movement_keys: Tuple[Tuple[str, str], ...] = tuple(keys)
+        #: ``(node_ids, movement_keys)`` — the arrays' column order.
+        self.movement_layout = (self.node_ids, self.movement_keys)
+        self.n_movements = len(keys)
+        #: Node position of each column.
+        self.m_node = np.array(node, dtype=np.int64)
+        #: In-road and out-road of each column, as ``network.roads``
+        #: positions.
+        self.m_in_road = np.array(in_road, dtype=np.int64)
+        self.m_out_road = np.array(out_road, dtype=np.int64)
+        #: Plant constants per column: in- and out-road capacity ``W``
+        #: and the movement's service rate ``mu``.
+        capacity = np.array(capacity, dtype=np.int64)
+        self.m_in_cap = capacity[self.m_in_road]
+        self.m_out_cap = capacity[self.m_out_road]
+        self.m_rate = np.array(rate, dtype=np.float64)
         #: Movement columns reading each non-exit road's spillback
         #: sensor (exit roads always read 0).
         columns_of: Dict[str, List[int]] = {}
-        for column, (_, out_road) in enumerate(movement_keys):
-            if network.road_destination[out_road] != BOUNDARY:
-                columns_of.setdefault(out_road, []).append(column)
+        for column, (_, out_road_id) in enumerate(keys):
+            if network.road_destination[out_road_id] != BOUNDARY:
+                columns_of.setdefault(out_road_id, []).append(column)
         self.spillback_columns = {
             road: np.array(columns, dtype=np.int64)
             for road, columns in columns_of.items()
         }
-        for columns in self.spillback_columns.values():
-            columns.flags.writeable = False
         #: The ``out_queues`` of a slot on which no out-road is full.
-        self.no_out_queues = np.zeros((1, len(movement_keys)), np.int64)
-        self.no_out_queues.flags.writeable = False
+        self.no_out_queues = np.zeros((1, len(keys)), np.int64)
+        shared = [*vars(self).values(), *self.spillback_columns.values()]
+        for value in shared:
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+
+    def out_queue_row(self, readings: Iterable[Tuple[str, int]]) -> np.ndarray:
+        """A B=1 read's ``out_queues``: ``(road, reading)`` spillbacks.
+
+        Each road's spillback columns hold its reading and every other
+        column reads 0; a road without spillback columns (an entry or
+        exit road) is skipped.  With nothing to write this is the
+        shared :attr:`no_out_queues` row, so a kernel sees the same
+        object on every uncongested slot.  The row is read-only.
+        """
+        row = self.no_out_queues
+        for road_id, reading in readings:
+            columns = self.spillback_columns.get(road_id)
+            if columns is None:
+                continue
+            if row is self.no_out_queues:
+                row = np.zeros_like(row)
+            row[0, columns] = reading
+        row.flags.writeable = False
+        return row
+
+
+class ArrayFacade:
+    """``movement_layout`` and ``controller_arrays()`` over FacadeTables.
+
+    The part of the controller-array façade every engine that offers it
+    shares (``meso``, ``meso-events``, ``micro`` and ``meso-vec``): the
+    engine calls :meth:`_bind_tables` once at construction and defines
+    ``sense_arrays()``; the façade's columns are its network's
+    :class:`FacadeTables` axis.
+    """
+
+    _tables: FacadeTables
+    _array_shape: Tuple[int, int]
+
+    def _bind_tables(self, network: Network, rows: int = 1) -> FacadeTables:
+        """Share ``network``'s axis; the arrays get ``rows`` rows."""
+        tables = self._tables = FacadeTables.of(network)
+        self._array_shape = (rows, tables.n_movements)
+        return tables
+
+    @property
+    def movement_layout(self) -> Tuple[Tuple[str, ...], Tuple[Tuple[str, str], ...]]:
+        """``(node_ids, movement_keys)`` — the column order of the arrays.
+
+        The same tuples the batch controller kernels read from the same
+        network; the runner compares the two once before the first step.
+        """
+        return self._tables.movement_layout
+
+    def controller_arrays(self) -> BatchControlArrays:
+        """``Q(k)`` as a ``(rows, n_movements)`` façade for a kernel.
+
+        Sensed on first read (``sense_arrays()``), valid until the
+        engine's next ``step()``.
+        """
+        return BatchControlArrays(self, self._array_shape)
 
 
 @runtime_checkable

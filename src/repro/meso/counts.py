@@ -45,7 +45,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, Dict, List, Mapping, Optional, Tuple
 
-from repro.core.engine import register_engine
+from repro.core.engine import FacadeTables, register_engine
 from repro.metrics.aggregate import AggregateMetricsCollector
 from repro.metrics.utilization import UtilizationTracker
 from repro.model.arrivals import ArrivalSchedule, PoissonArrivals
@@ -196,14 +196,13 @@ class CountsSimulator:
         self._in_network = 0
 
         # -- control-side state (semantics identical to the reference:
-        # flat arrays indexed by movement/intersection position instead
-        # of tuple-keyed dicts; a reset-to-zero entry is the reference's
-        # popped entry) ----------------------------------------------------
-        self._movement_index: Dict[Tuple[str, str], int] = {}
-        for intersection in network.intersections.values():
-            for key in intersection.movements:
-                self._movement_index[key] = len(self._movement_index)
-        self._credit: List[float] = [0.0] * len(self._movement_index)
+        # flat arrays indexed by movement column / intersection position
+        # instead of tuple-keyed dicts; a reset-to-zero entry is the
+        # reference's popped entry) ----------------------------------------
+        axis = FacadeTables.of(network)
+        credit_index = axis.columns_of_road
+        #: Service credit per movement column of the network's axis.
+        self._credit: List[float] = [0.0] * axis.n_movements
         self._active_phase: List[Optional[int]] = [None] * len(
             network.intersections
         )
@@ -234,7 +233,7 @@ class CountsSimulator:
                     out_is_exit = self._is_exit[m.out_road]
                     movements.append(
                         (
-                            self._movement_index[m.key],
+                            credit_index[m.in_road][m.out_road],
                             m.key,
                             m.in_road,
                             self._lanes[m.in_road][m.out_road],
@@ -255,10 +254,7 @@ class CountsSimulator:
                     position,
                     intersection,
                     self.utilization[node_id],
-                    [
-                        self._movement_index[key]
-                        for key in intersection.movements
-                    ],
+                    range(*axis.node_spans[position]),
                     phase_plans,
                     self._queue_counts[node_id],
                 )

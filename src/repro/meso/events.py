@@ -97,7 +97,7 @@ from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from repro.core.engine import BatchControlArrays, FacadeTables, register_engine
+from repro.core.engine import ArrayFacade, register_engine
 from repro.meso.counts import CountsSimulator
 from repro.model.phases import TRANSITION_PHASE_INDEX
 from repro.util.validation import check_positive
@@ -170,7 +170,7 @@ def _is_dyadic(value: float) -> bool:
     return (value * 1048576.0).is_integer()
 
 
-class EventCountsSimulator(CountsSimulator):
+class EventCountsSimulator(CountsSimulator, ArrayFacade):
     """Event-driven counts simulator (see module docstring).
 
     Accepts the same plant parameters as
@@ -214,7 +214,7 @@ class EventCountsSimulator(CountsSimulator):
         self._started_slot: List[int] = [0] * n_nodes
         self._active_set: set = set()
 
-        tables = FacadeTables.of(self.network)
+        tables = self._bind_tables(self.network)
         #: Serve position of the intersection each promotable road
         #: feeds (a road ends at exactly one intersection).
         self._slot_to_pos: List[int] = [
@@ -236,14 +236,13 @@ class EventCountsSimulator(CountsSimulator):
         self._mspan_in_network = 0
 
         # -- controller-array façade tables --------------------------------
-        self._movement_layout = tables.movement_layout
         #: Live count dicts in layout order (node-major, each in
         #: movement declaration order), copied into the stop-line row.
         self._count_dicts = [entry[6] for entry in self._serve_plan]
         self._node_spans = tables.node_spans
         #: The count dicts as of the last sensing, node-major; only the
         #: spans of the nodes in ``_dirty_nodes`` are stale.
-        self._stop_line_row = np.zeros(len(tables.movement_layout[1]), np.int64)
+        self._stop_line_row = np.zeros(tables.n_movements, np.int64)
         #: Serve positions whose count dicts a step changed since the
         #: last sensing: promotion targets and served nodes.
         self._dirty_nodes: set = set()
@@ -257,28 +256,10 @@ class EventCountsSimulator(CountsSimulator):
             (self._transit[road_id], tables.columns_of_road[road_id])
             for road_id in self._lanes
         ]
-        self._spillback_columns = tables.spillback_columns
-        self._no_out_queues = tables.no_out_queues
 
     # -- controller-array façade ------------------------------------------
-
-    @property
-    def movement_layout(self):
-        """``(node_ids, movement_keys)`` — the column order of the arrays.
-
-        The canonical layout a :class:`~repro.control.batch.
-        BatchNetworkController` derives from the same network; the
-        runner compares the two tuples once before the first step.
-        """
-        return self._movement_layout
-
-    def controller_arrays(self) -> BatchControlArrays:
-        """``Q(k)`` as a ``(1, n_movements)`` façade for a B=1 kernel.
-
-        Sensed on first read (:meth:`sense_arrays`), valid until the
-        next :meth:`step`.
-        """
-        return BatchControlArrays(self, (1, len(self._stop_line_row)))
+    # ``movement_layout`` and ``controller_arrays()`` come from
+    # :class:`~repro.core.engine.ArrayFacade`.
 
     def sense_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
         """``(queues, out_queues)`` as ``(1, n_movements)`` arrays.
@@ -312,21 +293,17 @@ class EventCountsSimulator(CountsSimulator):
         queues = row.copy()
         if sensed_columns:
             queues += np.bincount(sensed_columns, minlength=len(row))
-        if self._full_roads:
-            # Only roads at capacity read non-zero, and every such road
-            # is in the full-roads set.
-            out_queues = np.zeros_like(self._no_out_queues)
-            occupancy = self._occupancy
-            for road_id in self._full_roads:
-                columns = self._spillback_columns.get(road_id)
-                occ = occupancy[road_id]
-                if columns is not None and occ >= self._capacity[road_id]:
-                    out_queues[0, columns] = occ
-        else:
-            out_queues = self._no_out_queues
         queues = queues[None, :]
         queues.flags.writeable = False
-        out_queues.flags.writeable = False
+        # Only roads at capacity read non-zero, and every such road is
+        # in the full-roads set.
+        occupancy = self._occupancy
+        capacity = self._capacity
+        out_queues = self._tables.out_queue_row(
+            (road_id, occupancy[road_id])
+            for road_id in self._full_roads
+            if occupancy[road_id] >= capacity[road_id]
+        )
         return queues, out_queues
 
     # -- arrival windows ---------------------------------------------------

@@ -32,7 +32,7 @@ from typing import Deque, Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
-from repro.core.engine import BatchControlArrays, FacadeTables, register_engine
+from repro.core.engine import ArrayFacade, register_engine
 from repro.meso.road_state import RoadState
 from repro.meso.vehicle import MesoVehicle
 from repro.metrics.collector import MetricsCollector
@@ -48,7 +48,7 @@ from repro.util.validation import check_non_negative, check_positive
 __all__ = ["MesoSimulator"]
 
 
-class MesoSimulator:
+class MesoSimulator(ArrayFacade):
     """Store-and-forward simulation of a signalized network.
 
     The out-queue ``q_{i'}`` of Eq. 3 is read by a spillback sensor, the
@@ -172,15 +172,14 @@ class MesoSimulator:
         self._finalized = False
 
         # -- controller-array façade tables --------------------------------
-        tables = FacadeTables.of(network)
-        self._movement_layout = tables.movement_layout
+        tables = self._bind_tables(network)
         #: Dedicated stop-line lanes in column order (``None`` when mixed).
         self._stop_lines = (
             None
             if lane_policy == "mixed"
             else [
                 self._roads[in_road].queues[out_road]
-                for in_road, out_road in tables.movement_layout[1]
+                for in_road, out_road in tables.movement_keys
             ]
         )
         #: Per road feeding an intersection: its state and the movement
@@ -189,13 +188,12 @@ class MesoSimulator:
             (self._roads[road_id], columns)
             for road_id, columns in tables.columns_of_road.items()
         ]
-        #: Per non-exit out-road: its state, capacity and the movement
-        #: columns reading its spillback sensor.
+        #: Per non-exit out-road: its id, state and capacity, for the
+        #: spillback sensor.
         self._spill_roads = [
-            (self._roads[road_id], network.roads[road_id].capacity, columns)
-            for road_id, columns in tables.spillback_columns.items()
+            (road_id, self._roads[road_id], network.roads[road_id].capacity)
+            for road_id in tables.spillback_columns
         ]
-        self._no_out_queues = tables.no_out_queues
 
     # -- observation -------------------------------------------------------
 
@@ -243,19 +241,8 @@ class MesoSimulator:
         return 0
 
     # -- controller-array façade ------------------------------------------
-
-    @property
-    def movement_layout(self):
-        """``(node_ids, movement_keys)`` — the column order of the arrays."""
-        return self._movement_layout
-
-    def controller_arrays(self) -> BatchControlArrays:
-        """``Q(k)`` as a ``(1, n_movements)`` façade for a B=1 kernel.
-
-        Sensed on first read (:meth:`sense_arrays`), valid until the
-        next :meth:`step`.
-        """
-        return BatchControlArrays(self, (1, len(self._movement_layout[1])))
+    # ``movement_layout`` and ``controller_arrays()`` come from
+    # :class:`~repro.core.engine.ArrayFacade`.
 
     def sense_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
         """``(queues, out_queues)`` as ``(1, n_movements)`` arrays.
@@ -268,7 +255,7 @@ class MesoSimulator:
         array.
         """
         if self._stop_lines is None:  # mixed: counted per road below
-            queues = [0] * len(self._movement_layout[1])
+            queues = [0] * self._tables.n_movements
         else:
             queues = list(map(len, self._stop_lines))
         deadline = self.time + self._sensing_horizon
@@ -283,16 +270,13 @@ class MesoSimulator:
                         next_road = vehicle.next_road
                         if next_road is not None:
                             queues[column_of[next_road]] += 1
-        out_queues = self._no_out_queues
-        for state, capacity, columns in self._spill_roads:
-            occupancy = state.occupancy
-            if occupancy >= capacity:
-                if out_queues is self._no_out_queues:
-                    out_queues = np.zeros_like(out_queues)
-                out_queues[0, columns] = occupancy
+        out_queues = self._tables.out_queue_row(
+            (road_id, state.occupancy)
+            for road_id, state, capacity in self._spill_roads
+            if state.occupancy >= capacity
+        )
         queues = np.array([queues], dtype=np.int64)
         queues.flags.writeable = False
-        out_queues.flags.writeable = False
         return queues, out_queues
 
     # -- stepping ----------------------------------------------------------

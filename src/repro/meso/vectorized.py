@@ -73,6 +73,9 @@ a serial run would not have made).
 **Control.**  The runner drives the batch only through
 :meth:`~BatchCountsSimulator.controller_arrays` and a batch controller
 kernel; a single ``run_scenario`` on ``meso-vec`` is a batch of one.
+The arrays' movement columns are the network's
+:class:`~repro.core.engine.FacadeTables` axis, the one the kernels
+read, so engine and kernel align by construction.
 :meth:`~BatchCountsSimulator.observations` is the per-replication
 ``QueueObservation`` view the parity suites compare against.
 """
@@ -85,7 +88,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.core.engine import BatchControlArrays, register_batch_engine
+from repro.core.engine import ArrayFacade, FacadeTables, register_batch_engine
 from repro.metrics.aggregate import BatchAggregateMetricsCollector
 from repro.metrics.collector import Summary
 from repro.metrics.utilization import UtilizationTracker
@@ -111,19 +114,23 @@ def _frozen(array: np.ndarray) -> np.ndarray:
 
 
 class _ColumnTables:
-    """The static column tables of one network, in the batch layout.
+    """meso-vec's static tables of one network, on its movement axis.
 
+    The movement axis — node ids, movement keys, each column's node,
+    in-road, out-road and out-road capacity — is the network's
+    :class:`~repro.core.engine.FacadeTables`, shared with the
+    controller kernels.  On top of it this adds what only meso-vec
+    reads: the road tables, the phase tables, the hazard stages, the
+    observation plan and the per-column transfer / promote plans.
     Everything here depends on the network alone — no seed, batch size
     or plant parameter — so it is built once per network
     (:meth:`~repro.model.network.Network.derived`) and shared,
-    read-only, by every :class:`BatchCountsSimulator` on it: road and
-    movement indexing, the phase tables, the hazard stages, the
-    observation plan and the per-column transfer / promote plans.
-    Building raises ``ValueError`` for a phase layout meso-vec cannot
-    batch.
+    read-only, by every :class:`BatchCountsSimulator` on it.  Building
+    raises ``ValueError`` for a phase layout meso-vec cannot batch.
     """
 
     def __init__(self, network: Network):
+        axis = FacadeTables.of(network)
         # -- road tables ------------------------------------------------------
         road_ids = list(network.roads)
         self.road_ids = road_ids
@@ -142,39 +149,20 @@ class _ColumnTables:
             )
         )
 
-        # -- movement indexing (node-major, reference dict order) -----------
-        node_ids = list(network.intersections)
-        self.node_ids = node_ids
-        intersections = [network.intersections[n] for n in node_ids]
+        # -- the movement axis ------------------------------------------------
+        intersections = list(network.intersections.values())
         self.intersections = intersections
-        N = len(node_ids)
-        movement_keys: List[Tuple[str, str]] = []
-        node_of: List[int] = []
-        node_starts: List[int] = [0]
-        gid_of: Dict[Tuple[int, Tuple[str, str]], int] = {}
-        for n, inter in enumerate(intersections):
-            for key in inter.movements:
-                gid_of[(n, key)] = len(movement_keys)
-                movement_keys.append(key)
-                node_of.append(n)
-            node_starts.append(len(movement_keys))
-        M = len(movement_keys)
-        self.movement_keys = movement_keys
-        self.node_of = _frozen(np.array(node_of, dtype=np.int64))
-        self.node_starts = _frozen(np.array(node_starts[:-1], dtype=np.int64))
-        self.node_widths = _frozen(np.diff(np.array(node_starts, dtype=np.int64)))
-        in_idx = np.empty(M, dtype=np.int64)
-        out_idx = np.empty(M, dtype=np.int64)
-        for n, inter in enumerate(intersections):
-            for key, movement in inter.movements.items():
-                gid = gid_of[(n, key)]
-                in_idx[gid] = road_index[movement.in_road]
-                out_idx[gid] = road_index[movement.out_road]
-        self.in_idx = _frozen(in_idx)
-        self.out_idx = _frozen(out_idx)
+        N = len(intersections)
+        M = axis.n_movements
+        node_starts = [first for first, _ in axis.node_spans]
+        self.node_starts = _frozen(np.array(node_starts, dtype=np.int64))
+        self.node_widths = _frozen(
+            np.array([end - first for first, end in axis.node_spans], np.int64)
+        )
+        out_idx = axis.m_out_road
         self.m_is_exit = _frozen(is_exit_road[out_idx])
         self.m_nonexit = _frozen(~is_exit_road[out_idx])
-        self.m_out_cap = _frozen(self.caps[out_idx])
+        columns_of_road = axis.columns_of_road
 
         # -- phase tables ----------------------------------------------------
         max_phase = np.empty(N, dtype=np.int64)
@@ -206,7 +194,7 @@ class _ColumnTables:
                             f"shared outgoing road is not batchable"
                         )
                     seen_out.add(movement.out_road)
-                    gid = gid_of[(n, movement.key)]
+                    gid = columns_of_road[movement.in_road][movement.out_road]
                     if phases_of[gid]:
                         # The stage analysis orders same-node co-active
                         # movements by their position in the one phase
@@ -229,41 +217,34 @@ class _ColumnTables:
         )
 
         # -- hazard staging (see the module docstring) ----------------------
-        self.stages = [_frozen(ids) for ids in self._build_stages(phases_of, phase_pos)]
+        self.stages = [
+            _frozen(ids) for ids in self._build_stages(axis, phases_of, phase_pos)
+        ]
 
         # -- transfer / promote / observation plans ---------------------------
-        lanes_of_road: Dict[int, List[int]] = {}
-        gid_by_out: Dict[int, Dict[str, int]] = {}
-        key_by_out: Dict[int, Dict[str, Tuple[str, str]]] = {}
-        node_of_in_road: Dict[int, int] = {}
-        for gid, (in_road, out_road) in enumerate(movement_keys):
-            ri = int(in_idx[gid])
-            lanes_of_road.setdefault(ri, []).append(gid)
-            gid_by_out.setdefault(ri, {})[out_road] = gid
-            key_by_out.setdefault(ri, {})[out_road] = movement_keys[gid]
-            node_of_in_road[ri] = node_of[gid]
-        self.key_by_out = key_by_out
         #: The static halves of the per-unit FIFO plans, one entry per
         #: column (the FIFOs themselves are per seed, keyed by flat
         #: index — see :class:`BatchCountsSimulator`).  Per movement:
         #: the out-road index the serve transfer pushes onto, or
-        #: ``None`` for an exit.  Per road: ``(out-road -> movement gid,
-        #: road id)`` for promote, which reads a unit's next hop.
+        #: ``None`` for an exit.  Per road: ``(out-road -> movement
+        #: column, road id)`` for promote and sensing, which read a
+        #: unit's next hop.
         self.transfer_plan = [
             None if is_exit_road[ri] else ri for ri in out_idx.tolist()
         ]
         self.promote_plan = [
-            (gid_by_out.get(ri), road_id) for ri, road_id in enumerate(road_ids)
+            (columns_of_road.get(road_id), road_id) for road_id in road_ids
         ]
-        self.node_of_in_road = node_of_in_road
-        self.gids_of_road = {
-            ri: _frozen(np.array(gids, dtype=np.int64))
-            for ri, gids in lanes_of_road.items()
+        #: Per road feeding an intersection: its movement columns.
+        self.columns_of_road = {
+            road_id: _frozen(np.array(list(columns.values()), dtype=np.int64))
+            for road_id, columns in columns_of_road.items()
         }
         # Per node: keys tuple, movement slice, shared all-zero out-road
         # dict and the out-road static rows.
         self.obs_plan = []
         for n, inter in enumerate(intersections):
+            first, end = axis.node_spans[n]
             out_static = [
                 (r, road_index[r], int(self.caps[road_index[r]]),
                  bool(is_exit_road[road_index[r]]))
@@ -271,22 +252,22 @@ class _ColumnTables:
             ]
             self.obs_plan.append(
                 (
-                    node_ids[n],
-                    tuple(inter.movements),
-                    node_starts[n],
-                    node_starts[n + 1],
+                    inter.node_id,
+                    axis.movement_keys[first:end],
+                    first,
+                    end,
                     {r: 0 for r, _, _, _ in out_static},
                     out_static,
                 )
             )
 
     def _build_stages(
-        self, phases_of: List[set], phase_pos: np.ndarray
+        self, axis: FacadeTables, phases_of: List[set], phase_pos: np.ndarray
     ) -> List[np.ndarray]:
         """Partition movements into exact-parity vectorization stages."""
-        node_of = self.node_of
-        in_idx = self.in_idx
-        out_idx = self.out_idx
+        node_of = axis.m_node
+        in_idx = axis.m_in_road
+        out_idx = axis.m_out_road
         is_exit = self.m_is_exit
         M = len(phases_of)
         # Who writes a road's occupancy when served: every movement
@@ -330,7 +311,7 @@ class _ColumnTables:
         return [ids for ids in stages if len(ids)]
 
 
-class BatchCountsSimulator:
+class BatchCountsSimulator(ArrayFacade):
     """``B`` independent counts-based replications stepped as arrays.
 
     Accepts the same plant parameters as
@@ -388,20 +369,21 @@ class BatchCountsSimulator:
             )
 
         # -- static column tables, shared by every engine on the network ----
+        axis = self._bind_tables(network, B)
         tables = network.derived(_ColumnTables, lambda: _ColumnTables(network))
         self._road_ids = tables.road_ids
         self._caps = tables.caps
-        self._node_ids = tables.node_ids
+        self._node_ids = axis.node_ids
         self._intersections = tables.intersections
-        self._movement_keys = tables.movement_keys
-        self._node_of = tables.node_of
+        self._movement_keys = axis.movement_keys
+        self._node_of = axis.m_node
         self._node_starts = tables.node_starts
         self._node_widths = tables.node_widths
-        self._in_idx = tables.in_idx
-        self._out_idx = tables.out_idx
+        self._in_idx = axis.m_in_road
+        self._out_idx = axis.m_out_road
         self._m_is_exit = tables.m_is_exit
         self._m_nonexit = tables.m_nonexit
-        self._m_out_cap = tables.m_out_cap
+        self._m_out_cap = axis.m_out_cap
         self._phase_offsets = tables.phase_offsets
         self._max_phase = tables.max_phase
         self._rate_sum = tables.rate_sum
@@ -409,11 +391,9 @@ class BatchCountsSimulator:
         self._m_phase = tables.m_phase
         self._stages = tables.stages
         self._road_index = tables.road_index
-        self._key_by_out = tables.key_by_out
         self._transfer_plan = tables.transfer_plan
         self._promote_plan = tables.promote_plan
-        self._node_of_in_road = tables.node_of_in_road
-        self._gids_of_road = tables.gids_of_road
+        self._columns_of_road = tables.columns_of_road
         self._obs_plan = tables.obs_plan
         R, N, M = len(self._road_ids), len(self._node_ids), len(self._movement_keys)
         out_idx = self._out_idx
@@ -512,38 +492,26 @@ class BatchCountsSimulator:
         deadline = now + self._sensing_horizon
         trusted = QueueObservation.trusted
         rep_any_full = (self._occ >= self._caps[None, :]).any(axis=1)
-        movement_dicts: List[List[Dict[Tuple[str, str], int]]] = []
-        for b in range(self.batch_size):
-            row = self._queue_len[b].tolist()
-            movement_dicts.append(
-                [dict(zip(keys, row[lo:hi]))
-                 for _, keys, lo, hi, _, _ in self._obs_plan]
-            )
+        rows = self._queue_len.tolist()
         sensed = self._head_ready <= deadline
         if sensed.any():
-            node_of_in_road = self._node_of_in_road
-            key_by_out = self._key_by_out
-            road_ids = self._road_ids
+            plans = self._promote_plan
             transits = self._transit
-            R = len(road_ids)
+            R = len(self._road_ids)
             for b, ri in np.argwhere(sensed).tolist():
-                queues = movement_dicts[b][node_of_in_road[ri]]
-                keys = key_by_out[ri]
-                road_id = road_ids[ri]
+                row = rows[b]
+                columns, road_id = plans[ri]
                 for ready, units in transits[b * R + ri]:
                     if ready > deadline:
                         break
                     for unit in units:
-                        queues[keys[unit[road_id]]] += 1
+                        row[columns[unit[road_id]]] += 1
         results: List[Dict[str, QueueObservation]] = []
-        for b in range(self.batch_size):
+        for b, row in enumerate(rows):
             per_node: Dict[str, QueueObservation] = {}
-            rep_dicts = movement_dicts[b]
             congested = bool(rep_any_full[b])
             occ_row = self._occ[b].tolist() if congested else None
-            for n, (node_id, _, _, _, zeros, out_static) in (
-                enumerate(self._obs_plan)
-            ):
+            for node_id, keys, lo, hi, zeros, out_static in self._obs_plan:
                 if not congested:
                     out_queues: Dict[str, int] = zeros
                 else:
@@ -551,32 +519,15 @@ class BatchCountsSimulator:
                     for road_id, ri, cap, road_is_exit in out_static:
                         occ = 0 if road_is_exit else occ_row[ri]
                         out_queues[road_id] = occ if occ >= cap else 0
-                per_node[node_id] = trusted(now, rep_dicts[n], out_queues)
+                per_node[node_id] = trusted(
+                    now, dict(zip(keys, row[lo:hi])), out_queues
+                )
             results.append(per_node)
         return results
 
     # -- batched controller façade -------------------------------------------
-
-    @property
-    def movement_layout(self):
-        """``(node_ids, movement_keys)`` — the batch arrays' column order.
-
-        The canonical layout a :class:`~repro.control.batch.
-        BatchNetworkController` derives from the same network; the
-        closed-loop batch runner compares the two tuples once before
-        trusting the array alignment.
-        """
-        return tuple(self._node_ids), tuple(self._movement_keys)
-
-    def controller_arrays(self) -> BatchControlArrays:
-        """The batched ``Q(k)`` for in-engine controller kernels.
-
-        Sensed on first read (:meth:`sense_arrays`), valid until the
-        next :meth:`step`.
-        """
-        return BatchControlArrays(
-            self, (self.batch_size, len(self._movement_keys))
-        )
+    # ``movement_layout`` and ``controller_arrays()`` come from
+    # :class:`~repro.core.engine.ArrayFacade`, over ``B`` rows.
 
     def sense_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
         """``(queues, out_queues)`` at the current time.
@@ -1237,7 +1188,7 @@ class BatchCountsSimulator:
 
         Zeros for a road with no stop line here, unknown roads included.
         """
-        gids = self._gids_of_road.get(self._road_index.get(road_id))
+        gids = self._columns_of_road.get(road_id)
         if gids is None:
             return np.zeros(self.batch_size, dtype=np.int64)
         return self._queue_len[:, gids].sum(axis=1)

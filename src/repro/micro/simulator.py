@@ -22,7 +22,7 @@ from typing import Deque, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from repro.core.engine import BatchControlArrays, FacadeTables, register_engine
+from repro.core.engine import ArrayFacade, register_engine
 from repro.scenarios.core import Scenario
 from repro.metrics.collector import MetricsCollector
 from repro.metrics.utilization import UtilizationTracker
@@ -43,7 +43,7 @@ __all__ = ["MicroSimulator"]
 _EXIT = "__exit__"
 
 
-class MicroSimulator:
+class MicroSimulator(ArrayFacade):
     """Microscopic simulation of a signalized road network.
 
     Parameters
@@ -129,17 +129,14 @@ class MicroSimulator:
         self._finalized = False
 
         # -- controller-array façade tables --------------------------------
-        tables = FacadeTables.of(network)
-        self._movement_layout = tables.movement_layout
+        tables = self._bind_tables(network)
         #: Turning lanes in column order.
         self._detector_lanes = [
             self._lanes[in_road][out_road]
-            for in_road, out_road in tables.movement_layout[1]
+            for in_road, out_road in tables.movement_keys
         ]
-        #: Per non-exit out-road: the movement columns reading its
-        #: spillback sensor.
-        self._spill_roads = list(tables.spillback_columns.items())
-        self._no_out_queues = tables.no_out_queues
+        #: Non-exit out-roads: the ones with a spillback sensor.
+        self._spill_roads = list(tables.spillback_columns)
 
     # -- sensing ------------------------------------------------------------
 
@@ -177,18 +174,8 @@ class MicroSimulator:
                 return self.road_occupancy(road_id)
         return 0
 
-    @property
-    def movement_layout(self):
-        """``(node_ids, movement_keys)`` — the column order of the arrays."""
-        return self._movement_layout
-
-    def controller_arrays(self) -> BatchControlArrays:
-        """``Q(k)`` as a ``(1, n_movements)`` façade for a B=1 kernel.
-
-        Sensed on first read (:meth:`sense_arrays`), valid until the
-        next :meth:`step`.
-        """
-        return BatchControlArrays(self, (1, len(self._movement_layout[1])))
+    # ``movement_layout`` and ``controller_arrays()`` come from
+    # :class:`~repro.core.engine.ArrayFacade`.
 
     def sense_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
         """``(queues, out_queues)`` as ``(1, n_movements)`` arrays.
@@ -210,15 +197,12 @@ class MicroSimulator:
             ],
             dtype=np.int64,
         )
-        out_queues = self._no_out_queues
-        for road_id, columns in self._spill_roads:
-            sensed = self._sensed_out_queue(road_id)
-            if sensed:
-                if out_queues is self._no_out_queues:
-                    out_queues = np.zeros_like(out_queues)
-                out_queues[0, columns] = sensed
         queues.flags.writeable = False
-        out_queues.flags.writeable = False
+        sensed = ((road_id, self._sensed_out_queue(road_id))
+                  for road_id in self._spill_roads)
+        out_queues = self._tables.out_queue_row(
+            (road_id, reading) for road_id, reading in sensed if reading
+        )
         return queues, out_queues
 
     def road_occupancy(self, road_id: str) -> int:

@@ -155,6 +155,13 @@ class RunSpec:
         )
         if self.duration is not None:
             object.__setattr__(self, "duration", float(self.duration))
+        # The run options fail here, with RunConfig's own checks, not
+        # in a worker.
+        RunConfig(
+            duration=self.duration,
+            mini_slot=self.mini_slot,
+            queue_sample_interval=self.queue_sample_interval,
+        )
 
     # -- views --------------------------------------------------------------
 
@@ -453,6 +460,8 @@ class SweepGrid:
         durations = tuple(
             None if d is None else float(d) for d in self.durations
         )
+        for duration in durations or (None,):
+            RunConfig(duration=duration, mini_slot=self.mini_slot)
         object.__setattr__(self, "durations", durations)
         object.__setattr__(
             self, "scenario_params", _freeze_params(self.scenario_params)

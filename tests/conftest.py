@@ -11,6 +11,7 @@ import multiprocessing
 from typing import Dict, List, Optional, Tuple
 
 import pytest
+from hypothesis import settings
 
 from repro.control.base import TRANSITION, IntersectionController
 from repro.core.config import UtilBpConfig
@@ -21,6 +22,10 @@ from repro.model.intersection import Intersection
 from repro.model.phases import Phase
 from repro.model.queues import QueueObservation
 from repro.scenarios import build_named_scenario
+
+#: A deeper hypothesis run for the nightly workflow
+#: (``--hypothesis-profile=nightly``); tier-1 uses hypothesis' default.
+settings.register_profile("nightly", max_examples=1000)
 
 #: Suffix selecting :func:`build_parity_scenario`'s mixed-phase variant.
 MIXED_PHASES = "+mixed-phases"

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.control.factory import check_controller
 from repro.core.config import UtilBpConfig
 
 
@@ -11,7 +12,6 @@ class TestUtilBpConfig:
         assert config.transition_duration == 4.0
         assert config.alpha == -1.0
         assert config.beta == -2.0
-        assert config.mini_slot == 1.0
         assert config.keep_margin == 0.0
 
     def test_paper_ordering_eq9(self):
@@ -38,9 +38,11 @@ class TestUtilBpConfig:
         with pytest.raises(ValueError):
             UtilBpConfig(transition_duration=0.0)
 
-    def test_bad_mini_slot_rejected(self):
-        with pytest.raises(ValueError):
-            UtilBpConfig(mini_slot=-1.0)
+    def test_mini_slot_is_not_a_controller_parameter(self):
+        # The run loop's mini-slot is a run option (RunConfig.mini_slot),
+        # so a util-bp spec naming it is rejected as unknown.
+        with pytest.raises(TypeError, match="mini_slot"):
+            check_controller("util-bp", {"mini_slot": 1.0})
 
     def test_negative_keep_margin_rejected(self):
         with pytest.raises(ValueError):

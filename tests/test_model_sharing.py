@@ -9,6 +9,8 @@ import pickle
 import pytest
 
 from repro.control.batch import BatchUtilBpController
+from repro.control.factory import build_batch_controller
+from repro.core.engine import FacadeTables, build_batch_engine, build_engine
 from repro.experiments.runner import run_scenario
 from repro.meso.events import EventCountsSimulator
 from repro.meso.vectorized import BatchCountsSimulator
@@ -193,6 +195,29 @@ class TestSharedTables:
         ctl_b = BatchUtilBpController(scenario.network, 16)
         assert ctl_a._layout is ctl_b._layout
         assert ctl_b._cells[0].shape == (16, 1)
+
+    def test_one_movement_axis_per_network(self):
+        """Kernels and engines read one FacadeTables: the same tuples."""
+        scenario = build_named_scenario("steady-3x3", seed=1)
+        network = scenario.network
+        axis = FacadeTables.of(network)
+        layouts = [
+            (kernel.node_ids, kernel.movement_keys)
+            for kernel in (
+                build_batch_controller("util-bp", network, 1),
+                build_batch_controller("cap-bp", network, 4, period=14),
+                build_batch_controller("fixed-time", network, 1, period=20),
+            )
+        ]
+        layouts.append(build_batch_engine([scenario]).movement_layout)
+        layouts += [
+            build_engine(scenario, engine).movement_layout
+            for engine in ("meso", "micro", "meso-events")
+        ]
+        for node_ids, movement_keys in layouts:
+            assert node_ids is axis.node_ids
+            assert movement_keys is axis.movement_keys
+        assert len(axis.movement_keys) == axis.n_movements == 108
 
     def test_shared_arrays_are_read_only(self):
         scenario = build_named_scenario("steady-3x3", seed=1)

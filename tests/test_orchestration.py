@@ -108,6 +108,23 @@ class TestRunSpec:
         with pytest.raises(error, match=match):
             RunSpec(**{**QUICK, **overrides})
 
+    @pytest.mark.parametrize(
+        "option, value",
+        [
+            ("mini_slot", 0.0),
+            ("mini_slot", -1.0),
+            ("duration", 0.0),
+            ("duration", -30.0),
+            ("queue_sample_interval", 0.0),
+            ("queue_sample_interval", -5.0),
+        ],
+    )
+    def test_bad_run_option_rejected_at_construction(self, option, value):
+        """A run option no run could take fails when the spec is built,
+        not when a worker executes it."""
+        with pytest.raises(ValueError, match=option):
+            RunSpec(pattern="II", **{option: value})
+
     def test_engine_axis_hashes_distinctly(self):
         meso = RunSpec(**QUICK)
         counts = RunSpec(**{**QUICK, "engine": "meso-counts"})
@@ -213,6 +230,20 @@ class TestSweepGrid:
         ids=["engines", "controllers"],
     )
     def test_unknown_axis_entry_rejected(self, axis, match):
+        with pytest.raises(ValueError, match=match):
+            SweepGrid(**axis)
+
+    @pytest.mark.parametrize(
+        "axis, match",
+        [
+            ({"mini_slot": 0.0}, "mini_slot"),
+            ({"mini_slot": -2.0}, "mini_slot"),
+            ({"durations": (60.0, 0.0)}, "duration"),
+            ({"durations": (-1.0,)}, "duration"),
+            ({"durations": (), "mini_slot": 0.0}, "mini_slot"),
+        ],
+    )
+    def test_bad_run_option_rejected_at_construction(self, axis, match):
         with pytest.raises(ValueError, match=match):
             SweepGrid(**axis)
 

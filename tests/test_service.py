@@ -219,6 +219,15 @@ class TestServiceEndpoints:
         assert error.value.status == 400
         assert "requires a 'period' parameter" in error.value.message
 
+    def test_bad_run_option_is_400(self, service):
+        """A spec whose run option no run could take never becomes a job."""
+        for spec in ({"pattern": "II", "mini_slot": 0}, spec_dict(mini_slot=0)):
+            with pytest.raises(ServiceError) as error:
+                service.client.submit({"spec": spec})
+            assert error.value.status == 400
+        assert "mini_slot must be > 0" in error.value.message
+        assert service.client.jobs()["jobs"] == []
+
     def test_submit_poll_results_roundtrip(self, service):
         job = service.client.submit_spec(SPEC)["job"]
         assert job["state"] in ("queued", "running", "done")
