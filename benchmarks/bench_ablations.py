@@ -1,10 +1,6 @@
 """Ablation benches for the design choices DESIGN.md calls out."""
 
-from repro.experiments.ablations import (
-    render_ablation,
-    run_ablation,
-    run_mini_slot_ablation,
-)
+from repro.experiments.ablations import render_ablation, run_ablation
 
 DURATION = 900.0
 
@@ -79,7 +75,8 @@ def test_ablation_mini_slot(benchmark):
     """Coarser mini-slots degrade towards fixed slots; 1 s must not be
     worse than 5 s."""
     points = benchmark.pedantic(
-        run_mini_slot_ablation,
+        run_ablation,
+        args=("mini-slot",),
         kwargs={"duration": DURATION, "mini_slots": (1.0, 5.0)},
         rounds=1,
         iterations=1,

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Pre-merge smoke gate: lint, tier-1 tests, the scenario catalog, a
-# 2-worker mini-sweep, a sharded sweep + merge (and fleet run) that
-# must export byte-identically to the unsharded run, and the service.
+# Pre-merge smoke gate: lint, tier-1 tests, the scenario catalog, two
+# paper experiment commands at toy horizons, a 2-worker mini-sweep, a
+# sharded sweep + merge (and fleet run) that must export
+# byte-identically to the unsharded run, and the service.
 #
 # Usage: bash scripts/smoke.sh
 #
@@ -51,6 +52,17 @@ echo
 echo "== scenario catalog =="
 "$PYTHON" -m repro scenarios list
 "$PYTHON" -m repro sweep --scenario surge-4x4 --duration 120
+
+echo
+echo "== paper experiment commands (one shared dispatcher) =="
+TABLE3=$("$PYTHON" -m repro table3 --scale 0.02)
+echo "$TABLE3"
+echo "$TABLE3" | grep -q "Table III" \
+    || { echo "smoke FAILED: repro table3 printed no Table III"; exit 1; }
+ABLATION=$("$PYTHON" -m repro ablations alpha-beta-order --duration 60)
+echo "$ABLATION"
+echo "$ABLATION" | grep -q "Ablation: alpha-beta-order" \
+    || { echo "smoke FAILED: repro ablations printed no study table"; exit 1; }
 
 echo
 echo "== 2-worker mini-sweep (cold, then warm from the result store) =="

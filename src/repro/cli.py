@@ -118,6 +118,69 @@ def _make_pool(args: argparse.Namespace):
     )
 
 
+def _add_grid_options(
+    parser: argparse.ArgumentParser, shard_into: Any, shard_help: str
+) -> None:
+    """Sweep-grid axes shared by ``sweep`` and ``submit``.
+
+    ``--shard`` goes to ``shard_into`` (the parser, or a mutually
+    exclusive group of it) with the command's own ``shard_help``.
+    """
+    parser.add_argument(
+        "--patterns", nargs="+", type=_parse_pattern_token, default=None,
+        help="traffic patterns (I II III IV mixed)",
+    )
+    parser.add_argument(
+        "--scenario", "--scenarios", dest="scenarios", nargs="+",
+        type=_parse_scenario_token, default=None, metavar="NAME",
+        help=(
+            "catalog scenarios (see 'repro scenarios list'), e.g. "
+            "surge-4x4 tidal-6x6; combined with --patterns"
+        ),
+    )
+    parser.add_argument(
+        "--controllers", nargs="+", type=_parse_controller_token,
+        default=[("util-bp", {})], metavar="NAME[:key=val,...]",
+        help="controllers, e.g. util-bp cap-bp:period=18",
+    )
+    parser.add_argument("--seeds", nargs="+", type=int, default=[1])
+    parser.add_argument(
+        "--engine", "--engines", dest="engine", nargs="+",
+        choices=ENGINE_NAMES, default=["meso"], metavar="ENGINE",
+        help=(
+            "engines axis of the grid; several names sweep every "
+            f"workload on each of them (known: {', '.join(ENGINE_NAMES)})"
+        ),
+    )
+    parser.add_argument("--duration", type=_positive(float), default=1800.0)
+    shard_into.add_argument(
+        "--shard", type=_parse_shard_token, default=None, metavar="I/N",
+        help=shard_help,
+    )
+
+
+def _grid_from_args(
+    args: argparse.Namespace,
+    load: Optional[float] = None,
+    record_entry_queues: int = 0,
+):
+    """The :class:`SweepGrid` the grid options of ``args`` describe."""
+    from repro.orchestration import SweepGrid
+
+    entry_params = {"load": load} if load is not None else {}
+    return SweepGrid(
+        patterns=None if args.patterns is None else tuple(args.patterns),
+        scenarios=tuple(
+            (name, entry_params) for name in args.scenarios or ()
+        ),
+        controllers=tuple(args.controllers),
+        seeds=tuple(args.seeds),
+        engines=tuple(args.engine),
+        durations=(args.duration,),
+        record_entry_queues=record_entry_queues,
+    )
+
+
 def _parse_pattern_token(token: str) -> str:
     """Validate a --patterns entry eagerly (before any cell runs)."""
     from repro.scenarios.patterns import PATTERN_NAMES
@@ -204,49 +267,11 @@ def build_parser() -> argparse.ArgumentParser:
         "sweep",
         help="run a (pattern x controller x seed) grid on the worker pool",
     )
-    sweep.add_argument(
-        "--patterns", nargs="+", type=_parse_pattern_token, default=None,
-        help="traffic patterns (I II III IV mixed)",
-    )
-    sweep.add_argument(
-        "--scenario", "--scenarios", dest="scenarios", nargs="+",
-        type=_parse_scenario_token, default=None, metavar="NAME",
-        help=(
-            "catalog scenarios (see 'repro scenarios list'), e.g. "
-            "surge-4x4 tidal-6x6; combined with --patterns"
-        ),
-    )
-    sweep.add_argument(
-        "--load", type=float, default=None,
-        help="demand load level forwarded to catalog scenarios",
-    )
-    sweep.add_argument(
-        "--controllers", nargs="+", type=_parse_controller_token,
-        default=[("util-bp", {})], metavar="NAME[:key=val,...]",
-        help="controllers, e.g. util-bp cap-bp:period=18",
-    )
-    sweep.add_argument("--seeds", nargs="+", type=int, default=[1])
-    sweep.add_argument(
-        "--engine", "--engines", dest="engine", nargs="+",
-        choices=ENGINE_NAMES, default=["meso"], metavar="ENGINE",
-        help=(
-            "engines axis of the grid; several names sweep every "
-            f"workload on each of them (known: {', '.join(ENGINE_NAMES)})"
-        ),
-    )
-    sweep.add_argument("--duration", type=_positive(float), default=1800.0)
-    sweep.add_argument(
-        "--record-entry-queues", type=int, default=0, metavar="N",
-        help=(
-            "record queue traces at each workload's entry roads "
-            "(0 = off, -1 = all entries, n = the first n) — the input "
-            "'repro analyze changepoints' needs"
-        ),
-    )
     scale_out = sweep.add_mutually_exclusive_group()
-    scale_out.add_argument(
-        "--shard", type=_parse_shard_token, default=None, metavar="I/N",
-        help=(
+    _add_grid_options(
+        sweep,
+        shard_into=scale_out,
+        shard_help=(
             "run only the I-th of N deterministic grid shards "
             "(zero-based, e.g. 0/4): the spec-content-hash partition is "
             "identical on every host, so N hosts running 0/N..N-1/N "
@@ -261,6 +286,18 @@ def build_parser() -> argparse.ArgumentParser:
             "each in its own subprocess against its own store file "
             "(--workers processes per shard), then merge everything "
             "into --store (required) and print the table from it"
+        ),
+    )
+    sweep.add_argument(
+        "--load", type=float, default=None,
+        help="demand load level forwarded to catalog scenarios",
+    )
+    sweep.add_argument(
+        "--record-entry-queues", type=int, default=0, metavar="N",
+        help=(
+            "record queue traces at each workload's entry roads "
+            "(0 = off, -1 = all entries, n = the first n) — the input "
+            "'repro analyze changepoints' needs"
         ),
     )
     sweep.add_argument(
@@ -385,28 +422,10 @@ def build_parser() -> argparse.ArgumentParser:
             "{'specs': [...]} or {'grid': ...}; overrides the grid flags"
         ),
     )
-    submit.add_argument(
-        "--patterns", nargs="+", type=_parse_pattern_token, default=None,
-        help="traffic patterns (I II III IV mixed)",
-    )
-    submit.add_argument(
-        "--scenario", "--scenarios", dest="scenarios", nargs="+",
-        type=_parse_scenario_token, default=None, metavar="NAME",
-        help="catalog scenarios, e.g. steady-4x4 surge-3x3",
-    )
-    submit.add_argument(
-        "--controllers", nargs="+", type=_parse_controller_token,
-        default=[("util-bp", {})], metavar="NAME[:key=val,...]",
-    )
-    submit.add_argument("--seeds", nargs="+", type=int, default=[1])
-    submit.add_argument(
-        "--engine", "--engines", dest="engine", nargs="+",
-        choices=ENGINE_NAMES, default=["meso"], metavar="ENGINE",
-    )
-    submit.add_argument("--duration", type=_positive(float), default=1800.0)
-    submit.add_argument(
-        "--shard", type=_parse_shard_token, default=None, metavar="I/N",
-        help=(
+    _add_grid_options(
+        submit,
+        shard_into=submit,
+        shard_help=(
             "submit only the I-th of N deterministic grid shards "
             "(zero-based); the service expands the same spec-hash "
             "partition 'repro sweep --shard' uses"
@@ -430,15 +449,23 @@ def build_parser() -> argparse.ArgumentParser:
         help="print the job's recorded events (requires a job id)",
     )
 
+    # The experiment commands: each runs the registered definition of
+    # its name, and each flag's dest is the parameter it sets.
     table3 = sub.add_parser("table3", help="reproduce Table III")
     table3.add_argument("--engine", choices=ENGINE_NAMES, default="meso")
-    table3.add_argument("--scale", type=float, default=1.0)
+    table3.add_argument(
+        "--scale", dest="duration_scale", metavar="SCALE", type=float,
+        default=1.0,
+    )
     table3.add_argument("--seed", type=int, default=1)
     _add_pool_options(table3)
 
     fig2 = sub.add_parser("fig2", help="reproduce Fig. 2")
     fig2.add_argument("--engine", choices=ENGINE_NAMES, default="meso")
-    fig2.add_argument("--segment", type=float, default=3600.0)
+    fig2.add_argument(
+        "--segment", dest="segment_duration", metavar="SEGMENT", type=float,
+        default=3600.0,
+    )
     fig2.add_argument("--seed", type=int, default=1)
     _add_pool_options(fig2)
 
@@ -541,11 +568,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run_sweep(args: argparse.Namespace) -> int:
-    from repro.orchestration import SweepGrid
     from repro.util.tables import render_table
 
-    scenario_names = tuple(args.scenarios or ())
-    if args.load is not None and not scenario_names:
+    if args.load is not None and not args.scenarios:
         print(
             "repro sweep: --load applies to catalog scenarios; pass "
             "--scenario NAME (paper patterns take "
@@ -553,17 +578,8 @@ def _run_sweep(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    entry_params = {"load": args.load} if args.load is not None else {}
-    grid = SweepGrid(
-        patterns=None if args.patterns is None else tuple(args.patterns),
-        scenarios=tuple(
-            (name, entry_params) for name in scenario_names
-        ),
-        controllers=tuple(args.controllers),
-        seeds=tuple(args.seeds),
-        engines=tuple(args.engine),
-        durations=(args.duration,),
-        record_entry_queues=args.record_entry_queues,
+    grid = _grid_from_args(
+        args, load=args.load, record_entry_queues=args.record_entry_queues
     )
 
     fleet_report = None
@@ -676,6 +692,33 @@ def _run_sweep(args: argparse.Namespace) -> int:
             f"{fleet_report.store}, wall {fleet_report.wall_time_s:.1f} s"
         )
     return 0
+
+
+def _write_rows(
+    rows: List[Dict[str, Any]], fmt: str, output: Optional[str]
+) -> None:
+    """Write tidy rows as ``csv`` or ``json`` to stdout or to ``output``."""
+    if fmt == "json":
+        import json as _json
+
+        text = _json.dumps(rows, indent=2) + "\n"
+    else:
+        import csv
+        import io
+
+        buffer = io.StringIO()
+        if rows:
+            writer = csv.DictWriter(buffer, fieldnames=list(rows[0]))
+            writer.writeheader()
+            writer.writerows(rows)
+        text = buffer.getvalue()
+    if output:
+        from pathlib import Path
+
+        Path(output).write_text(text, encoding="utf-8")
+        print(f"wrote {len(rows)} rows to {output}")
+    else:
+        sys.stdout.write(text)
 
 
 def _open_store(path: str):
@@ -805,28 +848,7 @@ def _run_results(args: argparse.Namespace) -> int:
         return 0
 
     assert args.results_command == "export"
-    rows = store.export_rows()
-    if args.format == "json":
-        import json as _json
-
-        text = _json.dumps(rows, indent=2) + "\n"
-    else:
-        import csv
-        import io
-
-        buffer = io.StringIO()
-        if rows:
-            writer = csv.DictWriter(buffer, fieldnames=list(rows[0]))
-            writer.writeheader()
-            writer.writerows(rows)
-        text = buffer.getvalue()
-    if args.output:
-        from pathlib import Path
-
-        Path(args.output).write_text(text, encoding="utf-8")
-        print(f"wrote {len(rows)} rows to {args.output}")
-    else:
-        sys.stdout.write(text)
+    _write_rows(store.export_rows(), args.format, args.output)
     return 0
 
 
@@ -870,26 +892,7 @@ def _run_analyze(args: argparse.Namespace) -> int:
     if args.format is None:
         print(render_verdicts(verdicts))
         return 0
-    rows = verdict_rows(verdicts)
-    if args.format == "json":
-        import json as _json
-
-        text = _json.dumps(rows, indent=2) + "\n"
-    else:
-        import csv
-        import io
-
-        buffer = io.StringIO()
-        if rows:
-            writer = csv.DictWriter(buffer, fieldnames=list(rows[0]))
-            writer.writeheader()
-            writer.writerows(rows)
-        text = buffer.getvalue()
-    if args.output:
-        Path(args.output).write_text(text, encoding="utf-8")
-        print(f"wrote {len(rows)} rows to {args.output}")
-    else:
-        sys.stdout.write(text)
+    _write_rows(verdict_rows(verdicts), args.format, args.output)
     return 0
 
 
@@ -948,19 +951,7 @@ def _run_submit(args: argparse.Namespace) -> int:
             with open(args.json_file, "r", encoding="utf-8") as handle:
                 body = _json.load(handle)
     else:
-        from repro.orchestration import SweepGrid
-
-        grid = SweepGrid(
-            patterns=(
-                None if args.patterns is None else tuple(args.patterns)
-            ),
-            scenarios=tuple(args.scenarios or ()),
-            controllers=tuple(args.controllers),
-            seeds=tuple(args.seeds),
-            engines=tuple(args.engine),
-            durations=(args.duration,),
-        )
-        body = {"grid": grid.to_dict()}
+        body = {"grid": _grid_from_args(args).to_dict()}
     if args.shard is not None:
         body["shard"] = args.shard
     try:
@@ -1042,6 +1033,39 @@ def _run_jobs(args: argparse.Namespace) -> int:
         return 2
 
 
+#: The subcommands that each run the registered experiment of their name.
+_EXPERIMENT_COMMANDS = ("table3", "fig2", "fig34", "fig5", "ablations", "stability")
+
+
+def _run_experiment_command(args: argparse.Namespace) -> int:
+    """Run the experiment ``args.command`` names and print its rendering.
+
+    The parameters are the parsed flags the definition declares;
+    ``ablations`` without a study runs every study on one pool.
+    """
+    from repro.results.experiment import get_experiment, run_experiment
+
+    definition = get_experiment(args.command)
+    params = {
+        key: value
+        for key, value in vars(args).items()
+        if key in definition.defaults
+    }
+    runs = [params]
+    if args.command == "ablations" and args.study is None:
+        from repro.experiments.ablations import ABLATIONS
+
+        runs = [dict(params, study=study) for study in ABLATIONS]
+    pool = _make_pool(args)
+    for run in runs:
+        print(
+            definition.render(run_experiment(args.command, pool=pool, **run))
+        )
+        if args.command == "ablations":
+            print()
+    return 0
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     """Entry point; returns a process exit code."""
     parser = build_parser()
@@ -1106,93 +1130,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command == "jobs":
         return _run_jobs(args)
 
-    if args.command == "table3":
-        from repro.experiments.table3 import render_table3, run_table3
-
-        rows = run_table3(
-            engine=args.engine, seed=args.seed, duration_scale=args.scale,
-            pool=_make_pool(args),
-        )
-        print(render_table3(rows))
-        return 0
-
-    if args.command == "fig2":
-        from repro.experiments.fig2 import render_fig2, run_fig2
-
-        print(
-            render_fig2(
-                run_fig2(
-                    engine=args.engine,
-                    seed=args.seed,
-                    segment_duration=args.segment,
-                    pool=_make_pool(args),
-                )
-            )
-        )
-        return 0
-
-    if args.command == "fig34":
-        from repro.experiments.fig34 import render_fig34, run_fig34
-
-        print(
-            render_fig34(
-                run_fig34(
-                    engine=args.engine,
-                    duration=args.duration,
-                    seed=args.seed,
-                    pool=_make_pool(args),
-                )
-            )
-        )
-        return 0
-
-    if args.command == "fig5":
-        from repro.experiments.fig5 import render_fig5, run_fig5
-
-        print(
-            render_fig5(
-                run_fig5(
-                    engine=args.engine,
-                    duration=args.duration,
-                    seed=args.seed,
-                    pool=_make_pool(args),
-                )
-            )
-        )
-        return 0
-
-    if args.command == "ablations":
-        from repro.experiments.ablations import (
-            ABLATIONS,
-            render_ablation,
-            run_ablation,
-        )
-
-        pool = _make_pool(args)
-        studies = [args.study] if args.study else list(ABLATIONS)
-        for study in studies:
-            print(
-                render_ablation(
-                    run_ablation(study, duration=args.duration, pool=pool)
-                )
-            )
-            print()
-        return 0
-
-    if args.command == "stability":
-        from repro.experiments.stability import (
-            render_stability,
-            run_stability_sweep,
-        )
-
-        print(
-            render_stability(
-                run_stability_sweep(
-                    duration=args.duration, pool=_make_pool(args)
-                )
-            )
-        )
-        return 0
+    if args.command in _EXPERIMENT_COMMANDS:
+        return _run_experiment_command(args)
 
     raise AssertionError(f"unhandled command {args.command!r}")
 

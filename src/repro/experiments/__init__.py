@@ -16,13 +16,16 @@ tables and figures.
 * :mod:`repro.experiments.stability` — demand-scale stability sweep
   (Sec. IV-Q1).
 
-Each table/figure driver is declared as an
+Each table/figure driver is declared once, as an
 :class:`~repro.results.experiment.ExperimentDefinition` (a spec
-builder, an aggregation recipe, a renderer) registered under its name;
-``run_<driver>`` wrappers call
-:func:`repro.results.experiment.run_experiment`, so every driver
-executes through the shared pool + result store and gains resume and
-cross-driver cell sharing.
+builder, an aggregation recipe, a renderer and every parameter's
+default) registered under its name.  ``run_<driver>(pool=None,
+**params)`` forwards to :func:`repro.results.experiment.run_experiment`
+on that definition, so every driver executes through the shared pool +
+result store and gains resume and cross-driver cell sharing.  The
+``repro <driver>`` commands run the same definitions; each flag's
+destination is the parameter it sets (``--scale`` ->
+``duration_scale``, ``--segment`` -> ``segment_duration``).
 """
 
 from repro.experiments.runner import (

@@ -19,8 +19,9 @@ contribution:
 
 All studies run through the single :data:`ABLATION_EXPERIMENT`
 :class:`~repro.results.experiment.ExperimentDefinition`, parameterized
-by study name (``mini-slot`` varies the runner's cadence rather than a
-controller parameter, which the definition's spec builder handles).
+by study name (``mini-slot`` varies the runner's cadence over the
+``mini_slots`` parameter rather than a controller parameter, which the
+definition's spec builder handles).
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ __all__ = [
     "run_ablation",
     "ABLATIONS",
     "render_ablation",
-    "main",
 ]
 
 
@@ -194,48 +194,18 @@ ABLATION_EXPERIMENT = register_experiment(
 
 
 def run_ablation(
-    study: str,
-    pattern: str = "I",
-    seed: int = 1,
-    duration: float = 1800.0,
-    engine: str = "meso",
-    pool: Optional[ExperimentPool] = None,
+    study: str, pool: Optional[ExperimentPool] = None, **params: Any
 ) -> List[AblationPoint]:
     """Run one named ablation study; see :data:`ABLATIONS` for names.
 
-    All configurations of the study are submitted to the pool as one
-    batch, so studies parallelize across workers.
+    ``run_experiment(ABLATION_EXPERIMENT, pool=pool, study=study,
+    **params)``.  Parameters (defaults in
+    ``ABLATION_EXPERIMENT.defaults``): ``pattern``, ``seed``,
+    ``duration``, ``engine``; ``mini_slots``, the cadence grid of the
+    ``mini-slot`` study.  All configurations of the study go to
+    ``pool`` (default: serial, in-process) as one batch.
     """
-    return run_experiment(
-        ABLATION_EXPERIMENT,
-        pool=pool,
-        study=study,
-        pattern=pattern,
-        seed=seed,
-        duration=duration,
-        engine=engine,
-    )
-
-
-def run_mini_slot_ablation(
-    pattern: str = "I",
-    seed: int = 1,
-    duration: float = 1800.0,
-    engine: str = "meso",
-    mini_slots: Sequence[float] = (1.0, 2.0, 5.0),
-    pool: Optional[ExperimentPool] = None,
-) -> List[AblationPoint]:
-    """The mini-slot study with an explicit cadence grid."""
-    return run_experiment(
-        ABLATION_EXPERIMENT,
-        pool=pool,
-        study="mini-slot",
-        pattern=pattern,
-        seed=seed,
-        duration=duration,
-        engine=engine,
-        mini_slots=tuple(float(m) for m in mini_slots),
-    )
+    return run_experiment(ABLATION_EXPERIMENT, pool=pool, study=study, **params)
 
 
 def render_ablation(points: Sequence[AblationPoint]) -> str:
@@ -256,15 +226,3 @@ def render_ablation(points: Sequence[AblationPoint]) -> str:
         rows,
         title=f"Ablation: {points[0].study}",
     )
-
-
-def main() -> None:
-    """Run every ablation study on the meso engine and print tables."""
-    pool = ExperimentPool()
-    for study in ABLATIONS:
-        print(render_ablation(run_ablation(study, pool=pool)))
-        print()
-
-
-if __name__ == "__main__":
-    main()

@@ -26,7 +26,7 @@ from repro.results.experiment import (
 )
 from repro.util.series import TimeSeries, render_series
 
-__all__ = ["Fig2Result", "FIG2", "run_fig2", "render_fig2", "main"]
+__all__ = ["Fig2Result", "FIG2", "run_fig2", "render_fig2"]
 
 #: The paper's sweep grid (Fig. 2 x-axis).
 PAPER_PERIODS: Tuple[float, ...] = (10, 20, 30, 40, 50, 60, 70, 80)
@@ -154,42 +154,13 @@ FIG2 = register_experiment(
 )
 
 
-def run_fig2(
-    periods: Sequence[float] = PAPER_PERIODS,
-    engine: str = "micro",
-    seed: int = 1,
-    segment_duration: float = 3600.0,
-    pool: Optional[ExperimentPool] = None,
-) -> Fig2Result:
-    """Regenerate Fig. 2.
+def run_fig2(pool: Optional[ExperimentPool] = None, **params: Any) -> Fig2Result:
+    """Regenerate Fig. 2: ``run_experiment(FIG2, pool=pool, **params)``.
 
-    Parameters
-    ----------
-    periods:
-        CAP-BP control periods to sweep.
-    engine / seed:
-        As elsewhere.
-    segment_duration:
-        Mixed-pattern segment length (paper: 3600 s -> 4 h total).
-        Benchmarks shrink it.
-    pool:
-        Orchestration pool to execute the sweep on; defaults to a
-        serial in-process pool.
+    Parameters (defaults in ``FIG2.defaults``): ``periods``, the CAP-BP
+    control periods to sweep; ``engine`` and ``seed``, as elsewhere;
+    ``segment_duration``, the mixed pattern's segment length (the paper
+    runs 3600 s segments, 4 h in total; benchmarks shrink it).  The
+    sweep runs on ``pool`` (default: serial, in-process).
     """
-    return run_experiment(
-        FIG2,
-        pool=pool,
-        periods=tuple(periods),
-        engine=engine,
-        seed=seed,
-        segment_duration=segment_duration,
-    )
-
-
-def main() -> None:
-    """Full reproduction at paper horizons on the micro engine."""
-    print(render_fig2(run_fig2()))
-
-
-if __name__ == "__main__":
-    main()
+    return run_experiment(FIG2, pool=pool, **params)

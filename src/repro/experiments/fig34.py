@@ -36,7 +36,6 @@ __all__ = [
     "TOP_RIGHT_NODE",
     "run_fig34",
     "render_fig34",
-    "main",
 ]
 
 #: The north-eastern (top-right) intersection of the 3x3 grid.
@@ -188,34 +187,14 @@ FIG34 = register_experiment(
 
 
 def run_fig34(
-    engine: str = "micro",
-    seed: int = 1,
-    duration: float = PAPER_HORIZON,
-    cap_bp_period: float = 18.0,
-    node_id: str = TOP_RIGHT_NODE,
-    pool: Optional[ExperimentPool] = None,
+    pool: Optional[ExperimentPool] = None, **params: Any
 ) -> Fig34Result:
-    """Regenerate the data behind Figs. 3 and 4.
+    """The data behind Figs. 3-4: ``run_experiment(FIG34, pool=pool, **params)``.
 
-    ``cap_bp_period`` defaults to the paper's optimal period for
-    Pattern I (18 s, Table III).  Both controller runs are submitted to
-    the pool as one batch.
+    Parameters (defaults in ``FIG34.defaults``): ``engine``, ``seed``,
+    ``duration``; ``cap_bp_period``, the CAP-BP period (the paper's
+    optimum for Pattern I, Table III); ``node_id``, the intersection
+    whose applied phases are recorded.  Both controller runs go to
+    ``pool`` (default: serial, in-process) as one batch.
     """
-    return run_experiment(
-        FIG34,
-        pool=pool,
-        engine=engine,
-        seed=seed,
-        duration=duration,
-        cap_bp_period=cap_bp_period,
-        node_id=node_id,
-    )
-
-
-def main() -> None:
-    """Full reproduction at the paper's 2000 s horizon."""
-    print(render_fig34(run_fig34()))
-
-
-if __name__ == "__main__":
-    main()
+    return run_experiment(FIG34, pool=pool, **params)

@@ -26,7 +26,7 @@ from repro.results.experiment import (
 )
 from repro.util.series import render_series
 
-__all__ = ["Fig5Result", "FIG5", "EAST_IN_ROAD", "run_fig5", "render_fig5", "main"]
+__all__ = ["Fig5Result", "FIG5", "EAST_IN_ROAD", "run_fig5", "render_fig5"]
 
 #: The incoming road from the east at the top-right intersection.
 EAST_IN_ROAD = entry_road_id(Direction.E, TOP_RIGHT_NODE)
@@ -139,30 +139,12 @@ FIG5 = register_experiment(
 )
 
 
-def run_fig5(
-    engine: str = "micro",
-    seed: int = 1,
-    duration: float = PAPER_HORIZON,
-    cap_bp_period: float = 18.0,
-    sample_interval: float = 5.0,
-    pool: Optional[ExperimentPool] = None,
-) -> Fig5Result:
-    """Regenerate the data behind Fig. 5."""
-    return run_experiment(
-        FIG5,
-        pool=pool,
-        engine=engine,
-        seed=seed,
-        duration=duration,
-        cap_bp_period=cap_bp_period,
-        sample_interval=sample_interval,
-    )
+def run_fig5(pool: Optional[ExperimentPool] = None, **params: Any) -> Fig5Result:
+    """The data behind Fig. 5: ``run_experiment(FIG5, pool=pool, **params)``.
 
-
-def main() -> None:
-    """Full reproduction at the paper's 2000 s horizon."""
-    print(render_fig5(run_fig5()))
-
-
-if __name__ == "__main__":
-    main()
+    Parameters (defaults in ``FIG5.defaults``): ``engine``, ``seed``,
+    ``duration``; ``cap_bp_period``, the CAP-BP period;
+    ``sample_interval``, seconds between queue samples.  Both
+    controller runs go to ``pool`` (default: serial, in-process).
+    """
+    return run_experiment(FIG5, pool=pool, **params)

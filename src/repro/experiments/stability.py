@@ -38,7 +38,6 @@ __all__ = [
     "STABILITY",
     "run_stability_sweep",
     "render_stability",
-    "main",
 ]
 
 
@@ -145,31 +144,19 @@ STABILITY = register_experiment(
 
 
 def run_stability_sweep(
-    scales: Sequence[float] = (0.6, 0.8, 1.0, 1.2, 1.4),
-    controllers: Sequence = (
-        ("util-bp", None),
-        ("cap-bp", {"period": 18.0}),
-    ),
-    pattern: str = "II",
-    seed: int = 1,
-    duration: float = 1800.0,
-    pool: Optional[ExperimentPool] = None,
+    pool: Optional[ExperimentPool] = None, **params: Any
 ) -> List[StabilityPoint]:
-    """Sweep demand scales for each controller (uniform Pattern II).
+    """Sweep demand scales per controller (Sec. IV-Q1).
 
-    The whole (controller x scale) grid is submitted to the pool as one
-    batch; terminal occupancy comes from the runner's
-    ``vehicles_in_network`` / ``backlog`` result fields.
+    ``run_experiment(STABILITY, pool=pool, **params)``.  Parameters
+    (defaults in ``STABILITY.defaults``): ``scales``, the demand scale
+    factors; ``controllers``, ``(name, params)`` pairs; ``pattern``,
+    ``seed``, ``duration``, ``engine``.  The whole
+    (controller x scale) grid goes to ``pool`` (default: serial,
+    in-process) as one batch; terminal occupancy comes from the
+    runner's ``vehicles_in_network`` / ``backlog`` result fields.
     """
-    return run_experiment(
-        STABILITY,
-        pool=pool,
-        scales=tuple(scales),
-        controllers=tuple(controllers),
-        pattern=pattern,
-        seed=seed,
-        duration=duration,
-    )
+    return run_experiment(STABILITY, pool=pool, **params)
 
 
 def max_stable_scale(points: Sequence[StabilityPoint], controller: str) -> float:
@@ -207,15 +194,3 @@ def render_stability(points: Sequence[StabilityPoint]) -> str:
         rows,
         title="Stability sweep (Sec. IV-Q1): demand scale vs queue boundedness",
     )
-
-
-def main() -> None:
-    """Run the demand-scale sweep and print its table (CLI shim)."""
-    points = run_stability_sweep()
-    print(render_stability(points))
-    for name in ("util-bp", "cap-bp"):
-        print(f"max stable demand scale, {name}: {max_stable_scale(points, name):.1f}")
-
-
-if __name__ == "__main__":
-    main()

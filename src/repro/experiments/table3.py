@@ -35,7 +35,6 @@ __all__ = [
     "PAPER_TABLE3",
     "run_table3",
     "render_table3",
-    "main",
 ]
 
 #: The paper's Table III: pattern -> (CAP-BP best period [s],
@@ -205,56 +204,18 @@ TABLE3 = register_experiment(
 
 
 def run_table3(
-    patterns: Sequence[str] = ("I", "II", "III", "IV", "mixed"),
-    engine: str = "micro",
-    seed: int = 1,
-    periods: Sequence[float] = DEFAULT_PERIODS,
-    duration_scale: float = 1.0,
-    mixed_segment_duration: Optional[float] = None,
-    pool: Optional[ExperimentPool] = None,
+    pool: Optional[ExperimentPool] = None, **params: Any
 ) -> List[Table3Row]:
-    """Reproduce Table III.
+    """Reproduce Table III: ``run_experiment(TABLE3, pool=pool, **params)``.
 
-    Parameters
-    ----------
-    patterns:
-        Which Table II patterns to include.
-    engine:
-        ``"micro"`` (paper-faithful) or ``"meso"`` (fast).
-    seed:
-        Scenario seed; both controllers see identical demand.
-    periods:
-        CAP-BP period grid to sweep.
-    duration_scale:
-        Multiplier on the paper's horizons (1 h per pattern, 4 h
-        mixed).  Benchmarks use < 1 to stay CI-friendly.
-    mixed_segment_duration:
-        Override for the mixed pattern's per-segment length; defaults
-        to ``3600 * duration_scale``.
-    pool:
-        Orchestration pool; every (pattern x period) cell plus the
-        UTIL-BP reference runs are submitted as one batch, so the whole
-        table parallelizes.  Defaults to a serial in-process pool.
+    Parameters (defaults in ``TABLE3.defaults``): ``patterns``, the
+    Table II patterns to include; ``engine``, ``"micro"``
+    (paper-faithful) or a meso engine (fast); ``seed``, the scenario
+    seed both controllers share; ``periods``, the CAP-BP period grid;
+    ``duration_scale``, a multiplier on the paper's horizons (1 h per
+    pattern, 4 h mixed); ``mixed_segment_duration``, the mixed
+    pattern's segment length (``None``: ``3600 * duration_scale``).
+    Every (pattern x period) cell and the UTIL-BP references go to
+    ``pool`` (default: serial, in-process) as one batch.
     """
-    return run_experiment(
-        TABLE3,
-        pool=pool,
-        patterns=tuple(patterns),
-        engine=engine,
-        seed=seed,
-        periods=tuple(periods),
-        duration_scale=duration_scale,
-        mixed_segment_duration=mixed_segment_duration,
-    )
-
-
-def main() -> None:
-    """Full reproduction at paper horizons on the micro engine."""
-    rows = run_table3()
-    print(render_table3(rows))
-    mean = sum(r.improvement_percent for r in rows) / len(rows)
-    print(f"mean improvement: {mean:.1f}% (paper: ~13%)")
-
-
-if __name__ == "__main__":
-    main()
+    return run_experiment(TABLE3, pool=pool, **params)

@@ -207,7 +207,16 @@ class RunSpec:
 
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "RunSpec":
-        """Rebuild a spec serialized with :meth:`to_dict`."""
+        """Rebuild a spec serialized with :meth:`to_dict`.
+
+        A payload missing any of ``pattern``, ``controller``, ``engine``
+        and ``seed`` raises one ``ValueError`` naming all of them;
+        unknown keys are ignored (stored rows decode through here).
+        """
+        required = ("pattern", "controller", "engine", "seed")
+        missing = [key for key in required if key not in payload]
+        if missing:
+            raise ValueError(f"spec is missing required key(s) {missing}")
         return cls(
             pattern=payload["pattern"],
             controller=payload["controller"],

@@ -60,7 +60,12 @@ class ExperimentDefinition:
     defaults: Mapping[str, Any] = field(default_factory=dict)
 
     def params(self, **overrides: Any) -> Dict[str, Any]:
-        """Defaults merged with overrides (unknown overrides rejected)."""
+        """Defaults merged with overrides (unknown overrides rejected).
+
+        An override of a tuple-valued default is made a tuple, so
+        ``periods=[10, 20]`` runs and collects exactly like
+        ``periods=(10, 20)``.
+        """
         unknown = set(overrides) - set(self.defaults)
         if unknown:
             raise ValueError(
@@ -68,7 +73,10 @@ class ExperimentDefinition:
                 f"{sorted(unknown)}; known: {sorted(self.defaults)}"
             )
         merged = dict(self.defaults)
-        merged.update(overrides)
+        for key, value in overrides.items():
+            if isinstance(self.defaults[key], tuple):
+                value = tuple(value)
+            merged[key] = value
         return merged
 
     def specs(self, **overrides: Any) -> Tuple[RunSpec, ...]:

@@ -8,6 +8,8 @@ seed is checked for every engine name through ``run_scenario``.  A new
 engine passes this suite or it is not an engine.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -193,6 +195,24 @@ def test_determinism_under_fixed_seed(engine):
     assert results[0].queue_traces == results[1].queue_traces
     assert results[0].utilization == results[1].utilization
     assert results[0].vehicles_in_network == results[1].vehicles_in_network
+
+
+@pytest.mark.parametrize("engine", ENGINE_NAMES)
+def test_demand_on_non_entry_road_rejected(engine):
+    """Each engine's constructor refuses demand on a non-entry road."""
+    scenario = build_scenario("I", seed=1)
+    network = scenario.network
+    inner = sorted(set(network.roads) - set(network.entry_roads()))[0]
+    # Swap in a new map: the Scenario's own check ran at construction.
+    scenario.demand = {
+        **scenario.demand, inner: next(iter(scenario.demand.values()))
+    }
+    message = f"demand declared on non-entry roads: {[inner]}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        if engine in BATCH:
+            build_batch_engine([scenario], engine)
+        else:
+            build_engine(scenario, engine)
 
 
 @pytest.mark.parametrize("engine", ENGINES)

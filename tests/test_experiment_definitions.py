@@ -5,6 +5,7 @@ import pytest
 from repro.experiments.ablations import run_ablation
 from repro.experiments.fig2 import FIG2, Fig2Result, run_fig2
 from repro.experiments.fig34 import run_fig34
+from repro.experiments.stability import run_stability_sweep
 from repro.experiments.table3 import TABLE3, Table3Row, run_table3
 from repro.orchestration import ExperimentPool, RunSpec
 from repro.results import (
@@ -180,3 +181,52 @@ class TestCustomDefinition:
         entered = run_experiment("tiny-demo")
         assert entered > 0
         assert definition.render(entered).endswith("vehicles")
+
+
+class _RecordingPool(ExperimentPool):
+    """A serial pool that keeps the specs it was asked to run."""
+
+    def run(self, specs):
+        self.specs = tuple(specs)
+        return super().run(specs)
+
+
+class TestWrappersForward:
+    """Each ``run_*`` is ``run_experiment`` on its definition: every
+    definition parameter is reachable, and list arguments behave as
+    tuples."""
+
+    def test_list_overrides_become_tuples(self):
+        params = TABLE3.params(patterns=["II"], periods=[12.0, 20.0])
+        assert params["patterns"] == ("II",)
+        assert params["periods"] == (12.0, 20.0)
+        assert params["mixed_segment_duration"] is None
+
+    def test_list_arguments_equal_tuple_arguments(self):
+        small = dict(FIG2_SMALL, periods=list(FIG2_SMALL["periods"]))
+        assert run_fig2(**small) == run_fig2(**FIG2_SMALL)
+
+    def test_stability_engine_reaches_the_definition(self):
+        pool = _RecordingPool()
+        points = run_stability_sweep(
+            scales=[0.5],
+            controllers=[("util-bp", None)],
+            duration=60.0,
+            engine="meso-counts",
+            pool=pool,
+        )
+        assert [spec.engine for spec in pool.specs] == ["meso-counts"]
+        assert len(points) == 1
+
+    def test_mini_slot_grid_reaches_the_definition(self):
+        pool = _RecordingPool()
+        points = run_ablation(
+            "mini-slot", pattern="II", duration=60.0,
+            mini_slots=(1.0, 2.0), pool=pool,
+        )
+        assert [spec.mini_slot for spec in pool.specs] == [1.0, 2.0]
+        assert [p.params["mini_slot"] for p in points] == [1.0, 2.0]
+
+    def test_unknown_parameter_rejected_by_the_wrapper(self):
+        with pytest.raises(ValueError, match="no parameter"):
+            run_stability_sweep(scale=(1.0,))  # typo'd name

@@ -6,7 +6,6 @@ from repro.experiments.ablations import (
     ABLATIONS,
     render_ablation,
     run_ablation,
-    run_mini_slot_ablation,
 )
 from repro.experiments.fig2 import Fig2Result, render_fig2, run_fig2
 from repro.experiments.fig34 import render_fig34, run_fig34
@@ -136,8 +135,8 @@ class TestAblations:
         assert all(p.average_queuing_time >= 0 for p in points)
 
     def test_mini_slot_study(self):
-        points = run_mini_slot_ablation(
-            pattern="II", duration=120.0, mini_slots=(1.0, 5.0)
+        points = run_ablation(
+            "mini-slot", pattern="II", duration=120.0, mini_slots=(1.0, 5.0)
         )
         assert [p.params["mini_slot"] for p in points] == [1.0, 5.0]
 

@@ -125,6 +125,27 @@ class TestRunSpec:
         with pytest.raises(ValueError, match=option):
             RunSpec(pattern="II", **{option: value})
 
+    @pytest.mark.parametrize(
+        "payload, missing",
+        [
+            ({"pattern": "II", "mini_slot": 0}, ["controller", "engine", "seed"]),
+            ({}, ["pattern", "controller", "engine", "seed"]),
+            (
+                {"pattern": "I", "controller": "util-bp", "engine": "meso"},
+                ["seed"],
+            ),
+        ],
+        ids=["pattern-only", "empty", "no-seed"],
+    )
+    def test_from_dict_names_every_missing_key(self, payload, missing):
+        with pytest.raises(ValueError) as error:
+            RunSpec.from_dict(payload)
+        assert str(error.value) == f"spec is missing required key(s) {missing}"
+
+    def test_from_dict_ignores_unknown_keys(self):
+        payload = {**RunSpec(**QUICK).to_dict(), "written_by": "an older tool"}
+        assert RunSpec.from_dict(payload) == RunSpec(**QUICK)
+
     def test_engine_axis_hashes_distinctly(self):
         meso = RunSpec(**QUICK)
         counts = RunSpec(**{**QUICK, "engine": "meso-counts"})

@@ -228,6 +228,16 @@ class TestServiceEndpoints:
         assert "mini_slot must be > 0" in error.value.message
         assert service.client.jobs()["jobs"] == []
 
+    def test_spec_missing_keys_is_400_naming_them(self, service):
+        with pytest.raises(ServiceError) as error:
+            service.client.submit({"spec": {"pattern": "II", "mini_slot": 0}})
+        assert error.value.status == 400
+        assert error.value.message == (
+            "invalid 'spec' submission: spec is missing required key(s) "
+            "['controller', 'engine', 'seed']"
+        )
+        assert service.client.jobs()["jobs"] == []
+
     def test_submit_poll_results_roundtrip(self, service):
         job = service.client.submit_spec(SPEC)["job"]
         assert job["state"] in ("queued", "running", "done")

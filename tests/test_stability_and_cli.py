@@ -179,7 +179,7 @@ class TestCli:
         args = build_parser().parse_args(
             ["fig2", "--engine", "meso", "--segment", "100"]
         )
-        assert args.segment == 100.0
+        assert args.segment_duration == 100.0
 
     def test_stability_flags_parse(self):
         args = build_parser().parse_args(["stability", "--duration", "300"])
@@ -412,3 +412,153 @@ class TestCliStoreOptions:
         code = main(["jobs", "--url", "http://127.0.0.1:9"])
         assert code == 2
         assert "cannot reach" in capsys.readouterr().err
+
+
+class _Stop(Exception):
+    """Raised by a stand-in to end a CLI run once its call is recorded."""
+
+
+class TestExperimentCommands:
+    """The six experiment commands run their registered definition with
+    each flag under the definition's parameter name."""
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (
+                ["table3", "--engine", "meso-counts", "--scale", "0.5",
+                 "--seed", "3"],
+                {"engine": "meso-counts", "duration_scale": 0.5, "seed": 3},
+            ),
+            (
+                ["fig2", "--engine", "micro", "--segment", "60",
+                 "--seed", "2"],
+                {"engine": "micro", "segment_duration": 60.0, "seed": 2},
+            ),
+            (
+                ["fig34", "--engine", "meso", "--duration", "60",
+                 "--seed", "4"],
+                {"engine": "meso", "duration": 60.0, "seed": 4},
+            ),
+            (
+                ["fig5", "--engine", "meso", "--duration", "70",
+                 "--seed", "5"],
+                {"engine": "meso", "duration": 70.0, "seed": 5},
+            ),
+            (
+                ["ablations", "keep-margin", "--duration", "60"],
+                {"study": "keep-margin", "duration": 60.0},
+            ),
+            (["stability", "--duration", "90"], {"duration": 90.0}),
+            (
+                ["table3"],
+                {"engine": "meso", "duration_scale": 1.0, "seed": 1},
+            ),
+            (["stability"], {"duration": 1200.0}),
+        ],
+        ids=["table3", "fig2", "fig34", "fig5", "ablations", "stability",
+             "table3-defaults", "stability-defaults"],
+    )
+    def test_flags_arrive_as_parameters(self, monkeypatch, argv, expected):
+        import repro.results.experiment as experiment
+        from repro.orchestration import ExperimentPool
+
+        calls = []
+
+        def record(name, pool=None, **params):
+            calls.append((name, pool, params))
+            raise _Stop
+
+        monkeypatch.setattr(experiment, "run_experiment", record)
+        with pytest.raises(_Stop):
+            main(argv)
+        [(name, pool, params)] = calls
+        assert name == argv[0]
+        assert params == expected
+        assert set(params) <= set(experiment.get_experiment(name).defaults)
+        assert isinstance(pool, ExperimentPool)
+
+    def test_ablations_without_study_runs_every_study(
+        self, monkeypatch, capsys
+    ):
+        import repro.results.experiment as experiment
+        from repro.experiments.ablations import ABLATIONS
+
+        calls = []
+
+        def record(name, pool=None, **params):
+            calls.append((name, pool, params))
+            return []
+
+        monkeypatch.setattr(experiment, "run_experiment", record)
+        assert main(["ablations", "--duration", "30"]) == 0
+        assert [params for _, _, params in calls] == [
+            {"study": study, "duration": 30.0} for study in ABLATIONS
+        ]
+        # One pool serves every study.
+        assert len({id(pool) for _, pool, _ in calls}) == 1
+        out = capsys.readouterr().out
+        assert out == "(no ablation points)\n\n" * len(ABLATIONS)
+
+
+class TestGridFlags:
+    """``sweep`` and ``submit`` share their grid flags and grid builder."""
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            [
+                "--patterns", "I", "IV",
+                "--scenarios", "steady-3x3",
+                "--controllers", "util-bp", "cap-bp:period=18",
+                "--seeds", "1", "2",
+                "--engines", "meso", "meso-vec",
+                "--duration", "60",
+            ],
+            [],
+        ],
+        ids=["every-axis", "defaults"],
+    )
+    def test_same_flags_same_grid(self, monkeypatch, flags):
+        from repro.cli import _grid_from_args
+        from repro.orchestration import ExperimentPool, SweepGrid
+        from repro.service.client import ServiceClient
+
+        parser = build_parser()
+        sweep = _grid_from_args(parser.parse_args(["sweep", *flags]))
+        submit = _grid_from_args(parser.parse_args(["submit", *flags]))
+        assert sweep.to_dict() == submit.to_dict()
+
+        # End to end: what submit posts is what sweep would run.
+        bodies, runs = [], []
+
+        def post(client, body):
+            bodies.append(body)
+            raise _Stop
+
+        def run(pool, specs):
+            runs.append(tuple(specs))
+            raise _Stop
+
+        monkeypatch.setattr(ServiceClient, "submit", post)
+        monkeypatch.setattr(ExperimentPool, "run", run)
+        for command in ("submit", "sweep"):
+            with pytest.raises(_Stop):
+                main([command, *flags])
+        [body] = bodies
+        assert body["grid"] == sweep.to_dict()
+        assert runs == [SweepGrid.from_dict(body["grid"]).specs()]
+
+    def test_sweep_only_flags_reach_the_grid(self):
+        from repro.cli import _grid_from_args
+
+        args = build_parser().parse_args(
+            ["sweep", "--scenario", "surge-3x3", "--load", "1.2",
+             "--record-entry-queues", "-1"]
+        )
+        grid = _grid_from_args(
+            args, load=args.load,
+            record_entry_queues=args.record_entry_queues,
+        )
+        assert grid.scenarios == (("surge-3x3", (("load", 1.2),)),)
+        assert grid.record_entry_queues == -1
