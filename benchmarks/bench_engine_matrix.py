@@ -6,10 +6,10 @@ UTIL-BP.  Comparing the engine columns of the printed matrix shows
 where each backend pays off (``meso-counts`` everywhere over ``meso``,
 increasingly so on larger grids; ``meso-events`` pulls further ahead
 the lighter the load, since its calendar skips idle slots entirely;
-each engine runs the loop ``run_scenario`` runs for it: ``meso`` and
-``meso-counts`` the per-intersection controllers on their
-observations, ``meso-events`` the B=1 batched UTIL-BP kernel on its
-array façade, and ``meso-vec`` a batch of one under the same kernel,
+each engine runs the loop ``run_scenario`` runs for it: ``meso-counts``
+the per-intersection controllers on its observations, ``meso`` and
+``meso-events`` the B=1 batched UTIL-BP kernel on their array façades,
+and ``meso-vec`` a batch of one under the same kernel,
 so this matrix shows its single-seed cost; its win, batching many seeds
 per step, is measured by ``bench_batch_scaling.py``) and doubles as a
 drift alarm:
@@ -29,11 +29,9 @@ Run with::
 import numpy as np
 import pytest
 
-from repro.control.factory import (
-    build_batch_controller,
-    make_network_controller,
-)
+from repro.control.factory import build_batch_controller
 from repro.core.engine import build_batch_engine, build_engine, has_batch_engine
+from repro.experiments.runner import serial_decider
 from repro.scenarios import build_named_scenario, scenario_names
 
 #: Mini-slots simulated before measuring, so queues are populated and
@@ -46,10 +44,8 @@ ENGINES = ("meso", "meso-counts", "meso-events", "meso-vec")
 def _closed_loop(scenario, engine):
     """A util-bp closed loop: ``(one_mini_slot, sim)``.
 
-    Batch engines run a batch of one under the batched kernel.  A built
-    serial engine picks its loop the way the runner does: with the
-    array façade, the same kernel at B=1; otherwise the
-    per-intersection controllers on its observations.
+    Batch engines run a batch of one under the batched kernel; a built
+    serial engine runs the runner's own loop (``serial_decider``).
     """
     if has_batch_engine(engine):
         sim = build_batch_engine([scenario], engine)
@@ -61,18 +57,10 @@ def _closed_loop(scenario, engine):
         return one_mini_slot, sim
 
     sim = build_engine(scenario, engine)
-    if hasattr(sim, "controller_arrays") and hasattr(sim, "movement_layout"):
-        kernel = build_batch_controller("util-bp", scenario.network, 1)
+    decide = serial_decider(sim, engine, scenario.network, "util-bp")
 
-        def one_mini_slot():
-            row = kernel.decide_batch(sim.controller_arrays())[0]
-            sim.step(1.0, dict(zip(kernel.node_ids, row.tolist())))
-
-    else:
-        controller = make_network_controller("util-bp", scenario.network)
-
-        def one_mini_slot():
-            sim.step(1.0, controller.decide(sim.observations()))
+    def one_mini_slot():
+        sim.step(1.0, decide())
 
     return one_mini_slot, sim
 

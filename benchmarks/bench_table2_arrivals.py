@@ -14,6 +14,7 @@ from repro.model.geometry import Direction
 from repro.util.tables import render_table
 
 HORIZON = 40_000.0  # simulated seconds per process
+SLOTS = [float(t) for t in range(int(HORIZON))]  # one-second count slots
 
 
 def _measure_pattern(pattern):
@@ -21,9 +22,8 @@ def _measure_pattern(pattern):
     for side in Direction:
         schedule = arrival_schedule(pattern, side)
         process = PoissonArrivals(schedule, np.random.default_rng(7))
-        times = process.sample_times(0.0, HORIZON)
-        gaps = np.diff(times)
-        measured[side] = float(np.mean(gaps))
+        arrivals = sum(process.sample_count_block(SLOTS, 1.0))
+        measured[side] = HORIZON / arrivals
     return measured
 
 

@@ -162,12 +162,13 @@ from typing import Dict
 
 import numpy as np
 
-from repro.control.factory import (
-    build_batch_controller,
-    make_network_controller,
-)
+from repro.control.factory import build_batch_controller
 from repro.core.engine import build_batch_engine, build_engine, has_batch_engine
-from repro.experiments.runner import run_scenario, run_scenario_batch
+from repro.experiments.runner import (
+    run_scenario,
+    run_scenario_batch,
+    serial_decider,
+)
 from repro.scenarios import build_named_scenario
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -363,9 +364,9 @@ def best_rate(setup, steps: int, repeats: int, warmup: int, width: int = 1) -> f
 def serial_closed_loop(engine: str, scenario_name: str, params: Dict):
     """Setup for one serial engine under util-bp deciding every slot.
 
-    The loop is the one ``run_scenario`` runs for the built engine: a
-    B=1 kernel on its array façade if it offers one, else
-    ``observations()`` and the serial controllers.
+    The loop is the one ``run_scenario`` runs for the built engine
+    (``serial_decider``): a B=1 kernel on its array façade if it offers
+    one, else ``observations()`` and the serial controllers.
     """
 
     def setup(attempt, slots):
@@ -373,17 +374,8 @@ def serial_closed_loop(engine: str, scenario_name: str, params: Dict):
             scenario_name, seed=1 + attempt, **params
         )
         sim = build_engine(scenario, engine)
-        if hasattr(sim, "controller_arrays") and hasattr(sim, "movement_layout"):
-            kernel = build_batch_controller("util-bp", scenario.network, 1)
-            node_ids = kernel.node_ids
-
-            def advance(k):
-                row = kernel.decide_batch(sim.controller_arrays())[0]
-                sim.step(1.0, dict(zip(node_ids, row.tolist())))
-
-            return advance
-        controller = make_network_controller("util-bp", scenario.network)
-        return lambda k: sim.step(1.0, controller.decide(sim.observations()))
+        decide = serial_decider(sim, engine, scenario.network, "util-bp")
+        return lambda k: sim.step(1.0, decide())
 
     return setup
 

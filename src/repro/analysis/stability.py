@@ -45,6 +45,8 @@ from repro.analysis.changepoint import (
     onset_interval,
     permutation_threshold,
 )
+from repro.orchestration.spec import params_label
+from repro.results.aggregate import spec_and_result
 from repro.results.experiment import (
     ExperimentDefinition,
     register_experiment,
@@ -241,14 +243,6 @@ def _analyze_run(
     )
 
 
-def _as_pair(record: Any) -> Tuple[Any, Any]:
-    """Accept ``StoredRecord`` s and plain ``(spec, result)`` pairs."""
-    if hasattr(record, "spec") and hasattr(record, "result"):
-        return record.spec, record.result
-    spec, result = record
-    return spec, result
-
-
 def _load_of(spec: Any) -> Optional[float]:
     """The cell's demand level from its scenario parameters, if any."""
     params = dict(spec.scenario_params)
@@ -257,10 +251,6 @@ def _load_of(spec: Any) -> Optional[float]:
         if value is not None:
             return float(value)
     return None
-
-
-def _params_label(spec: Any) -> str:
-    return ",".join(f"{k}={v}" for k, v in spec.controller_params) or "-"
 
 
 def analyze_records(
@@ -279,11 +269,11 @@ def analyze_records(
     options = options or AnalysisOptions()
     groups: Dict[Tuple, List[Tuple[Any, Any]]] = {}
     for record in records:
-        spec, result = _as_pair(record)
+        spec, result = spec_and_result(record)
         key = (
             spec.pattern,
             spec.controller,
-            _params_label(spec),
+            params_label(spec.controller_params),
             spec.engine,
             result.summary.delay_mode,
             _load_of(spec),

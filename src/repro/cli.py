@@ -204,6 +204,17 @@ def _parse_scenario_token(token: str) -> str:
     return token
 
 
+def _parse_study_token(token: str) -> str:
+    """Validate an ablations study name eagerly (before any cell runs)."""
+    from repro.experiments.ablations import ABLATIONS
+
+    if token not in ABLATIONS:
+        raise argparse.ArgumentTypeError(
+            f"unknown ablation {token!r}; known: {sorted(ABLATIONS)}"
+        )
+    return token
+
+
 def _parse_shard_token(token: str) -> str:
     """Validate an INDEX/COUNT shard designator (kept as its text form)."""
     from repro.orchestration.spec import parse_shard
@@ -483,6 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ablations = sub.add_parser("ablations", help="run an ablation study")
     ablations.add_argument("study", nargs="?", default=None,
+                           type=_parse_study_token,
                            help="study name (default: all)")
     ablations.add_argument("--duration", type=_positive(float), default=1800.0)
     _add_pool_options(ablations)
@@ -568,6 +580,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run_sweep(args: argparse.Namespace) -> int:
+    from repro.orchestration.spec import params_label
     from repro.util.tables import render_table
 
     if args.load is not None and not args.scenarios:
@@ -625,7 +638,7 @@ def _run_sweep(args: argparse.Namespace) -> int:
         (
             spec.pattern,
             spec.controller,
-            ",".join(f"{k}={v}" for k, v in spec.controller_params) or "-",
+            params_label(spec.controller_params),
             spec.engine,
             spec.seed,
             f"{result.average_queuing_time:.2f}",

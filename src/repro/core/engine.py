@@ -121,7 +121,7 @@ class BatchControlArrays:
         as the per-replication observations report them).
     out_queues:
         ``q_{i'}(k)`` — ``(B, n_movements)`` outgoing-road queue seen
-        by each movement, under the engine's out-queue sensing mode.
+        by each movement, from the engine's spillback sensor.
     """
 
     __slots__ = ("time", "shape", "_engine", "_sensed")
@@ -164,6 +164,8 @@ class FacadeTables:
     kernels, ``meso-vec``, the B=1 façades of ``meso``, ``meso-events``
     and ``micro`` and ``meso-counts``' credit index all read it from
     here, so their arrays align column for column by construction.
+    :meth:`observations` is the dict view of a sensed pair, the
+    ``observations()`` of ``micro``, ``meso-events`` and ``meso-vec``.
 
     The axis depends on the network alone, so it is built once per
     network (:meth:`~repro.model.network.Network.derived`) and shared;
@@ -190,11 +192,17 @@ class FacadeTables:
         #: Per intersection position: the node's ``(first, end)`` column
         #: span (contiguous, as the layout is node-major).
         self.node_spans: List[Tuple[int, int]] = []
+        # observations(): per intersection, node id, keys, column span and
+        # each out-road's column (the first movement onto it; -1: exit).
+        self._observation_plan: List[tuple] = []
+        self._unread_out_road: Optional[str] = None
         for pos, intersection in enumerate(network.intersections.values()):
             first = len(keys)
+            column_onto: Dict[str, int] = {}
             for key, movement in intersection.movements.items():
                 columns = self.columns_of_road.setdefault(movement.in_road, {})
                 columns[movement.out_road] = len(keys)
+                column_onto.setdefault(movement.out_road, len(keys))
                 self.pos_of_road[movement.in_road] = pos
                 keys.append(key)
                 node.append(pos)
@@ -202,6 +210,22 @@ class FacadeTables:
                 out_road.append(road_pos[movement.out_road])
                 rate.append(movement.service_rate)
             self.node_spans.append((first, len(keys)))
+            out_columns = []
+            for road_id in intersection.out_roads:
+                column = column_onto.get(road_id, -1)
+                if network.road_destination[road_id] == BOUNDARY:
+                    column = -1
+                elif column < 0:
+                    self._unread_out_road = (
+                        f"out-road {road_id!r} of intersection "
+                        f"{intersection.node_id!r} is no movement's out-road: "
+                        f"no column reads its out-queue"
+                    )
+                out_columns.append((road_id, column))
+            self._observation_plan.append(
+                (intersection.node_id, tuple(keys[first:]), first, len(keys),
+                 tuple(out_columns))
+            )
         self.node_ids: Tuple[str, ...] = tuple(network.intersections)
         self.movement_keys: Tuple[Tuple[str, str], ...] = tuple(keys)
         #: ``(node_ids, movement_keys)`` — the arrays' column order.
@@ -235,6 +259,34 @@ class FacadeTables:
         for value in shared:
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False
+
+    def observations(
+        self, time: float, queues: np.ndarray, out_queues: np.ndarray
+    ) -> List[Dict[str, QueueObservation]]:
+        """``Q(k)`` maps of a sensed ``(queues, out_queues)`` pair, per row.
+
+        The dict view of what ``sense_arrays()`` returned: per
+        intersection, its movement queues and the out-queue of every
+        road in its ``out_roads``.  An exit road reads 0; any other
+        reads the spillback reading of its movement columns.  Raises
+        ``ValueError`` naming a non-exit out-road that no movement
+        column reads (no catalog network or paper pattern has one).
+        """
+        if self._unread_out_road is not None:
+            raise ValueError(self._unread_out_road)
+        trusted = QueueObservation.trusted
+        return [
+            {
+                node_id: trusted(
+                    time,
+                    dict(zip(keys, row[first:end])),
+                    {road_id: out_row[column] if column >= 0 else 0
+                     for road_id, column in out_columns},
+                )
+                for node_id, keys, first, end, out_columns in self._observation_plan
+            }
+            for row, out_row in zip(queues.tolist(), out_queues.tolist())
+        ]
 
     def out_queue_row(self, readings: Iterable[Tuple[str, int]]) -> np.ndarray:
         """A B=1 read's ``out_queues``: ``(road, reading)`` spillbacks.

@@ -18,6 +18,8 @@ driven:
   meso-counts stays on this loop on purpose: it is the readable
   reference the parity suites check the kernels against.
 
+:func:`serial_decider` is the one place the serial choice is made.
+
 A controller spec is checked before any engine is built.  The engine
 contracts and registries live in :mod:`repro.core.engine`, the one
 controller table in :mod:`repro.control.factory`.
@@ -26,7 +28,7 @@ controller table in :mod:`repro.control.factory`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import Any, Dict, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -54,6 +56,7 @@ __all__ = [
     "RunResult",
     "run_scenario",
     "run_scenario_batch",
+    "serial_decider",
 ]
 
 
@@ -225,6 +228,37 @@ def _check_layout(sim: Any, kernel: Any, engine: str) -> None:
         )
 
 
+def serial_decider(
+    sim: SimulationEngine, engine: str, network: Any, controller: str, **params: Any
+) -> Callable[[], Dict[str, int]]:
+    """The loop :func:`run_scenario` runs for a built serial engine.
+
+    Returns ``decide()``, the node -> phase map for the current slot:
+    a B=1 batch kernel on the engine's array façade when it offers
+    ``controller_arrays()`` and ``movement_layout`` (checked against
+    the kernel's layout here), otherwise the serial controllers on
+    ``observations()``.  Only the controller that loop needs is built.
+    """
+    if hasattr(sim, "controller_arrays") and hasattr(sim, "movement_layout"):
+        kernel = build_batch_controller(controller, network, 1, **params)
+        _check_layout(sim, kernel, engine)
+        node_ids = kernel.node_ids
+
+        def decide() -> Dict[str, int]:
+            """The B=1 kernel's decisions as a node -> phase map."""
+            row = kernel.decide_batch(sim.controller_arrays())[0]
+            return dict(zip(node_ids, row.tolist()))
+
+        return decide
+    network_controller = make_network_controller(controller, network, **params)
+
+    def decide() -> Dict[str, int]:
+        """The serial controllers' decisions on ``Q(k)``."""
+        return network_controller.decide(sim.observations())
+
+    return decide
+
+
 def run_scenario(scenario: Scenario, **knobs: Any) -> RunResult:
     """Run a scenario under a controller and collect the results.
 
@@ -266,32 +300,13 @@ def run_scenario(scenario: Scenario, **knobs: Any) -> RunResult:
     check_positive("duration", horizon)
 
     # A bad controller spec fails before the engine is built; the built
-    # engine then says which loop drives it, and only the controller
-    # that loop needs is built.
+    # engine then says which loop drives it.
     params = config.controller_params or {}
     check_controller(config.controller, params)
     sim: SimulationEngine = build_engine(scenario, config.engine)
-    if hasattr(sim, "controller_arrays") and hasattr(sim, "movement_layout"):
-        kernel = build_batch_controller(
-            config.controller, scenario.network, 1, **params
-        )
-        _check_layout(sim, kernel, config.engine)
-        node_ids = kernel.node_ids
-
-        def decide() -> Dict[str, int]:
-            """The B=1 kernel's decisions as a node -> phase map."""
-            row = kernel.decide_batch(sim.controller_arrays())[0]
-            return dict(zip(node_ids, row.tolist()))
-
-    else:
-        network_controller = make_network_controller(
-            config.controller, scenario.network, **params
-        )
-
-        def decide() -> Dict[str, int]:
-            """The serial controllers' decisions on ``Q(k)``."""
-            return network_controller.decide(sim.observations())
-
+    decide = serial_decider(
+        sim, config.engine, scenario.network, config.controller, **params
+    )
     mini_slot = config.mini_slot
     queue_sample_interval = config.queue_sample_interval
     phase_traces = {

@@ -79,15 +79,14 @@ the lazy-flush bookkeeping.
 **Control.**  Skipping idle slots leaves the controller as the bulk of
 a closed-loop slot, so the runner decides this engine with a B=1 batch
 kernel (:mod:`repro.control.batch`) instead of per-intersection Python
-controllers.  :meth:`EventCountsSimulator.controller_arrays` is the
-``(1, n_movements)`` view of exactly what :meth:`~repro.meso.counts.
-CountsSimulator.observations` reports, sensed only when a kernel reads
-it.  Sensing keeps the same kind of economy as stepping: a persistent
+controllers.  :meth:`EventCountsSimulator.sense_arrays` is its one
+sensor, read only when a kernel reads the arrays; ``observations()``
+is its dict view, so the parity suites check what the kernel reads.
+Sensing keeps the same kind of economy as stepping: a persistent
 stop-line row is rewritten only over the column spans of the nodes
 whose counts a step changed (promotion targets and served nodes; the
 per-slot fallback marks every node), and the in-transit units inside
-the sensing horizon are added to a copy of it.  ``observations()``
-stays for the parity suites.
+the sensing horizon are added to a copy of it.
 """
 
 from __future__ import annotations
@@ -100,6 +99,7 @@ import numpy as np
 from repro.core.engine import ArrayFacade, register_engine
 from repro.meso.counts import CountsSimulator
 from repro.model.phases import TRANSITION_PHASE_INDEX
+from repro.model.queues import QueueObservation
 from repro.util.validation import check_positive
 
 __all__ = [
@@ -261,12 +261,17 @@ class EventCountsSimulator(CountsSimulator, ArrayFacade):
     # ``movement_layout`` and ``controller_arrays()`` come from
     # :class:`~repro.core.engine.ArrayFacade`.
 
+    def observations(self) -> Dict[str, QueueObservation]:
+        """``Q(k)`` per intersection: the dict view of :meth:`sense_arrays`."""
+        return self._tables.observations(self.time, *self.sense_arrays())[0]
+
     def sense_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
         """``(queues, out_queues)`` as ``(1, n_movements)`` arrays.
 
-        Exactly what :meth:`observations` reports: stop-line queues plus
-        units in transit within the sensing horizon, and the out-queue
-        of each movement's outgoing road from the spillback sensor.  The
+        The engine's one sensor, reading what ``meso-counts``'
+        ``observations()`` reads: stop-line queues plus units in transit
+        within the sensing horizon, and the out-queue of each
+        movement's outgoing road from the spillback sensor.  The
         stop-line row persists between reads; only the column spans of
         nodes whose counts changed since the last read are rewritten,
         and the sensed in-transit units are added to a copy of it.  Both

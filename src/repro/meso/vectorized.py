@@ -76,8 +76,11 @@ kernel; a single ``run_scenario`` on ``meso-vec`` is a batch of one.
 The arrays' movement columns are the network's
 :class:`~repro.core.engine.FacadeTables` axis, the one the kernels
 read, so engine and kernel align by construction.
-:meth:`~BatchCountsSimulator.observations` is the per-replication
-``QueueObservation`` view the parity suites compare against.
+:meth:`~BatchCountsSimulator.sense_arrays` is the engine's one
+sensor; :meth:`~BatchCountsSimulator.observations` is its
+per-replication ``QueueObservation`` view
+(:meth:`~repro.core.engine.FacadeTables.observations`), the one the
+parity suites compare with ``meso-counts``' dict sensor.
 """
 
 from __future__ import annotations
@@ -120,10 +123,10 @@ class _ColumnTables:
     in-road, out-road and out-road capacity — is the network's
     :class:`~repro.core.engine.FacadeTables`, shared with the
     controller kernels.  On top of it this adds what only meso-vec
-    reads: the road tables, the phase tables, the hazard stages, the
-    observation plan and the per-column transfer / promote plans.
-    Everything here depends on the network alone — no seed, batch size
-    or plant parameter — so it is built once per network
+    reads: the road tables, the phase tables, the hazard stages and the
+    per-column transfer / promote plans.  Everything here depends on
+    the network alone — no seed, batch size or plant parameter — so it
+    is built once per network
     (:meth:`~repro.model.network.Network.derived`) and shared,
     read-only, by every :class:`BatchCountsSimulator` on it.  Building
     raises ``ValueError`` for a phase layout meso-vec cannot batch.
@@ -221,7 +224,7 @@ class _ColumnTables:
             _frozen(ids) for ids in self._build_stages(axis, phases_of, phase_pos)
         ]
 
-        # -- transfer / promote / observation plans ---------------------------
+        # -- transfer / promote plans ------------------------------------------
         #: The static halves of the per-unit FIFO plans, one entry per
         #: column (the FIFOs themselves are per seed, keyed by flat
         #: index — see :class:`BatchCountsSimulator`).  Per movement:
@@ -240,26 +243,6 @@ class _ColumnTables:
             road_id: _frozen(np.array(list(columns.values()), dtype=np.int64))
             for road_id, columns in columns_of_road.items()
         }
-        # Per node: keys tuple, movement slice, shared all-zero out-road
-        # dict and the out-road static rows.
-        self.obs_plan = []
-        for n, inter in enumerate(intersections):
-            first, end = axis.node_spans[n]
-            out_static = [
-                (r, road_index[r], int(self.caps[road_index[r]]),
-                 bool(is_exit_road[road_index[r]]))
-                for r in inter.out_roads
-            ]
-            self.obs_plan.append(
-                (
-                    inter.node_id,
-                    axis.movement_keys[first:end],
-                    first,
-                    end,
-                    {r: 0 for r, _, _, _ in out_static},
-                    out_static,
-                )
-            )
 
     def _build_stages(
         self, axis: FacadeTables, phases_of: List[set], phase_pos: np.ndarray
@@ -394,7 +377,6 @@ class BatchCountsSimulator(ArrayFacade):
         self._transfer_plan = tables.transfer_plan
         self._promote_plan = tables.promote_plan
         self._columns_of_road = tables.columns_of_road
-        self._obs_plan = tables.obs_plan
         R, N, M = len(self._road_ids), len(self._node_ids), len(self._movement_keys)
         out_idx = self._out_idx
 
@@ -487,43 +469,8 @@ class BatchCountsSimulator(ArrayFacade):
     # -- observation ---------------------------------------------------------
 
     def observations(self) -> List[Dict[str, QueueObservation]]:
-        """Per-replication ``Q(k)`` maps at the current time."""
-        now = self.time
-        deadline = now + self._sensing_horizon
-        trusted = QueueObservation.trusted
-        rep_any_full = (self._occ >= self._caps[None, :]).any(axis=1)
-        rows = self._queue_len.tolist()
-        sensed = self._head_ready <= deadline
-        if sensed.any():
-            plans = self._promote_plan
-            transits = self._transit
-            R = len(self._road_ids)
-            for b, ri in np.argwhere(sensed).tolist():
-                row = rows[b]
-                columns, road_id = plans[ri]
-                for ready, units in transits[b * R + ri]:
-                    if ready > deadline:
-                        break
-                    for unit in units:
-                        row[columns[unit[road_id]]] += 1
-        results: List[Dict[str, QueueObservation]] = []
-        for b, row in enumerate(rows):
-            per_node: Dict[str, QueueObservation] = {}
-            congested = bool(rep_any_full[b])
-            occ_row = self._occ[b].tolist() if congested else None
-            for node_id, keys, lo, hi, zeros, out_static in self._obs_plan:
-                if not congested:
-                    out_queues: Dict[str, int] = zeros
-                else:
-                    out_queues = {}
-                    for road_id, ri, cap, road_is_exit in out_static:
-                        occ = 0 if road_is_exit else occ_row[ri]
-                        out_queues[road_id] = occ if occ >= cap else 0
-                per_node[node_id] = trusted(
-                    now, dict(zip(keys, row[lo:hi])), out_queues
-                )
-            results.append(per_node)
-        return results
+        """Per-replication ``Q(k)`` maps: the dict view of :meth:`sense_arrays`."""
+        return self._tables.observations(self.time, *self.sense_arrays())
 
     # -- batched controller façade -------------------------------------------
     # ``movement_layout`` and ``controller_arrays()`` come from
@@ -532,12 +479,12 @@ class BatchCountsSimulator(ArrayFacade):
     def sense_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
         """``(queues, out_queues)`` at the current time.
 
-        Movement-aligned arrays of exactly what :meth:`observations`
-        reports — the same sensed in-transit augmentation of the
-        stop-line queues and the same spillback out-queues — without
-        materializing B per-node dict networks.  Both are read-only
-        snapshots that no later step changes (while no road is full,
-        the spillback out-queues are one shared zero array).
+        The engine's one sensor (:meth:`observations` is its dict view):
+        the stop-line queues plus the units in transit within the
+        sensing horizon, and the spillback out-queues, as
+        movement-aligned ``(B, n_movements)`` arrays.  Both are
+        read-only snapshots that no later step changes (while no road is
+        full, the spillback out-queues are one shared zero array).
 
         The in-transit augmentation is a count kept from the first read
         on.  A cohort (the units pushed onto one road in one mini-slot,

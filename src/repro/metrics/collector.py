@@ -139,10 +139,6 @@ class MetricsCollector:
         """Number of vehicles that have completed their trip."""
         return sum(1 for r in self._records.values() if r.left_at is not None)
 
-    def queuing_time_of(self, vehicle_id: int) -> float:
-        """Accumulated queuing time of one vehicle."""
-        return self._require(vehicle_id).queuing_time
-
     def summary(self, duration: Optional[float] = None) -> Summary:
         """Aggregate the run into a :class:`Summary`.
 

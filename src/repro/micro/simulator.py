@@ -10,9 +10,10 @@ The engine implements the same protocol as
 ``step`` / ``finalize`` / ``collector`` / ``utilization``), and
 registers itself with the experiment runner as ``"micro"``.  Like
 ``meso``, it also offers the B=1 controller-array façade
-(``controller_arrays()`` / ``sense_arrays()``), read from the same
+(``controller_arrays()`` / ``sense_arrays()``), read from the
 detectors only when a controller kernel reads it; the runner decides
-it with a B=1 batch kernel.
+it with a B=1 batch kernel.  ``observations()`` is the dict view of
+``sense_arrays()``, the engine's only sensor.
 """
 
 from __future__ import annotations
@@ -141,26 +142,8 @@ class MicroSimulator(ArrayFacade):
     # -- sensing ------------------------------------------------------------
 
     def observations(self) -> Dict[str, QueueObservation]:
-        """Build ``Q(k)`` for every intersection from the detectors."""
-        p = self.params
-        result: Dict[str, QueueObservation] = {}
-        for node_id, intersection in self.network.intersections.items():
-            movement_queues = {}
-            for (in_road, out_road) in intersection.movements:
-                lane = self._lanes[in_road][out_road]
-                movement_queues[(in_road, out_road)] = lane.detector_count(
-                    p.detector_range, p.halting_speed
-                )
-            out_queues = {
-                road_id: self._sensed_out_queue(road_id)
-                for road_id in intersection.out_roads
-            }
-            result[node_id] = QueueObservation(
-                time=self.time,
-                movement_queues=movement_queues,
-                out_queues=out_queues,
-            )
-        return result
+        """``Q(k)`` per intersection: the dict view of :meth:`sense_arrays`."""
+        return self._tables.observations(self.time, *self.sense_arrays())[0]
 
     def _sensed_out_queue(self, road_id: str) -> int:
         """Spillback sensor: 0 until congestion reaches the junction."""
@@ -180,10 +163,10 @@ class MicroSimulator(ArrayFacade):
     def sense_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
         """``(queues, out_queues)`` as ``(1, n_movements)`` arrays.
 
-        Exactly what :meth:`observations` reports: each turning lane's
-        detector count and each movement's out-queue from the spillback
-        sensor.  Both arrays are read-only; while no out-road has
-        spilled back, ``out_queues`` is one shared zero array.
+        The engine's one sensor: each turning lane's detector count and
+        each movement's out-queue from the spillback sensor.  Both
+        arrays are read-only; while no out-road has spilled back,
+        ``out_queues`` is one shared zero array.
         """
         p = self.params
         queues = np.array(

@@ -265,25 +265,3 @@ class PoissonArrivals:
             for index, count in enumerate(self.sample_count_block(times, dt))
             if count
         ]
-
-    def sample_times(self, start: float, dt: float) -> List[float]:
-        """Exact arrival instants in ``[start, start+dt)`` (sorted).
-
-        Conditional on the count, Poisson arrival times are uniform
-        over the interval within each constant-rate segment; we sample
-        per segment to respect rate changes.
-        """
-        check_positive("dt", dt)
-        times: List[float] = []
-        boundaries = [seg[0] for seg in self.schedule.segments] + [float("inf")]
-        for idx, (seg_start, rate) in enumerate(self.schedule.segments):
-            seg_end = boundaries[idx + 1]
-            lo = max(start, seg_start)
-            hi = min(start + dt, seg_end)
-            if hi <= lo or rate == 0.0:
-                continue
-            count = int(self._rng.poisson(rate * (hi - lo)))
-            if count:
-                times.extend(self._rng.uniform(lo, hi, size=count).tolist())
-        times.sort()
-        return times

@@ -50,6 +50,7 @@ __all__ = [
     "shard_index_of",
     "SPEC_SCHEMA_VERSION",
     "entry_queue_pairs",
+    "params_label",
 ]
 
 #: Bump when the spec or result schema changes incompatibly; part of
@@ -59,6 +60,11 @@ SPEC_SCHEMA_VERSION = 1
 #: Parameter mappings are stored as sorted ``(key, value)`` tuples so
 #: specs stay hashable; this alias names that shape.
 FrozenParams = Tuple[Tuple[str, Any], ...]
+
+
+def params_label(controller_params: FrozenParams) -> str:
+    """Controller parameters as ``k=v,...`` (``-`` for none), everywhere."""
+    return ",".join(f"{k}={v}" for k, v in controller_params) or "-"
 
 
 def entry_queue_pairs(network: Network, count: int) -> Tuple[Tuple[str, str], ...]:
@@ -175,8 +181,8 @@ class RunSpec:
 
     def label(self) -> str:
         """A short human-readable cell label for tables and logs."""
-        params = ",".join(f"{k}={v}" for k, v in self.controller_params)
-        suffix = f"({params})" if params else ""
+        params = params_label(self.controller_params)
+        suffix = f"({params})" if self.controller_params else ""
         return (
             f"{self.pattern}/{self.controller}{suffix}"
             f"/{self.engine}/seed{self.seed}"

@@ -32,6 +32,8 @@ import math
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Sequence, Tuple
 
+from repro.orchestration.spec import params_label
+
 __all__ = [
     "AXES",
     "DEFAULT_METRICS",
@@ -43,15 +45,11 @@ __all__ = [
 ]
 
 
-def _controller_params_label(spec, result) -> str:
-    return ",".join(f"{k}={v}" for k, v in spec.controller_params) or "-"
-
-
 #: Axis name -> value extractor over one ``(spec, result)`` cell.
 AXES = {
     "pattern": lambda spec, result: spec.pattern,
     "controller": lambda spec, result: spec.controller,
-    "controller_params": _controller_params_label,
+    "controller_params": lambda spec, result: params_label(spec.controller_params),
     "engine": lambda spec, result: spec.engine,
     "seed": lambda spec, result: spec.seed,
     "duration": lambda spec, result: spec.duration,
@@ -103,7 +101,7 @@ class MetricStats:
         return cls(mean=mean, std=std, ci95=ci95, n=n)
 
 
-def _as_pair(record):
+def spec_and_result(record: Any) -> Tuple[Any, Any]:
     """Accept ``StoredRecord`` s and plain ``(spec, result)`` pairs."""
     if hasattr(record, "spec") and hasattr(record, "result"):
         return record.spec, record.result
@@ -164,7 +162,7 @@ def aggregate(
 
     groups: Dict[Tuple[Any, ...], List[Tuple[Any, Any]]] = {}
     for record in records:
-        spec, result = _as_pair(record)
+        spec, result = spec_and_result(record)
         key = tuple(AXES[axis](spec, result) for axis in by)
         groups.setdefault(key, []).append((spec, result))
 

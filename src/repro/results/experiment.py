@@ -64,7 +64,8 @@ class ExperimentDefinition:
 
         An override of a tuple-valued default is made a tuple, so
         ``periods=[10, 20]`` runs and collects exactly like
-        ``periods=(10, 20)``.
+        ``periods=(10, 20)``; a ``str`` there is rejected (``"II"``
+        would otherwise become ``("I", "I")``).
         """
         unknown = set(overrides) - set(self.defaults)
         if unknown:
@@ -75,6 +76,12 @@ class ExperimentDefinition:
         merged = dict(self.defaults)
         for key, value in overrides.items():
             if isinstance(self.defaults[key], tuple):
+                if isinstance(value, str):
+                    raise TypeError(
+                        f"experiment {self.name!r} parameter {key!r} takes "
+                        f"a sequence, not the string {value!r}; "
+                        f"write ({value!r},)"
+                    )
                 value = tuple(value)
             merged[key] = value
         return merged

@@ -37,15 +37,20 @@ controller layer:
   decide every replication like a B=1 kernel fed that replication's
   rows, on every slot of the short-road steady-3x3 and surge-4x4;
 * the meso-events façade: its B=1 ``controller_arrays()`` equal the
-  arrays assembled from its own ``observations()`` at every slot,
-  under every out-queue sensing mode, and on every slot read after
-  several unread ones (the stop-line row is refreshed only for the
-  nodes the steps touched), on the event loop and on the per-slot
-  fallback alike;
+  arrays assembled from ``meso-counts``' dict sensor run on its state
+  (``CountsSimulator.observations(sim)``) at every slot, and on every
+  slot read after several unread ones (the stop-line row is refreshed
+  only for the nodes the steps touched), on the event loop and on the
+  per-slot fallback alike; its ``observations()``, the dict view of
+  those arrays, equals that sensor too;
 * the meso (both lane policies) and micro façades: their arrays equal
-  the engines' own ``observations()`` at every slot and after runs of
-  unread slots, on patterns I-IV and on short roads, with a full
-  out-road and an approaching vehicle sensed on some slot.
+  an independent dict sensor at every slot and after runs of unread
+  slots, on patterns I-IV and on short roads, with a full out-road and
+  an approaching vehicle sensed on some slot.  For meso that is its
+  own ``observations()``; micro's ``observations()`` is the view of its
+  arrays, so its reference is built here from each lane's
+  ``detector_count`` and each out-road's ``_sensed_out_queue``, and
+  micro's ``observations()`` must equal it as well.
 """
 
 import dataclasses
@@ -71,6 +76,7 @@ from repro.core.config import UtilBpConfig
 from repro.core.engine import build_batch_engine
 from repro.core.pressure import link_gain_array
 from repro.experiments import runner
+from repro.meso.counts import CountsSimulator
 from repro.meso.events import EventCountsSimulator
 from repro.meso.simulator import MesoSimulator
 from repro.meso.vectorized import BatchCountsSimulator
@@ -347,9 +353,11 @@ class TestEventsControllerArrays:
         sensed = congested = 0
         for step in range(STEPS):
             arrays = sim.controller_arrays()
+            reference = CountsSimulator.observations(sim)
             queues, out_queues = _arrays_from_observations(
-                sim.observations(), movement_keys
+                reference, movement_keys
             )
+            assert sim.observations() == reference, step
             assert arrays.time == sim.time
             assert arrays.queues.shape == arrays.out_queues.shape == (
                 1,
@@ -393,7 +401,7 @@ class TestEventsControllerArrays:
             if step % read_every == 0:
                 arrays = sim.controller_arrays()
                 queues, out_queues = _arrays_from_observations(
-                    sim.observations(), movement_keys
+                    CountsSimulator.observations(sim), movement_keys
                 )
                 assert (arrays.queues == queues).all(), step
                 assert (arrays.out_queues == out_queues).all(), step
@@ -424,6 +432,27 @@ def _micro(scenario):
         turning=scenario.turning,
         seed=scenario.seed,
     )
+
+
+def _micro_detectors(sim):
+    """micro's ``Q(k)`` read lane by lane, apart from its array sensor."""
+    p = sim.params
+    return {
+        node_id: QueueObservation(
+            time=sim.time,
+            movement_queues={
+                (in_road, out_road): sim._lanes[in_road][out_road].detector_count(
+                    p.detector_range, p.halting_speed
+                )
+                for in_road, out_road in intersection.movements
+            },
+            out_queues={
+                road_id: sim._sensed_out_queue(road_id)
+                for road_id in intersection.out_roads
+            },
+        )
+        for node_id, intersection in sim.network.intersections.items()
+    }
 
 
 #: The per-vehicle engines with an array façade, by lane policy.
@@ -468,13 +497,16 @@ class TestPerVehicleControllerArrays:
     def test_arrays_equal_observations(
         self, engine, controller, params, read_every
     ):
-        """Every read equals ``observations()`` packed into the layout.
+        """Every read equals an independent ``Q(k)`` packed into the layout.
 
-        Fixed-time never reads the façade, so the reads every 7th slot
-        follow runs of unread steps.  Over the drawn slots some read
-        must see a full out-road and some a vehicle that is not yet
-        standing in a stop-line queue (meso: in transit within the
-        sensing horizon; micro: moving inside the detector area).
+        The reference is meso's own ``observations()`` and, for micro,
+        :func:`_micro_detectors`, which micro's ``observations()`` must
+        equal too.  Fixed-time never reads the façade, so the reads
+        every 7th slot follow runs of unread steps.  Over the drawn
+        slots some read must see a full out-road and some a vehicle that
+        is not yet standing in a stop-line queue (meso: in transit
+        within the sensing horizon; micro: moving inside the detector
+        area).
         """
         full = approaching = 0
         for name, overrides in PER_VEHICLE_PLANTS:
@@ -492,8 +524,13 @@ class TestPerVehicleControllerArrays:
             for step in range(PER_VEHICLE_STEPS):
                 arrays = sim.controller_arrays()
                 if step % read_every == 0:
+                    if engine == "micro":
+                        reference = _micro_detectors(sim)
+                        assert sim.observations() == reference, (name, step)
+                    else:
+                        reference = sim.observations()
                     queues, out_queues = _arrays_from_observations(
-                        sim.observations(), movement_keys
+                        reference, movement_keys
                     )
                     assert arrays.time == sim.time
                     assert (arrays.queues == queues).all(), (name, step)

@@ -15,18 +15,28 @@ engine's next ``step()``.  This suite pins:
 * read-only snapshots: writing to a slot's arrays raises;
 * meso-vec's kept in-transit count equals a from-scratch walk at every
   read: under util-bp and after unread slots, with a travel time within
-  the sensing horizon and with no horizon, at B=1 and B=4.
+  the sensing horizon and with no horizon, at B=1 and B=4;
+* the dict view ``observations()`` of ``micro``, ``meso-events`` and
+  ``meso-vec`` reads (``FacadeTables.observations``): one map per row,
+  every intersection's movements and out-roads in declaration order,
+  plain ``int`` readings, exit roads at 0, and a ``ValueError`` naming
+  a non-exit out-road that no movement column reads.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
 
 from repro.control.batch import _BatchFixedSlotController
 from repro.control.factory import build_batch_controller
-from repro.core.engine import build_batch_engine, build_engine
+from repro.core.engine import FacadeTables, build_batch_engine, build_engine
 from repro.experiments.runner import run_scenario, run_scenario_batch
 from repro.meso.events import EventCountsSimulator
 from repro.meso.vectorized import BatchCountsSimulator
+from repro.model.grid import build_grid_network
+from repro.model.network import BOUNDARY
+from repro.model.phases import Phase
 from repro.scenarios import build_named_scenario
 
 SLOTS = 240
@@ -295,3 +305,65 @@ class TestIncrementalSensing:
         assert sim._sensed is None
         arrays = sim.controller_arrays()
         assert np.array_equal(arrays.queues, _reference_sense(sim)[0])
+
+
+def _without_movements_onto(network, node_id, road_id):
+    """``network`` with no movement of ``node_id`` onto ``road_id``."""
+    node = network.intersections[node_id]
+    phases = [
+        Phase(phase.index, kept)
+        for phase in node.phases
+        if (kept := tuple(m for m in phase.movements if m.out_road != road_id))
+    ]
+    variant = dataclasses.replace(
+        node,
+        movements={
+            key: movement
+            for key, movement in node.movements.items()
+            if movement.out_road != road_id
+        },
+        phases=phases,
+    )
+    return dataclasses.replace(
+        network, intersections={**network.intersections, node_id: variant}
+    )
+
+
+class TestObservationView:
+    """``FacadeTables.observations``: the dict view of a sensed pair."""
+
+    def test_rows_become_per_intersection_maps(self):
+        network = build_grid_network(2, 2)
+        tables = FacadeTables.of(network)
+        width = tables.n_movements
+        queues = np.arange(3 * width, dtype=np.int64).reshape(3, width)
+        out_queues = np.full((3, width), 7, dtype=np.int64)
+        views = tables.observations(12.5, queues, out_queues)
+        assert len(views) == 3
+        for b, view in enumerate(views):
+            assert list(view) == list(network.intersections)
+            column = 0
+            for node_id, intersection in network.intersections.items():
+                obs = view[node_id]
+                assert obs.time == 12.5
+                assert list(obs.movement_queues) == list(intersection.movements)
+                for key in intersection.movements:
+                    assert obs.movement_queues[key] == queues[b, column]
+                    assert type(obs.movement_queues[key]) is int
+                    column += 1
+                assert list(obs.out_queues) == list(intersection.out_roads)
+                for road_id, reading in obs.out_queues.items():
+                    exit_road = network.road_destination[road_id] == BOUNDARY
+                    assert reading == (0 if exit_road else 7), road_id
+
+    def test_out_road_without_a_column_is_refused(self):
+        network = build_grid_network(1, 2)
+        road_id = next(
+            road
+            for road in network.intersections["J00"].out_roads
+            if network.road_destination[road] == "J01"
+        )
+        tables = FacadeTables(_without_movements_onto(network, "J00", road_id))
+        zeros = np.zeros((1, tables.n_movements), dtype=np.int64)
+        with pytest.raises(ValueError, match=repr(road_id)):
+            tables.observations(0.0, zeros, zeros)

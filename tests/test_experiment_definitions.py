@@ -202,6 +202,15 @@ class TestWrappersForward:
         assert params["periods"] == (12.0, 20.0)
         assert params["mixed_segment_duration"] is None
 
+    def test_string_for_a_sequence_parameter_rejected(self):
+        """``patterns="II"`` must not run pattern I twice."""
+        with pytest.raises(TypeError, match="'patterns'"):
+            TABLE3.params(patterns="II")
+        pool = _RecordingPool()
+        with pytest.raises(TypeError, match="'periods'"):
+            run_table3(patterns=("II",), periods="12", pool=pool)
+        assert not hasattr(pool, "specs")
+
     def test_list_arguments_equal_tuple_arguments(self):
         small = dict(FIG2_SMALL, periods=list(FIG2_SMALL["periods"]))
         assert run_fig2(**small) == run_fig2(**FIG2_SMALL)

@@ -68,21 +68,6 @@ class TestPoissonArrivals:
             process.sample_count(float(t), 1.0) == 0 for t in range(100)
         )
 
-    def test_sample_times_sorted_and_in_window(self):
-        process = PoissonArrivals(
-            ArrivalSchedule.constant(2.0), np.random.default_rng(1)
-        )
-        times = process.sample_times(10.0, 5.0)
-        assert times == sorted(times)
-        assert all(10.0 <= t < 15.0 for t in times)
-
-    def test_sample_times_respect_segments(self):
-        # Rate 0 before t=50, high after: all samples must land after 50.
-        schedule = ArrivalSchedule.piecewise([(0, 0.0), (50, 5.0)])
-        process = PoissonArrivals(schedule, np.random.default_rng(2))
-        times = process.sample_times(0.0, 100.0)
-        assert times and all(t >= 50.0 for t in times)
-
     def test_deterministic_given_rng(self):
         a = PoissonArrivals(ArrivalSchedule.constant(1.0), np.random.default_rng(7))
         b = PoissonArrivals(ArrivalSchedule.constant(1.0), np.random.default_rng(7))

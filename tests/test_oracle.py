@@ -11,7 +11,10 @@ counts engine:
   replication by replication;
 * the B=1 util-bp kernel, driven on ``meso-vec``'s arrays, must decide
   like :class:`tests.conftest.ReferenceUtilBp` (Algorithm 1 composed
-  from the scalar equations) on every call.
+  from the scalar equations) on every call.  The reference reads
+  ``meso-counts``' own dict sensor, stepped in lockstep on the kernel's
+  decisions, and ``meso-vec``'s ``observations()`` (the dict view of
+  its arrays) must equal that sensor on every slot.
 
 Across the drawn set some plants must reach spillback (a downstream
 road's space bounds a served movement), amber and a full out-road
@@ -28,7 +31,7 @@ from hypothesis import strategies as st
 
 from repro.control.factory import build_batch_controller
 from repro.core.config import UtilBpConfig
-from repro.core.engine import build_batch_engine
+from repro.core.engine import build_batch_engine, build_engine
 from repro.experiments.runner import run_scenario, run_scenario_batch
 from repro.scenarios import build_scenario
 
@@ -108,6 +111,7 @@ def _kernel_decides_like_reference(plant):
     network = scenario.network
     config = UtilBpConfig(**plant["util_bp"])
     sim = build_batch_engine([scenario], "meso-vec")
+    counts = build_engine(scenario, "meso-counts")
     kernel = build_batch_controller("util-bp", network, 1, **plant["util_bp"])
     reference = {
         node_id: ReferenceUtilBp(intersection, config)
@@ -118,7 +122,8 @@ def _kernel_decides_like_reference(plant):
     for _ in range(int(DURATION / dt)):
         arrays = sim.controller_arrays()
         row = kernel.decide_batch(arrays)[0]
-        observations = sim.observations()[0]
+        observations = counts.observations()
+        assert sim.observations()[0] == observations, f"t={sim.time}"
         expected = [
             reference[node_id].decide(observations[node_id])
             for node_id in kernel.node_ids
@@ -129,6 +134,7 @@ def _kernel_decides_like_reference(plant):
         if arrays.out_queues.any():
             reached["full out-road"] += 1
         sim.step(dt, row)
+        counts.step(dt, dict(zip(kernel.node_ids, row.tolist())))
     if sim.staged_slots:
         reached["spillback"] += 1
     return reached

@@ -121,6 +121,11 @@ class TestCli:
         line = self._usage_error(capsys, ["run", "--pattern", "XYZ"])
         assert "unknown pattern 'XYZ'" in line
 
+    def test_ablations_unknown_study_is_a_usage_error(self, capsys):
+        line = self._usage_error(capsys, ["ablations", "nonexistent"])
+        assert "unknown ablation 'nonexistent'" in line
+        assert "keep-margin" in line
+
     @pytest.mark.parametrize("controller", FIXED_SLOT_CONTROLLERS)
     def test_run_fixed_slot_controller_needs_period(self, capsys, controller):
         line = self._usage_error(capsys, ["run", "--controller", controller])
