@@ -43,6 +43,7 @@ per-vehicle delay percentiles/maxima are unavailable — summaries carry
 from __future__ import annotations
 
 from collections import deque
+from functools import cached_property
 from typing import Deque, Dict, List, Mapping, Optional, Tuple
 
 from repro.core.engine import FacadeTables, register_engine
@@ -213,7 +214,7 @@ class CountsSimulator:
         }
         self._finalized = False
 
-        # -- precomputed serve/observe plans -------------------------------
+        # -- precomputed serve plans -------------------------------------
         saturation_rate = 1.0 / saturation_headway
         # Per intersection: (node_id, position, intersection, tracker,
         # movement credit indices, {phase_index: (service_rate_sum,
@@ -259,34 +260,6 @@ class CountsSimulator:
                     self._queue_counts[node_id],
                 )
             )
-        # Per intersection: (node_id, live count dict, [(transit FIFO,
-        # out_road -> movement key), ...] for sensing, [(out road,
-        # capacity, is exit), ...], all-zero out-queue map for the
-        # nothing-congested fast path).
-        self._obs_plan = []
-        for node_id, intersection in network.intersections.items():
-            in_roads = dict.fromkeys(i for i, _ in intersection.movements)
-            sensing = [
-                (
-                    self._road_slot[in_road],
-                    self._transit[in_road],
-                    keys_of_road[in_road],
-                )
-                for in_road in in_roads
-            ]
-            out_static = [
-                (r, self._capacity[r], self._is_exit[r])
-                for r in intersection.out_roads
-            ]
-            self._obs_plan.append(
-                (
-                    node_id,
-                    self._queue_counts[node_id],
-                    sensing,
-                    out_static,
-                    {r: 0 for r, _, _ in out_static},
-                )
-            )
         # Injection plan: (entry road, arrival process, backlog FIFO,
         # entry transit FIFO, entry transit time, entry transit slot).
         self._inject_plan = [
@@ -302,6 +275,38 @@ class CountsSimulator:
         ]
 
     # -- observation -------------------------------------------------------
+
+    @cached_property
+    def _obs_plan(self) -> List[tuple]:
+        """Per intersection: ``(node_id, live count dict, [(road slot,
+        transit FIFO, out_road -> movement key), ...] for sensing,
+        [(out road, capacity, is exit), ...], all-zero out-queue map
+        for the nothing-congested fast path)``.
+
+        Built on the first :meth:`observations` call, so a subclass
+        with its own sensor (meso-events) never pays for it.
+        """
+        plan = []
+        for node_id, intersection in self.network.intersections.items():
+            sensing = []
+            for in_road in dict.fromkeys(i for i, _ in intersection.movements):
+                slot = self._road_slot[in_road]
+                promotable = self._promotable[slot]
+                sensing.append((slot, promotable[1], promotable[4]))
+            out_static = [
+                (r, self._capacity[r], self._is_exit[r])
+                for r in intersection.out_roads
+            ]
+            plan.append(
+                (
+                    node_id,
+                    self._queue_counts[node_id],
+                    sensing,
+                    out_static,
+                    {r: 0 for r, _, _ in out_static},
+                )
+            )
+        return plan
 
     def observations(self) -> Dict[str, QueueObservation]:
         """Build ``Q(k)`` for every intersection at the current time.

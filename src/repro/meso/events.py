@@ -23,11 +23,13 @@ events:
   at most one live entry — pushed when a unit enters an *empty*
   transit FIFO or when a promotion leaves residue behind.
 * **arrival-window refill** (``PRIO_REFILL``): Poisson counts for all
-  demand roads are pre-drawn one window (:data:`ARRIVAL_WINDOW` slots)
-  at a time via :meth:`~repro.model.arrivals.PoissonArrivals.
-  sample_nonzero_block` — bit-identical draws to the per-slot calls,
-  but zero-count slots (the vast majority at low load, and *every*
-  slot of a zero-rate tidal phase) schedule no event at all.
+  demand roads are pre-drawn one window
+  (:data:`~repro.model.arrivals.ARRIVAL_WINDOW` slots) at a time, one
+  :meth:`~repro.model.arrivals.PoissonArrivals.sample_count_block`
+  call per road — the per-slot draws exactly — and only the nonzero
+  slots are scheduled: zero-count slots (the vast majority at low
+  load, and *every* slot of a zero-rate tidal phase, which draws
+  nothing) get no event at all.
 * **segment arrival batch** (``PRIO_ARRIVAL``): one event per slot
   that actually receives vehicles, carrying ``(road, count)``.
 
@@ -98,6 +100,7 @@ import numpy as np
 
 from repro.core.engine import ArrayFacade, register_engine
 from repro.meso.counts import CountsSimulator
+from repro.model.arrivals import slot_times
 from repro.model.phases import TRANSITION_PHASE_INDEX
 from repro.model.queues import QueueObservation
 from repro.util.validation import check_positive
@@ -108,7 +111,6 @@ __all__ = [
     "PRIO_PROMOTE",
     "PRIO_REFILL",
     "PRIO_ARRIVAL",
-    "ARRIVAL_WINDOW",
 ]
 
 #: Event priorities: transit promotions before arrival-window refills
@@ -116,9 +118,6 @@ __all__ = [
 PRIO_PROMOTE = 0
 PRIO_REFILL = 1
 PRIO_ARRIVAL = 2
-
-#: Mini-slots of Poisson counts pre-drawn per arrival window.
-ARRIVAL_WINDOW = 256
 
 #: Intersection modes between events.
 _MODE_AMBER = 0  # transition phase applied; amber time accrues lazily
@@ -162,10 +161,8 @@ class EventCalendar:
 def _is_dyadic(value: float) -> bool:
     """Whether ``value`` is an exact multiple of 2**-20.
 
-    Same gate as :class:`~repro.model.arrivals.PoissonArrivals`
-    batching: sums and products of such values (within range) round to
-    nothing, so lazy closed forms equal per-slot accumulation bit for
-    bit.
+    Sums and products of such values (within range) round to nothing,
+    so lazy closed forms equal per-slot accumulation bit for bit.
     """
     return (value * 1048576.0).is_integer()
 
@@ -224,11 +221,8 @@ class EventCountsSimulator(CountsSimulator, ArrayFacade):
         #: Demand roads with a non-empty backlog (admission must be
         #: re-attempted every slot, as the parent does).
         self._backlogged: set = set()
-        #: Pre-drawn-window cursor: first slot / start time of the
-        #: *next* window to draw.
-        self._next_window_slot = 0
+        #: Start time of the *next* arrival window to draw.
         self._next_window_time = 0.0
-        self._window_times: List[float] = []
 
         # Aggregate-collector span (waiting/in-network integrals).
         self._mspan_slots = 0
@@ -317,24 +311,22 @@ class EventCountsSimulator(CountsSimulator, ArrayFacade):
         """Pre-draw one window of Poisson counts for every demand road.
 
         Consumes each road's private arrival stream exactly as the
-        per-slot calls would (the block API is draw-for-draw
-        identical) and schedules one calendar event per slot that
-        actually receives vehicles.
+        per-slot calls would (one ``sample_count_block`` per road) and
+        schedules one calendar event per slot that actually receives
+        vehicles.
         """
         dt = self._dt
-        times = self._window_times
-        times.clear()
-        t = self._next_window_time
-        for _ in range(ARRIVAL_WINDOW):
-            times.append(t)
-            t += dt
+        times = slot_times(self._next_window_time, dt)
+        time_list = times.tolist()
         calendar = self._calendar
         for idx, plan in enumerate(self._inject_plan):
-            for j, count in plan[1].sample_nonzero_block(times, dt):
-                calendar.push(times[j], PRIO_ARRIVAL, (idx, count))
-        self._next_window_slot += ARRIVAL_WINDOW
-        self._next_window_time = t
-        calendar.push(t, PRIO_REFILL, None)
+            counts = plan[1].sample_count_block(times, dt)
+            slots = np.flatnonzero(counts)
+            for j, count in zip(slots.tolist(), counts[slots].tolist()):
+                calendar.push(time_list[j], PRIO_ARRIVAL, (idx, count))
+        end = time_list[-1] + dt
+        self._next_window_time = end
+        calendar.push(end, PRIO_REFILL, None)
 
     # -- lazy-span flushing ------------------------------------------------
     #

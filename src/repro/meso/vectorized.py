@@ -15,10 +15,11 @@ store-and-forward count dynamics onto NumPy arrays of shape
 * queue lengths, road occupancies, service credits, phase state and
   the utilization books are batched arrays updated with a fixed number
   of vectorized operations per mini-slot (independent of ``B``);
-* arrival counts are pulled ahead in 64-step windows through each
-  replication's own :class:`~repro.model.arrivals.PoissonArrivals`
-  (see below), so the per-step cost of demand sampling is one array
-  slice;
+* arrival counts are drawn ahead in windows of
+  :data:`~repro.model.arrivals.ARRIVAL_WINDOW` slots, one
+  ``sample_count_block`` call per replication's own
+  :class:`~repro.model.arrivals.PoissonArrivals` and entry road (see
+  below), so the per-step cost of demand sampling is one array slice;
 * spillback sensing is a masked array comparison
   (``occupancy >= capacity``) instead of a maintained set;
 * per-replication aggregate metrics are integrated by a
@@ -95,7 +96,12 @@ from repro.core.engine import ArrayFacade, FacadeTables, register_batch_engine
 from repro.metrics.aggregate import BatchAggregateMetricsCollector
 from repro.metrics.collector import Summary
 from repro.metrics.utilization import UtilizationTracker
-from repro.model.arrivals import ArrivalSchedule, PoissonArrivals
+from repro.model.arrivals import (
+    ARRIVAL_WINDOW,
+    ArrivalSchedule,
+    PoissonArrivals,
+    slot_times,
+)
 from repro.model.network import BOUNDARY, Network
 from repro.model.phases import TRANSITION_PHASE_INDEX
 from repro.model.queues import QueueObservation
@@ -104,11 +110,6 @@ from repro.util.rng import RngStreams
 from repro.util.validation import check_non_negative, check_positive
 
 __all__ = ["BatchCountsSimulator"]
-
-#: Mini-slots of arrival counts pulled ahead per refill (a multiple of
-#: the PoissonArrivals pre-draw batch, so a refill is mostly slicing).
-ARRIVAL_WINDOW = 128
-
 
 def _frozen(array: np.ndarray) -> np.ndarray:
     """``array`` made read-only: shared tables must never be written."""
@@ -975,17 +976,13 @@ class BatchCountsSimulator(ArrayFacade):
             self._commit_tracked(tracked)
 
     def _refill_window(self, dt: float, now: float) -> None:
-        """Pull the next ``ARRIVAL_WINDOW`` mini-slots of arrival counts.
+        """Draw the next ``ARRIVAL_WINDOW`` mini-slots of arrival counts.
 
-        Times replicate the engine clock's own float accumulation, so
-        every replication's :class:`PoissonArrivals` sees exactly the
-        call sequence a serial run would make.
+        :func:`~repro.model.arrivals.slot_times` replicates the engine
+        clock's own float accumulation, so every replication's
+        :class:`PoissonArrivals` draws exactly what a serial run would.
         """
-        times = []
-        t = now
-        for _ in range(ARRIVAL_WINDOW):
-            times.append(t)
-            t += dt
+        times = slot_times(now, dt)
         window = np.empty(
             (ARRIVAL_WINDOW, self.batch_size, len(self._entry_ids)),
             dtype=np.int64,

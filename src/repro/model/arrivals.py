@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.util.validation import check_non_negative, check_positive
 
-__all__ = ["ArrivalSchedule", "PoissonArrivals"]
+__all__ = ["ARRIVAL_WINDOW", "ArrivalSchedule", "PoissonArrivals", "slot_times"]
 
 
 @dataclass(frozen=True)
@@ -99,169 +99,93 @@ class ArrivalSchedule:
         return total
 
 
+#: Mini-slots of Poisson counts drawn per window: every engine's
+#: arrival window and :meth:`PoissonArrivals.sample_count`'s.
+ARRIVAL_WINDOW = 128
+
+
+def slot_times(start: float, dt: float, n: int = ARRIVAL_WINDOW) -> np.ndarray:
+    """Start times of ``n`` consecutive mini-slots from ``start``.
+
+    ``np.add.accumulate`` adds ``dt`` one element at a time, left to
+    right, so element ``k`` is exactly the float an engine clock holds
+    after ``k`` steps of ``time += dt`` (``start + k * dt`` differs in
+    the last ulp on a non-dyadic grid such as ``dt = 0.3``).
+    """
+    steps = np.full(n, dt)
+    steps[0] = start
+    return np.add.accumulate(steps)
+
+
 class PoissonArrivals:
-    """Samples Poisson arrival counts and exact arrival times.
+    """Samples Poisson arrival counts per mini-slot.
 
     One instance per entry road; each owns a dedicated RNG so arrival
     streams are independent across roads and identical across paired
     controller runs.
-    """
 
-    #: Pre-drawn counts per batch; bounds the look-ahead of the stream.
-    BATCH_SIZE = 64
-    #: Identical-mean calls seen before batching kicks in.  Guards the
-    #: pathological case of a caller whose per-call means never repeat
-    #: (irregular ``dt`` grids), which would otherwise draw-and-discard.
-    BATCH_AFTER = 3
+    Every count comes from one ``rng.poisson`` call per window of slots
+    (:meth:`sample_count_block`).  numpy's ``Generator.poisson`` draws an
+    array of means element by element, exactly as one scalar call per
+    element would, and a zero mean draws nothing, so a window consumes
+    the generator exactly as one ``poisson(mean)`` call per slot with a
+    nonzero mean does.
+    """
 
     def __init__(self, schedule: ArrivalSchedule, rng: np.random.Generator):
         self.schedule = schedule
         self._rng = rng
-        # Batched-draw state: numpy fills an array with exactly the
-        # values repeated scalar calls would produce (verified by
-        # tests), so pre-drawing a batch of same-mean counts is
-        # bit-identical to drawing one per step — while paying the
-        # numpy call overhead once per BATCH_SIZE steps instead of
-        # every step.  Batching only engages for binary-exact ``dt``
-        # (integers, halves, quarters, ... — every accumulated step
-        # time and per-step mean is then float-exact and constant
-        # within a segment) and batches never reach a rate-segment
-        # boundary, so no pre-drawn value is ever discarded and the
-        # sequence provably equals the unbatched one.  Non-dyadic
-        # ``dt`` grids (0.1, 0.7, ...) accumulate rounding error that
-        # makes per-step means fluctuate in the last ulp; they always
-        # take the scalar path, which is the unbatched code itself.
-        self._batch: List[int] = []
-        self._batch_pos = 0
-        self._batch_mean = -1.0
-        self._streak_mean = -1.0
-        self._streak = 0
-        # Cursor into the schedule's segments: queries arrive with
-        # (almost always) non-decreasing start times, so remembering
-        # the last segment makes the lookup O(1) amortized.
-        self._segment_cursor = 0
+        # sample_count's window: its slot start times, their counts,
+        # the next slot to serve and the window's dt.
+        self._times: List[float] = []
+        self._counts: List[int] = []
+        self._pos = 0
+        self._dt = 0.0
 
-    def sample_count(self, start: float, dt: float) -> int:
-        """``A(k, k+1)`` — arrivals in ``[start, start+dt)``.
+    def sample_count_block(self, times: np.ndarray, dt: float) -> np.ndarray:
+        """Counts of the mini-slots ``[t, t + dt)`` for ``t`` in ``times``.
 
-        Uses the exact expected count across rate-segment boundaries,
-        so the process stays Poisson even when ``[start, start+dt)``
-        straddles a pattern change of the mixed schedule.
+        ``times`` is a non-decreasing float64 array (see
+        :func:`slot_times`).  Each slot's mean is ``rate * ((t + dt) -
+        t)`` when the whole block lies in one rate segment, and the
+        exact :meth:`ArrivalSchedule.expected_count` when it crosses a
+        segment boundary, so the process stays Poisson across a pattern
+        change of the mixed schedule.  A block inside a zero-rate
+        segment draws nothing.
         """
         if dt <= 0:
             check_positive("dt", dt)
         schedule = self.schedule
-        starts = schedule._starts
-        ends = schedule._ends
-        idx = self._segment_cursor
-        if start < starts[idx]:
-            idx = 0  # time went backwards (fresh run of a shared schedule)
-        while start >= ends[idx]:
-            idx += 1
-        self._segment_cursor = idx
-        end = start + dt
-        segment_end = ends[idx]
-        if end <= segment_end:
-            # Same expression as expected_count's single-segment path.
-            mean = schedule.segments[idx][1] * (end - start)
-        else:
-            mean = schedule.expected_count(start, end)
-        if mean == 0.0:
-            return 0
-        if mean == self._batch_mean and self._batch_pos < len(self._batch):
-            value = self._batch[self._batch_pos]
-            self._batch_pos += 1
-            return value
-        if mean == self._streak_mean:
-            self._streak += 1
-        else:
-            self._streak_mean = mean
-            self._streak = 1
-        if self._streak > self.BATCH_AFTER and (dt * 1048576.0).is_integer():
-            # Size the batch to stay strictly inside the current rate
-            # segment: the next segment's per-step mean differs, and a
-            # batch drawn with the old mean must never leak across.
-            # One step of slack absorbs any rounding in the division.
-            if segment_end == float("inf"):
-                size = self.BATCH_SIZE
-            else:
-                remaining = segment_end - end
-                if remaining < 0:
-                    remaining = 0.0
-                size = min(self.BATCH_SIZE, int(remaining / dt))
-            if size > 1:
-                self._batch = self._rng.poisson(mean, size=size).tolist()
-                self._batch_mean = mean
-                self._batch_pos = 1
-                return self._batch[0]
-        self._batch_mean = -1.0  # no valid batch pending
-        return int(self._rng.poisson(mean))
+        first = times[0]
+        idx = bisect_right(schedule._starts, first) - 1
+        if first >= 0.0 and times[-1] + dt <= schedule._ends[idx]:
+            rate = schedule.segments[idx][1]
+            if rate == 0.0:
+                return np.zeros(len(times), dtype=np.int64)
+            widths = (times + dt) - times
+            if (widths == widths[0]).all():
+                return self._rng.poisson(rate * widths[0], size=len(times))
+            return self._rng.poisson(rate * widths)
+        means = [schedule.expected_count(t, t + dt) for t in times.tolist()]
+        return self._rng.poisson(np.array(means))
 
-    def sample_count_block(
-        self, times: Sequence[float], dt: float
-    ) -> List[int]:
-        """Counts for a whole block of consecutive mini-slots.
+    def sample_count(self, start: float, dt: float) -> int:
+        """``A(k, k+1)`` — arrivals in ``[start, start+dt)``.
 
-        Returns exactly the values ``[self.sample_count(t, dt) for t in
-        times]`` would — same draws from the same generator in the same
-        order — but amortizes the per-call Python overhead by serving
-        runs of already pre-drawn batch values with one slice.  The
-        bulk path is sound because a live batch only ever contains
-        values for consecutive same-``dt`` slots strictly inside the
-        current rate segment (see :meth:`sample_count`'s sizing), so
-        none of the sliced values could have been discarded by the
-        per-call logic.  Callers must pass the same accumulated slot
-        times the per-call loop would (the batch engine's pulled-ahead
-        arrival window does).
+        Served from a window of :data:`ARRIVAL_WINDOW` counts that
+        :meth:`sample_count_block` draws on the grid ``start, start + dt,
+        ...`` of the call that opened it.  A call off that grid (another
+        start time or ``dt``) drops the rest of the window and opens a
+        new one, so a caller whose clock adds ``dt`` each slot gets the
+        per-slot draws exactly.
         """
-        out: List[int] = []
-        extend = out.extend
-        i, total = 0, len(times)
-        while i < total:
-            batch_before = self._batch
-            pos_before = self._batch_pos
-            out.append(self.sample_count(times[i], dt))
-            i += 1
-            # Bulk-serve only when that call itself consumed the live
-            # batch (freshly drawn, or advanced by one).  A call that
-            # bypassed the batch — zero-rate segment, non-batching mean
-            # — leaves it untouched, and its leftover values belong to
-            # earlier slots the per-call logic would never replay.
-            if self._batch_mean >= 0.0 and (
-                (self._batch is batch_before
-                 and self._batch_pos == pos_before + 1)
-                or (self._batch is not batch_before and self._batch_pos == 1)
-            ):
-                batch_left = len(self._batch) - self._batch_pos
-                if batch_left > 0 and i < total:
-                    take = min(batch_left, total - i)
-                    extend(self._batch[self._batch_pos:self._batch_pos + take])
-                    self._batch_pos += take
-                    i += take
-        return out
-
-    def sample_nonzero_block(
-        self, times: Sequence[float], dt: float
-    ) -> List[Tuple[int, int]]:
-        """``(slot_index, count)`` pairs for a block, skipping zeros.
-
-        Event-driven callers only care which slots receive vehicles.
-        Returns the nonzero entries of :meth:`sample_count_block` with
-        their positions in ``times`` — draw-for-draw identical RNG
-        consumption to the per-slot calls.
-
-        Fast path: when the schedule's precomputed segment tables show
-        a zero expected count across the whole block (e.g. the silent
-        phases of a tidal profile), every per-slot mean is zero — the
-        scalar path returns 0 *before* touching the generator — so the
-        block is skipped without drawing anything at all.
-        """
-        if not times:
-            return []
-        if self.schedule.expected_count(times[0], times[-1] + dt) == 0.0:
-            return []
-        return [
-            (index, count)
-            for index, count in enumerate(self.sample_count_block(times, dt))
-            if count
-        ]
+        pos = self._pos
+        if pos < len(self._times) and start == self._times[pos] and dt == self._dt:
+            self._pos = pos + 1
+            return self._counts[pos]
+        times = slot_times(start, dt)
+        self._counts = self.sample_count_block(times, dt).tolist()
+        self._times = times.tolist()
+        self._dt = dt
+        self._pos = 1
+        return self._counts[0]

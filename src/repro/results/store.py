@@ -57,7 +57,7 @@ from pathlib import Path
 from typing import Any, Dict, Iterator, List, Mapping, Optional, Union
 
 from repro.experiments.runner import RunResult
-from repro.orchestration.spec import SPEC_SCHEMA_VERSION, RunSpec
+from repro.orchestration.spec import SPEC_SCHEMA_VERSION, RunSpec, params_label
 from repro.util.logging import get_logger
 
 __all__ = [
@@ -573,9 +573,8 @@ class ResultStore:
                 "spec_hash": spec_hash,
                 "pattern": pattern,
                 "controller": controller,
-                "controller_params": ",".join(
-                    f"{k}={v}"
-                    for k, v in spec_payload.get("controller_params", [])
+                "controller_params": params_label(
+                    spec_payload.get("controller_params", [])
                 ),
                 "engine": engine,
                 "seed": seed,

@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.model.arrivals import ArrivalSchedule, PoissonArrivals
+from repro.model.arrivals import (
+    ARRIVAL_WINDOW,
+    ArrivalSchedule,
+    PoissonArrivals,
+    slot_times,
+)
 
 
 class TestArrivalSchedule:
@@ -83,7 +88,10 @@ class TestPoissonArrivals:
             process.sample_count(0.0, 0.0)
 
     def _unbatched_reference(self, schedule, seed, starts, dt):
-        """The pre-batching implementation: one scalar draw per step."""
+        """The pre-batching implementation: one scalar draw per step.
+
+        ``seed`` may be a generator, which ``default_rng`` returns as is.
+        """
         rng = np.random.default_rng(seed)
         counts = []
         for start in starts:
@@ -91,28 +99,99 @@ class TestPoissonArrivals:
             counts.append(0 if mean == 0.0 else int(rng.poisson(mean)))
         return counts
 
-    @pytest.mark.parametrize("dt", [1.0, 0.5, 2.0, 0.7, 0.1, 0.3])
-    def test_batched_draws_match_unbatched_sequence(self, dt):
-        """Batching is a pure optimization: for any mini-slot width —
-        binary-exact (batched) or not (scalar fallback) — the count
-        sequence must equal the unbatched scalar implementation's,
-        including across rate-segment boundaries of a piecewise
-        schedule on an accumulated (float-error-carrying) time grid."""
-        schedule = ArrivalSchedule.piecewise(
-            [(0.0, 0.3), (40.0, 1.1), (90.0, 0.0), (130.0, 0.6)]
-        )
-        process = PoissonArrivals(schedule, np.random.default_rng(42))
+    #: Segment boundaries and a zero-rate gap, on every grid below.
+    GAP_SCHEDULE = ArrivalSchedule.piecewise(
+        [(0.0, 0.3), (40.0, 1.1), (90.0, 0.0), (130.0, 0.6)]
+    )
+
+    @staticmethod
+    def _clock_grid(dt, horizon=200.0):
+        """Slot start times accumulated like the simulation clock."""
         starts = []
         now = 0.0
-        while now < 200.0:
+        while now < horizon:
             starts.append(now)
-            now += dt  # accumulate like the simulation clock does
+            now += dt
+        return starts
+
+    @pytest.mark.parametrize("dt", [1.0, 0.5, 2.0, 0.7, 0.1, 0.3])
+    def test_batched_draws_match_unbatched_sequence(self, dt):
+        """``sample_count`` serves windows drawn ahead, yet for any
+        mini-slot width — binary-exact or not — the count sequence must
+        equal the unbatched scalar implementation's, across several
+        windows and the rate-segment boundaries of a piecewise schedule
+        on an accumulated (float-error-carrying) time grid."""
+        schedule = self.GAP_SCHEDULE
+        process = PoissonArrivals(schedule, np.random.default_rng(42))
+        starts = self._clock_grid(dt)
         counts = [process.sample_count(start, dt) for start in starts]
         assert counts == self._unbatched_reference(schedule, 42, starts, dt)
 
+    def test_sample_count_on_constant_grid_spans_windows(self):
+        """Five windows of a constant-rate clock grid equal the scalar
+        reference slot for slot, window seams included."""
+        schedule = ArrivalSchedule.constant(0.8)
+        process = PoissonArrivals(schedule, np.random.default_rng(3))
+        starts = self._clock_grid(1.0, horizon=5 * ARRIVAL_WINDOW + 17)
+        counts = [process.sample_count(start, 1.0) for start in starts]
+        assert counts == self._unbatched_reference(schedule, 3, starts, 1.0)
+
+    def test_off_grid_call_opens_a_new_window(self):
+        """A call that is not the window's next slot draws a fresh
+        window from that call rather than serving a stale count."""
+        schedule = ArrivalSchedule.constant(2.0)
+        process = PoissonArrivals(schedule, np.random.default_rng(9))
+        process.sample_count(0.0, 1.0)
+        rng = np.random.default_rng(9)
+        rng.poisson(2.0, size=ARRIVAL_WINDOW)  # the dropped first window
+        expected = self._unbatched_reference(schedule, rng, [5.0, 5.5], 0.5)
+        got = [process.sample_count(5.0, 0.5), process.sample_count(5.5, 0.5)]
+        assert got == expected
+
+    @pytest.mark.parametrize("dt", [1.0, 0.5, 0.7, 0.1, 0.3])
+    def test_block_draw_equals_reference_and_its_generator_state(self, dt):
+        """One ``sample_count_block`` per window equals the scalar
+        reference across segment boundaries and a zero-rate gap, and
+        leaves the generator exactly where the reference leaves it:
+        numpy draws an array of means element by element like repeated
+        scalar calls, and a zero mean draws nothing.  Every engine's
+        parity rests on this numpy property."""
+        schedule = self.GAP_SCHEDULE
+        starts = self._clock_grid(dt)
+        rng = np.random.default_rng(11)
+        process = PoissonArrivals(schedule, rng)
+        got = []
+        for first in range(0, len(starts), ARRIVAL_WINDOW):
+            times = slot_times(starts[first], dt)[: len(starts) - first]
+            assert times.tolist() == starts[first:first + ARRIVAL_WINDOW]
+            got.extend(process.sample_count_block(times, dt).tolist())
+        reference_rng = np.random.default_rng(11)
+        expected = self._unbatched_reference(
+            schedule, reference_rng, starts, dt
+        )
+        assert got == expected
+        assert rng.random() == reference_rng.random()
+
+    def test_zero_rate_block_leaves_generator_untouched(self):
+        schedule = self.GAP_SCHEDULE
+        rng = np.random.default_rng(5)
+        process = PoissonArrivals(schedule, rng)
+        counts = process.sample_count_block(slot_times(95.0, 0.25, 64), 0.25)
+        assert counts.tolist() == [0] * 64
+        assert rng.random() == np.random.default_rng(5).random()
+
+    @pytest.mark.parametrize("dt", [1.0, 0.5, 0.7, 0.1, 0.3])
+    def test_slot_times_add_dt_like_the_clock(self, dt):
+        expected = []
+        now = 3.0
+        for _ in range(300):
+            expected.append(now)
+            now += dt
+        assert slot_times(3.0, dt, 300).tolist() == expected
+
     #: Adversarial schedules for the block-draw equivalence: constant,
-    #: segment boundaries, a zero-rate gap (bypasses the live batch),
-    #: and a short-segment shape that exhausts batches mid-block.
+    #: segment boundaries, a zero-rate gap (draws nothing), and a
+    #: short-segment shape that crosses several boundaries per block.
     BLOCK_SCHEDULES = (
         ArrivalSchedule.constant(0.4),
         ArrivalSchedule.piecewise(
@@ -136,10 +215,9 @@ class TestPoissonArrivals:
         """``sample_count_block`` must be draw-for-draw identical to
         repeated ``sample_count`` calls — same values from the same
         generator state — for any block length, across rate-segment
-        boundaries, through zero-rate segments (which leave a live
-        batch behind that the bulk path must not replay), and on
-        non-dyadic grids where batching never engages.  The meso-vec
-        arrival-window parity rests on exactly this contract."""
+        boundaries, through zero-rate segments, and on non-dyadic
+        grids.  The meso-vec and meso-events arrival windows rest on
+        exactly this contract."""
         times = []
         now = 0.0
         while now < 200.0:
@@ -148,12 +226,13 @@ class TestPoissonArrivals:
         reference = PoissonArrivals(schedule, np.random.default_rng(7))
         expected = [reference.sample_count(t, dt) for t in times]
         blocked = PoissonArrivals(schedule, np.random.default_rng(7))
+        times = np.array(times)
         got = []
         for start in range(0, len(times), block_len):
             got.extend(
                 blocked.sample_count_block(
                     times[start:start + block_len], dt
-                )
+                ).tolist()
             )
         assert got == expected
 

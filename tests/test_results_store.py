@@ -8,6 +8,7 @@ import pytest
 from repro.experiments.runner import RunResult, run_scenario
 from repro.scenarios.core import build_scenario
 from repro.orchestration import ExperimentPool, RunSpec, SweepGrid
+from repro.orchestration.spec import params_label
 from repro.results import ResultStore
 
 #: A cheap cell reused across tests (90 s meso run).
@@ -144,6 +145,27 @@ class TestStoreQuery:
         rows = store.export_rows()
         assert len(rows) == 4
         assert {"spec_hash", "pattern", "average_queuing_time"} <= set(rows[0])
+
+    def test_export_labels_controller_params_like_the_sweep_table(
+        self, tmp_path
+    ):
+        """A cell without controller parameters exports ``-``, as the
+        sweep table, ``aggregate`` rows and stability verdicts label it,
+        and a cell with parameters exports ``k=v``."""
+        store = ResultStore(tmp_path / "s.sqlite")
+        bare = RunSpec(**QUICK)
+        with_params = RunSpec(
+            **{**QUICK, "controller": "cap-bp"},
+            controller_params={"period": 18.0},
+        )
+        for spec in (bare, with_params):
+            store.put(spec, spec.execute())
+        labels = {
+            row["controller"]: row["controller_params"]
+            for row in store.export_rows()
+        }
+        assert labels == {"util-bp": "-", "cap-bp": "period=18.0"}
+        assert labels["cap-bp"] == params_label(with_params.controller_params)
 
     def test_export_keeps_duration_axis_and_horizon_separate(self, tmp_path):
         """The spec's duration axis (None = scenario default) must not
