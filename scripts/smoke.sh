@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Pre-merge smoke gate: lint, tier-1 tests, the scenario catalog, two
-# paper experiment commands at toy horizons, a 2-worker mini-sweep, a
-# sharded sweep + merge (and fleet run) that must export
-# byte-identically to the unsharded run, and the service.
+# paper experiment commands at toy horizons, a 2-worker mini-sweep,
+# one-line user errors on a file that is not a store, a sharded sweep +
+# merge (and fleet run) that must export byte-identically to the
+# unsharded run, and the service.
 #
 # Usage: bash scripts/smoke.sh
 #
@@ -102,6 +103,28 @@ echo
 echo "== result store inspection =="
 "$PYTHON" -m repro results list --store "$STORE"
 "$PYTHON" -m repro results export --store "$STORE" --format csv | head -n 3
+
+echo
+echo "== user errors (a file that is not a store: one line, exit 2) =="
+# A user error is a ReproError: every command must report it as one
+# stderr line and exit 2, never as a traceback.
+NOT_A_STORE="$CACHE_DIR/not-a-store.sqlite"
+echo "this is not a SQLite store" > "$NOT_A_STORE"
+for COMMAND in "results list" "results export" "analyze changepoints" \
+        "sweep --patterns I --duration 10"; do
+    CODE=0
+    # shellcheck disable=SC2086  # COMMAND is split into its words
+    "$PYTHON" -m repro $COMMAND --store "$NOT_A_STORE" \
+        > /dev/null 2> "$CACHE_DIR/error.txt" || CODE=$?
+    cat "$CACHE_DIR/error.txt"
+    [[ "$CODE" == "2" ]] \
+        || { echo "smoke FAILED: repro $COMMAND exited $CODE (want 2)"; exit 1; }
+    LINES=$(wc -l < "$CACHE_DIR/error.txt")
+    [[ "$LINES" == "1" ]] \
+        || { echo "smoke FAILED: repro $COMMAND printed $LINES stderr lines (want 1)"; exit 1; }
+    ! grep -q Traceback "$CACHE_DIR/error.txt" \
+        || { echo "smoke FAILED: repro $COMMAND printed a traceback"; exit 1; }
+done
 
 echo
 echo "== sharded sweep (2 shards + merge == unsharded run, bit for bit) =="

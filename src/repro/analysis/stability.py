@@ -45,6 +45,7 @@ from repro.analysis.changepoint import (
     onset_interval,
     permutation_threshold,
 )
+from repro.errors import UsageError
 from repro.orchestration.spec import params_label
 from repro.results.aggregate import spec_and_result
 from repro.results.experiment import (
@@ -55,6 +56,7 @@ from repro.util.series import TimeSeries
 from repro.util.tables import render_table
 
 __all__ = [
+    "ANALYSIS_PARAMS",
     "AnalysisOptions",
     "StabilityVerdict",
     "STABILITY_REGIMES",
@@ -103,20 +105,33 @@ class AnalysisOptions:
     confidence: float = 0.95
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.warmup_fraction < 1.0:
-            raise ValueError(
-                f"warmup_fraction must be in [0, 1), got "
-                f"{self.warmup_fraction}"
-            )
-        if self.min_points < 2:
-            raise ValueError(
-                f"min_points must be >= 2, got {self.min_points}"
-            )
-        if self.min_shift_per_series < 0.0:
-            raise ValueError(
-                f"min_shift_per_series must be >= 0, got "
-                f"{self.min_shift_per_series}"
-            )
+        for name, valid, rule in (
+            ("warmup_fraction", 0.0 <= self.warmup_fraction < 1.0, "in [0, 1)"),
+            ("min_points", self.min_points >= 2, ">= 2"),
+            ("min_shift_per_series", self.min_shift_per_series >= 0.0, ">= 0"),
+            ("n_permutations", self.n_permutations >= 1, ">= 1"),
+            ("quantile", 0.0 < self.quantile < 1.0, "in (0, 1)"),
+            ("confidence", 0.0 < self.confidence < 1.0, "in (0, 1)"),
+        ):
+            if not valid:
+                raise UsageError(
+                    f"{name} must be {rule}, got {getattr(self, name)}"
+                )
+
+
+#: ``(parameter, AnalysisOptions field, type)``: the
+#: ``repro analyze changepoints --<parameter>`` flag and the
+#: ``GET /results/changepoints?<parameter>=`` query set the same field.
+ANALYSIS_PARAMS = (
+    ("warmup_fraction", "warmup_fraction", float),
+    ("min_points", "min_points", int),
+    ("min_shift", "min_shift_per_series", float),
+    ("quantile", "quantile", float),
+    ("permutations", "n_permutations", int),
+    ("block", "block_length", int),
+    ("perm_seed", "seed", int),
+    ("confidence", "confidence", float),
+)
 
 
 @dataclass(frozen=True)
@@ -447,13 +462,16 @@ def _build_regime_specs(
     record_roads: int,
 ) -> List[Any]:
     from repro.orchestration.spec import RunSpec, entry_queue_pairs
-    from repro.scenarios import build_named_scenario
+    from repro.scenarios.patterns import PATTERN_NAMES
 
     if not loads:
         raise ValueError("need at least one load level")
+    # A paper pattern scales its demand with ``demand_scale``; catalog
+    # families take ``load``.
+    load_key = "demand_scale" if pattern in PATTERN_NAMES else "load"
     # The network shape is load- and seed-independent, so one build
     # resolves the recorded entry roads for every cell.
-    reference = build_named_scenario(pattern, seed=int(seeds[0]))
+    reference = RunSpec(pattern=pattern, seed=int(seeds[0])).make_scenario()
     pairs = entry_queue_pairs(reference.network, record_roads)
     return [
         RunSpec(
@@ -463,7 +481,7 @@ def _build_regime_specs(
             engine=engine,
             seed=int(seed),
             duration=float(duration),
-            scenario_params={"load": float(load)},
+            scenario_params={load_key: float(load)},
             record_queues=pairs,
         )
         for name, params in (

@@ -24,8 +24,13 @@ counter of :class:`ResultStore` are gone, and with them the one-time
 import of legacy per-spec JSON cache directories.  Pass ``store=`` a
 :class:`ResultStore` or the path of its SQLite file instead.
 
+API 2.1 added :class:`ReproError`, the base of every user error
+(:class:`MergeError` and ``ServiceError`` included), and its
+:class:`UsageError` (also a ``ValueError``).
+
 Layout of the surface:
 
+* errors — :class:`ReproError`, :class:`UsageError`;
 * scenarios — :class:`Scenario`, :func:`build_scenario`,
   :func:`build_named_scenario`, :func:`scenario_names`;
 * running — :class:`RunConfig`, :class:`RunResult`,
@@ -71,6 +76,7 @@ from repro.analysis import (
     permutation_threshold,
     verdict_rows,
 )
+from repro.errors import ReproError, UsageError
 from repro.experiments.runner import (
     RunConfig,
     RunResult,
@@ -105,7 +111,7 @@ from repro.util.logging import get_logger, log_context
 
 #: The public API schema version (``major.minor``); embedded in every
 #: service response envelope as ``api_version``.
-API_VERSION = "2.0"
+API_VERSION = "2.1"
 
 
 def package_version() -> str:
@@ -128,6 +134,9 @@ def package_version() -> str:
 __all__ = [
     "API_VERSION",
     "package_version",
+    # errors
+    "ReproError",
+    "UsageError",
     # scenarios
     "Scenario",
     "build_scenario",

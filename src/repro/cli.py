@@ -27,7 +27,9 @@ computing only the missing cells.
 
 Bad option values (an unknown pattern, a non-positive ``--period``,
 ``--duration``, ``--workers``, ``--batch-size`` or ``--fleet``) are
-usage errors: one ``error:`` line on stderr and exit code 2.
+usage errors: one ``error:`` line on stderr and exit code 2, and so
+is a :class:`~repro.errors.ReproError` found later (a file that is not
+a store, an unreachable service): one ``repro <command>: ...`` line.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from repro.control.factory import (
     check_controller,
 )
 from repro.core.engine import ENGINE_NAMES
+from repro.errors import ReproError, UsageError
 from repro.util.validation import check_positive
 
 __all__ = ["build_parser", "main"]
@@ -584,26 +587,29 @@ def _run_sweep(args: argparse.Namespace) -> int:
     from repro.util.tables import render_table
 
     if args.load is not None and not args.scenarios:
-        print(
-            "repro sweep: --load applies to catalog scenarios; pass "
-            "--scenario NAME (paper patterns take "
-            "--patterns with scenario_params via the API)",
-            file=sys.stderr,
+        raise UsageError(
+            "--load applies to catalog scenarios; pass --scenario NAME "
+            "(paper patterns take --patterns with scenario_params via "
+            "the API)"
         )
-        return 2
+    if args.fleet is not None and args.store is None:
+        raise UsageError(
+            "--fleet needs --store FILE (the canonical store the shard "
+            "stores are merged into)"
+        )
+    axes = None
+    if args.aggregate is not None:
+        from repro.results.aggregate import check_axes
+
+        axes = check_axes(
+            axis.strip() for axis in args.aggregate.split(",") if axis.strip()
+        )
     grid = _grid_from_args(
         args, load=args.load, record_entry_queues=args.record_entry_queues
     )
 
     fleet_report = None
     if args.fleet is not None:
-        if args.store is None:
-            print(
-                "repro sweep: --fleet needs --store FILE (the canonical "
-                "store the shard stores are merged into)",
-                file=sys.stderr,
-            )
-            return 2
         from repro.orchestration import run_fleet
 
         fleet_report = run_fleet(
@@ -666,19 +672,12 @@ def _run_sweep(args: argparse.Namespace) -> int:
             ),
         )
     )
-    if args.aggregate is not None:
+    if axes is not None:
         from repro.results import aggregate, tidy_table
 
-        axes = tuple(
-            axis.strip() for axis in args.aggregate.split(",") if axis.strip()
+        agg_rows = aggregate(
+            zip(specs, results), by=axes, on_mixed_delay_mode="split"
         )
-        try:
-            agg_rows = aggregate(
-                zip(specs, results), by=axes, on_mixed_delay_mode="split"
-            )
-        except ValueError as error:
-            print(f"repro sweep: --aggregate: {error}", file=sys.stderr)
-            return 2
         headers, body = tidy_table(agg_rows)
         print()
         print(
@@ -734,47 +733,21 @@ def _write_rows(
         sys.stdout.write(text)
 
 
-def _open_store(path: str):
-    """Open an existing store for inspection, or None + message."""
-    from pathlib import Path
-
-    from repro.results import ResultStore
-
-    if not Path(path).exists():
-        print(
-            f"repro results: no store at {path!r} (run a sweep with "
-            f"--store first, or pass --store)",
-            file=sys.stderr,
-        )
-        return None
-    return ResultStore(path)
-
-
 def _run_results(args: argparse.Namespace) -> int:
-    from repro.util.tables import render_table
+    from repro.results import MergeStats, ResultStore
 
     if args.results_command == "merge":
-        import sqlite3
-
-        from repro.results import MergeError, MergeStats, ResultStore
-
         totals = MergeStats()
-        try:
-            with ResultStore(args.output) as destination:
-                for source in args.inputs:
-                    stats = destination.merge_from(
-                        source, prefer=args.prefer
-                    )
-                    totals.merge(stats)
-                    print(
-                        f"{source}: {stats.inserted} inserted, "
-                        f"{stats.identical} identical, "
-                        f"{stats.conflicts} conflicts"
-                    )
-                rows = len(destination)
-        except (MergeError, ValueError, sqlite3.DatabaseError) as error:
-            print(f"repro results merge: {error}", file=sys.stderr)
-            return 2
+        with ResultStore(args.output) as destination:
+            for source in args.inputs:
+                stats = destination.merge_from(source, prefer=args.prefer)
+                totals.merge(stats)
+                print(
+                    f"{source}: {stats.inserted} inserted, "
+                    f"{stats.identical} identical, "
+                    f"{stats.conflicts} conflicts"
+                )
+            rows = len(destination)
         print(
             f"merged {len(args.inputs)} store(s) into {args.output}: "
             f"{totals.inserted} inserted, {totals.identical} identical, "
@@ -782,120 +755,89 @@ def _run_results(args: argparse.Namespace) -> int:
         )
         return 0
 
-    store = _open_store(args.store)
-    if store is None:
-        return 2
+    from repro.util.tables import render_table
 
-    if args.results_command == "list":
-        rows = [
-            (
-                entry["pattern"],
-                entry["controller"],
-                entry["engine"],
-                entry["cells"],
-                entry["seeds"],
-                entry["delay_mode"],
-                f"{entry['mean_avg_queuing_time']:.2f}"
-                if entry["mean_avg_queuing_time"] is not None
-                else "-",
-            )
-            for entry in store.overview()
-        ]
-        print(
-            render_table(
+    with ResultStore.reader(args.store) as store:
+        if args.results_command == "list":
+            rows = [
                 (
-                    "pattern",
-                    "controller",
-                    "engine",
-                    "cells",
-                    "seeds",
-                    "delay mode",
-                    "mean avg queuing [s]",
-                ),
-                rows,
-                title=f"Result store {args.store} — {len(store)} cells",
-            )
-        )
-        return 0
-
-    if args.results_command == "show":
-        import json as _json
-
-        matches = store.find(args.hash_prefix)
-        if not matches:
-            print(
-                f"repro results show: no cell with hash prefix "
-                f"{args.hash_prefix!r}",
-                file=sys.stderr,
-            )
-            return 2
-        if len(matches) > 1:
-            print(
-                f"repro results show: prefix {args.hash_prefix!r} is "
-                f"ambiguous ({len(matches)} cells):",
-                file=sys.stderr,
-            )
-            for record in matches:
-                print(
-                    f"  {record.spec_hash[:16]}  {record.spec.label()}",
-                    file=sys.stderr,
+                    entry["pattern"],
+                    entry["controller"],
+                    entry["engine"],
+                    entry["cells"],
+                    entry["seeds"],
+                    entry["delay_mode"],
+                    f"{entry['mean_avg_queuing_time']:.2f}"
+                    if entry["mean_avg_queuing_time"] is not None
+                    else "-",
                 )
-            return 2
-        record = matches[0]
-        print(f"cell {record.spec_hash}")
-        print(f"  label: {record.spec.label()}")
-        print("  spec:")
-        print(
-            "\n".join(
-                f"    {line}"
-                for line in _json.dumps(
-                    record.spec.to_dict(), indent=2
-                ).splitlines()
+                for entry in store.overview()
+            ]
+            print(
+                render_table(
+                    (
+                        "pattern",
+                        "controller",
+                        "engine",
+                        "cells",
+                        "seeds",
+                        "delay mode",
+                        "mean avg queuing [s]",
+                    ),
+                    rows,
+                    title=f"Result store {args.store} — {len(store)} cells",
+                )
             )
-        )
-        print(f"  summary: {record.summary}")
-        print(
-            f"  avg queuing {record.summary.average_queuing_time:.2f} s, "
-            f"delay mode {record.summary.delay_mode}"
-        )
-        return 0
+            return 0
 
-    assert args.results_command == "export"
-    _write_rows(store.export_rows(), args.format, args.output)
-    return 0
+        if args.results_command == "show":
+            import json as _json
+
+            matches = store.find(args.hash_prefix)
+            if not matches:
+                raise UsageError(f"no cell with hash prefix {args.hash_prefix!r}")
+            if len(matches) > 1:
+                hashes = ", ".join(record.spec_hash[:16] for record in matches)
+                raise UsageError(
+                    f"prefix {args.hash_prefix!r} is ambiguous "
+                    f"({len(matches)} cells: {hashes})"
+                )
+            record = matches[0]
+            print(f"cell {record.spec_hash}")
+            print(f"  label: {record.spec.label()}")
+            print("  spec:")
+            print(
+                "\n".join(
+                    f"    {line}"
+                    for line in _json.dumps(
+                        record.spec.to_dict(), indent=2
+                    ).splitlines()
+                )
+            )
+            print(f"  summary: {record.summary}")
+            print(
+                f"  avg queuing {record.summary.average_queuing_time:.2f} s, "
+                f"delay mode {record.summary.delay_mode}"
+            )
+            return 0
+
+        assert args.results_command == "export"
+        _write_rows(store.export_rows(), args.format, args.output)
+        return 0
 
 
 def _run_analyze(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
-    from repro.analysis import (
+    from repro.analysis.stability import (
+        ANALYSIS_PARAMS,
         AnalysisOptions,
         analyze_store,
         render_verdicts,
         verdict_rows,
     )
 
-    if not Path(args.store).exists():
-        print(
-            f"repro analyze: no store at {args.store!r} (run a sweep "
-            f"with --store and --record-entry-queues first)",
-            file=sys.stderr,
-        )
-        return 2
-    try:
-        options = AnalysisOptions(
-            warmup_fraction=args.warmup_fraction,
-            min_points=args.min_points,
-            min_shift_per_series=args.min_shift,
-            quantile=args.quantile,
-            n_permutations=args.permutations,
-            block_length=args.block,
-            seed=args.perm_seed,
-            confidence=args.confidence,
-        )
-    except ValueError as error:
-        print(f"repro analyze: {error}", file=sys.stderr)
-        return 2
+    options = AnalysisOptions(
+        **{field: getattr(args, param) for param, field, _ in ANALYSIS_PARAMS}
+    )
     filters = {
         key: getattr(args, key)
         for key in ("pattern", "controller", "engine", "seed", "delay_mode")
@@ -954,7 +896,7 @@ def _run_scenarios(args: argparse.Namespace) -> int:
 def _run_submit(args: argparse.Namespace) -> int:
     import json as _json
 
-    from repro.service.client import ServiceClient, ServiceError
+    from repro.service.client import ServiceClient
 
     client = ServiceClient(args.url)
     if args.json_file is not None:
@@ -967,83 +909,61 @@ def _run_submit(args: argparse.Namespace) -> int:
         body = {"grid": _grid_from_args(args).to_dict()}
     if args.shard is not None:
         body["shard"] = args.shard
-    try:
-        view = client.submit(body)
-        job = view["job"]
-        print(
-            f"submitted {job['job_id']}: {job['counts']['total']} cells "
-            f"({job['counts']['shared']} shared with earlier jobs)"
-        )
-        if args.wait is not None:
-            view = client.job(job["job_id"], wait=args.wait)
-            job = view["job"]
-        counts = job["counts"]
-        print(
-            f"{job['job_id']}: {job['state']} — "
-            f"{counts['done']}/{counts['total']} done "
-            f"({counts['from_store']} from store, "
-            f"{counts['executed']} executed, {counts['failed']} failed)"
-        )
-        return 0 if job["state"] != "failed" else 1
-    except ServiceError as error:
-        print(f"repro submit: {error}", file=sys.stderr)
-        return 2
-    except OSError as error:
-        print(
-            f"repro submit: cannot reach {args.url}: {error}",
-            file=sys.stderr,
-        )
-        return 2
+    job = client.submit(body)["job"]
+    print(
+        f"submitted {job['job_id']}: {job['counts']['total']} cells "
+        f"({job['counts']['shared']} shared with earlier jobs)"
+    )
+    if args.wait is not None:
+        job = client.job(job["job_id"], wait=args.wait)["job"]
+    counts = job["counts"]
+    print(
+        f"{job['job_id']}: {job['state']} — "
+        f"{counts['done']}/{counts['total']} done "
+        f"({counts['from_store']} from store, "
+        f"{counts['executed']} executed, {counts['failed']} failed)"
+    )
+    return 0 if job["state"] != "failed" else 1
 
 
 def _run_jobs(args: argparse.Namespace) -> int:
     import json as _json
 
-    from repro.service.client import ServiceClient, ServiceError
+    from repro.service.client import ServiceClient
     from repro.util.tables import render_table
 
     client = ServiceClient(args.url)
-    try:
-        if args.job_id is None:
-            jobs = client.jobs()["jobs"]
-            rows = [
-                (
-                    job["job_id"],
-                    job["state"],
-                    job["counts"]["total"],
-                    job["counts"]["done"],
-                    job["counts"]["failed"],
-                    job["counts"]["from_store"],
-                    job["counts"]["executed"],
-                )
-                for job in jobs
-            ]
-            print(
-                render_table(
-                    (
-                        "job", "state", "cells", "done", "failed",
-                        "from store", "executed",
-                    ),
-                    rows,
-                    title=f"Jobs at {args.url} — {len(rows)}",
-                )
+    if args.job_id is None:
+        rows = [
+            (
+                job["job_id"],
+                job["state"],
+                job["counts"]["total"],
+                job["counts"]["done"],
+                job["counts"]["failed"],
+                job["counts"]["from_store"],
+                job["counts"]["executed"],
             )
-            return 0
-        if args.events:
-            for event in client.iter_events(args.job_id, follow=False):
-                print(_json.dumps(event))
-            return 0
-        view = client.job(args.job_id)
-        print(_json.dumps(view["job"], indent=2, sort_keys=True))
-        return 0
-    except ServiceError as error:
-        print(f"repro jobs: {error}", file=sys.stderr)
-        return 2
-    except OSError as error:
+            for job in client.jobs()["jobs"]
+        ]
         print(
-            f"repro jobs: cannot reach {args.url}: {error}", file=sys.stderr
+            render_table(
+                (
+                    "job", "state", "cells", "done", "failed",
+                    "from store", "executed",
+                ),
+                rows,
+                title=f"Jobs at {args.url} — {len(rows)}",
+            )
         )
-        return 2
+        return 0
+    if args.events:
+        for event in client.iter_events(args.job_id, follow=False):
+            print(_json.dumps(event))
+        return 0
+    view = client.job(args.job_id)
+    print(_json.dumps(view["job"], indent=2, sort_keys=True))
+    return 0
 
 
 #: The subcommands that each run the registered experiment of their name.
@@ -1079,11 +999,8 @@ def _run_experiment_command(args: argparse.Namespace) -> int:
     return 0
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    """Entry point; returns a process exit code."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
-
+def _run_command(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+    """Run the parsed command; returns its exit code."""
     if args.command == "run":
         from repro.experiments import RunConfig, build_scenario, run_scenario
 
@@ -1113,18 +1030,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         )
         return 0
 
-    if args.command == "sweep":
-        return _run_sweep(args)
-
-    if args.command == "results":
-        return _run_results(args)
-
-    if args.command == "scenarios":
-        return _run_scenarios(args)
-
-    if args.command == "analyze":
-        return _run_analyze(args)
-
     if args.command == "serve":
         from repro.service import serve as run_service
 
@@ -1137,16 +1042,34 @@ def main(argv: Optional[List[str]] = None) -> int:
         )
         return 0
 
-    if args.command == "submit":
-        return _run_submit(args)
+    handlers = {
+        "sweep": _run_sweep,
+        "results": _run_results,
+        "scenarios": _run_scenarios,
+        "analyze": _run_analyze,
+        "submit": _run_submit,
+        "jobs": _run_jobs,
+        **dict.fromkeys(_EXPERIMENT_COMMANDS, _run_experiment_command),
+    }
+    return handlers[args.command](args)
 
-    if args.command == "jobs":
-        return _run_jobs(args)
 
-    if args.command in _EXPERIMENT_COMMANDS:
-        return _run_experiment_command(args)
+def main(argv: Optional[List[str]] = None) -> int:
+    """Entry point; returns a process exit code.
 
-    raise AssertionError(f"unhandled command {args.command!r}")
+    A :class:`~repro.errors.ReproError` from any command is the user's
+    to fix: it becomes one ``repro <command>[ <subcommand>]: <message>``
+    line on stderr and exit code 2, never a traceback.
+    """
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return _run_command(parser, args)
+    except ReproError as error:
+        subcommand = getattr(args, f"{args.command}_command", None)
+        command = " ".join(filter(None, (args.command, subcommand)))
+        print(f"repro {command}: {error}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -28,10 +28,13 @@ export or any dataframe library.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Sequence, Tuple
 
+from repro.errors import UsageError
+from repro.metrics.collector import Summary
 from repro.orchestration.spec import params_label
 
 __all__ = [
@@ -41,6 +44,7 @@ __all__ = [
     "MetricStats",
     "MixedDelayModeError",
     "aggregate",
+    "check_axes",
     "tidy_table",
 ]
 
@@ -71,7 +75,25 @@ DEFAULT_METRICS: Tuple[str, ...] = (
 DELAY_MODE_SENSITIVE = frozenset({"average_travel_time", "max_queuing_time"})
 
 
-class MixedDelayModeError(ValueError):
+#: The summary fields :func:`aggregate` can reduce (every numeric one).
+METRICS = tuple(
+    field.name for field in dataclasses.fields(Summary)
+    if field.name != "delay_mode"
+)
+
+
+def check_axes(by: Sequence[str]) -> Tuple[str, ...]:
+    """``by`` as a tuple; :class:`UsageError` naming any unknown axis."""
+    by = tuple(by)
+    unknown = [axis for axis in by if axis not in AXES]
+    if unknown:
+        raise UsageError(
+            f"unknown aggregation axes {unknown}; known: {sorted(AXES)}"
+        )
+    return by
+
+
+class MixedDelayModeError(UsageError):
     """A group mixes per-vehicle and aggregate travel-time semantics."""
 
 
@@ -146,11 +168,11 @@ def aggregate(
             f"on_mixed_delay_mode must be 'raise' or 'split', "
             f"got {on_mixed_delay_mode!r}"
         )
-    by = tuple(by)
-    unknown_axes = [axis for axis in by if axis not in AXES]
-    if unknown_axes:
-        raise ValueError(
-            f"unknown aggregation axes {unknown_axes}; known: {sorted(AXES)}"
+    by = check_axes(by)
+    unknown_metrics = [metric for metric in metrics if metric not in METRICS]
+    if unknown_metrics:
+        raise UsageError(
+            f"unknown metrics {unknown_metrics}; known: {list(METRICS)}"
         )
     sensitive_requested = any(m in DELAY_MODE_SENSITIVE for m in metrics)
     if (

@@ -54,8 +54,9 @@ import sqlite3
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Union
+from typing import Any, Dict, Iterator, List, Mapping, NoReturn, Optional, Union
 
+from repro.errors import UsageError
 from repro.experiments.runner import RunResult
 from repro.orchestration.spec import SPEC_SCHEMA_VERSION, RunSpec, params_label
 from repro.util.logging import get_logger
@@ -103,7 +104,7 @@ CREATE TABLE IF NOT EXISTS store_meta (
 _UNSET = object()
 
 
-class MergeError(ValueError):
+class MergeError(UsageError):
     """A store merge that cannot proceed: schema drift or a divergent
     payload under the default (strict) conflict policy."""
 
@@ -163,6 +164,10 @@ class ResultStore:
         the connection physically cannot write, :meth:`put` raises, and
         under WAL the reader neither blocks nor is blocked by the (one)
         writer.  The file must already exist.
+
+    A file that cannot be opened or created as a store — missing when
+    read-only, not SQLite, without a layout version or with a newer
+    one — raises :class:`~repro.errors.UsageError`.
     """
 
     def __init__(
@@ -172,12 +177,35 @@ class ResultStore:
     ):
         self.path = path if str(path) == ":memory:" else Path(path)
         self.read_only = bool(read_only)
-        if self.read_only:
-            if not isinstance(self.path, Path):
-                raise ValueError("an in-memory store cannot be read-only")
-            self._conn = sqlite3.connect(
-                f"file:{self.path}?mode=ro", uri=True
+        if self.read_only and not isinstance(self.path, Path):
+            raise ValueError("an in-memory store cannot be read-only")
+        if self.read_only and not self.path.exists():
+            raise UsageError(
+                f"no store at {str(self.path)!r} (run a sweep with --store "
+                f"first, or pass --store)"
             )
+        self._conn: Optional[sqlite3.Connection] = None
+        try:
+            layout = self._connect()
+        except (sqlite3.Error, OSError) as error:
+            self._refuse(f"cannot open {self.path} as a result store: {error}")
+        if layout is None:
+            if self.read_only:
+                self._refuse(
+                    f"store {self.path} has no layout version; it was "
+                    f"never opened writable"
+                )
+            self._set_meta("layout_version", str(STORE_LAYOUT_VERSION))
+        elif int(layout) > STORE_LAYOUT_VERSION:
+            self._refuse(
+                f"store {self.path} uses layout version {layout}, newer "
+                f"than this code understands ({STORE_LAYOUT_VERSION})"
+            )
+
+    def _connect(self) -> Optional[str]:
+        """Open the connection (schema on a writable one); the layout."""
+        if self.read_only:
+            self._conn = sqlite3.connect(f"file:{self.path}?mode=ro", uri=True)
             # Belt and braces on top of mode=ro: even meta writes fail.
             self._conn.execute("PRAGMA query_only=ON")
             self._conn.execute("PRAGMA busy_timeout=30000")
@@ -190,19 +218,13 @@ class ResultStore:
             self._conn.execute("PRAGMA busy_timeout=30000")
             with self._conn:
                 self._conn.executescript(_SCHEMA)
-        layout = self._get_meta("layout_version")
-        if layout is None:
-            if self.read_only:
-                raise ValueError(
-                    f"store {self.path} has no layout version; it was "
-                    f"never opened writable"
-                )
-            self._set_meta("layout_version", str(STORE_LAYOUT_VERSION))
-        elif int(layout) > STORE_LAYOUT_VERSION:
-            raise ValueError(
-                f"store {self.path} uses layout version {layout}, newer "
-                f"than this code understands ({STORE_LAYOUT_VERSION})"
-            )
+        return self._get_meta("layout_version")
+
+    def _refuse(self, message: str) -> NoReturn:
+        """Close whatever connection is open and raise :class:`UsageError`."""
+        if self._conn is not None:
+            self._conn.close()
+        raise UsageError(message)
 
     @classmethod
     def reader(cls, path: Union[str, os.PathLike]) -> "ResultStore":

@@ -43,18 +43,18 @@ import asyncio
 import itertools
 import json
 import secrets
-import sqlite3
 from typing import Any, Dict, List, Optional
 
 from repro.api import API_VERSION
+from repro.errors import ReproError
 from repro.orchestration.spec import (
     SPEC_SCHEMA_VERSION,
     RunSpec,
     SweepGrid,
     parse_shard,
 )
-from repro.results.aggregate import AXES, DEFAULT_METRICS, aggregate
-from repro.results.store import ResultStore
+from repro.results.aggregate import DEFAULT_METRICS, aggregate
+from repro.results.store import ResultStore, StoredRecord
 from repro.service.http import Handler, HttpError, HttpServer, Request, Response, Router
 from repro.service.jobs import JobManager
 from repro.util.logging import context_fields, get_logger, log_context
@@ -97,7 +97,7 @@ class ServiceApp:
         router.add("GET", "/results/changepoints", self.results_changepoints)
         router.add("GET", "/results/{hash_prefix}", self.results_get)
         self.server = HttpServer(
-            router, host=host, port=port, on_request=self._wrap_request
+            router, self._wrap_request, host=host, port=port
         )
 
     # -- lifecycle ----------------------------------------------------------
@@ -133,7 +133,11 @@ class ServiceApp:
     # -- request plumbing ---------------------------------------------------
 
     async def _wrap_request(self, request: Request, handler: Handler) -> Response:
-        """Assign a request id, log, and envelope handler errors."""
+        """Assign a request id, log, and envelope handler errors.
+
+        A :class:`~repro.errors.ReproError` answers with its ``status``
+        (400 when it carries none); anything else is a logged 500.
+        """
         request_id = request.headers.get("x-request-id") or _new_request_id()
         with log_context(request_id=request_id):
             self._log.info(
@@ -141,10 +145,10 @@ class ServiceApp:
             )
             try:
                 response = await handler(request)
-            except HttpError as error:
+            except ReproError as error:
                 response = Response.json(
-                    self._envelope({"error": error.message}, request_id),
-                    error.status,
+                    self._envelope({"error": str(error)}, request_id),
+                    getattr(error, "status", 400),
                 )
             except Exception as error:  # noqa: BLE001 - becomes a 500
                 self._log.error(
@@ -185,8 +189,8 @@ class ServiceApp:
     def _reader(self) -> Optional[ResultStore]:
         """A fresh read-only store connection (None if unreadable)."""
         try:
-            return ResultStore(self.store_path, read_only=True)
-        except (ValueError, sqlite3.OperationalError):
+            return ResultStore.reader(self.store_path)
+        except ReproError:
             return None
 
     # -- handlers: service --------------------------------------------------
@@ -293,8 +297,6 @@ class ServiceApp:
                     f"({len(grid)} cells across {shard[1]} shards)"
                 )
             return specs, shard
-        except HttpError:
-            raise
         except (KeyError, TypeError, ValueError) as error:
             raise HttpError(400, f"invalid {key!r} submission: {error}")
 
@@ -373,7 +375,8 @@ class ServiceApp:
 
     _QUERY_FILTERS = ("pattern", "controller", "engine", "seed", "delay_mode")
 
-    def _store_filters(self, request: Request) -> Dict[str, Any]:
+    def _query(self, request: Request) -> List[StoredRecord]:
+        """Stored cells matching the request's filters ([] without a store)."""
         filters: Dict[str, Any] = {}
         for name in self._QUERY_FILTERS:
             value = request.param(name)
@@ -386,21 +389,20 @@ class ServiceApp:
                     raise HttpError(400, f"malformed seed={value!r}")
             else:
                 filters[name] = value
-        return filters
+        reader = self._reader()
+        if reader is None:
+            return []
+        with reader:
+            return reader.query(**filters)
 
     async def results_query(self, request: Request) -> Response:
         """Filter stored cells by spec axes."""
-        filters = self._store_filters(request)
         limit_text = request.param("limit")
         try:
             limit = None if limit_text is None else max(int(limit_text), 0)
         except ValueError:
             raise HttpError(400, f"malformed limit={limit_text!r}")
-        reader = self._reader()
-        if reader is None:
-            return self._respond(request, {"rows": [], "total": 0})
-        with reader:
-            records = reader.query(**filters)
+        records = self._query(request)
         rows = [
             {
                 "spec_hash": record.spec_hash,
@@ -425,56 +427,31 @@ class ServiceApp:
         """Grouped mean/std/ci95 over stored cells."""
         by_text = request.param("by", "pattern,controller,engine")
         by = tuple(axis.strip() for axis in by_text.split(",") if axis.strip())
-        unknown = [axis for axis in by if axis not in AXES]
-        if unknown:
-            raise HttpError(
-                400, f"unknown aggregation axes {unknown}; known: {sorted(AXES)}"
-            )
         metrics_text = request.param("metrics")
         metrics = (
             DEFAULT_METRICS
             if metrics_text is None
             else tuple(m.strip() for m in metrics_text.split(",") if m.strip())
         )
-        filters = self._store_filters(request)
-        reader = self._reader()
-        if reader is None:
-            return self._respond(request, {"rows": [], "cells": 0})
-        with reader:
-            records = reader.query(**filters)
-        try:
-            rows = aggregate(
-                records, by=by, metrics=metrics, on_mixed_delay_mode="split"
-            )
-        except (AttributeError, ValueError) as error:
-            raise HttpError(400, f"aggregate failed: {error}")
+        records = self._query(request)
+        rows = aggregate(
+            records, by=by, metrics=metrics, on_mixed_delay_mode="split"
+        )
         return self._respond(
             request, {"rows": rows, "cells": len(records), "by": list(by)}
         )
 
-    #: ``GET /results/changepoints`` float/int tuning parameters mapped
-    #: onto :class:`repro.analysis.AnalysisOptions` fields.
-    _ANALYSIS_PARAMS = (
-        ("warmup_fraction", "warmup_fraction", float),
-        ("min_points", "min_points", int),
-        ("min_shift", "min_shift_per_series", float),
-        ("quantile", "quantile", float),
-        ("permutations", "n_permutations", int),
-        ("block", "block_length", int),
-        ("perm_seed", "seed", int),
-        ("confidence", "confidence", float),
-    )
-
     async def results_changepoints(self, request: Request) -> Response:
         """CUSUM stability verdicts per stored cell group."""
-        from repro.analysis import (
+        from repro.analysis.stability import (
+            ANALYSIS_PARAMS,
             AnalysisOptions,
             analyze_records,
             verdict_rows,
         )
 
         overrides: Dict[str, Any] = {}
-        for param, field, convert in self._ANALYSIS_PARAMS:
+        for param, field, convert in ANALYSIS_PARAMS:
             text = request.param(param)
             if text is None:
                 continue
@@ -482,16 +459,8 @@ class ServiceApp:
                 overrides[field] = convert(text)
             except ValueError:
                 raise HttpError(400, f"malformed {param}={text!r}")
-        try:
-            options = AnalysisOptions(**overrides)
-        except ValueError as error:
-            raise HttpError(400, str(error))
-        filters = self._store_filters(request)
-        reader = self._reader()
-        if reader is None:
-            return self._respond(request, {"verdicts": [], "cells": 0})
-        with reader:
-            records = reader.query(**filters)
+        options = AnalysisOptions(**overrides)
+        records = self._query(request)
         verdicts = verdict_rows(analyze_records(records, options=options))
         return self._respond(
             request, {"verdicts": verdicts, "cells": len(verdicts)}

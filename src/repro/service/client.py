@@ -16,14 +16,19 @@ from urllib.parse import urlencode
 from urllib.request import Request as UrlRequest
 from urllib.request import urlopen
 
+from repro.errors import ReproError
+
 __all__ = ["ServiceClient", "ServiceError"]
 
 
-class ServiceError(RuntimeError):
-    """A non-2xx service response, carrying status and server message."""
+class ServiceError(ReproError, RuntimeError):
+    """A non-2xx service response (its status and the server's message),
+    or a service that cannot be reached (``status`` is ``None``)."""
 
-    def __init__(self, status: int, message: str):
-        super().__init__(f"HTTP {status}: {message}")
+    def __init__(self, status: Optional[int], message: str):
+        super().__init__(
+            message if status is None else f"HTTP {status}: {message}"
+        )
         self.status = status
         self.message = message
 
@@ -36,6 +41,22 @@ class ServiceClient:
         self.timeout = timeout
 
     # -- plumbing -----------------------------------------------------------
+
+    @staticmethod
+    def _open(request: UrlRequest, timeout: Optional[float]):
+        """``urlopen`` with every failure raised as :class:`ServiceError`."""
+        try:
+            return urlopen(request, timeout=timeout)
+        except HTTPError as error:
+            try:
+                body = json.loads(error.read().decode("utf-8"))
+                message = body.get("error", str(body))
+            except (ValueError, UnicodeDecodeError):
+                message = error.reason
+            raise ServiceError(error.code, str(message)) from None
+        except OSError as error:  # URLError: its reason names the cause
+            reason = getattr(error, "reason", error)
+            raise ServiceError(None, f"cannot reach {request.full_url}: {reason}") from None
 
     def _request(
         self,
@@ -53,16 +74,8 @@ class ServiceClient:
             data = json.dumps(payload).encode("utf-8")
             headers["Content-Type"] = "application/json"
         request = UrlRequest(url, data=data, headers=headers, method=method)
-        try:
-            with urlopen(request, timeout=self.timeout) as response:
-                return json.loads(response.read().decode("utf-8"))
-        except HTTPError as error:
-            try:
-                body = json.loads(error.read().decode("utf-8"))
-                message = body.get("error", str(body))
-            except (ValueError, UnicodeDecodeError):
-                message = error.reason
-            raise ServiceError(error.code, str(message)) from None
+        with self._open(request, self.timeout) as response:
+            return json.loads(response.read().decode("utf-8"))
 
     # -- endpoints ----------------------------------------------------------
 
@@ -125,7 +138,7 @@ class ServiceClient:
         # No read timeout while following: the stream idles between
         # cell completions of long simulations.
         timeout = self.timeout if not follow else None
-        with urlopen(UrlRequest(url), timeout=timeout) as response:
+        with self._open(UrlRequest(url), timeout) as response:
             for line in response:
                 line = line.strip()
                 if line:

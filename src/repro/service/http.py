@@ -19,9 +19,10 @@ module implements the minimal core on ``asyncio.start_server``:
   templates; ``{name}`` segments are captured into
   ``request.path_params``.
 
-Handlers are ``async def handler(request) -> Response``.  Anything
-they raise is turned into a structured-logged 500 carrying the request
-id; malformed requests get a 400 without reaching a handler.
+Handlers are ``async def handler(request) -> Response``; the
+``on_request`` wrapper the application passes turns whatever they
+raise into a response.  Malformed requests get a 400 here, without
+reaching a handler.
 """
 
 from __future__ import annotations
@@ -40,6 +41,8 @@ from typing import (
     Tuple,
 )
 from urllib.parse import parse_qsl, unquote, urlsplit
+
+from repro.errors import ReproError
 
 __all__ = [
     "HttpError",
@@ -70,7 +73,7 @@ _REASONS = {
 }
 
 
-class HttpError(Exception):
+class HttpError(ReproError):
     """Raise from a handler to produce a clean JSON error response."""
 
     def __init__(self, status: int, message: str):
@@ -184,17 +187,17 @@ class HttpServer:
     """The asyncio server loop around a :class:`Router`.
 
     ``port=0`` binds an ephemeral port; read the actual one from
-    :attr:`port` after :meth:`start`.  ``on_request`` (when given)
-    wraps every dispatch — the application layer uses it to assign
-    request ids, log, and envelope errors.
+    :attr:`port` after :meth:`start`.  ``on_request`` wraps every
+    dispatch — the application layer uses it to assign request ids,
+    log, and turn handler errors into responses.
     """
 
     def __init__(
         self,
         router: Router,
+        on_request: Callable[[Request, Handler], Awaitable[Response]],
         host: str = "127.0.0.1",
         port: int = 0,
-        on_request: Optional[Callable[[Request, Handler], Awaitable[Response]]] = None,
     ):
         self.router = router
         self.host = host
@@ -261,12 +264,7 @@ class HttpServer:
                 status,
             )
         request.path_params = params
-        if self.on_request is not None:
-            return await self.on_request(request, handler)
-        try:
-            return await handler(request)
-        except HttpError as error:
-            return Response.json({"error": error.message}, error.status)
+        return await self.on_request(request, handler)
 
     async def _read_request(
         self, reader: asyncio.StreamReader

@@ -229,3 +229,33 @@ class TestRegimesExperiment:
         }
         assert all(len(spec.record_queues) == 12 for spec in specs)
         assert {spec.controller for spec in specs} == {"util-bp", "cap-bp"}
+
+    def test_paper_pattern_scales_demand(self):
+        from repro.orchestration.spec import entry_queue_pairs
+        from repro.results import get_experiment
+        from repro.scenarios import build_scenario
+
+        specs = get_experiment("stability-regimes").specs(
+            pattern="II", loads=(0.5, 1.5), seeds=(1,), record_roads=3
+        )
+        # 2 loads x 2 controllers x 1 seed.
+        assert len(specs) == 4
+        assert {dict(s.scenario_params)["demand_scale"] for s in specs} == {
+            0.5,
+            1.5,
+        }
+        expected = entry_queue_pairs(build_scenario("II").network, 3)
+        assert all(spec.record_queues == expected for spec in specs)
+
+        def expected_arrivals(spec):
+            return sum(
+                schedule.expected_count(0.0, 100.0)
+                for schedule in spec.make_scenario().demand.values()
+            )
+
+        by_scale = {
+            dict(spec.scenario_params)["demand_scale"]: spec for spec in specs
+        }
+        assert expected_arrivals(by_scale[1.5]) == pytest.approx(
+            3 * expected_arrivals(by_scale[0.5])
+        )

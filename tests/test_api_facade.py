@@ -53,6 +53,8 @@ class TestFacadeSurface:
             "serve",
             "ServiceClient",
             "get_logger",
+            "ReproError",
+            "UsageError",
         ):
             assert name in api.__all__
 

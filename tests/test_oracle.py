@@ -1,9 +1,10 @@
 """Generated-plant differential oracle.
 
 Hypothesis draws a whole plant — grid shape, road capacity, service
-rate and road length, demand pattern and scale, mini-slot — and a
-controller with its parameters and seeds, then runs it on every
-counts engine:
+rate and road length, demand pattern and scale, the mixed pattern's
+segment length (15-45 s, so a 90 s plant crosses rate changes),
+mini-slot — and a controller with its parameters and seeds, then runs
+it on every counts engine:
 
 * ``meso-counts`` (serial controllers on ``observations()``),
   ``meso-events`` (a B=1 kernel on its array façade) and ``meso-vec``
@@ -26,6 +27,7 @@ under the ``nightly`` profile that ``tests/conftest.py`` registers).
 
 from collections import Counter
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -62,13 +64,15 @@ def plants(draw):
         }
     return dict(
         scenario=dict(
-            pattern=draw(st.sampled_from(("I", "II", "III", "IV"))),
+            pattern=draw(st.sampled_from(("I", "II", "III", "IV", "mixed"))),
             rows=draw(st.integers(1, 4)),
             cols=draw(st.integers(1, 4)),
             capacity=draw(st.integers(3, 120)),
             service_rate=draw(st.sampled_from((0.5, 0.8, 1.0, 1.6))),
             road_length=draw(st.sampled_from((20.0, 60.0, 150.0, 300.0))),
             demand_scale=draw(st.sampled_from((0.3, 1.0, 2.0, 4.0))),
+            # Quarter seconds: a rate change can fall inside a mini-slot.
+            mixed_segment_duration=draw(st.integers(60, 180)) / 4.0,
         ),
         mini_slot=draw(st.sampled_from((0.5, 1.0, 2.0))),
         controller=controller,
@@ -157,3 +161,25 @@ def test_generated_plants_agree():
 
     check()
     assert set(reached) == {"spillback", "amber", "full out-road"}, reached
+
+
+@pytest.mark.parametrize("mini_slot", (0.5, 1.0, 2.0))
+def test_mixed_rate_changes_inside_a_mini_slot(mini_slot):
+    """The mixed pattern's boundaries (15.25, 30.5, 45.75 s) fall inside
+    an arrival window at every mini-slot; the engines still agree."""
+    _engines_agree(
+        dict(
+            scenario=dict(
+                pattern="mixed",
+                rows=2,
+                cols=2,
+                capacity=20,
+                demand_scale=2.0,
+                mixed_segment_duration=15.25,
+            ),
+            mini_slot=mini_slot,
+            controller="util-bp",
+            params={},
+            seeds=[1, 2, 3],
+        )
+    )

@@ -11,6 +11,7 @@ import urllib.request
 import pytest
 
 from repro.api import API_VERSION
+from repro.errors import UsageError
 from repro.orchestration.spec import RunSpec
 from repro.service.app import ServiceApp
 from repro.service.client import ServiceClient, ServiceError
@@ -384,6 +385,43 @@ class TestServiceEndpoints:
         with pytest.raises(ServiceError) as error:
             service.client.job("job-999999")
         assert error.value.status == 404
+
+    def test_unknown_metric_is_400_naming_it(self, service):
+        with pytest.raises(ServiceError) as error:
+            service.client.aggregate(metrics="average_queuing_time,bogus")
+        assert error.value.status == 400
+        assert "bogus" in error.value.message
+
+    @pytest.mark.parametrize(
+        "raised, status",
+        [
+            (UsageError("bad value"), 400),
+            (HttpError(409, "conflict"), 409),
+            (ValueError("a bug"), 500),
+            (AttributeError("a bug"), 500),
+        ],
+        ids=["usage-error", "http-error", "value-error", "attribute-error"],
+    )
+    def test_only_repro_errors_become_4xx(self, service, raised, status):
+        async def handler(request):
+            raise raised
+
+        service.app.server.router.add("GET", "/boom", handler)
+        with pytest.raises(ServiceError) as error:
+            service.client._request("GET", "/boom")
+        assert error.value.status == status
+        if status == 500:
+            assert "internal error" in error.value.message
+        else:
+            assert error.value.message == str(raised)
+
+    def test_unreachable_service_is_a_service_error(self):
+        client = ServiceClient("http://127.0.0.1:9")
+        with pytest.raises(ServiceError, match="cannot reach") as error:
+            client.health()
+        assert error.value.status is None
+        with pytest.raises(ServiceError, match="cannot reach"):
+            list(client.iter_events("job-000001", follow=False))
 
 
 class TestEndToEndContract:
