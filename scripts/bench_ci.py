@@ -235,6 +235,24 @@ RUN_WORKLOADS = (
     ("run/meso-counts-util-bp/steady-10x10-l10", "meso-counts", 1, RUN_UTIL_BP),
     ("run/meso-events-util-bp/steady-10x10-l10", "meso-events", 1, RUN_UTIL_BP),
     ("run/meso-vec-b16-util-bp/steady-10x10-l10", "meso-vec", BATCH_WIDTH, RUN_UTIL_BP),
+    # Batches of one: every single meso-vec run.  Not in the baseline
+    # (reported, not gated); see RETIREMENT_RATIOS.
+    ("run/meso-vec-fixed-time/steady-10x10-l10", "meso-vec", 1, RUN_FIXED_TIME),
+    ("run/meso-vec-util-bp/steady-10x10-l10", "meso-vec", 1, RUN_UTIL_BP),
+)
+
+#: meso-vec at B=1 over meso-events, end to end in each loop: reported,
+#: not gated.  meso-events can be retired once both ratios reach 0.8
+#: (meso-vec within the 0.2 bound of perfbench's meso-events rate).
+RETIREMENT_RATIOS = (
+    (
+        "run/meso-vec-fixed-time/steady-10x10-l10",
+        "run/meso-events-fixed-time/steady-10x10-l10",
+    ),
+    (
+        "run/meso-vec-util-bp/steady-10x10-l10",
+        "run/meso-events-util-bp/steady-10x10-l10",
+    ),
 )
 
 #: Horizon of those runs (s, one mini-slot per second).
@@ -750,11 +768,24 @@ def run_benchmarks(
                 "minimum": minimum,
             }
         )
+    ratios = [
+        {
+            "fast": fast_key,
+            "reference": reference_key,
+            "ratio": round(
+                results[fast_key]["steps_per_second"]
+                / results[reference_key]["steps_per_second"],
+                3,
+            ),
+        }
+        for fast_key, reference_key in RETIREMENT_RATIOS
+    ]
     return {
         "version": SCHEMA_VERSION,
         "calibration_score": round(calibration, 2),
         "results": results,
         "speedups": speedups,
+        "ratios": ratios,
     }
 
 
@@ -775,6 +806,15 @@ def gate_speedups(current: Dict) -> int:
             )
             code = 1
     return code
+
+
+def report_ratios(current: Dict) -> None:
+    """Print the reported (ungated) same-run ratios."""
+    for entry in current.get("ratios", []):
+        print(
+            f"  {entry['fast']} vs {entry['reference']}: "
+            f"{entry['ratio']:.2f}x (not gated)"
+        )
 
 
 def compare(current: Dict, baseline: Dict, threshold: float) -> int:
@@ -893,6 +933,8 @@ def main() -> int:
 
     print("\nengine speedup gate:")
     speedup_code = gate_speedups(current)
+    print("\nmeso-vec B=1 over meso-events (retirement at >= 0.8x):")
+    report_ratios(current)
 
     if args.update_baseline:
         args.baseline.write_text(json.dumps(current, indent=2) + "\n")

@@ -727,7 +727,12 @@ def _write_rows(
     if output:
         from pathlib import Path
 
-        Path(output).write_text(text, encoding="utf-8")
+        try:
+            Path(output).write_text(text, encoding="utf-8")
+        except OSError as error:
+            raise UsageError(
+                f"cannot write {output}: {error.strerror or error}"
+            ) from None
         print(f"wrote {len(rows)} rows to {output}")
     else:
         sys.stdout.write(text)
@@ -893,20 +898,33 @@ def _run_scenarios(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_submit(args: argparse.Namespace) -> int:
+def _read_json_body(path: str) -> Any:
+    """The JSON document in ``path`` (``-``: stdin) for ``submit --json``.
+
+    A file that cannot be read or does not hold JSON is a
+    :class:`UsageError` naming it.
+    """
     import json as _json
 
+    try:
+        if path == "-":
+            return _json.load(sys.stdin)
+        with open(path, "r", encoding="utf-8") as handle:
+            return _json.load(handle)
+    except OSError as error:
+        raise UsageError(f"cannot read {path}: {error.strerror or error}") from None
+    except ValueError as error:  # JSONDecodeError, UnicodeDecodeError
+        raise UsageError(f"{path} is not a JSON document: {error}") from None
+
+
+def _run_submit(args: argparse.Namespace) -> int:
     from repro.service.client import ServiceClient
 
-    client = ServiceClient(args.url)
     if args.json_file is not None:
-        if args.json_file == "-":
-            body = _json.load(sys.stdin)
-        else:
-            with open(args.json_file, "r", encoding="utf-8") as handle:
-                body = _json.load(handle)
+        body = _read_json_body(args.json_file)
     else:
         body = {"grid": _grid_from_args(args).to_dict()}
+    client = ServiceClient(args.url)
     if args.shard is not None:
         body["shard"] = args.shard
     job = client.submit(body)["job"]

@@ -19,7 +19,9 @@ store-and-forward count dynamics onto NumPy arrays of shape
   :data:`~repro.model.arrivals.ARRIVAL_WINDOW` slots, one
   ``sample_count_block`` call per replication's own
   :class:`~repro.model.arrivals.PoissonArrivals` and entry road (see
-  below), so the per-step cost of demand sampling is one array slice;
+  below), and kept as each slot's list of ``(entry pair, count)``
+  events, so a step visits only the entries with an arrival or a
+  standing backlog;
 * spillback sensing is a masked array comparison
   (``occupancy >= capacity``) instead of a maintained set;
 * per-replication aggregate metrics are integrated by a
@@ -56,8 +58,15 @@ queue a vehicle or hold less credit than the bank — found with one
 mask and one ``nonzero``; the fast path serves them in one shot and
 the staged path above takes over when a downstream space binds.  A
 phase switch validates and re-arms only the switched (replication,
-node) cells.  ``fast_slots``, ``staged_slots`` and ``cells_served``
-count what the serve did.
+node) cells.  Every per-cell constant the serve reads (replication,
+node cell, flat in- and out-road, out-capacity, accrual, bank) comes
+from flat ``B * n_movements`` tables built at the first step, and the
+per-unit loops (arrival, promotion, transfer) write the counters of
+the entries and FIFOs they touch with scalar writes, so a slot's fixed
+cost is a few dozen array operations however many replications it
+steps.
+``fast_slots``, ``staged_slots`` and ``cells_served`` count what the
+serve did.
 
 **Contract.**  ``meso-vec`` at ``B=1`` is step-for-step identical to
 ``meso-counts`` under the same seed (observations, occupancies,
@@ -124,13 +133,14 @@ class _ColumnTables:
     in-road, out-road and out-road capacity — is the network's
     :class:`~repro.core.engine.FacadeTables`, shared with the
     controller kernels.  On top of it this adds what only meso-vec
-    reads: the road tables, the phase tables, the hazard stages and the
-    per-column transfer / promote plans.  Everything here depends on
-    the network alone — no seed, batch size or plant parameter — so it
-    is built once per network
+    reads: the road tables, the phase tables, the hazard stages, the
+    promote plan, the stop-line sum plan and the routes' next-hop maps.
+    Everything here depends on the network alone — no seed, batch size
+    or plant parameter — so it is built once per network
     (:meth:`~repro.model.network.Network.derived`) and shared,
-    read-only, by every :class:`BatchCountsSimulator` on it.  Building
-    raises ``ValueError`` for a phase layout meso-vec cannot batch.
+    read-only (the next-hop maps only grow), by every
+    :class:`BatchCountsSimulator` on it.  Building raises
+    ``ValueError`` for a phase layout meso-vec cannot batch.
     """
 
     def __init__(self, network: Network):
@@ -214,10 +224,19 @@ class _ColumnTables:
                     phases_of[gid].add(phase.index)
         self.rate_sum = _frozen(rate_sum)
         self.valid_phase = _frozen(valid)
-        #: The one phase containing each movement (-1: never activated);
-        #: activity is then one equality against the node's applied phase.
-        self.m_phase = _frozen(
-            np.array([next(iter(p)) if p else -1 for p in phases_of], dtype=np.int64)
+        # The one phase containing each movement (-1: never activated).
+        m_phase = np.array(
+            [next(iter(p)) if p else -1 for p in phases_of], dtype=np.int64
+        )
+        #: That phase's global index (``phase_offsets[node] + index``; -1
+        #: for a movement no green phase activates): a column is active
+        #: exactly when its node's applied global phase equals it.
+        self.m_gphase = _frozen(
+            np.where(
+                m_phase > TRANSITION_PHASE_INDEX,
+                offsets[axis.m_node] + m_phase,
+                -1,
+            )
         )
 
         # -- hazard staging (see the module docstring) ----------------------
@@ -226,24 +245,34 @@ class _ColumnTables:
         ]
 
         # -- transfer / promote plans ------------------------------------------
-        #: The static halves of the per-unit FIFO plans, one entry per
-        #: column (the FIFOs themselves are per seed, keyed by flat
-        #: index — see :class:`BatchCountsSimulator`).  Per movement:
-        #: the out-road index the serve transfer pushes onto, or
-        #: ``None`` for an exit.  Per road: ``(out-road -> movement
-        #: column, road id)`` for promote and sensing, which read a
-        #: unit's next hop.
-        self.transfer_plan = [
-            None if is_exit_road[ri] else ri for ri in out_idx.tolist()
-        ]
+        #: The static half of the per-unit FIFO plans (the FIFOs
+        #: themselves are per seed, keyed by flat index — see
+        #: :class:`BatchCountsSimulator`): per road, ``(out-road ->
+        #: movement column, road id)`` for promote and sensing, which
+        #: read a unit's next hop.
         self.promote_plan = [
             (columns_of_road.get(road_id), road_id) for road_id in road_ids
         ]
+        #: The next-hop map of each sampled route, by ``id(route)``:
+        #: filled on first use, shared by every engine on the network.
+        #: Routes are the network's cached lists (see
+        #: :class:`~repro.model.routing.RouteSampler`), so an id never
+        #: names another route.
+        self.route_nexts: Dict[int, Dict[str, str]] = {}
         #: Per road feeding an intersection: its movement columns.
         self.columns_of_road = {
             road_id: _frozen(np.array(list(columns.values()), dtype=np.int64))
             for road_id, columns in columns_of_road.items()
         }
+        #: The stop lines' totals block: each road's row, and the movement
+        #: columns grouped by in-road with each group's first position
+        #: (a segment sum of the gathered columns is one row per road).
+        self.stop_line_rows = {road_id: row for row, road_id in enumerate(columns_of_road)}
+        groups = [list(columns.values()) for columns in columns_of_road.values()]
+        self.stop_line_plan = (
+            _frozen(np.array([c for group in groups for c in group], dtype=np.int64)),
+            _frozen(np.cumsum([0] + [len(g) for g in groups[:-1]], dtype=np.int64)),
+        )
 
     def _build_stages(
         self, axis: FacadeTables, phases_of: List[set], phase_pos: np.ndarray
@@ -372,12 +401,14 @@ class BatchCountsSimulator(ArrayFacade):
         self._max_phase = tables.max_phase
         self._rate_sum = tables.rate_sum
         self._valid_phase = tables.valid_phase
-        self._m_phase = tables.m_phase
+        self._m_gphase = tables.m_gphase
         self._stages = tables.stages
         self._road_index = tables.road_index
-        self._transfer_plan = tables.transfer_plan
         self._promote_plan = tables.promote_plan
         self._columns_of_road = tables.columns_of_road
+        self._route_nexts = tables.route_nexts
+        self._stop_line_rows = tables.stop_line_rows
+        self._stop_line_plan = tables.stop_line_plan
         R, N, M = len(self._road_ids), len(self._node_ids), len(self._movement_keys)
         out_idx = self._out_idx
 
@@ -388,33 +419,60 @@ class BatchCountsSimulator(ArrayFacade):
             else np.full(R, float(travel_time))
         )
         self._rate = np.full(M, 1.0 / saturation_headway)
-        self._m_out_ttime = self._transit_time[out_idx]
+        #: Travel time of each movement's out-road (a plain list: the
+        #: transfer loop reads it per served cell).
+        self._m_out_ttime = self._transit_time[out_idx].tolist()
         self._entry_idx = np.array(
             [tables.road_index[r] for r in self._entry_ids], dtype=np.int64
         )
 
         # -- dynamic state ---------------------------------------------------
-        self._occ = np.zeros((B, R), dtype=np.int64)
+        # Road occupancy lives in a flat buffer with one spare slot past
+        # the ``B * n_roads`` roads: the serve pass sends an exit
+        # movement's "out-road" there (with a capacity that never binds),
+        # so every served cell adds to its out-slot without an exit mask.
+        # ``_occ`` is the ``(B, n_roads)`` view of the real roads.
+        self._occ_flat = np.zeros(B * R + 1, dtype=np.int64)
+        self._occ = self._occ_flat[:-1].reshape(B, R)
         self._queue_len = np.zeros((B, M), dtype=np.int64)
         self._credit = np.zeros((B, M), dtype=np.float64)
         self._head_ready = np.full((B, R), np.inf, dtype=np.float64)
         self._active_phase = np.full((B, N), -1, dtype=np.int64)
         self._phase_started = np.zeros((B, N), dtype=np.float64)
-        self._green_time = np.zeros((B, N), dtype=np.float64)
-        self._amber_time = np.zeros((B, N), dtype=np.float64)
-        self._service_capacity = np.zeros((B, N), dtype=np.float64)
-        self._vehicles_served = np.zeros((B, N), dtype=np.int64)
-        self._wasted_green_slots = np.zeros((B, N), dtype=np.int64)
-        self._green_slots = np.zeros((B, N), dtype=np.int64)
-        self._queued_total = np.zeros(B, dtype=np.int64)
+        # The float utilization books of each node cell, side by side so
+        # one add per slot advances all four: amber time, green time,
+        # service capacity and green slots (a count, exact in float64).
+        self._books = np.zeros((B, N, 4), dtype=np.float64)
+        (
+            self._amber_time,
+            self._green_time,
+            self._service_capacity,
+            self._green_slots,
+        ) = np.moveaxis(self._books, -1, 0)
+        #: Green slots on which a node had a servable movement; the
+        #: wasted green slots are the rest (see utilization_of).
+        self._servable_slots = np.zeros((B, N), dtype=np.int64)
+        #: Vehicles served per cell; per-node totals are summed on read.
+        self._cell_served = np.zeros(B * M, dtype=np.int64)
+        #: Per replication, the counts the aggregate books integrate:
+        #: vehicles waiting (queued at a stop line or gated outside a
+        #: full entry; kept current by every step phase) and vehicles
+        #: inside the network (summed from the occupancy each slot).
+        self._tallies = np.zeros((2, B), dtype=np.int64)
+        self._waiting = self._tallies[0]
         # Serve cache, written per cell when that cell's phase switches
-        # (_apply_phase_switch) and replayed by every _serve until then.
-        self._c_green = np.zeros((B, N), dtype=bool)
-        self._c_amber_dt = np.zeros((B, N), dtype=np.float64)
-        self._c_green_dt = np.zeros((B, N), dtype=np.float64)
-        self._c_capacity_dt = np.zeros((B, N), dtype=np.float64)
+        # (_apply_phase_switch) and replayed by every _serve until then:
+        # each node cell's per-slot book increments and each movement
+        # cell's "belongs to the running green phase" flag.
+        self._c_books = np.zeros((B, N, 4), dtype=np.float64)
         self._c_active = np.zeros((B, M), dtype=bool)
         self._startup_until = -math.inf
+        # Flat views of the per-cell state the step reads by flat index.
+        self._queue_flat = self._queue_len.reshape(-1)
+        self._credit_flat = self._credit.reshape(-1)
+        self._head_flat = self._head_ready.reshape(-1)
+        self._started_flat = self._phase_started.reshape(-1)
+        self._c_active_flat = self._c_active.reshape(-1)
         #: Serve counters (plain ints, no part of any result): slots
         #: whose live cells were served on the fast path and on the
         #: staged path (a slot with no live cell counts in neither),
@@ -423,15 +481,15 @@ class BatchCountsSimulator(ArrayFacade):
         self.staged_slots = 0
         self.cells_served = 0
         # Unit representation: a queued/transiting unit is its route's
-        # next-hop map (road -> following road, shared per cached
-        # route) — grid routes never revisit a road, so the map alone
-        # replaces the reference engines' ``(route, leg)`` cursor and a
-        # hop allocates nothing.  Transit FIFOs hold *cohorts*
+        # next-hop map (road -> following road, one per cached route,
+        # kept with the network's tables) — grid routes never revisit a
+        # road, so the map alone replaces the reference engines'
+        # ``(route, leg)`` cursor and a hop allocates nothing.  Transit
+        # FIFOs hold *cohorts*
         # ``(ready_time, [unit, ...])``: every push onto one road
         # within a mini-slot shares the same ready time, so cohorts are
         # exactly the reference FIFO content grouped by slot, in the
         # reference push order.
-        self._route_nexts: Dict[int, Dict[str, str]] = {}
         # FIFOs, one store per kind, keyed by the flat index of their
         # batched counter: lane ``b * n_movements + gid``
         # (``_queue_len``), transit ``b * n_roads + ri``
@@ -442,7 +500,6 @@ class BatchCountsSimulator(ArrayFacade):
         # invariant raises ``KeyError`` instead of reading as empty.
         self._lanes: Dict[int, deque] = {}
         self._transit: Dict[int, deque] = {}
-        self._backlog_len = np.zeros((B, len(self._entry_ids)), dtype=np.int64)
         # Sensed in-transit units (see sense_arrays), kept from the first
         # read on: per lane column, the units of every cohort whose
         # ready time lies within the last read's deadline; and per
@@ -450,22 +507,95 @@ class BatchCountsSimulator(ArrayFacade):
         self._sensed: Optional[np.ndarray] = None
         self._sensed_until = -math.inf
         self._uncounted_ready: Optional[np.ndarray] = None
+        self._sensed_flat: Optional[np.ndarray] = None
+        self._uncounted_flat: Optional[np.ndarray] = None
         #: The spillback out-queues while no road is full, shared by reads.
         self._no_out_queues = _frozen(np.zeros((B, M), dtype=np.int64))
-        #: (backlog FIFO, entry transit key, router) per (replication,
-        #: entry).
+        #: Per (replication, entry) pair, flat index ``b * n_entries +
+        #: e``: its backlog FIFO, entry road (id, flat index — the
+        #: transit key, occupancy and head slot —, capacity and travel
+        #: time), replication and route sampler.
+        caps = self._caps.tolist()
+        times = self._transit_time.tolist()
         self._inject_plan = [
-            [(deque(), b * R + int(ri), self._routers[b]) for ri in self._entry_idx]
+            (
+                deque(),
+                road_id,
+                b * R + ri,
+                caps[ri],
+                times[ri],
+                b,
+                self._routers[b].sample_route,
+            )
             for b in range(B)
+            for road_id, ri in zip(self._entry_ids, self._entry_idx.tolist())
         ]
+        #: Entry pairs whose backlog FIFO is not empty.
+        self._backlogged: set = set()
+        #: incoming_queue_total's block of every stop line, as summed
+        #: since the last step (None: not yet).
+        self._stop_line_totals: Optional[np.ndarray] = None
         self.collector = BatchAggregateMetricsCollector(B)
         self._finalized = False
-        # Constant-dt contract state + pulled-ahead arrival window.
+        # Constant-dt contract state + pulled-ahead arrival window: per
+        # mini-slot of the window, its arrival events ``(pair, count)``
+        # in ascending pair order.
         self._dt: Optional[float] = None
         self._accrual: Optional[np.ndarray] = None
-        self._bank: Optional[np.ndarray] = None
-        self._window: Optional[np.ndarray] = None
-        self._window_pos = 0
+        self._window_events: List[List[Tuple[int, int]]] = []
+        self._window_pos = ARRIVAL_WINDOW
+
+    def _build_step_tables(self, dt: float) -> None:
+        """The flat per-cell tables the step reads, for mini-slot ``dt``.
+
+        Built at the first step (credit accrual and the book increments
+        scale with ``dt``, which the constant-dt contract then fixes).
+        Movement cells are indexed ``b * n_movements + gid``, node
+        cells ``b * n_nodes + n``; every table is read-only.
+        """
+        B = self.batch_size
+        R, N, M = len(self._road_ids), len(self._node_ids), len(self._movement_keys)
+        self._accrual = self._rate * dt
+        bank = np.maximum(self._accrual, 1.0)
+        rep = np.repeat(np.arange(B, dtype=np.int64), M)
+        nonexit = np.tile(self._m_nonexit, B)
+        self._cell_rep = _frozen(rep)
+        self._cell_node = _frozen(rep * N + np.tile(self._node_of, B))
+        self._cell_in = _frozen(rep * R + np.tile(self._in_idx, B))
+        #: The out-road's flat occupancy slot; an exit's is the spare.
+        self._cell_out = _frozen(
+            np.where(nonexit, rep * R + np.tile(self._out_idx, B), B * R)
+        )
+        self._cell_out_cap = _frozen(
+            np.where(nonexit, np.tile(self._m_out_cap, B), np.iinfo(np.int64).max)
+        )
+        self._cell_exit = _frozen(~nonexit)
+        self._cell_accrual = _frozen(np.tile(self._accrual, B))
+        self._cell_bank = _frozen(np.tile(bank, B))
+        self._cell_gphase = _frozen(np.tile(self._m_gphase, B))
+        node_rep = np.repeat(np.arange(B, dtype=np.int64), N)
+        node = np.tile(np.arange(N, dtype=np.int64), B)
+        self._node_cell_rep = _frozen(node_rep)
+        self._node_cell_node = _frozen(node)
+        #: Per node cell: the flat indices of its movement cells (a
+        #: contiguous slice, as the layout is node-major) and their count.
+        first = (node_rep * M + self._node_starts[node]).tolist()
+        widths = self._node_widths[node]
+        every = _frozen(np.arange(B * M, dtype=np.int64))
+        self._node_cell_cells = [
+            every[lo:lo + width] for lo, width in zip(first, widths.tolist())
+        ]
+        self._node_cell_width = _frozen(widths)
+        # Per global phase: the per-slot book increments of a node
+        # showing it (amber, green, service capacity, green slot).
+        green = np.ones(len(self._rate_sum), dtype=bool)
+        green[self._phase_offsets] = False
+        incs = np.empty((len(green), 4), dtype=np.float64)
+        incs[:, 0] = dt * ~green
+        incs[:, 1] = dt * green
+        incs[:, 2] = (self._rate_sum * dt) * green
+        incs[:, 3] = green
+        self._phase_incs = _frozen(incs)
 
     # -- observation ---------------------------------------------------------
 
@@ -501,13 +631,15 @@ class BatchCountsSimulator(ArrayFacade):
         sensed = self._sensed
         if sensed is None:
             sensed = self._sensed = np.zeros_like(self._queue_len)
+            self._sensed_flat = sensed.reshape(-1)
             uncounted = self._uncounted_ready = self._head_ready.copy()
+            self._uncounted_flat = uncounted.reshape(-1)
         else:
             # A FIFO whose first uncounted cohort was promoted unread
             # has no counted cohort left: its head is the first.
             uncounted = self._uncounted_ready
             np.maximum(uncounted, self._head_ready, out=uncounted)
-        entering = np.flatnonzero(uncounted <= deadline)
+        entering = (self._uncounted_flat <= deadline).nonzero()[0]
         if len(entering):
             counted_until = self._sensed_until
             M = len(self._movement_keys)
@@ -533,12 +665,12 @@ class BatchCountsSimulator(ArrayFacade):
                     follow(math.inf)
             uncounted.put(entering, following)
             if columns:
-                np.add.at(sensed.reshape(-1), columns, 1)
+                np.add.at(self._sensed_flat, columns, 1)
         self._sensed_until = deadline
         queues = self._queue_len + sensed
         queues.flags.writeable = False
         full = self._occ >= self._caps[None, :]
-        if not full.any():
+        if not np.count_nonzero(full):
             return queues, self._no_out_queues
         road_out = np.where(full, self._occ, 0)
         out_queues = road_out[:, self._out_idx]
@@ -546,39 +678,24 @@ class BatchCountsSimulator(ArrayFacade):
         return queues, out_queues
 
     def _track_push(
-        self,
-        b: int,
-        ri: int,
-        ready: float,
-        transit: deque,
-        units: list,
-        tracked: Tuple[List[Tuple[int, int, float]], List[int]],
+        self, b: int, ri: int, key: int, ready: float, transit: deque, units: list
     ) -> None:
-        """Keep the sensed count exact over one push, before it lands.
+        """Keep the sensed count exact over one push onto FIFO ``key``.
 
-        A cohort whose ready time lies within the last read's deadline
-        counts at once (its lane columns go to ``tracked[1]``).  A later
-        one onto a FIFO with no uncounted cohort becomes that FIFO's
-        first uncounted cohort (``tracked[0]``).
+        Called once sensing has started, before the cohort lands.  A
+        cohort whose ready time lies within the last read's deadline
+        counts at once.  A later one onto a FIFO with no uncounted
+        cohort becomes that FIFO's first uncounted cohort.
         """
         until = self._sensed_until
         if ready <= until:
             gids, road_id = self._promote_plan[ri]
             base = b * len(self._movement_keys)
-            tracked[1].extend(base + gids[unit[road_id]] for unit in units)
+            sensed = self._sensed_flat
+            for unit in units:
+                sensed[base + gids[unit[road_id]]] += 1
         elif not transit or transit[-1][0] <= until:
-            tracked[0].append((b, ri, ready))
-
-    def _commit_tracked(
-        self, tracked: Tuple[List[Tuple[int, int, float]], List[int]]
-    ) -> None:
-        """Apply the bookkeeping :meth:`_track_push` collected."""
-        first, counted = tracked
-        if first:
-            b, ri, ready = zip(*first)
-            self._uncounted_ready[b, ri] = ready
-        if counted:
-            np.add.at(self._sensed.reshape(-1), counted, 1)
+            self._uncounted_flat[key] = ready
 
     # -- stepping ------------------------------------------------------------
 
@@ -600,8 +717,7 @@ class BatchCountsSimulator(ArrayFacade):
         first = self._dt is None
         if first:
             self._dt = float(dt)
-            self._accrual = self._rate * dt
-            self._bank = np.maximum(self._accrual, 1.0)
+            self._build_step_tables(dt)
         elif dt != self._dt:
             raise ValueError(
                 f"meso-vec steps on a constant mini-slot: got dt={dt} after "
@@ -610,32 +726,31 @@ class BatchCountsSimulator(ArrayFacade):
             )
         phases_arr = self._encode_phases(phases)
         now = self.time
+        self._stop_line_totals = None
         self._promote(now)
-        switched = phases_arr != self._active_phase
         if first:
-            switched[...] = True  # arm (and validate) every cell once
-        if switched.any():
-            self._apply_phase_switch(dt, phases_arr, switched, now)
-        self._serve(dt, now)
+            # Arm (and validate) every cell once.
+            switched = np.arange(self._active_phase.size)
+        else:
+            switched = (phases_arr != self._active_phase).ravel().nonzero()[0]
+        if len(switched):
+            self._apply_phase_switch(phases_arr, switched, now)
+        self._serve(now)
         self._inject(dt, now)
         self.time = now + dt
-        collector = self.collector
-        collector.record_interval(
-            dt,
-            self._queued_total + self._backlog_len.sum(axis=1),
-            # Vehicles inside the network == total road occupancy (the
-            # reference engines maintain this count separately; here it
-            # is one row sum).
-            self._occ.sum(axis=1),
-        )
-        collector.advance(self.time)
+        # Vehicles inside the network == total road occupancy (the
+        # reference engines maintain this count separately; here it is
+        # one row sum).
+        self._occ.sum(axis=1, out=self._tallies[1])
+        self.collector.record_interval(dt, self._tallies)
+        self.collector.advance(self.time)
 
     def _encode_phases(
         self, phases: Union[np.ndarray, Sequence[Mapping[str, int]]]
     ) -> np.ndarray:
         B, N = self.batch_size, len(self._node_ids)
         if isinstance(phases, np.ndarray):
-            if not np.issubdtype(phases.dtype, np.integer):
+            if phases.dtype.kind not in "iu":
                 # A bool would read as phases 0/1 and a float fail deep
                 # inside as an index; neither is a phase index.
                 raise ValueError(
@@ -667,30 +782,28 @@ class BatchCountsSimulator(ArrayFacade):
         """Move transit units that reached the stop line into their lanes.
 
         Per-unit deque traffic stays in Python (a handful of units per
-        slot); the batched array bookkeeping is committed with one
-        scatter-add per array instead of per-unit scalar writes.
+        slot); each due FIFO's head time and its replication's waiting
+        count are scalar writes, and the lane counters take one
+        scatter-add for every unit promoted this slot.
         """
-        head_ready = self._head_ready
-        due = (head_ready <= now).ravel().nonzero()[0]
+        due = (self._head_flat <= now).nonzero()[0]
         if not len(due):
             return
-        inc_flat: List[int] = []
-        inc_append = inc_flat.append
-        pair_b: List[int] = []
-        pair_n: List[int] = []
-        head_v: List[float] = []
-        inf = np.inf
+        lane_keys: List[int] = []
+        add = lane_keys.append
         M = len(self._movement_keys)
         R = len(self._road_ids)
         plans = self._promote_plan
         transits = self._transit
         lanes = self._lanes
+        head = self._head_flat
+        waiting = self._waiting
         # Counted cohorts leave the sensed count as they reach the lane
         # (before the first read nothing is counted).
         counted_until = self._sensed_until
         uncount: List[int] = []
-        dbs, drs = np.divmod(due, R)
-        for fifo, b, ri in zip(due.tolist(), dbs.tolist(), drs.tolist()):
+        for fifo in due.tolist():
+            b, ri = divmod(fifo, R)
             gids, road_id = plans[ri]
             transit = transits[fifo]
             base = b * M
@@ -698,51 +811,43 @@ class BatchCountsSimulator(ArrayFacade):
             while transit and transit[0][0] <= now:
                 ready, units = transit.popleft()
                 promoted += len(units)
-                first = len(inc_flat)
+                first = len(lane_keys)
                 for unit in units:
                     key = base + gids[unit[road_id]]
                     lane = lanes.get(key)
                     if lane is None:
                         lane = lanes[key] = deque()
                     lane.append(unit)
-                    inc_append(key)
+                    add(key)
                 if ready <= counted_until:
-                    uncount.extend(inc_flat[first:])
-            if promoted:
-                pair_b.append(b)
-                pair_n.append(promoted)
-            head_v.append(transit[0][0] if transit else inf)
-        head_ready.put(due, head_v)
-        if inc_flat:
-            np.add.at(self._queue_len.reshape(-1), inc_flat, 1)
-            np.add.at(self._queued_total, pair_b, pair_n)
+                    uncount.extend(lane_keys[first:])
+            waiting[b] += promoted
+            head[fifo] = transit[0][0] if transit else math.inf
+        np.add.at(self._queue_flat, lane_keys, 1)
         if uncount:
-            np.subtract.at(self._sensed.reshape(-1), uncount, 1)
+            np.subtract.at(self._sensed_flat, uncount, 1)
 
     def _apply_phase_switch(
-        self, dt: float, phases_arr: np.ndarray, switched: np.ndarray, now: float
+        self, phases_arr: np.ndarray, cells: np.ndarray, now: float
     ) -> None:
         """Validate and re-arm the switched ``(replication, node)`` cells.
 
         Phases hold for many consecutive mini-slots (green dwells), so
-        everything derived from a cell's phase alone — its amber/green
-        flag, per-slot tracker increments and active movement columns —
-        is written once per switch of that cell and replayed until it
-        switches again.  Cells that did not switch keep theirs.  Cells
-        are addressed by flat index (``b * n_nodes + n``).
+        everything derived from a cell's phase alone — its per-slot book
+        increments and active movement columns — is written once per
+        switch of that cell and replayed until it switches again.  Cells
+        that did not switch keep theirs.  ``cells`` are flat node-cell
+        indices (``b * n_nodes + n``).
         """
-        N = len(self._node_ids)
-        M = len(self._movement_keys)
-        cells = switched.ravel().nonzero()[0]
-        sb, sn = np.divmod(cells, N)
-        new = phases_arr[sb, sn]
+        sn = self._node_cell_node[cells]
+        new = phases_arr[self._node_cell_rep[cells], sn]
         # Phase validation: an unknown non-amber index raises the same
         # KeyError the reference engine's phase lookup would.  A cell
         # that did not switch holds a phase validated when it did.
         in_range = (new >= 0) & (new <= self._max_phase[sn])
         gp = self._phase_offsets[sn] + np.where(in_range, new, 0)
         valid = in_range & self._valid_phase[gp]
-        if not valid.all():
+        if np.count_nonzero(valid) < len(valid):
             i = int(np.flatnonzero(~valid)[0])
             self._intersections[sn[i]].phase_by_index(int(new[i]))
             raise AssertionError("phase_by_index must raise for invalid phases")
@@ -751,28 +856,18 @@ class BatchCountsSimulator(ArrayFacade):
         # Every switch starts at ``now``, the latest start so far: after
         # this point no node is inside its start-up window any more.
         self._startup_until = now + self._startup_lost
-        green = new != TRANSITION_PHASE_INDEX
-        self._c_green.put(cells, green)
-        self._c_amber_dt.put(cells, dt * ~green)
-        self._c_green_dt.put(cells, dt * green)
-        self._c_capacity_dt.put(cells, (self._rate_sum[gp] * dt) * green)
-        # The switched cells' movement columns, node-major as the
-        # layout: ``cell`` names the switched cell of each column.
-        widths = self._node_widths[sn]
-        ends = widths.cumsum()
-        cell = np.repeat(np.arange(len(cells)), widths)
-        cols = (self._node_starts[sn] - ends + widths)[cell] + np.arange(
-            len(cell)
-        )
-        flat = sb[cell] * M + cols
+        self._c_books.reshape(-1, 4)[cells] = self._phase_incs[gp]
+        # The switched cells' movement cells, each with its node's new
+        # global phase.
+        cells_of = self._node_cell_cells
+        flat = np.concatenate([cells_of[cell] for cell in cells.tolist()])
+        applied = np.repeat(gp, self._node_cell_width[cells])
         # Phase switch: queue discharge restarts, unused service credit
         # must not carry over.
-        self._credit.put(flat, 0.0)
-        self._c_active.put(
-            flat, (new[cell] == self._m_phase[cols]) & green[cell]
-        )
+        self._credit_flat[flat] = 0.0
+        self._c_active_flat[flat] = applied == self._cell_gphase[flat]
 
-    def _serve(self, dt: float, now: float) -> None:
+    def _serve(self, now: float) -> None:
         """One vectorized serve pass over the live cells (exact).
 
         A cell (replication, movement) is *eligible* when its node is
@@ -783,9 +878,8 @@ class BatchCountsSimulator(ArrayFacade):
         its bound is 0 (never servable, never binding, as occupancy
         never exceeds capacity), and its credit write is
         ``min(bank + accrual, bank) == bank``, the value it holds.
-        Cells are addressed by flat index (``b * n_movements + gid``),
-        their nodes by ``b * n_nodes + n`` and roads by
-        ``b * n_roads + ri``.
+        Every per-cell quantity comes from the flat tables of
+        :meth:`_build_step_tables`.
 
         The fast path evaluates every live cell against pre-step
         occupancy in one shot.  That equals the sequential reference
@@ -797,90 +891,73 @@ class BatchCountsSimulator(ArrayFacade):
         non-binding pre-step space stays non-binding in every
         sequential order.  If any space binds anywhere, the staged
         exact path replays the reference order.
+
+        A green node wastes its slot unless one of its movements is
+        servable; rather than add the wasted slots, the pass counts the
+        servable ones per node (:meth:`utilization_of` subtracts).
         """
-        B, N = self._active_phase.shape
-        R = len(self._road_ids)
-        M = len(self._movement_keys)
-        self._amber_time += self._c_amber_dt
-        self._green_time += self._c_green_dt
-        self._green_slots += self._c_green
-        self._service_capacity += self._c_capacity_dt
-        queue_len = self._queue_len
-        credit = self._credit
-        live = queue_len > 0
-        live |= credit < self._bank
-        live &= self._c_active
-        cells = live.ravel().nonzero()[0]
-        lb, lm = np.divmod(cells, M)
-        nodes = lb * N + self._node_of[lm]
-        serving = self._c_green
+        self._books += self._c_books
+        queue = self._queue_flat
+        credit = self._credit_flat
+        live = queue > 0
+        live |= credit < self._cell_bank
+        live &= self._c_active_flat
+        cells = live.nonzero()[0]
         if now < self._startup_until:
-            in_startup = (now - self._phase_started) < self._startup_lost
-            waiting = serving & in_startup
-            self._wasted_green_slots += waiting
-            serving = serving ^ waiting
-            keep = serving.ravel()[nodes]
-            cells, lb, lm, nodes = cells[keep], lb[keep], lm[keep], nodes[keep]
+            started = self._started_flat[self._cell_node[cells]]
+            cells = cells[(now - started) >= self._startup_lost]
         self.cells_served += len(cells)
         if not len(cells):
-            # Nothing queued, every credit banked: every serving node
-            # wastes its slot (reference: served 0, nothing servable).
-            self._wasted_green_slots += serving
             return
-        occ = self._occ
-        occ_flat = occ.reshape(-1)
-        queued = queue_len.take(cells)
-        value = credit.take(cells) + self._accrual[lm]
+        occ = self._occ_flat
+        queued = queue[cells]
+        value = credit[cells] + self._cell_accrual[cells]
         bound = np.minimum(value, queued)
-        out = lb * R + self._out_idx[lm]
-        nonexit = self._m_nonexit[lm]
-        space = self._m_out_cap[lm] - occ_flat[out]
-        if (nonexit & (space < bound)).any():
-            self.staged_slots += 1
-            eligible = np.zeros(B * M, dtype=bool)
-            eligible[cells] = True
-            limit_total, servable_total = self._serve_staged(
-                eligible.reshape(B, M), credit + self._accrual, queue_len, occ
-            )
-            limit = limit_total.take(cells)
-            servable = servable_total.take(cells)
-            served = limit.nonzero()[0]
-        else:
-            # Fast path: space never binds, so every limit is the
-            # credit/queue bound and space > 0 wherever a queue waits.
+        out = self._cell_out[cells]
+        space = self._cell_out_cap[cells] - occ[out]
+        fast = not np.count_nonzero(space < bound)
+        if fast:
+            # Space never binds, so every limit is the credit/queue
+            # bound and space > 0 wherever a queue waits.
             self.fast_slots += 1
             limit = bound.astype(np.int64)
             servable = queued > 0
-            served = limit.nonzero()[0]
-            if len(served):
-                vals = limit[served]
-                np.add.at(
-                    occ_flat, lb[served] * R + self._in_idx[lm[served]], -vals
-                )
-                ne = served[nonexit[served]]
-                np.add.at(occ_flat, out[ne], limit[ne])
+        else:
+            self.staged_slots += 1
+            eligible = np.zeros(len(live), dtype=bool)
+            eligible[cells] = True
+            limit_total, servable_total = self._serve_staged(
+                eligible.reshape(self._credit.shape),
+                self._credit + self._accrual,
+                self._queue_len,
+                self._occ,
+            )
+            limit = limit_total.take(cells)
+            servable = servable_total.take(cells)
         # Bank at most one slot of unused service credit (reference
         # rule), for exactly the movements the reference loop touched.
-        credit.put(cells, np.minimum(value - limit, self._bank[lm]))
-        # A node that served a vehicle had a servable movement, so a
-        # serving node wastes its slot exactly when none was servable.
-        had_servable = np.zeros(B * N, dtype=bool)
-        had_servable[nodes[servable]] = True
-        self._wasted_green_slots += serving & ~had_servable.reshape(B, N)
-        if len(served):
-            sb, sm, vals = lb[served], lm[served], limit[served]
-            np.add.at(self._vehicles_served.reshape(-1), nodes[served], vals)
-            # Cells are unique: a plain fancy update, no ufunc.at.
-            queue_len.reshape(-1)[cells[served]] -= vals
-            np.subtract.at(self._queued_total, sb, vals)
-            exit_mask = self._m_is_exit[sm]
-            if exit_mask.any():
-                np.add.at(
-                    self.collector.vehicles_left,
-                    sb[exit_mask],
-                    vals[exit_mask],
-                )
-            self._transfer_units(sb, sm, vals, now)
+        credit[cells] = np.minimum(value - limit, self._cell_bank[cells])
+        # A repeated node index counts once, as a node wastes or uses
+        # its slot once.
+        self._servable_slots.reshape(-1)[self._cell_node[cells[servable]]] += 1
+        served = limit.nonzero()[0]
+        if not len(served):
+            return
+        served_cells = cells[served]
+        vals = limit[served]
+        out = out[served]
+        if fast:
+            np.subtract.at(occ, self._cell_in[served_cells], vals)
+            occ[out] += vals
+        # Cells are unique: plain fancy updates, no ufunc.at.
+        queue[served_cells] -= vals
+        self._cell_served[served_cells] += vals
+        reps = self._cell_rep[served_cells]
+        np.subtract.at(self._waiting, reps, vals)
+        exits = self._cell_exit[served_cells]
+        if np.count_nonzero(exits):
+            np.add.at(self.collector.vehicles_left, reps[exits], vals[exits])
+        self._transfer_units(served_cells, out, vals, now)
 
     def _serve_staged(
         self,
@@ -925,55 +1002,46 @@ class BatchCountsSimulator(ArrayFacade):
 
     def _transfer_units(
         self,
-        bs: np.ndarray,
-        ms: np.ndarray,
+        cells: np.ndarray,
+        out: np.ndarray,
         vals: np.ndarray,
         now: float,
     ) -> None:
         """Apply the per-unit queue pops / transit pushes of one serve.
 
-        No ordering pass is needed: a transit FIFO's within-step push
-        order could only matter if two co-active movements shared an
-        out-road, which the constructor rejects — every (replication,
-        out-road) receives at most one cohort per serve.
+        ``cells`` are the served movement cells, ``out`` their out-road
+        slots (the spare slot for an exit) and ``vals`` how many each
+        served.  No ordering pass is needed: a transit FIFO's
+        within-step push order could only matter if two co-active
+        movements shared an out-road, which the constructor rejects —
+        every (replication, out-road) receives at most one cohort per
+        serve.
         """
-        limits = vals.tolist()
-        readies = (now + self._m_out_ttime[ms]).tolist()
-        head_b: List[int] = []
-        head_r: List[int] = []
-        head_v: List[float] = []
         M = len(self._movement_keys)
         R = len(self._road_ids)
-        out_roads = self._transfer_plan
+        spare = self._occ_flat.size - 1
+        ttime = self._m_out_ttime
         lanes = self._lanes
         transits = self._transit
-        tracked = ([], []) if self._sensed is not None else None
-        for i, (b, m) in enumerate(zip(bs.tolist(), ms.tolist())):
-            limit = limits[i]
-            pop = lanes[b * M + m].popleft
-            ri = out_roads[m]
-            if ri is None:  # exit movement: vehicles leave
+        head = self._head_flat
+        track = self._sensed is not None
+        for cell, key, limit in zip(cells.tolist(), out.tolist(), vals.tolist()):
+            pop = lanes[cell].popleft
+            if key == spare:  # exit movement: vehicles leave
                 for _ in range(limit):
                     pop()
                 continue
-            key = b * R + ri
+            b, m = divmod(cell, M)
+            ready = now + ttime[m]
             transit = transits.get(key)
             if not transit:
                 if transit is None:
                     transit = transits[key] = deque()
-                # (b, ri) pairs are unique here — a shared out-road
-                # within one phase is rejected at construction.
-                head_b.append(b)
-                head_r.append(ri)
-                head_v.append(readies[i])
+                head[key] = ready
             cohort = [pop() for _ in range(limit)]
-            if tracked is not None:
-                self._track_push(b, ri, readies[i], transit, cohort, tracked)
-            transit.append((readies[i], cohort))
-        if head_b:
-            self._head_ready[head_b, head_r] = head_v
-        if tracked is not None:
-            self._commit_tracked(tracked)
+            if track:
+                self._track_push(b, key - b * R, key, ready, transit, cohort)
+            transit.append((ready, cohort))
 
     def _refill_window(self, dt: float, now: float) -> None:
         """Draw the next ``ARRIVAL_WINDOW`` mini-slots of arrival counts.
@@ -981,112 +1049,91 @@ class BatchCountsSimulator(ArrayFacade):
         :func:`~repro.model.arrivals.slot_times` replicates the engine
         clock's own float accumulation, so every replication's
         :class:`PoissonArrivals` draws exactly what a serial run would.
+        The dense ``(slot, pair)`` block is kept as per-slot lists of
+        its nonzero ``(pair, count)`` events, in ascending pair order.
         """
         times = slot_times(now, dt)
-        window = np.empty(
-            (ARRIVAL_WINDOW, self.batch_size, len(self._entry_ids)),
-            dtype=np.int64,
-        )
-        for b, processes in enumerate(self._arrivals):
-            for e, process in enumerate(processes):
-                window[:, b, e] = process.sample_count_block(times, dt)
-        self._window = window
+        n_pairs = len(self._inject_plan)
+        window = np.empty((ARRIVAL_WINDOW, n_pairs), dtype=np.int64)
+        pair = 0
+        for processes in self._arrivals:
+            for process in processes:
+                window[:, pair] = process.sample_count_block(times, dt)
+                pair += 1
+        slots, pairs = window.nonzero()
+        events = list(zip(pairs.tolist(), window[slots, pairs].tolist()))
+        bounds = np.searchsorted(slots, np.arange(ARRIVAL_WINDOW + 1)).tolist()
+        self._window_events = [
+            events[lo:hi] for lo, hi in zip(bounds, bounds[1:])
+        ]
         self._window_pos = 0
 
     def _inject(self, dt: float, now: float) -> None:
-        if self._window is None or self._window_pos >= ARRIVAL_WINDOW:
+        """Add this slot's arrivals and admit backlogs onto entry roads.
+
+        Visits only the entry pairs with an arrival this slot or a
+        standing backlog, in ascending pair order: each replication's
+        one route sampler serves all its entries, so that order is
+        what keeps its draws those of a serial run.
+        """
+        if self._window_pos >= ARRIVAL_WINDOW:
             self._refill_window(dt, now)
-        counts = self._window[self._window_pos]
+        events = self._window_events[self._window_pos]
         self._window_pos += 1
-        candidates = (counts > 0) | (self._backlog_len > 0)
-        if not candidates.any():
+        backlogged = self._backlogged
+        if backlogged:
+            arrivals = dict(events)
+            events = [
+                (pair, arrivals.get(pair, 0))
+                for pair in sorted(backlogged.union(arrivals))
+            ]
+        if not events:
             return
-        pairs = np.argwhere(candidates)
-        pb, pe = pairs[:, 0], pairs[:, 1]
-        road_of_pair = self._entry_idx[pe]
-        # Entry roads are distinct per (replication, entry) pair, so a
-        # pre-loop occupancy gather sees exactly what the sequential
-        # reference loop would read, and all writes commit in one
-        # scatter each afterwards.
-        spaces = (self._caps[road_of_pair] - self._occ[pb, road_of_pair]).tolist()
-        readies = (now + self._transit_time[road_of_pair]).tolist()
-        count_list = counts[pb, pe].tolist()
-        road_list = road_of_pair.tolist()
-        entry_ids = self._entry_ids
         plans = self._inject_plan
-        head_b: List[int] = []
-        head_r: List[int] = []
-        head_v: List[float] = []
-        delta_b: List[int] = []
-        delta_e: List[int] = []
-        delta_backlog: List[int] = []
-        delta_admitted: List[int] = []
+        occ = self._occ_flat
+        head = self._head_flat
+        waiting = self._waiting
+        entered = self.collector.vehicles_entered
         route_nexts = self._route_nexts
         transits = self._transit
-        tracked = ([], []) if self._sensed is not None else None
-        for i, (b, e) in enumerate(zip(pb.tolist(), pe.tolist())):
-            backlog, transit_key, router = plans[b][e]
-            count = count_list[i]
-            admitted = 0
-            if count:
-                road_id = entry_ids[e]
-                sample_route = router.sample_route
-                for _ in range(count):
-                    route = sample_route(road_id)
-                    unit = route_nexts.get(id(route))
-                    if unit is None:
-                        unit = dict(zip(route, route[1:]))
-                        if len(unit) != len(route) - 1:
-                            # A road revisited along one route would
-                            # alias in the next-hop map; grid routes
-                            # never do (the samplers reject loops).
-                            raise ValueError(
-                                f"meso-vec: route revisits a road: {route}"
-                            )
-                        route_nexts[id(route)] = unit
-                    backlog.append(unit)
+        track = self._sensed is not None
+        R = len(self._road_ids)
+        for pair, count in events:
+            backlog, road_id, key, cap, ttime, b, sample_route = plans[pair]
+            for _ in range(count):
+                route = sample_route(road_id)
+                unit = route_nexts.get(id(route))
+                if unit is None:
+                    unit = dict(zip(route, route[1:]))
+                    if len(unit) != len(route) - 1:
+                        # A road revisited along one route would alias
+                        # in the next-hop map; grid routes never do
+                        # (the samplers reject loops).
+                        raise ValueError(f"meso-vec: route revisits a road: {route}")
+                    route_nexts[id(route)] = unit
+                backlog.append(unit)
+            space = cap - int(occ[key])
+            admitted = min(space, len(backlog)) if space > 0 else 0
+            if admitted:
+                ready = now + ttime
+                transit = transits.get(key)
+                if not transit:
+                    if transit is None:
+                        transit = transits[key] = deque()
+                    head[key] = ready
+                pop = backlog.popleft
+                cohort = [pop() for _ in range(admitted)]
+                if track:
+                    self._track_push(b, key - b * R, key, ready, transit, cohort)
+                transit.append((ready, cohort))
+                occ[key] += admitted
+                entered[b] += admitted
+            if count != admitted:
+                waiting[b] += count - admitted
             if backlog:
-                space = spaces[i]
-                if space > 0:
-                    transit = transits.get(transit_key)
-                    if not transit:
-                        if transit is None:
-                            transit = transits[transit_key] = deque()
-                        head_b.append(b)
-                        head_r.append(road_list[i])
-                        head_v.append(readies[i])
-                    pop = backlog.popleft
-                    cohort = []
-                    while backlog and admitted < space:
-                        cohort.append(pop())
-                        admitted += 1
-                    if tracked is not None:
-                        self._track_push(
-                            b, road_list[i], readies[i], transit, cohort,
-                            tracked,
-                        )
-                    transit.append((readies[i], cohort))
-            if count or admitted:
-                delta_b.append(b)
-                delta_e.append(e)
-                delta_backlog.append(count - admitted)
-                delta_admitted.append(admitted)
-        if head_b:
-            self._head_ready[head_b, head_r] = head_v
-        if tracked is not None:
-            self._commit_tracked(tracked)
-        if delta_b:
-            np.add.at(self._backlog_len, (delta_b, delta_e), delta_backlog)
-            admitted_arr = np.array(delta_admitted, dtype=np.int64)
-            occ_b = delta_b
-            np.add.at(
-                self._occ,
-                (occ_b, self._entry_idx[delta_e]),
-                admitted_arr,
-            )
-            np.add.at(
-                self.collector.vehicles_entered, delta_b, admitted_arr
-            )
+                backlogged.add(pair)
+            else:
+                backlogged.discard(pair)
 
     # -- termination and introspection ---------------------------------------
 
@@ -1095,7 +1142,7 @@ class BatchCountsSimulator(ArrayFacade):
         if self._finalized:
             return
         self._finalized = True
-        self.collector.absorb_backlog(self._backlog_len.sum(axis=1))
+        self.collector.absorb_backlog(self.backlog_size())
 
     def summaries(self, duration: Optional[float] = None) -> List[Summary]:
         """Per-replication run summaries, in batch order."""
@@ -1103,6 +1150,15 @@ class BatchCountsSimulator(ArrayFacade):
 
     def utilization_of(self, replication: int) -> Dict[str, UtilizationTracker]:
         """One replication's per-intersection utilization books."""
+        M = len(self._movement_keys)
+        served = np.zeros(len(self._node_ids), dtype=np.int64)
+        np.add.at(
+            served,
+            self._node_of,
+            self._cell_served[replication * M:(replication + 1) * M],
+        )
+        green_slots = self._green_slots[replication].astype(np.int64)
+        wasted = green_slots - self._servable_slots[replication]
         out: Dict[str, UtilizationTracker] = {}
         for n, node_id in enumerate(self._node_ids):
             out[node_id] = UtilizationTracker(
@@ -1112,11 +1168,9 @@ class BatchCountsSimulator(ArrayFacade):
                 service_capacity=float(
                     self._service_capacity[replication, n]
                 ),
-                vehicles_served=int(self._vehicles_served[replication, n]),
-                wasted_green_slots=int(
-                    self._wasted_green_slots[replication, n]
-                ),
-                green_slots=int(self._green_slots[replication, n]),
+                vehicles_served=int(served[n]),
+                wasted_green_slots=int(wasted[n]),
+                green_slots=int(green_slots[n]),
             )
         return out
 
@@ -1131,11 +1185,21 @@ class BatchCountsSimulator(ArrayFacade):
         """Total queued vehicles at one stop line, per replication.
 
         Zeros for a road with no stop line here, unknown roads included.
+        The first call after a step sums every stop line at once (one
+        gather and one segment sum over the movement columns, grouped
+        by in-road); later calls until the next step read that block,
+        so sampling many roads costs one array read.
         """
-        gids = self._columns_of_road.get(road_id)
-        if gids is None:
+        row = self._stop_line_rows.get(road_id)
+        if row is None:
             return np.zeros(self.batch_size, dtype=np.int64)
-        return self._queue_len[:, gids].sum(axis=1)
+        totals = self._stop_line_totals
+        if totals is None:
+            columns, starts = self._stop_line_plan
+            totals = self._stop_line_totals = np.add.reduceat(
+                self._queue_len[:, columns], starts, axis=1
+            ).T.copy()
+        return totals[row].copy()
 
     def vehicles_in_network(self) -> np.ndarray:
         """Total vehicles currently inside the network, per replication."""
@@ -1143,7 +1207,10 @@ class BatchCountsSimulator(ArrayFacade):
 
     def backlog_size(self) -> np.ndarray:
         """Vehicles gated outside a full entry, per replication."""
-        return self._backlog_len.sum(axis=1)
+        sizes = np.zeros(self.batch_size, dtype=np.int64)
+        for backlog, *_, b, _ in self._inject_plan:
+            sizes[b] += len(backlog)
+        return sizes
 
 
 def _batch_from_scenarios(scenarios) -> BatchCountsSimulator:

@@ -163,8 +163,10 @@ class BatchAggregateMetricsCollector:
         self.batch_size = batch_size
         self.vehicles_entered = np.zeros(batch_size, dtype=np.int64)
         self.vehicles_left = np.zeros(batch_size, dtype=np.int64)
-        self.total_queuing_time = np.zeros(batch_size, dtype=np.float64)
-        self.network_time_integral = np.zeros(batch_size, dtype=np.float64)
+        # The two time integrals, stacked so one add per slot advances
+        # both: waiting vehicle-seconds and in-network vehicle-seconds.
+        self._integrals = np.zeros((2, batch_size), dtype=np.float64)
+        self.total_queuing_time, self.network_time_integral = self._integrals
         self._clock = 0.0
 
     def advance(self, now: float) -> None:
@@ -178,16 +180,17 @@ class BatchAggregateMetricsCollector:
         """The collector's current clock."""
         return self._clock
 
-    def record_interval(
-        self, dt: float, waiting: np.ndarray, in_network: np.ndarray
-    ) -> None:
-        """Integrate one mini-slot's aggregate counts for every replication."""
+    def record_interval(self, dt: float, counts: np.ndarray) -> None:
+        """Integrate one mini-slot's aggregate counts for every replication.
+
+        ``counts`` is ``(2, batch_size)``: the waiting vehicles (row 0)
+        and the vehicles inside the network (row 1) of each replication.
+        """
         if dt <= 0:
             raise ValueError(f"dt must be > 0, got {dt}")
-        if (waiting < 0).any() or (in_network < 0).any():
+        if np.count_nonzero(counts < 0):
             raise ValueError("counts must be >= 0 in every replication")
-        self.total_queuing_time += dt * waiting
-        self.network_time_integral += dt * in_network
+        self._integrals += dt * counts
 
     def absorb_backlog(self, counts: np.ndarray) -> None:
         """Count still-gated vehicles as entered, per replication."""

@@ -179,6 +179,45 @@ class TestCliReportsOneLine:
         )
         assert f"cannot reach {UNREACHABLE}/jobs" in line
 
+    def test_submit_json_file_missing(self, capsys, tmp_path):
+        path = tmp_path / "missing.json"
+        line = self._fails_in_one_line(
+            capsys, ["submit", "--json", str(path), "--url", UNREACHABLE],
+            "submit",
+        )
+        assert f"cannot read {path}" in line
+
+    def test_submit_json_file_malformed(self, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text("{bad", encoding="utf-8")
+        line = self._fails_in_one_line(
+            capsys, ["submit", "--json", str(path), "--url", UNREACHABLE],
+            "submit",
+        )
+        assert f"{path} is not a JSON document" in line
+
+    @pytest.mark.parametrize(
+        "argv, prefix",
+        [
+            (["results", "export"], "results export"),
+            (["analyze", "changepoints", "--format", "csv"],
+             "analyze changepoints"),
+        ],
+    )
+    def test_output_into_a_missing_directory(
+        self, capsys, tmp_path, argv, prefix
+    ):
+        store = tmp_path / "empty.sqlite"
+        with ResultStore(store):
+            pass
+        output = tmp_path / "no-such-dir" / "rows.csv"
+        line = self._fails_in_one_line(
+            capsys, [*argv, "--store", str(store), "--output", str(output)],
+            prefix,
+        )
+        assert f"cannot write {output}" in line
+        assert not output.parent.exists()
+
     def test_sweep_aggregate_axes_checked_before_any_cell(
         self, capsys, monkeypatch
     ):

@@ -200,3 +200,43 @@ class TestUtilizationTracker:
         assert tracker.service_utilization == 0.0
         assert tracker.amber_share == 0.0
         assert tracker.wasted_green_share == 0.0
+
+
+class TestBatchAggregateMetricsCollector:
+    """The batch collector's books are the scalar collector's, per row."""
+
+    def test_rows_integrate_like_scalar_collectors(self):
+        import numpy as np
+
+        from repro.metrics.aggregate import (
+            AggregateMetricsCollector,
+            BatchAggregateMetricsCollector,
+        )
+
+        batch = BatchAggregateMetricsCollector(2)
+        scalars = [AggregateMetricsCollector(), AggregateMetricsCollector()]
+        rows = [((3, 0), (7, 1)), ((5, 2), (9, 4)), ((0, 0), (1, 1))]
+        for step, (waiting, in_network) in enumerate(rows):
+            batch.record_interval(0.7, np.array([waiting, in_network]))
+            for b, scalar in enumerate(scalars):
+                scalar.record_interval(0.7, waiting[b], in_network[b])
+            batch.advance(0.7 * (step + 1))
+        for b, scalar in enumerate(scalars):
+            scalar.advance(batch.now)
+            assert batch.summary_of(b) == scalar.summary()
+
+    @pytest.mark.parametrize("row", (0, 1))
+    def test_negative_count_is_rejected(self, row):
+        import numpy as np
+
+        from repro.metrics.aggregate import BatchAggregateMetricsCollector
+
+        counts = np.zeros((2, 3), dtype=np.int64)
+        counts[row, 1] = -1
+        collector = BatchAggregateMetricsCollector(3)
+        with pytest.raises(ValueError, match="counts must be >= 0"):
+            collector.record_interval(1.0, counts)
+        with pytest.raises(ValueError, match="dt must be > 0"):
+            collector.record_interval(0.0, np.zeros((2, 3), dtype=np.int64))
+        assert not collector.total_queuing_time.any()
+        assert not collector.network_time_integral.any()
