@@ -45,7 +45,9 @@ what the engine pays for: util-bp reads ``queues`` and ``out_queues``
 on every call; cap-bp and original-bp read them only in ``_select``,
 which runs only on mini-slots where some cell's slot expired;
 fixed-time never reads them.  Every kernel checks ``arrays.shape``,
-which costs no sensing.
+which costs no sensing.  A fixed-slot kernel keeps one timer per cell
+(its slot end, or its amber end while a selection is parked): a call
+before the earliest one does nothing but that check.
 """
 
 from __future__ import annotations
@@ -549,6 +551,11 @@ class _BatchFixedSlotController(_BatchControllerBase):
     (the selection is parked in ``_pending``), an unchanged selection
     extends the slot seamlessly, and the very first decision starts its
     slot without an amber.  Subclasses provide ``_select``.
+
+    A cell acts only when its one timer, ``_wake``, comes due: the end
+    of its slot, or of its amber while a selection is parked (``-inf``
+    before its first slot).  A call before the earliest wake
+    (``_next_wake``) returns the held decisions unchanged.
     """
 
     def __init__(
@@ -565,10 +572,10 @@ class _BatchFixedSlotController(_BatchControllerBase):
         super().__init__(network, batch_size)
 
     def reset(self) -> None:
-        """Reset phases, slot timers and pending selections."""
+        """Reset phases, wake timers and pending selections."""
         super().reset()
-        self._slot_end = np.full(self._shape, -math.inf)
-        self._transition_until = np.full(self._shape, -math.inf)
+        self._wake = np.full(self._shape, -math.inf)
+        self._next_wake = -math.inf
         #: Parked selection awaiting its amber to finish (-1: none).
         self._pending = np.full(self._shape, -1, dtype=np.int64)
 
@@ -583,41 +590,26 @@ class _BatchFixedSlotController(_BatchControllerBase):
         self._check(arrays)
         now = arrays.time
         previous = self._current
-
-        has_pending = self._pending >= 0
-        expired = ~has_pending & (now >= self._slot_end)
-        if not (has_pending.any() or expired.any()):
-            # Every cell holds its running phase: nothing to update.
+        if now < self._next_wake:
+            # No cell's slot or amber ends: every cell holds its phase.
             return previous
-        amber_wait = has_pending & (now < self._transition_until)
-        promote = has_pending & ~amber_wait
-        hold = ~has_pending & ~expired
-        # Only cells whose slot ended read the selection, so most
-        # mini-slots skip the scoring altogether.
+        due = now >= self._wake
+        promote = due & (self._pending >= 0)
+        expired = due ^ promote
+        # Only cells whose slot ended read the selection.
         selection = self._select(arrays, previous) if expired.any() else previous
-        unchanged = selection == previous
-        first = (previous == 0) & np.isneginf(self._slot_end)
-        start = expired & (unchanged | first)
-        arm = expired & ~(unchanged | first)
+        # A cell that never started (wake -inf) starts without amber.
+        start = expired & ((selection == previous) | np.isneginf(self._wake))
+        arm = expired ^ start
 
-        decision = np.where(
-            amber_wait,
-            0,
-            np.where(
-                promote,
-                self._pending,
-                np.where(hold, previous, np.where(start, selection, 0)),
-            ),
-        )
-        self._slot_end = np.where(
-            promote | start, now + self.period, self._slot_end
-        )
-        self._transition_until = np.where(
-            arm, now + self.transition_duration, self._transition_until
-        )
-        self._pending = np.where(
-            promote, -1, np.where(arm, selection, self._pending)
-        )
+        decision = np.where(promote, self._pending, previous)
+        decision = np.where(start, selection, decision)
+        decision[arm] = 0
+        self._wake = np.where(promote | start, now + self.period, self._wake)
+        self._wake[arm] = now + self.transition_duration
+        self._pending = np.where(arm, selection, self._pending)
+        self._pending[promote] = -1
+        self._next_wake = float(self._wake.min())
         self._current = decision
         return decision
 

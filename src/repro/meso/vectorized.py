@@ -44,11 +44,13 @@ congestion.  Instead, the constructor partitions the movements into
 *stages* by a static read-after-write hazard analysis: movement ``m``
 is placed after every potentially co-active movement that precedes it
 in the reference serve order and writes the occupancy ``m`` reads.
-Stages execute in order, each fully vectorized over
-``(B, stage width)``; within a stage no movement reads a location an
-earlier same-stage movement writes, and the remaining writes commute —
-so the staged result equals the sequential result *exactly*, spillback
-included.
+On a slot where some downstream space binds, the serve pass takes the
+live cells of each stage in ascending order, each stage served at once
+on the same flat cells as the uncongested pass (see below) and its
+occupancy change applied before the next stage reads space; within a
+stage no movement reads a location an earlier same-stage movement
+writes, and the remaining writes commute — so the staged result equals
+the sequential result *exactly*, spillback included.
 
 **Work in proportion to the traffic.**  Under closed-loop control
 every replication runs its own phase pattern, so a step touches only
@@ -56,7 +58,7 @@ the cells that need it.  The serve pass runs on the *live* cells —
 (replication, movement) pairs that are eligible to serve and either
 queue a vehicle or hold less credit than the bank — found with one
 mask and one ``nonzero``; the fast path serves them in one shot and
-the staged path above takes over when a downstream space binds.  A
+the stages above split them when a downstream space binds.  A
 phase switch validates and re-arms only the switched (replication,
 node) cells.  Every per-cell constant the serve reads (replication,
 node cell, flat in- and out-road, out-capacity, accrual, bank) comes
@@ -240,9 +242,8 @@ class _ColumnTables:
         )
 
         # -- hazard staging (see the module docstring) ----------------------
-        self.stages = [
-            _frozen(ids) for ids in self._build_stages(axis, phases_of, phase_pos)
-        ]
+        #: Each movement's serve stage (0 for one that reads no space).
+        self.m_stage = _frozen(self._build_stages(axis, phases_of, phase_pos))
 
         # -- transfer / promote plans ------------------------------------------
         #: The static half of the per-unit FIFO plans (the FIFOs
@@ -276,8 +277,8 @@ class _ColumnTables:
 
     def _build_stages(
         self, axis: FacadeTables, phases_of: List[set], phase_pos: np.ndarray
-    ) -> List[np.ndarray]:
-        """Partition movements into exact-parity vectorization stages."""
+    ) -> np.ndarray:
+        """Each movement's exact-parity serve stage (see the module doc)."""
         node_of = axis.m_node
         in_idx = axis.m_in_road
         out_idx = axis.m_out_road
@@ -316,12 +317,7 @@ class _ColumnTables:
                 if stage[writer] >= level:
                     level = stage[writer] + 1
             stage[gid] = level
-        depth = max(stage) + 1 if M else 1
-        stages = [
-            np.array([g for g in range(M) if stage[g] == s], dtype=np.int64)
-            for s in range(depth)
-        ]
-        return [ids for ids in stages if len(ids)]
+        return np.array(stage, dtype=np.int64)
 
 
 class BatchCountsSimulator(ArrayFacade):
@@ -394,7 +390,6 @@ class BatchCountsSimulator(ArrayFacade):
         self._node_widths = tables.node_widths
         self._in_idx = axis.m_in_road
         self._out_idx = axis.m_out_road
-        self._m_is_exit = tables.m_is_exit
         self._m_nonexit = tables.m_nonexit
         self._m_out_cap = axis.m_out_cap
         self._phase_offsets = tables.phase_offsets
@@ -402,7 +397,7 @@ class BatchCountsSimulator(ArrayFacade):
         self._rate_sum = tables.rate_sum
         self._valid_phase = tables.valid_phase
         self._m_gphase = tables.m_gphase
-        self._stages = tables.stages
+        self._m_stage = tables.m_stage
         self._road_index = tables.road_index
         self._promote_plan = tables.promote_plan
         self._columns_of_road = tables.columns_of_road
@@ -573,6 +568,7 @@ class BatchCountsSimulator(ArrayFacade):
         self._cell_accrual = _frozen(np.tile(self._accrual, B))
         self._cell_bank = _frozen(np.tile(bank, B))
         self._cell_gphase = _frozen(np.tile(self._m_gphase, B))
+        self._cell_stage = _frozen(np.tile(self._m_stage, B))
         node_rep = np.repeat(np.arange(B, dtype=np.int64), N)
         node = np.tile(np.arange(N, dtype=np.int64), B)
         self._node_cell_rep = _frozen(node_rep)
@@ -889,8 +885,10 @@ class BatchCountsSimulator(ArrayFacade):
         turn (its only co-active inflow writer would share its out-road
         inside one phase, which the constructor rejects), so a
         non-binding pre-step space stays non-binding in every
-        sequential order.  If any space binds anywhere, the staged
-        exact path replays the reference order.
+        sequential order.  If any space binds anywhere, the same live
+        cells are served stage by stage (the hazard stages of the
+        module doc, ``_cell_stage``), which replays the reference order
+        exactly.
 
         A green node wastes its slot unless one of its movements is
         servable; rather than add the wasted slots, the pass counts the
@@ -923,17 +921,22 @@ class BatchCountsSimulator(ArrayFacade):
             limit = bound.astype(np.int64)
             servable = queued > 0
         else:
+            # Some space binds: serve stage by stage in ascending order,
+            # each stage reading the space the earlier ones left.
             self.staged_slots += 1
-            eligible = np.zeros(len(live), dtype=bool)
-            eligible[cells] = True
-            limit_total, servable_total = self._serve_staged(
-                eligible.reshape(self._credit.shape),
-                self._credit + self._accrual,
-                self._queue_len,
-                self._occ,
-            )
-            limit = limit_total.take(cells)
-            servable = servable_total.take(cells)
+            limit = np.empty(len(cells), dtype=np.int64)
+            servable = np.empty(len(cells), dtype=bool)
+            stage = self._cell_stage[cells]
+            order = stage.argsort(kind="stable")
+            for pick in np.split(order, np.diff(stage[order]).nonzero()[0] + 1):
+                picked = cells[pick]
+                slot = out[pick]
+                room = self._cell_out_cap[picked] - occ[slot]
+                taken = np.minimum(bound[pick], room).astype(np.int64)
+                limit[pick] = taken
+                servable[pick] = (queued[pick] > 0) & (room > 0)
+                np.subtract.at(occ, self._cell_in[picked], taken)
+                occ[slot] += taken
         # Bank at most one slot of unused service credit (reference
         # rule), for exactly the movements the reference loop touched.
         credit[cells] = np.minimum(value - limit, self._cell_bank[cells])
@@ -958,47 +961,6 @@ class BatchCountsSimulator(ArrayFacade):
         if np.count_nonzero(exits):
             np.add.at(self.collector.vehicles_left, reps[exits], vals[exits])
         self._transfer_units(served_cells, out, vals, now)
-
-    def _serve_staged(
-        self,
-        eligible: np.ndarray,
-        value: np.ndarray,
-        queue_len: np.ndarray,
-        occ: np.ndarray,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """The exact staged pass for congested slots (see module doc)."""
-        B = self.batch_size
-        M = len(self._movement_keys)
-        limit_total = np.zeros((B, M), dtype=np.int64)
-        servable = np.zeros((B, M), dtype=bool)
-        for ids in self._stages:
-            el = eligible[:, ids]
-            if not el.any():
-                continue
-            queued = queue_len[:, ids]
-            bound = np.minimum(value[:, ids], queued)
-            is_exit = self._m_is_exit[ids]
-            space = self._m_out_cap[ids][None, :] - occ[:, self._out_idx[ids]]
-            bound = np.where(
-                is_exit[None, :], bound, np.minimum(bound, space)
-            )
-            servable[:, ids] = el & (queued > 0) & (
-                is_exit[None, :] | (space > 0)
-            )
-            limit = bound.astype(np.int64)
-            limit *= el
-            if limit.any():
-                limit_total[:, ids] = limit
-                sb, sm = np.nonzero(limit)
-                vals = limit[sb, sm]
-                gids = ids[sm]
-                np.add.at(occ, (sb, self._in_idx[gids]), -vals)
-                ne = self._m_nonexit[gids]
-                if ne.any():
-                    np.add.at(
-                        occ, (sb[ne], self._out_idx[gids[ne]]), vals[ne]
-                    )
-        return limit_total, servable
 
     def _transfer_units(
         self,

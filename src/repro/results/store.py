@@ -278,36 +278,31 @@ class ResultStore:
                 ),
             )
 
-    def _valid_row(self, spec: RunSpec, row) -> bool:
-        """A row may satisfy a spec only if version and spec JSON match."""
-        spec_version, spec_json = row[0], row[1]
-        return (
-            spec_version == SPEC_SCHEMA_VERSION
-            and json.loads(spec_json) == spec.to_dict()
-        )
-
     def get(self, spec: RunSpec) -> Optional[RunResult]:
         """The stored result for a spec, or ``None``.
 
         Entries written under a stale schema version (or, vanishingly
-        unlikely, a colliding hash) are treated as misses.
+        unlikely, a colliding hash) are treated as misses, and so are
+        rows that do not decode (see :meth:`_decode_all`): a sweep
+        re-executes such a cell and overwrites the row.
         """
         row = self._conn.execute(
             "SELECT spec_version, spec_json, result_json FROM results "
             "WHERE spec_hash = ?",
             (spec.spec_hash(),),
         ).fetchone()
-        if row is None or not self._valid_row(spec, row):
+        if row is None or row[0] != SPEC_SCHEMA_VERSION:
             return None
-        return RunResult.from_dict(json.loads(row[2]))
+        try:
+            if json.loads(row[1]) != spec.to_dict():
+                return None
+            return RunResult.from_dict(json.loads(row[2]))
+        except (KeyError, TypeError, ValueError):
+            return None
 
     def contains(self, spec: RunSpec) -> bool:
         """True if the store holds a servable result for the spec."""
-        row = self._conn.execute(
-            "SELECT spec_version, spec_json FROM results WHERE spec_hash = ?",
-            (spec.spec_hash(),),
-        ).fetchone()
-        return row is not None and self._valid_row(spec, row)
+        return self.get(spec) is not None
 
     def query(
         self,
@@ -561,7 +556,8 @@ class ResultStore:
         Reads the indexed columns and the summary sub-dict directly —
         no :class:`RunSpec`/:class:`RunResult` reconstruction — so
         export stays cheap for trace-heavy cells and keeps working for
-        rows whose spec no longer constructs under this codebase.
+        rows whose spec no longer constructs under this codebase; a row
+        whose JSON does not decode is left out.
         ``duration`` is the *spec axis* (empty = scenario default);
         the run's actual horizon is exported as ``horizon``.
 
@@ -589,8 +585,11 @@ class ResultStore:
             spec_json,
             result_json,
         ) in rows:
-            spec_payload = json.loads(spec_json)
-            summary = dict(json.loads(result_json).get("summary") or {})
+            try:
+                spec_payload = json.loads(spec_json)
+                summary = dict(json.loads(result_json).get("summary") or {})
+            except ValueError:
+                continue
             row: Dict[str, Any] = {
                 "spec_hash": spec_hash,
                 "pattern": pattern,

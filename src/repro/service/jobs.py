@@ -37,6 +37,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
 
+from repro.errors import UsageError
 from repro.experiments.runner import RunResult
 from repro.orchestration.pool import ExperimentPool
 from repro.orchestration.spec import RunSpec
@@ -99,7 +100,8 @@ class JobManager:
     store_path:
         The SQLite result store file; created (and WAL-audited) on
         construction so read-only request connections can open it
-        immediately.
+        immediately.  A store that cannot run in WAL mode (such as
+        ``":memory:"``) is a :class:`~repro.errors.UsageError`.
     workers / batch_size:
         Forwarded to the worker's :class:`ExperimentPool` (process
         fan-out within a job, seed-batching on batch engines).
@@ -120,7 +122,7 @@ class JobManager:
         with ResultStore(self.store_path) as store:
             self.journal_mode = store.journal_mode
         if self.journal_mode != "wal":
-            raise RuntimeError(
+            raise UsageError(
                 f"store {self.store_path} is in journal mode "
                 f"{self.journal_mode!r}; the service requires WAL for "
                 f"concurrent readers"

@@ -277,6 +277,64 @@ class TestControllerPlumbing:
             build_batch_controller("cap-bp", network, 1)
 
 
+class _Unread:
+    """Controller arrays whose ``Q(k)`` must not be read."""
+
+    def __init__(self, time, shape):
+        self.time = time
+        self.shape = shape
+
+    @property
+    def queues(self):
+        raise AssertionError("queues read before the earliest wake")
+
+    @property
+    def out_queues(self):
+        raise AssertionError("out_queues read before the earliest wake")
+
+
+class TestFixedSlotWake:
+    """A fixed-slot kernel acts only when some cell's timer comes due."""
+
+    @pytest.mark.parametrize(
+        "name,params", CONTROLLERS[1:], ids=[c for c, _ in CONTROLLERS[1:]]
+    )
+    def test_call_before_earliest_wake_returns_held_decisions(
+        self, name, params
+    ):
+        scenarios = [build_named_scenario("surge-4x4", seed=s) for s in (1, 2, 3)]
+        sim = build_batch_engine(scenarios, "meso-vec")
+        kernel = build_batch_controller(name, sim.network, 3, **params)
+        # A twin fed the real arrays on every call decides the reference.
+        twin = build_batch_controller(name, sim.network, 3, **params)
+        selects = []
+        real_select = kernel._select
+
+        def counted(arrays, previous):
+            selects.append(arrays.time)
+            return real_select(arrays, previous)
+
+        kernel._select = counted
+        held_calls = 0
+        for _ in range(STEPS):
+            arrays = sim.controller_arrays()
+            expected = twin.decide_batch(arrays)
+            if arrays.time < kernel._next_wake:
+                held = kernel._current
+                before = len(selects)
+                decision = kernel.decide_batch(_Unread(arrays.time, arrays.shape))
+                assert decision is held
+                assert len(selects) == before
+                held_calls += 1
+            else:
+                decision = kernel.decide_batch(arrays)
+            np.testing.assert_array_equal(decision, expected)
+            assert kernel._next_wake == kernel._wake.min()
+            sim.step(1.0, decision)
+        assert 0 < held_calls < STEPS
+        assert selects
+
+
 class TestRunnerIntegration:
     def test_layout_mismatch_rejected_before_stepping(self, monkeypatch):
         """Misaligned engine arrays must fail loudly, not decide wrongly."""

@@ -83,13 +83,14 @@ def _record_expiries(monkeypatch):
     """Record the slots on which some cell's fixed slot expired.
 
     Read from the kernel's own state before each decision: a cell with
-    no parked selection whose slot end has passed re-selects.
+    no parked selection wakes at its slot end, and re-selects once that
+    has passed.
     """
     times = []
     real = _BatchFixedSlotController.decide_batch
 
     def recorded(self, arrays):
-        expired = (self._pending < 0) & (arrays.time >= self._slot_end)
+        expired = (self._pending < 0) & (arrays.time >= self._wake)
         if expired.any():
             times.append(arrays.time)
         return real(self, arrays)

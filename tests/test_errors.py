@@ -156,6 +156,12 @@ class TestCliReportsOneLine:
         )
         assert "cannot open" in line and str(not_a_store) in line
 
+    def test_serve_on_a_memory_store(self, capsys):
+        line = self._fails_in_one_line(
+            capsys, ["serve", "--port", "0", "--store", ":memory:"], "serve"
+        )
+        assert "journal mode 'memory'" in line and "requires WAL" in line
+
     def test_missing_store_is_not_created(self, capsys, tmp_path):
         path = tmp_path / "missing.sqlite"
         line = self._fails_in_one_line(

@@ -184,7 +184,7 @@ class TestSharedTables:
         args = (scenario.network, scenario.demand, scenario.turning)
         vec_a = BatchCountsSimulator(*args, seeds=(1, 2))
         vec_b = BatchCountsSimulator(*args, seeds=(3,))
-        assert vec_a._stages is vec_b._stages
+        assert vec_a._m_stage is vec_b._m_stage
         assert vec_a._tables is vec_b._tables
         assert vec_a._routers[0]._route_cache is vec_b._routers[0]._route_cache
         events_a = EventCountsSimulator(*args, seed=1)

@@ -4,7 +4,10 @@ Hypothesis draws a whole plant — grid shape, road capacity, service
 rate and road length, demand pattern and scale, the mixed pattern's
 segment length (15-45 s, so a 90 s plant crosses rate changes),
 mini-slot — and a controller with its parameters and seeds, then runs
-it on every counts engine:
+it on every counts engine.  About half the multi-node plants come from
+the catalog's ``steady`` family instead, with one or two internal
+roads cut to 2-6 vehicles (``capacity_overrides``), so congestion
+differs between the B=3 members:
 
 * ``meso-counts`` (serial controllers on ``observations()``),
   ``meso-events`` (a B=1 kernel on its array façade) and ``meso-vec``
@@ -35,7 +38,8 @@ from repro.control.factory import build_batch_controller
 from repro.core.config import UtilBpConfig
 from repro.core.engine import build_batch_engine, build_engine
 from repro.experiments.runner import run_scenario, run_scenario_batch
-from repro.scenarios import build_scenario
+from repro.model.grid import build_grid_network
+from repro.scenarios import build_named_scenario, build_scenario
 
 from tests.conftest import ReferenceUtilBp
 
@@ -62,18 +66,21 @@ def plants(draw):
             "period": float(draw(st.integers(4, 30))),
             "transition_duration": transition,
         }
+    scenario = dict(
+        pattern=draw(st.sampled_from(("I", "II", "III", "IV", "mixed"))),
+        rows=draw(st.integers(1, 4)),
+        cols=draw(st.integers(1, 4)),
+        capacity=draw(st.integers(3, 120)),
+        service_rate=draw(st.sampled_from((0.5, 0.8, 1.0, 1.6))),
+        road_length=draw(st.sampled_from((20.0, 60.0, 150.0, 300.0))),
+        demand_scale=draw(st.sampled_from((0.3, 1.0, 2.0, 4.0))),
+        # Quarter seconds: a rate change can fall inside a mini-slot.
+        mixed_segment_duration=draw(st.integers(60, 180)) / 4.0,
+    )
+    if scenario["rows"] * scenario["cols"] > 1 and draw(st.booleans()):
+        scenario = _uneven_steady(draw, scenario)
     return dict(
-        scenario=dict(
-            pattern=draw(st.sampled_from(("I", "II", "III", "IV", "mixed"))),
-            rows=draw(st.integers(1, 4)),
-            cols=draw(st.integers(1, 4)),
-            capacity=draw(st.integers(3, 120)),
-            service_rate=draw(st.sampled_from((0.5, 0.8, 1.0, 1.6))),
-            road_length=draw(st.sampled_from((20.0, 60.0, 150.0, 300.0))),
-            demand_scale=draw(st.sampled_from((0.3, 1.0, 2.0, 4.0))),
-            # Quarter seconds: a rate change can fall inside a mini-slot.
-            mixed_segment_duration=draw(st.integers(60, 180)) / 4.0,
-        ),
+        scenario=scenario,
         mini_slot=draw(st.sampled_from((0.5, 1.0, 2.0))),
         controller=controller,
         params=params,
@@ -84,11 +91,34 @@ def plants(draw):
     )
 
 
+def _uneven_steady(draw, paper):
+    """The drawn grid from the catalog's ``steady`` family, with one or
+    two internal roads cut to 2-6 vehicles."""
+    rows, cols = paper["rows"], paper["cols"]
+    internal = build_grid_network(rows, cols).internal_roads()
+    cut = draw(st.lists(st.sampled_from(internal), min_size=1, max_size=2, unique=True))
+    return dict(
+        name=f"steady-{rows}x{cols}",
+        load=paper["demand_scale"],
+        capacity=paper["capacity"],
+        service_rate=paper["service_rate"],
+        road_length=paper["road_length"],
+        capacity_overrides={road: draw(st.integers(2, 6)) for road in cut},
+    )
+
+
+def _scenario(plant, seed):
+    """The plant's scenario for one seed (a catalog name, if it has one)."""
+    spec = dict(plant["scenario"])
+    name = spec.pop("name", None)
+    if name is None:
+        return build_scenario(seed=seed, **spec)
+    return build_named_scenario(name, seed=seed, **spec)
+
+
 def _engines_agree(plant):
     """Every counts engine returns the same results on the plant."""
-    scenarios = [
-        build_scenario(seed=seed, **plant["scenario"]) for seed in plant["seeds"]
-    ]
+    scenarios = [_scenario(plant, seed) for seed in plant["seeds"]]
     knobs = dict(
         controller=plant["controller"],
         controller_params=plant["params"],
@@ -111,7 +141,7 @@ def _kernel_decides_like_reference(plant):
 
     Returns what the run reached: spillback, amber and a full out-road.
     """
-    scenario = build_scenario(seed=plant["seeds"][0], **plant["scenario"])
+    scenario = _scenario(plant, plant["seeds"][0])
     network = scenario.network
     config = UtilBpConfig(**plant["util_bp"])
     sim = build_batch_engine([scenario], "meso-vec")

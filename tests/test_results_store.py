@@ -210,6 +210,60 @@ class TestStoreQuery:
         assert len(store.export_rows()) == 2  # export needs no RunSpec
 
 
+def _truncate(path, spec, column):
+    """Cut a stored row's JSON column in half, as a torn write would."""
+    with sqlite3.connect(path) as conn:
+        conn.execute(
+            f"UPDATE results SET {column} = substr({column}, 1, "
+            f"length({column}) / 2) WHERE spec_hash = ?",
+            (spec.spec_hash(),),
+        )
+
+
+class TestTruncatedRow:
+    """A row whose JSON does not decode is a miss, never a crash."""
+
+    @pytest.mark.parametrize("column", ["spec_json", "result_json"])
+    def test_miss_in_get_contains_and_export(self, tmp_path, column):
+        path = tmp_path / "s.sqlite"
+        store = ResultStore(path)
+        good = RunSpec(**QUICK)
+        torn = RunSpec(**{**QUICK, "seed": 2})
+        store.put(good, quick_result())
+        store.put(torn, quick_result(seed=2))
+        _truncate(path, torn, column)
+        assert store.get(torn) is None
+        assert not store.contains(torn)
+        assert store.contains(good)
+        assert [row["spec_hash"] for row in store.export_rows()] == [
+            good.spec_hash()
+        ]
+        assert [record.spec for record in store.records()] == [good]
+
+    def test_pool_re_executes_and_overwrites(self, tmp_path, capsys):
+        from repro.cli import main
+
+        path = tmp_path / "s.sqlite"
+        spec = RunSpec(**QUICK)
+        first = ExperimentPool(store=path)
+        (result,) = first.run([spec])
+        _truncate(path, spec, "result_json")
+
+        assert main(["results", "export", "--store", str(path)]) == 0
+        exported = capsys.readouterr()
+        assert spec.spec_hash() not in exported.out
+        assert "Traceback" not in exported.err
+
+        again = ExperimentPool(store=path)
+        assert again.run([spec]) == [result]
+        assert again.stats.executed == 1 and again.stats.cache_hits == 0
+        with ResultStore(path) as store:
+            assert store.get(spec) == result
+            assert [row["spec_hash"] for row in store.export_rows()] == [
+                spec.spec_hash()
+            ]
+
+
 class TestResume:
     def _grid(self):
         return SweepGrid(
