@@ -119,18 +119,24 @@ class AnalysisOptions:
                 )
 
 
-#: ``(parameter, AnalysisOptions field, type)``: the
-#: ``repro analyze changepoints --<parameter>`` flag and the
-#: ``GET /results/changepoints?<parameter>=`` query set the same field.
+#: ``(parameter, AnalysisOptions field, type, help)``: the
+#: ``repro analyze changepoints --<parameter>`` flag (whose default is
+#: the field's) and the ``GET /results/changepoints?<parameter>=`` query
+#: set the same field.
 ANALYSIS_PARAMS = (
-    ("warmup_fraction", "warmup_fraction", float),
-    ("min_points", "min_points", int),
-    ("min_shift", "min_shift_per_series", float),
-    ("quantile", "quantile", float),
-    ("permutations", "n_permutations", int),
-    ("block", "block_length", int),
-    ("perm_seed", "seed", int),
-    ("confidence", "confidence", float),
+    ("warmup_fraction", "warmup_fraction", float,
+     "leading fraction of each series discarded"),
+    ("min_points", "min_points", int,
+     "fewest post-warm-up samples a run needs"),
+    ("min_shift", "min_shift_per_series", float,
+     "breakdown effect-size floor in vehicles per recorded series"),
+    ("quantile", "quantile", float, "permutation-null detection quantile"),
+    ("permutations", "n_permutations", int, "permutation draws per series"),
+    ("block", "block_length", int,
+     "circular block length of the permutation null"),
+    ("perm_seed", "seed", int,
+     "permutation RNG seed; fixed = deterministic"),
+    ("confidence", "confidence", float, "onset confidence-interval coverage"),
 )
 
 

@@ -536,41 +536,15 @@ def build_parser() -> argparse.ArgumentParser:
         "--delay-mode", default=None, dest="delay_mode",
         help="restrict to one delay mode (per-vehicle / aggregate)",
     )
-    changepoints.add_argument(
-        "--warmup-fraction", type=float, default=0.25,
-        help="leading fraction of each series discarded (default 0.25)",
-    )
-    changepoints.add_argument(
-        "--min-points", type=int, default=20,
-        help="fewest post-warm-up samples a run needs (default 20)",
-    )
-    changepoints.add_argument(
-        "--min-shift", type=float, default=2.0, dest="min_shift",
-        help=(
-            "breakdown effect-size floor in vehicles per recorded "
-            "series (default 2.0)"
-        ),
-    )
-    changepoints.add_argument(
-        "--quantile", type=float, default=0.95,
-        help="permutation-null detection quantile (default 0.95)",
-    )
-    changepoints.add_argument(
-        "--permutations", type=int, default=199,
-        help="permutation draws per series (default 199)",
-    )
-    changepoints.add_argument(
-        "--block", type=int, default=12,
-        help="circular block length of the permutation null (default 12)",
-    )
-    changepoints.add_argument(
-        "--perm-seed", type=int, default=0, dest="perm_seed",
-        help="permutation RNG seed (default 0; fixed = deterministic)",
-    )
-    changepoints.add_argument(
-        "--confidence", type=float, default=0.95,
-        help="onset confidence-interval coverage (default 0.95)",
-    )
+    from repro.analysis.stability import ANALYSIS_PARAMS, AnalysisOptions
+
+    defaults = AnalysisOptions()
+    for param, field, convert, text in ANALYSIS_PARAMS:
+        default = getattr(defaults, field)
+        changepoints.add_argument(
+            "--" + param.replace("_", "-"), dest=param, type=convert,
+            default=default, help=f"{text} (default {default})",
+        )
     changepoints.add_argument(
         "--format", choices=("csv", "json"), default=None,
         help="export tidy verdict rows instead of the table",
@@ -841,7 +815,7 @@ def _run_analyze(args: argparse.Namespace) -> int:
     )
 
     options = AnalysisOptions(
-        **{field: getattr(args, param) for param, field, _ in ANALYSIS_PARAMS}
+        **{field: getattr(args, param) for param, field, *_ in ANALYSIS_PARAMS}
     )
     filters = {
         key: getattr(args, key)

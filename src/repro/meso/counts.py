@@ -22,10 +22,10 @@ on count-style structures:
   integrates waiting/in-network counts per mini-slot (exact totals,
   Little's-law travel-time estimate) instead of per-vehicle records.
 
-**Equivalence.**  All randomness is drawn from the same
-:class:`~repro.util.rng.RngStreams` layout in the same order as the
-reference engine — per-entry Poisson counts from ``arrivals/<road>``
-and a full per-vehicle route from ``routing`` at injection time — and
+**Equivalence.**  All randomness is drawn from the reference engine's
+seeded traffic (:func:`~repro.model.plant.seeded_traffic`) in the same
+order — per-entry Poisson counts from ``arrivals/<road>`` and a full
+per-vehicle route from ``routing`` at injection time — and
 every service decision replicates the reference's arithmetic
 (service-credit accrual and banking, start-up lost time, downstream
 space, transition phases).  Under a shared seed the two engines
@@ -52,10 +52,10 @@ from repro.metrics.utilization import UtilizationTracker
 from repro.model.arrivals import ArrivalSchedule, PoissonArrivals
 from repro.model.network import BOUNDARY, Network
 from repro.model.phases import TRANSITION_PHASE_INDEX
+from repro.model.plant import PlantConstants, scenario_builder, seeded_traffic
 from repro.model.queues import QueueObservation
-from repro.model.routing import RouteSampler, TurningProbabilities
-from repro.util.rng import RngStreams
-from repro.util.validation import check_non_negative, check_positive
+from repro.model.routing import TurningProbabilities
+from repro.util.validation import check_positive
 
 __all__ = ["CountsSimulator"]
 
@@ -70,7 +70,7 @@ _Unit = Tuple[float, List[str], int]
 class CountsSimulator:
     """Counts-based store-and-forward simulation of a signalized network.
 
-    Accepts the same plant parameters as the reference
+    Accepts the same arguments as the reference
     :class:`~repro.meso.simulator.MesoSimulator` (minus ``lane_policy``
     — see the module docstring) and produces, under a shared seed, the
     identical queue-count trajectory.
@@ -82,36 +82,19 @@ class CountsSimulator:
         demand: Mapping[str, ArrivalSchedule],
         turning: TurningProbabilities,
         seed: int = 0,
-        travel_time: Optional[float] = None,
-        startup_lost: float = 2.0,
-        sensing_horizon: float = 2.0,
-        saturation_headway: float = 1.3,
+        plant: PlantConstants = PlantConstants(),
     ):
         self.network = network
         self.time = 0.0
         self.collector = AggregateMetricsCollector()
-        if travel_time is not None:
-            check_non_negative("travel_time", travel_time)
-        check_non_negative("startup_lost", startup_lost)
-        self._startup_lost = startup_lost
-        check_non_negative("sensing_horizon", sensing_horizon)
-        self._sensing_horizon = sensing_horizon
-        check_positive("saturation_headway", saturation_headway)
+        self._startup_lost = plant.startup_lost
+        self._sensing_horizon = plant.sensing_horizon
 
-        # Same stream layout and creation order as the reference engine,
-        # so shared seeds yield identical draws.
-        streams = RngStreams(seed)
-        self.router = RouteSampler(network, turning, streams.get("routing"))
-        entry_roads = set(network.entry_roads())
-        unknown = set(demand) - entry_roads
-        if unknown:
-            raise ValueError(
-                f"demand declared on non-entry roads: {sorted(unknown)}"
-            )
-        self._arrivals: Dict[str, PoissonArrivals] = {
-            road: PoissonArrivals(schedule, streams.get(f"arrivals/{road}"))
-            for road, schedule in demand.items()
-        }
+        # The reference engine's seeded traffic, so shared seeds yield
+        # identical draws.
+        traffic = seeded_traffic(network, demand, turning, seed)
+        self.router = traffic.router
+        self._arrivals: Dict[str, PoissonArrivals] = traffic.arrivals
 
         # -- static per-road state ----------------------------------------
         self._capacity: Dict[str, int] = {
@@ -121,14 +104,7 @@ class CountsSimulator:
             road_id: network.road_destination[road_id] == BOUNDARY
             for road_id in network.roads
         }
-        self._transit_time: Dict[str, float] = {
-            road_id: (
-                travel_time
-                if travel_time is not None
-                else road.free_flow_time
-            )
-            for road_id, road in network.roads.items()
-        }
+        self._transit_time: Dict[str, float] = plant.transit_times(network)
 
         # -- dynamic per-road state ----------------------------------------
         #: Vehicles on each road (transit + queued); counts against W_i.
@@ -215,7 +191,7 @@ class CountsSimulator:
         self._finalized = False
 
         # -- precomputed serve plans -------------------------------------
-        saturation_rate = 1.0 / saturation_headway
+        saturation_rate = plant.discharge_rate
         # Per intersection: (node_id, position, intersection, tracker,
         # movement credit indices, {phase_index: (service_rate_sum,
         # [movement plan, ...])}, live count dict).  A movement plan
@@ -586,15 +562,4 @@ class CountsSimulator:
         return self._backlog_total
 
 
-def _build_counts(scenario) -> CountsSimulator:
-    # ``scenario`` is a repro.scenarios.core.Scenario; typed loosely to
-    # keep the engine layer import-independent of the scenario layer.
-    return CountsSimulator(
-        network=scenario.network,
-        demand=scenario.demand,
-        turning=scenario.turning,
-        seed=scenario.seed,
-    )
-
-
-register_engine("meso-counts", _build_counts)
+register_engine("meso-counts", scenario_builder(CountsSimulator))

@@ -102,6 +102,7 @@ from repro.core.engine import ArrayFacade, register_engine
 from repro.meso.counts import CountsSimulator
 from repro.model.arrivals import slot_times
 from repro.model.phases import TRANSITION_PHASE_INDEX
+from repro.model.plant import scenario_builder
 from repro.model.queues import QueueObservation
 from repro.util.validation import check_positive
 
@@ -170,7 +171,7 @@ def _is_dyadic(value: float) -> bool:
 class EventCountsSimulator(CountsSimulator, ArrayFacade):
     """Event-driven counts simulator (see module docstring).
 
-    Accepts the same plant parameters as
+    Accepts the same arguments as
     :class:`~repro.meso.counts.CountsSimulator` and produces, under a
     shared seed and a constant binary-exact mini-slot, the identical
     trajectory — observations, occupancy, utilization books, metric
@@ -824,15 +825,4 @@ class EventCountsSimulator(CountsSimulator, ArrayFacade):
         super().finalize()
 
 
-def _build_events(scenario) -> EventCountsSimulator:
-    # ``scenario`` is a repro.scenarios.core.Scenario; typed loosely to
-    # keep the engine layer import-independent of the scenario layer.
-    return EventCountsSimulator(
-        network=scenario.network,
-        demand=scenario.demand,
-        turning=scenario.turning,
-        seed=scenario.seed,
-    )
-
-
-register_engine("meso-events", _build_events)
+register_engine("meso-events", scenario_builder(EventCountsSimulator))

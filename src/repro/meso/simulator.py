@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from typing import Deque, Dict, Mapping, Optional, Tuple
+from typing import Deque, Dict, Mapping, Tuple
 
 import numpy as np
 
@@ -40,10 +40,10 @@ from repro.metrics.utilization import UtilizationTracker
 from repro.model.arrivals import ArrivalSchedule, PoissonArrivals
 from repro.model.network import BOUNDARY, Network
 from repro.model.phases import TRANSITION_PHASE_INDEX
+from repro.model.plant import PlantConstants, scenario_builder, seeded_traffic
 from repro.model.queues import QueueObservation
-from repro.model.routing import RouteSampler, TurningProbabilities
-from repro.util.rng import RngStreams
-from repro.util.validation import check_non_negative, check_positive
+from repro.model.routing import TurningProbabilities
+from repro.util.validation import check_positive
 
 __all__ = ["MesoSimulator"]
 
@@ -66,29 +66,10 @@ class MesoSimulator(ArrayFacade):
         Turning probabilities for route sampling (Table I style).
     seed:
         Base seed; all randomness derives from it deterministically.
-    travel_time:
-        Free-flow transit time override in seconds.  ``None`` uses each
-        road's ``length / speed_limit``; ``0`` gives the pure queuing
-        abstraction with immediate hops.
-    startup_lost:
-        Seconds of green at the start of every phase application during
-        which nothing is served — the start-up lost time of a real
-        (microscopic) queue discharge.  This is what makes frequent
-        phase switching costly beyond the amber itself.  Set to 0 for
-        the idealized queuing model.
-    sensing_horizon:
-        Look-ahead of the queue sensors in seconds: a vehicle still in
-        transit counts towards its movement's sensed queue once it is
-        within this many seconds of the stop line, mimicking the lane
-        coverage of a SUMO lane-area detector.  Set to 0 for a pure
-        stop-line point sensor.
-    saturation_headway:
-        Seconds between consecutive vehicles discharging over the stop
-        line of one lane under green (the plant's physical saturation
-        flow, ~1800 veh/h/lane for 2.0 s).  This is deliberately
-        *independent* of the movements' ``µ`` — the paper sets
-        ``µ = 1`` as the controller-side gain constant while the SUMO
-        plant discharges at its own physical rate.
+    plant:
+        The plant constants (transit-time override, start-up lost time,
+        sensing horizon, saturation headway); see
+        :class:`~repro.model.plant.PlantConstants`.
     lane_policy:
         ``"dedicated"`` (default) gives every movement its own turning
         lane (the paper's assumption, no head-of-line blocking);
@@ -105,24 +86,16 @@ class MesoSimulator(ArrayFacade):
         demand: Mapping[str, ArrivalSchedule],
         turning: TurningProbabilities,
         seed: int = 0,
-        travel_time: Optional[float] = None,
-        startup_lost: float = 2.0,
-        sensing_horizon: float = 2.0,
-        saturation_headway: float = 1.3,
+        plant: PlantConstants = PlantConstants(),
         lane_policy: str = "dedicated",
     ):
         self.network = network
         self.time = 0.0
         self.collector = MetricsCollector()
-        if travel_time is not None:
-            check_non_negative("travel_time", travel_time)
-        self._travel_time = travel_time
-        check_non_negative("startup_lost", startup_lost)
-        self._startup_lost = startup_lost
-        check_non_negative("sensing_horizon", sensing_horizon)
-        self._sensing_horizon = sensing_horizon
-        check_positive("saturation_headway", saturation_headway)
-        self._discharge_rate = 1.0 / saturation_headway
+        self._transit_time = plant.transit_times(network)
+        self._startup_lost = plant.startup_lost
+        self._sensing_horizon = plant.sensing_horizon
+        self._discharge_rate = plant.discharge_rate
         if lane_policy not in self.LANE_POLICIES:
             raise ValueError(
                 f"lane_policy must be one of {self.LANE_POLICIES}, "
@@ -130,18 +103,9 @@ class MesoSimulator(ArrayFacade):
             )
         self._lane_policy = lane_policy
 
-        streams = RngStreams(seed)
-        self.router = RouteSampler(network, turning, streams.get("routing"))
-        entry_roads = set(network.entry_roads())
-        unknown = set(demand) - entry_roads
-        if unknown:
-            raise ValueError(
-                f"demand declared on non-entry roads: {sorted(unknown)}"
-            )
-        self._arrivals: Dict[str, PoissonArrivals] = {
-            road: PoissonArrivals(schedule, streams.get(f"arrivals/{road}"))
-            for road, schedule in demand.items()
-        }
+        traffic = seeded_traffic(network, demand, turning, seed)
+        self.router = traffic.router
+        self._arrivals: Dict[str, PoissonArrivals] = traffic.arrivals
 
         self._roads: Dict[str, RoadState] = {
             road_id: RoadState(road) for road_id, road in network.roads.items()
@@ -377,7 +341,7 @@ class MesoSimulator(ArrayFacade):
             else:
                 vehicle.advance()
                 out_state.enter_transit(
-                    vehicle, self.time + self._transit_time(movement.out_road)
+                    vehicle, self.time + self._transit_time[movement.out_road]
                 )
         credit -= limit
         # Do not bank more than one slot of unused service: an idle or
@@ -425,15 +389,10 @@ class MesoSimulator(ArrayFacade):
             else:
                 vehicle.advance()
                 out_state.enter_transit(
-                    vehicle, self.time + self._transit_time(out_road)
+                    vehicle, self.time + self._transit_time[out_road]
                 )
         self._credit[credit_key] = min(credit, max(1.0, rate * dt))
         return served, servable
-
-    def _transit_time(self, road_id: str) -> float:
-        if self._travel_time is not None:
-            return self._travel_time
-        return self.network.roads[road_id].free_flow_time
 
     def _inject(self, dt: float) -> None:
         for entry, process in self._arrivals.items():
@@ -459,7 +418,7 @@ class MesoSimulator(ArrayFacade):
                         vehicle.vehicle_id, self.time - generated_at
                     )
                 state.enter_transit(
-                    vehicle, self.time + self._transit_time(entry)
+                    vehicle, self.time + self._transit_time[entry]
                 )
 
     # -- termination and introspection --------------------------------------
@@ -507,15 +466,4 @@ class MesoSimulator(ArrayFacade):
         return sum(len(q) for q in self._backlog.values())
 
 
-def _build_meso(scenario) -> MesoSimulator:
-    # ``scenario`` is a repro.scenarios.core.Scenario; typed loosely
-    # to keep the model layer import-independent of the experiments layer.
-    return MesoSimulator(
-        network=scenario.network,
-        demand=scenario.demand,
-        turning=scenario.turning,
-        seed=scenario.seed,
-    )
-
-
-register_engine("meso", _build_meso)
+register_engine("meso", scenario_builder(MesoSimulator))

@@ -27,10 +27,10 @@ store-and-forward count dynamics onto NumPy arrays of shape
 * per-replication aggregate metrics are integrated by a
   :class:`~repro.metrics.aggregate.BatchAggregateMetricsCollector`.
 
-**Batch RNG layout.**  Replication ``b`` owns the full per-seed stream
-stack a serial run would have: ``RngStreams(seeds[b])`` with the same
-stream names created in the same order (``routing`` first, then
-``arrivals/<road>`` per demand entry).  Nothing is ever drawn across
+**Batch RNG layout.**  Replication ``b`` owns the seeded traffic a
+serial run would have: :func:`~repro.model.plant.seeded_traffic` of
+``seeds[b]``, the route sampler on ``routing`` and one Poisson process
+on ``arrivals/<road>`` per demand entry.  Nothing is ever drawn across
 replications from a shared generator, which is what makes results
 independent of the batch size: replication ``b`` of a ``B=16`` batch
 draws exactly what it would draw alone.
@@ -115,10 +115,10 @@ from repro.model.arrivals import (
 )
 from repro.model.network import BOUNDARY, Network
 from repro.model.phases import TRANSITION_PHASE_INDEX
+from repro.model.plant import PlantConstants, seeded_traffic
 from repro.model.queues import QueueObservation
 from repro.model.routing import RouteSampler, TurningProbabilities
-from repro.util.rng import RngStreams
-from repro.util.validation import check_non_negative, check_positive
+from repro.util.validation import check_positive
 
 __all__ = ["BatchCountsSimulator"]
 
@@ -157,12 +157,6 @@ class _ColumnTables:
         )
         is_exit_road = np.array(
             [network.road_destination[r] == BOUNDARY for r in road_ids]
-        )
-        self.free_flow_time = _frozen(
-            np.array(
-                [network.roads[r].free_flow_time for r in road_ids],
-                dtype=np.float64,
-            )
         )
 
         # -- the movement axis ------------------------------------------------
@@ -323,7 +317,7 @@ class _ColumnTables:
 class BatchCountsSimulator(ArrayFacade):
     """``B`` independent counts-based replications stepped as arrays.
 
-    Accepts the same plant parameters as
+    Accepts the same arguments as
     :class:`~repro.meso.counts.CountsSimulator` with ``seeds`` (one per
     replication) in place of ``seed``; see the module docstring for the
     parity contract.
@@ -335,10 +329,7 @@ class BatchCountsSimulator(ArrayFacade):
         demand: Mapping[str, ArrivalSchedule],
         turning: TurningProbabilities,
         seeds: Sequence[int] = (0,),
-        travel_time: Optional[float] = None,
-        startup_lost: float = 2.0,
-        sensing_horizon: float = 2.0,
-        saturation_headway: float = 1.3,
+        plant: PlantConstants = PlantConstants(),
     ):
         self.network = network
         self.time = 0.0
@@ -347,35 +338,17 @@ class BatchCountsSimulator(ArrayFacade):
             raise ValueError("seeds must name at least one replication")
         B = len(self.seeds)
         self.batch_size = B
-        if travel_time is not None:
-            check_non_negative("travel_time", travel_time)
-        check_non_negative("startup_lost", startup_lost)
-        self._startup_lost = startup_lost
-        check_non_negative("sensing_horizon", sensing_horizon)
-        self._sensing_horizon = sensing_horizon
-        check_positive("saturation_headway", saturation_headway)
+        self._startup_lost = plant.startup_lost
+        self._sensing_horizon = plant.sensing_horizon
 
-        # -- per-replication RNG stacks (serial stream layout & order) ------
-        entry_set = set(network.entry_roads())
-        unknown = set(demand) - entry_set
-        if unknown:
-            raise ValueError(
-                f"demand declared on non-entry roads: {sorted(unknown)}"
-            )
+        # -- per-replication seeded traffic (the serial engines' draws) -----
         self._entry_ids: List[str] = list(demand)
         self._routers: List[RouteSampler] = []
         self._arrivals: List[List[PoissonArrivals]] = []
         for seed in self.seeds:
-            streams = RngStreams(seed)
-            self._routers.append(
-                RouteSampler(network, turning, streams.get("routing"))
-            )
-            self._arrivals.append(
-                [
-                    PoissonArrivals(demand[road], streams.get(f"arrivals/{road}"))
-                    for road in self._entry_ids
-                ]
-            )
+            traffic = seeded_traffic(network, demand, turning, seed)
+            self._routers.append(traffic.router)
+            self._arrivals.append(list(traffic.arrivals.values()))
 
         # -- static column tables, shared by every engine on the network ----
         axis = self._bind_tables(network, B)
@@ -407,16 +380,13 @@ class BatchCountsSimulator(ArrayFacade):
         R, N, M = len(self._road_ids), len(self._node_ids), len(self._movement_keys)
         out_idx = self._out_idx
 
-        # -- per-engine plant parameters --------------------------------------
-        self._transit_time = (
-            tables.free_flow_time
-            if travel_time is None
-            else np.full(R, float(travel_time))
-        )
-        self._rate = np.full(M, 1.0 / saturation_headway)
-        #: Travel time of each movement's out-road (a plain list: the
-        #: transfer loop reads it per served cell).
-        self._m_out_ttime = self._transit_time[out_idx].tolist()
+        # -- per-engine plant constants ---------------------------------------
+        transit = plant.transit_times(network)
+        #: Travel time of each road and of each movement's out-road
+        #: (plain lists: the per-unit loops read them).
+        self._transit_time = [transit[road_id] for road_id in self._road_ids]
+        self._m_out_ttime = [self._transit_time[ri] for ri in out_idx.tolist()]
+        self._rate = np.full(M, plant.discharge_rate)
         self._entry_idx = np.array(
             [tables.road_index[r] for r in self._entry_ids], dtype=np.int64
         )
@@ -511,7 +481,7 @@ class BatchCountsSimulator(ArrayFacade):
         #: transit key, occupancy and head slot —, capacity and travel
         #: time), replication and route sampler.
         caps = self._caps.tolist()
-        times = self._transit_time.tolist()
+        times = self._transit_time
         self._inject_plan = [
             (
                 deque(),

@@ -24,7 +24,6 @@ from typing import Deque, Dict, List, Mapping, Optional, Tuple
 import numpy as np
 
 from repro.core.engine import ArrayFacade, register_engine
-from repro.scenarios.core import Scenario
 from repro.metrics.collector import MetricsCollector
 from repro.metrics.utilization import UtilizationTracker
 from repro.micro.lane import Lane
@@ -33,9 +32,9 @@ from repro.micro.vehicle import MicroVehicle
 from repro.model.arrivals import ArrivalSchedule, PoissonArrivals
 from repro.model.network import BOUNDARY, Network
 from repro.model.phases import TRANSITION_PHASE_INDEX
+from repro.model.plant import scenario_builder, seeded_traffic
 from repro.model.queues import QueueObservation
-from repro.model.routing import RouteSampler, TurningProbabilities
-from repro.util.rng import RngStreams
+from repro.model.routing import TurningProbabilities
 from repro.util.validation import check_positive
 
 __all__ = ["MicroSimulator"]
@@ -72,18 +71,10 @@ class MicroSimulator(ArrayFacade):
         self.time = 0.0
         self.collector = MetricsCollector()
 
-        streams = RngStreams(seed)
-        self.router = RouteSampler(network, turning, streams.get("routing"))
-        self._dawdle = streams.get("micro/dawdle")
-        unknown = set(demand) - set(network.entry_roads())
-        if unknown:
-            raise ValueError(
-                f"demand declared on non-entry roads: {sorted(unknown)}"
-            )
-        self._arrivals: Dict[str, PoissonArrivals] = {
-            road: PoissonArrivals(schedule, streams.get(f"arrivals/{road}"))
-            for road, schedule in demand.items()
-        }
+        traffic = seeded_traffic(network, demand, turning, seed)
+        self.router = traffic.router
+        self._dawdle = traffic.streams.get("micro/dawdle")
+        self._arrivals: Dict[str, PoissonArrivals] = traffic.arrivals
         # Vehicles generated while their entry lane was full, with the
         # generation time; depart delay counts as queuing time.
         self._backlog: Dict[str, Deque[Tuple[float, MicroVehicle]]] = {
@@ -376,13 +367,4 @@ class MicroSimulator(ArrayFacade):
                 )
 
 
-def _build_micro(scenario: Scenario) -> MicroSimulator:
-    return MicroSimulator(
-        network=scenario.network,
-        demand=scenario.demand,
-        turning=scenario.turning,
-        seed=scenario.seed,
-    )
-
-
-register_engine("micro", _build_micro)
+register_engine("micro", scenario_builder(MicroSimulator))

@@ -28,6 +28,7 @@ from repro.model.arrivals import ArrivalSchedule
 from repro.model.geometry import Direction
 from repro.model.grid import build_grid_network
 from repro.model.network import Network
+from repro.model.plant import check_demand
 from repro.model.routing import TurningProbabilities
 
 __all__ = [
@@ -62,13 +63,10 @@ class Scenario:
     default_duration: float = 3600.0
 
     def __post_init__(self) -> None:
-        entry_roads = set(self.network.entry_roads())
-        unknown = set(self.demand) - entry_roads
-        if unknown:
-            raise ValueError(
-                f"scenario {self.name!r} declares demand on non-entry roads: "
-                f"{sorted(unknown)}"
-            )
+        try:
+            check_demand(self.network, self.demand)
+        except ValueError as error:
+            raise ValueError(f"scenario {self.name!r}: {error}") from None
 
 
 def entry_side(road_id: str) -> Optional[Direction]:

@@ -136,7 +136,9 @@ class ServiceApp:
         """Assign a request id, log, and envelope handler errors.
 
         A :class:`~repro.errors.ReproError` answers with its ``status``
-        (400 when it carries none); anything else is a logged 500.
+        (400 when it carries none) and, when it carries a
+        ``retry_after``, a ``Retry-After`` header; anything else is a
+        logged 500.
         """
         request_id = request.headers.get("x-request-id") or _new_request_id()
         with log_context(request_id=request_id):
@@ -150,6 +152,9 @@ class ServiceApp:
                     self._envelope({"error": str(error)}, request_id),
                     getattr(error, "status", 400),
                 )
+                retry_after = getattr(error, "retry_after", None)
+                if retry_after is not None:
+                    response.headers["Retry-After"] = str(retry_after)
             except Exception as error:  # noqa: BLE001 - becomes a 500
                 self._log.error(
                     "request_crashed",
@@ -451,7 +456,7 @@ class ServiceApp:
         )
 
         overrides: Dict[str, Any] = {}
-        for param, field, convert in ANALYSIS_PARAMS:
+        for param, field, convert, _ in ANALYSIS_PARAMS:
             text = request.param(param)
             if text is None:
                 continue

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+from http import HTTPStatus
 from dataclasses import dataclass, field
 from typing import (
     Any,
@@ -58,19 +59,6 @@ MAX_BODY_BYTES = 4 * 1024 * 1024
 
 #: Largest accepted request line / header line.
 _MAX_LINE = 16 * 1024
-
-_REASONS = {
-    200: "OK",
-    201: "Created",
-    204: "No Content",
-    400: "Bad Request",
-    404: "Not Found",
-    405: "Method Not Allowed",
-    409: "Conflict",
-    413: "Payload Too Large",
-    500: "Internal Server Error",
-    501: "Not Implemented",
-}
 
 
 class HttpError(ReproError):
@@ -259,7 +247,7 @@ class HttpServer:
         if handler is None:
             status = 405 if path_known else 404
             return Response.json(
-                {"error": f"{_REASONS[status].lower()}: "
+                {"error": f"{HTTPStatus(status).phrase.lower()}: "
                           f"{request.method} {request.path}"},
                 status,
             )
@@ -315,7 +303,7 @@ class HttpServer:
     async def _write_response(
         self, writer: asyncio.StreamWriter, response: Response
     ) -> None:
-        reason = _REASONS.get(response.status, "Unknown")
+        reason = HTTPStatus(response.status).phrase
         headers = dict(response.headers)
         headers.setdefault("Connection", "close")
         if response.stream is None:

@@ -37,17 +37,28 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
 
-from repro.errors import UsageError
+from repro.errors import ReproError, UsageError
 from repro.experiments.runner import RunResult
 from repro.orchestration.pool import ExperimentPool
 from repro.orchestration.spec import RunSpec
 from repro.results.store import ResultStore
 from repro.util.logging import get_logger, log_context
 
-__all__ = ["Job", "JobManager"]
+__all__ = ["Job", "JobManager", "MAX_QUEUED_JOBS", "QueueFullError"]
 
 #: Job lifecycle states.
 JOB_STATES = ("queued", "running", "done", "failed")
+
+#: Most jobs waiting for the worker; a submission past it is refused
+#: instead of queueing without limit.
+MAX_QUEUED_JOBS = 256
+
+
+class QueueFullError(ReproError):
+    """The job queue is full: the service answers 429 with ``Retry-After``."""
+
+    status = 429
+    retry_after = 1  # seconds
 
 
 @dataclass
@@ -170,8 +181,10 @@ class JobManager:
 
         Duplicate specs within the submission collapse to one cell;
         cells already known to the registry (in flight or completed)
-        are *shared*, not re-executed.  ``shard=(index, count)`` tags
-        the job as one shard of a larger grid — the caller is expected
+        are *shared*, not re-executed.  With :data:`MAX_QUEUED_JOBS`
+        jobs waiting it raises :class:`QueueFullError` and registers
+        nothing.  ``shard=(index, count)`` tags the job as one shard of
+        a larger grid — the caller is expected
         to have partitioned the specs already (the HTTP layer applies
         :meth:`SweepGrid.shard` before calling here), so the tag is
         bookkeeping that surfaces in ``describe`` and the event feed.
@@ -185,6 +198,12 @@ class JobManager:
                     f"shard index {index} out of range for count {count}"
                 )
         with self._condition:
+            if len(self._queue) >= MAX_QUEUED_JOBS:
+                self._log.warning("job_refused", queued=len(self._queue))
+                raise QueueFullError(
+                    f"{MAX_QUEUED_JOBS} jobs are queued, the most the "
+                    f"service holds; resubmit in {QueueFullError.retry_after} s"
+                )
             self._job_counter += 1
             job_id = f"job-{self._job_counter:06d}"
             cell_hashes: List[str] = []

@@ -8,7 +8,8 @@ import re
 
 import pytest
 
-from repro.cli import main
+from repro.analysis.stability import ANALYSIS_PARAMS, AnalysisOptions
+from repro.cli import build_parser, main
 from repro.orchestration.spec import SweepGrid
 
 
@@ -52,6 +53,31 @@ class TestVersionFlag:
             main(["--version"])
         out = capsys.readouterr().out.strip()
         assert out == f"repro {package_version()} (api {API_VERSION})"
+
+
+def _parsed_options(*flags):
+    args = build_parser().parse_args(["analyze", "changepoints", *flags])
+    return AnalysisOptions(
+        **{field: getattr(args, param) for param, field, *_ in ANALYSIS_PARAMS}
+    )
+
+
+class TestAnalyzeFlags:
+    def test_no_flags_parse_to_the_default_options(self):
+        assert _parsed_options() == AnalysisOptions()
+
+    def test_every_flag_sets_its_field(self):
+        options = _parsed_options(
+            "--warmup-fraction", "0.5", "--min-points", "30",
+            "--min-shift", "1.5", "--quantile", "0.9",
+            "--permutations", "99", "--block", "6",
+            "--perm-seed", "3", "--confidence", "0.8",
+        )
+        assert options == AnalysisOptions(
+            warmup_fraction=0.5, min_points=30, min_shift_per_series=1.5,
+            quantile=0.9, n_permutations=99, block_length=6, seed=3,
+            confidence=0.8,
+        )
 
 
 class TestAnalyzeCommand:

@@ -37,6 +37,7 @@ from repro.meso.vectorized import BatchCountsSimulator
 from repro.model.grid import build_grid_network
 from repro.model.network import BOUNDARY
 from repro.model.phases import Phase
+from repro.model.plant import PlantConstants
 from repro.scenarios import build_named_scenario
 
 SLOTS = 240
@@ -254,7 +255,7 @@ def _sensing_batch(width, plant):
         demand=scenario.demand,
         turning=scenario.turning,
         seeds=tuple(3 + b for b in range(width)),
-        **plant,
+        plant=PlantConstants(**plant),
     )
 
 

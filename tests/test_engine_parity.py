@@ -53,6 +53,7 @@ from repro.control.factory import (
     make_network_controller,
 )
 from repro.core.engine import build_batch_engine, build_engine
+from repro.model.plant import PlantConstants
 from repro.scenarios import build_named_scenario
 from tests.conftest import MIXED_PHASES, build_parity_scenario
 
@@ -446,7 +447,7 @@ class TestEveryBatchMember:
                 demand=scenario.demand,
                 turning=scenario.turning,
                 seed=scenario.seed,
-                **plant,
+                plant=PlantConstants(**plant),
             )
             serial_controller = make_network_controller(
                 controller, scenario.network, **params
@@ -496,7 +497,7 @@ class TestEveryBatchMember:
             demand=first.demand,
             turning=first.turning,
             seeds=self.SEEDS,
-            **plant,
+            plant=PlantConstants(**plant),
         )
         serial_run = self._closed_loop(batch, scenarios, 200, **plant)
         assert batch.fast_slots > 0
@@ -1267,14 +1268,15 @@ class TestPlantArguments:
             demand=scenario.demand,
             turning=scenario.turning,
         )
+        constants = PlantConstants(**plant)
         if engine == "meso-vec":
-            return BatchCountsSimulator(seeds=(1,), **inputs, **plant)
+            return BatchCountsSimulator(seeds=(1,), **inputs, plant=constants)
         cls = {
             "meso": MesoSimulator,
             "meso-counts": CountsSimulator,
             "meso-events": EventCountsSimulator,
         }[engine]
-        return cls(seed=1, **inputs, **plant)
+        return cls(seed=1, **inputs, plant=constants)
 
     @pytest.mark.parametrize(
         "headway,error,match",

@@ -8,6 +8,7 @@ from repro.meso.simulator import MesoSimulator
 from repro.meso.vehicle import MesoVehicle
 from repro.model.arrivals import ArrivalSchedule
 from repro.model.grid import build_grid_network
+from repro.model.plant import PlantConstants
 from repro.model.roads import Road
 from repro.model.routing import TurningProbabilities
 
@@ -18,7 +19,7 @@ def make_sim(
     rate=0.2,
     seed=0,
     capacity=120,
-    **kwargs,
+    **plant,
 ):
     network = build_grid_network(rows, cols, capacity=capacity)
     demand = {
@@ -26,7 +27,7 @@ def make_sim(
         for entry in network.entry_roads()
     }
     return MesoSimulator(
-        network, demand, TURNING, seed=seed, **kwargs
+        network, demand, TURNING, seed=seed, plant=PlantConstants(**plant)
     )
 
 

@@ -5,7 +5,10 @@ from __future__ import annotations
 import asyncio
 import io
 import json
+import socket
 import threading
+import time
+import urllib.error
 import urllib.request
 
 import pytest
@@ -16,7 +19,8 @@ from repro.orchestration.spec import RunSpec
 from repro.service.app import ServiceApp
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.http import HttpError, Request, Router
-from repro.service.jobs import JobManager
+from repro.service import jobs as job_layer
+from repro.service.jobs import MAX_QUEUED_JOBS, JobManager, QueueFullError
 from repro.util.logging import configure
 
 #: A cell small enough to simulate in well under a second.
@@ -33,6 +37,13 @@ def spec_dict(**overrides):
     payload = dict(SPEC)
     payload.update(overrides)
     return payload
+
+
+def raw_exchange(port, request_head, body=b""):
+    """Open a socket, send one request; returns the socket (caller closes)."""
+    sock = socket.create_connection(("127.0.0.1", port), timeout=30)
+    sock.sendall(request_head.encode("latin-1") + body)
+    return sock
 
 
 class RunningService:
@@ -52,6 +63,14 @@ class RunningService:
         self.loop.run_until_complete(self.app.start())
         self._started.set()
         self.loop.run_forever()
+
+    def open_connections(self):
+        """Connections the server is still handling (one task each)."""
+
+        async def count():
+            return len(asyncio.all_tasks() - {asyncio.current_task()})
+
+        return asyncio.run_coroutine_threadsafe(count(), self.loop).result(10)
 
     def stop(self):
         future = asyncio.run_coroutine_threadsafe(
@@ -171,6 +190,19 @@ class TestJobManager:
         assert events[2]["source"] == "executed"
         manager.stop()
 
+    def test_queue_is_bounded(self, tmp_path):
+        manager = JobManager(str(tmp_path / "s.sqlite"))  # worker stopped
+        spec = RunSpec.from_dict(SPEC)
+        for _ in range(MAX_QUEUED_JOBS):
+            manager.submit([spec])
+        with pytest.raises(QueueFullError, match="resubmit") as error:
+            manager.submit([RunSpec.from_dict(spec_dict(seed=2))])
+        assert error.value.status == 429
+        # A refused submission registers nothing.
+        assert manager.stats()["jobs"] == MAX_QUEUED_JOBS
+        assert manager.stats()["cells"] == 1
+        manager.stop()
+
     def test_wait_times_out_before_start(self, tmp_path):
         manager = JobManager(str(tmp_path / "s.sqlite"))
         job_id = manager.submit([RunSpec.from_dict(SPEC)])
@@ -202,6 +234,38 @@ class TestServiceEndpoints:
         with pytest.raises(ServiceError) as error:
             service.client._request("POST", "/healthz")
         assert error.value.status == 405
+
+    def test_submission_status_line(self, service):
+        body = json.dumps({"spec": SPEC}).encode()
+        sock = raw_exchange(
+            service.app.port,
+            f"POST /jobs HTTP/1.1\r\nHost: localhost\r\n"
+            f"Content-Type: application/json\r\n"
+            f"Content-Length: {len(body)}\r\n\r\n",
+            body,
+        )
+        with sock, sock.makefile("rb") as response:
+            assert response.readline() == b"HTTP/1.1 202 Accepted\r\n"
+
+    def test_full_queue_is_429_with_retry_after(self, service, monkeypatch):
+        # The module object the service was built from (a test elsewhere
+        # reloads the service modules, so not a fresh import by name).
+        monkeypatch.setattr(job_layer, "MAX_QUEUED_JOBS", 2)
+        service.app.manager.stop()  # nothing leaves the queue
+        for seed in (1, 2):
+            service.client.submit_spec(spec_dict(seed=seed))
+        request = urllib.request.Request(
+            f"{service.client.base_url}/jobs",
+            data=json.dumps({"spec": spec_dict(seed=3)}).encode(),
+            headers={"Content-Type": "application/json"},
+        )
+        with pytest.raises(urllib.error.HTTPError) as error:
+            urllib.request.urlopen(request, timeout=30)
+        with error.value:
+            assert error.value.code == 429
+            assert error.value.headers["Retry-After"] == "1"
+            assert "resubmit" in json.load(error.value)["error"]
+        assert len(service.client.jobs()["jobs"]) == 2
 
     def test_submission_body_validated(self, service):
         for body in ({}, {"spec": SPEC, "grid": {}}, {"specs": []}):
@@ -492,6 +556,47 @@ class TestEndToEndContract:
             assert results[0]["source"] == "store"
         finally:
             second.stop()
+
+    def test_dropped_follow_stream_harms_nothing(self, tmp_path):
+        """A client that leaves a ``?follow=1`` stream after one line."""
+        stream = io.StringIO()
+        configure(stream=stream)
+        try:
+            service = RunningService(tmp_path / "service.sqlite")
+            try:
+                service.app.manager.stop()  # the job waits in the queue
+                job_id = service.client.submit_spec(SPEC)["job"]["job_id"]
+                sock = raw_exchange(
+                    service.app.port,
+                    f"GET /jobs/{job_id}/events?follow=1 HTTP/1.1\r\n"
+                    f"Host: localhost\r\n\r\n",
+                )
+                with sock, sock.makefile("rb") as response:
+                    while response.readline() not in (b"\r\n", b""):
+                        pass  # status line and headers
+                    first = json.loads(response.readline())
+                assert first["event"] == "job_queued"
+                service.app.manager.start()  # events now reach a closed socket
+                done = service.client.job(job_id, wait=60)["job"]
+                assert done["state"] == "done"
+                assert service.client.health()["status"] == "ok"
+                events = service.client.iter_events(job_id, follow=False)
+                assert [e["event"] for e in events] == [
+                    "job_queued", "job_started", "cell_completed",
+                    "job_completed",
+                ]
+                # The dropped stream's handler ends with the job too.
+                deadline = time.monotonic() + 10
+                while service.open_connections() and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                assert service.open_connections() == 0
+            finally:
+                service.stop()
+        finally:
+            configure(stream=None)
+        logged = [json.loads(line)["event"] for line in stream.getvalue().splitlines()]
+        assert "request_completed" in logged
+        assert "request_crashed" not in logged
 
     def test_all_log_lines_are_json_with_request_ids(self, tmp_path):
         stream = io.StringIO()
