@@ -38,13 +38,13 @@ Measures two kinds of steps/second on a small, fixed workload set:
   store regression shows up here before it drowns a mass sweep;
 * **shard partition** — ``SweepGrid.shard`` assignments per second on
   a mass-replication-sized grid split 8 ways (key
-  ``shard/partition-8``): the fleet runner and every ``--shard i/N``
-  invocation re-partition the full grid, so hashing throughput is part
-  of scale-out startup cost;
+  ``shard/partition-8``): every ``--shard i/N`` invocation (and the
+  service's ``shard`` field) re-partitions the full grid, so hashing
+  throughput is part of scale-out startup cost;
 * **merge throughput** — ``ResultStore.merge_from`` rows per second
   merging a 400-row shard store into a fresh canonical store (key
-  ``store/merge-400``): the tax a fleet run pays after the last shard
-  finishes;
+  ``store/merge-400``): the tax ``repro results merge`` pays to join
+  the shard stores of a sweep spread over hosts;
 * **changepoint detection** — full CUSUM detections (scan +
   199-permutation calibration) per second over deterministic synthetic
   queue series (key ``analysis/cusum-10k``, 50 series x 200 samples,
@@ -575,8 +575,8 @@ def measure_shard_partition(repeats: int) -> float:
 
     Every ``shard(i, N)`` call expands and content-hashes the full
     grid, so partitioning a grid N ways costs ``N x |grid|``
-    assignments — exactly what the fleet runner (and N independent
-    ``--shard i/N`` hosts) pay before any cell simulates.
+    assignments — exactly what N independent ``--shard i/N`` hosts
+    pay before any cell simulates.
     """
     grid = _shard_bench_grid()
     cells = len(grid)
@@ -601,8 +601,8 @@ def measure_merge_rows_per_second(repeats: int, rows: int = MERGE_ROWS) -> float
 
     One populated shard store is built once; each repeat merges it
     into a fresh canonical store, so the timed cost is the merge
-    itself (row scan, conflict checks, one transaction) — the tax a
-    fleet run pays after its last shard completes.
+    itself (row scan, conflict checks, one transaction) — the tax
+    ``repro results merge`` pays per shard store.
     """
     from repro.orchestration import RunSpec
     from repro.results.store import ResultStore

@@ -2,7 +2,7 @@
 # Pre-merge smoke gate: lint, tier-1 tests, the scenario catalog, two
 # paper experiment commands at toy horizons, a 2-worker mini-sweep,
 # one-line user errors on a file that is not a store, a sharded sweep +
-# merge (and fleet run) that must export byte-identically to the
+# merge and a 2-worker run that must export byte-identically to the
 # unsharded run, and the service.
 #
 # Usage: bash scripts/smoke.sh
@@ -56,7 +56,7 @@ echo "== scenario catalog =="
 
 echo
 echo "== paper experiment commands (one shared dispatcher) =="
-TABLE3=$("$PYTHON" -m repro table3 --scale 0.02)
+TABLE3=$("$PYTHON" -m repro table3 --engine meso --scale 0.02)
 echo "$TABLE3"
 echo "$TABLE3" | grep -q "Table III" \
     || { echo "smoke FAILED: repro table3 printed no Table III"; exit 1; }
@@ -127,10 +127,10 @@ for COMMAND in "results list" "results export" "analyze changepoints" \
 done
 
 echo
-echo "== sharded sweep (2 shards + merge == unsharded run, bit for bit) =="
-# The same 4-cell grid runs three ways: unsharded into one store, as
-# two deterministic --shard halves merged by spec hash, and as a
-# --fleet run (shard subprocesses + auto-merge).  All three stores
+echo "== sharded sweep (2 shards + merge == 2 workers == unsharded run, bit for bit) =="
+# The same 4-cell grid runs three ways: serially into one store, as
+# two deterministic --shard halves merged by spec hash (the multi-host
+# path), and on 2 pool workers (the one-host path).  All three stores
 # must export byte-identically — execution strategy must leave no
 # trace in the results — and a resume against the merged store must
 # compute nothing.
@@ -154,15 +154,15 @@ echo "$RESUME"
 echo "$RESUME" | grep -q "executed 0," \
     || { echo "smoke FAILED: resume after merge re-executed cells"; exit 1; }
 
-FLEET=$("$PYTHON" -m repro sweep "${SHARD_ARGS[@]}" --fleet 2 \
-    --store "$CACHE_DIR/fleet.sqlite" 2>/dev/null)
-echo "$FLEET"
-echo "$FLEET" | grep -q "fleet: 2 shards" \
-    || { echo "smoke FAILED: fleet sweep did not report its shards"; exit 1; }
-"$PYTHON" -m repro results export --store "$CACHE_DIR/fleet.sqlite" \
-    --format csv > "$CACHE_DIR/fleet.csv"
-cmp "$CACHE_DIR/whole.csv" "$CACHE_DIR/fleet.csv" \
-    || { echo "smoke FAILED: fleet-run export differs from the unsharded run"; exit 1; }
+PARALLEL=$("$PYTHON" -m repro sweep "${SHARD_ARGS[@]}" --workers 2 \
+    --store "$CACHE_DIR/parallel.sqlite")
+echo "$PARALLEL"
+echo "$PARALLEL" | grep -q "executed 4, cache hits 0, workers 2" \
+    || { echo "smoke FAILED: 2-worker sweep did not execute its 4 cells"; exit 1; }
+"$PYTHON" -m repro results export --store "$CACHE_DIR/parallel.sqlite" \
+    --format csv > "$CACHE_DIR/parallel.csv"
+cmp "$CACHE_DIR/whole.csv" "$CACHE_DIR/parallel.csv" \
+    || { echo "smoke FAILED: 2-worker export differs from the unsharded run"; exit 1; }
 
 echo
 echo "== batched meso-vec sweep (seed fan-out through the pool) =="
@@ -300,15 +300,19 @@ SERVE_PID=""
 echo
 echo "== regime-shift analysis (gridlock breakdown vs steady stable) =="
 # A tiny gridlock-vs-steady pair with entry-queue recording on, run as
-# a 2-shard fleet so the analyzer consumes a *merged* store; the CUSUM
-# analyzer must flag the overloaded family as a breakdown with a
-# finite onset and call the steady family stable, and the CSV export
-# must round-trip the same verdicts.
+# two --shard halves merged by spec hash so the analyzer consumes a
+# *merged* store; the CUSUM analyzer must flag the overloaded family
+# as a breakdown with a finite onset and call the steady family
+# stable, and the CSV export must round-trip the same verdicts.
 ANALYZE_STORE="$CACHE_DIR/analyze.sqlite"
-"$PYTHON" -m repro sweep \
-    --scenario gridlock-3x3 steady-3x3 --engine meso-counts \
-    --seeds 1 2 --duration 900 --record-entry-queues -1 \
-    --fleet 2 --store "$ANALYZE_STORE" 2>/dev/null
+for INDEX in 0 1; do
+    "$PYTHON" -m repro sweep \
+        --scenario gridlock-3x3 steady-3x3 --engine meso-counts \
+        --seeds 1 2 --duration 900 --record-entry-queues -1 \
+        --shard "$INDEX/2" --store "$CACHE_DIR/analyze-$INDEX.sqlite" >/dev/null
+done
+"$PYTHON" -m repro results merge "$ANALYZE_STORE" \
+    "$CACHE_DIR/analyze-0.sqlite" "$CACHE_DIR/analyze-1.sqlite"
 ANALYSIS=$("$PYTHON" -m repro analyze changepoints --store "$ANALYZE_STORE")
 echo "$ANALYSIS"
 echo "$ANALYSIS" | grep -E "gridlock-3x3.*breakdown@[0-9]+s" >/dev/null \

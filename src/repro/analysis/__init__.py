@@ -1,6 +1,6 @@
 """Regime-shift analytics over stored simulation results.
 
-The fleet runner produces mass replications; this package turns their
+Sweeps produce mass replications; this package turns their
 recorded queue-length series into *detected* quantities:
 
 - :mod:`repro.analysis.changepoint` — the statistics: standardized
@@ -11,7 +11,7 @@ recorded queue-length series into *detected* quantities:
 - :mod:`repro.analysis.stability` — the verdicts: per (workload,
   controller, load) cell, ``stable`` / ``breakdown@t* [CI lo, hi]`` /
   ``insufficient-data``, computed from any :class:`ResultStore`
-  (including fleet-merged stores), plus the registered
+  (including stores merged from shards), plus the registered
   ``stability-regimes`` experiment mapping the breakdown-load frontier
   per controller.
 

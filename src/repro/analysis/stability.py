@@ -358,7 +358,7 @@ def analyze_store(
 
     ``filters`` are the store's query axes (``pattern``,
     ``controller``, ``engine``, ``seed``, ``delay_mode``, ...), so a
-    merged fleet store can be narrowed to one workload family before
+    store merged from several hosts' shards can be narrowed to one workload family before
     detection.
     """
     from repro.results.store import ResultStore

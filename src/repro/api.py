@@ -38,8 +38,11 @@ Layout of the surface:
 * specs & sweeps — :class:`RunSpec`, :class:`BatchRunSpec`,
   :class:`SweepGrid`, :data:`SPEC_SCHEMA_VERSION`,
   :func:`parse_shard`, :func:`shard_index_of`;
-* orchestration — :class:`ExperimentPool`, :class:`PoolStats`,
-  :func:`run_fleet`, :class:`FleetReport`, :class:`ShardOutcome`;
+* orchestration — :class:`ExperimentPool`, :class:`PoolStats`, and
+  the deprecated :func:`run_fleet`, :class:`FleetReport`,
+  :class:`ShardOutcome` (one pool run with a
+  :class:`DeprecationWarning`; removed in repro 1.2, no earlier than
+  2026-12-01);
 * results — :class:`ResultStore`, :class:`StoredRecord`,
   :class:`MergeStats`, :class:`MergeError`,
   :func:`aggregate`, :func:`tidy_table`, :class:`MetricStats`;

@@ -4,9 +4,8 @@ Commands
 --------
 run        one scenario under one controller, print the summary
 sweep      run a (workload x controller x seed) grid on the worker pool
-           (--shard i/N runs one deterministic grid shard; --fleet N
-           runs all N shards as subprocesses with per-shard stores and
-           merges them into --store)
+           (--shard i/N runs one deterministic grid shard, for sweeps
+           spread over hosts and joined with 'results merge')
 results    inspect a result store (list / show / export / merge)
 analyze    regime-shift analytics over a store (changepoint verdicts)
 scenarios  list/inspect the scenario catalog (repro.scenarios)
@@ -26,10 +25,12 @@ cells are committed incrementally and a re-invoked sweep resumes by
 computing only the missing cells.
 
 Bad option values (an unknown pattern, a non-positive ``--period``,
-``--duration``, ``--workers``, ``--batch-size`` or ``--fleet``) are
-usage errors: one ``error:`` line on stderr and exit code 2, and so
-is a :class:`~repro.errors.ReproError` found later (a file that is not
-a store, an unreachable service): one ``repro <command>: ...`` line.
+``--duration``, ``--workers`` or ``--batch-size``) are usage errors:
+one ``error:`` line on stderr and exit code 2, and so is a
+:class:`~repro.errors.ReproError` found later (a file that is not a
+store, an unreachable service): one ``repro <command>: ...`` line.  A
+worker process that dies twice on the same cell is one such line too,
+with exit code 1.
 """
 
 from __future__ import annotations
@@ -122,12 +123,11 @@ def _make_pool(args: argparse.Namespace):
 
 
 def _add_grid_options(
-    parser: argparse.ArgumentParser, shard_into: Any, shard_help: str
+    parser: argparse.ArgumentParser, shard_help: str
 ) -> None:
     """Sweep-grid axes shared by ``sweep`` and ``submit``.
 
-    ``--shard`` goes to ``shard_into`` (the parser, or a mutually
-    exclusive group of it) with the command's own ``shard_help``.
+    ``--shard`` takes the command's own ``shard_help``.
     """
     parser.add_argument(
         "--patterns", nargs="+", type=_parse_pattern_token, default=None,
@@ -156,7 +156,7 @@ def _add_grid_options(
         ),
     )
     parser.add_argument("--duration", type=_positive(float), default=1800.0)
-    shard_into.add_argument(
+    parser.add_argument(
         "--shard", type=_parse_shard_token, default=None, metavar="I/N",
         help=shard_help,
     )
@@ -256,6 +256,32 @@ def _parse_controller_token(token: str) -> tuple:
     return name, params
 
 
+_ENGINE = ("--engine", dict(choices=ENGINE_NAMES))
+_SEED = ("--seed", dict(type=int))
+_DURATION = ("--duration", dict(type=_positive(float)))
+
+#: The subcommands that each run the registered experiment of their
+#: name: help text, and each flag with its argparse options (the dest
+#: is the definition parameter the flag sets).
+_EXPERIMENT_FLAGS = {
+    "table3": ("reproduce Table III", (
+        _ENGINE,
+        ("--scale", dict(dest="duration_scale", metavar="SCALE", type=float)),
+        _SEED,
+    )),
+    "fig2": ("reproduce Fig. 2", (
+        _ENGINE,
+        ("--segment", dict(
+            dest="segment_duration", metavar="SEGMENT", type=float)),
+        _SEED,
+    )),
+    "fig34": ("reproduce Figs. 3-4", (_ENGINE, _DURATION, _SEED)),
+    "fig5": ("reproduce Fig. 5", (_ENGINE, _DURATION, _SEED)),
+    "ablations": ("run an ablation study", (_DURATION,)),
+    "stability": ("demand-scale sweep", (_DURATION,)),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The top-level argument parser (exposed for testing)."""
     parser = argparse.ArgumentParser(
@@ -281,25 +307,14 @@ def build_parser() -> argparse.ArgumentParser:
         "sweep",
         help="run a (pattern x controller x seed) grid on the worker pool",
     )
-    scale_out = sweep.add_mutually_exclusive_group()
     _add_grid_options(
         sweep,
-        shard_into=scale_out,
         shard_help=(
             "run only the I-th of N deterministic grid shards "
             "(zero-based, e.g. 0/4): the spec-content-hash partition is "
             "identical on every host, so N hosts running 0/N..N-1/N "
             "against their own stores cover the grid exactly once; "
             "merge the stores with 'repro results merge'"
-        ),
-    )
-    scale_out.add_argument(
-        "--fleet", type=_positive(int), default=None, metavar="N",
-        help=(
-            "local fleet execution: split the grid into N shards, run "
-            "each in its own subprocess against its own store file "
-            "(--workers processes per shard), then merge everything "
-            "into --store (required) and print the table from it"
         ),
     )
     sweep.add_argument(
@@ -360,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     merge.add_argument(
         "inputs", nargs="+", metavar="IN",
-        help="source store files (e.g. per-shard stores of a fleet run)",
+        help="source store files (e.g. the stores of 'sweep --shard' runs)",
     )
     merge.add_argument(
         "--prefer", choices=("ours", "theirs"), default=None,
@@ -438,7 +453,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_grid_options(
         submit,
-        shard_into=submit,
         shard_help=(
             "submit only the I-th of N deterministic grid shards "
             "(zero-based); the service expands the same spec-hash "
@@ -464,47 +478,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     # The experiment commands: each runs the registered definition of
-    # its name, and each flag's dest is the parameter it sets.
-    table3 = sub.add_parser("table3", help="reproduce Table III")
-    table3.add_argument("--engine", choices=ENGINE_NAMES, default="meso")
-    table3.add_argument(
-        "--scale", dest="duration_scale", metavar="SCALE", type=float,
-        default=1.0,
-    )
-    table3.add_argument("--seed", type=int, default=1)
-    _add_pool_options(table3)
+    # its name; each flag's dest is the parameter it sets, and its
+    # default is the definition's.
+    from repro.results.experiment import get_experiment
 
-    fig2 = sub.add_parser("fig2", help="reproduce Fig. 2")
-    fig2.add_argument("--engine", choices=ENGINE_NAMES, default="meso")
-    fig2.add_argument(
-        "--segment", dest="segment_duration", metavar="SEGMENT", type=float,
-        default=3600.0,
-    )
-    fig2.add_argument("--seed", type=int, default=1)
-    _add_pool_options(fig2)
-
-    fig34 = sub.add_parser("fig34", help="reproduce Figs. 3-4")
-    fig34.add_argument("--engine", choices=ENGINE_NAMES, default="micro")
-    fig34.add_argument("--duration", type=_positive(float), default=2000.0)
-    fig34.add_argument("--seed", type=int, default=1)
-    _add_pool_options(fig34)
-
-    fig5 = sub.add_parser("fig5", help="reproduce Fig. 5")
-    fig5.add_argument("--engine", choices=ENGINE_NAMES, default="micro")
-    fig5.add_argument("--duration", type=_positive(float), default=2000.0)
-    fig5.add_argument("--seed", type=int, default=1)
-    _add_pool_options(fig5)
-
-    ablations = sub.add_parser("ablations", help="run an ablation study")
-    ablations.add_argument("study", nargs="?", default=None,
-                           type=_parse_study_token,
-                           help="study name (default: all)")
-    ablations.add_argument("--duration", type=_positive(float), default=1800.0)
-    _add_pool_options(ablations)
-
-    stability = sub.add_parser("stability", help="demand-scale sweep")
-    stability.add_argument("--duration", type=_positive(float), default=1200.0)
-    _add_pool_options(stability)
+    for name, (text, flags) in _EXPERIMENT_FLAGS.items():
+        command = sub.add_parser(name, help=text)
+        if name == "ablations":
+            command.add_argument("study", nargs="?", default=None,
+                                 type=_parse_study_token,
+                                 help="study name (default: all)")
+        defaults = get_experiment(name).defaults
+        for flag, options in flags:
+            command.add_argument(
+                flag, default=defaults[options.get("dest", flag[2:])],
+                help="default %(default)s", **options,
+            )
+        _add_pool_options(command)
 
     analyze = sub.add_parser(
         "analyze",
@@ -566,11 +556,6 @@ def _run_sweep(args: argparse.Namespace) -> int:
             "(paper patterns take --patterns with scenario_params via "
             "the API)"
         )
-    if args.fleet is not None and args.store is None:
-        raise UsageError(
-            "--fleet needs --store FILE (the canonical store the shard "
-            "stores are merged into)"
-        )
     axes = None
     if args.aggregate is not None:
         from repro.results.aggregate import check_axes
@@ -581,21 +566,6 @@ def _run_sweep(args: argparse.Namespace) -> int:
     grid = _grid_from_args(
         args, load=args.load, record_entry_queues=args.record_entry_queues
     )
-
-    fleet_report = None
-    if args.fleet is not None:
-        from repro.orchestration import run_fleet
-
-        fleet_report = run_fleet(
-            grid,
-            args.fleet,
-            args.store,
-            workers_per_shard=args.workers,
-            batch_size=args.batch_size,
-        )
-        # Fall through to the ordinary pool path below: every cell is
-        # now in the merged store, so the table prints from pure cache
-        # hits — which doubles as an end-to-end completeness check.
 
     shard_suffix = ""
     if args.shard is not None:
@@ -664,19 +634,6 @@ def _run_sweep(args: argparse.Namespace) -> int:
         f"executed {pool.stats.executed}, "
         f"cache hits {pool.stats.cache_hits}, workers {pool.workers}"
     )
-    if fleet_report is not None:
-        for shard in fleet_report.shards:
-            print(
-                f"  shard {shard.index}/{fleet_report.shard_count}: "
-                f"{shard.cells} cells, {shard.executed} executed, "
-                f"{shard.cache_hits} from store, {shard.duration_s:.1f} s"
-            )
-        print(
-            f"fleet: {fleet_report.shard_count} shards, "
-            f"{fleet_report.executed} executed, "
-            f"{fleet_report.merged_rows} rows merged into "
-            f"{fleet_report.store}, wall {fleet_report.wall_time_s:.1f} s"
-        )
     return 0
 
 
@@ -958,10 +915,6 @@ def _run_jobs(args: argparse.Namespace) -> int:
     return 0
 
 
-#: The subcommands that each run the registered experiment of their name.
-_EXPERIMENT_COMMANDS = ("table3", "fig2", "fig34", "fig5", "ablations", "stability")
-
-
 def _run_experiment_command(args: argparse.Namespace) -> int:
     """Run the experiment ``args.command`` names and print its rendering.
 
@@ -1041,7 +994,7 @@ def _run_command(parser: argparse.ArgumentParser, args: argparse.Namespace) -> i
         "analyze": _run_analyze,
         "submit": _run_submit,
         "jobs": _run_jobs,
-        **dict.fromkeys(_EXPERIMENT_COMMANDS, _run_experiment_command),
+        **dict.fromkeys(_EXPERIMENT_FLAGS, _run_experiment_command),
     }
     return handlers[args.command](args)
 
@@ -1049,9 +1002,11 @@ def _run_command(parser: argparse.ArgumentParser, args: argparse.Namespace) -> i
 def main(argv: Optional[List[str]] = None) -> int:
     """Entry point; returns a process exit code.
 
-    A :class:`~repro.errors.ReproError` from any command is the user's
-    to fix: it becomes one ``repro <command>[ <subcommand>]: <message>``
-    line on stderr and exit code 2, never a traceback.
+    A :class:`~repro.errors.ReproError` from any command becomes one
+    ``repro <command>[ <subcommand>]: <message>`` line on stderr, never
+    a traceback, and the exit code is the error's ``exit_status``: 2
+    (a usage error) unless the error says otherwise, as a worker death
+    does.
     """
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -1061,7 +1016,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         subcommand = getattr(args, f"{args.command}_command", None)
         command = " ".join(filter(None, (args.command, subcommand)))
         print(f"repro {command}: {error}", file=sys.stderr)
-        return 2
+        return getattr(error, "exit_status", 2)
 
 
 if __name__ == "__main__":

@@ -11,14 +11,14 @@ The layer between the closed-loop runner and the experiment drivers:
   :class:`~repro.results.store.ResultStore` (or a path to one) and
   every completed cell is committed incrementally, making sweeps
   resumable and shareable across drivers;
-* :mod:`repro.orchestration.fleet` — :func:`run_fleet`, the local
-  fleet runner: one subprocess + store file per shard, auto-merged
-  into the canonical store when every shard finishes.
+* :mod:`repro.orchestration.fleet` — the deprecated :func:`run_fleet`,
+  now one pool run (removed in repro 1.2).
 
 Every table/figure driver runs through
 :func:`repro.results.experiment.run_experiment` on this layer, and
-``repro sweep --workers N --store FILE`` (plus ``--shard i/N`` /
-``--fleet N``) exposes it on the command line.
+``repro sweep --workers N --store FILE`` exposes it on the command
+line; ``--shard i/N`` plus ``repro results merge`` spread one sweep
+over several hosts.
 """
 
 from repro.orchestration.fleet import FleetReport, ShardOutcome, run_fleet

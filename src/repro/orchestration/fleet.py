@@ -1,97 +1,35 @@
-"""Local fleet execution: one process + store file per shard, then merge.
+"""Deprecated: ``run_fleet`` runs the grid on one worker pool.
 
-A single :class:`~repro.orchestration.pool.ExperimentPool` funnels every
-completed cell through one writable SQLite connection — fine for one
-host, but the single writer (and the single pool queue) is exactly the
-bottleneck mass-replication sweeps hit first.  The fleet runner removes
-it locally, and rehearses the multi-host story:
+The fleet used to run each grid shard in its own subprocess against
+its own scratch store and merge the stores afterwards.  On one host a
+single :class:`~repro.orchestration.pool.ExperimentPool` with as many
+workers was faster and leaves the same rows, so that is what
+:func:`run_fleet` now does.  Across hosts, run ``repro sweep --shard
+i/N --store shard-i.sqlite`` on each and ``repro results merge`` the
+stores.
 
-* the grid is partitioned with :meth:`SweepGrid.shard` — a
-  deterministic, spec-content-hash-based assignment, so the shards are
-  disjoint, complete, and identical on every host that agrees on the
-  shard count;
-* each shard runs in its **own subprocess** with its **own store
-  file** and its own worker pool — no shared SQLite writer, no shared
-  queue, no coordination while simulating;
-* when every shard finishes, the shard stores are **merged by spec
-  hash** into the canonical store
-  (:meth:`~repro.results.store.ResultStore.merge_from`), which is pure
-  bookkeeping because rows are immutable per-put-committed facts.
-
-The exact same three steps run across machines by hand: ``repro sweep
---shard i/N --store shard-i.sqlite`` on each host, then ``repro
-results merge canonical.sqlite shard-*.sqlite``.  ``run_fleet`` is the
-one-host, one-command version (``repro sweep --fleet N``).
-
-Shard stores default to ``<store>.shards/shard-<i>-of-<N>.sqlite``;
-because the partition and the paths are deterministic, an interrupted
-fleet re-run resumes — each shard pool skips the cells its store
-already holds.
-
-Shard lifecycle events (``shard_started`` / ``cell_completed`` /
-``shard_completed`` / ``fleet_merged``) are emitted through
-:mod:`repro.util.logging`.
+``run_fleet``, :class:`FleetReport` and :class:`ShardOutcome` stay
+importable, with a :class:`DeprecationWarning`, until repro 1.2 (no
+earlier than 2026-12-01).
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
-import queue as queue_module
 import time
+import warnings
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import List, Optional, Union
 
-from repro.orchestration.spec import SweepGrid
-from repro.util.logging import get_logger
+from repro.orchestration.pool import ExperimentPool
+from repro.orchestration.spec import SweepGrid, shard_index_of
 
 __all__ = ["FleetReport", "ShardOutcome", "run_fleet"]
 
 
-def _shard_entry(
-    grid_payload: dict,
-    index: int,
-    count: int,
-    store_path: str,
-    workers: int,
-    batch_size: int,
-    events,
-) -> None:
-    """Subprocess entry: run one shard against its own store.
-
-    Rebuilds the grid from its wire form (the subprocess may be a
-    fresh ``spawn`` interpreter), takes the shard, and drives a
-    private :class:`ExperimentPool` — this process is the sole writer
-    of ``store_path``.  Per-cell progress and the final stats go back
-    over the ``events`` queue; an exception is reported and then
-    re-raised so the exit code stays non-zero.
-    """
-    from repro.orchestration.pool import ExperimentPool
-
-    try:
-        grid = SweepGrid.from_dict(grid_payload)
-        specs = grid.shard(index, count)
-        pool = ExperimentPool(
-            workers=workers, store=store_path, batch_size=batch_size
-        )
-        pool.run(
-            list(specs),
-            on_cell=lambda spec, result, source: events.put(
-                ("cell", index, spec.spec_hash(), source)
-            ),
-        )
-        events.put(
-            ("done", index, pool.stats.executed, pool.stats.cache_hits)
-        )
-    except BaseException as error:  # noqa: BLE001 - reported, then re-raised
-        events.put(("error", index, f"{type(error).__name__}: {error}"))
-        raise
-
-
 @dataclass
 class ShardOutcome:
-    """One shard's slice of the fleet run."""
+    """The cells of one shard of the grid and how the pool served them."""
 
     index: int
     store: str
@@ -119,12 +57,12 @@ class FleetReport:
 
     @property
     def executed(self) -> int:
-        """Cells actually simulated (not served from a store)."""
+        """Cells actually simulated (not served from the store)."""
         return sum(shard.executed for shard in self.shards)
 
     @property
     def cache_hits(self) -> int:
-        """Cells served from shard stores without simulating."""
+        """Cells served from the store without simulating."""
         return sum(shard.cache_hits for shard in self.shards)
 
 
@@ -138,167 +76,49 @@ def run_fleet(
     keep_shard_stores: bool = False,
     prefer: Optional[str] = None,
 ) -> FleetReport:
-    """Run ``grid`` as ``shards`` parallel shard processes, then merge.
+    """Deprecated: run ``grid`` on one ``ExperimentPool`` writing ``store``.
 
-    Each shard subprocess owns a private store file under ``shard_dir``
-    (default ``<store>.shards/``) and a private worker pool of
-    ``workers_per_shard`` processes; once all shards exit successfully
-    their stores are merged into ``store`` in shard order.  Shard
-    stores are deleted after a clean merge unless ``keep_shard_stores``
-    — and always kept when a shard fails, so the re-run resumes from
-    the cells that completed.
-
-    Raises ``RuntimeError`` naming the failed shard(s) if any shard
-    process exits non-zero; the canonical store is not touched in that
-    case.
+    The pool has ``shards * workers_per_shard`` workers.  The report
+    still counts cells per shard (by :func:`shard_index_of`);
+    ``merged_rows`` are the cells executed into ``store`` and
+    ``identical_rows`` the ones it already held.  ``shard_dir``,
+    ``keep_shard_stores`` and ``prefer`` are accepted and ignored:
+    there are no shard stores to keep or merge.
     """
-    from repro.results.store import ResultStore
-
+    warnings.warn(
+        "run_fleet is deprecated and will be removed in repro 1.2 (no "
+        "earlier than 2026-12-01): it now runs the grid on one "
+        "ExperimentPool(workers=shards * workers_per_shard, store=store) "
+        "and ignores shard_dir, keep_shard_stores and prefer; use "
+        "ExperimentPool directly, or 'repro sweep --shard i/N' per host "
+        "plus 'repro results merge'",
+        DeprecationWarning,
+        stacklevel=2,
+    )
     if shards < 1:
         raise ValueError(f"shards must be >= 1, got {shards}")
-    store_path = Path(store)
-    if str(store_path.parent):
-        store_path.parent.mkdir(parents=True, exist_ok=True)
-    directory = (
-        Path(shard_dir)
-        if shard_dir is not None
-        else store_path.with_name(store_path.name + ".shards")
-    )
-    directory.mkdir(parents=True, exist_ok=True)
-
-    log = get_logger("fleet")
     started = time.perf_counter()
-    grid_payload = grid.to_dict()
-    report = FleetReport(store=str(store_path), shard_count=shards)
+    report = FleetReport(store=str(store), shard_count=shards)
+    report.shards = [
+        ShardOutcome(index=index, store=str(store), cells=0)
+        for index in range(shards)
+    ]
+    specs = grid.specs()
+    for spec in specs:
+        report.shards[shard_index_of(spec, shards)].cells += 1
 
-    # ``spawn`` keeps shard interpreters independent of this process's
-    # threads (the HTTP service runs fleets from a worker thread, where
-    # fork is unsafe); the pool re-registers plugin engines the same way.
-    context = multiprocessing.get_context("spawn")
-    events = context.Queue()
-    processes = {}
-    shard_started = {}
-    outcomes = {}
-    for index in range(shards):
-        shard_store = directory / f"shard-{index}-of-{shards}.sqlite"
-        cells = len(grid.shard(index, shards))
-        outcome = ShardOutcome(
-            index=index, store=str(shard_store), cells=cells
-        )
-        outcomes[index] = outcome
-        report.shards.append(outcome)
-        if cells == 0:
-            log.info("shard_empty", shard=index, shard_count=shards)
-            continue
-        process = context.Process(
-            target=_shard_entry,
-            args=(
-                grid_payload,
-                index,
-                shards,
-                str(shard_store),
-                workers_per_shard,
-                batch_size,
-                events,
-            ),
-            name=f"repro-shard-{index}",
-        )
-        shard_started[index] = time.perf_counter()
-        process.start()
-        processes[index] = process
-        log.info(
-            "shard_started",
-            shard=index,
-            shard_count=shards,
-            cells=cells,
-            store=str(shard_store),
-            workers=workers_per_shard,
-        )
+    def count(spec, result, source) -> None:
+        outcome = report.shards[shard_index_of(spec, shards)]
+        if source == "store":
+            outcome.cache_hits += 1
+        else:
+            outcome.executed += 1
 
-    errors = {}
-    remaining = set(processes)
-    while remaining:
-        try:
-            message = events.get(timeout=0.5)
-        except queue_module.Empty:
-            # A shard that died without reporting (OOM kill, hard
-            # crash) would otherwise hang the fleet forever.
-            for index in sorted(remaining):
-                process = processes[index]
-                if not process.is_alive() and process.exitcode != 0:
-                    errors.setdefault(
-                        index, f"exit code {process.exitcode}"
-                    )
-                    remaining.discard(index)
-            continue
-        kind, index = message[0], message[1]
-        if kind == "cell":
-            log.info(
-                "cell_completed",
-                shard=index,
-                spec_hash=message[2],
-                source=message[3],
-            )
-        elif kind == "done":
-            outcome = outcomes[index]
-            outcome.executed = message[2]
-            outcome.cache_hits = message[3]
-            outcome.duration_s = time.perf_counter() - shard_started[index]
-            remaining.discard(index)
-            log.info(
-                "shard_completed",
-                shard=index,
-                cells=outcome.cells,
-                executed=outcome.executed,
-                cache_hits=outcome.cache_hits,
-                duration_s=round(outcome.duration_s, 3),
-            )
-        elif kind == "error":
-            errors[index] = message[2]
-            remaining.discard(index)
-    for process in processes.values():
-        process.join()
-    for index, process in processes.items():
-        if process.exitcode != 0 and index not in errors:
-            errors[index] = f"exit code {process.exitcode}"
-    if errors:
-        detail = "; ".join(
-            f"shard {index}: {reason}" for index, reason in sorted(errors.items())
-        )
-        log.error("fleet_failed", errors=detail)
-        raise RuntimeError(
-            f"fleet run failed ({detail}); shard stores kept in "
-            f"{directory} — re-running resumes from the completed cells"
-        )
-
-    with ResultStore(store_path) as destination:
-        for outcome in report.shards:
-            if outcome.cells == 0:
-                continue
-            stats = destination.merge_from(outcome.store, prefer=prefer)
-            report.merged_rows += stats.inserted
-            report.identical_rows += stats.identical
-    if not keep_shard_stores:
-        for outcome in report.shards:
-            shard_store = Path(outcome.store)
-            for suffix in ("", "-wal", "-shm"):
-                sidecar = Path(str(shard_store) + suffix)
-                if sidecar.exists():
-                    sidecar.unlink()
-        try:
-            directory.rmdir()
-        except OSError:
-            pass  # foreign files in the shard dir are not ours to delete
-    report.wall_time_s = time.perf_counter() - started
-    log.info(
-        "fleet_merged",
-        store=str(store_path),
-        shards=shards,
-        cells=report.cells,
-        executed=report.executed,
-        cache_hits=report.cache_hits,
-        merged_rows=report.merged_rows,
-        identical_rows=report.identical_rows,
-        wall_time_s=round(report.wall_time_s, 3),
+    pool = ExperimentPool(
+        workers=shards * workers_per_shard, store=store, batch_size=batch_size
     )
+    pool.run(specs, on_cell=count)
+    report.merged_rows = pool.stats.executed
+    report.identical_rows = pool.stats.cache_hits
+    report.wall_time_s = time.perf_counter() - started
     return report

@@ -20,6 +20,13 @@ so results cannot depend on which worker runs a cell or in what order.
 ``store`` is the one persistence keyword: it accepts a live
 :class:`ResultStore` or a path to its SQLite file.
 
+A worker process that dies (killed, out of memory) breaks its whole
+executor, which fails every unit still pending in it.  The pool keeps
+at most ``workers`` units in flight, so a death loses only those; the
+rest of the sweep goes on in a fresh executor.  The lost units then run
+once more, one at a time in a fresh single-worker executor, and
+:class:`WorkerDiedError` names the cells whose worker died again.
+
 Long-running callers (the HTTP service's job worker) drive the pool
 incrementally: ``run(specs, on_cell=...)`` invokes the callback the
 moment each unique cell is satisfied — whether served from the store
@@ -35,7 +42,9 @@ return identical objects.
 from __future__ import annotations
 
 import dataclasses
-from concurrent.futures import ProcessPoolExecutor, as_completed
+from collections import deque
+from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import (
     Any,
@@ -50,10 +59,11 @@ from typing import (
 )
 
 from repro.core.engine import has_batch_engine, provider_module
+from repro.errors import ReproError
 from repro.experiments.runner import RunResult
 from repro.orchestration.spec import BatchRunSpec, RunSpec
 
-__all__ = ["CellCallback", "ExperimentPool", "PoolStats"]
+__all__ = ["CellCallback", "ExperimentPool", "PoolStats", "WorkerDiedError"]
 
 #: One schedulable unit of work: a single cell, or a seed-batch.
 _WorkUnit = Union[RunSpec, BatchRunSpec]
@@ -90,6 +100,39 @@ def _execute_batch_payload(
 
         importlib.import_module(engine_module)
     return [result.to_dict() for result in batch.execute()]
+
+
+def _submit(executor: ProcessPoolExecutor, unit: _WorkUnit):
+    """Submit one work unit to ``executor``; returns its future."""
+    if isinstance(unit, BatchRunSpec):
+        return executor.submit(
+            _execute_batch_payload, unit, provider_module(unit.template.engine)
+        )
+    return executor.submit(_execute_payload, unit, provider_module(unit.engine))
+
+
+def _unit_specs(unit: _WorkUnit) -> Sequence[RunSpec]:
+    """The cells one work unit computes."""
+    return unit.specs() if isinstance(unit, BatchRunSpec) else (unit,)
+
+
+class WorkerDiedError(ReproError):
+    """A worker process died twice running the same cells.
+
+    The cells every other unit computed are already committed; these
+    are not.  ``repro sweep`` prints the message as one line and exits
+    with :attr:`exit_status` (a failed run, not a usage error).
+    """
+
+    exit_status = 1
+
+    def __init__(self, cells: Sequence[RunSpec]):
+        self.cells = tuple(cells)
+        labels = ", ".join(spec.label() for spec in self.cells)
+        super().__init__(
+            f"a worker process died twice running {labels}; the other "
+            f"cells completed (re-running resumes from a store)"
+        )
 
 
 @dataclass
@@ -252,29 +295,30 @@ class ExperimentPool:
     ) -> None:
         """Run one work unit in-process and account its results."""
         if isinstance(unit, BatchRunSpec):
-            payloads = _execute_batch_payload(unit)
-            for spec, payload in zip(unit.specs(), payloads):
-                self._finish(spec, payload, pending, results, on_cell)
+            payload: Any = _execute_batch_payload(unit)
         else:
-            self._finish(unit, _execute_payload(unit), pending, results, on_cell)
+            payload = _execute_payload(unit)
+        self._finish_unit(unit, payload, pending, results, on_cell)
 
-    def _finish(
+    def _finish_unit(
         self,
-        spec: RunSpec,
-        payload: Dict[str, Any],
+        unit: _WorkUnit,
+        payload: Any,
         pending: Dict[RunSpec, List[int]],
         results: List[Optional[RunResult]],
         on_cell: Optional[CellCallback] = None,
     ) -> None:
-        """Account, persist and fan out one completed cell."""
-        self.stats.executed += 1
-        if self.store is not None:
-            self.store.put(spec, payload)
-        result = RunResult.from_dict(payload)
-        for index in pending[spec]:
-            results[index] = result
-        if on_cell is not None:
-            on_cell(spec, result, "executed")
+        """Account, persist and fan out every cell of one completed unit."""
+        payloads = payload if isinstance(unit, BatchRunSpec) else (payload,)
+        for spec, spec_payload in zip(_unit_specs(unit), payloads):
+            self.stats.executed += 1
+            if self.store is not None:
+                self.store.put(spec, spec_payload)
+            result = RunResult.from_dict(spec_payload)
+            for index in pending[spec]:
+                results[index] = result
+            if on_cell is not None:
+                on_cell(spec, result, "executed")
 
     def _run_parallel(
         self,
@@ -285,46 +329,89 @@ class ExperimentPool:
     ) -> None:
         """Fan work units (cells or seed-batches) out over processes.
 
-        Each completed unit is committed to the store the moment it
-        completes — not when the whole batch does — so an interrupted
-        or partially failed sweep resumes from the cells that finished.
-        If a unit raises: with a store, the remaining completions are
-        still drained into it before the first error propagates;
-        without one, draining would only burn compute on results nobody
-        keeps, so not-yet-started units are cancelled and the error
-        surfaces promptly.
+        At most ``workers`` units are in flight; the next is submitted
+        as one completes.  Each completed unit is committed to the store
+        the moment it completes — not when the whole batch does — so an
+        interrupted or partially failed sweep resumes from the cells
+        that finished.  If a unit raises: with a store, the remaining
+        units still run into it before the first error propagates;
+        without one, that would only burn compute on results nobody
+        keeps, so no further unit starts and the error surfaces
+        promptly.  A dead worker breaks its executor and fails only the
+        units in flight in it; the rest go on in a fresh executor, and
+        the lost ones are re-run by :meth:`_rerun_lost`.
         """
         max_workers = min(self.workers, len(units))
+        queued = deque(units)
+        lost: List[_WorkUnit] = []
         first_error: Optional[BaseException] = None
-        with ProcessPoolExecutor(max_workers=max_workers) as executor:
-            futures = {}
-            for unit in units:
-                if isinstance(unit, BatchRunSpec):
-                    future = executor.submit(
-                        _execute_batch_payload,
-                        unit,
-                        provider_module(unit.template.engine),
-                    )
-                else:
-                    future = executor.submit(
-                        _execute_payload, unit, provider_module(unit.engine)
-                    )
-                futures[future] = unit
-            for future in as_completed(futures):
-                try:
-                    payload = future.result()
-                except BaseException as error:  # noqa: BLE001 - re-raised
-                    if first_error is None:
-                        first_error = error
-                        if self.store is None:
-                            for other in futures:
-                                other.cancel()
-                    continue
-                unit = futures[future]
-                if isinstance(unit, BatchRunSpec):
-                    for spec, spec_payload in zip(unit.specs(), payload):
-                        self._finish(spec, spec_payload, pending, results, on_cell)
-                else:
-                    self._finish(unit, payload, pending, results, on_cell)
+        while queued:
+            in_flight: Dict[Future, _WorkUnit] = {}
+            broken = False
+            with ProcessPoolExecutor(max_workers=max_workers) as executor:
+                while True:
+                    while queued and not broken and len(in_flight) < max_workers:
+                        unit = queued.popleft()
+                        try:
+                            in_flight[_submit(executor, unit)] = unit
+                        except BrokenProcessPool:
+                            queued.appendleft(unit)
+                            broken = True
+                    if not in_flight:
+                        break
+                    done, _ = wait(in_flight, return_when=FIRST_COMPLETED)
+                    for future in done:
+                        unit = in_flight.pop(future)
+                        try:
+                            payload = future.result()
+                        except BrokenProcessPool:
+                            lost.append(unit)
+                            broken = True
+                            continue
+                        except BaseException as error:  # noqa: BLE001 - re-raised
+                            if first_error is None:
+                                first_error = error
+                                if self.store is None:
+                                    queued.clear()
+                            continue
+                        self._finish_unit(unit, payload, pending, results, on_cell)
         if first_error is not None:
             raise first_error
+        if lost:
+            self._rerun_lost(lost, pending, results, on_cell)
+
+    def _rerun_lost(
+        self,
+        units: Sequence[_WorkUnit],
+        pending: Dict[RunSpec, List[int]],
+        results: List[Optional[RunResult]],
+        on_cell: Optional[CellCallback] = None,
+    ) -> None:
+        """Re-run the units a dead worker took down, once each.
+
+        They run one at a time on a single-worker executor, so a second
+        death takes down exactly the unit that caused it, and the
+        host's memory goes to one unit (an out-of-memory kill is the
+        usual death).  A death replaces the executor with a fresh one;
+        the unit is skipped, the rest still run and commit, then
+        :class:`WorkerDiedError` names every skipped cell.
+        """
+        died: List[RunSpec] = []
+        executor: Optional[ProcessPoolExecutor] = None
+        try:
+            for unit in units:
+                if executor is None:
+                    executor = ProcessPoolExecutor(max_workers=1)
+                try:
+                    payload = _submit(executor, unit).result()
+                except BrokenProcessPool:
+                    died.extend(_unit_specs(unit))
+                    executor.shutdown()
+                    executor = None
+                    continue
+                self._finish_unit(unit, payload, pending, results, on_cell)
+        finally:
+            if executor is not None:
+                executor.shutdown()
+        if died:
+            raise WorkerDiedError(died)

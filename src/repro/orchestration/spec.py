@@ -310,7 +310,7 @@ def shard_index_of(spec: RunSpec, count: int) -> int:
 def parse_shard(text: str) -> Tuple[int, int]:
     """Parse an ``INDEX/COUNT`` shard designator (``"0/4"`` ... ``"3/4"``).
 
-    Indices are zero-based: a fleet of ``N`` shards is ``0/N`` through
+    Indices are zero-based: ``N`` shards are ``0/N`` through
     ``N-1/N``.  Raises ``ValueError`` on malformed text or an index
     outside the count.
     """
@@ -676,7 +676,7 @@ class SweepGrid:
           so ``repro sweep --shard i/N`` invocations on different
           machines never overlap and never miss a cell;
         * **count-keyed**: changing ``count`` reshuffles the partition,
-          so a fleet must agree on one ``N`` for a sweep.
+          so every host of a sweep must agree on one ``N``.
 
         ``count`` may exceed the grid size; the surplus shards are
         simply empty.  Within a shard, cells keep the grid's expansion

@@ -408,10 +408,11 @@ class ResultStore:
     ) -> MergeStats:
         """Merge every row of ``other`` into this store, keyed by spec hash.
 
-        This is the fleet-execution join: shard sweeps write disjoint
-        cells into per-shard store files, and merging them into the
-        canonical store is pure bookkeeping because every row is an
-        immutable, per-put-committed (spec hash -> payload) fact.
+        This is the multi-host join: ``repro sweep --shard i/N`` on each
+        host writes disjoint cells into its own store file, and merging
+        them into the canonical store is pure bookkeeping because every
+        row is an immutable, per-put-committed (spec hash -> payload)
+        fact.
 
         Policy, per source row:
 
@@ -499,7 +500,7 @@ class ResultStore:
             if to_insert:
                 # One transaction: merge is idempotent, so a crash
                 # mid-merge is safely re-run; per-row commits would
-                # only slow the fleet join down.
+                # only slow the join down.
                 with self._conn:
                     self._conn.executemany(
                         "INSERT OR REPLACE INTO results VALUES "
@@ -564,7 +565,7 @@ class ResultStore:
         Rows are ordered by spec hash — a pure function of the cells,
         not of completion timing — so the export of a given cell set is
         byte-identical however it was computed: serial, process
-        -parallel, or sharded across a fleet and merged.
+        -parallel, or sharded across hosts and merged.
         """
         rows = self._conn.execute(
             "SELECT spec_hash, pattern, controller, engine, seed, "

@@ -39,6 +39,7 @@ from typing import (
     Dict,
     List,
     Optional,
+    Set,
     Tuple,
 )
 from urllib.parse import parse_qsl, unquote, urlsplit
@@ -192,6 +193,7 @@ class HttpServer:
         self.port = port
         self.on_request = on_request
         self._server: Optional[asyncio.AbstractServer] = None
+        self._connections: Set[asyncio.Task] = set()
 
     async def start(self) -> None:
         """Bind and start accepting connections."""
@@ -201,23 +203,46 @@ class HttpServer:
         self.port = self._server.sockets[0].getsockname()[1]
 
     async def serve_forever(self) -> None:
-        """Serve requests until cancelled."""
+        """Serve requests until cancelled, then :meth:`close`.
+
+        ``start()`` already accepts connections, so this only waits.
+        ``asyncio.Server.serve_forever`` is not used: on cancellation it
+        awaits ``wait_closed()``, which from Python 3.12.1 blocks until
+        every open connection has ended, before ``close()`` could end
+        them.
+        """
         assert self._server is not None, "call start() first"
-        async with self._server:
-            await self._server.serve_forever()
+        try:
+            await asyncio.get_running_loop().create_future()
+        finally:
+            await self.close()
 
     async def close(self) -> None:
-        """Close the listening socket and connections."""
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
+        """Stop listening, end every open connection, then wait for both.
+
+        A connection still streaming (``?follow=1`` on a running job)
+        is cancelled and its socket closed here, while the loop runs;
+        left alone it would outlive the loop.  The connections end
+        before ``wait_closed()``, which waits for them from Python
+        3.12.1 on.
+        """
+        server, self._server = self._server, None
+        if server is not None:
+            server.close()
+        connections = list(self._connections)
+        for task in connections:
+            task.cancel()
+        await asyncio.gather(*connections, return_exceptions=True)
+        if server is not None:
+            await server.wait_closed()
 
     # -- connection handling ------------------------------------------------
 
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        task = asyncio.current_task()
+        self._connections.add(task)
         try:
             try:
                 request = await self._read_request(reader)
@@ -233,7 +258,13 @@ class HttpServer:
             await self._write_response(writer, response)
         except (ConnectionResetError, BrokenPipeError, asyncio.IncompleteReadError):
             pass  # client went away mid-exchange; nothing to answer
+        except asyncio.CancelledError:
+            # close() ends the connection.  The task returns normally:
+            # on Python < 3.12 asyncio logs a traceback for a cancelled
+            # connection task.
+            pass
         finally:
+            self._connections.discard(task)
             try:
                 writer.close()
                 await writer.wait_closed()

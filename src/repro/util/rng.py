@@ -84,14 +84,6 @@ class RngStreams:
             self._streams[name] = generator
         return generator
 
-    def spawn(self, name: str) -> "RngStreams":
-        """Return a new registry namespaced under ``name``.
-
-        Useful when a subsystem wants to manage its own sub-streams
-        without risking collisions with the parent's stream names.
-        """
-        return RngStreams(derive_seed(self._seed, name) % (2**31))
-
     def names(self):
         """Return the names of all streams created so far (sorted)."""
         return sorted(self._streams)

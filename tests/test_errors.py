@@ -9,6 +9,7 @@ import pytest
 from repro.analysis import AnalysisOptions
 from repro.cli import main
 from repro.errors import ReproError, UsageError
+from repro.orchestration.pool import WorkerDiedError
 from repro.results.aggregate import MixedDelayModeError, aggregate, check_axes
 from repro.results.store import STORE_LAYOUT_VERSION, MergeError, ResultStore
 from repro.service.client import ServiceError
@@ -24,6 +25,7 @@ class TestHierarchy:
             (MixedDelayModeError, ValueError),
             (ServiceError, RuntimeError),
             (HttpError, Exception),
+            (WorkerDiedError, Exception),
         ],
     )
     def test_every_user_error_is_a_repro_error(self, error, builtin):

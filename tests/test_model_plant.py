@@ -92,9 +92,10 @@ class TestSeededTraffic:
 
 
 #: The classes whose construction is the plant's stream layout, and the
-#: module that defines each (it may build its own instances).
+#: module besides the plant that may build instances (the one defining
+#: it, or ``None``: only the plant builds streams).
 _TRAFFIC_CLASSES = {
-    "RngStreams": "repro/util/rng.py",
+    "RngStreams": None,
     "RouteSampler": "repro/model/routing.py",
     "PoissonArrivals": "repro/model/arrivals.py",
 }

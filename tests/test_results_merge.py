@@ -1,4 +1,4 @@
-"""``ResultStore.merge_from``: the fleet-execution join.
+"""``ResultStore.merge_from``: the join of shard stores from several hosts.
 
 Merging is keyed by spec content hash and copies rows verbatim, so it
 must be idempotent, must refuse divergent payloads unless told how to

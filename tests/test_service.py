@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import asyncio
+import gc
 import io
 import json
 import socket
+import sys
 import threading
 import time
 import urllib.error
@@ -16,7 +18,7 @@ import pytest
 from repro.api import API_VERSION
 from repro.errors import UsageError
 from repro.orchestration.spec import RunSpec
-from repro.service.app import ServiceApp
+from repro.service.app import ServiceApp, _serve_async as serve_async
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.http import HttpError, Request, Router
 from repro.service import jobs as job_layer
@@ -81,6 +83,26 @@ class RunningService:
         self.loop.call_soon_threadsafe(self.loop.stop)
         self.thread.join(10)
         self.loop.close()
+
+
+@pytest.fixture
+def strict_wait_closed(monkeypatch):
+    """``Server.wait_closed`` as from Python 3.12.1 on, on older Pythons.
+
+    From 3.12.1 it also waits until every open connection has ended, so
+    a shutdown that waits before ending its connections hangs there.
+    """
+    if sys.version_info >= (3, 12, 1):
+        return
+
+    async def wait_closed(server):
+        if server._waiters is None:
+            return
+        waiter = server._loop.create_future()
+        server._waiters.append(waiter)
+        await waiter
+
+    monkeypatch.setattr(asyncio.base_events.Server, "wait_closed", wait_closed)
 
 
 @pytest.fixture
@@ -597,6 +619,86 @@ class TestEndToEndContract:
         logged = [json.loads(line)["event"] for line in stream.getvalue().splitlines()]
         assert "request_completed" in logged
         assert "request_crashed" not in logged
+
+    def test_shutdown_closes_an_open_follow_stream(
+        self, tmp_path, monkeypatch, strict_wait_closed
+    ):
+        """Stopping the service ends a stream still following a job."""
+        unraisable = []
+        monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+        service = RunningService(tmp_path / "service.sqlite")
+        loop_errors = []
+        service.loop.call_soon_threadsafe(
+            service.loop.set_exception_handler,
+            lambda loop, context: loop_errors.append(context),
+        )
+        service.app.manager.stop()  # the job never leaves the queue
+        job_id = service.client.submit_spec(SPEC)["job"]["job_id"]
+        sock = raw_exchange(
+            service.app.port,
+            f"GET /jobs/{job_id}/events?follow=1 HTTP/1.1\r\n"
+            f"Host: localhost\r\n\r\n",
+        )
+        with sock, sock.makefile("rb") as response:
+            while response.readline() not in (b"\r\n", b""):
+                pass  # status line and headers
+            assert json.loads(response.readline())["event"] == "job_queued"
+            service.stop()
+            assert response.read() == b""  # the server closed the stream
+        del service
+        gc.collect()
+        assert unraisable == []
+        assert loop_errors == []
+
+    def test_cancelled_serve_ends_an_open_follow_stream(
+        self, tmp_path, strict_wait_closed
+    ):
+        """``repro serve``'s loop, cancelled with a stream still open."""
+
+        async def exchange(port, head, body=b""):
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            writer.write(head.encode("latin-1") + body)
+            while await reader.readline() not in (b"\r\n", b""):
+                pass  # status line and headers
+            return reader, writer
+
+        loop_errors = []
+
+        async def scenario():
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: loop_errors.append(context)
+            )
+            app = ServiceApp(str(tmp_path / "service.sqlite"))
+            serving = asyncio.ensure_future(serve_async(app))
+            while app.port == 0:
+                await asyncio.sleep(0.01)
+            app.manager.stop()  # the job never leaves the queue
+            body = json.dumps({"spec": SPEC}).encode("utf-8")
+            reader, writer = await exchange(
+                app.port,
+                f"POST /jobs HTTP/1.1\r\nHost: localhost\r\n"
+                f"Content-Length: {len(body)}\r\n\r\n",
+                body,
+            )
+            job_id = json.loads(await reader.read())["job"]["job_id"]
+            writer.close()
+            reader, writer = await exchange(
+                app.port,
+                f"GET /jobs/{job_id}/events?follow=1 HTTP/1.1\r\n"
+                f"Host: localhost\r\n\r\n",
+            )
+            assert json.loads(await reader.readline())["event"] == "job_queued"
+            serving.cancel()
+            done, _ = await asyncio.wait({serving}, timeout=10)
+            if not done:  # let the job end the stream, so the test ends
+                app.manager.start()
+                await serving
+            assert done, "shutdown waited for the open stream to end"
+            assert await reader.read() == b""  # the server closed the stream
+            writer.close()
+
+        asyncio.run(scenario())
+        assert loop_errors == []
 
     def test_all_log_lines_are_json_with_request_ids(self, tmp_path):
         stream = io.StringIO()

@@ -1,7 +1,7 @@
 """``SweepGrid.shard``: the deterministic partition behind scale-out.
 
-The fleet runner, ``repro sweep --shard i/N`` and sharded service
-submissions all rely on the same contract: for any shard count N the
+``repro sweep --shard i/N`` on several hosts and sharded service
+submissions rely on the same contract: for any shard count N the
 shards are pairwise disjoint, their union is the full grid, and the
 assignment depends only on spec *content* — not on axis ordering,
 expansion order, or which process computes it.

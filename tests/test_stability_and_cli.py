@@ -140,7 +140,6 @@ class TestCli:
             (["sweep", "--duration", "nan"], "--duration"),
             (["sweep", "--workers", "0"], "--workers"),
             (["sweep", "--batch-size", "0"], "--batch-size"),
-            (["sweep", "--fleet", "0"], "--fleet"),
             (["table3", "--workers", "-1"], "--workers"),
             (["serve", "--batch-size", "0"], "--batch-size"),
             (["run", "--period", "soon"], "--period"),
@@ -282,7 +281,7 @@ class TestScenariosCli:
 
 
 class TestCliStoreOptions:
-    """--store names the result store; shard and fleet flags."""
+    """--store names the result store; the shard flag."""
 
     def _sweep(self, *extra):
         return [
@@ -302,28 +301,17 @@ class TestCliStoreOptions:
         assert main(self._sweep("--store", str(store))) == 0
         assert "cache hits 1" in capsys.readouterr().out
 
-    def test_shard_and_fleet_flags_parse(self):
+    def test_shard_flag_parses(self):
         parser = build_parser()
         args = parser.parse_args(["sweep", "--shard", "2/4"])
         assert args.shard == "2/4"
-        args = parser.parse_args(["sweep", "--fleet", "3"])
-        assert args.fleet == 3
         args = parser.parse_args(
             ["submit", "--scenario", "steady-4x4", "--shard", "0/2"]
         )
         assert args.shard == "0/2"
-        for bad in (["--shard", "4/4"], ["--shard", "nope"]):
+        for bad in (["--shard", "4/4"], ["--shard", "nope"], ["--fleet", "2"]):
             with pytest.raises(SystemExit):
                 parser.parse_args(["sweep", *bad])
-        with pytest.raises(SystemExit):  # mutually exclusive
-            parser.parse_args(["sweep", "--shard", "0/2", "--fleet", "2"])
-
-    def test_fleet_requires_store(self, capsys):
-        code = main(
-            ["sweep", "--patterns", "I", "--duration", "60", "--fleet", "2"]
-        )
-        assert code == 2
-        assert "--store" in capsys.readouterr().err
 
     def _shard_sweep(self, seeds, *extra):
         return [
@@ -371,18 +359,37 @@ class TestCliStoreOptions:
         assert code == 2
         assert "no result store" in capsys.readouterr().err
 
-    def test_fleet_sweep_end_to_end(self, tmp_path, capsys):
-        store = tmp_path / "fleet.sqlite"
+    def test_parallel_sweep_exports_like_shards_merged(self, tmp_path, capsys):
+        seeds = [1, 2, 3, 4]
+        parallel = tmp_path / "parallel.sqlite"
         code = main(
-            self._shard_sweep([1, 2], "--fleet", "2", "--store", str(store))
+            self._shard_sweep(seeds, "--workers", "2", "--store", str(parallel))
         )
         assert code == 0
-        out = capsys.readouterr().out
-        assert "fleet: 2 shards" in out
-        # The table pass after the merge is pure cache hits.
-        assert "executed 0" in out
-        assert "cache hits 2" in out
-        assert store.is_file()
+        for index in range(2):
+            code = main(
+                self._shard_sweep(
+                    seeds, "--shard", f"{index}/2",
+                    "--store", str(tmp_path / f"shard-{index}.sqlite"),
+                )
+            )
+            assert code == 0
+        merged = tmp_path / "merged.sqlite"
+        code = main(
+            [
+                "results", "merge", str(merged),
+                str(tmp_path / "shard-0.sqlite"),
+                str(tmp_path / "shard-1.sqlite"),
+            ]
+        )
+        assert code == 0
+        capsys.readouterr()
+        exports = []
+        for store in (parallel, merged):
+            assert main(["results", "export", "--store", str(store)]) == 0
+            exports.append(capsys.readouterr().out)
+        assert exports[0] == exports[1]
+        assert exports[0].count("\n") == 1 + len(seeds)
 
     def test_serve_and_submit_commands_parse(self):
         parser = build_parser()
@@ -457,9 +464,9 @@ class TestExperimentCommands:
             (["stability", "--duration", "90"], {"duration": 90.0}),
             (
                 ["table3"],
-                {"engine": "meso", "duration_scale": 1.0, "seed": 1},
+                {"engine": "micro", "duration_scale": 1.0, "seed": 1},
             ),
-            (["stability"], {"duration": 1200.0}),
+            (["stability"], {"duration": 1800.0}),
         ],
         ids=["table3", "fig2", "fig34", "fig5", "ablations", "stability",
              "table3-defaults", "stability-defaults"],
@@ -482,6 +489,23 @@ class TestExperimentCommands:
         assert params == expected
         assert set(params) <= set(experiment.get_experiment(name).defaults)
         assert isinstance(pool, ExperimentPool)
+
+    @pytest.mark.parametrize(
+        "command", ["table3", "fig2", "fig34", "fig5", "ablations", "stability"]
+    )
+    def test_parsed_defaults_are_the_definitions(self, command):
+        from repro.results.experiment import get_experiment
+
+        defaults = get_experiment(command).defaults
+        parsed = {
+            key: value
+            for key, value in vars(build_parser().parse_args([command])).items()
+            if key in defaults
+        }
+        if command == "ablations":
+            assert parsed.pop("study") is None  # no study: every study
+        assert parsed
+        assert parsed == {key: defaults[key] for key in parsed}
 
     def test_ablations_without_study_runs_every_study(
         self, monkeypatch, capsys

@@ -54,17 +54,6 @@ class TestRngStreams:
         with pytest.raises(ValueError):
             RngStreams(seed=-3)
 
-    def test_spawn_namespacing(self):
-        parent = RngStreams(seed=3)
-        child_a = parent.spawn("ns")
-        child_b = RngStreams(seed=3).spawn("ns")
-        assert child_a.get("s").random() == child_b.get("s").random()
-
-    def test_spawn_differs_from_parent(self):
-        parent = RngStreams(seed=3)
-        child = parent.spawn("ns")
-        assert parent.get("s").random() != child.get("s").random()
-
     def test_names_sorted(self):
         streams = RngStreams(seed=0)
         streams.get("b")
