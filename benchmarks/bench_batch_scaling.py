@@ -20,7 +20,7 @@ Besides the fixed-plan stepping matrix, a *closed-loop* matrix runs
 the same widths with the batched util-bp kernel deciding every
 replication on the engine's internal arrays (``controller_arrays``),
 against a serial meso-counts closed-loop cell — the regime the
-``--min-vec-closed-speedup`` CI gate pins.
+``MIN_VEC_CLOSED_SPEEDUP`` CI gate pins.
 
 Run with::
 

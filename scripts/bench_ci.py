@@ -56,30 +56,30 @@ Nine gates, all enforced in CI:
 
 1. **Regression gate** — writes the numbers to ``BENCH_ci.json`` and
    fails (exit 1) if any workload's calibration-normalized throughput
-   dropped more than ``--threshold`` (default 25%) versus the
+   dropped more than ``REGRESSION_THRESHOLD`` (25%) versus the
    committed baseline ``benchmarks/baseline_ci.json``.
 2. **Speedup gate** — fails (exit 1) if the ``meso-counts`` engine is
-   not at least ``--min-speedup`` (default 5x) faster than the
+   not at least ``MIN_SPEEDUP`` (5x) faster than the
    reference ``meso`` engine on the gated scenario, comparing raw
    same-machine steps/s.  This pins the fast engine's reason to exist:
    a change that erodes the speedup below 5x defeats the point of
    maintaining a second backend.
 3. **Batch speedup gate** — fails (exit 1) if one ``meso-vec`` batch
-   of 16 replications does not step at least ``--min-vec-speedup``
-   (default 3x) more replication mini-slots/s than 16 serial
+   of 16 replications does not step at least ``MIN_VEC_SPEEDUP``
+   (3x) more replication mini-slots/s than 16 serial
    ``meso-counts`` runs would on the gated light-demand 10x10 grid —
    the mass-replication regime the batch engine exists for.
 4. **Event-engine speedup gate** — fails (exit 1) if the ``meso-events``
-   calendar-queue engine is not at least ``--min-events-speedup``
-   (default 3x) faster than serial ``meso-counts`` stepping on the
+   calendar-queue engine is not at least ``MIN_EVENTS_SPEEDUP``
+   (3x) faster than serial ``meso-counts`` stepping on the
    gated light-demand 10x10 grid (key
    ``step/meso-events/steady-10x10-l10``).  Light load is exactly the
    regime the event loop exists for: most slots move nothing, and the
    calendar skips them.
 5. **Batch closed-loop speedup gate** — fails (exit 1) if the same
    B=16 batch running the *full* control loop (batched util-bp on the
-   in-engine arrays) is not at least ``--min-vec-closed-speedup``
-   (default 2x) faster, in replication mini-slots/s, than 16 serial
+   in-engine arrays) is not at least ``MIN_VEC_CLOSED_SPEEDUP``
+   (2x) faster, in replication mini-slots/s, than 16 serial
    meso-counts closed-loop runs.  This is the gate the vectorized
    controller kernel answers to: losing it means sweeps are better off
    serial again.
@@ -258,6 +258,24 @@ RETIREMENT_RATIOS = (
 #: Horizon of those runs (s, one mini-slot per second).
 RUN_DURATION = 240.0
 
+#: Largest tolerated drop of a row's normalized rate below the baseline.
+REGRESSION_THRESHOLD = 0.25
+
+#: Minimum meso-counts over meso ratio of the observed fixed-plan stepping.
+MIN_SPEEDUP = 5.0
+
+#: Minimum B=16 meso-vec batch over 16 serial meso-counts runs, fixed-plan
+#: stepping on the light-demand grid, in replication mini-slots/s.
+MIN_VEC_SPEEDUP = 3.0
+
+#: Minimum meso-events over meso-counts ratio of fixed-plan stepping on
+#: the light-demand grid.
+MIN_EVENTS_SPEEDUP = 3.0
+
+#: Minimum B=16 meso-vec batch over 16 serial meso-counts runs of the
+#: closed-loop (util-bp) stepping, in replication mini-slots/s.
+MIN_VEC_CLOSED_SPEEDUP = 2.0
+
 #: Minimum meso-events over meso-counts ratio of the end-to-end runs.
 MIN_EVENTS_RUN_SPEEDUP = 3.0
 
@@ -273,30 +291,29 @@ MIN_EVENTS_CLOSED_RUN_SPEEDUP = 2.0
 #: end-to-end runs, in replication mini-slots/s.
 MIN_VEC_CLOSED_RUN_SPEEDUP = 4.0
 
-#: Same-run speedup gates: (fast key, reference key, minimum ratio —
-#: either the argparse attribute holding it or the ratio itself).  The
-#: stepping pair compares one B=16 batch against 16 serial runs:
+#: Same-run speedup gates: (fast key, reference key, minimum ratio).
+#: The stepping pairs compare one B=16 batch against 16 serial runs:
 #: replication-steps/s on both sides.
 SPEEDUP_GATES = (
     (
         "engine/meso-counts/steady-10x10",
         "engine/meso/steady-10x10",
-        "min_speedup",
+        MIN_SPEEDUP,
     ),
     (
         "step/meso-vec-b16/steady-10x10-l10",
         "step/meso-counts/steady-10x10-l10",
-        "min_vec_speedup",
+        MIN_VEC_SPEEDUP,
     ),
     (
         "step/meso-events/steady-10x10-l10",
         "step/meso-counts/steady-10x10-l10",
-        "min_events_speedup",
+        MIN_EVENTS_SPEEDUP,
     ),
     (
         "step/meso-vec-b16-utilbp/steady-10x10-l10",
         "step/meso-counts-utilbp/steady-10x10-l10",
-        "min_vec_closed_speedup",
+        MIN_VEC_CLOSED_SPEEDUP,
     ),
     (
         "run/meso-events-fixed-time/steady-10x10-l10",
@@ -672,9 +689,7 @@ def measure_cusum_series_per_second(repeats: int) -> float:
     return best
 
 
-def run_benchmarks(
-    repeats: int, minimums: Dict[str, float], speedup_repeats: int
-) -> Dict:
+def run_benchmarks(repeats: int, speedup_repeats: int) -> Dict:
     calibration = calibration_score()
     results = {}
 
@@ -754,8 +769,6 @@ def run_benchmarks(
     )
     speedups = []
     for fast_key, reference_key, minimum in SPEEDUP_GATES:
-        if isinstance(minimum, str):
-            minimum = minimums[minimum]
         ratio = (
             results[fast_key]["steps_per_second"]
             / results[reference_key]["steps_per_second"]
@@ -862,40 +875,6 @@ def main() -> int:
         help="where to write this run's numbers",
     )
     parser.add_argument(
-        "--threshold", type=float, default=0.25,
-        help="maximum tolerated normalized steps/s drop (default 0.25)",
-    )
-    parser.add_argument(
-        "--min-speedup", type=float, default=5.0,
-        help=(
-            "required meso-counts over meso steps/s ratio on the gated "
-            "scenario (default 5.0)"
-        ),
-    )
-    parser.add_argument(
-        "--min-vec-speedup", type=float, default=3.0,
-        help=(
-            "required meso-vec@B=16 replication-steps/s over 16 serial "
-            "meso-counts runs on the gated light-demand grid (default 3.0)"
-        ),
-    )
-    parser.add_argument(
-        "--min-events-speedup", type=float, default=3.0,
-        help=(
-            "required meso-events over meso-counts steps/s ratio on the "
-            "gated light-demand grid (default 3.0): the event engine only "
-            "earns its keep by skipping idle slots"
-        ),
-    )
-    parser.add_argument(
-        "--min-vec-closed-speedup", type=float, default=2.0,
-        help=(
-            "required batched closed-loop (meso-vec@B=16 + batched "
-            "util-bp) replication-steps/s over 16 serial meso-counts "
-            "closed-loop runs (default 2.0)"
-        ),
-    )
-    parser.add_argument(
         "--repeats", type=int, default=3,
         help="timing repeats per workload (best is kept)",
     )
@@ -916,12 +895,6 @@ def main() -> int:
     print("running CI benchmark subset:")
     current = run_benchmarks(
         args.repeats,
-        {
-            "min_speedup": args.min_speedup,
-            "min_vec_speedup": args.min_vec_speedup,
-            "min_events_speedup": args.min_events_speedup,
-            "min_vec_closed_speedup": args.min_vec_closed_speedup,
-        },
         speedup_repeats=(
             args.repeats
             if args.speedup_repeats is None
@@ -949,9 +922,12 @@ def main() -> int:
         )
         return 2
 
-    print(f"\ngating against {args.baseline} (threshold {args.threshold:.0%}):")
+    print(
+        f"\ngating against {args.baseline} "
+        f"(threshold {REGRESSION_THRESHOLD:.0%}):"
+    )
     baseline = json.loads(args.baseline.read_text())
-    regression_code = compare(current, baseline, args.threshold)
+    regression_code = compare(current, baseline, REGRESSION_THRESHOLD)
     return regression_code or speedup_code
 
 

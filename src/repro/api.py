@@ -28,6 +28,11 @@ API 2.1 added :class:`ReproError`, the base of every user error
 (:class:`MergeError` and ``ServiceError`` included), and its
 :class:`UsageError` (also a ``ValueError``).
 
+API 3.0 made ``start()``, ``serve_forever()`` and ``close()`` of the
+app :func:`create_app` returns blocking methods, not coroutines: the
+service runs on the standard library's threaded HTTP server.
+:func:`serve` is unchanged.
+
 Layout of the surface:
 
 * errors — :class:`ReproError`, :class:`UsageError`;
@@ -114,7 +119,7 @@ from repro.util.logging import get_logger, log_context
 
 #: The public API schema version (``major.minor``); embedded in every
 #: service response envelope as ``api_version``.
-API_VERSION = "2.1"
+API_VERSION = "3.0"
 
 
 def package_version() -> str:

@@ -30,7 +30,8 @@ one ``error:`` line on stderr and exit code 2, and so is a
 :class:`~repro.errors.ReproError` found later (a file that is not a
 store, an unreachable service): one ``repro <command>: ...`` line.  A
 worker process that dies twice on the same cell is one such line too,
-with exit code 1.
+with exit code 1.  Ctrl-C is one ``repro <command>: interrupted`` line
+(with the cells in the store of a sweep) and exit code 130.
 """
 
 from __future__ import annotations
@@ -478,22 +479,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     # The experiment commands: each runs the registered definition of
-    # its name; each flag's dest is the parameter it sets, and its
-    # default is the definition's.
-    from repro.results.experiment import get_experiment
-
+    # its name; each flag's dest is the parameter it sets.  A flag left
+    # out stays None and the definition supplies its default at run time.
     for name, (text, flags) in _EXPERIMENT_FLAGS.items():
         command = sub.add_parser(name, help=text)
         if name == "ablations":
             command.add_argument("study", nargs="?", default=None,
                                  type=_parse_study_token,
                                  help="study name (default: all)")
-        defaults = get_experiment(name).defaults
         for flag, options in flags:
-            command.add_argument(
-                flag, default=defaults[options.get("dest", flag[2:])],
-                help="default %(default)s", **options,
-            )
+            command.add_argument(flag, help="default: the experiment's", **options)
         _add_pool_options(command)
 
     analyze = sub.add_parser(
@@ -918,8 +913,8 @@ def _run_jobs(args: argparse.Namespace) -> int:
 def _run_experiment_command(args: argparse.Namespace) -> int:
     """Run the experiment ``args.command`` names and print its rendering.
 
-    The parameters are the parsed flags the definition declares;
-    ``ablations`` without a study runs every study on one pool.
+    The parameters are the flags given (the definition fills in the
+    rest); ``ablations`` without a study runs every study on one pool.
     """
     from repro.results.experiment import get_experiment, run_experiment
 
@@ -927,7 +922,7 @@ def _run_experiment_command(args: argparse.Namespace) -> int:
     params = {
         key: value
         for key, value in vars(args).items()
-        if key in definition.defaults
+        if key in definition.defaults and value is not None
     }
     runs = [params]
     if args.command == "ablations" and args.study is None:
@@ -1010,13 +1005,29 @@ def main(argv: Optional[List[str]] = None) -> int:
     """
     parser = build_parser()
     args = parser.parse_args(argv)
+    subcommand = getattr(args, f"{args.command}_command", None)
+    command = " ".join(filter(None, (args.command, subcommand)))
     try:
         return _run_command(parser, args)
     except ReproError as error:
-        subcommand = getattr(args, f"{args.command}_command", None)
-        command = " ".join(filter(None, (args.command, subcommand)))
         print(f"repro {command}: {error}", file=sys.stderr)
         return getattr(error, "exit_status", 2)
+    except KeyboardInterrupt:
+        print(f"repro {command}: interrupted{_stored_note(args)}", file=sys.stderr)
+        return 130
+
+
+def _stored_note(args: argparse.Namespace) -> str:
+    """What an interrupted sweep-shaped command left in its store."""
+    if args.command not in ("sweep", *_EXPERIMENT_FLAGS) or args.store is None:
+        return ""
+    from repro.results.store import ResultStore
+
+    try:
+        with ResultStore.reader(args.store) as store:
+            return f"; cells in {args.store}: {len(store)}, a re-run resumes"
+    except ReproError:
+        return f"; no cells in {args.store}"
 
 
 if __name__ == "__main__":

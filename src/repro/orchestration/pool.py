@@ -348,7 +348,8 @@ class ExperimentPool:
         while queued:
             in_flight: Dict[Future, _WorkUnit] = {}
             broken = False
-            with ProcessPoolExecutor(max_workers=max_workers) as executor:
+            executor = ProcessPoolExecutor(max_workers=max_workers)
+            try:
                 while True:
                     while queued and not broken and len(in_flight) < max_workers:
                         unit = queued.popleft()
@@ -375,6 +376,9 @@ class ExperimentPool:
                                     queued.clear()
                             continue
                         self._finish_unit(unit, payload, pending, results, on_cell)
+            finally:
+                # On an interrupt, units not yet started never start.
+                executor.shutdown(cancel_futures=True)
         if first_error is not None:
             raise first_error
         if lost:

@@ -11,7 +11,7 @@ readers; see that module's concurrency notes).
 
 Layers:
 
-* :mod:`repro.service.http` — zero-dependency asyncio HTTP/1.1 core;
+* :mod:`repro.service.http` — routing on stdlib ``ThreadingHTTPServer``;
 * :mod:`repro.service.jobs` — HTTP-free job manager (dedup registry,
   FIFO worker, progress events);
 * :mod:`repro.service.app` — routes + request enveloping, and the

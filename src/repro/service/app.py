@@ -39,11 +39,11 @@ is attributable.
 
 from __future__ import annotations
 
-import asyncio
 import itertools
 import json
 import secrets
-from typing import Any, Dict, List, Optional
+import time
+from typing import Any, Dict, Iterator, List, Optional
 
 from repro.api import API_VERSION
 from repro.errors import ReproError
@@ -62,6 +62,9 @@ from repro.util.logging import context_fields, get_logger, log_context
 __all__ = ["ServiceApp", "serve"]
 
 _request_counter = itertools.count(1)
+
+#: How often a long poll or a followed stream looks for news (s).
+_POLL_SECONDS = 0.05
 
 
 def _new_request_id() -> str:
@@ -102,10 +105,10 @@ class ServiceApp:
 
     # -- lifecycle ----------------------------------------------------------
 
-    async def start(self) -> None:
-        """Start the job worker and bind the listening socket."""
+    def start(self) -> None:
+        """Start the job worker, bind the socket and start accepting."""
         self.manager.start()
-        await self.server.start()
+        self.server.start()
         self._log.info(
             "service_started",
             host=self.server.host,
@@ -115,13 +118,13 @@ class ServiceApp:
             api_version=API_VERSION,
         )
 
-    async def serve_forever(self) -> None:
-        """Serve requests until cancelled."""
-        await self.server.serve_forever()
+    def serve_forever(self) -> None:
+        """Block until :meth:`close` runs (or the wait is interrupted)."""
+        self.server.stopping.wait()
 
-    async def close(self) -> None:
-        """Stop the server and the job worker."""
-        await self.server.close()
+    def close(self) -> None:
+        """End open requests and join their threads, then stop the worker."""
+        self.server.close()
         self.manager.stop()
         self._log.info("service_stopped")
 
@@ -132,7 +135,7 @@ class ServiceApp:
 
     # -- request plumbing ---------------------------------------------------
 
-    async def _wrap_request(self, request: Request, handler: Handler) -> Response:
+    def _wrap_request(self, request: Request, handler: Handler) -> Response:
         """Assign a request id, log, and envelope handler errors.
 
         A :class:`~repro.errors.ReproError` answers with its ``status``
@@ -146,7 +149,7 @@ class ServiceApp:
                 "request_received", method=request.method, path=request.path
             )
             try:
-                response = await handler(request)
+                response = handler(request)
             except ReproError as error:
                 response = Response.json(
                     self._envelope({"error": str(error)}, request_id),
@@ -200,7 +203,7 @@ class ServiceApp:
 
     # -- handlers: service --------------------------------------------------
 
-    async def healthz(self, request: Request) -> Response:
+    def healthz(self, request: Request) -> Response:
         """Liveness: store view, journal mode, cumulative stats."""
         store_view: Dict[str, Any] = {
             "path": self.store_path,
@@ -223,7 +226,7 @@ class ServiceApp:
             },
         )
 
-    async def api_info(self, request: Request) -> Response:
+    def api_info(self, request: Request) -> Response:
         """Describe the endpoint surface and server versions."""
         from repro.api import package_version
 
@@ -305,7 +308,7 @@ class ServiceApp:
         except (KeyError, TypeError, ValueError) as error:
             raise HttpError(400, f"invalid {key!r} submission: {error}")
 
-    async def submit_job(self, request: Request) -> Response:
+    def submit_job(self, request: Request) -> Response:
         """Accept a spec/grid submission and enqueue a job."""
         specs, shard = self._parse_submission(request.json())
         request_id = context_fields().get("request_id")
@@ -316,7 +319,7 @@ class ServiceApp:
             request, {"job": self.manager.describe(job_id)}, status=202
         )
 
-    async def list_jobs(self, request: Request) -> Response:
+    def list_jobs(self, request: Request) -> Response:
         """List every job the manager knows about."""
         return self._respond(request, {"jobs": self.manager.jobs()})
 
@@ -326,7 +329,7 @@ class ServiceApp:
         except KeyError:
             raise HttpError(404, f"unknown job {job_id!r}")
 
-    async def get_job(self, request: Request) -> Response:
+    def get_job(self, request: Request) -> Response:
         """Poll one job (``?wait=SECONDS`` blocks until terminal)."""
         job_id = request.path_params["job_id"]
         self._job_or_404(job_id)
@@ -336,20 +339,24 @@ class ServiceApp:
                 timeout = min(float(wait), 300.0)
             except ValueError:
                 raise HttpError(400, f"malformed wait={wait!r}")
-            # Block in a thread so the event loop keeps serving.
-            await asyncio.get_running_loop().run_in_executor(
-                None, lambda: self.manager.wait(job_id, timeout=timeout)
-            )
+            deadline = time.monotonic() + timeout
+            while not self.server.stopping.is_set():
+                remaining = deadline - time.monotonic()
+                if remaining <= 0 or self.manager.wait(
+                    job_id, timeout=min(remaining, _POLL_SECONDS)
+                ):
+                    break
         return self._respond(request, {"job": self.manager.describe(job_id)})
 
-    async def job_events(self, request: Request) -> Response:
+    def job_events(self, request: Request) -> Response:
         """Stream a job's recorded events as NDJSON."""
         job_id = request.path_params["job_id"]
         self._job_or_404(job_id)
         follow = request.param("follow", "1") not in ("0", "false", "no")
         manager = self.manager
+        stopping = self.server.stopping
 
-        async def stream():
+        def stream() -> Iterator[bytes]:
             """Yield the event payloads (NDJSON body generator)."""
             seq = 0
             while True:
@@ -357,13 +364,12 @@ class ServiceApp:
                 for event in events:
                     yield (json.dumps(event) + "\n").encode("utf-8")
                 seq += len(events)
-                if terminal or not follow:
+                if terminal or not follow or stopping.wait(_POLL_SECONDS):
                     return
-                await asyncio.sleep(0.05)
 
         return Response.ndjson(stream())
 
-    async def job_results(self, request: Request) -> Response:
+    def job_results(self, request: Request) -> Response:
         """Completed cells of one job (``?full=1`` embeds results)."""
         job_id = request.path_params["job_id"]
         self._job_or_404(job_id)
@@ -400,7 +406,7 @@ class ServiceApp:
         with reader:
             return reader.query(**filters)
 
-    async def results_query(self, request: Request) -> Response:
+    def results_query(self, request: Request) -> Response:
         """Filter stored cells by spec axes."""
         limit_text = request.param("limit")
         try:
@@ -428,7 +434,7 @@ class ServiceApp:
             request, {"rows": rows, "total": len(records)}
         )
 
-    async def results_aggregate(self, request: Request) -> Response:
+    def results_aggregate(self, request: Request) -> Response:
         """Grouped mean/std/ci95 over stored cells."""
         by_text = request.param("by", "pattern,controller,engine")
         by = tuple(axis.strip() for axis in by_text.split(",") if axis.strip())
@@ -446,7 +452,7 @@ class ServiceApp:
             request, {"rows": rows, "cells": len(records), "by": list(by)}
         )
 
-    async def results_changepoints(self, request: Request) -> Response:
+    def results_changepoints(self, request: Request) -> Response:
         """CUSUM stability verdicts per stored cell group."""
         from repro.analysis.stability import (
             ANALYSIS_PARAMS,
@@ -471,7 +477,7 @@ class ServiceApp:
             request, {"verdicts": verdicts, "cells": len(verdicts)}
         )
 
-    async def results_get(self, request: Request) -> Response:
+    def results_get(self, request: Request) -> Response:
         """One stored cell by spec-hash prefix."""
         prefix = request.path_params["hash_prefix"]
         full = request.param("full", "0") not in ("0", "false", "no")
@@ -501,16 +507,6 @@ class ServiceApp:
         return self._respond(request, payload)
 
 
-async def _serve_async(app: ServiceApp) -> None:
-    await app.start()
-    try:
-        await app.serve_forever()
-    except asyncio.CancelledError:
-        pass
-    finally:
-        await app.close()
-
-
 def serve(
     store: str = "results.sqlite",
     host: str = "127.0.0.1",
@@ -523,6 +519,9 @@ def serve(
         store, workers=workers, batch_size=batch_size, host=host, port=port
     )
     try:
-        asyncio.run(_serve_async(app))
+        app.start()
+        app.serve_forever()
     except KeyboardInterrupt:
         pass
+    finally:
+        app.close()

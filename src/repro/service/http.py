@@ -1,47 +1,31 @@
-"""A zero-dependency asyncio HTTP/1.1 micro-core.
+"""A zero-dependency HTTP/1.1 layer on the standard library's threaded server.
 
-The simulation service needs exactly four things from an HTTP layer:
-parse a request, route it by method + path template, serialize a JSON
-response, and stream NDJSON progress lines.  Pulling in a framework
-for that would add the repo's first hard web dependency, so this
-module implements the minimal core on ``asyncio.start_server``:
+:class:`HttpServer` is a :class:`http.server.ThreadingHTTPServer`: the
+standard library parses each request and runs each connection on its
+own thread.  One request per connection (``Connection: close``); a
+response is sized, or streams byte chunks delimited by the close (an
+NDJSON event feed).  Bodies are capped at :data:`MAX_BODY_BYTES`
+(413); a chunked body is a 501, a request line over 16 KB a 400, more
+than 100 header lines a 431, and a connection past
+:data:`MAX_CONNECTIONS` a 503 with ``Retry-After``, answered without a
+thread.  Routes are ``(method, "/jobs/{job_id}/events")`` templates.
 
-* one request per connection (``Connection: close``) — no keep-alive
-  state machine to get wrong; clients of a result server poll, they
-  don't pipeline;
-* request bodies are read by ``Content-Length`` (chunked request
-  bodies are rejected with 501) and capped at
-  :data:`MAX_BODY_BYTES`;
-* responses either carry a ``Content-Length`` (JSON/plain bodies) or
-  stream an async iterator of byte chunks and delimit by closing the
-  connection — which is exactly the shape an NDJSON event feed wants;
-* routes are declared as ``(method, "/jobs/{job_id}/events")``
-  templates; ``{name}`` segments are captured into
-  ``request.path_params``.
-
-Handlers are ``async def handler(request) -> Response``; the
-``on_request`` wrapper the application passes turns whatever they
-raise into a response.  Malformed requests get a 400 here, without
-reaching a handler.
+Handlers are plain functions ``handler(request) -> Response``; the
+application's ``on_request`` wrapper turns what they raise into a
+response.  A handler that blocks (a long poll, a followed stream)
+watches :attr:`HttpServer.stopping`, which :meth:`HttpServer.close`
+sets before it joins the handler threads.
 """
 
 from __future__ import annotations
 
-import asyncio
 import json
-from http import HTTPStatus
+import socket
+import threading
 from dataclasses import dataclass, field
-from typing import (
-    Any,
-    AsyncIterator,
-    Awaitable,
-    Callable,
-    Dict,
-    List,
-    Optional,
-    Set,
-    Tuple,
-)
+from http import HTTPStatus
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from typing import Any, Callable, Dict, Iterator, List, Optional, Set, Tuple
 from urllib.parse import parse_qsl, unquote, urlsplit
 
 from repro.errors import ReproError
@@ -50,6 +34,7 @@ __all__ = [
     "HttpError",
     "HttpServer",
     "MAX_BODY_BYTES",
+    "MAX_CONNECTIONS",
     "Request",
     "Response",
     "Router",
@@ -58,8 +43,16 @@ __all__ = [
 #: Largest accepted request body; a sweep-grid submission is a few KB.
 MAX_BODY_BYTES = 4 * 1024 * 1024
 
-#: Largest accepted request line / header line.
+#: Most connections handled at once, one thread each; one more is
+#: refused with 503 instead of starting a thread without limit.
+MAX_CONNECTIONS = 64
+
+#: Largest accepted request line.
 _MAX_LINE = 16 * 1024
+
+#: Seconds one socket read or write may block before the connection is
+#: dropped, so a stalled client cannot hold its thread for ever.
+_SOCKET_TIMEOUT = 60.0
 
 
 class HttpError(ReproError):
@@ -103,9 +96,9 @@ class Response:
     status: int = 200
     headers: Dict[str, str] = field(default_factory=dict)
     body: bytes = b""
-    #: When set, the response streams these chunks and is delimited by
-    #: connection close (``body`` is ignored).
-    stream: Optional[AsyncIterator[bytes]] = None
+    #: When set, the response streams these chunks after ``body`` and is
+    #: delimited by connection close.
+    stream: Optional[Iterator[bytes]] = None
 
     @classmethod
     def json(
@@ -123,7 +116,7 @@ class Response:
         return cls(status=status, headers=merged, body=body)
 
     @classmethod
-    def ndjson(cls, chunks: AsyncIterator[bytes]) -> "Response":
+    def ndjson(cls, chunks: Iterator[bytes]) -> "Response":
         """A streamed NDJSON response (close-delimited)."""
         return cls(
             status=200,
@@ -131,8 +124,18 @@ class Response:
             stream=chunks,
         )
 
+    def head(self) -> bytes:
+        """The ``HTTP/1.1`` status line and headers, blank line included."""
+        headers = dict(self.headers)
+        headers.setdefault("Connection", "close")
+        if self.stream is None:
+            headers.setdefault("Content-Length", str(len(self.body)))
+        lines = [f"HTTP/1.1 {self.status} {HTTPStatus(self.status).phrase}"]
+        lines += [f"{name}: {value}" for name, value in headers.items()]
+        return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
 
-Handler = Callable[[Request], Awaitable[Response]]
+
+Handler = Callable[[Request], Response]
 
 
 class Router:
@@ -172,8 +175,8 @@ class Router:
         return None, {}, path_known
 
 
-class HttpServer:
-    """The asyncio server loop around a :class:`Router`.
+class HttpServer(ThreadingHTTPServer):
+    """The threaded server around a :class:`Router`.
 
     ``port=0`` binds an ephemeral port; read the actual one from
     :attr:`port` after :meth:`start`.  ``on_request`` wraps every
@@ -181,171 +184,145 @@ class HttpServer:
     log, and turn handler errors into responses.
     """
 
+    #: The listen backlog; ``socketserver``'s default of 5 would drop a
+    #: burst of concurrent clients.
+    request_queue_size = 128
+    #: ``server_close()`` joins only non-daemon handler threads.
+    daemon_threads = False
+
     def __init__(
         self,
         router: Router,
-        on_request: Callable[[Request, Handler], Awaitable[Response]],
+        on_request: Callable[[Request, Handler], Response],
         host: str = "127.0.0.1",
         port: int = 0,
     ):
+        if ":" in host:
+            self.address_family = socket.AF_INET6
+        super().__init__((host, port), _RequestHandler, bind_and_activate=False)
         self.router = router
+        self.on_request = on_request
         self.host = host
         self.port = port
-        self.on_request = on_request
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._connections: Set[asyncio.Task] = set()
+        #: Set by :meth:`close`; handlers that block return when it is.
+        self.stopping = threading.Event()
+        self._open: Set[socket.socket] = set()
+        self._open_lock = threading.Lock()
+        self._accepting: Optional[threading.Thread] = None
 
-    async def start(self) -> None:
-        """Bind and start accepting connections."""
-        self._server = await asyncio.start_server(
-            self._handle_connection, host=self.host, port=self.port
+    def start(self) -> None:
+        """Bind, listen, and accept connections on a background thread."""
+        self.server_bind()
+        self.server_activate()
+        self.port = self.server_address[1]
+        self._accepting = threading.Thread(
+            target=self.serve_forever,
+            args=(0.05,),  # seconds between checks for shutdown()
+            name="repro-http-accept",
+            daemon=True,
         )
-        self.port = self._server.sockets[0].getsockname()[1]
+        self._accepting.start()
 
-    async def serve_forever(self) -> None:
-        """Serve requests until cancelled, then :meth:`close`.
+    def close(self) -> None:
+        """Stop accepting, end every open connection, join their threads.
 
-        ``start()`` already accepts connections, so this only waits.
-        ``asyncio.Server.serve_forever`` is not used: on cancellation it
-        awaits ``wait_closed()``, which from Python 3.12.1 blocks until
-        every open connection has ended, before ``close()`` could end
-        them.
+        A connection still sending its request has its read side shut,
+        so its handler reads end-of-file at once.
         """
-        assert self._server is not None, "call start() first"
+        self.stopping.set()
+        if self._accepting is not None:
+            self.shutdown()
+        with self._open_lock:
+            for connection in self._open:
+                try:
+                    connection.shutdown(socket.SHUT_RD)
+                except OSError:
+                    pass
+        self.server_close()
+
+    def process_request(self, request, client_address) -> None:
+        """Hand the connection to a new thread, or refuse it with 503."""
+        with self._open_lock:
+            admitted = len(self._open) < MAX_CONNECTIONS
+            if admitted:
+                self._open.add(request)
+        if admitted:
+            super().process_request(request, client_address)
+            return
+        busy = _error(503, f"more than {MAX_CONNECTIONS} open connections")
+        busy.headers["Retry-After"] = "1"
         try:
-            await asyncio.get_running_loop().create_future()
-        finally:
-            await self.close()
-
-    async def close(self) -> None:
-        """Stop listening, end every open connection, then wait for both.
-
-        A connection still streaming (``?follow=1`` on a running job)
-        is cancelled and its socket closed here, while the loop runs;
-        left alone it would outlive the loop.  The connections end
-        before ``wait_closed()``, which waits for them from Python
-        3.12.1 on.
-        """
-        server, self._server = self._server, None
-        if server is not None:
-            server.close()
-        connections = list(self._connections)
-        for task in connections:
-            task.cancel()
-        await asyncio.gather(*connections, return_exceptions=True)
-        if server is not None:
-            await server.wait_closed()
-
-    # -- connection handling ------------------------------------------------
-
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        self._connections.add(task)
-        try:
-            try:
-                request = await self._read_request(reader)
-            except HttpError as error:
-                await self._write_response(
-                    writer,
-                    Response.json({"error": error.message}, error.status),
-                )
-                return
-            if request is None:
-                return  # client closed without sending a request
-            response = await self._dispatch(request)
-            await self._write_response(writer, response)
-        except (ConnectionResetError, BrokenPipeError, asyncio.IncompleteReadError):
-            pass  # client went away mid-exchange; nothing to answer
-        except asyncio.CancelledError:
-            # close() ends the connection.  The task returns normally:
-            # on Python < 3.12 asyncio logs a traceback for a cancelled
-            # connection task.
+            request.sendall(busy.head() + busy.body)
+        except OSError:
             pass
-        finally:
-            self._connections.discard(task)
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError, OSError):
-                pass
+        self.shutdown_request(request)
 
-    async def _dispatch(self, request: Request) -> Response:
-        handler, params, path_known = self.router.match(
+    def shutdown_request(self, request) -> None:
+        """Close one connection and free its place."""
+        with self._open_lock:
+            self._open.discard(request)
+        super().shutdown_request(request)
+
+
+def _error(status: int, message: str) -> Response:
+    return Response.json({"error": message}, status)
+
+
+class _RequestHandler(BaseHTTPRequestHandler):
+    """One connection: parse one request, dispatch it, write the response."""
+
+    server: HttpServer
+    protocol_version = "HTTP/1.1"  # answers ``Expect: 100-continue``
+    timeout = _SOCKET_TIMEOUT
+    #: A small response goes out at once, not after the client's ACK.
+    disable_nagle_algorithm = True
+
+    def handle(self) -> None:
+        """Serve exactly one request; the standard parser reads headers."""
+        try:
+            self.raw_requestline = self.rfile.readline(_MAX_LINE + 1)
+            if len(self.raw_requestline) > _MAX_LINE:
+                self.send_error(400, "request line too long")
+            elif self.raw_requestline and self.parse_request():
+                self._write(self._response())
+        except OSError:
+            pass  # the client went away or stalled; nothing to answer
+
+    def send_error(self, code, message=None, explain=None) -> None:
+        """Every rejection, the standard parser's too, as a JSON error."""
+        self._write(_error(code, message or HTTPStatus(code).phrase))
+
+    def log_message(self, format, *args) -> None:
+        """Silent: the application logs every request as JSON."""
+
+    def _response(self) -> Response:
+        headers = {name.lower(): value for name, value in self.headers.items()}
+        if "chunked" in headers.get("transfer-encoding", "").lower():
+            return _error(501, "chunked request bodies are not supported")
+        try:
+            length = int(headers.get("content-length", "0"))
+        except ValueError:
+            return _error(400, "malformed Content-Length")
+        if length < 0 or length > MAX_BODY_BYTES:
+            return _error(413, f"request body exceeds {MAX_BODY_BYTES} bytes")
+        split = urlsplit(self.path)
+        request = Request(
+            method=self.command.upper(),
+            path=unquote(split.path) or "/",
+            query=dict(parse_qsl(split.query, keep_blank_values=True)),
+            headers=headers,
+            body=self.rfile.read(length),
+        )
+        handler, request.path_params, path_known = self.server.router.match(
             request.method, request.path
         )
         if handler is None:
             status = 405 if path_known else 404
-            return Response.json(
-                {"error": f"{HTTPStatus(status).phrase.lower()}: "
-                          f"{request.method} {request.path}"},
-                status,
-            )
-        request.path_params = params
-        return await self.on_request(request, handler)
+            phrase = HTTPStatus(status).phrase.lower()
+            return _error(status, f"{phrase}: {request.method} {request.path}")
+        return self.server.on_request(request, handler)
 
-    async def _read_request(
-        self, reader: asyncio.StreamReader
-    ) -> Optional[Request]:
-        line = await reader.readline()
-        if not line.strip():
-            return None
-        if len(line) > _MAX_LINE:
-            raise HttpError(400, "request line too long")
-        try:
-            method, target, _version = line.decode("latin-1").split(None, 2)
-        except ValueError:
-            raise HttpError(400, "malformed request line")
-        headers: Dict[str, str] = {}
-        while True:
-            line = await reader.readline()
-            if len(line) > _MAX_LINE:
-                raise HttpError(400, "header line too long")
-            if not line or line in (b"\r\n", b"\n"):
-                break
-            name, sep, value = line.decode("latin-1").partition(":")
-            if not sep:
-                raise HttpError(400, f"malformed header line {line!r}")
-            headers[name.strip().lower()] = value.strip()
-        if "chunked" in headers.get("transfer-encoding", "").lower():
-            raise HttpError(501, "chunked request bodies are not supported")
-        body = b""
-        if "content-length" in headers:
-            try:
-                length = int(headers["content-length"])
-            except ValueError:
-                raise HttpError(400, "malformed Content-Length")
-            if length < 0 or length > MAX_BODY_BYTES:
-                raise HttpError(
-                    413, f"request body exceeds {MAX_BODY_BYTES} bytes"
-                )
-            body = await reader.readexactly(length)
-        split = urlsplit(target)
-        query = dict(parse_qsl(split.query, keep_blank_values=True))
-        return Request(
-            method=method.upper(),
-            path=unquote(split.path) or "/",
-            query=query,
-            headers=headers,
-            body=body,
-        )
-
-    async def _write_response(
-        self, writer: asyncio.StreamWriter, response: Response
-    ) -> None:
-        reason = HTTPStatus(response.status).phrase
-        headers = dict(response.headers)
-        headers.setdefault("Connection", "close")
-        if response.stream is None:
-            headers.setdefault("Content-Length", str(len(response.body)))
-        head_lines = [f"HTTP/1.1 {response.status} {reason}"]
-        head_lines += [f"{name}: {value}" for name, value in headers.items()]
-        writer.write(("\r\n".join(head_lines) + "\r\n\r\n").encode("latin-1"))
-        if response.stream is None:
-            writer.write(response.body)
-            await writer.drain()
-            return
-        async for chunk in response.stream:
-            writer.write(chunk)
-            await writer.drain()
+    def _write(self, response: Response) -> None:
+        self.wfile.write(response.head() + response.body)
+        for chunk in response.stream or ():
+            self.wfile.write(chunk)

@@ -26,10 +26,10 @@ Fields
     Bound ambient context (see :func:`log_context`) plus the keyword
     fields of the individual call.
 
-Context propagation uses :mod:`contextvars`, so a request id bound in
-an asyncio handler flows through every ``await`` without threading it
-through call signatures; worker threads bind their own context
-explicitly.
+Context propagation uses :mod:`contextvars`, so a request id bound
+by a request's handler reaches every call it makes without threading
+it through call signatures; each connection thread and the job worker
+bind their own context.
 
 The default sink is *the current* ``sys.stderr`` (resolved per write,
 so test harnesses that swap stderr capture the lines); `configure`

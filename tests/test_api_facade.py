@@ -92,7 +92,7 @@ class TestFacadeSurface:
         from repro.service.app import ServiceApp
 
         assert isinstance(app, ServiceApp)
-        app.manager.stop()
+        app.close()
 
     def test_run_via_facade(self):
         scenario = api.build_scenario("I", seed=1)
@@ -106,7 +106,7 @@ class TestFacadeSurface:
         app = ServiceApp(str(tmp_path / "store.sqlite"))
         payload = app._envelope({}, "req-x")
         assert payload["api_version"] == api.API_VERSION
-        app.manager.stop()
+        app.close()
 
 
 #: The deprecated shims and the module each one forwards to.

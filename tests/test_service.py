@@ -2,28 +2,36 @@
 
 from __future__ import annotations
 
-import asyncio
 import gc
 import io
 import json
+import os
+import signal
 import socket
+import subprocess
 import sys
 import threading
 import time
 import urllib.error
 import urllib.request
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.api import API_VERSION
 from repro.errors import UsageError
 from repro.orchestration.spec import RunSpec
-from repro.service.app import ServiceApp, _serve_async as serve_async
+from repro.service.app import ServiceApp
 from repro.service.client import ServiceClient, ServiceError
-from repro.service.http import HttpError, Request, Router
+from repro.service import http as http_layer
+from repro.service.http import MAX_BODY_BYTES, HttpError, Request, Router
 from repro.service import jobs as job_layer
 from repro.service.jobs import MAX_QUEUED_JOBS, JobManager, QueueFullError
 from repro.util.logging import configure
+
+#: The source tree, for the ``repro`` subprocesses.
+SRC = str(Path(repro.__file__).resolve().parents[1])
 
 #: A cell small enough to simulate in well under a second.
 SPEC = {
@@ -49,60 +57,66 @@ def raw_exchange(port, request_head, body=b""):
 
 
 class RunningService:
-    """A ServiceApp on a background event loop, bound to an ephemeral port."""
+    """A started ServiceApp, bound to an ephemeral port."""
 
     def __init__(self, store_path):
         self.app = ServiceApp(str(store_path))
-        self.loop = asyncio.new_event_loop()
-        self._started = threading.Event()
-        self.thread = threading.Thread(target=self._run, daemon=True)
-        self.thread.start()
-        assert self._started.wait(10), "service did not start"
+        self.app.start()
         self.client = ServiceClient(f"http://127.0.0.1:{self.app.port}")
 
-    def _run(self):
-        asyncio.set_event_loop(self.loop)
-        self.loop.run_until_complete(self.app.start())
-        self._started.set()
-        self.loop.run_forever()
-
-    def open_connections(self):
-        """Connections the server is still handling (one task each)."""
-
-        async def count():
-            return len(asyncio.all_tasks() - {asyncio.current_task()})
-
-        return asyncio.run_coroutine_threadsafe(count(), self.loop).result(10)
+    @staticmethod
+    def open_connections():
+        """Connections the server is still handling (one thread each)."""
+        return len(handler_threads())
 
     def stop(self):
-        future = asyncio.run_coroutine_threadsafe(
-            self.app.server.close(), self.loop
-        )
-        future.result(10)
-        self.app.manager.stop()
-        self.loop.call_soon_threadsafe(self.loop.stop)
-        self.thread.join(10)
-        self.loop.close()
+        self.app.close()
 
 
-@pytest.fixture
-def strict_wait_closed(monkeypatch):
-    """``Server.wait_closed`` as from Python 3.12.1 on, on older Pythons.
+def handler_threads():
+    """The live threads of ``ThreadingHTTPServer`` connection handlers."""
+    return [
+        thread for thread in threading.enumerate()
+        if "process_request_thread" in thread.name
+    ]
 
-    From 3.12.1 it also waits until every open connection has ended, so
-    a shutdown that waits before ending its connections hangs there.
+
+def open_follow_and_poll(port, job_id):
+    """A ``?follow=1`` stream past its first event, and a ``?wait=300`` poll.
+
+    Returns the stream's socket, its reader, and the poll's socket.
     """
-    if sys.version_info >= (3, 12, 1):
-        return
+    follow = raw_exchange(
+        port,
+        f"GET /jobs/{job_id}/events?follow=1 HTTP/1.1\r\n"
+        f"Host: localhost\r\n\r\n",
+    )
+    stream = follow.makefile("rb")
+    while stream.readline() not in (b"\r\n", b""):
+        pass  # status line and headers
+    assert json.loads(stream.readline())["event"] == "job_queued"
+    poll = raw_exchange(
+        port,
+        f"GET /jobs/{job_id}?wait=300 HTTP/1.1\r\nHost: localhost\r\n\r\n",
+    )
+    time.sleep(0.2)  # the poll reaches its wait
+    return follow, stream, poll
 
-    async def wait_closed(server):
-        if server._waiters is None:
-            return
-        waiter = server._loop.create_future()
-        server._waiters.append(waiter)
-        await waiter
 
-    monkeypatch.setattr(asyncio.base_events.Server, "wait_closed", wait_closed)
+def assert_closed_cleanly(stream, poll):
+    """The stream ended, and the poll read end-of-file or a whole response."""
+    assert stream.read() == b""
+    with poll.makefile("rb") as response:
+        data = response.read()
+    if data:
+        head, _, body = data.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 200 OK\r\n")
+        length = [
+            line for line in head.split(b"\r\n")
+            if line.lower().startswith(b"content-length:")
+        ]
+        assert int(length[0].split(b":")[1]) == len(body)
+        assert json.loads(body)["job"]["state"] == "queued"
 
 
 @pytest.fixture
@@ -489,7 +503,7 @@ class TestServiceEndpoints:
         ids=["usage-error", "http-error", "value-error", "attribute-error"],
     )
     def test_only_repro_errors_become_4xx(self, service, raised, status):
-        async def handler(request):
+        def handler(request):
             raise raised
 
         service.app.server.router.add("GET", "/boom", handler)
@@ -508,6 +522,39 @@ class TestServiceEndpoints:
         assert error.value.status is None
         with pytest.raises(ServiceError, match="cannot reach"):
             list(client.iter_events("job-000001", follow=False))
+
+
+class TestHttpGuards:
+    """Requests the HTTP layer refuses before a handler runs."""
+
+    @staticmethod
+    def status(port, head):
+        sock = raw_exchange(port, head + "\r\n")
+        with sock, sock.makefile("rb") as response:
+            return int(response.readline().split()[1])
+
+    def test_body_over_the_cap_is_413(self, service):
+        head = (
+            f"POST /jobs HTTP/1.1\r\nHost: localhost\r\n"
+            f"Content-Length: {MAX_BODY_BYTES + 1}\r\n"
+        )
+        assert self.status(service.app.port, head) == 413
+
+    def test_chunked_body_is_501(self, service):
+        head = (
+            "POST /jobs HTTP/1.1\r\nHost: localhost\r\n"
+            "Transfer-Encoding: chunked\r\n"
+        )
+        assert self.status(service.app.port, head) == 501
+
+    def test_request_line_over_16_kb_is_400(self, service):
+        head = f"GET /{'a' * 16 * 1024} HTTP/1.1\r\nHost: localhost\r\n"
+        assert self.status(service.app.port, head) == 400
+
+    def test_more_than_100_header_lines_is_431(self, service):
+        lines = "".join(f"X-Filler-{i}: {i}\r\n" for i in range(101))
+        head = f"GET /healthz HTTP/1.1\r\nHost: localhost\r\n{lines}"
+        assert self.status(service.app.port, head) == 431
 
 
 class TestEndToEndContract:
@@ -620,85 +667,96 @@ class TestEndToEndContract:
         assert "request_completed" in logged
         assert "request_crashed" not in logged
 
-    def test_shutdown_closes_an_open_follow_stream(
-        self, tmp_path, monkeypatch, strict_wait_closed
-    ):
-        """Stopping the service ends a stream still following a job."""
+    def test_shutdown_closes_an_open_follow_stream(self, tmp_path, monkeypatch):
+        """Closing the app ends a followed stream and a long poll at once."""
         unraisable = []
         monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
         service = RunningService(tmp_path / "service.sqlite")
-        loop_errors = []
-        service.loop.call_soon_threadsafe(
-            service.loop.set_exception_handler,
-            lambda loop, context: loop_errors.append(context),
-        )
         service.app.manager.stop()  # the job never leaves the queue
         job_id = service.client.submit_spec(SPEC)["job"]["job_id"]
-        sock = raw_exchange(
-            service.app.port,
-            f"GET /jobs/{job_id}/events?follow=1 HTTP/1.1\r\n"
-            f"Host: localhost\r\n\r\n",
-        )
-        with sock, sock.makefile("rb") as response:
-            while response.readline() not in (b"\r\n", b""):
-                pass  # status line and headers
-            assert json.loads(response.readline())["event"] == "job_queued"
+        follow, stream, poll = open_follow_and_poll(service.app.port, job_id)
+        with follow, stream, poll:
+            start = time.monotonic()
             service.stop()
-            assert response.read() == b""  # the server closed the stream
+            assert time.monotonic() - start < 2.0
+            assert_closed_cleanly(stream, poll)
+        assert handler_threads() == []
         del service
         gc.collect()
         assert unraisable == []
-        assert loop_errors == []
 
-    def test_cancelled_serve_ends_an_open_follow_stream(
-        self, tmp_path, strict_wait_closed
+    def test_sigint_ends_repro_serve_with_a_stream_and_a_poll_open(
+        self, tmp_path
     ):
-        """``repro serve``'s loop, cancelled with a stream still open."""
+        """``repro serve`` under SIGINT: exit 0 at once, no traceback."""
+        script = (
+            "import sys\n"
+            "from repro.service.jobs import JobManager\n"
+            "JobManager.start = lambda self: None  # jobs stay queued\n"
+            "from repro.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=SRC)
+        proc = subprocess.Popen(
+            [sys.executable, "-c", script, "serve", "--port", "0",
+             "--store", str(tmp_path / "service.sqlite")],
+            stderr=subprocess.PIPE, text=True, env=env,
+        )
+        try:
+            for line in proc.stderr:
+                if '"service_started"' in line:
+                    port = json.loads(line)["port"]
+                    break
+            client = ServiceClient(f"http://127.0.0.1:{port}")
+            job_id = client.submit_spec(SPEC)["job"]["job_id"]
+            follow, stream, poll = open_follow_and_poll(port, job_id)
+            with follow, stream, poll:
+                start = time.monotonic()
+                proc.send_signal(signal.SIGINT)
+                returncode = proc.wait(timeout=30)
+                elapsed = time.monotonic() - start
+                assert_closed_cleanly(stream, poll)
+            stderr = proc.stderr.read()
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+            proc.stderr.close()
+        assert returncode == 0
+        assert elapsed < 2.0
+        assert "Traceback" not in stderr
+        assert '"service_stopped"' in stderr
 
-        async def exchange(port, head, body=b""):
-            reader, writer = await asyncio.open_connection("127.0.0.1", port)
-            writer.write(head.encode("latin-1") + body)
-            while await reader.readline() not in (b"\r\n", b""):
-                pass  # status line and headers
-            return reader, writer
-
-        loop_errors = []
-
-        async def scenario():
-            asyncio.get_running_loop().set_exception_handler(
-                lambda loop, context: loop_errors.append(context)
-            )
-            app = ServiceApp(str(tmp_path / "service.sqlite"))
-            serving = asyncio.ensure_future(serve_async(app))
-            while app.port == 0:
-                await asyncio.sleep(0.01)
-            app.manager.stop()  # the job never leaves the queue
-            body = json.dumps({"spec": SPEC}).encode("utf-8")
-            reader, writer = await exchange(
-                app.port,
-                f"POST /jobs HTTP/1.1\r\nHost: localhost\r\n"
-                f"Content-Length: {len(body)}\r\n\r\n",
-                body,
-            )
-            job_id = json.loads(await reader.read())["job"]["job_id"]
-            writer.close()
-            reader, writer = await exchange(
-                app.port,
-                f"GET /jobs/{job_id}/events?follow=1 HTTP/1.1\r\n"
-                f"Host: localhost\r\n\r\n",
-            )
-            assert json.loads(await reader.readline())["event"] == "job_queued"
-            serving.cancel()
-            done, _ = await asyncio.wait({serving}, timeout=10)
-            if not done:  # let the job end the stream, so the test ends
-                app.manager.start()
-                await serving
-            assert done, "shutdown waited for the open stream to end"
-            assert await reader.read() == b""  # the server closed the stream
-            writer.close()
-
-        asyncio.run(scenario())
-        assert loop_errors == []
+    def test_connections_past_the_bound_get_503(self, service, monkeypatch):
+        monkeypatch.setattr(http_layer, "MAX_CONNECTIONS", 2)
+        idle = [
+            socket.create_connection(("127.0.0.1", service.app.port), timeout=30)
+            for _ in range(2)
+        ]
+        try:
+            deadline = time.monotonic() + 10
+            while len(handler_threads()) < 2 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            with pytest.raises(urllib.error.HTTPError) as error:
+                urllib.request.urlopen(
+                    f"{service.client.base_url}/healthz", timeout=30
+                )
+            with error.value:
+                assert error.value.code == 503
+                assert error.value.headers["Retry-After"] == "1"
+            idle.pop().close()
+            deadline = time.monotonic() + 10
+            while True:
+                try:
+                    assert service.client.health()["status"] == "ok"
+                    break
+                except ServiceError as refused:
+                    if refused.status != 503 or time.monotonic() > deadline:
+                        raise
+                    time.sleep(0.01)
+        finally:
+            for sock in idle:
+                sock.close()
 
     def test_all_log_lines_are_json_with_request_ids(self, tmp_path):
         stream = io.StringIO()

@@ -1,9 +1,18 @@
 """Tests for the stability study and the CLI."""
 
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.cli import build_parser, main
 from repro.control.factory import FIXED_SLOT_CONTROLLERS
+from repro.errors import ReproError
 from repro.experiments.stability import (
     StabilityPoint,
     max_stable_scale,
@@ -462,11 +471,8 @@ class TestExperimentCommands:
                 {"study": "keep-margin", "duration": 60.0},
             ),
             (["stability", "--duration", "90"], {"duration": 90.0}),
-            (
-                ["table3"],
-                {"engine": "micro", "duration_scale": 1.0, "seed": 1},
-            ),
-            (["stability"], {"duration": 1800.0}),
+            (["table3"], {}),
+            (["stability"], {}),
         ],
         ids=["table3", "fig2", "fig34", "fig5", "ablations", "stability",
              "table3-defaults", "stability-defaults"],
@@ -493,19 +499,32 @@ class TestExperimentCommands:
     @pytest.mark.parametrize(
         "command", ["table3", "fig2", "fig34", "fig5", "ablations", "stability"]
     )
-    def test_parsed_defaults_are_the_definitions(self, command):
-        from repro.results.experiment import get_experiment
+    def test_parsed_defaults_are_the_definitions(self, monkeypatch, command):
+        """Without flags, the definition runs on its own defaults."""
+        import dataclasses
 
-        defaults = get_experiment(command).defaults
-        parsed = {
-            key: value
-            for key, value in vars(build_parser().parse_args([command])).items()
-            if key in defaults
-        }
+        import repro.results.experiment as experiment
+
+        definition = experiment.get_experiment(command)
+        calls = []
+
+        def record(**params):
+            calls.append(params)
+            raise _Stop
+
+        monkeypatch.setitem(
+            experiment._REGISTRY, command,
+            dataclasses.replace(definition, build_specs=record),
+        )
+        with pytest.raises(_Stop):
+            main([command])
+        [params] = calls
+        expected = dict(definition.defaults)
         if command == "ablations":
-            assert parsed.pop("study") is None  # no study: every study
-        assert parsed
-        assert parsed == {key: defaults[key] for key in parsed}
+            from repro.experiments.ablations import ABLATIONS
+
+            expected["study"] = next(iter(ABLATIONS))  # no study: every study
+        assert params == expected
 
     def test_ablations_without_study_runs_every_study(
         self, monkeypatch, capsys
@@ -591,3 +610,58 @@ class TestGridFlags:
         )
         assert grid.scenarios == (("surge-3x3", (("load", 1.2),)),)
         assert grid.record_entry_queues == -1
+
+
+class TestInterrupt:
+    """Ctrl-C during ``repro sweep``: one line, exit 130, no worker left."""
+
+    @pytest.mark.parametrize(
+        "workers, target",
+        [(2, "main"), (2, "group"), (1, "group")],
+        ids=["two-workers-main-only", "two-workers-group", "one-worker-group"],
+    )
+    def test_interrupted_sweep_prints_one_line(self, tmp_path, workers, target):
+        from repro.results.store import ResultStore
+
+        store = tmp_path / "sweep.sqlite"
+
+        def stored():
+            try:
+                with ResultStore.reader(store) as reader:
+                    return len(reader)
+            except ReproError:
+                return 0
+
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "sweep",
+             "--patterns", "I", "II", "III", "IV", "--seeds", "1", "2", "3",
+             "--duration", "900", "--workers", str(workers),
+             "--store", str(store)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env=dict(
+                os.environ,
+                PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]),
+            ),
+            start_new_session=True,
+        )
+        try:
+            deadline = time.monotonic() + 60
+            while not stored() and time.monotonic() < deadline:
+                assert proc.poll() is None, proc.communicate()
+                time.sleep(0.02)
+            if target == "group":  # what a terminal's Ctrl-C does
+                os.killpg(proc.pid, signal.SIGINT)
+            else:
+                proc.send_signal(signal.SIGINT)
+            _, stderr = proc.communicate(timeout=60)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+        assert proc.returncode == 130
+        assert stderr.splitlines() == [
+            f"repro sweep: interrupted; cells in {store}: {stored()}, "
+            f"a re-run resumes"
+        ]
+        with pytest.raises(ProcessLookupError):
+            os.killpg(proc.pid, 0)  # no worker outlives the command
