@@ -729,13 +729,17 @@ class TestEndToEndContract:
 
     def test_connections_past_the_bound_get_503(self, service, monkeypatch):
         monkeypatch.setattr(http_layer, "MAX_CONNECTIONS", 2)
+        before = len(handler_threads())
         idle = [
             socket.create_connection(("127.0.0.1", service.app.port), timeout=30)
             for _ in range(2)
         ]
         try:
             deadline = time.monotonic() + 10
-            while len(handler_threads()) < 2 and time.monotonic() < deadline:
+            while (
+                len(handler_threads()) < before + 2
+                and time.monotonic() < deadline
+            ):
                 time.sleep(0.01)
             with pytest.raises(urllib.error.HTTPError) as error:
                 urllib.request.urlopen(
