@@ -20,7 +20,8 @@ The package is organized bottom-up:
 * :mod:`repro.results` — the results subsystem: the SQLite-backed
   :class:`~repro.results.store.ResultStore` (resumable sweeps), shared
   group-by aggregation with delay-mode safety, and the declarative
-  :class:`~repro.results.experiment.ExperimentDefinition` registry.
+  :class:`~repro.results.experiment.ExperimentDefinition` and the one
+  table naming every experiment.
 * :mod:`repro.analysis` — regime-shift analytics over stored results:
   CUSUM changepoint detection with permutation calibration and
   per-cell stability verdicts (``stable`` / ``breakdown@t*``).

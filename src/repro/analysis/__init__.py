@@ -11,9 +11,12 @@ recorded queue-length series into *detected* quantities:
 - :mod:`repro.analysis.stability` — the verdicts: per (workload,
   controller, load) cell, ``stable`` / ``breakdown@t* [CI lo, hi]`` /
   ``insufficient-data``, computed from any :class:`ResultStore`
-  (including stores merged from shards), plus the registered
+  (including stores merged from shards), plus the
   ``stability-regimes`` experiment mapping the breakdown-load frontier
   per controller.
+- :mod:`repro.analysis.options` — :class:`AnalysisOptions`, the
+  detector's knobs, and ``ANALYSIS_PARAMS``, the flags and query
+  parameters that set them.
 
 Surfaces: ``repro analyze changepoints`` (CLI), ``GET
 /results/changepoints`` (service), and the :mod:`repro.api` facade.
@@ -23,42 +26,36 @@ so verdicts are byte-stable across hosts.
 
 from __future__ import annotations
 
-from repro.analysis.changepoint import (
-    Changepoint,
-    CusumScan,
-    cusum_scan,
-    detect_changepoint,
-    detect_changepoints,
-    estimate_sigma,
-    onset_interval,
-    permutation_threshold,
-)
-from repro.analysis.stability import (
-    AnalysisOptions,
-    StabilityVerdict,
-    analyze_records,
-    analyze_store,
-    breakdown_frontier,
-    queue_total_series,
-    render_verdicts,
-    verdict_rows,
-)
+import importlib
+from typing import Any
 
-__all__ = [
-    "AnalysisOptions",
-    "Changepoint",
-    "CusumScan",
-    "StabilityVerdict",
-    "analyze_records",
-    "analyze_store",
-    "breakdown_frontier",
-    "cusum_scan",
-    "detect_changepoint",
-    "detect_changepoints",
-    "estimate_sigma",
-    "onset_interval",
-    "permutation_threshold",
-    "queue_total_series",
-    "render_verdicts",
-    "verdict_rows",
-]
+#: Each public name and the submodule that defines it.  A name is
+#: imported on first access, so that :mod:`repro.analysis.options` (the
+#: CLI's detector flags) loads without the detector and the result store.
+_EXPORTS = {
+    "AnalysisOptions": "options",
+    "Changepoint": "changepoint",
+    "CusumScan": "changepoint",
+    "StabilityVerdict": "stability",
+    "analyze_records": "stability",
+    "analyze_store": "stability",
+    "breakdown_frontier": "stability",
+    "cusum_scan": "changepoint",
+    "detect_changepoint": "changepoint",
+    "detect_changepoints": "changepoint",
+    "estimate_sigma": "changepoint",
+    "onset_interval": "changepoint",
+    "permutation_threshold": "changepoint",
+    "queue_total_series": "stability",
+    "render_verdicts": "stability",
+    "verdict_rows": "stability",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str) -> Any:
+    """Import a public name from its submodule on first access."""
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{_EXPORTS[name]}"), name)

@@ -45,19 +45,14 @@ from repro.analysis.changepoint import (
     onset_interval,
     permutation_threshold,
 )
-from repro.errors import UsageError
+from repro.analysis.options import AnalysisOptions
 from repro.orchestration.spec import params_label
 from repro.results.aggregate import spec_and_result
-from repro.results.experiment import (
-    ExperimentDefinition,
-    register_experiment,
-)
+from repro.results.experiment import ExperimentDefinition
 from repro.util.series import TimeSeries
 from repro.util.tables import render_table
 
 __all__ = [
-    "ANALYSIS_PARAMS",
-    "AnalysisOptions",
     "StabilityVerdict",
     "STABILITY_REGIMES",
     "analyze_records",
@@ -72,72 +67,6 @@ __all__ = [
 STATUS_STABLE = "stable"
 STATUS_BREAKDOWN = "breakdown"
 STATUS_INSUFFICIENT = "insufficient-data"
-
-
-@dataclass(frozen=True)
-class AnalysisOptions:
-    """Tuning knobs of the stability detector (defaults are sane).
-
-    The defaults were calibrated on the catalog's gridlock (1.6x
-    overload) vs steady workloads: gridlock's summed entry queues show
-    shifts of 35+ vehicles at 900 s while steady's warm-up drift stays
-    under ~20 across 12 entries — the per-series effect-size floor of
-    2 vehicles separates the two with margin on either side.
-    """
-
-    #: Leading fraction of the horizon discarded before detection (the
-    #: network filling from empty is itself a mean shift).
-    warmup_fraction: float = 0.25
-    #: Fewest post-warm-up samples a run needs to be analyzed.
-    min_points: int = 20
-    #: Effect-size floor: the upward shift must reach this many
-    #: vehicles *per summed series* to count as a breakdown.
-    min_shift_per_series: float = 2.0
-    #: Null quantile of the permutation calibration.
-    quantile: float = 0.95
-    #: Permutation draws per series (odd keeps quantiles exact).
-    n_permutations: int = 199
-    #: Circular block length of the permutation null (samples).
-    block_length: int = 12
-    #: RNG seed of the permutation draws (fixed => deterministic).
-    seed: int = 0
-    #: Coverage of the onset confidence interval across seeds.
-    confidence: float = 0.95
-
-    def __post_init__(self) -> None:
-        for name, valid, rule in (
-            ("warmup_fraction", 0.0 <= self.warmup_fraction < 1.0, "in [0, 1)"),
-            ("min_points", self.min_points >= 2, ">= 2"),
-            ("min_shift_per_series", self.min_shift_per_series >= 0.0, ">= 0"),
-            ("n_permutations", self.n_permutations >= 1, ">= 1"),
-            ("quantile", 0.0 < self.quantile < 1.0, "in (0, 1)"),
-            ("confidence", 0.0 < self.confidence < 1.0, "in (0, 1)"),
-        ):
-            if not valid:
-                raise UsageError(
-                    f"{name} must be {rule}, got {getattr(self, name)}"
-                )
-
-
-#: ``(parameter, AnalysisOptions field, type, help)``: the
-#: ``repro analyze changepoints --<parameter>`` flag (whose default is
-#: the field's) and the ``GET /results/changepoints?<parameter>=`` query
-#: set the same field.
-ANALYSIS_PARAMS = (
-    ("warmup_fraction", "warmup_fraction", float,
-     "leading fraction of each series discarded"),
-    ("min_points", "min_points", int,
-     "fewest post-warm-up samples a run needs"),
-    ("min_shift", "min_shift_per_series", float,
-     "breakdown effect-size floor in vehicles per recorded series"),
-    ("quantile", "quantile", float, "permutation-null detection quantile"),
-    ("permutations", "n_permutations", int, "permutation draws per series"),
-    ("block", "block_length", int,
-     "circular block length of the permutation null"),
-    ("perm_seed", "seed", int,
-     "permutation RNG seed; fixed = deterministic"),
-    ("confidence", "confidence", float, "onset confidence-interval coverage"),
-)
 
 
 @dataclass(frozen=True)
@@ -526,28 +455,26 @@ def _render_regimes(regime_map: RegimeMap) -> str:
     return "\n".join(lines)
 
 
-STABILITY_REGIMES = register_experiment(
-    ExperimentDefinition(
-        name="stability-regimes",
-        description=(
-            "breakdown-load frontier per controller: CUSUM-detected "
-            "regime shifts in summed entry-queue series across a "
-            "(controller x load x seed) sweep"
+STABILITY_REGIMES = ExperimentDefinition(
+    name="stability-regimes",
+    description=(
+        "breakdown-load frontier per controller: CUSUM-detected "
+        "regime shifts in summed entry-queue series across a "
+        "(controller x load x seed) sweep"
+    ),
+    build_specs=_build_regime_specs,
+    collect=_collect_regimes,
+    render=lambda regime_map: _render_regimes(regime_map),
+    defaults=dict(
+        loads=(0.8, 1.2, 1.6),
+        controllers=(
+            ("util-bp", None),
+            ("cap-bp", {"period": 18.0}),
         ),
-        build_specs=_build_regime_specs,
-        collect=_collect_regimes,
-        render=lambda regime_map: _render_regimes(regime_map),
-        defaults=dict(
-            loads=(0.8, 1.2, 1.6),
-            controllers=(
-                ("util-bp", None),
-                ("cap-bp", {"period": 18.0}),
-            ),
-            pattern="steady-3x3",
-            seeds=(1, 2, 3),
-            duration=900.0,
-            engine="meso-counts",
-            record_roads=0,
-        ),
-    )
+        pattern="steady-3x3",
+        seeds=(1, 2, 3),
+        duration=900.0,
+        engine="meso-counts",
+        record_roads=0,
+    ),
 )

@@ -40,6 +40,7 @@ import argparse
 import sys
 from typing import Any, Dict, List, Optional
 
+from repro.analysis.options import ANALYSIS_PARAMS, AnalysisOptions
 from repro.control.factory import (
     CONTROLLER_NAMES,
     FIXED_SLOT_CONTROLLERS,
@@ -261,9 +262,9 @@ _ENGINE = ("--engine", dict(choices=ENGINE_NAMES))
 _SEED = ("--seed", dict(type=int))
 _DURATION = ("--duration", dict(type=_positive(float)))
 
-#: The subcommands that each run the registered experiment of their
-#: name: help text, and each flag with its argparse options (the dest
-#: is the definition parameter the flag sets).
+#: The subcommands that each run the experiment of their name: help
+#: text, and each flag with its argparse options (the dest is the
+#: definition parameter the flag sets).
 _EXPERIMENT_FLAGS = {
     "table3": ("reproduce Table III", (
         _ENGINE,
@@ -478,9 +479,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="print the job's recorded events (requires a job id)",
     )
 
-    # The experiment commands: each runs the registered definition of
-    # its name; each flag's dest is the parameter it sets.  A flag left
-    # out stays None and the definition supplies its default at run time.
+    # The experiment commands: each runs the definition of its name;
+    # each flag's dest is the parameter it sets.  A flag left out stays
+    # None and the definition supplies its default at run time.
     for name, (text, flags) in _EXPERIMENT_FLAGS.items():
         command = sub.add_parser(name, help=text)
         if name == "ablations":
@@ -521,14 +522,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--delay-mode", default=None, dest="delay_mode",
         help="restrict to one delay mode (per-vehicle / aggregate)",
     )
-    from repro.analysis.stability import ANALYSIS_PARAMS, AnalysisOptions
-
     defaults = AnalysisOptions()
     for param, field, convert, text in ANALYSIS_PARAMS:
-        default = getattr(defaults, field)
         changepoints.add_argument(
             "--" + param.replace("_", "-"), dest=param, type=convert,
-            default=default, help=f"{text} (default {default})",
+            help=f"{text} (default {getattr(defaults, field)})",
         )
     changepoints.add_argument(
         "--format", choices=("csv", "json"), default=None,
@@ -757,18 +755,25 @@ def _run_results(args: argparse.Namespace) -> int:
         return 0
 
 
+def _analysis_options(args: argparse.Namespace) -> AnalysisOptions:
+    """The detector options the ``analyze changepoints`` flags set."""
+    return AnalysisOptions(
+        **{
+            field: getattr(args, param)
+            for param, field, *_ in ANALYSIS_PARAMS
+            if getattr(args, param) is not None
+        }
+    )
+
+
 def _run_analyze(args: argparse.Namespace) -> int:
     from repro.analysis.stability import (
-        ANALYSIS_PARAMS,
-        AnalysisOptions,
         analyze_store,
         render_verdicts,
         verdict_rows,
     )
 
-    options = AnalysisOptions(
-        **{field: getattr(args, param) for param, field, *_ in ANALYSIS_PARAMS}
-    )
+    options = _analysis_options(args)
     filters = {
         key: getattr(args, key)
         for key in ("pattern", "controller", "engine", "seed", "delay_mode")

@@ -8,17 +8,11 @@
 * :mod:`repro.core.config` — the controller's tunable parameters with
   the paper's evaluation defaults.
 * :mod:`repro.core.engine` — the :class:`SimulationEngine` protocol
-  every plant implements, and the name-based engine registry.
+  every plant implements, and the one table naming the engines.
 """
 
 from repro.core.config import UtilBpConfig
-from repro.core.engine import (
-    ENGINE_NAMES,
-    SimulationEngine,
-    build_engine,
-    engine_names,
-    register_engine,
-)
+from repro.core.engine import ENGINE_NAMES, SimulationEngine, build_engine
 from repro.core.pressure import (
     link_gain,
     link_gain_original,
@@ -32,8 +26,6 @@ __all__ = [
     "UtilBpConfig",
     "SimulationEngine",
     "ENGINE_NAMES",
-    "engine_names",
-    "register_engine",
     "build_engine",
     "pressure",
     "link_gain",

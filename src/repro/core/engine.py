@@ -1,4 +1,4 @@
-"""The formal simulation-engine contracts and the engine registry.
+"""The formal simulation-engine contracts and the engine table.
 
 Every plant the control loop can drive — the mesoscopic
 store-and-forward simulator (``meso``), its counts-based fast variants
@@ -33,17 +33,17 @@ which the kernels read too; the built-in engines share the façade
 itself through :class:`ArrayFacade`.  Controllers are not registered
 here: :mod:`repro.control.factory` holds the one controller table.
 
-Engines are registered by name so experiments, the orchestration pool
-and the CLI can select them with a string; :func:`engine_names` and
-:func:`provider_module` cover both kinds.  The built-in engines are
-imported lazily: meso-only users never pay the microscopic import.
+Experiments, the orchestration pool and the CLI select an engine by
+name: :data:`ENGINE_TABLE` is the one list of engines, serial and
+batch, and :func:`build_engine` / :func:`build_batch_engine` import an
+engine's module only when they build it.
 """
 
 from __future__ import annotations
 
+import pkgutil
 from typing import (
     Any,
-    Callable,
     Dict,
     Iterable,
     List,
@@ -72,15 +72,9 @@ __all__ = [
     "BatchControlArrays",
     "FacadeTables",
     "ArrayFacade",
-    "Registry",
-    "ENGINES",
-    "BATCH_ENGINES",
+    "ENGINE_TABLE",
     "ENGINE_NAMES",
-    "register_engine",
-    "engine_names",
-    "provider_module",
     "build_engine",
-    "register_batch_engine",
     "has_batch_engine",
     "build_batch_engine",
 ]
@@ -443,173 +437,63 @@ class BatchEngine(Protocol):
         ...
 
 
-# -- the registry primitive ---------------------------------------------------
+# -- the engine table ---------------------------------------------------------
 
 
-class Registry:
-    """A lazily-importing name -> builder registry.
+#: Every engine, by name: the ``module:attribute`` of a serial engine's
+#: class (built by :func:`~repro.model.plant.scenario_builder`) or of a
+#: batch engine's builder (``builder(scenarios) -> BatchEngine``), and
+#: whether it is a batch engine.  A module is imported only when one of
+#: its engines is built: meso-only users never pay the microscopic
+#: import.  Single runs on a batch engine go through the batch loop
+#: with B=1, so its name is valid everywhere an engine name is.
+ENGINE_TABLE: Dict[str, Tuple[str, bool]] = {
+    "meso": ("repro.meso.simulator:MesoSimulator", False),
+    "meso-counts": ("repro.meso.counts:CountsSimulator", False),
+    "meso-events": ("repro.meso.events:EventCountsSimulator", False),
+    "meso-vec": ("repro.meso.vectorized:_batch_from_scenarios", True),
+    "micro": ("repro.micro.simulator:MicroSimulator", False),
+}
 
-    One primitive behind the engine and batch-engine registries:
-
-    * ``register(name, builder)`` — add or override a constructor;
-    * ``has(name)`` / ``names()`` — membership and the sorted union of
-      live registrations and known built-ins;
-    * ``build(name, *args, **kwargs)`` — construct, importing the
-      built-in provider module first if the name is not yet live
-      (built-ins register themselves at import time);
-    * ``provider_module(name)`` — the module a worker process must
-      import to re-establish the registration (``spawn`` workers start
-      with a fresh registry).  The live registration wins over the
-      built-in mapping — a plugin overriding a built-in name must run
-      its own code in workers too — and builders defined in
-      ``__main__`` return ``None`` (not importable elsewhere).
-
-    ``kind`` only labels error messages (e.g. ``"batch engine"``).
-    """
-
-    def __init__(self, kind: str, builtin_modules: Mapping[str, str]):
-        self.kind = kind
-        self.builtin_modules = dict(builtin_modules)
-        self.builders: Dict[str, Callable[..., Any]] = {}
-
-    def register(self, name: str, builder: Callable[..., Any]) -> None:
-        """Register a constructor under ``name`` (overrides allowed)."""
-        self.builders[name] = builder
-
-    def has(self, name: str) -> bool:
-        """Whether ``name`` is live-registered or a known built-in."""
-        return name in self.builders or name in self.builtin_modules
-
-    def names(self) -> tuple:
-        """All currently selectable names (built-in + registered)."""
-        return tuple(sorted(set(self.builders) | set(self.builtin_modules)))
-
-    def provider_module(self, name: str) -> Optional[str]:
-        """The module whose import registers ``name`` (if known)."""
-        builder = self.builders.get(name)
-        if builder is not None:
-            module = getattr(builder, "__module__", None)
-            return None if module == "__main__" else module
-        return self.builtin_modules.get(name)
-
-    def load(self, name: str) -> None:
-        """Import the built-in provider of ``name`` if it is not live yet."""
-        if name not in self.builders and name in self.builtin_modules:
-            # Importing the module registers the builder.
-            import importlib
-
-            importlib.import_module(self.builtin_modules[name])
-
-    def build(self, name: str, *args: Any, **kwargs: Any) -> Any:
-        """Construct ``name``, importing its built-in provider if needed."""
-        self.load(name)
-        try:
-            builder = self.builders[name]
-        except KeyError:
-            raise ValueError(
-                f"unknown {self.kind} {name!r}; known: {list(self.names())}"
-            )
-        return builder(*args, **kwargs)
+#: Every engine name, serial and batch.
+ENGINE_NAMES = tuple(sorted(ENGINE_TABLE))
 
 
-#: Serial engine constructors (``builder(scenario) -> SimulationEngine``).
-ENGINES = Registry(
-    "engine",
-    {
-        "meso": "repro.meso.simulator",
-        "meso-counts": "repro.meso.counts",
-        "meso-events": "repro.meso.events",
-        "micro": "repro.micro.simulator",
-    },
-)
-
-#: Batch-engine constructors (``builder(scenarios) -> BatchEngine``).
-#: Single runs on these names go through the batch loop with B=1, so
-#: they are selectable everywhere an engine name is (see
-#: :func:`engine_names`).
-BATCH_ENGINES = Registry(
-    "batch engine",
-    {
-        "meso-vec": "repro.meso.vectorized",
-    },
-)
-
-#: The engine names the CLI offers (built-ins; plugins add more).
-ENGINE_NAMES = tuple(
-    sorted(set(ENGINES.builtin_modules) | set(BATCH_ENGINES.builtin_modules))
-)
-
-
-# -- engines (thin delegates onto the registry) -------------------------------
-
-
-def register_engine(
-    name: str, builder: Callable[["Scenario"], SimulationEngine]
-) -> None:
-    """Register an engine constructor (``builder(scenario) -> engine``).
-
-    An engine whose instances also offer the B=1 ``controller_arrays()``
-    / ``movement_layout`` façade of :class:`BatchEngine` is decided by
-    a batch controller kernel; the runner sees that on the built engine.
-    """
-    ENGINES.register(name, builder)
-
-
-def engine_names() -> tuple:
-    """All currently selectable engine names, serial and batch."""
-    return tuple(sorted(set(ENGINES.names()) | set(BATCH_ENGINES.names())))
-
-
-def provider_module(name: str) -> Optional[str]:
-    """The module whose import registers engine ``name`` (if known).
-
-    Worker processes under the ``spawn`` start method begin with a
-    fresh registry; importing this module there re-establishes the
-    registration (engines register at import time, like the
-    built-ins).  Batch-engine names resolve too.  Returns ``None`` for
-    unregistered names or builders defined in ``__main__`` (not
-    importable elsewhere).
-    """
-    if ENGINES.has(name):
-        return ENGINES.provider_module(name)
-    return BATCH_ENGINES.provider_module(name)
+def _engine_target(name: str, batch: bool) -> Any:
+    """The class or builder behind ``name``, if it is of the asked kind."""
+    target, is_batch = ENGINE_TABLE.get(name, (None, None))
+    if target is None or is_batch != batch:
+        kind = "batch engine" if batch else "engine"
+        known = [n for n, (_, b) in ENGINE_TABLE.items() if b == batch]
+        raise ValueError(f"unknown {kind} {name!r}; known: {known}")
+    return pkgutil.resolve_name(target)
 
 
 def build_engine(scenario: "Scenario", engine: str = "meso") -> SimulationEngine:
     """Instantiate a serial simulation engine for a scenario by name."""
-    if not ENGINES.has(engine) and BATCH_ENGINES.has(engine):
+    if has_batch_engine(engine):
         raise ValueError(
             f"{engine!r} is a batch engine: use build_batch_engine([scenario]) "
             f"or run_scenario"
         )
-    return ENGINES.build(engine, scenario)
+    from repro.model.plant import scenario_builder
 
-
-# -- batch engines -----------------------------------------------------------
-
-
-def register_batch_engine(
-    name: str, builder: Callable[[Sequence["Scenario"]], BatchEngine]
-) -> None:
-    """Register a batch-engine constructor (``builder(scenarios) -> engine``).
-
-    ``scenarios`` is one :class:`Scenario` per replication — same
-    workload shape, one seed each.  The name is then valid wherever an
-    engine name is: single runs execute as a batch of one.
-    """
-    BATCH_ENGINES.register(name, builder)
+    return scenario_builder(_engine_target(engine, batch=False))(scenario)
 
 
 def has_batch_engine(name: str) -> bool:
     """Whether ``name`` can step whole seed-batches in one engine."""
-    return BATCH_ENGINES.has(name)
+    return ENGINE_TABLE.get(name, ("", False))[1]
 
 
 def build_batch_engine(
     scenarios: Sequence["Scenario"], engine: str = "meso-vec"
 ) -> BatchEngine:
-    """Instantiate a batch engine over one scenario per replication."""
+    """Instantiate a batch engine over one scenario per replication.
+
+    ``scenarios`` is one :class:`Scenario` per replication — same
+    workload shape, one seed each.
+    """
     if not scenarios:
         raise ValueError("a batch needs at least one scenario")
-    return BATCH_ENGINES.build(engine, scenarios)
-
+    return _engine_target(engine, batch=True)(scenarios)

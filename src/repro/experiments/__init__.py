@@ -19,10 +19,11 @@ tables and figures.
 Each table/figure driver is declared once, as an
 :class:`~repro.results.experiment.ExperimentDefinition` (a spec
 builder, an aggregation recipe, a renderer and every parameter's
-default) registered under its name.  ``run_<driver>(pool=None,
-**params)`` forwards to :func:`repro.results.experiment.run_experiment`
-on that definition, so every driver executes through the shared pool +
-result store and gains resume and cross-driver cell sharing.  The
+default), named in :data:`~repro.results.experiment.EXPERIMENT_TABLE`.
+``run_<driver>(pool=None, **params)`` forwards to
+:func:`repro.results.experiment.run_experiment` on that definition, so
+every driver executes through the shared pool + result store and gains
+resume and cross-driver cell sharing.  The
 ``repro <driver>`` commands run the same definitions; each flag's
 destination is the parameter it sets (``--scale`` ->
 ``duration_scale``, ``--segment`` -> ``segment_duration``).

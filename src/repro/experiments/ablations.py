@@ -31,11 +31,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 from repro.experiments.runner import RunResult
 from repro.orchestration import ExperimentPool, RunSpec
-from repro.results.experiment import (
-    ExperimentDefinition,
-    register_experiment,
-    run_experiment,
-)
+from repro.results.experiment import ExperimentDefinition, run_experiment
 from repro.util.tables import render_table
 
 __all__ = [
@@ -170,26 +166,24 @@ def _collect(
     ]
 
 
-ABLATION_EXPERIMENT = register_experiment(
-    ExperimentDefinition(
-        name="ablations",
-        description=(
-            "design-choice ablation studies (transition duration, "
-            "alpha/beta order, keep margin, mini-slot cadence, "
-            "controller family)"
-        ),
-        build_specs=_build_specs,
-        collect=_collect,
-        render=lambda points: render_ablation(points),
-        defaults=dict(
-            study="controller-family",
-            pattern="I",
-            seed=1,
-            duration=1800.0,
-            engine="meso",
-            mini_slots=(1.0, 2.0, 5.0),
-        ),
-    )
+ABLATION_EXPERIMENT = ExperimentDefinition(
+    name="ablations",
+    description=(
+        "design-choice ablation studies (transition duration, "
+        "alpha/beta order, keep margin, mini-slot cadence, "
+        "controller family)"
+    ),
+    build_specs=_build_specs,
+    collect=_collect,
+    render=lambda points: render_ablation(points),
+    defaults=dict(
+        study="controller-family",
+        pattern="I",
+        seed=1,
+        duration=1800.0,
+        engine="meso",
+        mini_slots=(1.0, 2.0, 5.0),
+    ),
 )
 
 

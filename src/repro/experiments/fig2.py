@@ -19,11 +19,7 @@ from typing import Any, List, Mapping, Optional, Sequence, Tuple
 
 from repro.experiments.runner import RunResult
 from repro.orchestration import ExperimentPool, RunSpec
-from repro.results.experiment import (
-    ExperimentDefinition,
-    register_experiment,
-    run_experiment,
-)
+from repro.results.experiment import ExperimentDefinition, run_experiment
 from repro.util.series import TimeSeries, render_series
 
 __all__ = ["Fig2Result", "FIG2", "run_fig2", "render_fig2"]
@@ -134,23 +130,21 @@ def _collect(
     )
 
 
-FIG2 = register_experiment(
-    ExperimentDefinition(
-        name="fig2",
-        description=(
-            "Fig. 2 — avg queuing time vs CAP-BP control period, mixed "
-            "pattern, with the UTIL-BP reference level"
-        ),
-        build_specs=_build_specs,
-        collect=_collect,
-        render=render_fig2,
-        defaults=dict(
-            periods=PAPER_PERIODS,
-            engine="micro",
-            seed=1,
-            segment_duration=3600.0,
-        ),
-    )
+FIG2 = ExperimentDefinition(
+    name="fig2",
+    description=(
+        "Fig. 2 — avg queuing time vs CAP-BP control period, mixed "
+        "pattern, with the UTIL-BP reference level"
+    ),
+    build_specs=_build_specs,
+    collect=_collect,
+    render=render_fig2,
+    defaults=dict(
+        periods=PAPER_PERIODS,
+        engine="micro",
+        seed=1,
+        segment_duration=3600.0,
+    ),
 )
 
 

@@ -22,11 +22,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence
 from repro.experiments.runner import RunResult
 from repro.metrics.traces import PhaseTrace
 from repro.orchestration import ExperimentPool, RunSpec
-from repro.results.experiment import (
-    ExperimentDefinition,
-    register_experiment,
-    run_experiment,
-)
+from repro.results.experiment import ExperimentDefinition, run_experiment
 from repro.util.series import render_series
 from repro.util.tables import render_table
 
@@ -165,24 +161,22 @@ def _collect(
     )
 
 
-FIG34 = register_experiment(
-    ExperimentDefinition(
-        name="fig34",
-        description=(
-            "Figs. 3-4 — applied-phase traces at the top-right "
-            "intersection, CAP-BP vs UTIL-BP, Pattern I"
-        ),
-        build_specs=_build_specs,
-        collect=_collect,
-        render=render_fig34,
-        defaults=dict(
-            engine="micro",
-            seed=1,
-            duration=PAPER_HORIZON,
-            cap_bp_period=18.0,
-            node_id=TOP_RIGHT_NODE,
-        ),
-    )
+FIG34 = ExperimentDefinition(
+    name="fig34",
+    description=(
+        "Figs. 3-4 — applied-phase traces at the top-right "
+        "intersection, CAP-BP vs UTIL-BP, Pattern I"
+    ),
+    build_specs=_build_specs,
+    collect=_collect,
+    render=render_fig34,
+    defaults=dict(
+        engine="micro",
+        seed=1,
+        duration=PAPER_HORIZON,
+        cap_bp_period=18.0,
+        node_id=TOP_RIGHT_NODE,
+    ),
 )
 
 

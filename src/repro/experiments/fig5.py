@@ -19,11 +19,7 @@ from repro.metrics.traces import QueueTrace
 from repro.model.grid import entry_road_id
 from repro.model.geometry import Direction
 from repro.orchestration import ExperimentPool, RunSpec
-from repro.results.experiment import (
-    ExperimentDefinition,
-    register_experiment,
-    run_experiment,
-)
+from repro.results.experiment import ExperimentDefinition, run_experiment
 from repro.util.series import render_series
 
 __all__ = ["Fig5Result", "FIG5", "EAST_IN_ROAD", "run_fig5", "render_fig5"]
@@ -118,24 +114,22 @@ def _collect(
     )
 
 
-FIG5 = register_experiment(
-    ExperimentDefinition(
-        name="fig5",
-        description=(
-            "Fig. 5 — sampled stop-line queue at the east incoming road "
-            "of the top-right intersection, CAP-BP vs UTIL-BP, Pattern I"
-        ),
-        build_specs=_build_specs,
-        collect=_collect,
-        render=render_fig5,
-        defaults=dict(
-            engine="micro",
-            seed=1,
-            duration=PAPER_HORIZON,
-            cap_bp_period=18.0,
-            sample_interval=5.0,
-        ),
-    )
+FIG5 = ExperimentDefinition(
+    name="fig5",
+    description=(
+        "Fig. 5 — sampled stop-line queue at the east incoming road "
+        "of the top-right intersection, CAP-BP vs UTIL-BP, Pattern I"
+    ),
+    build_specs=_build_specs,
+    collect=_collect,
+    render=render_fig5,
+    defaults=dict(
+        engine="micro",
+        seed=1,
+        duration=PAPER_HORIZON,
+        cap_bp_period=18.0,
+        sample_interval=5.0,
+    ),
 )
 
 

@@ -21,8 +21,8 @@ driven:
 :func:`serial_decider` is the one place the serial choice is made.
 
 A controller spec is checked before any engine is built.  The engine
-contracts and registries live in :mod:`repro.core.engine`, the one
-controller table in :mod:`repro.control.factory`.
+contracts and the engine table live in :mod:`repro.core.engine`, the
+one controller table in :mod:`repro.control.factory`.
 """
 
 from __future__ import annotations
@@ -215,13 +215,7 @@ def _check_layout(sim: Any, kernel: Any, engine: str) -> None:
     Runs once, before the first step: a misaligned column would decide
     wrongly without failing.
     """
-    layout = getattr(sim, "movement_layout", None)
-    if layout is None or not hasattr(sim, "controller_arrays"):
-        raise ValueError(
-            f"engine {engine!r} lacks the controller_arrays() / "
-            f"movement_layout façade a batch controller needs"
-        )
-    if layout != (kernel.node_ids, kernel.movement_keys):
+    if sim.movement_layout != (kernel.node_ids, kernel.movement_keys):
         raise ValueError(
             f"engine {engine!r} movement layout does not match the batch "
             f"controller's"
@@ -278,7 +272,7 @@ def run_scenario(scenario: Scenario, **knobs: Any) -> RunResult:
     duration:
         Simulation horizon in seconds; defaults to the scenario's.
     engine:
-        An engine name from :func:`repro.core.engine.engine_names`
+        An engine name from :data:`repro.core.engine.ENGINE_NAMES`
         (default ``"meso"``).  A batch engine runs the scenario as a
         batch of one through :func:`run_scenario_batch`; a serial
         engine offering the ``controller_arrays()`` façade is decided
@@ -396,9 +390,8 @@ def run_scenario_batch(scenarios: Sequence[Scenario], **knobs: Any) -> list:
     every replication's decisions on the engine's internal arrays (the
     ``controller_arrays`` façade).  The kernels are
     decision-for-decision identical to the serial controllers.  An
-    engine without that façade, or whose ``movement_layout`` disagrees
-    with the kernel's, is rejected with ``ValueError`` before the first
-    step.
+    engine whose ``movement_layout`` disagrees with the kernel's is
+    rejected with ``ValueError`` before the first step.
     """
     config = RunConfig.resolve("meso-vec", knobs)
     if not scenarios:

@@ -26,11 +26,7 @@ from typing import Any, List, Mapping, Optional, Sequence
 from repro.experiments.runner import RunResult
 from repro.scenarios.core import build_scenario
 from repro.orchestration import ExperimentPool, RunSpec
-from repro.results.experiment import (
-    ExperimentDefinition,
-    register_experiment,
-    run_experiment,
-)
+from repro.results.experiment import ExperimentDefinition, run_experiment
 from repro.util.tables import render_table
 
 __all__ = [
@@ -118,28 +114,26 @@ def _collect(
     ]
 
 
-STABILITY = register_experiment(
-    ExperimentDefinition(
-        name="stability",
-        description=(
-            "demand-scale stability sweep (Sec. IV-Q1): queue "
-            "boundedness per controller as arrival rates scale up"
+STABILITY = ExperimentDefinition(
+    name="stability",
+    description=(
+        "demand-scale stability sweep (Sec. IV-Q1): queue "
+        "boundedness per controller as arrival rates scale up"
+    ),
+    build_specs=_build_specs,
+    collect=_collect,
+    render=lambda points: render_stability(points),
+    defaults=dict(
+        scales=(0.6, 0.8, 1.0, 1.2, 1.4),
+        controllers=(
+            ("util-bp", None),
+            ("cap-bp", {"period": 18.0}),
         ),
-        build_specs=_build_specs,
-        collect=_collect,
-        render=lambda points: render_stability(points),
-        defaults=dict(
-            scales=(0.6, 0.8, 1.0, 1.2, 1.4),
-            controllers=(
-                ("util-bp", None),
-                ("cap-bp", {"period": 18.0}),
-            ),
-            pattern="II",
-            seed=1,
-            duration=1800.0,
-            engine="meso",
-        ),
-    )
+        pattern="II",
+        seed=1,
+        duration=1800.0,
+        engine="meso",
+    ),
 )
 
 

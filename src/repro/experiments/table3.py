@@ -22,11 +22,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 from repro.experiments.runner import RunResult
 from repro.scenarios.core import DEFAULT_DURATIONS
 from repro.orchestration import ExperimentPool, RunSpec
-from repro.results.experiment import (
-    ExperimentDefinition,
-    register_experiment,
-    run_experiment,
-)
+from repro.results.experiment import ExperimentDefinition, run_experiment
 from repro.util.tables import render_table
 
 __all__ = [
@@ -181,25 +177,23 @@ def _collect(
     return rows
 
 
-TABLE3 = register_experiment(
-    ExperimentDefinition(
-        name="table3",
-        description=(
-            "Table III — per-pattern CAP-BP best-period sweep vs the "
-            "UTIL-BP reference"
-        ),
-        build_specs=_build_specs,
-        collect=_collect,
-        render=render_table3,
-        defaults=dict(
-            patterns=("I", "II", "III", "IV", "mixed"),
-            engine="micro",
-            seed=1,
-            periods=DEFAULT_PERIODS,
-            duration_scale=1.0,
-            mixed_segment_duration=None,
-        ),
-    )
+TABLE3 = ExperimentDefinition(
+    name="table3",
+    description=(
+        "Table III — per-pattern CAP-BP best-period sweep vs the "
+        "UTIL-BP reference"
+    ),
+    build_specs=_build_specs,
+    collect=_collect,
+    render=render_table3,
+    defaults=dict(
+        patterns=("I", "II", "III", "IV", "mixed"),
+        engine="micro",
+        seed=1,
+        periods=DEFAULT_PERIODS,
+        duration_scale=1.0,
+        mixed_segment_duration=None,
+    ),
 )
 
 

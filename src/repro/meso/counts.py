@@ -46,13 +46,13 @@ from collections import deque
 from functools import cached_property
 from typing import Deque, Dict, List, Mapping, Optional, Tuple
 
-from repro.core.engine import FacadeTables, register_engine
+from repro.core.engine import FacadeTables
 from repro.metrics.aggregate import AggregateMetricsCollector
 from repro.metrics.utilization import UtilizationTracker
 from repro.model.arrivals import ArrivalSchedule, PoissonArrivals
 from repro.model.network import BOUNDARY, Network
 from repro.model.phases import TRANSITION_PHASE_INDEX
-from repro.model.plant import PlantConstants, scenario_builder, seeded_traffic
+from repro.model.plant import PlantConstants, seeded_traffic
 from repro.model.queues import QueueObservation
 from repro.model.routing import TurningProbabilities
 from repro.util.validation import check_positive
@@ -560,6 +560,3 @@ class CountsSimulator:
     def backlog_size(self) -> int:
         """Vehicles generated but still waiting outside a full entry."""
         return self._backlog_total
-
-
-register_engine("meso-counts", scenario_builder(CountsSimulator))

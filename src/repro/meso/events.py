@@ -98,11 +98,10 @@ from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from repro.core.engine import ArrayFacade, register_engine
+from repro.core.engine import ArrayFacade
 from repro.meso.counts import CountsSimulator
 from repro.model.arrivals import slot_times
 from repro.model.phases import TRANSITION_PHASE_INDEX
-from repro.model.plant import scenario_builder
 from repro.model.queues import QueueObservation
 from repro.util.validation import check_positive
 
@@ -823,6 +822,3 @@ class EventCountsSimulator(CountsSimulator, ArrayFacade):
             self._flush_metrics_span()
             self.collector.advance(self.time)
         super().finalize()
-
-
-register_engine("meso-events", scenario_builder(EventCountsSimulator))

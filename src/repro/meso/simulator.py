@@ -32,7 +32,7 @@ from typing import Deque, Dict, Mapping, Tuple
 
 import numpy as np
 
-from repro.core.engine import ArrayFacade, register_engine
+from repro.core.engine import ArrayFacade
 from repro.meso.road_state import RoadState
 from repro.meso.vehicle import MesoVehicle
 from repro.metrics.collector import MetricsCollector
@@ -40,7 +40,7 @@ from repro.metrics.utilization import UtilizationTracker
 from repro.model.arrivals import ArrivalSchedule, PoissonArrivals
 from repro.model.network import BOUNDARY, Network
 from repro.model.phases import TRANSITION_PHASE_INDEX
-from repro.model.plant import PlantConstants, scenario_builder, seeded_traffic
+from repro.model.plant import PlantConstants, seeded_traffic
 from repro.model.queues import QueueObservation
 from repro.model.routing import TurningProbabilities
 from repro.util.validation import check_positive
@@ -464,6 +464,3 @@ class MesoSimulator(ArrayFacade):
     def backlog_size(self) -> int:
         """Vehicles generated but still waiting outside a full entry."""
         return sum(len(q) for q in self._backlog.values())
-
-
-register_engine("meso", scenario_builder(MesoSimulator))

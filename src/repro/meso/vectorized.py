@@ -103,7 +103,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.core.engine import ArrayFacade, FacadeTables, register_batch_engine
+from repro.core.engine import ArrayFacade, FacadeTables
 from repro.metrics.aggregate import BatchAggregateMetricsCollector
 from repro.metrics.collector import Summary
 from repro.metrics.utilization import UtilizationTracker
@@ -1177,6 +1177,3 @@ def _batch_from_scenarios(scenarios) -> BatchCountsSimulator:
         turning=first.turning,
         seeds=tuple(s.seed for s in scenarios),
     )
-
-
-register_batch_engine("meso-vec", _batch_from_scenarios)

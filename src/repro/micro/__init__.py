@@ -14,8 +14,7 @@ microscopic substrate built from scratch:
   phases, junction transfer with downstream-capacity blocking, Poisson
   insertion, and the engine protocol shared with :mod:`repro.meso`.
 
-The engine registers itself with the experiment runner under the name
-``"micro"``.
+The engine table of :mod:`repro.core.engine` names it ``"micro"``.
 """
 
 from repro.micro.params import KraussParams, MicroParams

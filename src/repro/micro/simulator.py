@@ -7,8 +7,8 @@ that produce the controllers' queue observations.
 
 The engine implements the same protocol as
 :class:`repro.meso.simulator.MesoSimulator` (``observations`` /
-``step`` / ``finalize`` / ``collector`` / ``utilization``), and
-registers itself with the experiment runner as ``"micro"``.  Like
+``step`` / ``finalize`` / ``collector`` / ``utilization``) and is
+the engine table's ``"micro"``.  Like
 ``meso``, it also offers the B=1 controller-array façade
 (``controller_arrays()`` / ``sense_arrays()``), read from the
 detectors only when a controller kernel reads it; the runner decides
@@ -23,7 +23,7 @@ from typing import Deque, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from repro.core.engine import ArrayFacade, register_engine
+from repro.core.engine import ArrayFacade
 from repro.metrics.collector import MetricsCollector
 from repro.metrics.utilization import UtilizationTracker
 from repro.micro.lane import Lane
@@ -32,7 +32,7 @@ from repro.micro.vehicle import MicroVehicle
 from repro.model.arrivals import ArrivalSchedule, PoissonArrivals
 from repro.model.network import BOUNDARY, Network
 from repro.model.phases import TRANSITION_PHASE_INDEX
-from repro.model.plant import scenario_builder, seeded_traffic
+from repro.model.plant import seeded_traffic
 from repro.model.queues import QueueObservation
 from repro.model.routing import TurningProbabilities
 from repro.util.validation import check_positive
@@ -365,6 +365,3 @@ class MicroSimulator(ArrayFacade):
                 self.collector.add_queuing_time(
                     vehicle.vehicle_id, max(0.0, self.time - generated_at)
                 )
-
-
-register_engine("micro", scenario_builder(MicroSimulator))

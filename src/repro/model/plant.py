@@ -133,7 +133,7 @@ def seeded_traffic(
 
 
 def scenario_builder(engine: Callable[..., Any]) -> Callable[[Any], Any]:
-    """The registry builder of a serial engine class: ``engine`` on a
+    """The builder of a serial engine class: ``engine`` on a
     :class:`~repro.scenarios.core.Scenario`'s plant and seed."""
 
     def build(scenario: Any) -> Any:
@@ -144,7 +144,4 @@ def scenario_builder(engine: Callable[..., Any]) -> Callable[[Any], Any]:
             seed=scenario.seed,
         )
 
-    # Worker processes import a builder's module to register it again:
-    # that is the engine's module, whose import registers the builder.
-    build.__module__ = engine.__module__
     return build

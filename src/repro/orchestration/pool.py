@@ -36,7 +36,14 @@ still in flight.
 Results travel between processes (and to/from the store) as the plain
 dict form produced by ``RunResult.to_dict``; both execution paths
 reconstruct through ``RunResult.from_dict`` so serial and parallel runs
-return identical objects.
+return identical objects.  A worker receives only the spec: the engine
+table of :mod:`repro.core.engine` names every engine, so the worker
+imports an engine's module when it builds one, whatever the start
+method.
+
+On Ctrl-C, units not yet started never start; the units in flight
+finish during the executor's shutdown and are committed before the
+interrupt propagates.
 """
 
 from __future__ import annotations
@@ -58,7 +65,7 @@ from typing import (
     Union,
 )
 
-from repro.core.engine import has_batch_engine, provider_module
+from repro.core.engine import has_batch_engine
 from repro.errors import ReproError
 from repro.experiments.runner import RunResult
 from repro.orchestration.spec import BatchRunSpec, RunSpec
@@ -74,41 +81,21 @@ _WorkUnit = Union[RunSpec, BatchRunSpec]
 CellCallback = Callable[[RunSpec, RunResult, str], None]
 
 
-def _execute_payload(
-    spec: RunSpec, engine_module: Optional[str] = None
-) -> Dict[str, Any]:
-    """Worker entry point: run one spec, return its serializable form.
-
-    ``engine_module`` re-registers a plugin engine in the worker: under
-    the ``spawn`` start method workers begin with a fresh registry, so
-    the module that registered the engine in the parent is imported
-    here first (importing is what registers, as for the built-ins).
-    """
-    if engine_module is not None:
-        import importlib
-
-        importlib.import_module(engine_module)
+def _execute_payload(spec: RunSpec) -> Dict[str, Any]:
+    """Worker entry point: run one spec, return its serializable form."""
     return spec.execute().to_dict()
 
 
-def _execute_batch_payload(
-    batch: BatchRunSpec, engine_module: Optional[str] = None
-) -> List[Dict[str, Any]]:
+def _execute_batch_payload(batch: BatchRunSpec) -> List[Dict[str, Any]]:
     """Worker entry point for a seed-batch: one payload per member."""
-    if engine_module is not None:
-        import importlib
-
-        importlib.import_module(engine_module)
     return [result.to_dict() for result in batch.execute()]
 
 
 def _submit(executor: ProcessPoolExecutor, unit: _WorkUnit):
     """Submit one work unit to ``executor``; returns its future."""
     if isinstance(unit, BatchRunSpec):
-        return executor.submit(
-            _execute_batch_payload, unit, provider_module(unit.template.engine)
-        )
-    return executor.submit(_execute_payload, unit, provider_module(unit.engine))
+        return executor.submit(_execute_batch_payload, unit)
+    return executor.submit(_execute_payload, unit)
 
 
 def _unit_specs(unit: _WorkUnit) -> Sequence[RunSpec]:
@@ -333,13 +320,14 @@ class ExperimentPool:
         as one completes.  Each completed unit is committed to the store
         the moment it completes — not when the whole batch does — so an
         interrupted or partially failed sweep resumes from the cells
-        that finished.  If a unit raises: with a store, the remaining
-        units still run into it before the first error propagates;
-        without one, that would only burn compute on results nobody
-        keeps, so no further unit starts and the error surfaces
-        promptly.  A dead worker breaks its executor and fails only the
-        units in flight in it; the rest go on in a fresh executor, and
-        the lost ones are re-run by :meth:`_rerun_lost`.
+        that finished, the units in flight at a Ctrl-C included.  If a
+        unit raises: with a store, the remaining units still run into
+        it before the first error propagates; without one, that would
+        only burn compute on results nobody keeps, so no further unit
+        starts and the error surfaces promptly.  A dead worker breaks
+        its executor and fails only the units in flight in it; the rest
+        go on in a fresh executor, and the lost ones are re-run by
+        :meth:`_rerun_lost`.
         """
         max_workers = min(self.workers, len(units))
         queued = deque(units)
@@ -376,8 +364,17 @@ class ExperimentPool:
                                     queued.clear()
                             continue
                         self._finish_unit(unit, payload, pending, results, on_cell)
+            except KeyboardInterrupt:
+                # Units not yet started never start; the shutdown waits
+                # for the ones in flight, and those that finished are kept.
+                executor.shutdown(cancel_futures=True)
+                for future, unit in in_flight.items():
+                    if not future.cancelled() and future.exception() is None:
+                        self._finish_unit(
+                            unit, future.result(), pending, results, on_cell
+                        )
+                raise
             finally:
-                # On an interrupt, units not yet started never start.
                 executor.shutdown(cancel_futures=True)
         if first_error is not None:
             raise first_error

@@ -25,7 +25,7 @@ from itertools import product
 from typing import Any, Dict, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.control.factory import check_controller
-from repro.core.engine import engine_names, has_batch_engine
+from repro.core.engine import ENGINE_NAMES, has_batch_engine
 from repro.experiments.runner import (
     RunConfig,
     RunResult,
@@ -130,15 +130,12 @@ class RunSpec:
                 f"unknown pattern/scenario {self.pattern!r}; expected one of "
                 f"{PATTERN_NAMES} or a scenario-catalog name"
             )
-        if self.engine not in engine_names():
+        if self.engine not in ENGINE_NAMES:
             # Fail at spec construction, not mid-sweep in a worker: an
-            # unknown engine (typo, or a plugin that was never
-            # registered/imported) would otherwise surface only after
-            # other cells burned compute.
+            # unknown engine would otherwise surface only after other
+            # cells burned compute.
             raise ValueError(
-                f"unknown engine {self.engine!r}; known: "
-                f"{list(engine_names())} (plugins must register before "
-                f"specs are built)"
+                f"unknown engine {self.engine!r}; known: {list(ENGINE_NAMES)}"
             )
         object.__setattr__(
             self, "controller_params", _freeze_params(self.controller_params)
@@ -464,12 +461,11 @@ class SweepGrid:
         object.__setattr__(self, "controllers", tuple(controllers))
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
         engines = tuple(self.engines)
-        known = engine_names()
         for engine in engines:
-            if engine not in known:
+            if engine not in ENGINE_NAMES:
                 raise ValueError(
                     f"unknown engine {engine!r} in engines axis; known: "
-                    f"{list(known)}"
+                    f"{list(ENGINE_NAMES)}"
                 )
         object.__setattr__(self, "engines", engines)
         durations = tuple(

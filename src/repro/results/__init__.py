@@ -23,8 +23,9 @@ Map of the package
 
 * :mod:`repro.results.experiment` — **how experiments are declared.**
   :class:`ExperimentDefinition` (name, specs builder, aggregation
-  recipe, renderer) and its registry.  All six paper drivers (table3,
-  fig2, fig34, fig5, ablations, stability) are definitions;
+  recipe, renderer) and the one table naming every definition.  All six
+  paper drivers (table3, fig2, fig34, fig5, ablations, stability) are
+  definitions;
   :func:`run_experiment` executes any of them against a shared pool and
   store, so cells common to several drivers are computed exactly once.
 
@@ -47,8 +48,6 @@ from repro.results.experiment import (
     ExperimentDefinition,
     experiment_names,
     get_experiment,
-    load_builtin_experiments,
-    register_experiment,
     run_experiment,
 )
 from repro.results.store import (
@@ -71,9 +70,7 @@ __all__ = [
     "DEFAULT_METRICS",
     "DELAY_MODE_SENSITIVE",
     "ExperimentDefinition",
-    "register_experiment",
     "experiment_names",
     "get_experiment",
     "run_experiment",
-    "load_builtin_experiments",
 ]

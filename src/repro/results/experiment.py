@@ -1,4 +1,4 @@
-"""Declarative experiment definitions and their registry.
+"""Declarative experiment definitions and the table that names them.
 
 Every driver reproducing a table or figure used to hand-roll the same
 three steps: build a spec list, push it through an
@@ -12,16 +12,16 @@ execution, the shared :class:`~repro.results.store.ResultStore`, true
 resume, and cross-driver cell sharing (two definitions that request
 the same cell through one pool/store compute it once).
 
-Definitions register by name; :func:`run_experiment` accepts either a
-definition or its name.  The six built-in drivers
+:data:`EXPERIMENT_TABLE` names every definition: the six paper drivers
 (``table3``, ``fig2``, ``fig34``, ``fig5``, ``ablations``,
-``stability``) register when their modules import;
-:func:`load_builtin_experiments` forces that for name-based lookup.
+``stability``) and the analysis layer's ``stability-regimes``.
+:func:`get_experiment` imports a definition's module only when it is
+looked up, and :func:`run_experiment` accepts a definition or its name.
 """
 
 from __future__ import annotations
 
-import importlib
+import pkgutil
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Mapping, Optional, Sequence, Tuple
 
@@ -29,12 +29,11 @@ from repro.orchestration import ExperimentPool
 from repro.orchestration.spec import RunSpec
 
 __all__ = [
+    "EXPERIMENT_TABLE",
     "ExperimentDefinition",
-    "register_experiment",
     "experiment_names",
     "get_experiment",
     "run_experiment",
-    "load_builtin_experiments",
 ]
 
 #: ``(**params) -> specs`` — expands an experiment's parameters into
@@ -91,47 +90,32 @@ class ExperimentDefinition:
         return tuple(self.build_specs(**self.params(**overrides)))
 
 
-_REGISTRY: Dict[str, ExperimentDefinition] = {}
-
-#: Modules whose import registers the built-in definitions.
-_BUILTIN_MODULES = (
-    "repro.experiments.table3",
-    "repro.experiments.fig2",
-    "repro.experiments.fig34",
-    "repro.experiments.fig5",
-    "repro.experiments.ablations",
-    "repro.experiments.stability",
-    "repro.analysis.stability",
-)
-
-
-def register_experiment(definition: ExperimentDefinition) -> ExperimentDefinition:
-    """Register a definition under its name (idempotent per name)."""
-    _REGISTRY[definition.name] = definition
-    return definition
+#: Every experiment, by name: the ``module:ATTRIBUTE`` of its definition.
+EXPERIMENT_TABLE: Dict[str, str] = {
+    "ablations": "repro.experiments.ablations:ABLATION_EXPERIMENT",
+    "fig2": "repro.experiments.fig2:FIG2",
+    "fig34": "repro.experiments.fig34:FIG34",
+    "fig5": "repro.experiments.fig5:FIG5",
+    "stability": "repro.experiments.stability:STABILITY",
+    "stability-regimes": "repro.analysis.stability:STABILITY_REGIMES",
+    "table3": "repro.experiments.table3:TABLE3",
+}
 
 
 def experiment_names() -> Tuple[str, ...]:
-    """All registered experiment names, sorted."""
-    return tuple(sorted(_REGISTRY))
-
-
-def load_builtin_experiments() -> Tuple[str, ...]:
-    """Import the six built-in drivers so their definitions register."""
-    for module in _BUILTIN_MODULES:
-        importlib.import_module(module)
-    return experiment_names()
+    """Every experiment name, sorted."""
+    return tuple(sorted(EXPERIMENT_TABLE))
 
 
 def get_experiment(name: str) -> ExperimentDefinition:
-    """Look up a definition by name (loading the built-ins first)."""
-    load_builtin_experiments()
+    """Look up a definition by name (importing its module)."""
     try:
-        return _REGISTRY[name]
+        target = EXPERIMENT_TABLE[name]
     except KeyError:
         raise ValueError(
             f"unknown experiment {name!r}; known: {list(experiment_names())}"
         )
+    return pkgutil.resolve_name(target)
 
 
 def run_experiment(
@@ -141,7 +125,7 @@ def run_experiment(
 ) -> Any:
     """Run an experiment end to end and return its domain result.
 
-    ``experiment`` is a definition or a registered name.  All cells go
+    ``experiment`` is a definition or its name.  All cells go
     through ``pool`` (default: a serial in-process pool), so passing a
     store-backed pool gives every definition resume and cross-driver
     sharing for free.

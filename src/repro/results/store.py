@@ -364,8 +364,8 @@ class ResultStore:
         """Decode rows, skipping any a newer/older codebase cannot.
 
         A row can stop being constructible without a schema bump — a
-        scenario parameter a builder dropped, a plugin engine not
-        registered in this process.  One such row must not make the
+        scenario parameter a builder dropped, an engine name this
+        codebase does not know.  One such row must not make the
         whole store unreadable, so decode failures degrade to
         omission (``get`` already treats the same rows as misses).
         """

@@ -364,7 +364,12 @@ class ServiceApp:
                 for event in events:
                     yield (json.dumps(event) + "\n").encode("utf-8")
                 seq += len(events)
-                if terminal or not follow or stopping.wait(_POLL_SECONDS):
+                if (
+                    terminal
+                    or not follow
+                    or stopping.is_set()
+                    or request.peer_closed(_POLL_SECONDS)
+                ):
                     return
 
         return Response.ndjson(stream())
@@ -454,12 +459,8 @@ class ServiceApp:
 
     def results_changepoints(self, request: Request) -> Response:
         """CUSUM stability verdicts per stored cell group."""
-        from repro.analysis.stability import (
-            ANALYSIS_PARAMS,
-            AnalysisOptions,
-            analyze_records,
-            verdict_rows,
-        )
+        from repro.analysis.options import ANALYSIS_PARAMS, AnalysisOptions
+        from repro.analysis.stability import analyze_records, verdict_rows
 
         overrides: Dict[str, Any] = {}
         for param, field, convert, _ in ANALYSIS_PARAMS:

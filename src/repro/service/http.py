@@ -20,6 +20,7 @@ sets before it joins the handler threads.
 from __future__ import annotations
 
 import json
+import select
 import socket
 import threading
 from dataclasses import dataclass, field
@@ -74,6 +75,9 @@ class Request:
     headers: Dict[str, str]
     body: bytes = b""
     path_params: Dict[str, str] = field(default_factory=dict)
+    #: The client's socket; the server always sets it, and only
+    #: :meth:`peer_closed` reads it.
+    connection: Optional[socket.socket] = field(default=None, repr=False)
 
     def json(self) -> Any:
         """The body decoded as JSON (400 on syntax errors)."""
@@ -87,6 +91,25 @@ class Request:
     def param(self, name: str, default: Optional[str] = None) -> Optional[str]:
         """A query-string parameter (last occurrence wins)."""
         return self.query.get(name, default)
+
+    def peer_closed(self, timeout: float) -> bool:
+        """Wait up to ``timeout`` seconds; whether the client closed its end.
+
+        A handler that waits between writes calls this instead of
+        sleeping: a write alone notices a dropped client only when the
+        next one fails.  Bytes sent after the request are read and
+        dropped (one request per connection).  A client that only
+        half-closed its sending side reads as closed too.
+        :meth:`HttpServer.close` shuts every read side, so it ends this
+        wait too.
+        """
+        readable, _, _ = select.select([self.connection], [], [], timeout)
+        if not readable:
+            return False
+        try:
+            return not self.connection.recv(4096)
+        except OSError:
+            return True
 
 
 @dataclass
@@ -312,6 +335,7 @@ class _RequestHandler(BaseHTTPRequestHandler):
             query=dict(parse_qsl(split.query, keep_blank_values=True)),
             headers=headers,
             body=self.rfile.read(length),
+            connection=self.connection,
         )
         handler, request.path_params, path_known = self.server.router.match(
             request.method, request.path

@@ -1,13 +1,12 @@
 """Shared fixtures: a single-intersection network, observation builders,
 the mixed-phase-plan scenario variant of the parity suites, an engine
-whose build always fails, and the scalar UTIL-BP reference that the
+whose runs always fail, and the scalar UTIL-BP reference that the
 serial controller and the batch kernel are both checked against."""
 
 from __future__ import annotations
 
 import dataclasses
 import math
-import multiprocessing
 from typing import Dict, List, Optional, Tuple
 
 import pytest
@@ -15,7 +14,6 @@ from hypothesis import settings
 
 from repro.control.base import TRANSITION, IntersectionController
 from repro.core.config import UtilBpConfig
-from repro.core.engine import ENGINES, register_engine
 from repro.core.pressure import keep_threshold, max_link_gain, phase_gain
 from repro.model.grid import build_grid_network
 from repro.model.intersection import Intersection
@@ -31,31 +29,24 @@ settings.register_profile("nightly", max_examples=1000)
 MIXED_PHASES = "+mixed-phases"
 
 
-#: The engine name :func:`failing_engine` registers.
-FAILING_ENGINE = "test-failing-build"
-
-
-def _build_failing_engine(scenario):
-    """An engine builder that always raises: a fault only a run can hit."""
-    raise RuntimeError(f"{FAILING_ENGINE}: engine build fails on purpose")
-
-
-if multiprocessing.parent_process() is not None:
-    # A spawn worker starts with a fresh registry and imports this module
-    # (the builder's provider_module) to get the engine back.
-    register_engine(FAILING_ENGINE, _build_failing_engine)
+#: The engine :func:`failing_engine` makes fail.
+FAILING_ENGINE = "meso-counts"
 
 
 @pytest.fixture
-def failing_engine():
-    """Register :data:`FAILING_ENGINE` for one test, then unregister it.
+def failing_engine(monkeypatch):
+    """Make every run on :data:`FAILING_ENGINE` fail, for one test.
 
-    Specs on it pass every construction-time check; each cell fails
-    inside the run, in whichever process executes it.
+    Specs on it pass every construction-time check; each cell raises at
+    the engine's first step, inside the run.  Fork-started pool workers
+    inherit the patch.
     """
-    register_engine(FAILING_ENGINE, _build_failing_engine)
-    yield FAILING_ENGINE
-    ENGINES.builders.pop(FAILING_ENGINE, None)
+
+    def fail(self, dt, phases):
+        raise RuntimeError(f"{FAILING_ENGINE}: engine step fails on purpose")
+
+    monkeypatch.setattr("repro.meso.counts.CountsSimulator.step", fail)
+    return FAILING_ENGINE
 
 
 @pytest.fixture

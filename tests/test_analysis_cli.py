@@ -1,15 +1,20 @@
-"""The analysis surfaces: CLI, sweep-grid recording, experiment registry."""
+"""The analysis surfaces: CLI, sweep-grid recording, experiment table."""
 
 from __future__ import annotations
 
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from repro.analysis.stability import ANALYSIS_PARAMS, AnalysisOptions
-from repro.cli import build_parser, main
+import repro
+from repro.analysis.options import AnalysisOptions
+from repro.cli import _analysis_options, build_parser, main
 from repro.orchestration.spec import SweepGrid
 
 
@@ -57,12 +62,35 @@ class TestVersionFlag:
 
 def _parsed_options(*flags):
     args = build_parser().parse_args(["analyze", "changepoints", *flags])
-    return AnalysisOptions(
-        **{field: getattr(args, param) for param, field, *_ in ANALYSIS_PARAMS}
-    )
+    return _analysis_options(args)
 
 
 class TestAnalyzeFlags:
+    def test_help_prints_no_none(self, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["analyze", "changepoints", "--help"])
+        out = capsys.readouterr().out
+        assert "--min-shift" in out and "None" not in out
+
+    def test_building_the_parser_imports_no_analysis_module(self):
+        """In a fresh process: neither the analysis stack nor the pool."""
+        code = (
+            "import sys\n"
+            "from repro.cli import build_parser\n"
+            "build_parser()\n"
+            "print([m for m in ('repro.analysis.stability',"
+            " 'repro.orchestration.pool') if m in sys.modules])\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env=dict(
+                os.environ,
+                PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]),
+            ),
+            check=True,
+        )
+        assert result.stdout.strip() == "[]"
+
     def test_no_flags_parse_to_the_default_options(self):
         assert _parsed_options() == AnalysisOptions()
 
@@ -238,9 +266,11 @@ class TestGridRecording:
 
 class TestRegimesExperiment:
     def test_registered_with_the_builtins(self):
-        from repro.results import load_builtin_experiments
+        from repro.analysis.stability import STABILITY_REGIMES
+        from repro.results import experiment_names, get_experiment
 
-        assert "stability-regimes" in load_builtin_experiments()
+        assert "stability-regimes" in experiment_names()
+        assert get_experiment("stability-regimes") is STABILITY_REGIMES
 
     def test_spec_grid_shape_and_recording(self):
         from repro.analysis.stability import STABILITY_REGIMES

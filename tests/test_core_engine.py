@@ -1,6 +1,6 @@
 """Engine-contract conformance suite (repro.core.engine).
 
-One parametrized set of checks run against every registered serial
+One parametrized set of checks run against every serial
 backend (the protocol surface, observation shape, finalize idempotence)
 and the same book-keeping checks against a batch engine at B=1 (plus
 the alignment of its controller arrays).  Determinism under a fixed
@@ -15,14 +15,12 @@ import pytest
 
 from repro.core.engine import (
     ENGINE_NAMES,
-    ENGINES as ENGINE_REGISTRY,
+    ENGINE_TABLE,
     BatchEngine,
     SimulationEngine,
     build_batch_engine,
     build_engine,
-    engine_names,
-    provider_module,
-    register_engine,
+    has_batch_engine,
 )
 from repro.experiments.runner import run_scenario
 from repro.scenarios.core import build_scenario
@@ -64,34 +62,38 @@ class TestRegistry:
             "meso-vec",
             "micro",
         )
-        for name in ENGINE_NAMES:
-            assert name in engine_names()
+
+    def test_every_table_entry_resolves(self):
+        """Each engine's class or batch builder imports, and the engine
+        and experiment tables name exactly what the program offers."""
+        import pkgutil
+
+        from repro.results.experiment import (
+            EXPERIMENT_TABLE,
+            ExperimentDefinition,
+            experiment_names,
+        )
+
+        assert tuple(sorted(ENGINE_TABLE)) == ENGINE_NAMES
+        for name, (target, batch) in ENGINE_TABLE.items():
+            resolved = pkgutil.resolve_name(target)
+            assert callable(resolved), name
+            assert has_batch_engine(name) == batch
+            assert isinstance(resolved, type) != batch, name
+        assert tuple(sorted(EXPERIMENT_TABLE)) == experiment_names()
+        for name, target in EXPERIMENT_TABLE.items():
+            definition = pkgutil.resolve_name(target)
+            assert isinstance(definition, ExperimentDefinition), name
+            assert definition.name == name
 
     def test_unknown_engine_raises(self):
         with pytest.raises(ValueError, match="unknown engine"):
             build_engine(build_scenario("I"), "warp-drive")
 
-    def test_provider_module(self):
-        assert provider_module("meso") == "repro.meso.simulator"
-        assert provider_module("meso-counts") == "repro.meso.counts"
-        assert provider_module("meso-events") == "repro.meso.events"
-        assert provider_module("meso-vec") == "repro.meso.vectorized"
-        assert provider_module("micro") == "repro.micro.simulator"
-        assert provider_module("nonexistent") is None
-
-        def builder(scenario):  # registered from this test module
-            return build_engine(scenario, "meso")
-
-        register_engine("test-provider", builder)
-        try:
-            assert provider_module("test-provider") == builder.__module__
-        finally:
-            ENGINE_REGISTRY.builders.pop("test-provider", None)
-
     def test_engine_with_controller_arrays_is_kernel_driven(
         self, monkeypatch
     ):
-        """The built engine, not its registration, picks the loop."""
+        """The built engine, not its name, picks the loop."""
         import repro.experiments.runner as runner
 
         assert [e for e in ENGINES if hasattr(_make(e), "controller_arrays")] == [
@@ -100,39 +102,24 @@ class TestRegistry:
             "micro",
         ]
 
-        def builder(scenario):
-            return build_engine(scenario, "meso-events")
-
         def forbidden(*args, **kwargs):
             raise AssertionError("serial controllers built for an array engine")
 
         expected = run_scenario(
             build_scenario("I", seed=7), engine="meso-events", duration=60.0
         )
-        register_engine("test-arrays", builder)
+        # meso-counts is decided by the serial controllers; a meso-events
+        # engine built under its name must be decided by the kernel.
+        monkeypatch.setattr(
+            runner,
+            "build_engine",
+            lambda scenario, engine: build_engine(scenario, "meso-events"),
+        )
         monkeypatch.setattr(runner, "make_network_controller", forbidden)
-        try:
-            result = run_scenario(
-                build_scenario("I", seed=7), engine="test-arrays", duration=60.0
-            )
-        finally:
-            ENGINE_REGISTRY.builders.pop("test-arrays", None)
+        result = run_scenario(
+            build_scenario("I", seed=7), engine="meso-counts", duration=60.0
+        )
         assert result.summary == expected.summary
-
-    def test_custom_registration(self):
-        calls = []
-
-        def builder(scenario):
-            calls.append(scenario.name)
-            return build_engine(scenario, "meso")
-
-        register_engine("test-custom", builder)
-        try:
-            sim = build_engine(build_scenario("I", seed=3), "test-custom")
-            assert calls and isinstance(sim, SimulationEngine)
-            assert "test-custom" in engine_names()
-        finally:
-            ENGINE_REGISTRY.builders.pop("test-custom", None)
 
 
 class TestBatchRegistry:
@@ -145,8 +132,8 @@ class TestBatchRegistry:
 
         assert has_batch_engine("meso-vec")
         assert not has_batch_engine("meso")
-        assert "meso-vec" in engine_names()
-        assert provider_module("meso-vec") == "repro.meso.vectorized"
+        assert not has_batch_engine("warp-drive")
+        assert "meso-vec" in ENGINE_NAMES
         scenarios = [build_scenario("I", seed=s) for s in (1, 2, 3)]
         sim = build_batch_engine(scenarios, "meso-vec")
         assert isinstance(sim, BatchEngine)

@@ -1,4 +1,4 @@
-"""The declarative experiment layer: registry, equivalence, sharing."""
+"""The declarative experiment layer: name table, equivalence, sharing."""
 
 import pytest
 
@@ -9,10 +9,8 @@ from repro.experiments.stability import run_stability_sweep
 from repro.experiments.table3 import TABLE3, Table3Row, run_table3
 from repro.orchestration import ExperimentPool, RunSpec
 from repro.results import (
-    ExperimentDefinition,
+    experiment_names,
     get_experiment,
-    load_builtin_experiments,
-    register_experiment,
     run_experiment,
 )
 
@@ -32,7 +30,7 @@ TABLE3_SMALL = dict(
 
 class TestRegistry:
     def test_all_six_drivers_registered(self):
-        names = load_builtin_experiments()
+        names = experiment_names()
         assert set(names) >= {
             "table3",
             "fig2",
@@ -54,7 +52,7 @@ class TestRegistry:
             run_experiment("fig2", perids=(10.0,))  # typo'd name
 
     def test_definitions_have_render(self):
-        for name in load_builtin_experiments():
+        for name in experiment_names():
             assert callable(get_experiment(name).render)
 
     def test_specs_view_expands_without_running(self):
@@ -162,25 +160,6 @@ class TestSharedStore:
         run_ablation("alpha-beta-order", pattern="II", duration=60.0, pool=pool)
         assert pool.stats.executed == 4  # 2 fig34 cells + 2 ablation cells
         assert len(pool.store.query()) == 4
-
-
-class TestCustomDefinition:
-    def test_register_and_run_a_custom_experiment(self):
-        definition = ExperimentDefinition(
-            name="tiny-demo",
-            description="one cheap cell",
-            build_specs=lambda seed: [
-                RunSpec(pattern="I", seed=seed, duration=60.0)
-            ],
-            collect=lambda specs, results, params: results[0]
-            .summary.vehicles_entered,
-            render=lambda value: f"{value} vehicles",
-            defaults=dict(seed=3),
-        )
-        register_experiment(definition)
-        entered = run_experiment("tiny-demo")
-        assert entered > 0
-        assert definition.render(entered).endswith("vehicles")
 
 
 class _RecordingPool(ExperimentPool):

@@ -30,20 +30,20 @@ SWEEP = [
 ]
 
 
-def _die_on_seed_2(spec, engine_module=None):
+def _die_on_seed_2(spec):
     """Kill the worker every time it runs seed 2."""
     if spec.seed == 2:
         os._exit(1)
-    return _REAL_EXECUTE(spec, engine_module)
+    return _REAL_EXECUTE(spec)
 
 
-def _die_once_on_seed_2(spec, engine_module=None):
+def _die_once_on_seed_2(spec):
     """Kill the worker the first time it runs seed 2 only."""
     marker = os.environ[_MARKER_ENV]
     if spec.seed == 2 and not os.path.exists(marker):
         open(marker, "w").close()
         os._exit(1)
-    return _REAL_EXECUTE(spec, engine_module)
+    return _REAL_EXECUTE(spec)
 
 
 @pytest.fixture

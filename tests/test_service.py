@@ -197,7 +197,7 @@ class TestJobManager:
     ):
         manager = JobManager(str(tmp_path / "s.sqlite"))
         manager.start()
-        # The engine's builder raises inside the run.
+        # The engine's step raises inside the run.
         bad = RunSpec.from_dict(spec_dict(engine=failing_engine))
         job_id = manager.submit([bad])
         assert manager.wait(job_id, timeout=60)
@@ -645,7 +645,14 @@ class TestEndToEndContract:
                         pass  # status line and headers
                     first = json.loads(response.readline())
                 assert first["event"] == "job_queued"
-                service.app.manager.start()  # events now reach a closed socket
+                # The stream sees the end of file between polls: its
+                # handler ends, and frees its place, while the job waits.
+                deadline = time.monotonic() + 1
+                while service.open_connections() and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                assert service.open_connections() == 0
+                assert service.client.job(job_id)["job"]["state"] == "queued"
+                service.app.manager.start()
                 done = service.client.job(job_id, wait=60)["job"]
                 assert done["state"] == "done"
                 assert service.client.health()["status"] == "ok"
@@ -654,7 +661,6 @@ class TestEndToEndContract:
                     "job_queued", "job_started", "cell_completed",
                     "job_completed",
                 ]
-                # The dropped stream's handler ends with the job too.
                 deadline = time.monotonic() + 10
                 while service.open_connections() and time.monotonic() < deadline:
                     time.sleep(0.01)

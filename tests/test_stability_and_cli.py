@@ -512,8 +512,8 @@ class TestExperimentCommands:
             calls.append(params)
             raise _Stop
 
-        monkeypatch.setitem(
-            experiment._REGISTRY, command,
+        monkeypatch.setattr(
+            experiment.EXPERIMENT_TABLE[command].replace(":", "."),
             dataclasses.replace(definition, build_specs=record),
         )
         with pytest.raises(_Stop):
@@ -665,3 +665,65 @@ class TestInterrupt:
         ]
         with pytest.raises(ProcessLookupError):
             os.killpg(proc.pid, 0)  # no worker outlives the command
+
+    def test_cells_in_flight_at_the_signal_are_kept(self, tmp_path):
+        """A signal to the main process alone: the shutdown waits for the
+        units in flight, and the cells they finish are stored."""
+        import multiprocessing
+
+        if multiprocessing.get_start_method(allow_none=False) != "fork":
+            pytest.skip("the gate reaches workers only when they are forked")
+        from repro.results.store import ResultStore
+
+        store = tmp_path / "sweep.sqlite"
+        gates = tmp_path / "gates"
+        gates.mkdir()
+        # Each cell marks its start, then waits for the "go" file, so
+        # the signal arrives while exactly two cells are in flight.
+        script = (
+            "import os, sys, time\n"
+            "from repro.cli import main\n"
+            "from repro.orchestration import pool\n"
+            "real = pool._execute_payload\n"
+            "def gated(spec, *rest):\n"
+            "    gates = sys.argv[1]\n"
+            "    name = f'{spec.pattern}-{spec.seed}'\n"
+            "    open(os.path.join(gates, name), 'w').close()\n"
+            "    while not os.path.exists(os.path.join(gates, 'go')):\n"
+            "        time.sleep(0.01)\n"
+            "    return real(spec, *rest)\n"
+            "pool._execute_payload = gated\n"
+            "sys.exit(main(sys.argv[2:]))\n"
+        )
+        proc = subprocess.Popen(
+            [sys.executable, "-c", script, str(gates), "sweep",
+             "--patterns", "I", "II", "III", "IV", "--seeds", "1", "2", "3",
+             "--engine", "meso-counts", "--duration", "60", "--workers", "2",
+             "--store", str(store)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env=dict(
+                os.environ,
+                PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]),
+            ),
+            start_new_session=True,
+        )
+        try:
+            deadline = time.monotonic() + 60
+            while len(list(gates.iterdir())) < 2 and time.monotonic() < deadline:
+                assert proc.poll() is None, proc.communicate()
+                time.sleep(0.02)
+            proc.send_signal(signal.SIGINT)
+            time.sleep(0.5)
+            (gates / "go").touch()
+            _, stderr = proc.communicate(timeout=60)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+        assert proc.returncode == 130
+        assert len(list(gates.iterdir())) == 3  # two cells started, and "go"
+        with ResultStore.reader(store) as reader:
+            assert len(reader) == 2
+        assert stderr.splitlines() == [
+            f"repro sweep: interrupted; cells in {store}: 2, a re-run resumes"
+        ]
