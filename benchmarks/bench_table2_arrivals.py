@@ -9,12 +9,12 @@ import numpy as np
 import pytest
 
 from repro.scenarios.patterns import arrival_schedule, interarrival_times
-from repro.model.arrivals import PoissonArrivals, slot_times
+from repro.model.arrivals import PoissonArrivals, SlotGrid, slot_times
 from repro.model.geometry import Direction
 from repro.util.tables import render_table
 
 HORIZON = 40_000.0  # simulated seconds per process
-SLOTS = slot_times(0.0, 1.0, int(HORIZON))  # one-second count slots
+SLOTS = SlotGrid(slot_times(0.0, 1.0, int(HORIZON)), 1.0)  # one-second slots
 
 
 def _measure_pattern(pattern):
@@ -22,7 +22,7 @@ def _measure_pattern(pattern):
     for side in Direction:
         schedule = arrival_schedule(pattern, side)
         process = PoissonArrivals(schedule, np.random.default_rng(7))
-        arrivals = int(process.sample_count_block(SLOTS, 1.0).sum())
+        arrivals = int(process.sample_count_block(SLOTS).sum())
         measured[side] = HORIZON / arrivals
     return measured
 

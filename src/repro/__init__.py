@@ -39,49 +39,8 @@ Quickstart
 42.0
 
 (:mod:`repro.api` is the versioned public façade — the only supported
-import surface for downstream code.)
+import surface for downstream code.  ``import repro`` itself loads no
+subpackage and no NumPy: it carries this map and ``__version__``.)
 """
 
 __version__ = "0.3.0"
-
-from repro.core import UtilBpConfig, UtilBpController
-from repro.control import (
-    CapBpController,
-    FixedTimeController,
-    NetworkController,
-    OriginalBpController,
-    make_controller,
-    make_network_controller,
-)
-from repro.model import (
-    Direction,
-    Intersection,
-    Movement,
-    Network,
-    Phase,
-    QueueObservation,
-    Road,
-    TurnType,
-    build_standard_intersection,
-)
-
-__all__ = [
-    "__version__",
-    "UtilBpConfig",
-    "UtilBpController",
-    "CapBpController",
-    "FixedTimeController",
-    "OriginalBpController",
-    "NetworkController",
-    "make_controller",
-    "make_network_controller",
-    "Direction",
-    "TurnType",
-    "Road",
-    "Movement",
-    "Phase",
-    "Intersection",
-    "Network",
-    "QueueObservation",
-    "build_standard_intersection",
-]

@@ -722,16 +722,7 @@ def _run_results(args: argparse.Namespace) -> int:
         if args.results_command == "show":
             import json as _json
 
-            matches = store.find(args.hash_prefix)
-            if not matches:
-                raise UsageError(f"no cell with hash prefix {args.hash_prefix!r}")
-            if len(matches) > 1:
-                hashes = ", ".join(record.spec_hash[:16] for record in matches)
-                raise UsageError(
-                    f"prefix {args.hash_prefix!r} is ambiguous "
-                    f"({len(matches)} cells: {hashes})"
-                )
-            record = matches[0]
+            record = store.find_one(args.hash_prefix)
             print(f"cell {record.spec_hash}")
             print(f"  label: {record.spec.label()}")
             print("  spec:")
@@ -772,11 +763,12 @@ def _run_analyze(args: argparse.Namespace) -> int:
         render_verdicts,
         verdict_rows,
     )
+    from repro.results.store import QUERY_AXES
 
     options = _analysis_options(args)
     filters = {
         key: getattr(args, key)
-        for key in ("pattern", "controller", "engine", "seed", "delay_mode")
+        for key in QUERY_AXES
         if getattr(args, key) is not None
     }
     verdicts = analyze_store(args.store, options=options, **filters)

@@ -120,8 +120,7 @@ class _NetworkLayout:
 
     Nothing here depends on the batch size, so :meth:`of` builds the
     layout once per network and every batch controller on that network
-    shares it, read-only.  The batch-sized cell grid comes from
-    :meth:`cell_grid`.  A node without movements or phases is rejected.
+    shares it, read-only.  A node without movements or phases is rejected.
     """
 
     @classmethod
@@ -191,28 +190,9 @@ class _NetworkLayout:
                         columns_of_road[movement.in_road][movement.out_road]
                     )
                     self.member_valid[n, p, j] = True
-        self._node_cols = np.arange(N)[None, :]
         for value in vars(self).values():
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False
-
-    def cell_grid(self, batch_size: int) -> tuple:
-        """The open ``(b, n)`` index grid over a batch's cells.
-
-        A controller builds it once: the per-cell gathers of every
-        mini-slot index with it instead of rebuilding it per call (as
-        ``np.take_along_axis`` does).
-        """
-        return (np.arange(batch_size)[:, None], self._node_cols)
-
-    def current_slot(self, current: np.ndarray) -> np.ndarray:
-        """Dense phase slot of each ``(b, n)`` running phase (-1: amber).
-
-        ``current`` holds the kernel's own decisions: 0 (amber) or a
-        phase index of the node.  Amber maps to -1 (``slot_of[:, 0]``,
-        as phase indices start at 1) — callers mask those cells.
-        """
-        return self.slot_of[self._node_cols, current]
 
     def incoming_totals(self, queues: np.ndarray) -> np.ndarray:
         """Eq. 1 per movement: its incoming road's total queue, batched."""
@@ -232,7 +212,6 @@ class _BatchControllerBase:
             raise ValueError("network has no intersections to control")
         self.batch_size = int(batch_size)
         self._layout = _NetworkLayout.of(network)
-        self._cells = self._layout.cell_grid(self.batch_size)
         self.node_ids = self._layout.node_ids
         self.movement_keys = self._layout.movement_keys
         self._shape = (self.batch_size, len(self.node_ids))
@@ -242,14 +221,6 @@ class _BatchControllerBase:
         #: c(k-1) per (replication, node); 0 is the transition phase.
         """Reset every replication to the transition phase."""
         self._current = np.zeros(self._shape, dtype=np.int64)
-
-    def _take_per_slot(self, table: np.ndarray, slot: np.ndarray) -> np.ndarray:
-        """Gather ``table[..., slot]`` along the phase axis, per cell.
-
-        ``table`` is ``(B, N, P)``, ``slot`` is ``(B, N)`` (negative
-        slots read slot 0 — callers mask those cells afterwards).
-        """
-        return table[self._cells + (np.maximum(slot, 0),)]
 
     def _check(self, arrays: BatchControlArrays) -> None:
         expected = (self.batch_size, self._layout.n_movements)
@@ -580,9 +551,13 @@ class _BatchFixedSlotController(_BatchControllerBase):
         self._pending = np.full(self._shape, -1, dtype=np.int64)
 
     def _select(
-        self, arrays: BatchControlArrays, previous: np.ndarray
+        self, arrays: BatchControlArrays, b: np.ndarray, n: np.ndarray, running: np.ndarray
     ) -> np.ndarray:
-        """Per-cell slot selection (paper phase indices, never 0)."""
+        """The next slot's phase of the cells ``(b[k], n[k])``.
+
+        ``running`` is each cell's running phase (0: amber); the result
+        holds paper phase indices, never 0.
+        """
         raise NotImplementedError
 
     def decide_batch(self, arrays: BatchControlArrays) -> np.ndarray:
@@ -596,8 +571,11 @@ class _BatchFixedSlotController(_BatchControllerBase):
         due = now >= self._wake
         promote = due & (self._pending >= 0)
         expired = due ^ promote
-        # Only cells whose slot ended read the selection.
-        selection = self._select(arrays, previous) if expired.any() else previous
+        # Only the cells whose slot ended are scored.
+        selection = previous.copy()
+        if expired.any():
+            b, n = np.nonzero(expired)
+            selection[b, n] = self._select(arrays, b, n, previous[b, n])
         # A cell that never started (wake -inf) starts without amber.
         start = expired & ((selection == previous) | np.isneginf(self._wake))
         arm = expired ^ start
@@ -626,7 +604,7 @@ class BatchCapBpController(_BatchFixedSlotController):
     """
 
     def _select(
-        self, arrays: BatchControlArrays, previous: np.ndarray
+        self, arrays: BatchControlArrays, b: np.ndarray, n: np.ndarray, running: np.ndarray
     ) -> np.ndarray:
         lay = self._layout
         queues = arrays.queues
@@ -636,23 +614,21 @@ class BatchCapBpController(_BatchFixedSlotController):
             queues / lay.m_in_cap - out_queues / lay.m_out_cap
         )
         contribution = np.maximum(0.0, np.where(full, 0.0, weight))
-        scores = phase_gain_array(contribution, lay.members, lay.member_valid)
+        rows, members, valid = b[:, None, None], lay.members[n], lay.member_valid[n]
+        scores = phase_gain_array(contribution[rows, members], valid)
         servable_m = (queues > 0) & ~full
-        servable = np.any(
-            servable_m[..., lay.members] & lay.member_valid, axis=-1
-        )
+        servable = np.any(servable_m[rows, members] & valid, axis=-1)
         candidates = np.where(
-            servable.any(axis=2)[..., None], servable, lay.phase_valid
+            servable.any(axis=1)[:, None], servable, lay.phase_valid[n]
         )
         masked = np.where(candidates, scores, -np.inf)
-        best_score = masked.max(axis=2)
-        is_best = candidates & (masked == best_score[..., None])
-        lowest_best = np.where(is_best, lay.phase_index, _NO_PHASE).min(axis=2)
-        slot = lay.current_slot(previous)
-        current_is_best = self._take_per_slot(is_best, slot) & (slot >= 0)
-        return np.where(
-            (best_score == 0.0) & current_is_best, previous, lowest_best
-        )
+        best_score = masked.max(axis=1)
+        is_best = candidates & (masked == best_score[:, None])
+        lowest_best = np.where(is_best, lay.phase_index[n], _NO_PHASE).min(axis=1)
+        # Amber (slot -1) reads slot 0 and is masked.
+        slot = lay.slot_of[n, running]
+        current_is_best = is_best[np.arange(len(n)), np.maximum(slot, 0)] & (slot >= 0)
+        return np.where((best_score == 0.0) & current_is_best, running, lowest_best)
 
 
 class BatchOriginalBpController(_BatchFixedSlotController):
@@ -666,7 +642,7 @@ class BatchOriginalBpController(_BatchFixedSlotController):
     """
 
     def _select(
-        self, arrays: BatchControlArrays, previous: np.ndarray
+        self, arrays: BatchControlArrays, b: np.ndarray, n: np.ndarray, running: np.ndarray
     ) -> np.ndarray:
         lay = self._layout
         gains = link_gain_original_array(
@@ -674,12 +650,14 @@ class BatchOriginalBpController(_BatchFixedSlotController):
             arrays.out_queues,
             lay.m_rate,
         )
-        scores = phase_gain_array(gains, lay.members, lay.member_valid)
-        scores = np.where(lay.phase_valid, scores, -np.inf)
-        arg = scores.argmax(axis=2)
-        best = scores[self._cells + (arg,)]
-        selected = lay.phase_index[lay._node_cols, arg]
-        keep = np.where(previous != 0, previous, lay.first_phase)
+        scores = phase_gain_array(
+            gains[b[:, None, None], lay.members[n]], lay.member_valid[n]
+        )
+        scores = np.where(lay.phase_valid[n], scores, -np.inf)
+        arg = scores.argmax(axis=1)
+        best = scores[np.arange(len(n)), arg]
+        selected = lay.phase_index[n, arg]
+        keep = np.where(running != 0, running, lay.first_phase[n])
         return np.where(best == 0.0, keep, selected)
 
 
@@ -695,9 +673,9 @@ class BatchFixedTimeController(_BatchFixedSlotController):
     """
 
     def _select(
-        self, arrays: BatchControlArrays, previous: np.ndarray
+        self, arrays: BatchControlArrays, b: np.ndarray, n: np.ndarray, running: np.ndarray
     ) -> np.ndarray:
         lay = self._layout
-        following = (lay.current_slot(previous) + 1) % lay.n_phases
-        return lay.phase_index[lay._node_cols, following]
-
+        # Amber is slot -1, so it follows into slot 0, the first phase.
+        following = (lay.slot_of[n, running] + 1) % lay.n_phases[n]
+        return lay.phase_index[n, following]

@@ -221,17 +221,16 @@ def link_gain_original_array(
     )
 
 
-def phase_gain_array(
-    gains: np.ndarray, members: np.ndarray, valid: np.ndarray
-) -> np.ndarray:
+def phase_gain_array(gathered: np.ndarray, valid: np.ndarray) -> np.ndarray:
     """Eq. 10 as a dense segment reduction over phase memberships.
 
-    Sums ``gains[..., members[..., j]]`` over the membership axis.  The
-    accumulation is an explicit left-to-right loop over the (short)
-    membership axis, starting from ``0.0``, so the float addition order
-    matches the scalar :func:`phase_gain` exactly.
+    ``gathered[..., j]`` is the gain of a phase's ``j``-th member (the
+    caller gathers it, e.g. ``gains[..., members]``, for the cells it
+    scores); ``valid`` masks the padding.  The accumulation is an
+    explicit left-to-right loop over the (short) membership axis,
+    starting from ``0.0``, so the float addition order matches the
+    scalar :func:`phase_gain` exactly.
     """
-    gathered = gains[..., members]
     total = np.zeros(gathered.shape[:-1], dtype=np.float64)
     for j in range(gathered.shape[-1]):
         total = total + np.where(valid[..., j], gathered[..., j], 0.0)

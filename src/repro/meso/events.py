@@ -100,7 +100,7 @@ import numpy as np
 
 from repro.core.engine import ArrayFacade
 from repro.meso.counts import CountsSimulator
-from repro.model.arrivals import slot_times
+from repro.model.arrivals import SlotGrid
 from repro.model.phases import TRANSITION_PHASE_INDEX
 from repro.model.queues import QueueObservation
 from repro.util.validation import check_positive
@@ -311,16 +311,17 @@ class EventCountsSimulator(CountsSimulator, ArrayFacade):
         """Pre-draw one window of Poisson counts for every demand road.
 
         Consumes each road's private arrival stream exactly as the
-        per-slot calls would (one ``sample_count_block`` per road) and
+        per-slot calls would (one ``sample_count_block`` per road, all
+        over the window's one :class:`SlotGrid`) and
         schedules one calendar event per slot that actually receives
         vehicles.
         """
         dt = self._dt
-        times = slot_times(self._next_window_time, dt)
-        time_list = times.tolist()
+        grid = SlotGrid.starting(self._next_window_time, dt)
+        time_list = grid.times.tolist()
         calendar = self._calendar
         for idx, plan in enumerate(self._inject_plan):
-            counts = plan[1].sample_count_block(times, dt)
+            counts = plan[1].sample_count_block(grid)
             slots = np.flatnonzero(counts)
             for j, count in zip(slots.tolist(), counts[slots].tolist()):
                 calendar.push(time_list[j], PRIO_ARRIVAL, (idx, count))

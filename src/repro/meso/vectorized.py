@@ -111,7 +111,7 @@ from repro.model.arrivals import (
     ARRIVAL_WINDOW,
     ArrivalSchedule,
     PoissonArrivals,
-    slot_times,
+    SlotGrid,
 )
 from repro.model.network import BOUNDARY, Network
 from repro.model.phases import TRANSITION_PHASE_INDEX
@@ -980,17 +980,18 @@ class BatchCountsSimulator(ArrayFacade):
 
         :func:`~repro.model.arrivals.slot_times` replicates the engine
         clock's own float accumulation, so every replication's
-        :class:`PoissonArrivals` draws exactly what a serial run would.
+        :class:`PoissonArrivals` draws exactly what a serial run would;
+        one :class:`SlotGrid` of those times serves every draw.
         The dense ``(slot, pair)`` block is kept as per-slot lists of
         its nonzero ``(pair, count)`` events, in ascending pair order.
         """
-        times = slot_times(now, dt)
+        grid = SlotGrid.starting(now, dt)
         n_pairs = len(self._inject_plan)
         window = np.empty((ARRIVAL_WINDOW, n_pairs), dtype=np.int64)
         pair = 0
         for processes in self._arrivals:
             for process in processes:
-                window[:, pair] = process.sample_count_block(times, dt)
+                window[:, pair] = process.sample_count_block(grid)
                 pair += 1
         slots, pairs = window.nonzero()
         events = list(zip(pairs.tolist(), window[slots, pairs].tolist()))

@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.util.validation import check_non_negative, check_positive
 
-__all__ = ["ARRIVAL_WINDOW", "ArrivalSchedule", "PoissonArrivals", "slot_times"]
+__all__ = ["ARRIVAL_WINDOW", "ArrivalSchedule", "PoissonArrivals", "SlotGrid", "slot_times"]
 
 
 @dataclass(frozen=True)
@@ -117,6 +117,32 @@ def slot_times(start: float, dt: float, n: int = ARRIVAL_WINDOW) -> np.ndarray:
     return np.add.accumulate(steps)
 
 
+class SlotGrid:
+    """One window of mini-slots ``[t, t + dt)``, shared by every draw in it.
+
+    Holds the slot start times, ``dt``, the float width
+    ``(t + dt) - t`` of each slot and ``width``, their common value
+    when every slot has the same width (``None`` otherwise): computed
+    once per window instead of once per road.
+    """
+
+    __slots__ = ("times", "dt", "widths", "width")
+
+    def __init__(self, times: np.ndarray, dt: float):
+        if dt <= 0:
+            check_positive("dt", dt)
+        self.times = times
+        self.dt = dt
+        self.widths = (times + dt) - times
+        uniform = (self.widths == self.widths[0]).all()
+        self.width = self.widths[0] if uniform else None
+
+    @classmethod
+    def starting(cls, start: float, dt: float) -> "SlotGrid":
+        """The :data:`ARRIVAL_WINDOW` slots from ``start`` (:func:`slot_times`)."""
+        return cls(slot_times(start, dt), dt)
+
+
 class PoissonArrivals:
     """Samples Poisson arrival counts per mini-slot.
 
@@ -125,11 +151,11 @@ class PoissonArrivals:
     controller runs.
 
     Every count comes from one ``rng.poisson`` call per window of slots
-    (:meth:`sample_count_block`).  numpy's ``Generator.poisson`` draws an
-    array of means element by element, exactly as one scalar call per
-    element would, and a zero mean draws nothing, so a window consumes
-    the generator exactly as one ``poisson(mean)`` call per slot with a
-    nonzero mean does.
+    (:meth:`sample_count_block` over a :class:`SlotGrid`).  numpy's
+    ``Generator.poisson`` draws an array of means element by element,
+    exactly as one scalar call per element would, and a zero mean
+    draws nothing, so a window consumes the generator exactly as one
+    ``poisson(mean)`` call per slot with a nonzero mean does.
     """
 
     def __init__(self, schedule: ArrivalSchedule, rng: np.random.Generator):
@@ -142,30 +168,27 @@ class PoissonArrivals:
         self._pos = 0
         self._dt = 0.0
 
-    def sample_count_block(self, times: np.ndarray, dt: float) -> np.ndarray:
-        """Counts of the mini-slots ``[t, t + dt)`` for ``t`` in ``times``.
+    def sample_count_block(self, grid: SlotGrid) -> np.ndarray:
+        """Counts of the mini-slots of ``grid``, one per slot.
 
-        ``times`` is a non-decreasing float64 array (see
-        :func:`slot_times`).  Each slot's mean is ``rate * ((t + dt) -
-        t)`` when the whole block lies in one rate segment, and the
-        exact :meth:`ArrivalSchedule.expected_count` when it crosses a
+        Each slot's mean is ``rate * ((t + dt) - t)`` when the whole
+        window lies in one rate segment, and the exact
+        :meth:`ArrivalSchedule.expected_count` when it crosses a
         segment boundary, so the process stays Poisson across a pattern
-        change of the mixed schedule.  A block inside a zero-rate
+        change of the mixed schedule.  A window inside a zero-rate
         segment draws nothing.
         """
-        if dt <= 0:
-            check_positive("dt", dt)
         schedule = self.schedule
+        times, dt = grid.times, grid.dt
         first = times[0]
         idx = bisect_right(schedule._starts, first) - 1
         if first >= 0.0 and times[-1] + dt <= schedule._ends[idx]:
             rate = schedule.segments[idx][1]
             if rate == 0.0:
                 return np.zeros(len(times), dtype=np.int64)
-            widths = (times + dt) - times
-            if (widths == widths[0]).all():
-                return self._rng.poisson(rate * widths[0], size=len(times))
-            return self._rng.poisson(rate * widths)
+            if grid.width is not None:
+                return self._rng.poisson(rate * grid.width, size=len(times))
+            return self._rng.poisson(rate * grid.widths)
         means = [schedule.expected_count(t, t + dt) for t in times.tolist()]
         return self._rng.poisson(np.array(means))
 
@@ -183,9 +206,9 @@ class PoissonArrivals:
         if pos < len(self._times) and start == self._times[pos] and dt == self._dt:
             self._pos = pos + 1
             return self._counts[pos]
-        times = slot_times(start, dt)
-        self._counts = self.sample_count_block(times, dt).tolist()
-        self._times = times.tolist()
+        grid = SlotGrid.starting(start, dt)
+        self._counts = self.sample_count_block(grid).tolist()
+        self._times = grid.times.tolist()
         self._dt = dt
         self._pos = 1
         return self._counts[0]

@@ -304,24 +304,32 @@ def shard_index_of(spec: RunSpec, count: int) -> int:
     return int(spec.spec_hash()[:16], 16) % count
 
 
-def parse_shard(text: str) -> Tuple[int, int]:
-    """Parse an ``INDEX/COUNT`` shard designator (``"0/4"`` ... ``"3/4"``).
+def parse_shard(value: Union[str, Sequence[int]]) -> Tuple[int, int]:
+    """Parse a shard designator: ``"INDEX/COUNT"`` or ``[index, count]``.
 
     Indices are zero-based: ``N`` shards are ``0/N`` through
-    ``N-1/N``.  Raises ``ValueError`` on malformed text or an index
+    ``N-1/N``.  Raises ``ValueError`` on malformed input or an index
     outside the count.
     """
-    index_text, sep, count_text = text.partition("/")
+    if isinstance(value, str):
+        parts = value.split("/")
+    elif isinstance(value, (list, tuple)) and all(
+        isinstance(part, int) for part in value
+    ):
+        parts = list(value)
+    else:
+        parts = []
     try:
-        if not sep:
-            raise ValueError
-        index, count = int(index_text), int(count_text)
+        index, count = (int(part) for part in parts)
     except ValueError:
-        raise ValueError(
-            f"malformed shard {text!r}; expected INDEX/COUNT, e.g. 0/4"
-        ) from None
+        expected = (
+            "INDEX/COUNT, e.g. 0/4"
+            if isinstance(value, str)
+            else "'INDEX/COUNT' or [index, count]"
+        )
+        raise ValueError(f"malformed shard {value!r}; expected {expected}") from None
     if count < 1:
-        raise ValueError(f"shard count must be >= 1, got {text!r}")
+        raise ValueError(f"shard count must be >= 1, got {value!r}")
     if not 0 <= index < count:
         raise ValueError(
             f"shard index {index} out of range for count {count} "

@@ -62,11 +62,18 @@ from repro.orchestration.spec import SPEC_SCHEMA_VERSION, RunSpec, params_label
 from repro.util.logging import get_logger
 
 __all__ = [
+    "AmbiguousPrefixError",
+    "CellNotFoundError",
     "MergeError",
     "MergeStats",
+    "QUERY_AXES",
     "ResultStore",
     "StoredRecord",
 ]
+
+#: The spec axes :meth:`ResultStore.query` filters on by equality: the
+#: ``repro analyze`` flags and the service's query parameters.
+QUERY_AXES = ("pattern", "controller", "engine", "seed", "delay_mode")
 
 #: Layout version of the SQLite schema itself (tables/columns), kept in
 #: the meta table; independent of ``SPEC_SCHEMA_VERSION``, which
@@ -107,6 +114,21 @@ _UNSET = object()
 class MergeError(UsageError):
     """A store merge that cannot proceed: schema drift or a divergent
     payload under the default (strict) conflict policy."""
+
+
+class CellNotFoundError(UsageError):
+    """No stored cell has the hash prefix (the service answers 404)."""
+
+    status = 404
+
+    def __init__(self, hash_prefix: str):
+        super().__init__(f"no cell with hash prefix {hash_prefix!r}")
+
+
+class AmbiguousPrefixError(UsageError):
+    """More than one stored cell has the hash prefix (409)."""
+
+    status = 409
 
 
 @dataclass
@@ -322,12 +344,8 @@ class ResultStore:
         """
         clauses = ["spec_version = ?"]
         args: List[Any] = [SPEC_SCHEMA_VERSION]
-        for column, value in (
-            ("pattern", pattern),
-            ("controller", controller),
-            ("engine", engine),
-            ("seed", seed),
-            ("delay_mode", delay_mode),
+        for column, value in zip(
+            QUERY_AXES, (pattern, controller, engine, seed, delay_mode)
         ):
             if value is not None:
                 clauses.append(f"{column} = ?")
@@ -359,6 +377,23 @@ class ResultStore:
             (hash_prefix + "%", SPEC_SCHEMA_VERSION),
         ).fetchall()
         return self._decode_all(rows)
+
+    def find_one(self, hash_prefix: str) -> StoredRecord:
+        """The one record whose spec hash starts with ``hash_prefix``.
+
+        Raises :class:`CellNotFoundError` when none does and
+        :class:`AmbiguousPrefixError` when several do.
+        """
+        matches = self.find(hash_prefix)
+        if not matches:
+            raise CellNotFoundError(hash_prefix)
+        if len(matches) > 1:
+            hashes = ", ".join(record.spec_hash[:16] for record in matches)
+            raise AmbiguousPrefixError(
+                f"prefix {hash_prefix!r} is ambiguous "
+                f"({len(matches)} cells: {hashes})"
+            )
+        return matches[0]
 
     def _decode_all(self, rows) -> List[StoredRecord]:
         """Decode rows, skipping any a newer/older codebase cannot.

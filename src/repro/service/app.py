@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import secrets
 import time
 from typing import Any, Dict, Iterator, List, Optional
@@ -54,7 +55,12 @@ from repro.orchestration.spec import (
     parse_shard,
 )
 from repro.results.aggregate import DEFAULT_METRICS, aggregate
-from repro.results.store import ResultStore, StoredRecord
+from repro.results.store import (
+    QUERY_AXES,
+    CellNotFoundError,
+    ResultStore,
+    StoredRecord,
+)
 from repro.service.http import Handler, HttpError, HttpServer, Request, Response, Router
 from repro.service.jobs import JobManager
 from repro.util.logging import context_fields, get_logger, log_context
@@ -63,8 +69,9 @@ __all__ = ["ServiceApp", "serve"]
 
 _request_counter = itertools.count(1)
 
-#: How often a long poll or a followed stream looks for news (s).
-_POLL_SECONDS = 0.05
+#: Longest a long poll or a followed stream waits for its job before
+#: it looks whether the client left or the server is stopping (s).
+_CHECK_SECONDS = 0.05
 
 
 def _new_request_id() -> str:
@@ -253,22 +260,6 @@ class ServiceApp:
 
     # -- handlers: jobs -----------------------------------------------------
 
-    @staticmethod
-    def _parse_shard_field(value: Any) -> "tuple[int, int]":
-        """``"i/N"`` or ``[i, N]`` → validated ``(index, count)``."""
-        if isinstance(value, str):
-            return parse_shard(value)
-        if (
-            isinstance(value, (list, tuple))
-            and len(value) == 2
-            and all(isinstance(item, int) for item in value)
-        ):
-            return parse_shard(f"{value[0]}/{value[1]}")
-        raise ValueError(
-            f"malformed shard {value!r}; expected 'INDEX/COUNT' or "
-            f"[index, count]"
-        )
-
     def _parse_submission(
         self, payload: Any
     ) -> "tuple[List[RunSpec], Optional[tuple[int, int]]]":
@@ -297,7 +288,7 @@ class ServiceApp:
             grid = SweepGrid.from_dict(payload["grid"])
             if "shard" not in payload:
                 return list(grid.specs()), None
-            shard = self._parse_shard_field(payload["shard"])
+            shard = parse_shard(payload["shard"])
             specs = list(grid.shard(*shard))
             if not specs:
                 raise ValueError(
@@ -323,62 +314,66 @@ class ServiceApp:
         """List every job the manager knows about."""
         return self._respond(request, {"jobs": self.manager.jobs()})
 
-    def _job_or_404(self, job_id: str) -> None:
-        try:
-            self.manager.describe(job_id, include_cells=False)
-        except KeyError:
-            raise HttpError(404, f"unknown job {job_id!r}")
+    def _watch(
+        self, request: Request, job_id: str, timeout: float
+    ) -> Iterator[List[Dict[str, Any]]]:
+        """Yield a job's events in batches as the job records them.
+
+        The first batch comes at once (an unknown job raises).  The
+        batches end when the job ends, the server stops, the client
+        closes its connection, or ``timeout`` seconds pass.
+        """
+        deadline = time.monotonic() + timeout
+        seen = 0
+        while True:
+            remaining = max(deadline - time.monotonic(), 0.0)
+            events, terminal = self.manager.watch(
+                job_id, seen, min(remaining, _CHECK_SECONDS)
+            )
+            seen += len(events)
+            yield events
+            if (
+                terminal
+                or self.server.stopping.is_set()
+                or request.peer_closed()
+                or time.monotonic() >= deadline
+            ):
+                return
 
     def get_job(self, request: Request) -> Response:
         """Poll one job (``?wait=SECONDS`` blocks until terminal)."""
         job_id = request.path_params["job_id"]
-        self._job_or_404(job_id)
         wait = request.param("wait")
         if wait is not None:
             try:
                 timeout = min(float(wait), 300.0)
+                if math.isnan(timeout):
+                    raise ValueError  # a NaN deadline never passes
             except ValueError:
+                self.manager.describe(job_id, include_cells=False)  # 404 first
                 raise HttpError(400, f"malformed wait={wait!r}")
-            deadline = time.monotonic() + timeout
-            while not self.server.stopping.is_set():
-                remaining = deadline - time.monotonic()
-                if remaining <= 0 or self.manager.wait(
-                    job_id, timeout=min(remaining, _POLL_SECONDS)
-                ):
-                    break
+            for _ in self._watch(request, job_id, timeout):
+                pass
         return self._respond(request, {"job": self.manager.describe(job_id)})
 
     def job_events(self, request: Request) -> Response:
         """Stream a job's recorded events as NDJSON."""
         job_id = request.path_params["job_id"]
-        self._job_or_404(job_id)
-        follow = request.param("follow", "1") not in ("0", "false", "no")
-        manager = self.manager
-        stopping = self.server.stopping
-
-        def stream() -> Iterator[bytes]:
-            """Yield the event payloads (NDJSON body generator)."""
-            seq = 0
-            while True:
-                events, terminal = manager.events_since(job_id, seq)
-                for event in events:
-                    yield (json.dumps(event) + "\n").encode("utf-8")
-                seq += len(events)
-                if (
-                    terminal
-                    or not follow
-                    or stopping.is_set()
-                    or request.peer_closed(_POLL_SECONDS)
-                ):
-                    return
-
-        return Response.ndjson(stream())
+        timeout = math.inf if request.flag("follow", True) else 0.0
+        batches = self._watch(request, job_id, timeout)
+        # The first batch comes before the response starts: an unknown
+        # job is a 404, not an empty stream.
+        first = next(batches)
+        return Response.ndjson(
+            (json.dumps(event) + "\n").encode("utf-8")
+            for batch in itertools.chain([first], batches)
+            for event in batch
+        )
 
     def job_results(self, request: Request) -> Response:
         """Completed cells of one job (``?full=1`` embeds results)."""
         job_id = request.path_params["job_id"]
-        self._job_or_404(job_id)
-        full = request.param("full", "0") not in ("0", "false", "no")
+        full = request.flag("full", False)
         return self._respond(
             request,
             {
@@ -389,12 +384,10 @@ class ServiceApp:
 
     # -- handlers: stored results ------------------------------------------
 
-    _QUERY_FILTERS = ("pattern", "controller", "engine", "seed", "delay_mode")
-
     def _query(self, request: Request) -> List[StoredRecord]:
         """Stored cells matching the request's filters ([] without a store)."""
         filters: Dict[str, Any] = {}
-        for name in self._QUERY_FILTERS:
+        for name in QUERY_AXES:
             value = request.param(name)
             if value is None:
                 continue
@@ -481,21 +474,12 @@ class ServiceApp:
     def results_get(self, request: Request) -> Response:
         """One stored cell by spec-hash prefix."""
         prefix = request.path_params["hash_prefix"]
-        full = request.param("full", "0") not in ("0", "false", "no")
+        full = request.flag("full", False)
         reader = self._reader()
         if reader is None:
-            raise HttpError(404, f"no stored cell matches {prefix!r}")
+            raise CellNotFoundError(prefix)
         with reader:
-            matches = reader.find(prefix)
-        if not matches:
-            raise HttpError(404, f"no stored cell matches {prefix!r}")
-        if len(matches) > 1:
-            raise HttpError(
-                409,
-                f"hash prefix {prefix!r} is ambiguous "
-                f"({len(matches)} cells)",
-            )
-        record = matches[0]
+            record = reader.find_one(prefix)
         payload: Dict[str, Any] = {
             "spec_hash": record.spec_hash,
             "label": record.spec.label(),

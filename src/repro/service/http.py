@@ -13,8 +13,9 @@ thread.  Routes are ``(method, "/jobs/{job_id}/events")`` templates.
 Handlers are plain functions ``handler(request) -> Response``; the
 application's ``on_request`` wrapper turns what they raise into a
 response.  A handler that blocks (a long poll, a followed stream)
-watches :attr:`HttpServer.stopping`, which :meth:`HttpServer.close`
-sets before it joins the handler threads.
+checks :attr:`HttpServer.stopping`, which :meth:`HttpServer.close`
+sets before it joins the handler threads, and
+:meth:`Request.peer_closed` between short waits.
 """
 
 from __future__ import annotations
@@ -92,18 +93,23 @@ class Request:
         """A query-string parameter (last occurrence wins)."""
         return self.query.get(name, default)
 
-    def peer_closed(self, timeout: float) -> bool:
-        """Wait up to ``timeout`` seconds; whether the client closed its end.
+    def flag(self, name: str, default: bool) -> bool:
+        """A yes/no query parameter: ``0``, ``false`` and ``no`` are no."""
+        value = self.param(name)
+        if value is None:
+            return default
+        return value not in ("0", "false", "no")
 
-        A handler that waits between writes calls this instead of
-        sleeping: a write alone notices a dropped client only when the
-        next one fails.  Bytes sent after the request are read and
-        dropped (one request per connection).  A client that only
-        half-closed its sending side reads as closed too.
-        :meth:`HttpServer.close` shuts every read side, so it ends this
-        wait too.
+    def peer_closed(self) -> bool:
+        """Whether the client has closed its end; never blocks.
+
+        A handler that waits (a long poll, a followed stream) checks
+        this between its waits: a write alone notices a dropped client
+        only when the next one fails.  Bytes sent after the request are
+        read and dropped (one request per connection).  A client that
+        only half-closed its sending side reads as closed too.
         """
-        readable, _, _ = select.select([self.connection], [], [], timeout)
+        readable, _, _ = select.select([self.connection], [], [], 0)
         if not readable:
             return False
         try:

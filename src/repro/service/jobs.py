@@ -40,11 +40,11 @@ from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
 from repro.errors import ReproError, UsageError
 from repro.experiments.runner import RunResult
 from repro.orchestration.pool import ExperimentPool
-from repro.orchestration.spec import RunSpec
+from repro.orchestration.spec import RunSpec, parse_shard
 from repro.results.store import ResultStore
 from repro.util.logging import get_logger, log_context
 
-__all__ = ["Job", "JobManager", "MAX_QUEUED_JOBS", "QueueFullError"]
+__all__ = ["Job", "JobManager", "MAX_QUEUED_JOBS", "QueueFullError", "UnknownJobError"]
 
 #: Job lifecycle states.
 JOB_STATES = ("queued", "running", "done", "failed")
@@ -59,6 +59,26 @@ class QueueFullError(ReproError):
 
     status = 429
     retry_after = 1  # seconds
+
+
+class UnknownJobError(ReproError):
+    """No job has this id: the service answers 404."""
+
+    status = 404
+
+    def __init__(self, job_id: str):
+        super().__init__(f"unknown job {job_id!r}")
+
+
+def _cell_counts(cells: Sequence["_Cell"]) -> Dict[str, int]:
+    """How many of ``cells`` are done, failed, pending, stored, executed."""
+    return {
+        "done": sum(c.status == "done" for c in cells),
+        "failed": sum(c.status == "failed" for c in cells),
+        "pending": sum(c.status == "pending" for c in cells),
+        "from_store": sum(c.source == "store" for c in cells),
+        "executed": sum(c.source == "executed" for c in cells),
+    }
 
 
 @dataclass
@@ -192,11 +212,7 @@ class JobManager:
         if not specs:
             raise ValueError("a job needs at least one spec")
         if shard is not None:
-            index, count = shard
-            if not 0 <= index < count:
-                raise ValueError(
-                    f"shard index {index} out of range for count {count}"
-                )
+            shard = parse_shard(shard)
         with self._condition:
             if len(self._queue) >= MAX_QUEUED_JOBS:
                 self._log.warning("job_refused", queued=len(self._queue))
@@ -269,20 +285,20 @@ class JobManager:
 
     # -- views (all thread-safe snapshots) ----------------------------------
 
+    def _job(self, job_id: str) -> Job:
+        """The job ``job_id`` (the caller holds the condition)."""
+        try:
+            return self._jobs[job_id]
+        except KeyError:
+            raise UnknownJobError(job_id) from None
+
     def describe(self, job_id: str, include_cells: bool = True) -> Dict[str, Any]:
-        """A JSON-ready snapshot of one job (raises ``KeyError``)."""
+        """A JSON-ready snapshot of one job (raises :class:`UnknownJobError`)."""
         with self._condition:
-            job = self._jobs[job_id]
+            job = self._job(job_id)
             cells = [self._cells[h] for h in job.cell_hashes]
-            counts = {
-                "total": len(cells),
-                "done": sum(c.status == "done" for c in cells),
-                "failed": sum(c.status == "failed" for c in cells),
-                "pending": sum(c.status == "pending" for c in cells),
-                "from_store": sum(c.source == "store" for c in cells),
-                "executed": sum(c.source == "executed" for c in cells),
-                "shared": len(job.cell_hashes) - len(job.owned_hashes),
-            }
+            counts = {"total": len(cells), **_cell_counts(cells)}
+            counts["shared"] = len(job.cell_hashes) - len(job.owned_hashes)
             view: Dict[str, Any] = {
                 "job_id": job.job_id,
                 "state": job.state,
@@ -318,7 +334,7 @@ class JobManager:
     def job_results(self, job_id: str, full: bool = False) -> List[Dict[str, Any]]:
         """Completed cells of a job: spec + summary (+ full payload)."""
         with self._condition:
-            job = self._jobs[job_id]
+            job = self._job(job_id)
             out = []
             for spec_hash in job.cell_hashes:
                 cell = self._cells[spec_hash]
@@ -336,29 +352,24 @@ class JobManager:
                 out.append(entry)
             return out
 
-    def events_since(self, job_id: str, start: int) -> tuple:
-        """``(new events, job is terminal)`` from sequence ``start``."""
-        with self._condition:
-            job = self._jobs[job_id]
-            return (
-                list(job.events[start:]),
-                job.state in ("done", "failed"),
-            )
+    def watch(
+        self, job_id: str, seen: int, timeout: float
+    ) -> Tuple[List[Dict[str, Any]], bool]:
+        """``(the job's events after its first seen, whether it ended)``.
 
-    def wait(self, job_id: str, timeout: Optional[float] = None) -> bool:
-        """Block until the job is terminal; True if it finished in time."""
-        deadline = None if timeout is None else time.monotonic() + timeout
+        Blocks up to ``timeout`` seconds until the job records an event
+        past ``seen`` or ends, then returns at once: a job's end and
+        every event notify the manager's condition.
+        """
+        deadline = time.monotonic() + timeout
         with self._condition:
             while True:
-                job = self._jobs[job_id]
-                if job.state in ("done", "failed"):
-                    return True
-                remaining = (
-                    None if deadline is None else deadline - time.monotonic()
-                )
-                if remaining is not None and remaining <= 0:
-                    return False
-                self._condition.wait(timeout=remaining)
+                job = self._job(job_id)
+                terminal = job.state in ("done", "failed")
+                remaining = deadline - time.monotonic()
+                if terminal or len(job.events) > seen or remaining <= 0:
+                    return list(job.events[seen:]), terminal
+                self._condition.wait(remaining)
 
     def stats(self) -> Dict[str, int]:
         """Cumulative pool stats: unique cells executed vs store-served."""
@@ -452,17 +463,10 @@ class JobManager:
                                     error=str(error),
                                 )
                 job.error = str(error)
-            cells = [self._cells[h] for h in job.cell_hashes]
-            failed = sum(c.status == "failed" for c in cells)
-            job.state = "failed" if failed else "done"
-            job.add_event(
-                "job_completed",
-                state=job.state,
-                done=sum(c.status == "done" for c in cells),
-                failed=failed,
-                from_store=sum(c.source == "store" for c in cells),
-                executed=sum(c.source == "executed" for c in cells),
-            )
+            counts = _cell_counts([self._cells[h] for h in job.cell_hashes])
+            del counts["pending"]
+            job.state = "failed" if counts["failed"] else "done"
+            job.add_event("job_completed", state=job.state, **counts)
             self._condition.notify_all()
         if error is not None:
             self._log.error("job_failed", error=str(error))

@@ -87,6 +87,24 @@ class TestFacadeSurface:
 
         assert isinstance(client, real_client)
 
+    def test_import_repro_loads_no_submodule_and_no_numpy(self):
+        """``import repro`` in a fresh interpreter is the docstring only."""
+        import os
+        import subprocess
+
+        code = (
+            "import sys, repro\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.startswith(('repro.', 'numpy'))))\n"
+        )
+        src = str(Path(api.__file__).resolve().parents[1])
+        loaded = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True, check=True,
+            env=dict(os.environ, PYTHONPATH=src),
+        ).stdout.strip()
+        assert loaded == "[]"
+
     def test_create_app_builds_service_app(self, tmp_path):
         app = api.create_app(str(tmp_path / "store.sqlite"))
         from repro.service.app import ServiceApp

@@ -310,9 +310,12 @@ class TestFixedSlotWake:
         selects = []
         real_select = kernel._select
 
-        def counted(arrays, previous):
+        def counted(arrays, b, n, running):
             selects.append(arrays.time)
-            return real_select(arrays, previous)
+            # Only cells whose slot ended are scored.
+            assert (kernel._wake[b, n] <= arrays.time).all()
+            assert (kernel._pending[b, n] < 0).all()
+            return real_select(arrays, b, n, running)
 
         kernel._select = counted
         held_calls = 0

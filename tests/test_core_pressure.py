@@ -326,7 +326,7 @@ class TestArrayKernels:
             for j, m in enumerate(phase.movements):
                 members[p, j] = column[m.key]
                 valid[p, j] = True
-        totals = phase_gain_array(gains, members, valid)
+        totals = phase_gain_array(gains[..., members], valid)
         assert totals.shape == (self.BATCH, len(phases))
         for b, obs in enumerate(batch):
             for p, phase in enumerate(phases):

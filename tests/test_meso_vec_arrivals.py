@@ -18,7 +18,12 @@ import pytest
 from repro.control.factory import build_batch_controller
 from repro.core.engine import build_batch_engine
 from repro.experiments.runner import run_scenario, run_scenario_batch
-from repro.model.arrivals import ARRIVAL_WINDOW, ArrivalSchedule, slot_times
+from repro.model.arrivals import (
+    ARRIVAL_WINDOW,
+    ArrivalSchedule,
+    SlotGrid,
+    slot_times,
+)
 from repro.scenarios import build_named_scenario, build_scenario
 
 SEEDS = tuple(range(31, 47))
@@ -115,10 +120,10 @@ def test_window_events_sum_back_to_the_dense_draws():
     twin = build_batch_engine(scenarios, "meso-vec")
     dt, start = 0.7, 35.0
     sim._refill_window(dt, start)
-    times = slot_times(start, dt)
+    grid = SlotGrid(slot_times(start, dt), dt)
     dense = np.array(
         [
-            process.sample_count_block(times, dt)
+            process.sample_count_block(grid)
             for processes in twin._arrivals
             for process in processes
         ]

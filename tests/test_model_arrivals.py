@@ -7,6 +7,7 @@ from repro.model.arrivals import (
     ARRIVAL_WINDOW,
     ArrivalSchedule,
     PoissonArrivals,
+    SlotGrid,
     slot_times,
 )
 
@@ -164,7 +165,8 @@ class TestPoissonArrivals:
         for first in range(0, len(starts), ARRIVAL_WINDOW):
             times = slot_times(starts[first], dt)[: len(starts) - first]
             assert times.tolist() == starts[first:first + ARRIVAL_WINDOW]
-            got.extend(process.sample_count_block(times, dt).tolist())
+            grid = SlotGrid(times, dt)
+            got.extend(process.sample_count_block(grid).tolist())
         reference_rng = np.random.default_rng(11)
         expected = self._unbatched_reference(
             schedule, reference_rng, starts, dt
@@ -176,7 +178,9 @@ class TestPoissonArrivals:
         schedule = self.GAP_SCHEDULE
         rng = np.random.default_rng(5)
         process = PoissonArrivals(schedule, rng)
-        counts = process.sample_count_block(slot_times(95.0, 0.25, 64), 0.25)
+        counts = process.sample_count_block(
+            SlotGrid(slot_times(95.0, 0.25, 64), 0.25)
+        )
         assert counts.tolist() == [0] * 64
         assert rng.random() == np.random.default_rng(5).random()
 
@@ -231,7 +235,7 @@ class TestPoissonArrivals:
         for start in range(0, len(times), block_len):
             got.extend(
                 blocked.sample_count_block(
-                    times[start:start + block_len], dt
+                    SlotGrid(times[start:start + block_len], dt)
                 ).tolist()
             )
         assert got == expected

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.model.arrivals import ArrivalSchedule, slot_times
+from repro.model.arrivals import ArrivalSchedule, SlotGrid, slot_times
 from repro.model.grid import build_grid_network
 from repro.model.plant import PlantConstants, seeded_traffic
 from repro.model.routing import RouteSampler
@@ -71,12 +71,12 @@ class TestSeededTraffic:
         )
         assert list(traffic.arrivals) == list(demand)
         streams = RngStreams(4)
-        times = slot_times(0.0, 1.0, 128)
+        grid = SlotGrid(slot_times(0.0, 1.0, 128), 1.0)
         for road, process in traffic.arrivals.items():
             draws = streams.get(f"arrivals/{road}").poisson(
                 demand[road].rate_at(0.0), size=128
             )
-            assert np.array_equal(process.sample_count_block(times, 1.0), draws)
+            assert np.array_equal(process.sample_count_block(grid), draws)
         reference = RouteSampler(network, scenario.turning, streams.get("routing"))
         for entry in demand:
             assert traffic.router.sample_route(entry) == reference.sample_route(entry)

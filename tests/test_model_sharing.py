@@ -194,7 +194,6 @@ class TestSharedTables:
         ctl_a = BatchUtilBpController(scenario.network, 1)
         ctl_b = BatchUtilBpController(scenario.network, 16)
         assert ctl_a._layout is ctl_b._layout
-        assert ctl_b._cells[0].shape == (16, 1)
 
     def test_one_movement_axis_per_network(self):
         """Kernels and engines read one FacadeTables: the same tuples."""

@@ -10,6 +10,7 @@ from repro.scenarios.core import build_scenario
 from repro.orchestration import ExperimentPool, RunSpec, SweepGrid
 from repro.orchestration.spec import params_label
 from repro.results import ResultStore
+from repro.results.store import AmbiguousPrefixError, CellNotFoundError
 
 #: A cheap cell reused across tests (90 s meso run).
 QUICK = dict(pattern="I", controller="util-bp", engine="meso", duration=90.0)
@@ -132,6 +133,19 @@ class TestStoreQuery:
         matches = store.find(spec.spec_hash()[:10])
         assert len(matches) == 1
         assert matches[0].spec == spec
+
+    def test_find_one_raises_by_status(self, tmp_path):
+        store = ResultStore(tmp_path / "s.sqlite")
+        spec = RunSpec(**QUICK)
+        store.put(spec, quick_result())
+        store.put(RunSpec(**dict(QUICK, seed=2)), quick_result())
+        assert store.find_one(spec.spec_hash()[:10]).spec == spec
+        with pytest.raises(CellNotFoundError, match="prefix 'zz'") as error:
+            store.find_one("zz")
+        assert error.value.status == 404
+        with pytest.raises(AmbiguousPrefixError, match=r"\(2 cells") as error:
+            store.find_one("")
+        assert error.value.status == 409
 
     def test_overview_and_export(self, tmp_path):
         store = ResultStore(tmp_path / "s.sqlite")

@@ -27,7 +27,12 @@ from repro.service.client import ServiceClient, ServiceError
 from repro.service import http as http_layer
 from repro.service.http import MAX_BODY_BYTES, HttpError, Request, Router
 from repro.service import jobs as job_layer
-from repro.service.jobs import MAX_QUEUED_JOBS, JobManager, QueueFullError
+from repro.service.jobs import (
+    MAX_QUEUED_JOBS,
+    JobManager,
+    QueueFullError,
+    UnknownJobError,
+)
 from repro.util.logging import configure
 
 #: The source tree, for the ``repro`` subprocesses.
@@ -47,6 +52,18 @@ def spec_dict(**overrides):
     payload = dict(SPEC)
     payload.update(overrides)
     return payload
+
+
+def watch_to_end(manager, job_id, timeout=60.0):
+    """Every event of a job, watched until it ends (None past ``timeout``)."""
+    deadline = time.monotonic() + timeout
+    events, terminal = [], False
+    while not terminal and time.monotonic() < deadline:
+        new, terminal = manager.watch(
+            job_id, len(events), deadline - time.monotonic()
+        )
+        events += new
+    return events if terminal else None
 
 
 def raw_exchange(port, request_head, body=b""):
@@ -177,8 +194,8 @@ class TestJobManager:
         assert manager.describe(first)["counts"]["shared"] == 0
         assert manager.describe(second)["counts"]["shared"] == 1
         manager.start()
-        assert manager.wait(first, timeout=60)
-        assert manager.wait(second, timeout=60)
+        assert watch_to_end(manager, first)
+        assert watch_to_end(manager, second)
         assert manager.stats()["executed"] == 1  # one engine run for both
         for job_id in (first, second):
             view = manager.describe(job_id)
@@ -200,12 +217,11 @@ class TestJobManager:
         # The engine's step raises inside the run.
         bad = RunSpec.from_dict(spec_dict(engine=failing_engine))
         job_id = manager.submit([bad])
-        assert manager.wait(job_id, timeout=60)
+        events = [e["event"] for e in watch_to_end(manager, job_id)]
         view = manager.describe(job_id)
         assert view["state"] == "failed"
         assert view["cells"][0]["status"] == "failed"
         assert view["cells"][0]["error"]
-        events = [e["event"] for e in manager.events_since(job_id, 0)[0]]
         assert "cell_failed" in events
         # A resubmission owns a fresh cell (does not inherit the error).
         retry = manager.submit([bad])
@@ -216,8 +232,8 @@ class TestJobManager:
         manager = JobManager(str(tmp_path / "s.sqlite"))
         manager.start()
         job_id = manager.submit([RunSpec.from_dict(SPEC)])
-        assert manager.wait(job_id, timeout=60)
-        events, terminal = manager.events_since(job_id, 0)
+        assert watch_to_end(manager, job_id)
+        events, terminal = manager.watch(job_id, 0, timeout=0)
         assert terminal
         assert [e["event"] for e in events] == [
             "job_queued", "job_started", "cell_completed", "job_completed",
@@ -242,8 +258,36 @@ class TestJobManager:
     def test_wait_times_out_before_start(self, tmp_path):
         manager = JobManager(str(tmp_path / "s.sqlite"))
         job_id = manager.submit([RunSpec.from_dict(SPEC)])
-        assert manager.wait(job_id, timeout=0.05) is False  # worker not started
+        # The queued event at once; past it nothing (worker not started).
+        events, terminal = manager.watch(job_id, 0, timeout=10)
+        assert [e["event"] for e in events] == ["job_queued"]
+        assert not terminal
+        start = time.monotonic()
+        assert manager.watch(job_id, 1, timeout=0.05) == ([], False)
+        assert time.monotonic() - start >= 0.05
         manager.stop()
+
+    def test_watch_wakes_at_the_next_event(self, tmp_path):
+        manager = JobManager(str(tmp_path / "s.sqlite"))
+        job_id = manager.submit([RunSpec.from_dict(SPEC)])
+        threading.Timer(0.2, manager.start).start()
+        start = time.monotonic()
+        events, _ = manager.watch(job_id, 1, timeout=30)
+        assert time.monotonic() - start < 10
+        assert events[0]["event"] == "job_started"
+        assert watch_to_end(manager, job_id)[-1]["event"] == "job_completed"
+        manager.stop()
+
+    def test_unknown_job_is_one_404_error(self, tmp_path):
+        manager = JobManager(str(tmp_path / "s.sqlite"))
+        for call in (
+            lambda: manager.describe("job-999999"),
+            lambda: manager.job_results("job-999999"),
+            lambda: manager.watch("job-999999", 0, timeout=0),
+        ):
+            with pytest.raises(UnknownJobError, match="'job-999999'") as error:
+                call()
+            assert error.value.status == 404
 
 
 class TestServiceEndpoints:
@@ -480,11 +524,49 @@ class TestServiceEndpoints:
         with pytest.raises(ServiceError) as error:
             service.client.result("ffffffffffff")
         assert error.value.status == 404
+        assert error.value.message == (
+            "no cell with hash prefix 'ffffffffffff'"
+        )
+
+    def test_malformed_wait_is_400(self, service):
+        job_id = service.client.submit_spec(SPEC)["job"]["job_id"]
+        for wait in ("soon", "nan"):
+            with pytest.raises(ServiceError) as error:
+                service.client.job(job_id, wait=wait)
+            assert error.value.status == 400
+            assert error.value.message == f"malformed wait={wait!r}"
+
+    def test_ambiguous_hash_prefix_is_409(self, service):
+        from repro.results.store import ResultStore
+
+        job = service.client.submit_spec(SPEC)["job"]
+        service.client.job(job["job_id"], wait=60)
+        with ResultStore(service.app.store_path) as store:
+            (record,) = store.records()
+            # 17 cells: two of them share a first hex digit.
+            for seed in range(2, 18):
+                store.put(
+                    RunSpec.from_dict(spec_dict(seed=seed)), record.result
+                )
+            firsts = [r.spec_hash[0] for r in store.records()]
+        shared = next(c for c in firsts if firsts.count(c) > 1)
+        with pytest.raises(ServiceError) as error:
+            service.client.result(shared)
+        assert error.value.status == 409
+        assert f"prefix {shared!r} is ambiguous" in error.value.message
 
     def test_unknown_job_is_404(self, service):
-        with pytest.raises(ServiceError) as error:
-            service.client.job("job-999999")
-        assert error.value.status == 404
+        for call in (
+            lambda: service.client.job("job-999999"),
+            lambda: service.client.job("job-999999", wait=1),
+            lambda: service.client.job("job-999999", wait="soon"),
+            lambda: service.client.job_results("job-999999"),
+            lambda: list(service.client.iter_events("job-999999")),
+        ):
+            with pytest.raises(ServiceError) as error:
+                call()
+            assert error.value.status == 404
+            assert error.value.message == "unknown job 'job-999999'"
 
     def test_unknown_metric_is_400_naming_it(self, service):
         with pytest.raises(ServiceError) as error:
@@ -672,6 +754,23 @@ class TestEndToEndContract:
         logged = [json.loads(line)["event"] for line in stream.getvalue().splitlines()]
         assert "request_completed" in logged
         assert "request_crashed" not in logged
+
+    def test_dropped_wait_poll_frees_its_thread(self, service):
+        """A client that leaves a ``?wait=300`` poll on a queued job."""
+        service.app.manager.stop()  # the job waits in the queue
+        job_id = service.client.submit_spec(SPEC)["job"]["job_id"]
+        poll = raw_exchange(
+            service.app.port,
+            f"GET /jobs/{job_id}?wait=300 HTTP/1.1\r\nHost: localhost\r\n\r\n",
+        )
+        time.sleep(0.2)  # the poll reaches its wait
+        assert service.open_connections() == 1
+        poll.close()
+        deadline = time.monotonic() + 1
+        while service.open_connections() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert service.open_connections() == 0
+        assert service.client.job(job_id)["job"]["state"] == "queued"
 
     def test_shutdown_closes_an_open_follow_stream(self, tmp_path, monkeypatch):
         """Closing the app ends a followed stream and a long poll at once."""

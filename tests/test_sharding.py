@@ -99,14 +99,18 @@ class TestShardPartition:
 
 class TestParseShard:
     @pytest.mark.parametrize(
-        "text,expected", [("0/1", (0, 1)), ("0/4", (0, 4)), ("3/4", (3, 4))]
+        "text,expected",
+        [("0/1", (0, 1)), ("0/4", (0, 4)), ("3/4", (3, 4)), ([1, 2], (1, 2)), ((0, 4), (0, 4))],
     )
     def test_valid(self, text, expected):
         assert parse_shard(text) == expected
 
     @pytest.mark.parametrize(
         "text",
-        ["", "3", "a/4", "1/b", "1/0", "4/4", "-1/4", "1/-2", "1/2/3"],
+        [
+            "", "3", "a/4", "1/b", "1/0", "4/4", "-1/4", "1/-2", "1/2/3",
+            [1, 2, 3], [2, 2], [1.0, 2], ["1", "2"], None,
+        ],
     )
     def test_malformed_rejected(self, text):
         with pytest.raises(ValueError):
